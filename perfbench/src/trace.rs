@@ -3,7 +3,7 @@
 //! A span records a name, its start and end (ns since the tracer was
 //! created) and the span open around it when it began. Spans stay in
 //! memory and are written out once the traced pass ends. A disabled
-//! tracer reads no clock and records nothing, so the same driver code
+//! tracer reads no clock and records nothing, so the same re-drive code
 //! gives the untraced baseline that prices the tracing overhead.
 
 use std::collections::BTreeMap;
