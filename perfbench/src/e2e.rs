@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use dredbox::sim::stats::Summary;
 use dredbox::ScenarioReport;
 
-use crate::metrics::{median, peak_rss_mb, tail_reportable, Fingerprint, Metrics};
+use crate::metrics::{median, peak_rss_mb, percentile, tail_reportable, Fingerprint, Metrics};
 use crate::workloads::{build_racks, Trace, Workload};
 
 /// Host seconds of one set-up: trace generation, then every rack build.
@@ -37,15 +37,19 @@ impl Setup {
 }
 
 /// Repeats the set-up at least `min` times and until `budget` is spent
-/// (at most 32 times).
+/// (at most 1000 times).
 pub fn setups(w: &Workload, seed: u64, min: usize, budget: Duration) -> Vec<Setup> {
     let start = Instant::now();
     let mut out = Vec::new();
-    while out.len() < min || (start.elapsed() < budget && out.len() < 32) {
+    while out.len() < min || (start.elapsed() < budget && out.len() < 1000) {
         out.push(Setup::measure(w, seed));
     }
     out
 }
+
+/// Host time spent timing set-ups before each replay. At least three are
+/// timed; the budget gives the ~15 µs `datapath` set-up hundreds.
+const SETUP_BUDGET: Duration = Duration::from_millis(25);
 
 /// What one pass found.
 #[derive(Debug, Default)]
@@ -70,57 +74,60 @@ impl Outcome {
 }
 
 /// Runs serial and 2-worker replays alternately for about `seconds` (at
-/// least one of each), checking every report against the first.
+/// least one of each), checking every report's invariants and the first
+/// 2-worker report against the first serial one.
+///
+/// Set-ups are timed just before every replay and their median is
+/// subtracted from that replay, so the set-ups sample the whole run as the
+/// replays do, and each replay loses the set-up cost of its own stretch of
+/// the run. `setup_s` is the median of every set-up of the run.
 pub fn run(w: &Workload, seed: u64, seconds: u64) -> Outcome {
     let mut out = Outcome::default();
-    let budget = Duration::from_secs(seconds);
-    let setup = setups(w, seed, 5, budget / 20);
-    let setup_s = median(&mut setup.iter().map(Setup::total).collect::<Vec<_>>());
-
+    let budget = Duration::from_secs(seconds).as_secs_f64();
     let start = Instant::now();
-    let (mut serial, mut threaded) = (Vec::new(), Vec::new());
-    let mut reference: Option<(ScenarioReport, Fingerprint)> = None;
+    let (mut setup, mut serial, mut threaded) = (Vec::new(), Vec::new(), Vec::new());
+    let mut reference: Option<Fingerprint> = None;
     // Pairs continue while the run would end within half a pair of the
     // budget, so a run lasts about `seconds` whatever the replay size.
     while serial.is_empty()
-        || start.elapsed().as_secs_f64() * (1.0 + 0.5 / serial.len() as f64) < budget.as_secs_f64()
+        || start.elapsed().as_secs_f64() * (1.0 + 0.5 / serial.len() as f64) < budget
     {
         for threads in [1, 2] {
+            let mut before: Vec<f64> = setups(w, seed, 3, SETUP_BUDGET)
+                .iter()
+                .map(Setup::total)
+                .collect();
+            setup.extend_from_slice(&before);
+            let setup_s = median(&mut before);
             let t = Instant::now();
-            let again = w
+            let report = w
                 .spec
                 .run_with_threads(seed, threads)
                 .expect("benchmark workloads are valid");
             let wall = t.elapsed().as_secs_f64() - setup_s;
-            let Some((report, fp)) = &reference else {
-                serial.push(wall);
-                check_invariants(w, &again, &mut out);
-                let fp = Fingerprint::of(&again);
-                reference = Some((again, fp));
-                continue;
-            };
             if threads == 1 {
                 serial.push(wall);
-                out.check(*report == again, "a serial replay repeats the first report");
-            } else if threaded.is_empty() {
-                threaded.push(wall);
-                // Bit for bit: the Debug rendering prints every float
-                // exactly, so equal fingerprints mean equal reports.
-                let again = Fingerprint::of(&again);
-                out.check(
-                    fp.hex() == again.hex() && fp.bytes == again.bytes,
-                    "the 2-worker report renders identically to the serial one",
-                );
             } else {
                 threaded.push(wall);
-                out.check(
-                    *report == again,
-                    "a 2-worker replay repeats the first report",
-                );
+            }
+            check_invariants(w, &report, &mut out);
+            // Bit for bit: the Debug rendering prints every float exactly,
+            // so equal fingerprints mean equal reports. Rendering takes
+            // about as long as a replay, so only the first pair renders.
+            match &reference {
+                None => {
+                    let fp = Fingerprint::of(&report);
+                    simulated_outcomes(w, &report, &fp, &mut out);
+                    reference = Some(fp);
+                }
+                Some(serial_fp) if threaded.len() == 1 && threads == 2 => out.check(
+                    *serial_fp == Fingerprint::of(&report),
+                    "the 2-worker report renders identically to the serial one",
+                ),
+                Some(_) => {}
             }
         }
     }
-    let (report, fp) = reference.expect("at least one replay ran");
 
     let fmt = |v: &[f64]| {
         v.iter()
@@ -128,8 +135,11 @@ pub fn run(w: &Workload, seed: u64, seconds: u64) -> Outcome {
             .collect::<Vec<_>>()
             .join(" ")
     };
+    let setup_s = median(&mut setup);
     out.notes.push(format!(
-        "host: serial replays (s) {}; 2-worker replays (s) {}",
+        "host: {} set-ups, quartiles (s) {}; serial replays (s) {}; 2-worker replays (s) {}",
+        setup.len(),
+        fmt(&[25.0, 50.0, 75.0].map(|p| percentile(&setup, p))),
         fmt(&serial),
         fmt(&threaded)
     ));
@@ -137,7 +147,6 @@ pub fn run(w: &Workload, seed: u64, seconds: u64) -> Outcome {
     out.metrics.push("replay_s_2w", median(&mut threaded), "s");
     out.metrics.push("setup_s", setup_s, "s");
     out.metrics.push("peak_rss_mb", peak_rss_mb(), "MiB");
-    simulated_outcomes(w, &report, &fp, &mut out);
     out
 }
 

@@ -1,5 +1,5 @@
 //! `dredbox-perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//! [--out-dir <dir>]`
+//! --out-dir <dir>`
 //!
 //! With `--trace 0` it times untraced replays of the workload and prints
 //! the end-to-end metrics; with `--trace 1` it runs the traced pass and
@@ -34,7 +34,7 @@ struct Args {
 fn parse() -> Result<Args, String> {
     let mut raw = std::env::args().skip(1);
     let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
-    let mut out_dir = PathBuf::from(".bench_build");
+    let mut out_dir = None;
     while let Some(flag) = raw.next() {
         let value = raw.next().ok_or(format!("{flag} needs a value"))?;
         let bad = |e: std::num::ParseIntError| format!("{flag} {value}: {e}");
@@ -46,18 +46,18 @@ fn parse() -> Result<Args, String> {
                 ))?)
             }
             "--seed" => seed = Some(value.parse().map_err(bad)?),
-            "--seconds" => seconds = Some(value.parse().map_err(bad)?),
+            "--seconds" => seconds = Some(value.parse::<u64>().map_err(bad)?),
             "--trace" => trace = Some(value.parse::<u8>().map_err(bad)? != 0),
-            "--out-dir" => out_dir = PathBuf::from(value),
+            "--out-dir" => out_dir = Some(PathBuf::from(value)),
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
     Ok(Args {
         workload: workload.ok_or("--workload is required")?,
         seed: seed.ok_or("--seed is required")?,
-        seconds: seconds.unwrap_or(10).max(1),
-        trace: trace.unwrap_or(false),
-        out_dir,
+        seconds: seconds.ok_or("--seconds is required")?.max(1),
+        trace: trace.ok_or("--trace is required")?,
+        out_dir: out_dir.ok_or("--out-dir is required")?,
     })
 }
 

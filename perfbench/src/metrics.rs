@@ -79,7 +79,7 @@ pub fn tail_reportable(count: usize, p: f64) -> bool {
 
 /// Streams `Debug` output through FNV-1a, so the fingerprint of a report
 /// never materialises the (possibly tens of MB) rendering.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Fingerprint {
     hash: u64,
     pub bytes: u64,

@@ -20,8 +20,8 @@ use dredbox::workload::{
 };
 use dredbox::{DredboxSystem, SystemConfig};
 
-/// Names accepted by `--workload`. `BENCHMARK.json` declares `fed64` and
-/// `rack`; `fed16` and `datapath` run the same passes when named.
+/// Names accepted by `--workload`. `BENCHMARK.json` declares `fed64`,
+/// `rack` and `datapath`; `fed16` runs the same passes when named.
 pub const NAMES: [&str; 4] = ["fed64", "fed16", "rack", "datapath"];
 
 /// One named workload: the scenario it replays.
@@ -86,7 +86,9 @@ fn fed16(scale: u32) -> ScenarioSpec {
 /// One full-height accelerated rack (256 dCOMPUBRICKs, 128 dMEMBRICKs, 32
 /// dACCELBRICKs) with scale-up churn, consolidation migrations and offload
 /// sessions. Arrivals are spaced so most admissions do full placement work
-/// instead of failing fast on a full rack.
+/// instead of failing fast on a full rack. Each VM also prices one short
+/// burst of remote reads, so the data path runs here too, at a small share
+/// of the replay (its priced latencies change no decision).
 fn rack(scale: u32) -> ScenarioSpec {
     let mut system = SystemConfig::accelerated_rack(16, 16, 8, 2);
     system.placement = PlacementPolicy::Balanced;
@@ -119,6 +121,7 @@ fn rack(scale: u32) -> ScenarioSpec {
         horizon: SimTime::from_secs(104 * 3_600),
         power_sweep_every: Some(SimDuration::from_secs(600)),
         event_budget: 2_000_000,
+        data_path: Some(contended_data_path(1, 8)),
         ..ScenarioSpec::rack_scale()
     };
     shrink(&mut spec, scale);
@@ -156,22 +159,28 @@ fn datapath(scale: u32) -> ScenarioSpec {
         horizon: SimTime::from_secs(15 + 45 * u64::from(bursts) + 600),
         power_sweep_every: Some(SimDuration::from_secs(600)),
         event_budget: 1_000_000,
-        data_path: Some(DataPathConfig {
-            contention: Some(ContentionConfig::dredbox_default()),
-            cache: Some(RemoteCacheConfig::dredbox_default()),
-            initial_granularity: Granularity::Page,
-            adaptive: true,
-            profile: ReadProfile {
-                working_set: ByteSize::from_bytes(4 * 1024 * 1024),
-                reads_per_sec: 1.0e5,
-                bursts_per_vm: bursts,
-                reads_per_burst: 400,
-                burst_every: SimDuration::from_secs(45),
-                start_after: SimDuration::from_secs(15),
-                locality: 0.8,
-            },
-        }),
+        data_path: Some(contended_data_path(bursts, 400)),
         ..ScenarioSpec::memory_thrash()
+    }
+}
+
+/// Contention, remote caches and adaptive granularity on; each VM prices
+/// `bursts` bursts of `reads` reads, 45 s apart, from 15 s after admission.
+fn contended_data_path(bursts: u32, reads: u32) -> DataPathConfig {
+    DataPathConfig {
+        contention: Some(ContentionConfig::dredbox_default()),
+        cache: Some(RemoteCacheConfig::dredbox_default()),
+        initial_granularity: Granularity::Page,
+        adaptive: true,
+        profile: ReadProfile {
+            working_set: ByteSize::from_bytes(4 * 1024 * 1024),
+            reads_per_sec: 1.0e5,
+            bursts_per_vm: bursts,
+            reads_per_burst: reads,
+            burst_every: SimDuration::from_secs(45),
+            start_after: SimDuration::from_secs(15),
+            locality: 0.8,
+        },
     }
 }
 
