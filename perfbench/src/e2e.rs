@@ -1,6 +1,7 @@
 //! The end-to-end pass: untraced replays through
-//! `ScenarioSpec::run_with_threads`, timed in host seconds, plus the
-//! simulated outcomes of the replayed rack (deterministic per seed).
+//! `ScenarioSpec::run_with_threads`, timed in host seconds scaled to the
+//! reference host (see `host`), plus the simulated outcomes of the
+//! replayed rack (deterministic per seed).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -8,6 +9,7 @@ use std::time::{Duration, Instant};
 use dredbox::sim::stats::Summary;
 use dredbox::ScenarioReport;
 
+use crate::host::{slowdown, stolen_s};
 use crate::metrics::{median, peak_rss_mb, percentile, tail_reportable, Fingerprint, Metrics};
 use crate::workloads::{build_racks, Trace, Workload};
 
@@ -73,61 +75,80 @@ impl Outcome {
     }
 }
 
-/// Runs serial and 2-worker replays alternately for about `seconds` (at
-/// least one of each), checking every report's invariants and the first
-/// 2-worker report against the first serial one.
+/// Replays the workload serially once untimed, as a warm-up that also
+/// gives the reference report, then runs timed serial and 2-worker replays
+/// alternately for the rest of about `seconds` (at least one of each),
+/// checking every report's invariants and the first 2-worker report against
+/// the reference.
 ///
 /// Set-ups are timed just before every replay and their median is
 /// subtracted from that replay, so the set-ups sample the whole run as the
 /// replays do, and each replay loses the set-up cost of its own stretch of
-/// the run. `setup_s` is the median of every set-up of the run.
+/// the run. Host times are scaled to the reference host (see `host`): a
+/// replay loses the time stolen from the machine while it ran and is
+/// divided by the mean probe slowdown just before and just after it; a
+/// set-up is divided by the slowdown measured just before it. The metrics
+/// are medians over the run; the unscaled medians go to the details.
 pub fn run(w: &Workload, seed: u64, seconds: u64) -> Outcome {
     let mut out = Outcome::default();
     let budget = Duration::from_secs(seconds).as_secs_f64();
     let start = Instant::now();
+    let stolen_at_start = stolen_s();
+    // Bit for bit: the Debug rendering prints every float exactly, so equal
+    // fingerprints mean equal reports. Rendering takes about as long as a
+    // replay, so only the warm-up and the first 2-worker replay render.
+    let reference = {
+        let report = replay(w, seed, 1);
+        check_invariants(w, &report, &mut out);
+        let fp = Fingerprint::of(&report);
+        simulated_outcomes(w, &report, &fp, &mut out);
+        fp
+    };
+    // The high-water mark of one serial replay. Read later, it would also
+    // hold what the 2-worker replays' per-thread heaps leave behind, which
+    // varies from run to run.
+    let peak_rss = peak_rss_mb();
     let (mut setup, mut serial, mut threaded) = (Vec::new(), Vec::new(), Vec::new());
-    let mut reference: Option<Fingerprint> = None;
+    let (mut raw_serial, mut raw_threaded) = (Vec::new(), Vec::new());
+    let mut slowdowns = vec![slowdown()];
     // Pairs continue while the run would end within half a pair of the
     // budget, so a run lasts about `seconds` whatever the replay size.
     while serial.is_empty()
         || start.elapsed().as_secs_f64() * (1.0 + 0.5 / serial.len() as f64) < budget
     {
         for threads in [1, 2] {
+            let slow_before = *slowdowns.last().expect("probed before the first replay");
             let mut before: Vec<f64> = setups(w, seed, 3, SETUP_BUDGET)
                 .iter()
                 .map(Setup::total)
                 .collect();
-            setup.extend_from_slice(&before);
+            setup.extend(before.iter().map(|s| s / slow_before));
             let setup_s = median(&mut before);
+            let stolen = stolen_s();
             let t = Instant::now();
-            let report = w
-                .spec
-                .run_with_threads(seed, threads)
-                .expect("benchmark workloads are valid");
+            let report = replay(w, seed, threads);
             let wall = t.elapsed().as_secs_f64() - setup_s;
+            let ran = wall - (stolen_s() - stolen);
+            let slow_after = slowdown();
+            slowdowns.push(slow_after);
+            let scaled = ran / ((slow_before + slow_after) / 2.0);
             if threads == 1 {
-                serial.push(wall);
+                serial.push(scaled);
+                raw_serial.push(wall);
             } else {
-                threaded.push(wall);
+                threaded.push(scaled);
+                raw_threaded.push(wall);
             }
             check_invariants(w, &report, &mut out);
-            // Bit for bit: the Debug rendering prints every float exactly,
-            // so equal fingerprints mean equal reports. Rendering takes
-            // about as long as a replay, so only the first pair renders.
-            match &reference {
-                None => {
-                    let fp = Fingerprint::of(&report);
-                    simulated_outcomes(w, &report, &fp, &mut out);
-                    reference = Some(fp);
-                }
-                Some(serial_fp) if threaded.len() == 1 && threads == 2 => out.check(
-                    *serial_fp == Fingerprint::of(&report),
+            if threads == 2 && threaded.len() == 1 {
+                out.check(
+                    reference == Fingerprint::of(&report),
                     "the 2-worker report renders identically to the serial one",
-                ),
-                Some(_) => {}
+                );
             }
         }
     }
+    let stolen = stolen_s() - stolen_at_start;
 
     let fmt = |v: &[f64]| {
         v.iter()
@@ -137,17 +158,37 @@ pub fn run(w: &Workload, seed: u64, seconds: u64) -> Outcome {
     };
     let setup_s = median(&mut setup);
     out.notes.push(format!(
-        "host: {} set-ups, quartiles (s) {}; serial replays (s) {}; 2-worker replays (s) {}",
+        "host: {} set-ups, scaled quartiles (s) {}; probe slowdowns {}; {stolen:.2} s stolen",
         setup.len(),
         fmt(&[25.0, 50.0, 75.0].map(|p| percentile(&setup, p))),
+        fmt(&slowdowns),
+    ));
+    out.notes.push(format!(
+        "host: serial replays (s) {} scaled {}; 2-worker replays (s) {} scaled {}",
+        fmt(&raw_serial),
         fmt(&serial),
+        fmt(&raw_threaded),
         fmt(&threaded)
     ));
     out.metrics.push("replay_s", median(&mut serial), "s");
     out.metrics.push("replay_s_2w", median(&mut threaded), "s");
     out.metrics.push("setup_s", setup_s, "s");
-    out.metrics.push("peak_rss_mb", peak_rss_mb(), "MiB");
+    out.metrics.push("peak_rss_mb", peak_rss, "MiB");
+    out.details.push("peak_rss_mb.run", peak_rss_mb(), "MiB");
+    out.details
+        .push("replay_s.unscaled", median(&mut raw_serial), "s");
+    out.details
+        .push("replay_s_2w.unscaled", median(&mut raw_threaded), "s");
+    out.details
+        .push("host.slowdown", median(&mut slowdowns), "x");
+    out.details.push("host.stolen_s", stolen, "s");
     out
+}
+
+fn replay(w: &Workload, seed: u64, threads: usize) -> ScenarioReport {
+    w.spec
+        .run_with_threads(seed, threads)
+        .expect("benchmark workloads are valid")
 }
 
 /// Report invariants every replay must satisfy.

@@ -11,6 +11,7 @@
 //! builds this binary and is the command to run.
 
 mod e2e;
+mod host;
 mod layers;
 mod metrics;
 mod redrive;

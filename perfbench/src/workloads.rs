@@ -20,8 +20,8 @@ use dredbox::workload::{
 };
 use dredbox::{DredboxSystem, SystemConfig};
 
-/// Names accepted by `--workload`. `BENCHMARK.json` declares `fed64`,
-/// `rack` and `datapath`; `fed16` runs the same passes when named.
+/// Names accepted by `--workload`. `BENCHMARK.json` declares `fed64` and
+/// `rack`; `fed16` and `datapath` run the same passes when named.
 pub const NAMES: [&str; 4] = ["fed64", "fed16", "rack", "datapath"];
 
 /// One named workload: the scenario it replays.
