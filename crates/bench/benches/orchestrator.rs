@@ -16,8 +16,8 @@
 //! per-rack shape: one isolates the cluster controller's digest-only
 //! routing decision, the other drives a routed admit/release trace through
 //! a whole federated [`DredboxSystem`]. Together they hold the two-level
-//! headline to account — per-decision cost must grow no worse than
-//! logarithmically in racks, never linearly in bricks.
+//! headline to account — a routing decision is one pass over the rack
+//! digests, linear in racks and never in bricks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -352,8 +352,8 @@ fn synthetic_cluster(racks: u16) -> ClusterController {
                 provisioned_milliwatts: 3_000_000,
             }
         } else {
-            // Active with headroom, free cores varied so the rank sets
-            // hold genuinely distinct keys.
+            // Active with headroom, free cores varied so the preference order
+            // holds genuinely distinct keys.
             RackDigest {
                 free_cores: 64 + u64::from(r) * 4,
                 largest_free_cores: 24,

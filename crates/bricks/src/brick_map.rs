@@ -171,11 +171,15 @@ impl<T: dredbox_snap::Snap> dredbox_snap::Snap for BrickMap<T> {
         dredbox_snap::Snap::snap(&self.slots, out);
         dredbox_snap::Snap::snap(&self.live, out);
     }
+    /// Rejects a stream whose live count disagrees with its occupied
+    /// slots, so a decoded map's `len` is always truthful.
     fn unsnap(r: &mut dredbox_snap::Reader<'_>) -> Result<Self, dredbox_snap::SnapError> {
-        Ok(BrickMap {
-            slots: dredbox_snap::Snap::unsnap(r)?,
-            live: dredbox_snap::Snap::unsnap(r)?,
-        })
+        let slots: Vec<Option<T>> = dredbox_snap::Snap::unsnap(r)?;
+        let live: usize = dredbox_snap::Snap::unsnap(r)?;
+        if slots.iter().filter(|s| s.is_some()).count() != live {
+            return Err(dredbox_snap::SnapError::Inconsistent { ty: "BrickMap" });
+        }
+        Ok(BrickMap { slots, live })
     }
 }
 

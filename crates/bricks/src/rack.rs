@@ -1,7 +1,6 @@
 //! Racks: collections of trays interconnected by the optical network.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 use dredbox_sim::units::{ByteSize, Watts};
 
@@ -23,14 +22,19 @@ use crate::tray::{Brick, Tray};
 pub struct Rack {
     id: RackId,
     trays: Vec<Tray>,
-    /// Tray-position hints for brick lookups, so the per-event
-    /// [`Rack::brick_mut`] calls of a rack-scale replay are an index probe
-    /// plus a tray-local scan instead of a walk over every brick. Purely an
-    /// accelerator: a stale hint (a brick unplugged through
-    /// [`Rack::trays_mut`]) falls back to the full scan, which refreshes it.
+    /// Exact `(tray, slot)` of every brick, indexed by `id - hint_base`, so
+    /// the per-event [`Rack::brick_mut`] calls of a rack-scale replay are
+    /// two array indexes checked by one id compare. Purely an accelerator:
+    /// a stale hint (a brick unplugged through [`Rack::trays_mut`]) falls
+    /// back to a full scan, which refreshes it.
     #[serde(skip)]
-    tray_hints: BTreeMap<BrickId, usize>,
+    hints: Vec<(u32, u32)>,
+    #[serde(skip)]
+    hint_base: u32,
 }
+
+/// The hint of an id no brick has been seen at.
+const NO_HINT: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// Hints are derived state; rack equality is the trays' contents.
 impl PartialEq for Rack {
@@ -42,11 +46,67 @@ impl PartialEq for Rack {
 impl Rack {
     /// Creates an empty rack.
     pub fn new(id: RackId) -> Self {
-        Rack {
+        Rack::with_trays(id, Vec::new())
+    }
+
+    fn with_trays(id: RackId, trays: Vec<Tray>) -> Self {
+        let mut rack = Rack {
             id,
-            trays: Vec::new(),
-            tray_hints: BTreeMap::new(),
+            trays,
+            hints: Vec::new(),
+            hint_base: 0,
+        };
+        rack.rebuild_hints();
+        rack
+    }
+
+    /// Recomputes every hint from the trays' current contents. Catalog
+    /// racks number their bricks contiguously; a rack whose ids are too
+    /// sparse to index densely (only a hand-built or hostile one) keeps no
+    /// hints and every lookup scans.
+    fn rebuild_hints(&mut self) {
+        self.hints.clear();
+        let ids = || self.bricks().map(|b| b.id().0);
+        let (Some(lo), Some(hi)) = (ids().min(), ids().max()) else {
+            return;
+        };
+        if (hi - lo) as usize > 4 * ids().count() + 1024 {
+            return;
         }
+        self.hint_base = lo;
+        self.hints = vec![NO_HINT; (hi - lo) as usize + 1];
+        for (t, tray) in self.trays.iter().enumerate() {
+            for (slot, brick) in tray.bricks().iter().enumerate() {
+                self.hints[(brick.id().0 - lo) as usize] = (t as u32, slot as u32);
+            }
+        }
+    }
+
+    /// The hinted `(tray, slot)` of `id`, unchecked.
+    fn hint(&self, id: BrickId) -> (usize, usize) {
+        let (t, s) =
+            id.0.checked_sub(self.hint_base)
+                .and_then(|i| self.hints.get(i as usize))
+                .copied()
+                .unwrap_or(NO_HINT);
+        (t as usize, s as usize)
+    }
+
+    /// Where `id` sits: the hint when it holds, else a full scan.
+    fn locate(&self, id: BrickId) -> Option<(usize, usize)> {
+        let (t, s) = self.hint(id);
+        let hinted = self.trays.get(t).and_then(|tray| tray.bricks().get(s));
+        if hinted.is_some_and(|b| b.id() == id) {
+            return Some((t, s));
+        }
+        self.scan(id)
+    }
+
+    fn scan(&self, id: BrickId) -> Option<(usize, usize)> {
+        self.trays.iter().enumerate().find_map(|(t, tray)| {
+            let s = tray.bricks().iter().position(|b| b.id() == id)?;
+            Some((t, s))
+        })
     }
 
     /// Rack identifier.
@@ -54,13 +114,31 @@ impl Rack {
         self.id
     }
 
-    /// Adds a tray to the rack.
+    /// Adds a tray to the rack. Catalog racks number bricks upwards tray
+    /// by tray, so the new tray's hints usually just extend the table;
+    /// anything else re-derives it.
     pub fn add_tray(&mut self, tray: Tray) {
-        let idx = self.trays.len();
-        for brick in tray.bricks() {
-            self.tray_hints.insert(brick.id(), idx);
-        }
+        let t = self.trays.len();
+        let base = self.hint_base;
+        let extends = !self.hints.is_empty()
+            && tray.bricks().iter().all(|b| {
+                b.id()
+                    .0
+                    .checked_sub(base)
+                    .is_some_and(|i| (i as usize) < self.hints.len() + 1024)
+            });
         self.trays.push(tray);
+        if !extends {
+            self.rebuild_hints();
+            return;
+        }
+        for (slot, brick) in self.trays[t].bricks().iter().enumerate() {
+            let i = (brick.id().0 - base) as usize;
+            if i >= self.hints.len() {
+                self.hints.resize(i + 1, NO_HINT);
+            }
+            self.hints[i] = (t as u32, slot as u32);
+        }
     }
 
     /// All trays.
@@ -90,29 +168,18 @@ impl Rack {
 
     /// Finds a brick anywhere in the rack.
     pub fn brick(&self, id: BrickId) -> Option<&Brick> {
-        if let Some(&t) = self.tray_hints.get(&id) {
-            if let Some(brick) = self.trays.get(t).and_then(|tray| tray.brick(id)) {
-                return Some(brick);
-            }
-        }
-        self.bricks().find(|b| b.id() == id)
+        let (t, s) = self.locate(id)?;
+        self.trays[t].bricks().get(s)
     }
 
-    /// Finds a brick mutably anywhere in the rack.
+    /// Finds a brick mutably anywhere in the rack; a lookup that missed its
+    /// hint (the layout moved) re-derives the hints.
     pub fn brick_mut(&mut self, id: BrickId) -> Option<&mut Brick> {
-        // Validate the hint with a shared probe first, so the mutable borrow
-        // of the hinted tray never blocks the fallback scan below.
-        let hinted = self.tray_hints.get(&id).copied().filter(|&t| {
-            self.trays
-                .get(t)
-                .is_some_and(|tray| tray.brick(id).is_some())
-        });
-        if let Some(t) = hinted {
-            return self.trays[t].brick_mut(id);
+        let (t, s) = self.locate(id)?;
+        if self.hint(id) != (t, s) && !self.hints.is_empty() {
+            self.rebuild_hints();
         }
-        let pos = self.trays.iter().position(|t| t.brick(id).is_some())?;
-        self.tray_hints.insert(id, pos);
-        self.trays[pos].brick_mut(id)
+        self.trays[t].brick_at_mut(s)
     }
 
     /// Finds a brick mutably, returning an error if it does not exist.
@@ -127,10 +194,8 @@ impl Rack {
 
     /// The tray hosting a given brick, if any.
     pub fn tray_of(&self, id: BrickId) -> Option<TrayId> {
-        self.trays
-            .iter()
-            .find(|t| t.brick(id).is_some())
-            .map(|t| t.id())
+        let (t, _) = self.locate(id)?;
+        Some(self.trays[t].id())
     }
 
     /// Whether two bricks sit on the same tray (and thus communicate over the
@@ -178,20 +243,18 @@ impl Rack {
     }
 }
 
-// Deterministic snapshot codec impls (see `dredbox_snap`). Tray hints are
-// a derived accelerator excluded from equality, so they are not encoded; a
-// restored rack starts with cold hints that refresh on first lookup.
+// Deterministic snapshot codec impls (see `dredbox_snap`). Hints are a
+// derived accelerator excluded from equality, so they are not encoded; a
+// restored rack rebuilds them from its trays.
 impl dredbox_snap::Snap for Rack {
     fn snap(&self, out: &mut Vec<u8>) {
         dredbox_snap::Snap::snap(&self.id, out);
         dredbox_snap::Snap::snap(&self.trays, out);
     }
     fn unsnap(r: &mut dredbox_snap::Reader<'_>) -> Result<Self, dredbox_snap::SnapError> {
-        Ok(Rack {
-            id: dredbox_snap::Snap::unsnap(r)?,
-            trays: dredbox_snap::Snap::unsnap(r)?,
-            tray_hints: BTreeMap::new(),
-        })
+        let id = dredbox_snap::Snap::unsnap(r)?;
+        let trays = dredbox_snap::Snap::unsnap(r)?;
+        Ok(Rack::with_trays(id, trays))
     }
 }
 
@@ -240,6 +303,32 @@ mod tests {
         assert!(r.same_tray(t0_bricks[0], t0_bricks[1]));
         assert!(!r.same_tray(t0_bricks[0], t1_bricks[0]));
         assert!(!r.same_tray(t0_bricks[0], BrickId(10_000)));
+    }
+
+    #[test]
+    fn lookups_survive_unplugging_and_sparse_ids() {
+        let mut r = rack();
+        let ids: Vec<BrickId> = r.bricks().map(|b| b.id()).collect();
+        // Unplugging the first brick shifts every slot after it.
+        let gone = ids[0];
+        r.trays_mut().next().unwrap().unplug(gone).unwrap();
+        assert!(r.brick(gone).is_none());
+        for &id in &ids[1..] {
+            assert_eq!(r.brick_mut(id).map(|b| b.id()), Some(id));
+            assert_eq!(r.brick(id).map(|b| b.id()), Some(id));
+            assert!(r.tray_of(id).is_some());
+        }
+
+        let catalog = Catalog::prototype();
+        let mut sparse = Rack::new(RackId(1));
+        let mut tray = Tray::new(TrayId(0));
+        tray.plug(catalog.compute_brick(BrickId(0)).into());
+        tray.plug(catalog.memory_brick(BrickId(u32::MAX)).into());
+        sparse.add_tray(tray);
+        assert!(sparse.hints.is_empty());
+        assert!(sparse.brick_mut(BrickId(u32::MAX)).is_some());
+        assert!(sparse.brick(BrickId(0)).is_some());
+        assert!(sparse.brick(BrickId(7)).is_none());
     }
 
     #[test]

@@ -200,6 +200,11 @@ impl Tray {
         self.bricks.iter_mut().find(|b| b.id() == id)
     }
 
+    /// The brick at position `slot` of the tray, mutably.
+    pub(crate) fn brick_at_mut(&mut self, slot: usize) -> Option<&mut Brick> {
+        self.bricks.get_mut(slot)
+    }
+
     /// Number of bricks of a given kind on the tray.
     pub fn brick_count(&self, kind: BrickKind) -> usize {
         self.bricks.iter().filter(|b| b.kind() == kind).count()

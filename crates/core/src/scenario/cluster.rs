@@ -129,9 +129,10 @@ impl FrontDoor {
         let demand = self.demands[index];
         let next = self
             .controller
-            .spillover_order(demand.vcpus, demand.memory, None)
-            .into_iter()
-            .find(|r| tried & (1u64 << u32::from(r.0)) == 0);
+            .pick(demand.vcpus, demand.memory, |r| {
+                tried & (1u64 << u32::from(r.0)) != 0
+            })
+            .rack;
         let Some(rack) = next else {
             self.rejected += 1;
             return;
@@ -884,7 +885,13 @@ fn place_on_cluster(
     vcpus: u32,
     memory: ByteSize,
 ) -> Option<(RackId, VmHandle)> {
-    for dest in controller.spillover_order(vcpus, memory, Some(exclude)) {
+    // The front door's digests do not move during a serial event, so
+    // skipping each refusing rack visits racks in preference order.
+    let mut refused = 1u64 << u32::from(exclude.0);
+    while let Some(dest) = controller
+        .pick(vcpus, memory, |r| refused & (1u64 << u32::from(r.0)) != 0)
+        .rack
+    {
         let shard = rack_shards[usize::from(dest.0)]
             .as_mut()
             .expect("the engine reunites workers before serial events");
@@ -895,6 +902,7 @@ fn place_on_cluster(
         {
             return Some((dest, outcome.vm));
         }
+        refused |= 1u64 << u32::from(dest.0);
     }
     None
 }

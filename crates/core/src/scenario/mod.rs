@@ -485,7 +485,7 @@ impl ScenarioSpec {
     /// sweeps. Every arrival walks the full placement → reservation →
     /// hotplug path, so the run scales with the cost of the SDM
     /// controller's availability inspection — the hot path the capacity
-    /// indexes keep at `O(log n)` per request.
+    /// indexes keep free of rack-wide scans.
     pub fn rack_scale() -> Self {
         ScenarioSpec {
             name: "rack-scale".to_owned(),
@@ -642,8 +642,8 @@ impl ScenarioSpec {
     /// dCOMPUBRICKs + 8 dMEMBRICKs each → 4096 compute bricks, 2048 memory
     /// bricks, 131072 cores) under one cluster controller, absorbing 20000
     /// VM arrivals from a multi-tenant blend of Table I mixes. Admissions
-    /// route through the cluster tier's capacity digests (an `O(log racks)`
-    /// read per decision — never a per-brick scan), hop to the chosen
+    /// route through the cluster tier's capacity digests (one pass over
+    /// the per-rack digests per decision — never a per-brick scan), hop to the chosen
     /// rack's shard, and spill over between racks when a digest admitted a
     /// layout the rack's pool cannot serve. A per-rack provisioned-power
     /// budget steers routing away from power-saturated racks, per-rack

@@ -239,7 +239,7 @@ struct RackDomain {
 
 impl RackDomain {
     /// The rack's capacity digest, read off the incrementally maintained
-    /// indexes in `O(1)`/`O(log bricks)` — the cost of keeping the cluster
+    /// indexes in `O(1)`/`O(keys)` — the cost of keeping the cluster
     /// view in lockstep with every orchestration operation.
     fn digest(&self, draw_mw: &[u64; 3]) -> RackDigest {
         let capacity = self.sdm.capacity();
@@ -365,7 +365,7 @@ pub struct DredboxSystem {
     config: SystemConfig,
     /// The federated racks, indexed by rack id.
     racks: Vec<RackDomain>,
-    /// The cluster tier: per-rack digests and the routing rank sets.
+    /// The cluster tier: the per-rack digests routing reads.
     cluster: ClusterController,
     /// Brick-id namespace stride between consecutive racks
     /// (= bricks per rack), so `rack_of` is a division instead of a map.
@@ -711,8 +711,8 @@ impl DredboxSystem {
     }
 
     /// Allocates a VM through the cluster tier: the controller routes the
-    /// request to the best rack off the capacity digests (an `O(log racks)`
-    /// read, never a per-brick scan), and the chosen rack's SDM controller
+    /// request to the best rack off the capacity digests (one pass over the
+    /// racks' digests, never a per-brick scan), and the chosen rack's SDM controller
     /// places it. When the routed rack rejects — its digest admitted a
     /// fragmented memory layout the pool cannot actually serve — the
     /// request spills over to the remaining admitting racks in preference
@@ -764,9 +764,8 @@ impl DredboxSystem {
     ) -> Result<AdmissionOutcome, SystemError> {
         let mut spillovers = 0u32;
         let mut last_err = None;
-        // Typical case: the routed rack accepts and the admission never
-        // materializes the spillover order — the per-decision cost stays
-        // the digest walk, O(log racks), independent of rack count.
+        // Typical case: the routed rack accepts and the admission makes no
+        // spillover pick — the per-decision cost stays the one digest pass.
         if usize::from(first.0) < self.racks.len() {
             match self.try_allocate_on(usize::from(first.0), vcpus, memory) {
                 Ok(vm) => {
@@ -784,11 +783,17 @@ impl DredboxSystem {
             }
         }
         // The routed rack refused (its digest admitted a fragmented layout
-        // the pool could not serve): only now compute the spillover order.
+        // the pool could not serve): spill to the best rack not yet tried.
         // A failed attempt refreshes no digest but the attempted rack's,
-        // and the order excludes that rack, so the sequence is identical
-        // to a fully materialized candidate list.
-        for rack in self.cluster.spillover_order(vcpus, memory, Some(first)) {
+        // and every attempted rack is skipped, so the picks visit racks in
+        // exactly the preference order a materialized list would hold.
+        let mut refused: Vec<RackId> = Vec::new();
+        while let Some(rack) = self
+            .cluster
+            .pick(vcpus, memory, |r| r == first || refused.contains(&r))
+            .rack
+        {
+            refused.push(rack);
             match self.try_allocate_on(usize::from(rack.0), vcpus, memory) {
                 Ok(vm) => {
                     return Ok(AdmissionOutcome {
@@ -1363,12 +1368,7 @@ impl DredboxSystem {
             };
             let memory = self.vm_memory(handle).unwrap_or(ByteSize::ZERO);
             let vcpus = record.vcpus;
-            let Some(dest) = self
-                .cluster
-                .spillover_order(vcpus, memory, Some(rack))
-                .into_iter()
-                .next()
-            else {
+            let Some(dest) = self.cluster.pick(vcpus, memory, |r| r == rack).rack else {
                 stranded += 1;
                 continue;
             };
@@ -1605,11 +1605,7 @@ impl DredboxSystem {
         if total == 0 {
             return 0.0;
         }
-        let idle: usize = self
-            .racks
-            .iter()
-            .map(|d| d.sdm.idle_accel_bricks().count())
-            .sum();
+        let idle: usize = self.racks.iter().map(|d| d.sdm.accel().idle_count()).sum();
         (total - idle) as f64 / total as f64
     }
 
@@ -1956,10 +1952,16 @@ impl DredboxSystem {
                 .map(|r| r.vcpus)
                 .unwrap_or(0);
             let memory = self.vm_memory(handle).unwrap_or(ByteSize::ZERO);
+            // A failed restart refreshes only its destination's digest, and
+            // refused racks are skipped, so the picks follow the preference
+            // order as it stood before the first attempt.
+            let source = RackId(idx as u16);
             let mut moved = false;
-            for dest in self
+            let mut refused: Vec<RackId> = Vec::new();
+            while let Some(dest) = self
                 .cluster
-                .spillover_order(vcpus, memory, Some(RackId(idx as u16)))
+                .pick(vcpus, memory, |r| r == source || refused.contains(&r))
+                .rack
             {
                 if let Ok(m) = self.migrate_vm_cross_rack(handle, dest) {
                     report.restarted += 1;
@@ -1967,6 +1969,7 @@ impl DredboxSystem {
                     moved = true;
                     break;
                 }
+                refused.push(dest);
             }
             if moved {
                 continue;

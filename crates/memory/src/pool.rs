@@ -7,7 +7,7 @@
 //! already serve traffic so that untouched bricks can stay powered off
 //! (Section IV-C, role "b": power-consumption-conscious selection).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -59,145 +59,283 @@ struct BrickStat {
     in_use: bool,
 }
 
-/// A selection-index rank set: `(key, brick)` pairs kept flat in one
-/// `BTreeSet` instead of key-bucketed sub-sets. Tuple order is
-/// `(key asc, id asc)`, exactly the bucket walk's visiting order, while
-/// insert/remove are a single tree operation with no per-bucket allocation
-/// — the index maintenance sits on the scenario engine's per-event path.
-type RankSet = BTreeSet<(u64, BrickId)>;
+/// The largest block of an in-use brick; 0 for an unused one.
+fn in_use_largest(stat: &BrickStat) -> u64 {
+    if stat.in_use {
+        stat.largest
+    } else {
+        0
+    }
+}
 
-/// First brick of the maximum-key rank in `set` — i.e. the lowest-id brick
-/// among those sharing the largest key, preserving the deterministic
-/// tie-break of the reference scan. `O(log n)`.
-fn max_rank_first_brick(set: &RankSet) -> Option<BrickId> {
-    let &(top, _) = set.last()?;
-    set.range((top, BrickId(0))..).next().map(|&(_, b)| b)
+/// A tournament tree over array positions: node `n`'s children are `2n`
+/// and `2n + 1`, leaves start at `leaves`, and each node holds the
+/// position with the largest key below it (lowest position on ties;
+/// `EMPTY` for padding). Node 1 is the overall winner, read in `O(1)`;
+/// replaying one leaf's matches is `O(log n)`.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct MaxTree {
+    nodes: Vec<u32>,
+    leaves: usize,
+}
+
+/// A tournament-tree node with no position below it.
+const EMPTY: u32 = u32::MAX;
+
+impl MaxTree {
+    fn build(len: usize, key: impl Fn(usize) -> u64) -> Self {
+        let leaves = len.next_power_of_two();
+        let mut tree = MaxTree {
+            nodes: vec![EMPTY; 2 * leaves],
+            leaves,
+        };
+        for pos in 0..len {
+            tree.nodes[leaves + pos] = pos as u32;
+        }
+        for node in (1..leaves).rev() {
+            tree.play(node, &key);
+        }
+        tree
+    }
+
+    fn play(&mut self, node: usize, key: impl Fn(usize) -> u64) {
+        let (a, b) = (self.nodes[2 * node], self.nodes[2 * node + 1]);
+        self.nodes[node] = if b != EMPTY && (a == EMPTY || key(b as usize) > key(a as usize)) {
+            b
+        } else {
+            a
+        };
+    }
+
+    /// Puts position `pos` on its (free) leaf and replays its matches.
+    fn place(&mut self, pos: usize, key: impl Fn(usize) -> u64) {
+        self.nodes[self.leaves + pos] = pos as u32;
+        self.replay(pos, key);
+    }
+
+    /// Replays the matches on the path from `pos`'s leaf to the root.
+    fn replay(&mut self, pos: usize, key: impl Fn(usize) -> u64) {
+        let mut node = (self.leaves + pos) / 2;
+        while node >= 1 {
+            self.play(node, &key);
+            node /= 2;
+        }
+    }
+
+    /// The position with the largest key, lowest on ties.
+    fn winner(&self) -> Option<usize> {
+        self.nodes
+            .get(1)
+            .filter(|&&p| p != EMPTY)
+            .map(|&p| p as usize)
+    }
 }
 
 /// Incrementally maintained selection index over the pool's dMEMBRICKs,
-/// updated whenever a brick's allocator changes. Rank sets are ordered by
-/// `(key, id)`, preserving the deterministic lowest-id tie-breaks of the
-/// reference scan.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// updated whenever a brick's allocator changes. A rack holds at most a
+/// few hundred dMEMBRICKs, so the index is one dense stat array in id
+/// order: an update is a binary search plus one write, and a policy query
+/// is at most one allocation-free pass over the array that keeps the
+/// first (lowest-id) brick on score ties — the deterministic tie-breaks of
+/// the reference scan. Two tournament trees serve the largest contiguous
+/// block — over all bricks (every digest refresh reads it) and over the
+/// in-use ones — in `O(1)`, so a request no brick can hold contiguously
+/// (every split allocation's first pick) never scans.
+#[derive(Debug, Clone, Default)]
 struct PoolIndex {
-    /// Authoritative stat per registered brick (including full ones).
-    stats: BrickMap<BrickStat>,
-    /// Bricks with a non-zero largest free block (allocation candidates),
-    /// in id order.
-    candidates: BTreeSet<BrickId>,
-    /// Candidates ranked by free bytes.
-    by_free: RankSet,
-    /// Candidates ranked by largest contiguous block.
-    by_largest: RankSet,
-    /// In-use candidates ranked by free bytes.
-    in_use_by_free: RankSet,
-    /// In-use candidates ranked by largest contiguous block.
-    in_use_by_largest: RankSet,
-    /// Bricks with no allocation at all (power-off candidates), in id order.
-    unused: BTreeSet<BrickId>,
+    /// Registered (non-failed) bricks ascending by id, with their stats.
+    stats: Vec<(BrickId, BrickStat)>,
+    /// Positions in `stats` by largest block.
+    largest: MaxTree,
+    /// Positions in `stats` by largest block, counting only in-use bricks.
+    largest_in_use: MaxTree,
+    /// One past the highest brick id ever indexed — the slot-vector length
+    /// of the id-keyed stat map the snapshot layout records. Not part of
+    /// the index's meaning, so equality ignores it.
+    id_span: usize,
 }
 
 impl PoolIndex {
-    /// Inserts or refreshes one brick's stat, keeping every bucket in sync.
-    /// `O(log n)`.
+    /// Inserts or refreshes one brick's stat. `O(log n)`; a brick
+    /// registered out of id order, or one that outgrows the trees, re-lays
+    /// them out in `O(n)`.
     fn upsert(&mut self, brick: BrickId, stat: BrickStat) {
-        if let Some(old) = self.stats.insert(brick, stat) {
-            self.unindex(brick, old);
-        }
-        if stat.largest > 0 {
-            self.candidates.insert(brick);
-            self.by_free.insert((stat.free, brick));
-            self.by_largest.insert((stat.largest, brick));
-            if stat.in_use {
-                self.in_use_by_free.insert((stat.free, brick));
-                self.in_use_by_largest.insert((stat.largest, brick));
+        self.id_span = self.id_span.max(brick.0 as usize + 1);
+        match self.stats.binary_search_by_key(&brick, |&(b, _)| b) {
+            Ok(pos) => {
+                self.stats[pos].1 = stat;
+                let stats = &self.stats;
+                self.largest.replay(pos, |p| stats[p].1.largest);
+                self.largest_in_use
+                    .replay(pos, |p| in_use_largest(&stats[p].1));
             }
-        }
-        if stat.in_use {
-            self.unused.remove(&brick);
-        } else {
-            self.unused.insert(brick);
-        }
-    }
-
-    fn unindex(&mut self, brick: BrickId, old: BrickStat) {
-        if old.largest > 0 {
-            self.candidates.remove(&brick);
-            self.by_free.remove(&(old.free, brick));
-            self.by_largest.remove(&(old.largest, brick));
-            if old.in_use {
-                self.in_use_by_free.remove(&(old.free, brick));
-                self.in_use_by_largest.remove(&(old.largest, brick));
+            Err(pos) if pos == self.stats.len() && pos < self.largest.leaves => {
+                // Registration appends in id order: fill the next leaf.
+                self.stats.push((brick, stat));
+                let stats = &self.stats;
+                self.largest.place(pos, |p| stats[p].1.largest);
+                self.largest_in_use
+                    .place(pos, |p| in_use_largest(&stats[p].1));
+            }
+            Err(pos) => {
+                self.stats.insert(pos, (brick, stat));
+                self.rebuild_trees();
             }
         }
     }
 
-    /// Drops one brick from every bucket — used when the brick fails and
-    /// must stop being a selection candidate entirely. `O(log n)`.
+    /// Drops one brick from the index — used when the brick fails and must
+    /// stop being a selection candidate entirely. `O(n)`.
     fn remove(&mut self, brick: BrickId) {
-        if let Some(old) = self.stats.remove(brick) {
-            self.unindex(brick, old);
-            self.unused.remove(&brick);
+        if let Ok(pos) = self.stats.binary_search_by_key(&brick, |&(b, _)| b) {
+            self.stats.remove(pos);
+            self.rebuild_trees();
         }
     }
 
-    fn largest_of(&self, brick: BrickId) -> u64 {
-        self.stats.get(brick).map_or(0, |s| s.largest)
+    fn rebuild_trees(&mut self) {
+        let stats = &self.stats;
+        self.largest = MaxTree::build(stats.len(), |p| stats[p].1.largest);
+        self.largest_in_use = MaxTree::build(stats.len(), |p| in_use_largest(&stats[p].1));
     }
 
-    /// Lowest-id candidate whose largest block fits `want`. Walks candidates
-    /// in id order and stops at the first fit — the work a first-fit scan
-    /// does anyway, without rebuilding the candidate list.
+    /// The brick a tree's winner names, if its key is non-zero (a
+    /// candidate).
+    fn tree_winner(&self, tree: &MaxTree, key: impl Fn(&BrickStat) -> u64) -> Option<BrickId> {
+        let (brick, stat) = self.stats[tree.winner()?];
+        (key(&stat) > 0).then_some(brick)
+    }
+
+    /// Allocation candidates — bricks with a non-zero largest free block —
+    /// in id order.
+    fn candidates(&self) -> impl Iterator<Item = (BrickId, BrickStat)> + '_ {
+        self.stats.iter().copied().filter(|(_, s)| s.largest > 0)
+    }
+
+    /// The candidate minimising `key` among those passing `keep`, lowest id
+    /// on ties.
+    fn min_by<K: Ord>(
+        &self,
+        keep: impl Fn(&BrickStat) -> bool,
+        key: impl Fn(&BrickStat) -> K,
+    ) -> Option<BrickId> {
+        let mut best: Option<(K, BrickId)> = None;
+        for (brick, stat) in self.candidates().filter(|(_, s)| keep(s)) {
+            let k = key(&stat);
+            if best.as_ref().map_or(true, |(bk, _)| k < *bk) {
+                best = Some((k, brick));
+            }
+        }
+        best.map(|(_, b)| b)
+    }
+
+    /// Whether some brick's largest block fits `want`. `O(1)`.
+    fn any_fits(&self, want: u64) -> bool {
+        self.largest_block() >= want
+    }
+
+    /// Lowest-id candidate whose largest block fits `want`.
     fn first_candidate_fit(&self, want: u64) -> Option<BrickId> {
-        self.candidates
-            .iter()
-            .copied()
-            .find(|b| self.largest_of(*b) >= want)
+        if !self.any_fits(want) {
+            return None;
+        }
+        self.candidates()
+            .find(|(_, s)| s.largest >= want)
+            .map(|(b, _)| b)
     }
 
     /// Lowest-id candidate, fitting or not (the split fallback).
     fn min_candidate(&self) -> Option<BrickId> {
-        self.candidates.iter().next().copied()
+        self.candidates().next().map(|(b, _)| b)
     }
 
     /// Candidate with the smallest largest-block that still fits `want`
-    /// (lowest id on ties) — the BestFit query. `O(log n)`.
+    /// (lowest id on ties) — the BestFit query.
     fn tightest_fit(&self, want: u64) -> Option<BrickId> {
-        self.by_largest
-            .range((want, BrickId(0))..)
-            .next()
-            .map(|&(_, b)| b)
+        if !self.any_fits(want) {
+            return None;
+        }
+        self.min_by(|s| s.largest >= want, |s| s.largest)
     }
 
     /// Candidate with the largest contiguous block (lowest id on ties).
-    /// `O(log n)`.
+    /// `O(1)`.
     fn largest_block_brick(&self) -> Option<BrickId> {
-        max_rank_first_brick(&self.by_largest)
+        self.tree_winner(&self.largest, |s| s.largest)
+    }
+
+    /// Largest contiguous free block on any brick. `O(1)`.
+    fn largest_block(&self) -> u64 {
+        self.largest.winner().map_or(0, |p| self.stats[p].1.largest)
     }
 
     /// Candidate with the most free bytes (lowest id on ties) — the
-    /// WorstFit query. `O(log n)`.
+    /// WorstFit query.
     fn most_free_brick(&self) -> Option<BrickId> {
-        max_rank_first_brick(&self.by_free)
+        self.min_by(|_| true, |s| std::cmp::Reverse(s.free))
     }
 
     /// Fullest in-use candidate (fewest free bytes, lowest id on ties) whose
-    /// largest block fits `want` — the power-aware packing query. Walks the
-    /// in-use bricks in (free, id) order and stops at the first fit. A brick
-    /// with fewer than `want` free bytes can never fit (its largest block is
-    /// at most its free total), so the walk starts at the `want` bucket —
-    /// under packing the skipped prefix is exactly the nearly-full bricks.
+    /// largest block fits `want` — the power-aware packing query.
     fn fullest_in_use_fit(&self, want: u64) -> Option<BrickId> {
-        self.in_use_by_free
-            .range((want, BrickId(0))..)
-            .map(|&(_, b)| b)
-            .find(|b| self.largest_of(*b) >= want)
+        let in_use_max = self
+            .largest_in_use
+            .winner()
+            .map_or(0, |p| in_use_largest(&self.stats[p].1));
+        if in_use_max < want {
+            return None;
+        }
+        self.min_by(|s| s.in_use && s.largest >= want, |s| s.free)
     }
 
     /// In-use candidate with the largest contiguous block (lowest id on
-    /// ties). `O(log n)`.
+    /// ties). `O(1)`.
     fn largest_in_use_block(&self) -> Option<BrickId> {
-        max_rank_first_brick(&self.in_use_by_largest)
+        self.tree_winner(&self.largest_in_use, in_use_largest)
+    }
+
+    /// Bricks with no allocation at all (power-off candidates), in id
+    /// order.
+    fn unused(&self) -> impl Iterator<Item = BrickId> + '_ {
+        self.stats
+            .iter()
+            .filter(|(_, s)| !s.in_use)
+            .map(|&(b, _)| b)
+    }
+
+    /// The candidates' `(key, brick)` pairs sorted `(key asc, id asc)`, as
+    /// the tree-based layout's rank sets held them.
+    fn ranked(
+        &self,
+        keep: impl Fn(&BrickStat) -> bool,
+        key: impl Fn(&BrickStat) -> u64,
+    ) -> Vec<(u64, BrickId)> {
+        let mut ranked: Vec<(u64, BrickId)> = self
+            .candidates()
+            .filter(|(_, s)| keep(s))
+            .map(|(b, s)| (key(&s), b))
+            .collect();
+        ranked.sort_unstable();
+        ranked
+    }
+
+    /// The derived sections of the tree-based layout, in stream order:
+    /// candidate ids, then candidates by free bytes and by largest block,
+    /// then in-use candidates by free bytes and by largest block.
+    fn rank_sections(&self) -> (Vec<BrickId>, [Vec<(u64, BrickId)>; 4]) {
+        let all = |_: &BrickStat| true;
+        let in_use = |s: &BrickStat| s.in_use;
+        let free = |s: &BrickStat| s.free;
+        let largest = |s: &BrickStat| s.largest;
+        (
+            self.candidates().map(|(b, _)| b).collect(),
+            [
+                self.ranked(all, free),
+                self.ranked(all, largest),
+                self.ranked(in_use, free),
+                self.ranked(in_use, largest),
+            ],
+        )
     }
 }
 
@@ -373,22 +511,17 @@ impl MemoryPool {
         ByteSize::from_bytes(self.capacity_total - self.free_total)
     }
 
-    /// Largest contiguous free block on any single dMEMBRICK. `O(log n)`
-    /// from the selection index — the cluster digest's fragmentation feed.
+    /// Largest contiguous free block on any single dMEMBRICK. `O(1)` from
+    /// the selection index — the cluster digest's fragmentation feed.
     pub fn largest_free_block(&self) -> ByteSize {
-        ByteSize::from_bytes(
-            self.index
-                .by_largest
-                .last()
-                .map_or(0, |&(largest, _)| largest),
-        )
+        ByteSize::from_bytes(self.index.largest_block())
     }
 
     /// The dMEMBRICKs with no allocation at all (power-off candidates),
     /// ascending by id. Served from the selection index — no per-call
     /// snapshot `Vec`.
     pub fn unused_membricks(&self) -> impl Iterator<Item = BrickId> + '_ {
-        self.index.unused.iter().copied()
+        self.index.unused()
     }
 
     /// Free bytes on a specific brick.
@@ -639,9 +772,9 @@ impl MemoryPool {
     }
 
     /// Index-backed selection: no candidate list is rebuilt and no per-call
-    /// allocation happens. BestFit/WorstFit and all "largest block" queries
-    /// are `O(log n)`; the first-fit and power-aware packing walks visit
-    /// bricks in ranking order and stop at the first fit.
+    /// allocation happens. Each query is one pass over the dense stat
+    /// array (the first-fit walk stops at the first fit); the
+    /// largest-block fallback is `O(1)`.
     fn pick_brick_indexed(&self, want: ByteSize) -> Option<BrickId> {
         let want = want.as_bytes();
         match self.policy {
@@ -770,15 +903,64 @@ dredbox_snap::snap_struct!(BrickStat {
     largest,
     in_use,
 });
-dredbox_snap::snap_struct!(PoolIndex {
-    stats,
-    candidates,
-    by_free,
-    by_largest,
-    in_use_by_free,
-    in_use_by_largest,
-    unused,
-});
+
+impl PartialEq for PoolIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.stats == other.stats
+            && self.largest == other.largest
+            && self.largest_in_use == other.largest_in_use
+    }
+}
+
+/// Writes the tree-based layout — an id-keyed stat map, then the candidate
+/// set, four `(key, brick)` rank sets and the unused set — derived from the
+/// dense array. Decoding rebuilds the array from the stat map and rejects a
+/// stream whose recorded sections disagree with it.
+impl dredbox_snap::Snap for PoolIndex {
+    fn snap(&self, out: &mut Vec<u8>) {
+        let mut by_id = self.stats.iter().peekable();
+        let slots = (0..self.id_span).map(|i| {
+            by_id
+                .next_if(|(b, _)| b.0 as usize == i)
+                .map(|&(_, stat)| stat)
+        });
+        dredbox_snap::snap_seq(self.id_span, slots, out);
+        self.stats.len().snap(out);
+        let (candidates, ranks) = self.rank_sections();
+        candidates.snap(out);
+        for rank in &ranks {
+            rank.snap(out);
+        }
+        dredbox_snap::snap_seq(self.unused().count(), self.unused(), out);
+    }
+
+    fn unsnap(r: &mut dredbox_snap::Reader<'_>) -> Result<Self, dredbox_snap::SnapError> {
+        const TY: &str = "PoolIndex";
+        let inconsistent = dredbox_snap::SnapError::Inconsistent { ty: TY };
+        let slots: Vec<Option<BrickStat>> = dredbox_snap::Snap::unsnap(r)?;
+        let live: usize = dredbox_snap::Snap::unsnap(r)?;
+        let mut index = PoolIndex {
+            stats: slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.map(|stat| (BrickId(i as u32), stat)))
+                .collect(),
+            id_span: slots.len(),
+            ..PoolIndex::default()
+        };
+        if index.stats.len() != live || u32::try_from(slots.len()).is_err() {
+            return Err(inconsistent);
+        }
+        index.rebuild_trees();
+        let (candidates, ranks) = index.rank_sections();
+        dredbox_snap::expect_seq(r, TY, candidates)?;
+        for rank in ranks {
+            dredbox_snap::expect_seq(r, TY, rank)?;
+        }
+        dredbox_snap::expect_seq(r, TY, index.unused())?;
+        Ok(index)
+    }
+}
 dredbox_snap::snap_struct!(MemoryGrant { segments });
 dredbox_snap::snap_struct!(MemoryPool {
     policy,
@@ -909,6 +1091,94 @@ mod tests {
         p.set_pick_strategy(PickStrategy::ReferenceScan);
         assert_eq!(p.pick_strategy(), PickStrategy::ReferenceScan);
         assert_eq!(PickStrategy::default(), PickStrategy::Indexed);
+    }
+
+    /// The tree-based layout, built from the stats alone: an id-keyed stat
+    /// map, the candidate set, four `(key, brick)` rank sets and the unused
+    /// set.
+    fn rank_set_layout(index: &PoolIndex) -> Vec<u8> {
+        use dredbox_snap::Snap;
+        use std::collections::BTreeSet;
+
+        let mut map: BrickMap<BrickStat> = BrickMap::new();
+        // Reproduce the map's slot length, which never shrinks.
+        map.insert(
+            BrickId(index.id_span as u32 - 1),
+            BrickStat {
+                free: 0,
+                largest: 0,
+                in_use: false,
+            },
+        );
+        map.remove(BrickId(index.id_span as u32 - 1));
+        let mut candidates = BTreeSet::new();
+        let mut ranks: [BTreeSet<(u64, BrickId)>; 4] = Default::default();
+        let mut unused = BTreeSet::new();
+        for &(b, s) in &index.stats {
+            map.insert(b, s);
+            if s.largest > 0 {
+                candidates.insert(b);
+                ranks[0].insert((s.free, b));
+                ranks[1].insert((s.largest, b));
+                if s.in_use {
+                    ranks[2].insert((s.free, b));
+                    ranks[3].insert((s.largest, b));
+                }
+            }
+            if !s.in_use {
+                unused.insert(b);
+            }
+        }
+        let mut out = Vec::new();
+        map.snap(&mut out);
+        candidates.snap(&mut out);
+        for rank in &ranks {
+            rank.snap(&mut out);
+        }
+        unused.snap(&mut out);
+        out
+    }
+
+    #[test]
+    fn codec_writes_the_rank_set_layout_and_rejects_contradictions() {
+        use dredbox_snap::{Reader, Snap, SnapError};
+
+        let mut p = pool(AllocationPolicy::PowerAware);
+        p.register_membrick(BrickId(3), ByteSize::from_gib(8));
+        let g = p.allocate(BrickId(0), ByteSize::from_gib(40)).unwrap();
+        p.allocate(BrickId(1), ByteSize::from_gib(8)).unwrap();
+        p.release(g.segments()[0].id).unwrap();
+        p.fail_membrick(BrickId(12)).unwrap();
+        let mut bytes = Vec::new();
+        p.index.snap(&mut bytes);
+        assert_eq!(bytes, rank_set_layout(&p.index));
+        let back = PoolIndex::unsnap(&mut Reader::new(&bytes)).expect("round trip");
+        assert_eq!(back, p.index);
+        assert_eq!(back.largest_block(), p.index.largest_block());
+
+        // Stats of one state followed by the sections of another (both
+        // stat sections have the same length).
+        let mut r = Reader::new(&bytes);
+        Vec::<Option<BrickStat>>::unsnap(&mut r).unwrap();
+        usize::unsnap(&mut r).unwrap();
+        let head = bytes.len() - r.remaining();
+        let mut other = p.index.clone();
+        other.upsert(
+            BrickId(10),
+            BrickStat {
+                free: 1,
+                largest: 1,
+                in_use: true,
+            },
+        );
+        let mut forged = Vec::new();
+        other.snap(&mut forged);
+        forged.truncate(head);
+        forged.extend_from_slice(&bytes[head..]);
+        assert_eq!(
+            PoolIndex::unsnap(&mut Reader::new(&forged)),
+            Err(SnapError::Inconsistent { ty: "PoolIndex" })
+        );
     }
 
     proptest! {

@@ -26,8 +26,6 @@ use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::BrickId;
 
-use crate::bucket::{bucket_insert, bucket_remove};
-
 /// The scheduling facts of one accelerator brick, as indexed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccelSlot {
@@ -210,6 +208,21 @@ impl AccelIndex {
         map.iter()
             .next_back()
             .and_then(|(_, bucket)| bucket.iter().next().copied())
+    }
+}
+
+/// Adds `brick` to the bucket at `key`, creating the bucket if needed.
+fn bucket_insert<K: Ord>(map: &mut BTreeMap<K, BTreeSet<BrickId>>, key: K, brick: BrickId) {
+    map.entry(key).or_default().insert(brick);
+}
+
+/// Removes `brick` from the bucket at `key`, dropping the bucket once empty.
+fn bucket_remove<K: Ord>(map: &mut BTreeMap<K, BTreeSet<BrickId>>, key: &K, brick: BrickId) {
+    if let Some(bucket) = map.get_mut(key) {
+        bucket.remove(&brick);
+        if bucket.is_empty() {
+            map.remove(key);
+        }
     }
 }
 

@@ -12,11 +12,12 @@
 //! [`crate::CapacityIndex`] made per-brick availability inspection
 //! incremental; the cluster applies the same move to racks. Every admit,
 //! release, scale, migrate and power transition refreshes the owning
-//! rack's digest (a handful of `O(1)`/`O(log bricks)` reads off the rack's
-//! own indexes), and cluster routing then navigates rank sets keyed by
-//! `(free cores, rack)`. A routing decision therefore costs
-//! `O(log racks)` in the typical case and never scans per-brick state —
-//! per-decision cost stays flat as racks are added.
+//! rack's digest (a handful of `O(1)`/`O(keys)` reads off the rack's own
+//! indexes), and the controller stores it with one write into a dense
+//! per-rack array. A routing decision is one allocation-free pass over
+//! that array — `O(racks)` digest compares (64 at datacenter scale),
+//! never per-brick state — and so is the spillover pick that follows a
+//! refusal ([`ClusterController::pick`]).
 //!
 //! ## Admission screens are optimistic
 //!
@@ -48,12 +49,9 @@ use serde::{Deserialize, Serialize};
 use dredbox_bricks::RackId;
 use dredbox_sim::time::SimDuration;
 use dredbox_sim::units::{ByteSize, Watts};
+use dredbox_snap::{Reader, Snap, SnapError};
 
 use crate::placement::PlacementPolicy;
-
-/// A cluster rank set: flat `(key, rack)` pairs ordered `(key asc, id
-/// asc)`, the same shape as the brick-level rank sets one layer down.
-type RackRankSet = BTreeSet<(u64, RackId)>;
 
 /// The capacity facts of one rack, as digested for cluster decisions.
 ///
@@ -164,26 +162,37 @@ pub struct RackRoute {
     pub power_deferrals: u32,
 }
 
-/// The cluster-level orchestrator: per-rack digests plus rank sets over
-/// them, navigated by the same placement policies the racks use one level
-/// down.
+/// One rack's entry in the controller's dense per-rack array.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct RackSlot {
+    /// The rack's digest; `None` while the rack is not federated.
+    digest: Option<RackDigest>,
+    /// Excluded from admission routing (draining or drained).
+    unschedulable: bool,
+}
+
+impl RackSlot {
+    fn is_vacant(&self) -> bool {
+        self.digest.is_none() && !self.unschedulable
+    }
+}
+
+/// The cluster-level orchestrator: a dense per-rack array of digests,
+/// navigated by the same placement policies the racks use one level down.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ClusterController {
     /// Rack-level placement policy (mirrors the per-rack policy).
     policy: PlacementPolicy,
-    /// Authoritative digest per rack, so updates can unindex the old one.
-    digests: BTreeMap<RackId, RackDigest>,
-    /// All racks ranked by powered free cores.
-    by_free: RackRankSet,
-    /// Racks hosting at least one VM, ranked by powered free cores — the
-    /// power-aware packing order.
-    active_by_free: RackRankSet,
-    /// Racks excluded from admission routing (draining or drained).
-    unschedulable: BTreeSet<RackId>,
+    /// Per-rack state indexed by rack id; never ends in a vacant slot, so
+    /// derived equality is the federation's.
+    racks: Vec<RackSlot>,
     /// Per-rack provisioned-power budget; `None` disables admission-time
     /// power screening.
     budget_milliwatts: Option<u64>,
 }
+
+/// A rack's place in the policy's preference order: lower is better.
+type PreferenceKey = (bool, u64, u32);
 
 impl ClusterController {
     /// Creates an empty controller routing with `policy`.
@@ -199,24 +208,27 @@ impl ClusterController {
         self.policy
     }
 
-    /// Number of federated racks.
+    /// Number of federated racks. `O(racks)`.
     pub fn len(&self) -> usize {
-        self.digests.len()
+        self.racks.iter().filter(|s| s.digest.is_some()).count()
     }
 
     /// Whether no rack is federated.
     pub fn is_empty(&self) -> bool {
-        self.digests.is_empty()
+        self.len() == 0
     }
 
     /// The digest of a rack, if federated.
     pub fn digest(&self, rack: RackId) -> Option<&RackDigest> {
-        self.digests.get(&rack)
+        self.racks.get(usize::from(rack.0))?.digest.as_ref()
     }
 
     /// All digests, ascending by rack id.
     pub fn digests(&self) -> impl Iterator<Item = (RackId, &RackDigest)> {
-        self.digests.iter().map(|(&r, d)| (r, d))
+        self.racks
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((RackId(i as u16), s.digest.as_ref()?)))
     }
 
     /// Sets or clears the per-rack provisioned-power budget.
@@ -229,20 +241,35 @@ impl ClusterController {
         self.budget_milliwatts.map(|mw| Watts::new(mw as f64 / 1e3))
     }
 
+    /// The slot of `rack`, growing the array to reach it.
+    fn slot_mut(&mut self, rack: RackId) -> &mut RackSlot {
+        let idx = usize::from(rack.0);
+        if idx >= self.racks.len() {
+            self.racks.resize(idx + 1, RackSlot::default());
+        }
+        &mut self.racks[idx]
+    }
+
+    /// Drops trailing vacant slots, keeping the array canonical.
+    fn trim(&mut self) {
+        while self.racks.last().is_some_and(RackSlot::is_vacant) {
+            self.racks.pop();
+        }
+    }
+
     /// Marks a rack as (un)schedulable. Unschedulable racks keep their
     /// digests maintained but are skipped by admission routing — the rack
     /// drain primitive.
     pub fn set_schedulable(&mut self, rack: RackId, schedulable: bool) {
-        if schedulable {
-            self.unschedulable.remove(&rack);
-        } else {
-            self.unschedulable.insert(rack);
-        }
+        self.slot_mut(rack).unschedulable = !schedulable;
+        self.trim();
     }
 
     /// Whether admissions may be routed to `rack`.
     pub fn is_schedulable(&self, rack: RackId) -> bool {
-        !self.unschedulable.contains(&rack)
+        self.racks
+            .get(usize::from(rack.0))
+            .map_or(true, |s| !s.unschedulable)
     }
 
     /// Readmits a previously drained rack into admission routing — the
@@ -253,57 +280,37 @@ impl ClusterController {
     /// undraining an unknown rack or one that was never drained is a
     /// bit-identical no-op returning `false`.
     pub fn undrain_rack(&mut self, rack: RackId) -> bool {
-        if !self.digests.contains_key(&rack) || self.is_schedulable(rack) {
+        if self.digest(rack).is_none() || self.is_schedulable(rack) {
             return false;
         }
         self.set_schedulable(rack, true);
         true
     }
 
-    /// Inserts or replaces a rack's digest, keeping the rank sets in sync.
-    /// `O(log racks)`.
+    /// Inserts or replaces a rack's digest. `O(1)` — one write.
     pub fn upsert(&mut self, rack: RackId, digest: RackDigest) {
-        if let Some(old) = self.digests.insert(rack, digest) {
-            self.by_free.remove(&(old.free_cores, rack));
-            if old.active_bricks > 0 {
-                self.active_by_free.remove(&(old.free_cores, rack));
-            }
-        }
-        self.by_free.insert((digest.free_cores, rack));
-        if digest.active_bricks > 0 {
-            self.active_by_free.insert((digest.free_cores, rack));
-        }
+        self.slot_mut(rack).digest = Some(digest);
     }
 
-    /// Removes a rack from the federation. `O(log racks)`.
+    /// Removes a rack from the federation. `O(1)`.
     pub fn remove(&mut self, rack: RackId) {
-        if let Some(old) = self.digests.remove(&rack) {
-            self.by_free.remove(&(old.free_cores, rack));
-            if old.active_bricks > 0 {
-                self.active_by_free.remove(&(old.free_cores, rack));
-            }
+        if let Some(slot) = self.racks.get_mut(usize::from(rack.0)) {
+            *slot = RackSlot::default();
+            self.trim();
         }
-        self.unschedulable.remove(&rack);
     }
 
     /// Total provisioned draw across the federation — the figure the TCO
     /// study compares against the all-on baseline. `O(racks)`.
     pub fn provisioned_power(&self) -> Watts {
-        let mw: u64 = self
-            .digests
-            .values()
-            .map(|d| d.provisioned_milliwatts)
-            .sum();
+        let mw: u64 = self.digests().map(|(_, d)| d.provisioned_milliwatts).sum();
         Watts::new(mw as f64 / 1e3)
     }
 
     /// Per-rack provisioned draws, ascending by rack id — the
     /// `dredbox-tco` fleet-power feed. `O(racks)`.
     pub fn provisioned_per_rack(&self) -> Vec<Watts> {
-        self.digests
-            .values()
-            .map(|d| d.provisioned_power())
-            .collect()
+        self.digests().map(|(_, d)| d.provisioned_power()).collect()
     }
 
     fn headroom_ok(&self, digest: &RackDigest) -> bool {
@@ -313,80 +320,121 @@ impl ClusterController {
         }
     }
 
+    /// Where `rack` stands in the policy's preference order — the
+    /// rack-level mirror of the brick-level policies. FirstFit walks rack
+    /// ids; PowerAware packs the fullest already-active rack first, then
+    /// the idle racks fullest-first, lowest id on ties; Balanced spreads
+    /// onto the emptiest rack, highest id on ties.
+    fn preference(&self, rack: RackId, digest: &RackDigest) -> PreferenceKey {
+        let id = u32::from(rack.0);
+        match self.policy {
+            PlacementPolicy::FirstFit => (false, 0, id),
+            PlacementPolicy::PowerAware => (digest.active_bricks == 0, digest.free_cores, id),
+            PlacementPolicy::Balanced => (false, u64::MAX - digest.free_cores, u32::MAX - id),
+        }
+    }
+
     /// Routes one admission: the first rack in the policy's preference
     /// order that is schedulable, passes the capacity screen and has power
-    /// headroom. `O(log racks)` in the typical case — digests only, never
+    /// headroom. One allocation-free pass over the digests — never
     /// per-brick state.
     pub fn route(&self, vcpus: u32, memory: ByteSize) -> RackRoute {
-        let mut power_deferrals = 0;
-        let mut rack = None;
-        for candidate in self.preference_order(None) {
-            let digest = &self.digests[&candidate];
-            if !digest.admits(vcpus, memory) {
-                continue;
-            }
+        self.pick(vcpus, memory, |_| false)
+    }
+
+    /// [`ClusterController::route`] over the racks `skip` does not
+    /// exclude — the spillover pick: after a refusal, the next candidate
+    /// is the best rack not yet tried. Repeating the pick with every
+    /// refusing rack skipped visits racks in exactly the policy's
+    /// preference order. `power_deferrals` counts the admitting racks
+    /// ahead of the chosen one (all of them when none is chosen) that were
+    /// skipped for lack of power headroom.
+    pub fn pick(&self, vcpus: u32, memory: ByteSize, skip: impl Fn(RackId) -> bool) -> RackRoute {
+        let mut best: Option<(PreferenceKey, RackId)> = None;
+        let mut deferred = 0u32;
+        for (rack, digest) in self.screened(vcpus, memory, &skip) {
             if !self.headroom_ok(digest) {
-                power_deferrals += 1;
+                deferred += 1;
                 continue;
             }
-            rack = Some(candidate);
-            break;
+            let key = self.preference(rack, digest);
+            if best.map_or(true, |(k, _)| key < k) {
+                best = Some((key, rack));
+                if self.policy == PlacementPolicy::FirstFit {
+                    // Ids ascend, so the first fit is the best and every
+                    // deferral counted so far lies ahead of it.
+                    break;
+                }
+            }
         }
+        let power_deferrals = match best {
+            Some((chosen, _)) if deferred > 0 && self.policy != PlacementPolicy::FirstFit => {
+                self.screened(vcpus, memory, &skip)
+                    .filter(|(rack, d)| !self.headroom_ok(d) && self.preference(*rack, d) < chosen)
+                    .count() as u32
+            }
+            _ => deferred,
+        };
         RackRoute {
-            rack,
+            rack: best.map(|(_, rack)| rack),
             power_deferrals,
         }
     }
 
-    /// The full spillover order for one admission: every schedulable rack
-    /// passing both screens, best first, optionally excluding one rack
-    /// (the drain source must not receive its own evacuees).
+    /// Schedulable racks that pass the digest screen and are not skipped,
+    /// ascending by id.
+    fn screened<'a>(
+        &'a self,
+        vcpus: u32,
+        memory: ByteSize,
+        skip: &'a impl Fn(RackId) -> bool,
+    ) -> impl Iterator<Item = (RackId, &'a RackDigest)> + 'a {
+        self.racks.iter().enumerate().filter_map(move |(i, slot)| {
+            let rack = RackId(i as u16);
+            let digest = slot.digest.as_ref()?;
+            (!slot.unschedulable && digest.admits(vcpus, memory) && !skip(rack))
+                .then_some((rack, digest))
+        })
+    }
+
+    /// Every rack a spillover could reach, best first: the racks repeated
+    /// [`ClusterController::pick`]s would visit, optionally excluding one
+    /// (the drain source must not receive its own evacuees). Allocates
+    /// and sorts; the admission paths pick one rack at a time instead.
     pub fn spillover_order(
         &self,
         vcpus: u32,
         memory: ByteSize,
         exclude: Option<RackId>,
     ) -> Vec<RackId> {
-        self.preference_order(exclude)
-            .filter(|r| {
-                let digest = &self.digests[r];
-                digest.admits(vcpus, memory) && self.headroom_ok(digest)
-            })
-            .collect()
+        let mut order: Vec<(PreferenceKey, RackId)> = self
+            .screened(vcpus, memory, &|r| Some(r) == exclude)
+            .filter(|(_, d)| self.headroom_ok(d))
+            .map(|(r, d)| (self.preference(r, d), r))
+            .collect();
+        order.sort_unstable();
+        order.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Schedulable racks in the policy's preference order. Rack-level
-    /// mirror of the brick-level policies: FirstFit walks rack ids,
-    /// PowerAware packs the fullest already-active rack first, Balanced
-    /// spreads onto the emptiest rack.
-    fn preference_order(&self, exclude: Option<RackId>) -> Box<dyn Iterator<Item = RackId> + '_> {
-        let admissible = move |r: &RackId| exclude != Some(*r) && !self.unschedulable.contains(r);
-        match self.policy {
-            PlacementPolicy::FirstFit => {
-                Box::new(self.digests.keys().copied().filter(move |r| admissible(r)))
-            }
-            PlacementPolicy::PowerAware => {
-                // Fullest active rack first, then the remaining racks
-                // fullest-first (all-idle racks tie at full free cores and
-                // fall back to id order).
-                let active = self
-                    .active_by_free
-                    .iter()
-                    .map(|&(_, r)| r)
-                    .filter(move |r| admissible(r));
-                let rest = self.by_free.iter().map(|&(_, r)| r).filter(move |r| {
-                    admissible(r) && self.digests.get(r).is_some_and(|d| d.active_bricks == 0)
-                });
-                Box::new(active.chain(rest))
-            }
-            PlacementPolicy::Balanced => Box::new(
-                self.by_free
-                    .iter()
-                    .rev()
-                    .map(|&(_, r)| r)
-                    .filter(move |r| admissible(r)),
-            ),
-        }
+    /// The racks in a `(free cores, rack)` rank, ascending — the
+    /// tree-based layout's rank sets, derived for the snapshot codec.
+    fn ranked(&self, active_only: bool) -> Vec<(u64, RackId)> {
+        let mut ranked: Vec<(u64, RackId)> = self
+            .digests()
+            .filter(|(_, d)| !active_only || d.active_bricks > 0)
+            .map(|(r, d)| (d.free_cores, r))
+            .collect();
+        ranked.sort_unstable();
+        ranked
+    }
+
+    /// Racks excluded from admission routing, ascending.
+    fn unschedulable(&self) -> impl Iterator<Item = RackId> + '_ {
+        self.racks
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.unschedulable)
+            .map(|(i, _)| RackId(i as u16))
     }
 }
 
@@ -403,14 +451,37 @@ dredbox_snap::snap_struct!(RackDigest {
     powered_bricks,
     provisioned_milliwatts,
 });
-dredbox_snap::snap_struct!(ClusterController {
-    policy,
-    digests,
-    by_free,
-    active_by_free,
-    unschedulable,
-    budget_milliwatts,
-});
+
+/// Writes the tree-based layout — policy, the rack-keyed digest map, the
+/// `(free cores, rack)` rank sets over all and over active racks, the
+/// unschedulable set and the budget — derived from the dense array.
+/// Decoding rebuilds the array from the digests and rejects a stream whose
+/// recorded rank sets disagree with them.
+impl Snap for ClusterController {
+    fn snap(&self, out: &mut Vec<u8>) {
+        self.policy.snap(out);
+        dredbox_snap::snap_seq(self.len(), self.digests().map(|(r, d)| (r, *d)), out);
+        self.ranked(false).snap(out);
+        self.ranked(true).snap(out);
+        dredbox_snap::snap_seq(self.unschedulable().count(), self.unschedulable(), out);
+        self.budget_milliwatts.snap(out);
+    }
+
+    fn unsnap(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        const TY: &str = "ClusterController";
+        let mut cluster = ClusterController::new(PlacementPolicy::unsnap(r)?);
+        for (rack, digest) in BTreeMap::<RackId, RackDigest>::unsnap(r)? {
+            cluster.upsert(rack, digest);
+        }
+        dredbox_snap::expect_seq(r, TY, cluster.ranked(false))?;
+        dredbox_snap::expect_seq(r, TY, cluster.ranked(true))?;
+        for rack in BTreeSet::<RackId>::unsnap(r)? {
+            cluster.set_schedulable(rack, false);
+        }
+        cluster.budget_milliwatts = Snap::unsnap(r)?;
+        Ok(cluster)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -429,6 +500,25 @@ mod tests {
             powered_bricks: 4,
             provisioned_milliwatts: mw,
         }
+    }
+
+    /// Racks in the order successive spillover picks offer them, each
+    /// refusing rack skipped from then on.
+    fn spill_sequence(
+        cluster: &ClusterController,
+        vcpus: u32,
+        exclude: Option<RackId>,
+    ) -> Vec<RackId> {
+        let mut tried: Vec<RackId> = exclude.into_iter().collect();
+        let mut order = Vec::new();
+        while let Some(rack) = cluster
+            .pick(vcpus, ByteSize::from_gib(1), |r| tried.contains(&r))
+            .rack
+        {
+            tried.push(rack);
+            order.push(rack);
+        }
+        order
     }
 
     #[test]
@@ -452,13 +542,13 @@ mod tests {
         );
         // Nothing fits 64 cores on one brick anywhere.
         assert_eq!(cluster.route(64, ByteSize::from_gib(1)).rack, None);
-        // Spillover order lists every admissible rack, best first.
+        // Repeated spillover picks visit every admissible rack, best first.
         assert_eq!(
-            cluster.spillover_order(8, ByteSize::from_gib(1), None),
+            spill_sequence(&cluster, 8, None),
             vec![RackId(1), RackId(2), RackId(0)]
         );
         assert_eq!(
-            cluster.spillover_order(8, ByteSize::from_gib(1), Some(RackId(1))),
+            spill_sequence(&cluster, 8, Some(RackId(1))),
             vec![RackId(2), RackId(0)]
         );
     }
@@ -560,5 +650,56 @@ mod tests {
             Some(RackId(1))
         );
         assert_eq!(cluster.digest(RackId(0)).unwrap().free_cores, 4);
+    }
+
+    #[test]
+    fn codec_writes_the_rank_set_layout_and_rejects_contradictions() {
+        let mut cluster = ClusterController::new(PlacementPolicy::Balanced);
+        for (r, free, active) in [(3u16, 40, 1), (0, 16, 0), (5, 40, 2), (1, 8, 1)] {
+            cluster.upsert(RackId(r), digest(free, 16, active, 64, 1_000));
+        }
+        cluster.remove(RackId(5));
+        cluster.set_schedulable(RackId(1), false);
+        cluster.set_schedulable(RackId(9), false);
+        cluster.set_rack_budget(Some(Watts::new(2.0)));
+
+        // The tree-based layout, built from the digests alone.
+        let digests: BTreeMap<RackId, RackDigest> =
+            cluster.digests().map(|(r, d)| (r, *d)).collect();
+        let by_free: BTreeSet<(u64, RackId)> =
+            digests.iter().map(|(r, d)| (d.free_cores, *r)).collect();
+        let active_by_free: BTreeSet<(u64, RackId)> = digests
+            .iter()
+            .filter(|(_, d)| d.active_bricks > 0)
+            .map(|(r, d)| (d.free_cores, *r))
+            .collect();
+        let mut expected = Vec::new();
+        PlacementPolicy::Balanced.snap(&mut expected);
+        digests.snap(&mut expected);
+        by_free.snap(&mut expected);
+        active_by_free.snap(&mut expected);
+        BTreeSet::from([RackId(1), RackId(9)]).snap(&mut expected);
+        Some(2_000u64).snap(&mut expected);
+
+        let mut bytes = Vec::new();
+        cluster.snap(&mut bytes);
+        assert_eq!(bytes, expected);
+        let back = ClusterController::unsnap(&mut Reader::new(&bytes)).expect("round trip");
+        assert_eq!(back, cluster);
+
+        // Digests of one state followed by the rank sets of another.
+        let mut forged = Vec::new();
+        PlacementPolicy::Balanced.snap(&mut forged);
+        let mut moved = digests.clone();
+        moved.get_mut(&RackId(0)).unwrap().free_cores = 99;
+        moved.snap(&mut forged);
+        by_free.snap(&mut forged);
+        active_by_free.snap(&mut forged);
+        assert_eq!(
+            ClusterController::unsnap(&mut Reader::new(&forged)),
+            Err(SnapError::Inconsistent {
+                ty: "ClusterController"
+            })
+        );
     }
 }

@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod accel_index;
-mod bucket;
 pub mod capacity;
 pub mod cluster;
 pub mod error;

@@ -60,7 +60,7 @@ impl PlacementPolicy {
     /// This is the reference implementation: a single allocation-free pass
     /// over the slice per query, `O(bricks)`. The production request path
     /// uses [`PlacementPolicy::choose_indexed`], which answers the same
-    /// queries from a [`CapacityIndex`] in `O(log n)`; a property test keeps
+    /// queries from a [`CapacityIndex`]'s bitsets; a property test keeps
     /// the two decision-for-decision identical.
     pub fn choose(self, bricks: &[ComputeBrickView], vcpus: u32) -> Option<BrickId> {
         use std::cmp::Reverse;
@@ -97,9 +97,9 @@ impl PlacementPolicy {
     }
 
     /// Answers the same query as [`PlacementPolicy::choose`] from the
-    /// incrementally maintained [`CapacityIndex`] — `O(log n)` per request
-    /// with zero heap allocation, instead of a fresh `O(bricks)` snapshot
-    /// scan. Decision-for-decision identical to the reference scan,
+    /// incrementally maintained [`CapacityIndex`] — a few words of bitset
+    /// per distinct free-core value, with zero heap allocation, instead of
+    /// a fresh `O(bricks)` snapshot scan. Decision-for-decision identical to the reference scan,
     /// including every lowest-[`BrickId`] tie-break.
     pub fn choose_indexed(self, index: &CapacityIndex, vcpus: u32) -> Option<BrickId> {
         let choice = match self {

@@ -253,7 +253,7 @@ pub struct SdmController {
     compute: BrickMap<ComputeState>,
     /// Incremental availability view over `compute`, kept in lockstep by
     /// every allocate / release / power transition so placement queries are
-    /// `O(log n)` index lookups instead of rack-wide scans.
+    /// bitset lookups instead of rack-wide scans.
     capacity: CapacityIndex,
     placement: PlacementPolicy,
     timings: SdmTimings,
@@ -499,8 +499,8 @@ impl SdmController {
     /// and grants the requested memory from the pool. Returns the chosen
     /// brick, the grant and the controller service time.
     ///
-    /// The brick is selected through the incremental [`CapacityIndex`] in
-    /// `O(log n)`; [`SdmController::allocate_vm_scan`] is the reference
+    /// The brick is selected through the incremental [`CapacityIndex`]
+    /// without a scan; [`SdmController::allocate_vm_scan`] is the reference
     /// implementation that re-scans the rack per request.
     ///
     /// # Errors
@@ -792,7 +792,7 @@ impl SdmController {
                 }
             }
         }
-        let circuits_torn_down = self.tear_down_unused_circuits(from, &involved);
+        let circuits_torn_down = self.tear_down_unused_circuits(from, involved);
         service_time += self
             .timings
             .circuit_switch_program
@@ -869,7 +869,11 @@ impl SdmController {
     /// down (callers charge one switch-programming step per teardown).
     /// Shared by grant release and the migration drain so the circuit view
     /// always equals the set of dMEMBRICKs with live routes.
-    fn tear_down_unused_circuits(&mut self, brick: BrickId, involved: &BTreeSet<BrickId>) -> u32 {
+    fn tear_down_unused_circuits(
+        &mut self,
+        brick: BrickId,
+        involved: impl IntoIterator<Item = BrickId>,
+    ) -> u32 {
         let Some(agent) = self.agents.get(brick) else {
             return 0;
         };
@@ -877,8 +881,10 @@ impl SdmController {
             return 0;
         };
         let mut torn_down = 0u32;
+        // A dMEMBRICK listed twice (a grant with two segments on it) is
+        // torn down at most once: the second removal finds no route.
         for membrick in involved {
-            if agent.tgl().rmst().towards_count(*membrick) == 0 && routes.remove(membrick) {
+            if agent.tgl().rmst().towards_count(membrick) == 0 && routes.remove(&membrick) {
                 torn_down += 1;
             }
         }
@@ -1230,9 +1236,8 @@ impl SdmController {
         // controller's circuit view tracks the data path (and future
         // scale-ups to that dMEMBRICK re-program the switch, as the
         // hardware would).
-        let involved: BTreeSet<BrickId> =
-            grant.grant.segments().iter().map(|s| s.membrick).collect();
-        let torn_down = self.tear_down_unused_circuits(grant.demand.compute_brick, &involved);
+        let involved = grant.grant.segments().iter().map(|s| s.membrick);
+        let torn_down = self.tear_down_unused_circuits(grant.demand.compute_brick, involved);
         service_time += self
             .timings
             .circuit_switch_program
@@ -1463,9 +1468,8 @@ impl SdmController {
                 }
             }
         }
-        let involved: BTreeSet<BrickId> =
-            grant.grant.segments().iter().map(|s| s.membrick).collect();
-        let torn_down = self.tear_down_unused_circuits(grant.demand.compute_brick, &involved);
+        let involved = grant.grant.segments().iter().map(|s| s.membrick);
+        let torn_down = self.tear_down_unused_circuits(grant.demand.compute_brick, involved);
         service_time += self
             .timings
             .circuit_switch_program

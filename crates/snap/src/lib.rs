@@ -66,6 +66,12 @@ pub enum SnapError {
         /// Version this build understands.
         expected: u32,
     },
+    /// The stream decoded, but its parts contradict each other — e.g. a
+    /// recorded index section that disagrees with the state it indexes.
+    Inconsistent {
+        /// Type being decoded.
+        ty: &'static str,
+    },
 }
 
 impl std::fmt::Display for SnapError {
@@ -83,6 +89,9 @@ impl std::fmt::Display for SnapError {
             SnapError::Magic => write!(f, "not a snapshot stream (bad magic)"),
             SnapError::Version { found, expected } => {
                 write!(f, "snapshot format v{found} incompatible with v{expected}")
+            }
+            SnapError::Inconsistent { ty } => {
+                write!(f, "snapshot {ty} contradicts its own recorded state")
             }
         }
     }
@@ -363,6 +372,51 @@ impl<T: Snap, const N: usize> Snap for [T; N] {
     }
 }
 
+/// Encodes `len` items as a length-prefixed sequence — the layout of
+/// `Vec`, `BTreeSet` and `BTreeMap` — straight from an iterator, so an
+/// index can write a section it derives without collecting it first.
+pub fn snap_seq<T: Snap>(len: usize, items: impl IntoIterator<Item = T>, out: &mut Vec<u8>) {
+    len.snap(out);
+    let mut written = 0usize;
+    for item in items {
+        item.snap(out);
+        written += 1;
+    }
+    // A wrong prefix would corrupt every byte after it.
+    assert_eq!(
+        written, len,
+        "sequence length prefix disagrees with its items"
+    );
+}
+
+/// Decodes a length-prefixed sequence and checks it, item for item,
+/// against `expected` — the decode side of [`snap_seq`] for sections a
+/// type re-derives from its own state.
+///
+/// # Errors
+///
+/// Propagates decoding errors; returns [`SnapError::Inconsistent`] for
+/// `ty` when the recorded sequence differs from `expected` in any item or
+/// in length.
+pub fn expect_seq<T: Snap + PartialEq>(
+    r: &mut Reader<'_>,
+    ty: &'static str,
+    expected: impl IntoIterator<Item = T>,
+) -> Result<(), SnapError> {
+    let len = r.take_len()?;
+    let mut expected = expected.into_iter();
+    for _ in 0..len {
+        let item = T::unsnap(r)?;
+        if expected.next() != Some(item) {
+            return Err(SnapError::Inconsistent { ty });
+        }
+    }
+    match expected.next() {
+        Some(_) => Err(SnapError::Inconsistent { ty }),
+        None => Ok(()),
+    }
+}
+
 /// Implements [`Snap`] for a struct with named fields, encoding the listed
 /// fields in order. Invoke from the defining module so private fields are
 /// in scope.
@@ -513,6 +567,33 @@ mod tests {
                 tag: 9
             })
         ));
+    }
+
+    #[test]
+    fn derived_sequences_match_collected_ones() {
+        let mut streamed = Vec::new();
+        snap_seq(3, [(1u32, 5u64), (2, 6), (3, 7)], &mut streamed);
+        let mut collected = Vec::new();
+        BTreeSet::from([(1u32, 5u64), (2, 6), (3, 7)]).snap(&mut collected);
+        assert_eq!(streamed, collected);
+
+        let mut r = Reader::new(&streamed);
+        assert_eq!(
+            expect_seq(&mut r, "demo", [(1u32, 5u64), (2, 6), (3, 7)]),
+            Ok(())
+        );
+        assert!(r.is_empty());
+        for wrong in [
+            vec![(1u32, 5u64), (2, 6)],
+            vec![(1, 5), (2, 6), (3, 8)],
+            vec![(1, 5), (2, 6), (3, 7), (4, 8)],
+        ] {
+            let mut r = Reader::new(&streamed);
+            assert_eq!(
+                expect_seq(&mut r, "demo", wrong),
+                Err(SnapError::Inconsistent { ty: "demo" })
+            );
+        }
     }
 
     #[derive(Debug, PartialEq)]
