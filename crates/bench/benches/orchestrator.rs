@@ -12,6 +12,11 @@
 //! so the dACCELBRICK session flow — `AccelIndex` placement, ledger holds,
 //! circuit setup and teardown — is tracked the same way.
 //!
+//! A `grant_cycle` group times one scale-up grant and one release on a
+//! full-height rack (16 trays of 16 dCOMPUBRICKs and 8 dMEMBRICKs) held
+//! about 60% full — the pool carve, RMST attach, circuit programming and
+//! their reversal, against a populated pool and per-brick tables.
+//!
 //! Two further groups sweep the *rack count* (1 / 4 / 16 / 64) at a fixed
 //! per-rack shape: one isolates the cluster controller's digest-only
 //! routing decision, the other drives a routed admit/release trace through
@@ -460,9 +465,45 @@ fn bench_federated_admission(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `handle_scale_up` plus one `release_scale_up` per iteration on a
+/// full-height rack held about 60% full: each iteration grants the next
+/// size from a fixed mix on the next compute brick and releases the oldest
+/// live grant, so the pool stays at its fill level.
+fn bench_grant_cycle(c: &mut Criterion) {
+    let system =
+        DredboxSystem::build(SystemConfig::datacenter_rack(16, 16, 8)).expect("build rack");
+    let mut sdm = system.sdm().clone();
+    let bricks: Vec<BrickId> = sdm.capacity().views().map(|v| v.brick).collect();
+    let mut rng = SimRng::seed(2018);
+    let sizes: Vec<ByteSize> = (0..4_096)
+        .map(|_| ByteSize::from_gib(rng.range(1u64..=16)))
+        .collect();
+    let fill = sdm.pool().total_capacity().as_bytes() / 10 * 6;
+    let mut live = std::collections::VecDeque::new();
+    let mut next = 0usize;
+    let mut grant = |sdm: &mut SdmController, live: &mut std::collections::VecDeque<_>| {
+        let demand = ScaleUpDemand::new(bricks[next % bricks.len()], sizes[next % sizes.len()]);
+        next += 1;
+        live.push_back(sdm.handle_scale_up(demand).expect("the rack has room"));
+    };
+    while sdm.pool().total_allocated().as_bytes() < fill {
+        grant(&mut sdm, &mut live);
+    }
+    let mut group = c.benchmark_group("orchestrator/grant_cycle");
+    group.bench_function("full_rack_60pct", |b| {
+        b.iter(|| {
+            grant(&mut sdm, &mut live);
+            let oldest = live.pop_front().expect("the rack holds grants");
+            black_box(sdm.release_scale_up(&oldest).expect("live grant releases"))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_control_plane,
+    bench_grant_cycle,
     bench_migration_trace,
     bench_offload_trace,
     bench_placement_decision,

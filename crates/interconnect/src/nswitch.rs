@@ -7,11 +7,10 @@
 //! (Section III). The model captures the lookup table, round-robin
 //! arbitration across competing inputs and the per-hop traversal latency.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::{BrickId, PortId};
+use dredbox_sim::flat::FlatMap;
 use dredbox_sim::time::SimDuration;
 
 use crate::config::LatencyConfig;
@@ -22,7 +21,9 @@ use crate::error::InterconnectError;
 pub struct OnBrickSwitch {
     owner: BrickId,
     traversal: SimDuration,
-    lookup: BTreeMap<BrickId, PortId>,
+    /// Egress port per destination brick; one entry per dMEMBRICK the brick
+    /// reaches.
+    lookup: FlatMap<BrickId, PortId>,
     round_robin_cursor: usize,
 }
 
@@ -33,7 +34,7 @@ impl OnBrickSwitch {
         OnBrickSwitch {
             owner,
             traversal: config.switch_traversal,
-            lookup: BTreeMap::new(),
+            lookup: FlatMap::new(),
             round_robin_cursor: 0,
         }
     }

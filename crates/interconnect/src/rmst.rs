@@ -5,11 +5,10 @@
 //! (Section II). The Transaction Glue Logic consults it for every remote
 //! transaction to find the destination brick and outgoing port.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::{BrickId, PortId};
+use dredbox_sim::flat::FlatMap;
 use dredbox_sim::units::ByteSize;
 
 use crate::error::InterconnectError;
@@ -69,14 +68,16 @@ impl RmstEntry {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RemoteMemorySegmentTable {
     capacity: usize,
-    /// Installed entries keyed by base address. The hardware table is fully
+    /// Installed entries keyed by base address, in one sorted vector (the
+    /// table is bounded by `capacity`). The hardware table is fully
     /// associative; keeping the model base-ordered makes the overlap check
-    /// on insert, the address lookup and the removal `O(log n)` — these sit
-    /// on the SDM controller's attach/detach and the data-path hot paths.
-    entries: BTreeMap<u64, RmstEntry>,
+    /// on insert and the address lookup a binary search — these sit on the
+    /// SDM controller's attach/detach and the data-path hot paths.
+    entries: FlatMap<u64, RmstEntry>,
     /// Live entries per destination brick, so "does any segment still
-    /// target this dMEMBRICK" (the route-teardown check) is `O(log n)`.
-    towards: BTreeMap<BrickId, u32>,
+    /// target this dMEMBRICK" (the route-teardown check) is a binary
+    /// search instead of a table scan.
+    towards: FlatMap<BrickId, u32>,
     /// Sum of installed segment sizes, kept incrementally.
     mapped: u64,
 }
@@ -91,8 +92,8 @@ impl RemoteMemorySegmentTable {
         assert!(capacity > 0, "RMST needs at least one entry");
         RemoteMemorySegmentTable {
             capacity,
-            entries: BTreeMap::new(),
-            towards: BTreeMap::new(),
+            entries: FlatMap::new(),
+            towards: FlatMap::new(),
             mapped: 0,
         }
     }
@@ -179,7 +180,7 @@ impl RemoteMemorySegmentTable {
 
     /// Fully associative lookup: returns the entry covering `address`.
     /// Entries never overlap, so only the entry with the greatest base at or
-    /// below `address` can cover it — an `O(log n)` range probe.
+    /// below `address` can cover it — one binary search.
     ///
     /// # Errors
     ///
@@ -201,7 +202,7 @@ impl RemoteMemorySegmentTable {
     }
 
     /// Number of entries towards a given destination brick — the
-    /// route-teardown check, `O(log n)` instead of a table scan.
+    /// route-teardown check, a binary search instead of a table scan.
     pub fn towards_count(&self, destination: BrickId) -> u32 {
         self.towards.get(&destination).copied().unwrap_or(0)
     }

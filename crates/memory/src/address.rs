@@ -5,10 +5,9 @@
 //! window out onto the interconnect. [`RemoteWindow`] hands out
 //! non-overlapping sub-ranges of the window as segments are attached.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
+use dredbox_sim::flat::FlatMap;
 use dredbox_sim::units::ByteSize;
 
 use crate::error::MemoryError;
@@ -46,7 +45,9 @@ impl std::fmt::Display for GlobalAddress {
 ///
 /// Attach operations are long-lived and coarse (whole segments), so a simple
 /// monotone carve-out with hole reuse on exact-size matches is sufficient and
-/// mirrors how the prototype's glue logic is configured.
+/// mirrors how the prototype's glue logic is configured. A release must
+/// name a range that is carved and live: below the window, past the carved
+/// extent, or over a released hole, it is rejected.
 ///
 /// ```
 /// use dredbox_memory::address::{RemoteWindow, REMOTE_WINDOW_BASE};
@@ -64,9 +65,10 @@ pub struct RemoteWindow {
     capacity: ByteSize,
     next_offset: u64,
     /// Released ranges grouped by size, so the exact-size reuse check on
-    /// [`RemoteWindow::carve`] is an `O(log n)` lookup instead of a scan of
-    /// every hole — this sits on the SDM controller's attach hot path.
-    holes: BTreeMap<u64, Vec<u64>>,
+    /// [`RemoteWindow::carve`] is a binary search over the distinct hole
+    /// sizes instead of a scan of every hole — this sits on the SDM
+    /// controller's attach hot path.
+    holes: FlatMap<u64, Vec<u64>>,
     mapped: ByteSize,
 }
 
@@ -77,7 +79,7 @@ impl RemoteWindow {
         RemoteWindow {
             capacity,
             next_offset: 0,
-            holes: BTreeMap::new(),
+            holes: FlatMap::new(),
             mapped: ByteSize::ZERO,
         }
     }
@@ -127,14 +129,34 @@ impl RemoteWindow {
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::EmptyRequest`] for a zero-byte release.
+    /// * [`MemoryError::EmptyRequest`] for a zero-byte release.
+    /// * [`MemoryError::InvalidWindowRelease`] if the range starts below the
+    ///   window, ends past the carved extent, covers more than is mapped or
+    ///   overlaps a released hole (a double or never-carved release).
+    ///   Nothing changes in that case.
     pub fn release(&mut self, address: GlobalAddress, size: ByteSize) -> Result<(), MemoryError> {
         if size.is_zero() {
             return Err(MemoryError::EmptyRequest);
         }
-        let offset = address.0 - REMOTE_WINDOW_BASE;
-        self.holes.entry(size.as_bytes()).or_default().push(offset);
-        self.mapped = self.mapped.saturating_sub(size);
+        let len = size.as_bytes();
+        let carved = address
+            .0
+            .checked_sub(REMOTE_WINDOW_BASE)
+            .and_then(|offset| Some((offset, offset.checked_add(len)?)))
+            .filter(|&(_, end)| end <= self.next_offset && size <= self.mapped);
+        let Some((offset, end)) = carved else {
+            return Err(MemoryError::InvalidWindowRelease { address, size });
+        };
+        let over_hole = self.holes.iter().any(|(&hole_len, offsets)| {
+            offsets
+                .iter()
+                .any(|&hole| hole < end && offset < hole.saturating_add(hole_len))
+        });
+        if over_hole {
+            return Err(MemoryError::InvalidWindowRelease { address, size });
+        }
+        self.holes.entry(len).or_default().push(offset);
+        self.mapped -= size;
         Ok(())
     }
 }
@@ -194,6 +216,43 @@ mod tests {
             w.release(c, ByteSize::ZERO),
             Err(MemoryError::EmptyRequest)
         ));
+    }
+
+    #[test]
+    fn releases_outside_the_carved_live_ranges_are_rejected() {
+        const GIB: u64 = 1 << 30;
+        let mut w = RemoteWindow::new(ByteSize::from_gib(16));
+        let a = w.carve(ByteSize::from_gib(4)).unwrap();
+        let b = w.carve(ByteSize::from_gib(4)).unwrap();
+        let before = w.clone();
+        let invalid = |w: &mut RemoteWindow, address: u64, gib: u64| {
+            let (address, size) = (GlobalAddress(address), ByteSize::from_gib(gib));
+            assert_eq!(
+                w.release(address, size),
+                Err(MemoryError::InvalidWindowRelease { address, size })
+            );
+        };
+        // Below the window: the unchecked subtraction used to panic in
+        // debug builds and wrap in release builds.
+        invalid(&mut w, 0x1000, 1);
+        invalid(&mut w, REMOTE_WINDOW_BASE - GIB, 2);
+        // Past the carved extent, past capacity, and wrapping past u64::MAX.
+        invalid(&mut w, REMOTE_WINDOW_BASE + 8 * GIB, 1);
+        invalid(&mut w, REMOTE_WINDOW_BASE + 6 * GIB, 4);
+        invalid(&mut w, REMOTE_WINDOW_BASE + 15 * GIB, 4);
+        invalid(&mut w, u64::MAX - GIB, 4);
+        assert_eq!(w, before, "rejected releases change nothing");
+
+        // A released range cannot be released again, whole or in part.
+        w.release(a, ByteSize::from_gib(4)).unwrap();
+        invalid(&mut w, a.0, 4);
+        invalid(&mut w, a.0 + GIB, 1);
+        // Nor can more be released than is mapped.
+        invalid(&mut w, a.0, 8);
+        // Legal releases still work, and the holes are reused.
+        w.release(b, ByteSize::from_gib(4)).unwrap();
+        assert_eq!(w.mapped(), ByteSize::ZERO);
+        assert_eq!(w.carve(ByteSize::from_gib(4)).unwrap(), b);
     }
 
     #[test]

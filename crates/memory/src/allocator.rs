@@ -1,30 +1,41 @@
 //! Contiguous range allocation within one dMEMBRICK's pool.
 
-use std::collections::{BTreeSet, HashMap};
-
 use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::BrickId;
+use dredbox_sim::flat::{FlatMap, FlatSet};
 use dredbox_sim::units::ByteSize;
+use dredbox_snap::{Reader, Snap, SnapError};
 
 use crate::error::MemoryError;
+use crate::segment::{MemorySegment, SegmentId};
+
+/// One live allocation: its length and, when the pool carved it for a
+/// segment, that segment's id and owning compute brick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Allocation {
+    len: u64,
+    segment: Option<(SegmentId, BrickId)>,
+}
 
 /// A segregated free-list allocator over one dMEMBRICK's byte range.
 ///
-/// Free ranges are held in two synchronized indices: an offset-ordered map
-/// (sorted, non-overlapping, coalesced on release — so fragmentation
+/// Free ranges are held in two synchronized sorted vectors: one ordered by
+/// offset (non-overlapping, coalesced on release — so fragmentation
 /// statistics like [`BrickAllocator::largest_free_block`] reflect real
-/// contiguity) and a size-ordered index over the same ranges, so finding a
-/// fitting range is an `O(log n)` lookup instead of an `O(n)` first-fit
-/// scan. Allocation takes the smallest free range that fits, lowest offset
-/// on ties, which keeps placement deterministic and fragmentation low under
+/// contiguity) and one ordered by size over the same ranges, so finding a
+/// fitting range is a binary search instead of a first-fit scan.
+/// Allocation takes the smallest free range that fits, lowest offset on
+/// ties, which keeps placement deterministic and fragmentation low under
 /// rack-scale churn.
 ///
 /// Live allocations are tracked alongside the free ranges, so
 /// [`BrickAllocator::release`] accepts exactly the ranges handed out by
 /// [`BrickAllocator::allocate`] and rejects everything else — double frees,
 /// partial frees, never-allocated ranges and offsets that would wrap past
-/// the end of the address space.
+/// the end of the address space. When the [`crate::MemoryPool`] carves a
+/// segment, the allocation record also holds the segment's id and owner:
+/// the dMEMBRICK's allocator is where a live segment is owned.
 ///
 /// ```
 /// use dredbox_memory::allocator::BrickAllocator;
@@ -49,19 +60,17 @@ pub struct BrickAllocator {
     /// merges update entries in place.
     free_list: Vec<(u64, u64)>,
     /// The same free ranges as `(length, offset)` — the size-class index
-    /// that makes finding a fitting range `O(log n)`.
-    free_by_size: BTreeSet<(u64, u64)>,
-    /// Live allocations as offset → length, validated on release. A hash
-    /// map keeps the hot-path validation O(1); it is only ever iterated by
-    /// [`BrickAllocator::allocated_ranges`], which sorts.
-    allocated: HashMap<u64, u64>,
+    /// that makes finding a fitting range a binary search.
+    free_by_size: FlatSet<(u64, u64)>,
+    /// Live allocations by offset, validated on release.
+    allocated: FlatMap<u64, Allocation>,
 }
 
 impl BrickAllocator {
     /// Creates an allocator over `capacity` bytes of brick `brick`.
     pub fn new(brick: BrickId, capacity: ByteSize) -> Self {
         let mut free_list = Vec::new();
-        let mut free_by_size = BTreeSet::new();
+        let mut free_by_size = FlatSet::new();
         if !capacity.is_zero() {
             free_list.push((0, capacity.as_bytes()));
             free_by_size.insert((capacity.as_bytes(), 0));
@@ -72,7 +81,7 @@ impl BrickAllocator {
             free_bytes: capacity.as_bytes(),
             free_list,
             free_by_size,
-            allocated: HashMap::new(),
+            allocated: FlatMap::new(),
         }
     }
 
@@ -103,13 +112,7 @@ impl BrickAllocator {
 
     /// Size of the largest contiguous free block.
     pub fn largest_free_block(&self) -> ByteSize {
-        ByteSize::from_bytes(
-            self.free_by_size
-                .iter()
-                .next_back()
-                .map(|&(len, _)| len)
-                .unwrap_or(0),
-        )
+        ByteSize::from_bytes(self.free_by_size.last().map_or(0, |&(len, _)| len))
     }
 
     /// Number of discrete free ranges (fragments).
@@ -124,9 +127,12 @@ impl BrickAllocator {
 
     /// The live allocated ranges as `(offset, length)`, ascending by offset.
     pub fn allocated_ranges(&self) -> Vec<(u64, u64)> {
-        let mut ranges: Vec<(u64, u64)> = self.allocated.iter().map(|(&o, &l)| (o, l)).collect();
-        ranges.sort_unstable();
-        ranges
+        self.allocated.iter().map(|(&o, a)| (o, a.len)).collect()
+    }
+
+    /// Number of live allocations.
+    pub(crate) fn allocation_count(&self) -> usize {
+        self.allocated.len()
     }
 
     /// External fragmentation in `[0, 1]`: 1 − largest-free-block / free.
@@ -141,13 +147,32 @@ impl BrickAllocator {
 
     /// Allocates `size` contiguous bytes, returning the offset. The
     /// size-class index yields the smallest free range that fits (lowest
-    /// offset on ties) in `O(log n)`.
+    /// offset on ties) in one binary search.
     ///
     /// # Errors
     ///
     /// * [`MemoryError::EmptyRequest`] for a zero-byte request.
     /// * [`MemoryError::OutOfMemory`] if no free range is large enough.
     pub fn allocate(&mut self, size: ByteSize) -> Result<u64, MemoryError> {
+        self.carve(size, None)
+    }
+
+    /// [`BrickAllocator::allocate`] for pool segment `id`, granted to
+    /// `owner`: the record keeps both, so the segment lives here.
+    pub(crate) fn allocate_segment(
+        &mut self,
+        size: ByteSize,
+        id: SegmentId,
+        owner: BrickId,
+    ) -> Result<u64, MemoryError> {
+        self.carve(size, Some((id, owner)))
+    }
+
+    fn carve(
+        &mut self,
+        size: ByteSize,
+        segment: Option<(SegmentId, BrickId)>,
+    ) -> Result<u64, MemoryError> {
         if size.is_zero() {
             return Err(MemoryError::EmptyRequest);
         }
@@ -170,7 +195,13 @@ impl BrickAllocator {
             self.free_list[idx] = (offset + needed, len - needed);
             self.free_by_size.insert((len - needed, offset + needed));
         }
-        self.allocated.insert(offset, needed);
+        self.allocated.insert(
+            offset,
+            Allocation {
+                len: needed,
+                segment,
+            },
+        );
         self.free_bytes -= needed;
         Ok(offset)
     }
@@ -197,13 +228,92 @@ impl BrickAllocator {
         if end > self.capacity.as_bytes() {
             return Err(MemoryError::InvalidRelease { brick: self.brick });
         }
-        if self.allocated.get(&offset) != Some(&len) {
+        if self.allocated.get(&offset).map(|a| a.len) != Some(len) {
             return Err(MemoryError::InvalidRelease { brick: self.brick });
         }
+        self.free_range(offset, len);
+        Ok(())
+    }
+
+    /// Releases pool segment `segment`, which must be live here: its record
+    /// is found by offset and must carry its id.
+    ///
+    /// # Errors
+    ///
+    /// * [`MemoryError::NoSuchSegment`] if no live allocation at the
+    ///   segment's offset carries its id.
+    /// * [`MemoryError::InvalidRelease`] if one does but its length differs.
+    pub(crate) fn release_segment(&mut self, segment: &MemorySegment) -> Result<(), MemoryError> {
+        let record = self.allocated.get(&segment.offset);
+        if record.and_then(|a| a.segment).map(|(id, _)| id) != Some(segment.id) {
+            return Err(MemoryError::NoSuchSegment {
+                segment: segment.id,
+            });
+        }
+        if record.map(|a| a.len) != Some(segment.size.as_bytes()) {
+            return Err(MemoryError::InvalidRelease { brick: self.brick });
+        }
+        self.free_range(segment.offset, segment.size.as_bytes());
+        Ok(())
+    }
+
+    /// Frees the live allocation at `offset`, which is `len` bytes long.
+    fn free_range(&mut self, offset: u64, len: u64) {
         self.allocated.remove(&offset);
         self.insert_coalesced(offset, len);
         self.free_bytes += len;
-        Ok(())
+    }
+
+    /// The live pool segment carved at `offset`, if there is one.
+    pub(crate) fn segment_at(&self, offset: u64) -> Option<MemorySegment> {
+        let record = self.allocated.get(&offset)?;
+        self.as_segment(offset, record)
+    }
+
+    fn as_segment(&self, offset: u64, record: &Allocation) -> Option<MemorySegment> {
+        let (id, owner) = record.segment?;
+        Some(MemorySegment {
+            id,
+            membrick: self.brick,
+            offset,
+            size: ByteSize::from_bytes(record.len),
+            owner,
+        })
+    }
+
+    /// The live pool segments carved here, ascending by offset.
+    pub(crate) fn segments(&self) -> impl Iterator<Item = MemorySegment> + '_ {
+        self.allocated
+            .iter()
+            .filter_map(|(&offset, record)| self.as_segment(offset, record))
+    }
+
+    /// Re-points live segment `segment` at `owner`; no change if it is not
+    /// live here.
+    pub(crate) fn set_owner(&mut self, segment: &MemorySegment, owner: BrickId) {
+        if let Some(Allocation {
+            segment: Some((id, holder)),
+            ..
+        }) = self.allocated.get_mut(&segment.offset)
+        {
+            if *id == segment.id {
+                *holder = owner;
+            }
+        }
+    }
+
+    /// Records `segment` as the owner of the untagged allocation it names —
+    /// how a decoded pool re-attaches its segment section to the ranges
+    /// its allocators recorded. `false` (and no change) unless the
+    /// allocation exists with the segment's length and no segment yet.
+    pub(crate) fn claim(&mut self, segment: &MemorySegment) -> bool {
+        match self.allocated.get_mut(&segment.offset) {
+            Some(record) if record.len == segment.size.as_bytes() && record.segment.is_none() => {
+                record.segment = Some((segment.id, segment.owner));
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Inserts a free range, merging it with adjacent free neighbours.
@@ -250,17 +360,35 @@ impl BrickAllocator {
     }
 }
 
-// Deterministic snapshot codec impls (see `dredbox_snap`). The `allocated`
-// hash map is encoded sorted by offset, so the same allocator state always
-// produces the same bytes regardless of hasher history.
-dredbox_snap::snap_struct!(BrickAllocator {
-    brick,
-    capacity,
-    free_bytes,
-    free_list,
-    free_by_size,
-    allocated,
-});
+/// Deterministic snapshot codec (see `dredbox_snap`). Live allocations
+/// are written as an offset → length map; the segment ids and owners are
+/// the owning pool's to write, so a decoded allocator's records carry none
+/// until the pool claims them.
+impl Snap for BrickAllocator {
+    fn snap(&self, out: &mut Vec<u8>) {
+        self.brick.snap(out);
+        self.capacity.snap(out);
+        self.free_bytes.snap(out);
+        self.free_list.snap(out);
+        self.free_by_size.snap(out);
+        let ranges = self.allocated.iter().map(|(&offset, a)| (offset, a.len));
+        dredbox_snap::snap_seq(self.allocated.len(), ranges, out);
+    }
+
+    fn unsnap(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        Ok(BrickAllocator {
+            brick: Snap::unsnap(r)?,
+            capacity: Snap::unsnap(r)?,
+            free_bytes: Snap::unsnap(r)?,
+            free_list: Snap::unsnap(r)?,
+            free_by_size: Snap::unsnap(r)?,
+            allocated: FlatMap::<u64, u64>::unsnap(r)?
+                .iter()
+                .map(|(&offset, &len)| (offset, Allocation { len, segment: None }))
+                .collect(),
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -5,6 +5,7 @@ use std::fmt;
 use dredbox_bricks::BrickId;
 use dredbox_sim::units::ByteSize;
 
+use crate::address::GlobalAddress;
 use crate::segment::SegmentId;
 
 /// Errors produced by the memory pool and its allocators.
@@ -41,6 +42,14 @@ pub enum MemoryError {
         /// Brick whose allocator rejected the release.
         brick: BrickId,
     },
+    /// A remote-window release named a range that is not carved and live:
+    /// below the window, past its carved extent, or over a released hole.
+    InvalidWindowRelease {
+        /// Start of the rejected range.
+        address: GlobalAddress,
+        /// Length of the rejected range.
+        size: ByteSize,
+    },
     /// The balloon cannot move in the requested direction (e.g. deflating
     /// below zero).
     BalloonBounds,
@@ -66,6 +75,9 @@ impl fmt::Display for MemoryError {
             MemoryError::EmptyRequest => write!(f, "memory request must cover at least one byte"),
             MemoryError::InvalidRelease { brick } => {
                 write!(f, "release did not match allocation records on {brick}")
+            }
+            MemoryError::InvalidWindowRelease { address, size } => {
+                write!(f, "{size} at {address} is not a carved remote-window range")
             }
             MemoryError::BalloonBounds => write!(f, "balloon adjustment out of bounds"),
         }

@@ -6,6 +6,11 @@
 //! policies are provided; the power-conscious one prefers dMEMBRICKs that
 //! already serve traffic so that untouched bricks can stay powered off
 //! (Section IV-C, role "b": power-consumption-conscious selection).
+//!
+//! The pool keeps no segment table of its own: each live segment's id and
+//! owner sit in its dMEMBRICK allocator's record for the segment's offset,
+//! so releasing or checking a segment touches only that brick's
+//! allocator, found by `(membrick, offset)`.
 
 use std::collections::BTreeMap;
 
@@ -397,7 +402,8 @@ pub struct MemoryPool {
     /// a sum over every brick.
     capacity_total: u64,
     free_total: u64,
-    segments: BTreeMap<SegmentId, MemorySegment>,
+    /// The id the next carved segment gets. Live segments themselves are
+    /// recorded by their dMEMBRICK's allocator, keyed by offset.
     next_segment: u64,
     /// Failed dMEMBRICKs and the capacity each held, so a repair can
     /// re-admit the brick without the caller re-deriving its size.
@@ -414,7 +420,6 @@ impl MemoryPool {
             index: PoolIndex::default(),
             capacity_total: 0,
             free_total: 0,
-            segments: BTreeMap::new(),
             next_segment: 0,
             failed: BTreeMap::new(),
         }
@@ -592,46 +597,43 @@ impl MemoryPool {
                 .get_mut(brick)
                 .expect("picked brick is registered");
             let chunk = remaining.min(allocator.largest_free_block());
+            let id = SegmentId(self.next_segment);
             let offset = allocator
-                .allocate(chunk)
+                .allocate_segment(chunk, id, owner)
                 .expect("picked brick has the space");
+            self.next_segment += 1;
             self.free_total -= chunk.as_bytes();
             self.reindex(brick);
-            let id = SegmentId(self.next_segment);
-            self.next_segment += 1;
-            let segment = MemorySegment {
+            segments.push(MemorySegment {
                 id,
                 membrick: brick,
                 offset,
                 size: chunk,
                 owner,
-            };
-            self.segments.insert(id, segment);
-            segments.push(segment);
+            });
             remaining = remaining.saturating_sub(chunk);
         }
         Ok(MemoryGrant { segments })
     }
 
-    /// Releases one segment back to its dMEMBRICK.
+    /// Releases one live segment back to its dMEMBRICK. The segment is
+    /// found by `(membrick, offset)` and must carry the live segment's id,
+    /// so a stale copy — released already, or lost with a failed brick
+    /// whose replacement reused the offset — is refused.
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::NoSuchSegment`] for unknown segments.
-    pub fn release(&mut self, segment: SegmentId) -> Result<(), MemoryError> {
-        let seg = self
-            .segments
-            .remove(&segment)
-            .ok_or(MemoryError::NoSuchSegment { segment })?;
+    /// Returns [`MemoryError::NoSuchSegment`] if the segment is not live.
+    pub fn release(&mut self, segment: &MemorySegment) -> Result<(), MemoryError> {
         let allocator =
             self.allocators
-                .get_mut(seg.membrick)
-                .ok_or(MemoryError::UnknownMemBrick {
-                    brick: seg.membrick,
+                .get_mut(segment.membrick)
+                .ok_or(MemoryError::NoSuchSegment {
+                    segment: segment.id,
                 })?;
-        allocator.release(seg.offset, seg.size)?;
-        self.free_total += seg.size.as_bytes();
-        self.reindex(seg.membrick);
+        allocator.release_segment(segment)?;
+        self.free_total += segment.size.as_bytes();
+        self.reindex(segment.membrick);
         Ok(())
     }
 
@@ -642,9 +644,18 @@ impl MemoryPool {
     /// Returns the first error encountered; earlier segments stay released.
     pub fn release_grant(&mut self, grant: &MemoryGrant) -> Result<(), MemoryError> {
         for seg in grant.segments() {
-            self.release(seg.id)?;
+            self.release(seg)?;
         }
         Ok(())
+    }
+
+    /// Whether `segment` is live: its dMEMBRICK holds an allocation at its
+    /// offset carrying its id.
+    pub fn is_live(&self, segment: &MemorySegment) -> bool {
+        self.allocators
+            .get(segment.membrick)
+            .and_then(|a| a.segment_at(segment.offset))
+            .is_some_and(|live| live.id == segment.id)
     }
 
     /// Re-points every segment of a live grant at a new owning compute
@@ -663,36 +674,51 @@ impl MemoryPool {
         new_owner: BrickId,
     ) -> Result<MemoryGrant, MemoryError> {
         for seg in grant.segments() {
-            if !self.segments.contains_key(&seg.id) {
+            if !self.is_live(seg) {
                 return Err(MemoryError::NoSuchSegment { segment: seg.id });
             }
         }
         let mut segments = Vec::with_capacity(grant.segments().len());
         for seg in grant.segments() {
-            let live = self.segments.get_mut(&seg.id).expect("checked above");
-            live.owner = new_owner;
-            segments.push(*live);
+            self.allocators
+                .get_mut(seg.membrick)
+                .expect("checked above")
+                .set_owner(seg, new_owner);
+            segments.push(MemorySegment {
+                owner: new_owner,
+                ..*seg
+            });
         }
         Ok(MemoryGrant { segments })
     }
 
-    /// Looks up a live segment.
-    pub fn segment(&self, id: SegmentId) -> Option<&MemorySegment> {
-        self.segments.get(&id)
+    /// Every live segment, ascending by id — a walk over every dMEMBRICK's
+    /// allocation records.
+    fn live_segments(&self) -> Vec<MemorySegment> {
+        let mut all: Vec<MemorySegment> = self
+            .allocators
+            .values()
+            .flat_map(|a| a.segments())
+            .collect();
+        all.sort_unstable_by_key(|s| s.id);
+        all
     }
 
-    /// All live segments granted to `owner`.
+    /// All live segments granted to `owner`, ascending by id.
     pub fn segments_of(&self, owner: BrickId) -> Vec<MemorySegment> {
-        self.segments
+        let mut owned: Vec<MemorySegment> = self
+            .allocators
             .values()
+            .flat_map(|a| a.segments())
             .filter(|s| s.owner == owner)
-            .copied()
-            .collect()
+            .collect();
+        owned.sort_unstable_by_key(|s| s.id);
+        owned
     }
 
     /// Number of live segments.
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.allocators.values().map(|a| a.allocation_count()).sum()
     }
 
     /// Fails a dMEMBRICK: its capacity leaves the pool, it stops being a
@@ -713,16 +739,8 @@ impl MemoryPool {
         self.capacity_total -= capacity;
         self.free_total -= allocator.free().as_bytes();
         self.index.remove(brick);
-        let lost_ids: Vec<SegmentId> = self
-            .segments
-            .values()
-            .filter(|s| s.membrick == brick)
-            .map(|s| s.id)
-            .collect();
-        let mut lost = Vec::with_capacity(lost_ids.len());
-        for id in lost_ids {
-            lost.push(self.segments.remove(&id).expect("collected above"));
-        }
+        let mut lost: Vec<MemorySegment> = allocator.segments().collect();
+        lost.sort_unstable_by_key(|s| s.id);
         self.failed.insert(brick, capacity);
         Ok(lost)
     }
@@ -962,17 +980,67 @@ impl dredbox_snap::Snap for PoolIndex {
     }
 }
 dredbox_snap::snap_struct!(MemoryGrant { segments });
-dredbox_snap::snap_struct!(MemoryPool {
-    policy,
-    strategy,
-    allocators,
-    index,
-    capacity_total,
-    free_total,
-    segments,
-    next_segment,
-    failed,
-});
+
+/// Writes the pool-wide layout: after the allocators (ranges only) and the
+/// totals comes an id-ordered `SegmentId → MemorySegment` section, derived
+/// from the allocators' records. Decoding reads it back into them: each
+/// allocator must sit at its own brick's slot, each segment must name an
+/// untagged live range of its dMEMBRICK, ids must ascend below
+/// `next_segment`, and every range must be claimed.
+impl dredbox_snap::Snap for MemoryPool {
+    fn snap(&self, out: &mut Vec<u8>) {
+        self.policy.snap(out);
+        self.strategy.snap(out);
+        self.allocators.snap(out);
+        self.index.snap(out);
+        self.capacity_total.snap(out);
+        self.free_total.snap(out);
+        let live = self.live_segments();
+        dredbox_snap::snap_seq(live.len(), live.iter().map(|s| (s.id, *s)), out);
+        self.next_segment.snap(out);
+        self.failed.snap(out);
+    }
+
+    fn unsnap(r: &mut dredbox_snap::Reader<'_>) -> Result<Self, dredbox_snap::SnapError> {
+        use dredbox_snap::Snap;
+        let inconsistent = dredbox_snap::SnapError::Inconsistent { ty: "MemoryPool" };
+        let mut pool = MemoryPool {
+            policy: Snap::unsnap(r)?,
+            strategy: Snap::unsnap(r)?,
+            allocators: Snap::unsnap(r)?,
+            index: Snap::unsnap(r)?,
+            capacity_total: Snap::unsnap(r)?,
+            free_total: Snap::unsnap(r)?,
+            next_segment: 0,
+            failed: BTreeMap::new(),
+        };
+        if pool.allocators.iter().any(|(id, a)| a.brick() != id) {
+            return Err(inconsistent);
+        }
+        let segments = r.take_len()?;
+        let mut next_id = 0u64;
+        for _ in 0..segments {
+            let id = SegmentId::unsnap(r)?;
+            let segment = MemorySegment::unsnap(r)?;
+            let claimed = id == segment.id
+                && id.0 >= next_id
+                && pool
+                    .allocators
+                    .get_mut(segment.membrick)
+                    .is_some_and(|a| a.claim(&segment));
+            if !claimed {
+                return Err(inconsistent);
+            }
+            next_id = id.0.checked_add(1).ok_or(inconsistent.clone())?;
+        }
+        pool.next_segment = Snap::unsnap(r)?;
+        pool.failed = Snap::unsnap(r)?;
+        if pool.segment_count() != segments || pool.next_segment < next_id {
+            return Err(inconsistent);
+        }
+        Ok(pool)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1012,13 +1080,14 @@ mod tests {
         assert_eq!(p.segment_count(), 1);
         assert_eq!(p.segments_of(BrickId(0)).len(), 1);
         assert_eq!(p.total_allocated(), ByteSize::from_gib(8));
-        assert!(p.segment(grant.segments()[0].id).is_some());
+        assert!(p.is_live(&grant.segments()[0]));
 
         p.release_grant(&grant).unwrap();
         assert_eq!(p.total_allocated(), ByteSize::ZERO);
         assert_eq!(p.segment_count(), 0);
+        assert!(!p.is_live(&grant.segments()[0]));
         assert!(matches!(
-            p.release(grant.segments()[0].id),
+            p.release(&grant.segments()[0]),
             Err(MemoryError::NoSuchSegment { .. })
         ));
     }
@@ -1147,7 +1216,7 @@ mod tests {
         p.register_membrick(BrickId(3), ByteSize::from_gib(8));
         let g = p.allocate(BrickId(0), ByteSize::from_gib(40)).unwrap();
         p.allocate(BrickId(1), ByteSize::from_gib(8)).unwrap();
-        p.release(g.segments()[0].id).unwrap();
+        p.release(&g.segments()[0]).unwrap();
         p.fail_membrick(BrickId(12)).unwrap();
         let mut bytes = Vec::new();
         p.index.snap(&mut bytes);
@@ -1179,6 +1248,129 @@ mod tests {
             PoolIndex::unsnap(&mut Reader::new(&forged)),
             Err(SnapError::Inconsistent { ty: "PoolIndex" })
         );
+    }
+
+    #[test]
+    fn segments_live_in_their_membrick_records() {
+        let mut p = pool(AllocationPolicy::FirstFit);
+        let a = p.allocate(BrickId(0), ByteSize::from_gib(8)).unwrap();
+        let b = p.allocate(BrickId(1), ByteSize::from_gib(40)).unwrap();
+        assert_eq!(p.segment_count(), 1 + b.segments().len());
+        assert_eq!(p.segments_of(BrickId(1)), b.segments());
+
+        // Migration re-points the records; the caller's copies stay valid
+        // handles because release checks the id, not the owner.
+        let moved = p.reassign_owner(&a, BrickId(7)).unwrap();
+        assert_eq!(p.segments_of(BrickId(0)), vec![]);
+        assert_eq!(p.segments_of(BrickId(7)), moved.segments());
+        assert!(p.is_live(&a.segments()[0]));
+
+        // A copy with the right place but the wrong id is not live.
+        let forged = MemorySegment {
+            id: SegmentId(99),
+            ..a.segments()[0]
+        };
+        assert!(!p.is_live(&forged));
+        assert_eq!(
+            p.release(&forged),
+            Err(MemoryError::NoSuchSegment {
+                segment: SegmentId(99)
+            })
+        );
+        assert!(p
+            .reassign_owner(
+                &MemoryGrant {
+                    segments: vec![forged]
+                },
+                BrickId(1)
+            )
+            .is_err());
+
+        // Segments lost with a failed brick stay dead after its repair, even
+        // when a new segment reuses their offset.
+        let lost = p.fail_membrick(BrickId(10)).unwrap();
+        assert!(lost.windows(2).all(|w| w[0].id < w[1].id));
+        assert!(lost.contains(&moved.segments()[0]));
+        p.repair_membrick(BrickId(10)).unwrap();
+        let reuse = p.allocate(BrickId(2), ByteSize::from_gib(8)).unwrap();
+        assert_eq!(reuse.segments()[0].membrick, BrickId(10));
+        assert_eq!(reuse.segments()[0].offset, a.segments()[0].offset);
+        assert!(!p.is_live(&a.segments()[0]));
+        assert!(matches!(
+            p.release(&a.segments()[0]),
+            Err(MemoryError::NoSuchSegment { .. })
+        ));
+        p.release_grant(&reuse).unwrap();
+    }
+
+    #[test]
+    fn codec_writes_the_segment_table_layout_and_rejects_contradictions() {
+        use dredbox_snap::{Reader, Snap, SnapError};
+
+        let mut p = pool(AllocationPolicy::PowerAware);
+        let grants: Vec<MemoryGrant> = (0..6u32)
+            .map(|i| {
+                p.allocate(BrickId(i), ByteSize::from_gib(u64::from(i) * 5 + 3))
+                    .unwrap()
+            })
+            .collect();
+        p.release_grant(&grants[2]).unwrap();
+        p.fail_membrick(BrickId(12)).unwrap();
+
+        // The layout of the pool that kept a `BTreeMap<SegmentId,
+        // MemorySegment>` beside its allocators.
+        let table: std::collections::BTreeMap<SegmentId, MemorySegment> =
+            p.live_segments().into_iter().map(|s| (s.id, s)).collect();
+        let mut expected = Vec::new();
+        p.policy.snap(&mut expected);
+        p.strategy.snap(&mut expected);
+        p.allocators.snap(&mut expected);
+        p.index.snap(&mut expected);
+        p.capacity_total.snap(&mut expected);
+        p.free_total.snap(&mut expected);
+        let head = expected.len();
+        table.snap(&mut expected);
+        let tail = expected.len();
+        p.next_segment.snap(&mut expected);
+        p.failed.snap(&mut expected);
+        let mut bytes = Vec::new();
+        p.snap(&mut bytes);
+        assert_eq!(bytes, expected);
+        assert_eq!(MemoryPool::unsnap(&mut Reader::new(&bytes)), Ok(p.clone()));
+
+        // Re-encode the stream with an edited segment table.
+        type Table = Vec<(SegmentId, MemorySegment)>;
+        let forge = |edit: &dyn Fn(&mut Table)| {
+            let mut entries: Table = table.iter().map(|(&id, &s)| (id, s)).collect();
+            edit(&mut entries);
+            let mut forged = bytes[..head].to_vec();
+            entries.snap(&mut forged);
+            forged.extend_from_slice(&bytes[tail..]);
+            MemoryPool::unsnap(&mut Reader::new(&forged))
+        };
+        let inconsistent = Err(SnapError::Inconsistent { ty: "MemoryPool" });
+        assert_eq!(forge(&|_| {}), Ok(p.clone()));
+        // An unclaimed range.
+        assert_eq!(forge(&|e| e.truncate(e.len() - 1)), inconsistent);
+        // A segment claiming another's range.
+        assert_eq!(forge(&|e| e[1].1.offset = e[0].1.offset), inconsistent);
+        // A key that disagrees with its segment's id.
+        assert_eq!(forge(&|e| e[0].0 = SegmentId(50)), inconsistent);
+        // Ids out of order.
+        assert_eq!(forge(&|e| e.swap(0, 1)), inconsistent);
+        // A segment on a failed brick, or with the wrong length.
+        assert_eq!(forge(&|e| e[0].1.membrick = BrickId(12)), inconsistent);
+        assert_eq!(
+            forge(&|e| e[0].1.size = ByteSize::from_gib(1)),
+            inconsistent
+        );
+        // An id at or above the next one to hand out.
+        let last = table.keys().next_back().copied().unwrap();
+        let mut stale = p.clone();
+        stale.next_segment = last.0;
+        let mut forged = Vec::new();
+        stale.snap(&mut forged);
+        assert_eq!(MemoryPool::unsnap(&mut Reader::new(&forged)), inconsistent);
     }
 
     proptest! {
@@ -1251,7 +1443,7 @@ mod tests {
             for (i, gib) in requests.iter().enumerate() {
                 let _ = p.allocate(BrickId(i as u32), ByteSize::from_gib(*gib));
             }
-            let segs: Vec<MemorySegment> = (0..100u64).filter_map(|i| p.segment(SegmentId(i)).copied()).collect();
+            let segs = p.live_segments();
             for (i, a) in segs.iter().enumerate() {
                 for b in segs.iter().skip(i + 1) {
                     prop_assert!(!a.overlaps(b), "segments {:?} and {:?} overlap", a, b);

@@ -6,11 +6,10 @@
 //! keeps tentative reservations that are later either committed (the
 //! configuration was pushed successfully) or rolled back (something failed).
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::{BrickId, BrickMap};
+use dredbox_sim::flat::FlatMap;
 use dredbox_sim::units::ByteSize;
 
 use crate::error::OrchestratorError;
@@ -48,7 +47,9 @@ pub struct Reservation {
 /// inspection of a later request must subtract.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ReservationLedger {
-    pending: BTreeMap<ReservationId, Reservation>,
+    /// Reservations between reserve and commit/rollback — at most a few
+    /// at a time, since each request finalizes its own before returning.
+    pending: FlatMap<ReservationId, Reservation>,
     committed_cores: BrickMap<u32>,
     committed_memory: ByteSize,
     next_id: u64,

@@ -16,6 +16,7 @@ use dredbox_interconnect::LatencyConfig;
 use dredbox_memory::{
     AllocationPolicy, MemoryError, MemoryGrant, MemoryPool, MemorySegment, PickStrategy,
 };
+use dredbox_sim::flat::{FlatMap, FlatSet};
 use dredbox_sim::queue::ControlPlaneQueue;
 use dredbox_sim::time::{SimDuration, SimTime};
 use dredbox_sim::units::{Bandwidth, ByteSize};
@@ -212,7 +213,7 @@ struct ComputeState {
     vm_count: u32,
     /// Multiset of per-VM core counts (vcpus → number of VMs holding that
     /// many), so releases can be matched against an actual admission.
-    vm_cores: BTreeMap<u32, u32>,
+    vm_cores: FlatMap<u32, u32>,
     gth_ports: u8,
     attached_segments: u32,
     powered_on: bool,
@@ -260,7 +261,7 @@ pub struct SdmController {
     latency_config: LatencyConfig,
     /// dMEMBRICKs each compute brick already has a circuit towards; new
     /// destinations need a switch-programming step.
-    circuits: BrickMap<BTreeSet<BrickId>>,
+    circuits: BrickMap<FlatSet<BrickId>>,
     /// Authoritative per-accelerator state, mirrored into `accel_index`.
     accel: BTreeMap<BrickId, AccelState>,
     /// Incremental availability view over `accel`, kept in lockstep by
@@ -367,7 +368,7 @@ impl SdmController {
                 total_cores: cores,
                 used_cores: 0,
                 vm_count: 0,
-                vm_cores: BTreeMap::new(),
+                vm_cores: FlatMap::new(),
                 gth_ports: gth_ports.max(1),
                 attached_segments: 0,
                 powered_on: true,
@@ -677,11 +678,7 @@ impl SdmController {
             return Err(OrchestratorError::MismatchedVmRelease { brick: from, vcpus });
         }
         for grant in grants {
-            let live = grant
-                .grant
-                .segments()
-                .iter()
-                .all(|s| self.pool.segment(s.id).is_some());
+            let live = grant.grant.segments().iter().all(|s| self.pool.is_live(s));
             if grant.demand.compute_brick != from
                 || grant.rmst_bases.len() != grant.grant.segments().len()
                 || !live
@@ -1476,7 +1473,7 @@ impl SdmController {
             .saturating_mul(u64::from(torn_down));
         let mut lost = 0u64;
         for seg in grant.grant.segments() {
-            match self.pool.release(seg.id) {
+            match self.pool.release(seg) {
                 Ok(()) => {}
                 Err(MemoryError::NoSuchSegment { .. }) => lost += seg.size.as_bytes(),
                 Err(e) => return Err(e.into()),

@@ -10,6 +10,7 @@
 //!   user-provided world state.
 //! * [`shard`] — the same engine partitioned into per-shard calendars (one per
 //!   rack) with deterministic (time, shard, seq) cross-shard mailboxes.
+//! * [`flat`] — sorted-vector maps and sets for small per-brick tables.
 //! * [`arena`] — generational slab arenas giving the scenario hot path stable
 //!   `u32` slots and an allocation-free steady state.
 //! * [`rng`] — a seedable, reproducible random-number generator wrapper so that
@@ -44,6 +45,7 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod fault;
+pub mod flat;
 pub mod parallel;
 pub mod queue;
 pub mod report;

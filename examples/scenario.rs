@@ -35,8 +35,40 @@
 //! parallel runner, asserts the report is bit-identical to the serial
 //! replay — and, when the committed golden snapshot for the seed exists,
 //! byte-identical to that too — and prints both wall-clock times.
+//!
+//! Passing `datacenter-64` replays the 64-rack federation on `--threads N`
+//! workers (default 1) with a determinism replay. It is too large for the
+//! golden suite, so at seed 2018 the example instead checks the FNV-1a
+//! fingerprint of the report's `{:#?}` rendering against a pinned value.
+
+use std::fmt::Write as _;
 
 use dredbox::prelude::*;
+
+/// FNV-1a (64-bit) of `format!("{report:#?}")` for `datacenter-64` at seed
+/// 2018. A change that moves any figure of the 64-rack report moves this.
+const DATACENTER_64_FINGERPRINT_2018: u64 = 0x9f32_cfc5_0de9_1b09;
+
+/// Streams text through FNV-1a (64-bit), so fingerprinting a report never
+/// materialises its multi-megabyte rendering.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// The FNV-1a fingerprint of `value`'s `{:#?}` rendering.
+fn fingerprint(value: &impl std::fmt::Debug) -> u64 {
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(hash, "{value:#?}").expect("hashing cannot fail");
+    hash.0
+}
 
 fn main() -> Result<(), SystemError> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -197,6 +229,14 @@ fn main() -> Result<(), SystemError> {
         let replay = spec.run_with_threads(seed, threads)?;
         assert_eq!(report, replay, "datacenter-64 same-seed replay diverged");
         println!("determinism check: datacenter-64 replay with seed {seed} was identical");
+        if seed == 2018 {
+            let found = fingerprint(&report);
+            assert_eq!(
+                found, DATACENTER_64_FINGERPRINT_2018,
+                "datacenter-64 report fingerprint drifted: {found:016x}"
+            );
+            println!("fingerprint check: datacenter-64 report matches the pinned {found:016x}");
+        }
     }
 
     if with_failure {
