@@ -161,7 +161,7 @@ impl FrontDoor {
                 );
             }
             ScenarioEvent::DigestUpdate { rack, digest } => {
-                self.controller.upsert(RackId(rack), digest);
+                self.controller.upsert(RackId(rack), *digest);
             }
             ScenarioEvent::SpillOver { index, tried } => self.spill(index, tried, now, ctx),
             _ => unreachable!("rack-tier event dispatched to the cluster front door"),
@@ -202,7 +202,7 @@ impl RackShard<'_> {
                         now + self.timings.route,
                         ScenarioEvent::DigestUpdate {
                             rack: self.rack,
-                            digest,
+                            digest: Box::new(digest),
                         },
                     );
                 }
@@ -217,16 +217,14 @@ impl RackShard<'_> {
 }
 
 /// Owned per-shard slice of the federation, travelling between worker
-/// threads.
-// The variants are deliberately unboxed: a worker moves across a channel
-// once per epoch (not per event), so the size gap is irrelevant next to
-// the pointer chase a box would add on every event dispatch.
-#[allow(clippy::large_enum_variant)]
+/// threads. A rack's world is boxed: the epoch loop moves workers by value
+/// several times per visit, and a pointer is cheaper to move than the
+/// world.
 pub(super) enum ClusterWorker<'a> {
     /// Shard 0.
     Front(FrontDoor),
     /// Shard `1 + rack`.
-    Rack(RackShard<'a>),
+    Rack(Box<RackShard<'a>>),
 }
 
 impl WorldWorker for ClusterWorker<'_> {
@@ -254,7 +252,7 @@ pub(super) struct ClusterWorld<'a> {
     /// `None` only while workers are out under [`ParallelWorld::split`].
     front: Option<FrontDoor>,
     /// `rack_shards[r]` is global rack `r`; `None` only while split.
-    rack_shards: Vec<Option<RackShard<'a>>>,
+    rack_shards: Vec<Option<Box<RackShard<'a>>>>,
     /// The spec's seeded fault schedule; faults strike at epoch barriers
     /// so recovery can restart guests across racks.
     faults: FailureSchedule,
@@ -310,7 +308,7 @@ impl<'a> ClusterWorld<'a> {
             .zip(rack_rngs)
             .enumerate()
             .map(|(r, (system, rng))| {
-                Some(RackShard {
+                Some(Box::new(RackShard {
                     rack: r as u16,
                     timings,
                     world: ScenarioWorld::new(
@@ -320,7 +318,7 @@ impl<'a> ClusterWorld<'a> {
                         FailureSchedule::default(),
                         rng,
                     ),
-                })
+                }))
             })
             .collect();
         ClusterWorld {
@@ -741,7 +739,7 @@ impl<'a> ClusterWorld<'a> {
         events: u64,
     ) -> ScenarioReport {
         let front = self.front.take().expect("the run reunites the world");
-        let shards: Vec<RackShard<'a>> = self
+        let shards: Vec<Box<RackShard<'a>>> = self
             .rack_shards
             .drain(..)
             .map(|s| s.expect("the run reunites the world"))
@@ -880,7 +878,7 @@ impl<'a> ClusterWorld<'a> {
 /// places it there. `None` when no rack can hold it.
 fn place_on_cluster(
     controller: &ClusterController,
-    rack_shards: &mut [Option<RackShard<'_>>],
+    rack_shards: &mut [Option<Box<RackShard<'_>>>],
     exclude: RackId,
     vcpus: u32,
     memory: ByteSize,

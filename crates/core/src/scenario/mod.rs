@@ -1878,6 +1878,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn calendar_entries_and_epoch_units_stay_small() {
+        // Every calendar and mailbox entry holds an event, and the epoch
+        // loop moves workers by value: a wide new variant must be boxed.
+        assert!(std::mem::size_of::<ScenarioEvent>() <= 24);
+        assert!(std::mem::size_of::<cluster::ClusterWorker<'static>>() <= 256);
+    }
+
+    #[test]
     fn steady_state_replay_is_deterministic() {
         let spec = ScenarioSpec::steady_state();
         let a = spec.run(2018).expect("run");

@@ -53,8 +53,10 @@ use super::{
     ScenarioSpec,
 };
 
-/// Events driving one scenario replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Events driving one scenario replay. Every calendar and mailbox entry
+/// holds one, so the enum is kept at 24 bytes: a payload that would widen
+/// it travels boxed.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) enum ScenarioEvent {
     /// The `index`-th VM of the trace arrives and requests admission
     /// (single-rack systems only — on a federated cluster the front door
@@ -76,7 +78,7 @@ pub(super) enum ScenarioEvent {
     DigestPublish,
     /// A published digest arrives at the front door one routing read
     /// later.
-    DigestUpdate { rack: u16, digest: RackDigest },
+    DigestUpdate { rack: u16, digest: Box<RackDigest> },
     /// A churning VM grows by `amount` through the Scale-up API.
     ScaleUp {
         vm: VmHandle,

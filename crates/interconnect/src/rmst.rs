@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 use dredbox_bricks::{BrickId, PortId};
 use dredbox_sim::flat::FlatMap;
 use dredbox_sim::units::ByteSize;
+use dredbox_snap::{Reader, Snap, SnapError};
 
 use crate::error::InterconnectError;
 
@@ -74,10 +75,6 @@ pub struct RemoteMemorySegmentTable {
     /// on insert and the address lookup a binary search — these sit on the
     /// SDM controller's attach/detach and the data-path hot paths.
     entries: FlatMap<u64, RmstEntry>,
-    /// Live entries per destination brick, so "does any segment still
-    /// target this dMEMBRICK" (the route-teardown check) is a binary
-    /// search instead of a table scan.
-    towards: FlatMap<BrickId, u32>,
     /// Sum of installed segment sizes, kept incrementally.
     mapped: u64,
 }
@@ -93,7 +90,6 @@ impl RemoteMemorySegmentTable {
         RemoteMemorySegmentTable {
             capacity,
             entries: FlatMap::new(),
-            towards: FlatMap::new(),
             mapped: 0,
         }
     }
@@ -153,7 +149,6 @@ impl RemoteMemorySegmentTable {
             });
         }
         self.entries.insert(entry.base, entry);
-        *self.towards.entry(entry.destination).or_insert(0) += 1;
         self.mapped += entry.size.as_bytes();
         Ok(())
     }
@@ -168,12 +163,6 @@ impl RemoteMemorySegmentTable {
             .entries
             .remove(&base)
             .ok_or(InterconnectError::NoSuchSegment { address: base })?;
-        if let Some(count) = self.towards.get_mut(&entry.destination) {
-            *count -= 1;
-            if *count == 0 {
-                self.towards.remove(&entry.destination);
-            }
-        }
         self.mapped -= entry.size.as_bytes();
         Ok(entry)
     }
@@ -202,9 +191,20 @@ impl RemoteMemorySegmentTable {
     }
 
     /// Number of entries towards a given destination brick — the
-    /// route-teardown check, a binary search instead of a table scan.
+    /// route-teardown check. A scan of the table, which is bounded by
+    /// [`capacity`](Self::capacity) and holds a handful of entries.
     pub fn towards_count(&self, destination: BrickId) -> u32 {
-        self.towards.get(&destination).copied().unwrap_or(0)
+        self.entries_towards(destination).count() as u32
+    }
+
+    /// Live entries per destination brick, ascending by brick: the
+    /// snapshot's derived `towards` section.
+    fn towards(&self) -> FlatMap<BrickId, u32> {
+        let mut towards = FlatMap::new();
+        for entry in self.entries.values() {
+            *towards.entry(entry.destination).or_insert(0) += 1;
+        }
+        towards
     }
 
     /// Iterates over all entries, ascending by base address.
@@ -225,17 +225,56 @@ dredbox_snap::snap_struct!(RmstEntry {
     destination,
     port,
 });
-dredbox_snap::snap_struct!(RemoteMemorySegmentTable {
-    capacity,
-    entries,
-    towards,
-    mapped,
-});
+
+/// The table writes a `towards` section (live entries per destination,
+/// ascending) between its entries and its mapped total; it is derived
+/// from the entries on capture and checked against them on decode.
+/// Decoding also rejects with [`SnapError::Inconsistent`] a zero capacity,
+/// more entries than it, an entry not keyed by its base, an empty or
+/// address-wrapping segment, overlapping segments and a mapped total that
+/// is not their sum — so lookups and removes on a decoded table behave as
+/// on the one that was saved.
+impl Snap for RemoteMemorySegmentTable {
+    fn snap(&self, out: &mut Vec<u8>) {
+        self.capacity.snap(out);
+        self.entries.snap(out);
+        self.towards().snap(out);
+        self.mapped.snap(out);
+    }
+
+    fn unsnap(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        const TY: &str = "RemoteMemorySegmentTable";
+        let table = RemoteMemorySegmentTable {
+            capacity: Snap::unsnap(r)?,
+            entries: Snap::unsnap(r)?,
+            mapped: 0,
+        };
+        let towards = table.towards();
+        dredbox_snap::expect_seq(r, TY, towards.iter().map(|(&b, &n)| (b, n)))?;
+        let mapped = u64::unsnap(r)?;
+        let (mut end, mut sum) = (0u64, 0u64);
+        for (&base, entry) in table.entries.iter() {
+            let len = entry.size.as_bytes();
+            match base.checked_add(len) {
+                Some(next) if base == entry.base && len > 0 && base >= end => end = next,
+                _ => return Err(SnapError::Inconsistent { ty: TY }),
+            }
+            sum = sum
+                .checked_add(len)
+                .ok_or(SnapError::Inconsistent { ty: TY })?;
+        }
+        if table.capacity == 0 || table.entries.len() > table.capacity || sum != mapped {
+            return Err(SnapError::Inconsistent { ty: TY });
+        }
+        Ok(RemoteMemorySegmentTable { mapped, ..table })
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn entry(base: u64, gib: u64, dest: u32) -> RmstEntry {
         RmstEntry {
@@ -338,6 +377,48 @@ mod tests {
                 }
             }
             prop_assert!(rmst.len() <= rmst.capacity());
+        }
+
+        /// `towards_count` agrees with a direct count and with the
+        /// per-destination side table the table used to keep, and the
+        /// snapshot bytes are those of that layout.
+        #[test]
+        fn towards_matches_a_direct_count_and_the_side_table_layout(
+            ops in proptest::collection::vec((0u8..3, 0u64..24, 1u64..4, 0u32..5), 1..60),
+        ) {
+            let mut rmst = RemoteMemorySegmentTable::new(8);
+            let mut side: BTreeMap<BrickId, u32> = BTreeMap::new();
+            for (op, slot, gib, dest) in ops {
+                if op < 2 {
+                    let e = entry(slot * GIB, gib, dest);
+                    if rmst.insert(e).is_ok() {
+                        *side.entry(e.destination).or_insert(0) += 1;
+                    }
+                } else if !rmst.is_empty() {
+                    let base = rmst.iter().nth(slot as usize % rmst.len()).expect("in range").base;
+                    let removed = rmst.remove(base).expect("installed entry removes");
+                    let count = side.get_mut(&removed.destination).expect("counted");
+                    *count -= 1;
+                    if *count == 0 {
+                        side.remove(&removed.destination);
+                    }
+                }
+                for d in 0..5 {
+                    let direct = rmst.iter().filter(|e| e.destination == BrickId(d)).count();
+                    prop_assert_eq!(rmst.towards_count(BrickId(d)) as usize, direct);
+                    prop_assert_eq!(side.get(&BrickId(d)).map_or(0, |&n| n as usize), direct);
+                }
+                let mut expected = Vec::new();
+                rmst.capacity.snap(&mut expected);
+                rmst.entries.snap(&mut expected);
+                side.snap(&mut expected);
+                rmst.mapped.snap(&mut expected);
+                let mut bytes = Vec::new();
+                rmst.snap(&mut bytes);
+                prop_assert_eq!(&bytes, &expected);
+                let back = RemoteMemorySegmentTable::unsnap(&mut Reader::new(&bytes));
+                prop_assert_eq!(back.as_ref(), Ok(&rmst));
+            }
         }
 
         #[test]

@@ -1,9 +1,9 @@
 //! Sorted-vector maps and sets for small per-brick tables.
 //!
-//! A brick's mapping state — its RMST entries, switch routes, remote
-//! window holes, the ranges its allocator has handed out, the VM core
-//! counts it hosts — holds a handful of entries each, and a rack holds
-//! thousands of bricks. Kept in `BTreeMap`s, every one of those tables
+//! A brick's mapping state — its RMST entries, switch routes, the ranges
+//! its allocator has handed out, the VM core counts it hosts, the
+//! dMEMBRICKs it has circuits to — holds a handful of entries each, and a
+//! rack holds thousands of bricks. Kept in `BTreeMap`s, every one of those tables
 //! owns its own heap nodes and churns them as it moves between zero and
 //! one entry, so touching a brick is mostly cache misses. [`FlatMap`] and
 //! [`FlatSet`] keep the entries in one sorted `Vec` instead: a lookup is a
@@ -14,7 +14,9 @@
 //! per-brick hardware quantity (RMST entries, GTH ports, dMEMBRICKs a
 //! brick reaches, live allocations on one dMEMBRICK). Inserts and removes
 //! are `O(n)`, so a container that grows with the rack, the trace or the
-//! run stays a `BTreeMap`.
+//! run stays a `BTreeMap`. A map whose values are themselves small lists
+//! is better flattened further into one sorted `Vec` of pairs, as
+//! `RemoteWindow` keeps its holes: one allocation instead of one per key.
 //!
 //! Both types behave as the `BTreeMap`/`BTreeSet` subset they replace:
 //! iteration is ascending by key, `Debug` prints like

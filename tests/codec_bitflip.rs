@@ -4,7 +4,9 @@
 //! of the stream is flipped under several masks. Decoding the damaged stream must either
 //! fail with an error or produce a value that re-encodes to exactly the
 //! bytes it consumed — it may never panic, and never silently repair or
-//! reinterpret what it read.
+//! reinterpret what it read. A value that does decode is then used —
+//! windows carve and release every hole size, RMSTs look up and remove
+//! every entry — and that must not panic either.
 
 use dredbox::bricks::BrickId;
 use dredbox::interconnect::RemoteMemorySegmentTable;
@@ -22,9 +24,13 @@ fn encode(value: &impl Snap) -> Vec<u8> {
     out
 }
 
-/// Flips every byte of `value`'s stream under each mask and checks the
-/// decode outcome. Returns how many damaged streams decoded.
-fn check_bit_flips<T: Snap + PartialEq + std::fmt::Debug>(value: &T) -> usize {
+/// Flips every byte of `value`'s stream under each mask, checks the
+/// decode outcome and hands every decoded value to `exercise`. Returns how
+/// many damaged streams decoded.
+fn check_bit_flips<T: Snap + PartialEq + std::fmt::Debug>(
+    value: &T,
+    exercise: impl Fn(T),
+) -> usize {
     let bytes = encode(value);
     let back = T::unsnap(&mut Reader::new(&bytes)).expect("the clean stream decodes");
     assert_eq!(&back, value, "the clean stream round-trips");
@@ -41,6 +47,7 @@ fn check_bit_flips<T: Snap + PartialEq + std::fmt::Debug>(value: &T) -> usize {
                     &flipped[..consumed],
                     "byte {pos} ^ {mask:#04x} decoded to a value that re-encodes differently"
                 );
+                exercise(value);
                 decoded += 1;
             }
         }
@@ -116,17 +123,47 @@ fn mid_trace_controller() -> SdmController {
     sdm
 }
 
+/// Looks up, counts and removes every entry of a decoded table.
+fn exercise_rmst(mut rmst: RemoteMemorySegmentTable) {
+    let entries: Vec<_> = rmst.iter().copied().collect();
+    for entry in entries {
+        assert_eq!(rmst.lookup(entry.base), Ok(&entry));
+        assert!(rmst.towards_count(entry.destination) >= 1);
+        assert_eq!(rmst.remove(entry.base), Ok(entry));
+        let _ = rmst.towards_count(entry.destination);
+    }
+    assert!(rmst.is_empty());
+    assert_eq!(rmst.mapped_bytes(), ByteSize::ZERO);
+}
+
+/// Carves every hole size of a decoded window — each reuses a hole — and
+/// releases the carve again.
+fn exercise_window(mut window: RemoteWindow) {
+    // The stream lists the holes as `len → [offsets]` after the capacity
+    // and the carved extent.
+    let (_, _, groups): (u64, u64, Vec<(u64, Vec<u64>)>) =
+        Snap::unsnap(&mut Reader::new(&encode(&window))).expect("a decoded window re-encodes");
+    for (len, _) in groups {
+        let size = ByteSize::from_bytes(len);
+        let mapped = window.mapped();
+        let address = window.carve(size).expect("a hole of this size is free");
+        assert_eq!(window.mapped(), mapped + size);
+        window.release(address, size).expect("the carve releases");
+        assert_eq!(window.mapped(), mapped);
+    }
+}
+
 #[test]
 fn sdm_controller_survives_bit_flips() {
     let sdm = mid_trace_controller();
-    check_bit_flips(&sdm);
+    check_bit_flips(&sdm, drop);
 }
 
 #[test]
 fn memory_pool_survives_bit_flips() {
     let sdm = mid_trace_controller();
     let pool: &MemoryPool = sdm.pool();
-    assert!(check_bit_flips(pool) > 0);
+    assert!(check_bit_flips(pool, drop) > 0);
 }
 
 #[test]
@@ -137,13 +174,13 @@ fn rmst_survives_bit_flips() {
         .max_by_key(|rmst| rmst.len())
         .expect("four agents");
     assert!(rmst.len() >= 2, "the trace left several RMST entries");
-    check_bit_flips(rmst);
+    assert!(check_bit_flips(rmst, exercise_rmst) > 0);
 }
 
 #[test]
 fn reservation_ledger_survives_bit_flips() {
     let sdm = mid_trace_controller();
-    check_bit_flips(sdm.ledger());
+    check_bit_flips(sdm.ledger(), drop);
     // The controller finalizes every reservation before returning, so
     // pending ones come from a ledger driven directly.
     let mut ledger = ReservationLedger::new();
@@ -158,7 +195,7 @@ fn reservation_ledger_survives_bit_flips() {
         }
     }
     assert_eq!(ledger.pending_count(), 3);
-    check_bit_flips(&ledger);
+    check_bit_flips(&ledger, drop);
 }
 
 #[test]
@@ -177,7 +214,7 @@ fn remote_window_survives_bit_flips() {
             window.release(address, size).expect("live range releases");
         }
     }
-    check_bit_flips(&window);
+    assert!(check_bit_flips(&window, exercise_window) > 0);
 }
 
 #[test]
@@ -198,5 +235,5 @@ fn brick_allocator_survives_bit_flips() {
                 .expect("live range releases");
         }
     }
-    check_bit_flips(&allocator);
+    check_bit_flips(&allocator, drop);
 }
