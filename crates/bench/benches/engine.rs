@@ -8,9 +8,6 @@
 //!   case) timed end to end. The benchmark id carries the replay's event
 //!   count, so `events * 1e9 / median_ns_per_iter` is the headline
 //!   events-per-second figure.
-//! * `engine/scenario_sharding` — the same steady-state replay under both
-//!   [`ShardingMode`]s. One rack resolves to one shard either way, so this
-//!   tracks the overhead of the sharded calendar machinery itself.
 //! * `engine/synthetic_relay` — a pure engine trace with no system model
 //!   behind it: self-rescheduling event chains, one per shard, with every
 //!   eighth hop crossing shards through the timestamped mailbox. Run at
@@ -105,23 +102,6 @@ fn bench_system_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scenario_sharding(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/scenario_sharding");
-    for mode in [ShardingMode::Single, ShardingMode::PerRack] {
-        let mut spec = ScenarioSpec::steady_state();
-        spec.sharding = mode;
-        group.throughput(Throughput::Elements(
-            spec.run(2018).expect("scenario runs").events,
-        ));
-        group.bench_with_input(
-            BenchmarkId::new("steady-state", format!("{mode:?}")),
-            &spec,
-            |b, spec| b.iter(|| black_box(spec.run(2018).expect("scenario runs"))),
-        );
-    }
-    group.finish();
-}
-
 fn bench_data_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/data_path");
     let contended = ScenarioSpec::incast();
@@ -180,7 +160,6 @@ criterion_group!(
     benches,
     bench_scenario_replay,
     bench_system_build,
-    bench_scenario_sharding,
     bench_data_path,
     bench_synthetic_relay,
     bench_threads_sweep

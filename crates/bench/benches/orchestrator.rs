@@ -17,12 +17,11 @@
 //! about 60% full — the pool carve, RMST attach, circuit programming and
 //! their reversal, against a populated pool and per-brick tables.
 //!
-//! Two further groups sweep the *rack count* (1 / 4 / 16 / 64) at a fixed
-//! per-rack shape: one isolates the cluster controller's digest-only
-//! routing decision, the other drives a routed admit/release trace through
-//! a whole federated [`DredboxSystem`]. Together they hold the two-level
-//! headline to account — a routing decision is one pass over the rack
-//! digests, linear in racks and never in bricks.
+//! A last group sweeps the *rack count* (1 / 4 / 16 / 64) at a fixed
+//! per-rack shape and isolates the cluster controller's digest-only
+//! routing decision — one pass over the rack digests, linear in racks and
+//! never in bricks. The federation end to end (routing, spillover and the
+//! threaded runner) is measured by the scenario replays in `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -392,79 +391,6 @@ fn bench_cluster_route(c: &mut Criterion) {
     group.finish();
 }
 
-/// A deterministic routed admit/release/sweep trace, balanced so the live
-/// population random-walks well below single-rack capacity — every rack
-/// count then runs the same admission regime and the measured delta is the
-/// federation term of the decision, not saturation effects.
-fn federated_trace(ops: usize) -> Vec<Op> {
-    let mut rng = SimRng::seed(2018);
-    (0..ops)
-        .map(|_| {
-            let roll = rng.range(0u64..100);
-            if roll < 45 {
-                Op::Alloc(rng.range(1u64..=2) as u32, 1)
-            } else if roll < 90 {
-                Op::Release(rng.range(0u64..1_000) as usize)
-            } else {
-                Op::Power(rng.range(0u64..64) as u32, false)
-            }
-        })
-        .collect()
-}
-
-/// Replays the federated trace end to end: cluster routing, rack
-/// admission, digest refresh; `Power` ops become per-rack power sweeps.
-/// Drains every surviving VM at the end so the system returns to an idle
-/// steady state and one instance can be replayed repeatedly — keeping the
-/// (rack-count-proportional) build and drop of the federation outside the
-/// measured region.
-fn run_federated_trace(system: &mut DredboxSystem, ops: &[Op]) -> usize {
-    let racks = system.rack_count() as u32;
-    let mut live = Vec::new();
-    let mut admitted = 0usize;
-    for op in ops {
-        match *op {
-            Op::Alloc(vcpus, gib) => {
-                if let Ok(outcome) = system.allocate_vm_routed(vcpus, ByteSize::from_gib(gib)) {
-                    live.push(outcome.vm);
-                    admitted += 1;
-                }
-            }
-            Op::Release(pick) => {
-                if live.is_empty() {
-                    continue;
-                }
-                let vm = live.swap_remove(pick % live.len());
-                system.release_vm(vm).expect("live VM releases");
-            }
-            Op::Power(slot, _) => {
-                system.power_off_unused_in(RackId((slot % racks) as u16));
-            }
-            _ => unreachable!("federated trace only emits alloc/release/power"),
-        }
-    }
-    for vm in live.drain(..) {
-        system.release_vm(vm).expect("live VM releases");
-    }
-    admitted
-}
-
-fn bench_federated_admission(c: &mut Criterion) {
-    const OPS: usize = 2_000;
-    let mut group = c.benchmark_group("orchestrator/federated_trace_2k_ops");
-    let ops = federated_trace(OPS);
-    // Per-rack shape fixed at 2 trays x (4 compute + 4 memory) bricks, so
-    // the sweep varies only the rack-count term of each decision.
-    for racks in [1u16, 4, 16, 64] {
-        group.bench_with_input(BenchmarkId::new("routed", racks), &racks, |b, &racks| {
-            let mut system = DredboxSystem::build(SystemConfig::datacenter_cluster(racks, 2, 4, 4))
-                .expect("build federation");
-            b.iter(|| black_box(run_federated_trace(&mut system, &ops)))
-        });
-    }
-    group.finish();
-}
-
 /// One `handle_scale_up` plus one `release_scale_up` per iteration on a
 /// full-height rack held about 60% full: each iteration grants the next
 /// size from a fixed mix on the next compute brick and releases the oldest
@@ -507,7 +433,6 @@ criterion_group!(
     bench_migration_trace,
     bench_offload_trace,
     bench_placement_decision,
-    bench_cluster_route,
-    bench_federated_admission
+    bench_cluster_route
 );
 criterion_main!(benches);

@@ -12,9 +12,10 @@ use dredbox_softstack::{MigrationModel, ScaleUpTimings};
 /// Configuration of a [`crate::DredboxSystem`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
-    /// Number of federated racks. One rack reproduces the original
-    /// single-controller system; more put a cluster controller above the
-    /// per-rack SDM controllers.
+    /// Number of federated racks. A [`crate::DredboxSystem`] is one rack
+    /// and builds only from `racks == 1`; a scenario with more racks
+    /// builds one system per rack and puts a cluster controller above
+    /// their SDM controllers.
     #[serde(default)]
     pub racks: u16,
     /// Per-rack provisioned-power budget enforced by the cluster
@@ -138,8 +139,7 @@ impl SystemConfig {
         self
     }
 
-    /// Bricks of every kind in one rack — also the brick-id namespace
-    /// stride between consecutive racks.
+    /// Bricks of every kind in one rack.
     pub fn bricks_per_rack(&self) -> usize {
         usize::from(self.trays)
             * (usize::from(self.compute_per_tray)

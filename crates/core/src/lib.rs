@@ -66,7 +66,7 @@ pub use config::SystemConfig;
 pub use scenario::{
     run_builtin_suite, ArrivalModel, ChurnModel, ContentionConfig, ControlPlaneQueue,
     DataPathConfig, DataPathStats, Granularity, MigrationPolicy, OffloadPlan, QueueAdmission,
-    ReadProfile, RemoteCacheConfig, ScenarioReport, ScenarioSpec, ShardingMode, SuiteReport,
+    ReadProfile, RemoteCacheConfig, ScenarioReport, ScenarioSpec, SuiteReport,
 };
 pub use snapshot::SystemSnapshot;
 pub use system::{
@@ -91,7 +91,7 @@ pub mod prelude {
     pub use crate::scenario::{
         run_builtin_suite, ArrivalModel, ChurnModel, ContentionConfig, ControlPlaneQueue,
         DataPathConfig, DataPathStats, Granularity, MigrationPolicy, OffloadPlan, QueueAdmission,
-        ReadProfile, RemoteCacheConfig, ScenarioReport, ScenarioSpec, ShardingMode, SuiteReport,
+        ReadProfile, RemoteCacheConfig, ScenarioReport, ScenarioSpec, SuiteReport,
     };
     pub use crate::snapshot::SystemSnapshot;
     pub use crate::system::{

@@ -2,10 +2,11 @@
 //! plus one shard per rack, each owning its own single-rack
 //! [`DredboxSystem`].
 //!
-//! The serial engine drives multi-rack scenarios through one shared
-//! [`DredboxSystem`] that federates every rack. That sharing is exactly
-//! what the threaded runner cannot tolerate — a worker thread must own
-//! every byte its shard touches — so this module partitions the cluster:
+//! A [`DredboxSystem`] is one rack, and this module is the only place
+//! racks federate. The tiers follow dReDBox's split of orchestration: the
+//! cluster tier maps work to racks off capacity digests, and each rack's
+//! SDM controller maps it to bricks. A worker thread must own every byte
+//! its shard touches, so the cluster partitions along that split:
 //!
 //! * **Shard 0, the front door** ([`FrontDoor`]), owns the arrival trace
 //!   and a standalone [`ClusterController`] fed by periodic capacity
@@ -26,18 +27,18 @@
 //!
 //! Cluster-tier operations that genuinely span racks — drain, rolling
 //! upgrade, fault recovery with cross-rack restarts, rebalance — run as
-//! *serial* events at epoch barriers, where the coordinator sees every
-//! rack world at once ([`ParallelWorld::handle_serial`]). The declared
+//! *serial* events at epoch barriers, where the coordinator holds every
+//! shard's worker at once ([`ParallelWorld::handle_barrier`]). The declared
 //! channel latencies (front→rack: route + hop; rack→front: route; no
 //! rack→rack channel) give the conservative runner its lookahead: between
 //! control-interval ticks every rack advances a full epoch in parallel.
 //!
-//! The partition is the semantics, not an approximation of the shared
-//! system: `threads = 1` replays the identical event order, so the
-//! committed multi-rack goldens are the proof that worker counts never
-//! leak into a report.
+//! The partition is the semantics: `threads = 1` replays the identical
+//! event order, so the committed multi-rack goldens are the proof that
+//! worker counts never leak into a report.
 
 use std::collections::BTreeMap;
+use std::mem;
 use std::sync::Arc;
 
 use dredbox_bricks::{BrickId, RackId};
@@ -45,7 +46,6 @@ use dredbox_orchestrator::{ClusterController, ClusterTimings};
 use dredbox_sim::engine::RunOutcome;
 use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
 use dredbox_sim::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
-use dredbox_sim::queue::ControlPlaneQueue;
 use dredbox_sim::rng::SimRng;
 use dredbox_sim::shard::ShardId;
 use dredbox_sim::stats::Summary;
@@ -90,16 +90,11 @@ impl FrontDoor {
         ctx.send(
             ShardId(1 + u32::from(rack.0)),
             now + self.timings.route + self.timings.hop,
-            ScenarioEvent::AdmitOn {
-                index,
-                rack: rack.0,
-                tried,
-            },
+            ScenarioEvent::AdmitOn { index, tried },
         );
     }
 
-    /// First routing decision for one arrival. Mirrors
-    /// [`DredboxSystem::allocate_vm_routed`]: when no digest admits the
+    /// First routing decision for one arrival: when no digest admits the
     /// request, the first schedulable rack still gets to try (its SDM
     /// controller owns the authoritative rejection); with every rack
     /// drained the front door rejects outright.
@@ -172,7 +167,7 @@ impl FrontDoor {
 /// Shard `1 + rack`: one rack's world, owned whole by whichever worker
 /// thread runs the shard.
 pub(super) struct RackShard<'a> {
-    /// The rack's *global* index — inside `world` it is always rack 0.
+    /// The rack's index in the federation.
     rack: u16,
     timings: ClusterTimings,
     world: ScenarioWorld<'a>,
@@ -186,8 +181,8 @@ impl RackShard<'_> {
         ctx: &mut WorkerContext<'_, ScenarioEvent>,
     ) {
         match event {
-            ScenarioEvent::AdmitOn { index, tried, .. } => {
-                if !self.world.admit_routed(index, now, ctx) {
+            ScenarioEvent::AdmitOn { index, tried } => {
+                if !self.world.admit(index, now, ctx) {
                     ctx.send(
                         ShardId(0),
                         now + self.timings.route,
@@ -196,16 +191,14 @@ impl RackShard<'_> {
                 }
             }
             ScenarioEvent::DigestPublish => {
-                if let Some(digest) = self.world.system.cluster().digest(RackId(0)).copied() {
-                    ctx.send(
-                        ShardId(0),
-                        now + self.timings.route,
-                        ScenarioEvent::DigestUpdate {
-                            rack: self.rack,
-                            digest: Box::new(digest),
-                        },
-                    );
-                }
+                ctx.send(
+                    ShardId(0),
+                    now + self.timings.route,
+                    ScenarioEvent::DigestUpdate {
+                        rack: self.rack,
+                        digest: Box::new(self.world.system.digest()),
+                    },
+                );
                 ctx.schedule(
                     now + self.timings.control_interval,
                     ScenarioEvent::DigestPublish,
@@ -244,15 +237,29 @@ impl WorldWorker for ClusterWorker<'_> {
     }
 }
 
+/// Shard 0's front door and the rack shards of a split federation, typed:
+/// the split puts the front door first and rack `r` at shard `1 + r`.
+fn parts<'w, 'a>(
+    workers: &'w mut [ClusterWorker<'a>],
+) -> (&'w mut FrontDoor, Vec<&'w mut RackShard<'a>>) {
+    let mut front = None;
+    let mut racks = Vec::with_capacity(workers.len().saturating_sub(1));
+    for worker in workers {
+        match worker {
+            ClusterWorker::Front(f) => front = Some(f),
+            ClusterWorker::Rack(shard) => racks.push(&mut **shard),
+        }
+    }
+    (front.expect("every split holds the front door"), racks)
+}
+
 /// The whole federation: front door plus one [`RackShard`] per rack,
 /// with the cluster-tier availability state held by the coordinator.
 pub(super) struct ClusterWorld<'a> {
     spec: &'a ScenarioSpec,
     timings: ClusterTimings,
-    /// `None` only while workers are out under [`ParallelWorld::split`].
-    front: Option<FrontDoor>,
-    /// `rack_shards[r]` is global rack `r`; `None` only while split.
-    rack_shards: Vec<Option<Box<RackShard<'a>>>>,
+    /// Every shard's worker, front door first, while no run holds them.
+    workers: Vec<ClusterWorker<'a>>,
     /// The spec's seeded fault schedule; faults strike at epoch barriers
     /// so recovery can restart guests across racks.
     faults: FailureSchedule,
@@ -285,14 +292,10 @@ impl<'a> ClusterWorld<'a> {
         let mut controller = ClusterController::new(spec.system.placement);
         controller.set_rack_budget(spec.system.rack_power_budget);
         for (r, system) in rack_systems.iter().enumerate() {
-            let digest = system
-                .cluster()
-                .digest(RackId(0))
-                .copied()
-                .expect("a single-rack system publishes its digest");
-            controller.upsert(RackId(r as u16), digest);
+            controller.upsert(RackId(r as u16), system.digest());
         }
-        let front = FrontDoor {
+        let mut workers = Vec::with_capacity(racks + 1);
+        workers.push(ClusterWorker::Front(FrontDoor {
             controller,
             timings,
             demands: Arc::clone(&demands),
@@ -302,30 +305,24 @@ impl<'a> ClusterWorld<'a> {
             rejected: 0,
             spillovers: 0,
             power_deferrals: 0,
-        };
-        let rack_shards = rack_systems
-            .into_iter()
-            .zip(rack_rngs)
-            .enumerate()
-            .map(|(r, (system, rng))| {
-                Some(Box::new(RackShard {
-                    rack: r as u16,
-                    timings,
-                    world: ScenarioWorld::new(
-                        spec,
-                        system,
-                        Arc::clone(&demands),
-                        FailureSchedule::default(),
-                        rng,
-                    ),
-                }))
-            })
-            .collect();
+        }));
+        for (r, (system, rng)) in rack_systems.into_iter().zip(rack_rngs).enumerate() {
+            workers.push(ClusterWorker::Rack(Box::new(RackShard {
+                rack: r as u16,
+                timings,
+                world: ScenarioWorld::new(
+                    spec,
+                    system,
+                    Arc::clone(&demands),
+                    FailureSchedule::default(),
+                    rng,
+                ),
+            })));
+        }
         ClusterWorld {
             spec,
             timings,
-            front: Some(front),
-            rack_shards,
+            workers,
             faults,
             injector: FaultInjector::new(),
             availability: AvailabilityStats::default(),
@@ -337,79 +334,54 @@ impl<'a> ClusterWorld<'a> {
         }
     }
 
-    /// Pooled bytes allocated across every rack (the cluster-wide byte
-    /// conservation check of the rolling upgrade).
-    fn pool_allocated(&self) -> u64 {
-        self.rack_shards
-            .iter()
-            .map(|s| {
-                s.as_ref()
-                    .expect("the engine reunites workers before serial events")
-                    .world
-                    .system
-                    .pool_allocated()
-                    .as_bytes()
-            })
-            .sum()
-    }
-
     /// Drains `source`: stops routing admissions to it and migrates every
     /// resident VM onto the best other rack per the front door's digests.
-    /// VMs no surviving rack can hold stay put and count as stranded —
-    /// same semantics as the shared system's drain, played out across the
-    /// partitioned rack worlds.
+    /// VMs no surviving rack can hold stay put and count as stranded.
     fn evacuate_rack(
         &mut self,
+        front: &mut FrontDoor,
+        racks: &mut [&mut RackShard<'a>],
         now: SimTime,
         source: u16,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
     ) {
-        let spec = self.spec;
-        let front = self
-            .front
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
         front.controller.set_schedulable(RackId(source), false);
         self.racks_drained += 1;
-        let src_idx = usize::from(source);
-        let mut src = self.rack_shards[src_idx]
-            .take()
-            .expect("the engine reunites workers before serial events");
-        for vm in src.world.system.vms_on_rack(RackId(0)) {
-            let Some(vcpus) = src.world.system.vm_vcpus(vm) else {
+        let src = usize::from(source);
+        let residents = racks[src].world.system.vms();
+        for vm in residents {
+            let system = &racks[src].world.system;
+            let (Some(vcpus), Some(memory), Some(from)) = (
+                system.vm_vcpus(vm),
+                system.vm_memory(vm),
+                system.vm_brick(vm),
+            ) else {
                 continue;
             };
-            let Some(memory) = src.world.system.vm_memory(vm) else {
-                continue;
-            };
-            let Some(from) = src.world.system.vm_brick(vm) else {
-                continue;
-            };
-            let placed = place_on_cluster(
-                &front.controller,
-                &mut self.rack_shards,
-                RackId(source),
-                vcpus,
-                memory,
-            );
+            let placed = place_on_cluster(&front.controller, racks, RackId(source), vcpus, memory);
             let Some((dest, new_vm)) = placed else {
                 self.drain_stranded += 1;
                 continue;
             };
             // The old handle's scheduled events decay into no-ops; the
             // moved guest lives on under the fresh handle at `dest`.
-            let _ = src.world.system.release_vm(vm);
-            src.world.counters.live -= 1;
-            let dest_shard = self.rack_shards[usize::from(dest.0)]
-                .as_mut()
-                .expect("the engine reunites workers before serial events");
-            book_cross_rack_move(
-                spec, now, &mut src, dest_shard, dest, vm, new_vm, from, vcpus, memory, ctx,
+            let _ = racks[src].world.system.release_vm(vm);
+            racks[src].world.counters.live -= 1;
+            let report = land_on(
+                self.spec,
+                now,
+                racks[usize::from(dest.0)],
+                vm,
+                new_vm,
+                from,
+                vcpus,
+                memory,
+                ctx,
             );
+            racks[src].world.record_migration(now, &report);
             self.cross_rack_migrations += 1;
         }
-        src.world.sample_utilization();
-        self.rack_shards[src_idx] = Some(src);
+        racks[src].world.sample_utilization();
     }
 
     /// One stage of the rolling upgrade: evacuate the rack, snapshot and
@@ -417,45 +389,33 @@ impl<'a> ClusterWorld<'a> {
     /// conservation, then readmit the rack into routing.
     fn upgrade_rack(
         &mut self,
+        front: &mut FrontDoor,
+        racks: &mut [&mut RackShard<'a>],
         now: SimTime,
         rack: u16,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
     ) {
-        let allocated_before = self.pool_allocated();
-        self.evacuate_rack(now, rack, ctx);
-        let idx = usize::from(rack);
-        {
-            let world = &mut self.rack_shards[idx]
-                .as_mut()
-                .expect("the engine reunites workers before serial events")
-                .world;
-            let bytes = SystemSnapshot::capture(&world.system).to_bytes();
-            self.availability.upgrade_snapshot_bytes += bytes.len() as u64;
-            match SystemSnapshot::from_bytes(&bytes) {
-                Ok(snapshot) => {
-                    let restored = snapshot.into_system();
-                    if restored == world.system {
-                        world.system = restored;
-                    } else {
-                        self.availability.upgrade_restore_mismatches += 1;
-                    }
+        let allocated_before = pool_allocated(racks);
+        self.evacuate_rack(front, racks, now, rack, ctx);
+        let world = &mut racks[usize::from(rack)].world;
+        let bytes = SystemSnapshot::capture(&world.system).to_bytes();
+        self.availability.upgrade_snapshot_bytes += bytes.len() as u64;
+        match SystemSnapshot::from_bytes(&bytes) {
+            Ok(snapshot) => {
+                let restored = snapshot.into_system();
+                if restored == world.system {
+                    world.system = restored;
+                } else {
+                    self.availability.upgrade_restore_mismatches += 1;
                 }
-                Err(_) => self.availability.upgrade_restore_mismatches += 1,
             }
+            Err(_) => self.availability.upgrade_restore_mismatches += 1,
         }
-        let allocated_after = self.pool_allocated();
+        let allocated_after = pool_allocated(racks);
         self.availability.upgrade_lost_bytes += allocated_before.saturating_sub(allocated_after);
         self.availability.upgrades += 1;
-        self.front
-            .as_mut()
-            .expect("the engine reunites workers before serial events")
-            .controller
-            .undrain_rack(RackId(rack));
-        self.rack_shards[idx]
-            .as_mut()
-            .expect("the engine reunites workers before serial events")
-            .world
-            .sample_utilization();
+        front.controller.undrain_rack(RackId(rack));
+        racks[usize::from(rack)].world.sample_utilization();
     }
 
     /// Delivers one planned fault at an epoch barrier. Rack-local damage
@@ -465,6 +425,8 @@ impl<'a> ClusterWorld<'a> {
     /// coordinator.
     fn cluster_fault(
         &mut self,
+        front: &FrontDoor,
+        racks: &mut [&mut RackShard<'a>],
         now: SimTime,
         index: usize,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
@@ -478,15 +440,12 @@ impl<'a> ClusterWorld<'a> {
         let site = fault.site;
         let struck = site.rack as usize;
         let affected = match site.kind {
-            FaultKind::ComputeBrick => self.fault_compute(now, site, ctx),
-            FaultKind::MemoryBrick => self.fault_memory(now, site, ctx),
-            FaultKind::AccelBrick => self.fault_accel(now, site, ctx),
+            FaultKind::ComputeBrick => self.fault_compute(&front.controller, racks, now, site, ctx),
+            FaultKind::MemoryBrick => self.fault_memory(racks[struck], now, site, ctx),
+            FaultKind::AccelBrick => self.fault_accel(racks[struck], now, site, ctx),
             FaultKind::Link => {
-                let world = &mut self.rack_shards[struck]
-                    .as_mut()
-                    .expect("the engine reunites workers before serial events")
-                    .world;
-                if let Some(report) = world.system.fail_link(RackId(0), site.component) {
+                let world = &mut racks[struck].world;
+                if let Some(report) = world.system.fail_link(site.component) {
                     self.availability.links_severed += 1;
                     self.availability.circuits_rerouted += u64::from(report.rerouted);
                     self.availability.circuits_lost += u64::from(report.lost);
@@ -494,14 +453,9 @@ impl<'a> ClusterWorld<'a> {
                 Some(0)
             }
             FaultKind::Switch => {
-                let world = &mut self.rack_shards[struck]
-                    .as_mut()
-                    .expect("the engine reunites workers before serial events")
-                    .world;
-                if let Some(restored) = world.system.fail_switch(RackId(0)) {
-                    self.availability.switch_failovers += 1;
-                    self.availability.circuits_restored += restored as u64;
-                }
+                let restored = racks[struck].world.system.fail_switch();
+                self.availability.switch_failovers += 1;
+                self.availability.circuits_restored += restored as u64;
                 Some(0)
             }
         };
@@ -509,11 +463,7 @@ impl<'a> ClusterWorld<'a> {
             return;
         };
         self.blast_radius_vms.push(affected as f64);
-        self.rack_shards[struck]
-            .as_mut()
-            .expect("the engine reunites workers before serial events")
-            .world
-            .sample_utilization();
+        racks[struck].world.sample_utilization();
     }
 
     /// A compute brick dies: sessions drop, guests migrate within the
@@ -522,81 +472,62 @@ impl<'a> ClusterWorld<'a> {
     /// them).
     fn fault_compute(
         &mut self,
+        controller: &ClusterController,
+        racks: &mut [&mut RackShard<'a>],
         now: SimTime,
         site: FaultSite,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
     ) -> Option<u64> {
-        let spec = self.spec;
         let struck = site.rack as usize;
-        let mut src = self.rack_shards[struck]
-            .take()
-            .expect("the engine reunites workers before serial events");
-        let damage = (|| {
-            let brick = src
-                .world
-                .fault_brick(RackId(0), site.kind, site.component)?;
-            // Captured before the failure: who must be alive somewhere
-            // once recovery is done.
-            let residents: Vec<(VmHandle, u32, ByteSize)> = src
-                .world
-                .system
-                .vms_on(brick)
-                .into_iter()
-                .filter_map(|vm| {
-                    let vcpus = src.world.system.vm_vcpus(vm)?;
-                    let memory = src.world.system.vm_memory(vm)?;
-                    Some((vm, vcpus, memory))
-                })
-                .collect();
-            let report = src.world.system.fail_compute_brick(brick).ok()?;
-            Some((brick, residents, report))
-        })();
-        let Some((brick, residents, report)) = damage else {
-            self.rack_shards[struck] = Some(src);
-            return None;
-        };
+        let src = &mut racks[struck].world;
+        let brick = src.fault_brick(site.kind, site.component)?;
+        // Captured before the failure: who must be alive somewhere once
+        // recovery is done.
+        let residents: Vec<(VmHandle, u32, ByteSize)> = src
+            .system
+            .vms_on(brick)
+            .into_iter()
+            .filter_map(|vm| Some((vm, src.system.vm_vcpus(vm)?, src.system.vm_memory(vm)?)))
+            .collect();
+        let report = src.system.fail_compute_brick(brick).ok()?;
         self.availability.vm_migrations += u64::from(report.migrated);
         self.availability.sessions_dropped += u64::from(report.sessions_dropped);
         self.availability.orphaned_bytes += report.orphaned.as_bytes();
-        src.world.counters.live -= u64::from(report.lost);
+        src.counters.live -= u64::from(report.lost);
         for migration in &report.reports {
-            src.world.record_migration(now, migration);
+            src.record_migration(now, migration);
             // Evacuation downtime is availability lost to the fault.
             self.availability.vm_seconds_lost += migration.downtime.as_secs_f64();
         }
-        // The single-rack system had nowhere to spill; the coordinator
-        // provides the cross-rack restart pass the federation used to run
-        // inline.
-        let front = self
-            .front
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
+        // A single rack has nowhere to spill; the coordinator restarts the
+        // guests its rack stranded on the other racks.
         let mut restarted = 0u64;
         let mut lost = 0u64;
         for (vm, vcpus, memory) in residents {
-            if src.world.system.vm_brick(vm).is_some() {
+            if racks[struck].world.system.vm_brick(vm).is_some() {
                 // Survived in place or migrated within the rack.
                 continue;
             }
-            let placed = place_on_cluster(
-                &front.controller,
-                &mut self.rack_shards,
-                RackId(site.rack as u16),
-                vcpus,
-                memory,
-            );
+            let placed =
+                place_on_cluster(controller, racks, RackId(site.rack as u16), vcpus, memory);
             let Some((dest, new_vm)) = placed else {
                 lost += 1;
                 continue;
             };
             restarted += 1;
-            let dest_shard = self.rack_shards[usize::from(dest.0)]
-                .as_mut()
-                .expect("the engine reunites workers before serial events");
-            let downtime = book_cross_rack_move(
-                spec, now, &mut src, dest_shard, dest, vm, new_vm, brick, vcpus, memory, ctx,
+            let report = land_on(
+                self.spec,
+                now,
+                racks[usize::from(dest.0)],
+                vm,
+                new_vm,
+                brick,
+                vcpus,
+                memory,
+                ctx,
             );
-            self.availability.vm_seconds_lost += downtime.as_secs_f64();
+            racks[struck].world.record_migration(now, &report);
+            self.availability.vm_seconds_lost += report.downtime.as_secs_f64();
         }
         self.availability.vm_restarts += restarted;
         self.availability.vms_lost += lost;
@@ -606,11 +537,9 @@ impl<'a> ClusterWorld<'a> {
         // Orphan detection runs as part of the recovery protocol: bytes
         // stranded by dead guests (including the restarted ones' old
         // segments) go back to the pool now.
-        let reclaim = src.world.system.reclaim_orphans();
+        let reclaim = racks[struck].world.system.reclaim_orphans();
         self.availability.reclaimed_bytes += reclaim.reclaimed.as_bytes();
-        let affected = u64::from(report.migrated) + restarted + lost;
-        self.rack_shards[struck] = Some(src);
-        Some(affected)
+        Some(u64::from(report.migrated) + restarted + lost)
     }
 
     /// A memory brick dies: segments vanish, affected guests restart
@@ -618,18 +547,12 @@ impl<'a> ClusterWorld<'a> {
     /// guest's compute brick survives in place).
     fn fault_memory(
         &mut self,
+        shard: &mut RackShard<'a>,
         now: SimTime,
         site: FaultSite,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
     ) -> Option<u64> {
-        let spec = self.spec;
-        let struck = site.rack as usize;
-        let shard = self.rack_shards[struck]
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
-        let brick = shard
-            .world
-            .fault_brick(RackId(0), site.kind, site.component)?;
+        let brick = shard.world.fault_brick(site.kind, site.component)?;
         let report = shard.world.system.fail_membrick(brick).ok()?;
         let affected = report.restarted.len() as u64 + u64::from(report.lost);
         self.availability.segments_lost_bytes += report.lost_bytes.as_bytes();
@@ -644,7 +567,7 @@ impl<'a> ClusterWorld<'a> {
         // the old handle's scheduled events decay into no-ops, and the new
         // guest gets its own departure on the struck shard.
         for &(_, vm) in &report.restarted {
-            let lifetime = spec.lifetime.sample(&mut shard.world.rng);
+            let lifetime = self.spec.lifetime.sample(&mut shard.world.rng);
             ctx.schedule(
                 ShardId(1 + site.rack),
                 now + lifetime,
@@ -658,22 +581,16 @@ impl<'a> ClusterWorld<'a> {
     /// owners retry once a surviving accelerator may pick them up.
     fn fault_accel(
         &mut self,
+        shard: &mut RackShard<'a>,
         now: SimTime,
         site: FaultSite,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
     ) -> Option<u64> {
-        let spec = self.spec;
-        let struck = site.rack as usize;
-        let shard = self.rack_shards[struck]
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
-        let brick = shard
-            .world
-            .fault_brick(RackId(0), site.kind, site.component)?;
+        let brick = shard.world.fault_brick(site.kind, site.component)?;
         let report = shard.world.system.fail_accel_brick(brick).ok()?;
         let affected = report.drained.len() as u64;
         self.availability.sessions_dropped += report.drained.len() as u64;
-        if let Some(plan) = spec.offload {
+        if let Some(plan) = self.spec.offload {
             for &(_, vm) in &report.drained {
                 ctx.schedule(
                     ShardId(1 + site.rack),
@@ -688,7 +605,7 @@ impl<'a> ClusterWorld<'a> {
     /// Repairs one planned fault's site on the struck rack's world. A
     /// repair for an absorbed fault is a no-op — the earlier fault's own
     /// repair brings the site back.
-    fn cluster_repair(&mut self, now: SimTime, index: usize) {
+    fn cluster_repair(&mut self, racks: &mut [&mut RackShard<'a>], now: SimTime, index: usize) {
         let fault = self.faults.faults()[index];
         let Some(outage) = self.injector.end(fault.site, now) else {
             return;
@@ -699,28 +616,25 @@ impl<'a> ClusterWorld<'a> {
             self.availability.vm_seconds_lost += lost as f64 * outage.as_secs_f64();
         }
         let site = fault.site;
-        let world = &mut self.rack_shards[site.rack as usize]
-            .as_mut()
-            .expect("the engine reunites workers before serial events")
-            .world;
+        let world = &mut racks[site.rack as usize].world;
         match site.kind {
             FaultKind::ComputeBrick => {
-                if let Some(brick) = world.fault_brick(RackId(0), site.kind, site.component) {
+                if let Some(brick) = world.fault_brick(site.kind, site.component) {
                     let _ = world.system.repair_compute_brick(brick);
                 }
             }
             FaultKind::MemoryBrick => {
-                if let Some(brick) = world.fault_brick(RackId(0), site.kind, site.component) {
+                if let Some(brick) = world.fault_brick(site.kind, site.component) {
                     let _ = world.system.repair_membrick(brick);
                 }
             }
             FaultKind::AccelBrick => {
-                if let Some(brick) = world.fault_brick(RackId(0), site.kind, site.component) {
+                if let Some(brick) = world.fault_brick(site.kind, site.component) {
                     let _ = world.system.repair_accel_brick(brick);
                 }
             }
             FaultKind::Link => {
-                let _ = world.system.repair_link(RackId(0), site.component);
+                let _ = world.system.repair_link(site.component);
             }
             // The switch fault self-healed onto the standby at injection.
             FaultKind::Switch => {}
@@ -731,19 +645,17 @@ impl<'a> ClusterWorld<'a> {
     /// Assembles the cluster report: sample streams concatenate in rack
     /// order (the canonical merge order), counters sum field-wise, and
     /// the coordinator contributes the cluster-tier and availability
-    /// telemetry.
+    /// telemetry. Every admission a rack accepted was routed to it, and
+    /// every brick it powered off was one of its own, so the per-rack
+    /// figures are the racks' own counters.
     pub(super) fn finish(
         mut self,
         outcome: RunOutcome,
         end: SimTime,
         events: u64,
     ) -> ScenarioReport {
-        let front = self.front.take().expect("the run reunites the world");
-        let shards: Vec<Box<RackShard<'a>>> = self
-            .rack_shards
-            .drain(..)
-            .map(|s| s.expect("the run reunites the world"))
-            .collect();
+        let mut workers = mem::take(&mut self.workers);
+        let (front, shards) = parts(&mut workers);
         let racks = shards.len();
         let mut c = Counters::default();
         let mut stats = ClusterScenarioStats {
@@ -753,8 +665,8 @@ impl<'a> ClusterWorld<'a> {
             cross_rack_migrations: self.cross_rack_migrations,
             racks_drained: self.racks_drained,
             drain_stranded: self.drain_stranded,
-            admissions_per_rack: vec![0; racks],
-            power_off_per_rack: vec![0; racks],
+            admissions_per_rack: Vec::with_capacity(racks),
+            power_off_per_rack: Vec::with_capacity(racks),
             ..ClusterScenarioStats::default()
         };
         let mut peak_queue = 0u64;
@@ -768,7 +680,7 @@ impl<'a> ClusterWorld<'a> {
         let mut offload_time_s = Vec::new();
         let mut offload_local_counterfactual_s = Vec::new();
         let mut accel_utilization = Vec::new();
-        for (r, shard) in shards.iter().enumerate() {
+        for shard in &shards {
             let w = &shard.world;
             c.admitted += w.counters.admitted;
             c.rejected += w.counters.rejected;
@@ -792,21 +704,10 @@ impl<'a> ClusterWorld<'a> {
             c.bitstream_reuses += w.counters.bitstream_reuses;
             c.bitstream_programs += w.counters.bitstream_programs;
             c.accel_wakes += w.counters.accel_wakes;
-            stats.routed_admissions += w.cluster_stats.routed_admissions;
-            stats.spillovers += w.cluster_stats.spillovers;
-            stats.power_deferrals += w.cluster_stats.power_deferrals;
-            stats.cross_rack_migrations += w.cluster_stats.cross_rack_migrations;
-            stats.racks_drained += w.cluster_stats.racks_drained;
-            stats.drain_stranded += w.cluster_stats.drain_stranded;
-            stats.admissions_per_rack[r] = w.cluster_stats.admissions_per_rack[0];
-            stats.power_off_per_rack[r] = w.cluster_stats.power_off_per_rack[0];
-            peak_queue = peak_queue.max(
-                w.control_planes
-                    .iter()
-                    .map(ControlPlaneQueue::peak_depth)
-                    .max()
-                    .unwrap_or(0) as u64,
-            );
+            stats.routed_admissions += w.counters.admitted;
+            stats.admissions_per_rack.push(w.counters.admitted);
+            stats.power_off_per_rack.push(w.counters.bricks_powered_off);
+            peak_queue = peak_queue.max(w.control_plane.peak_depth() as u64);
             scale_up_delays_s.extend_from_slice(&w.scale_up_delays_s);
             read_latencies_ns.extend_from_slice(&w.read_latencies_ns);
             utilization.extend_from_slice(&w.utilization);
@@ -873,12 +774,21 @@ impl<'a> ClusterWorld<'a> {
     }
 }
 
+/// Pooled bytes allocated across every rack (the cluster-wide byte
+/// conservation check of the rolling upgrade).
+fn pool_allocated(racks: &[&mut RackShard<'_>]) -> u64 {
+    racks
+        .iter()
+        .map(|s| s.world.system.pool_allocated().as_bytes())
+        .sum()
+}
+
 /// Picks the first rack (per the front door's spillover preference,
 /// excluding `exclude`) whose world actually admits the request, and
 /// places it there. `None` when no rack can hold it.
 fn place_on_cluster(
     controller: &ClusterController,
-    rack_shards: &mut [Option<Box<RackShard<'_>>>],
+    racks: &mut [&mut RackShard<'_>],
     exclude: RackId,
     vcpus: u32,
     memory: ByteSize,
@@ -890,80 +800,63 @@ fn place_on_cluster(
         .pick(vcpus, memory, |r| refused & (1u64 << u32::from(r.0)) != 0)
         .rack
     {
-        let shard = rack_shards[usize::from(dest.0)]
-            .as_mut()
-            .expect("the engine reunites workers before serial events");
-        if let Ok(outcome) = shard
-            .world
-            .system
-            .allocate_vm_preferring(RackId(0), vcpus, memory)
-        {
-            return Some((dest, outcome.vm));
+        let system = &mut racks[usize::from(dest.0)].world.system;
+        if let Ok(vm) = system.allocate_vm(vcpus, memory) {
+            return Some((dest, vm));
         }
         refused |= 1u64 << u32::from(dest.0);
     }
     None
 }
 
-/// Books one coordinator-driven cross-rack move: the destination world
-/// schedules the fresh guest's departure (and tracks its liveness), the
-/// source world records the migration — its SDM controller orchestrated
-/// the hand-off, so it owns the control-plane charge. Returns the
-/// migration's downtime.
+/// Books the arrival of one coordinator-driven cross-rack move on the
+/// destination shard — it schedules the fresh guest's departure and
+/// tracks its liveness — and returns the move's migration report. The
+/// caller records the report on the source rack: its SDM controller
+/// orchestrated the hand-off, so it owns the control-plane charge.
 #[allow(clippy::too_many_arguments)]
-fn book_cross_rack_move(
+fn land_on(
     spec: &ScenarioSpec,
     now: SimTime,
-    src: &mut RackShard<'_>,
-    dest_shard: &mut RackShard<'_>,
-    dest: RackId,
+    dest: &mut RackShard<'_>,
     vm: VmHandle,
     new_vm: VmHandle,
     from: BrickId,
     vcpus: u32,
     memory: ByteSize,
     ctx: &mut SerialContext<'_, ScenarioEvent>,
-) -> SimDuration {
-    let to = dest_shard
-        .world
+) -> MigrationReport {
+    let world = &mut dest.world;
+    let to = world
         .system
         .vm_brick(new_vm)
         .expect("freshly placed VM is resident");
-    let orchestration = dest_shard
-        .world
+    let orchestration = world
         .system
         .admission_service_time(new_vm)
         .unwrap_or_default();
-    dest_shard.world.counters.live += 1;
-    dest_shard.world.counters.peak_live = dest_shard
-        .world
-        .counters
-        .peak_live
-        .max(dest_shard.world.counters.live);
-    let lifetime = spec.lifetime.sample(&mut dest_shard.world.rng);
+    world.counters.live += 1;
+    world.counters.peak_live = world.counters.peak_live.max(world.counters.live);
+    let lifetime = spec.lifetime.sample(&mut world.rng);
     ctx.schedule(
-        ShardId(1 + u32::from(dest.0)),
+        ShardId(1 + u32::from(dest.rack)),
         now + lifetime,
         ScenarioEvent::Departure { vm: new_vm },
     );
     // Cross-rack moves cannot preserve pooled memory across the fabric
     // boundary: a conventional full copy plus the destination's admission
-    // orchestration, exactly as the shared system prices them.
+    // orchestration.
     let full_copy = spec.system.migration.conventional_migration(memory);
-    let report = MigrationReport {
+    MigrationReport {
         vm,
         from,
         to,
-        from_rack: RackId(0),
-        to_rack: dest,
         moved_local_state: spec.system.migration.local_state(vcpus),
         preserved_memory: ByteSize::ZERO,
         orchestration_delay: orchestration,
         downtime: full_copy + orchestration,
         conventional_precopy: full_copy,
-    };
-    src.world.record_migration(now, &report);
-    report.downtime
+    }
 }
 
 impl<'a> ParallelWorld for ClusterWorld<'a> {
@@ -971,29 +864,12 @@ impl<'a> ParallelWorld for ClusterWorld<'a> {
     type Worker = ClusterWorker<'a>;
 
     fn split(&mut self, shards: usize) -> Vec<ClusterWorker<'a>> {
-        assert_eq!(shards, self.rack_shards.len() + 1);
-        let mut workers = Vec::with_capacity(shards);
-        workers.push(ClusterWorker::Front(
-            self.front.take().expect("front door is home"),
-        ));
-        for slot in &mut self.rack_shards {
-            workers.push(ClusterWorker::Rack(
-                slot.take().expect("rack shard is home"),
-            ));
-        }
-        workers
+        assert_eq!(shards, self.workers.len());
+        mem::take(&mut self.workers)
     }
 
     fn reunite(&mut self, workers: Vec<ClusterWorker<'a>>) {
-        for worker in workers {
-            match worker {
-                ClusterWorker::Front(front) => self.front = Some(front),
-                ClusterWorker::Rack(shard) => {
-                    let slot = usize::from(shard.rack);
-                    self.rack_shards[slot] = Some(shard);
-                }
-            }
-        }
+        self.workers = workers;
     }
 
     fn latency(&self, from: ShardId, to: ShardId) -> Option<SimDuration> {
@@ -1014,27 +890,31 @@ impl<'a> ParallelWorld for ClusterWorld<'a> {
         None
     }
 
-    fn handle_serial(
+    fn handle_barrier(
         &mut self,
+        workers: &mut [ClusterWorker<'a>],
         _shard: ShardId,
         now: SimTime,
         event: ScenarioEvent,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
     ) {
+        let (front, mut racks) = parts(workers);
         match event {
-            ScenarioEvent::DrainRack { rack } => self.evacuate_rack(now, rack, ctx),
-            ScenarioEvent::UpgradeRack { rack } => self.upgrade_rack(now, rack, ctx),
-            ScenarioEvent::Fault { index } => self.cluster_fault(now, index, ctx),
-            ScenarioEvent::Repair { index } => self.cluster_repair(now, index),
+            ScenarioEvent::DrainRack { rack } => {
+                self.evacuate_rack(front, &mut racks, now, rack, ctx);
+            }
+            ScenarioEvent::UpgradeRack { rack } => {
+                self.upgrade_rack(front, &mut racks, now, rack, ctx);
+            }
+            ScenarioEvent::Fault { index } => {
+                self.cluster_fault(front, &mut racks, now, index, ctx)
+            }
+            ScenarioEvent::Repair { index } => self.cluster_repair(&mut racks, now, index),
             ScenarioEvent::Rebalance => {
                 if let Some(policy) = self.spec.migration {
-                    for slot in &mut self.rack_shards {
-                        let world = &mut slot
-                            .as_mut()
-                            .expect("the engine reunites workers before serial events")
-                            .world;
-                        world.rebalance(now, policy);
-                        world.sample_utilization();
+                    for shard in &mut racks {
+                        shard.world.rebalance(now, policy);
+                        shard.world.sample_utilization();
                     }
                     ctx.schedule_serial(ShardId(0), now + policy.every(), ScenarioEvent::Rebalance);
                 }

@@ -53,7 +53,7 @@
 //! feed report samples only — they never shift event timestamps — so a
 //! contention-free configuration replays decision-for-decision and
 //! byte-for-byte like the flat model, and contended replays stay
-//! bit-identical across sharding modes.
+//! bit-identical at every worker count.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -234,22 +234,22 @@ pub(super) struct BurstOutcome {
     pub ran: bool,
 }
 
-/// World-side runtime of the data-path model: the fabric ledgers, per-VM
+/// World-side runtime of the data-path model: the fabric ledger, per-VM
 /// caches and the aggregate telemetry.
 pub(super) struct DataPathState {
     cfg: DataPathConfig,
-    /// One offered-load ledger per rack.
-    loads: Vec<FabricLoad>,
+    /// The rack fabric's offered-load ledger.
+    load: FabricLoad,
     vms: BTreeMap<u64, VmDataPath>,
     stats: DataPathStats,
     queue_delays_ns: Vec<f64>,
 }
 
 impl DataPathState {
-    pub(super) fn new(cfg: DataPathConfig, racks: u16) -> Self {
+    pub(super) fn new(cfg: DataPathConfig) -> Self {
         DataPathState {
             cfg,
-            loads: vec![FabricLoad::new(); usize::from(racks.max(1))],
+            load: FabricLoad::new(),
             vms: BTreeMap::new(),
             stats: DataPathStats::default(),
             queue_delays_ns: Vec::new(),
@@ -267,17 +267,15 @@ impl DataPathState {
 
     /// Publishes `bytes_per_sec` on every stage of `route`.
     fn publish(&mut self, route: ReadRoute, bytes_per_sec: f64) {
-        let ledger = &mut self.loads[usize::from(route.rack.0)];
         for stage in read_route_stages(route.compute, route.membrick) {
-            ledger.publish(stage, bytes_per_sec);
+            self.load.publish(stage, bytes_per_sec);
         }
     }
 
     /// Retracts `bytes_per_sec` from every stage of `route`.
     fn retract(&mut self, route: ReadRoute, bytes_per_sec: f64) {
-        let ledger = &mut self.loads[usize::from(route.rack.0)];
         for stage in read_route_stages(route.compute, route.membrick) {
-            ledger.retract(stage, bytes_per_sec);
+            self.load.retract(stage, bytes_per_sec);
         }
     }
 
@@ -312,7 +310,6 @@ impl DataPathState {
     /// The `(stage backgrounds, capacities)` a fetch by `vm` queues behind.
     fn stage_loads(&self, state: &VmDataPath) -> Option<[StageLoad; 3]> {
         let contention = self.cfg.contention.as_ref()?;
-        let ledger = &self.loads[usize::from(state.route.rack.0)];
         let stages = read_route_stages(state.route.compute, state.route.membrick);
         let capacities = [
             contention.brick_uplink,
@@ -326,7 +323,7 @@ impl DataPathState {
         for (slot, (stage, capacity)) in stages.into_iter().zip(capacities).enumerate() {
             out[slot] = StageLoad {
                 capacity,
-                background_bytes_per_sec: ledger.background(stage, state.published),
+                background_bytes_per_sec: self.load.background(stage, state.published),
             };
         }
         Some(out)

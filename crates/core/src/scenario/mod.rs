@@ -15,11 +15,11 @@
 //! suites, validation and report types — while [`world`] (private) holds the
 //! state machine the engine drives. Replays run on the
 //! [`ShardedEngine`]: each rack owns its own event calendar and
-//! control-plane queue, and the [`ScenarioSpec::sharding`] mode says how the
-//! system maps onto shards. On a multi-rack system, admissions route
-//! through the cluster controller's capacity digests on shard 0 and hop to
-//! the chosen rack's shard as timestamped mailbox messages; replays are
-//! bit-identical between the sharding modes either way.
+//! control-plane queue. On a multi-rack system, admissions route through
+//! the cluster controller's capacity digests on shard 0 and hop to the
+//! chosen rack's shard as timestamped mailbox messages; replays are
+//! bit-identical at every worker-thread count
+//! ([`ScenarioSpec::run_with_threads`]).
 //!
 //! Four built-in scenarios ship with the engine (see
 //! [`ScenarioSpec::builtin_suite`]):
@@ -274,35 +274,6 @@ pub struct UpgradePlan {
     pub stagger: SimDuration,
 }
 
-/// How a scenario partitions its event calendar across engine shards.
-///
-/// The shard boundary is the rack: rack-local state (data paths, capacity
-/// indexes, power domains) stays on its own calendar, and cross-rack
-/// traffic — routed admissions hopping from the cluster front door to the
-/// chosen rack — crosses shards only as explicitly timestamped mailbox
-/// messages. On a single-rack system both modes resolve to one shard and
-/// replays are bit-identical between them; on a federated system
-/// [`ShardingMode::PerRack`] fans out one calendar per rack, and replays
-/// remain bit-identical between the modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ShardingMode {
-    /// One calendar for the whole system, whatever its size.
-    Single,
-    /// One calendar (and one control-plane queue) per rack.
-    #[default]
-    PerRack,
-}
-
-impl ShardingMode {
-    /// Number of engine shards for a system spanning `racks` racks.
-    pub fn shard_count(self, racks: usize) -> u32 {
-        match self {
-            ShardingMode::Single => 1,
-            ShardingMode::PerRack => racks.max(1) as u32,
-        }
-    }
-}
-
 /// One closed-loop scenario: a rack configuration plus the trace replayed
 /// against it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -333,8 +304,6 @@ pub struct ScenarioSpec {
     pub power_sweep_every: Option<SimDuration>,
     /// Hard cap on processed events (runaway guard).
     pub event_budget: u64,
-    /// How the replay maps onto engine shards.
-    pub sharding: ShardingMode,
     /// Optional one-shot rack drain (multi-rack systems only).
     #[serde(default)]
     pub drain: Option<DrainPlan>,
@@ -375,7 +344,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(2 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(600)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -407,7 +375,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(24 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(3_600)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -436,7 +403,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(3_600),
             power_sweep_every: Some(SimDuration::from_secs(300)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -470,7 +436,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(2 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(900)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -510,7 +475,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(4 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(600)),
             event_budget: 200_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -551,7 +515,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(2 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(900)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -588,7 +551,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(3_600),
             power_sweep_every: Some(SimDuration::from_secs(600)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -630,7 +592,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(2 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(600)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -675,7 +636,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(6 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(600)),
             event_budget: 400_000,
-            sharding: ShardingMode::PerRack,
             // Rack 0 soaks up the early load (the power budget keeps the
             // other racks closed until the first sweep), so draining it
             // mid-run forces a large cross-rack evacuation.
@@ -720,7 +680,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(6 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(600)),
             event_budget: 1_200_000,
-            sharding: ShardingMode::PerRack,
             drain: Some(DrainPlan {
                 rack: 0,
                 at: SimTime::from_secs(2_500),
@@ -769,7 +728,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(2 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(600)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: Some(FailurePlan::storm(
                 SimTime::from_secs(1_500),
@@ -806,12 +764,10 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(5_400),
             power_sweep_every: Some(SimDuration::from_secs(600)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
-            // Offset from the 600 s sweep grid: an upgrade sharing a
-            // timestamp with a sweep would order differently across
-            // sharding modes (same-shard seq vs cross-shard shard id).
+            // Offset from the 600 s sweep grid, so no upgrade barrier
+            // shares a timestamp with a rack's sweep.
             upgrade: Some(UpgradePlan {
                 start: SimTime::from_secs(1_805),
                 stagger: SimDuration::from_secs(600),
@@ -855,7 +811,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(1_800),
             power_sweep_every: Some(SimDuration::from_secs(600)),
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -916,7 +871,6 @@ impl ScenarioSpec {
             horizon: SimTime::from_secs(600),
             power_sweep_every: None,
             event_budget: 100_000,
-            sharding: ShardingMode::PerRack,
             drain: None,
             faults: None,
             upgrade: None,
@@ -988,8 +942,7 @@ impl ScenarioSpec {
     /// Multi-rack systems run on the partitioned federation (one shard
     /// per rack plus the cluster front door) under the conservative
     /// threaded runner; the report is bit-identical for every `threads`
-    /// value, including 1, and [`ShardingMode::Single`] pins the run to
-    /// one worker. Single-rack systems always replay on the serial
+    /// value, including 1. Single-rack systems always replay on the serial
     /// engine — `threads` adds nothing when there is only one shard.
     ///
     /// # Errors
@@ -1029,8 +982,7 @@ impl ScenarioSpec {
             return self.run_cluster(demands, arrivals, &mut rng, threads);
         }
 
-        // Single-rack: the one-shard serial engine, untouched — every
-        // pre-federation report (and golden) stays byte-identical.
+        // Single-rack: the one-shard serial engine.
         let system = DredboxSystem::build(self.system.clone())?;
         let mut engine = ShardedEngine::new(1)
             .with_horizon(self.horizon)
@@ -1039,11 +991,7 @@ impl ScenarioSpec {
             engine.schedule(ShardId(0), *at, ScenarioEvent::Arrival { index });
         }
         if let Some(every) = self.power_sweep_every {
-            engine.schedule(
-                ShardId(0),
-                SimTime::ZERO + every,
-                ScenarioEvent::PowerSweep { rack: 0 },
-            );
+            engine.schedule(ShardId(0), SimTime::ZERO + every, ScenarioEvent::PowerSweep);
         }
         // Drains and upgrades need somewhere to move VMs, so validate()
         // rejects them on single-rack systems — nothing to schedule here.
@@ -1142,12 +1090,7 @@ impl ScenarioSpec {
                 ScenarioEvent::DigestPublish,
             );
             if let Some(every) = self.power_sweep_every {
-                // Inside its own world every rack is local rack 0.
-                engine.schedule(
-                    shard,
-                    SimTime::ZERO + every,
-                    ScenarioEvent::PowerSweep { rack: 0 },
-                );
+                engine.schedule(shard, SimTime::ZERO + every, ScenarioEvent::PowerSweep);
             }
         }
         // Cluster-tier operations touch several rack worlds at once, so
@@ -1186,13 +1129,6 @@ impl ScenarioSpec {
             }
         }
 
-        // Single-calendar mode pins the identical partitioned world to one
-        // worker; the runner is bit-deterministic in the thread count, so
-        // both modes produce the same report by construction.
-        let threads = match self.sharding {
-            ShardingMode::Single => 1,
-            ShardingMode::PerRack => threads.max(1),
-        };
         let mut world = cluster::ClusterWorld::new(
             self,
             demands,
@@ -1202,7 +1138,7 @@ impl ScenarioSpec {
             rack_rngs,
             timings,
         );
-        let outcome = engine.run_threaded(&mut world, threads);
+        let outcome = engine.run_threaded(&mut world, threads.max(1));
         Ok(world.finish(outcome, engine.now(), engine.processed()))
     }
 
@@ -1896,31 +1832,12 @@ mod tests {
     }
 
     #[test]
-    fn sharding_modes_replay_bit_identically() {
-        // One rack means Single and PerRack both resolve to one shard; the
-        // reports (and their rendered forms) must not differ in a single
-        // bit between the modes.
-        for spec in [ScenarioSpec::steady_state(), ScenarioSpec::consolidation()] {
-            let mut single = spec.clone();
-            single.sharding = ShardingMode::Single;
-            let mut per_rack = spec;
-            per_rack.sharding = ShardingMode::PerRack;
-            let a = single.run(2018).expect("run");
-            let b = per_rack.run(2018).expect("run");
-            assert_eq!(a, b);
-            assert_eq!(format!("{a:#?}\n{a}"), format!("{b:#?}\n{b}"));
-        }
-        assert_eq!(ShardingMode::Single.shard_count(4), 1);
-        assert_eq!(ShardingMode::PerRack.shard_count(4), 4);
-        assert_eq!(ShardingMode::PerRack.shard_count(0), 1);
-    }
-
-    #[test]
     fn federated_replay_is_bit_identical_across_sharding_modes() {
         // A shrunk datacenter: 4 racks, routed admissions, a mid-run drain
-        // of the loaded rack. Single-calendar and per-rack-calendar replays
-        // must not differ in a single bit, and the cluster tier must
-        // actually exercise routing, spillover bookkeeping and the drain.
+        // of the loaded rack. Replays of the sharded federation on one and
+        // on several worker threads must not differ in a single bit, and
+        // the cluster tier must actually exercise routing, spillover
+        // bookkeeping and the drain.
         let mut spec = ScenarioSpec::datacenter();
         spec.name = "mini-cluster".to_owned();
         spec.system = SystemConfig::datacenter_cluster(4, 2, 4, 4);
@@ -1934,10 +1851,8 @@ mod tests {
         });
         spec.horizon = SimTime::from_secs(3_600);
         spec.event_budget = 50_000;
-        let mut single = spec.clone();
-        single.sharding = ShardingMode::Single;
         let a = spec.run(2018).expect("run");
-        let b = single.run(2018).expect("run");
+        let b = spec.run_with_threads(2018, 3).expect("run");
         assert_eq!(a, b);
         assert_eq!(format!("{a:#?}\n{a}"), format!("{b:#?}\n{b}"));
         let cluster = a.cluster.as_ref().expect("multi-rack reports cluster");
@@ -2070,10 +1985,8 @@ mod tests {
             let a = spec.run(seed).expect("run");
             let b = spec.run(seed).expect("run");
             assert_eq!(a, b, "same seed, same storm, same report");
-            let mut single = spec.clone();
-            single.sharding = ShardingMode::Single;
-            let c = single.run(seed).expect("run");
-            assert_eq!(a, c, "sharding modes must not differ in a single bit");
+            let c = spec.run_with_threads(seed, 2).expect("run");
+            assert_eq!(a, c, "worker counts must not differ in a single bit");
             assert_eq!(format!("{a:#?}\n{a}"), format!("{c:#?}\n{c}"));
         }
         let report = spec.run(2018).expect("run");
@@ -2112,10 +2025,10 @@ mod tests {
         assert_eq!(cluster.racks_drained, 4);
         // Readmitted racks keep absorbing load after their upgrade.
         assert!(report.admitted > 0);
-        // And the replay stays bit-identical across sharding modes.
-        let mut single = ScenarioSpec::rolling_upgrade();
-        single.sharding = ShardingMode::Single;
-        let b = single.run(2018).expect("run");
+        // And the replay stays bit-identical across worker counts.
+        let b = ScenarioSpec::rolling_upgrade()
+            .run_with_threads(2018, 2)
+            .expect("run");
         assert_eq!(report, b);
     }
 

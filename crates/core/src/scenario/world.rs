@@ -8,28 +8,29 @@
 //!
 //! Hot-path discipline: the world never clones system state per event —
 //! VM and hypervisor records are interned in slab arenas inside
-//! [`DredboxSystem`], every SDM request serializes through the owning
-//! rack's [`ControlPlaneQueue`], and power sweeps batch per rack per tick
-//! via [`DredboxSystem::power_off_unused_in`].
+//! [`DredboxSystem`], every SDM request serializes through the rack's
+//! [`ControlPlaneQueue`], and each power-sweep tick is one
+//! [`DredboxSystem::power_off_unused`].
 //!
 //! ## Two orchestration tiers, one event alphabet
 //!
-//! On a single-rack system an [`ScenarioEvent::Arrival`] admits inline,
-//! exactly as it always has. When the system federates racks, this world
-//! no longer sees arrivals at all: the cluster front door (shard 0 of the
-//! partitioned [`ClusterWorld`](super::cluster::ClusterWorld)) batches the
-//! arrival trace per control interval, consults its capacity digests and
-//! hands each request to the chosen rack's shard as a timestamped
+//! A world owns exactly one rack. On a single-rack scenario an
+//! [`ScenarioEvent::Arrival`] admits inline. On a federation this world is
+//! one rack shard of the [`ClusterWorld`](super::cluster::ClusterWorld)
+//! and never sees arrivals: the cluster front door batches the arrival
+//! trace per control interval, consults its capacity digests and hands
+//! each request to the chosen rack's shard as a timestamped
 //! [`ScenarioEvent::AdmitOn`] message — one control-network hop later the
 //! rack's own SDM controller admits (or spills back to the front door).
-//! Each rack's world then owns a single-rack [`DredboxSystem`], so every
-//! follow-up of the VM's life is rack-local and a worker thread can drive
-//! the rack without sharing mutable state.
+//! Every follow-up of the VM's life is rack-local, so a worker thread can
+//! drive the rack without sharing mutable state; work that spans racks
+//! (drains, upgrades, faults, rebalances) runs in the cluster world's
+//! serial handlers.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dredbox_bricks::{BrickId, RackId};
+use dredbox_bricks::BrickId;
 use dredbox_orchestrator::{OffloadSessionId, RackDigest};
 use dredbox_sim::engine::RunOutcome;
 use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
@@ -42,16 +43,10 @@ use dredbox_sim::time::{SimDuration, SimTime};
 use dredbox_sim::units::ByteSize;
 use dredbox_workload::VmDemand;
 
-use crate::snapshot::SystemSnapshot;
-use crate::system::{
-    AdmissionOutcome, DredboxSystem, MigrationReport, OffloadReport, SystemError, VmHandle,
-};
+use crate::system::{DredboxSystem, MigrationReport, OffloadReport, SystemError, VmHandle};
 
 use super::datapath::DataPathState;
-use super::{
-    AvailabilityStats, ChurnModel, ClusterScenarioStats, MigrationPolicy, ScenarioReport,
-    ScenarioSpec,
-};
+use super::{AvailabilityStats, ChurnModel, MigrationPolicy, ScenarioReport, ScenarioSpec};
 
 /// Events driving one scenario replay. Every calendar and mailbox entry
 /// holds one, so the enum is kept at 24 bytes: a payload that would widen
@@ -62,11 +57,11 @@ pub(super) enum ScenarioEvent {
     /// (single-rack systems only — on a federated cluster the front door
     /// holds the arrival trace and emits [`ScenarioEvent::AdmitOn`]).
     Arrival { index: usize },
-    /// A routed admission lands on `rack`'s SDM controller, one
-    /// control-network hop after the front door routed it. `tried` is the
-    /// bitmask of racks that already rejected this request, so a spillover
-    /// never revisits one.
-    AdmitOn { index: usize, rack: u16, tried: u64 },
+    /// A routed admission lands on the receiving rack shard's SDM
+    /// controller, one control-network hop after the front door routed
+    /// it. `tried` is the bitmask of racks that already rejected this
+    /// request, so a spillover never revisits one.
+    AdmitOn { index: usize, tried: u64 },
     /// A rack rejected a routed admission: the request returns to the
     /// front door, which picks the next candidate off `tried`.
     SpillOver { index: usize, tried: u64 },
@@ -102,8 +97,8 @@ pub(super) enum ScenarioEvent {
         session: OffloadSessionId,
         remaining: u32,
     },
-    /// Periodic power-management sweep over one rack's bricks.
-    PowerSweep { rack: u16 },
+    /// Periodic power-management sweep over the rack's bricks.
+    PowerSweep,
     /// Drain `rack`: stop routing admissions to it and migrate its VMs
     /// onto the other racks, per the spec's [`DrainPlan`](super::DrainPlan).
     DrainRack { rack: u16 },
@@ -154,12 +149,10 @@ const READ_SIZES: [u64; 4] = [64, 256, 1_024, 4_096];
 
 /// Where a dispatched event's follow-ups land.
 ///
-/// The same world logic runs under three drivers: the serial
+/// The same world logic runs in two event loops: the serial
 /// [`ShardedEngine`](dredbox_sim::shard::ShardedEngine) loop
-/// ([`ShardContext`]), a worker thread of the threaded runner
-/// ([`WorkerContext`]), and a coordinator-side staging buffer used while a
-/// serial barrier event manipulates several rack worlds at once (a plain
-/// `Vec` the caller forwards to the right shard afterwards).
+/// ([`ShardContext`]) and a worker thread of the threaded runner
+/// ([`WorkerContext`]).
 pub(super) trait EventSink {
     /// Schedules a follow-up on the shard that dispatched the event.
     fn schedule(&mut self, at: SimTime, event: ScenarioEvent);
@@ -177,12 +170,6 @@ impl EventSink for WorkerContext<'_, ScenarioEvent> {
     }
 }
 
-impl EventSink for Vec<(SimTime, ScenarioEvent)> {
-    fn schedule(&mut self, at: SimTime, event: ScenarioEvent) {
-        self.push((at, event));
-    }
-}
-
 /// The mutable world the discrete-event engine drives.
 pub(super) struct ScenarioWorld<'a> {
     pub(super) spec: &'a ScenarioSpec,
@@ -190,14 +177,9 @@ pub(super) struct ScenarioWorld<'a> {
     pub(super) demands: Arc<Vec<VmDemand>>,
     pub(super) rng: SimRng,
     pub(super) counters: Counters,
-    /// Cluster-tier telemetry; reported only on multi-rack systems.
-    pub(super) cluster_stats: ClusterScenarioStats,
     /// Serializes every SDM request of the replay (admissions, scale-ups,
-    /// releases, migrations) — one queue per rack, keyed by the rack that
-    /// owns the touched VM, so both sharding modes charge the same queue.
-    pub(super) control_planes: Vec<ControlPlaneQueue>,
-    /// Number of racks this world owns (1 on a partitioned rack world).
-    pub(super) racks: u16,
+    /// releases, migrations) through the rack's one controller.
+    pub(super) control_plane: ControlPlaneQueue,
     pub(super) scale_up_delays_s: Vec<f64>,
     pub(super) read_latencies_ns: Vec<f64>,
     /// Precomputed remote-read latency total per [`READ_SIZES`] entry —
@@ -233,8 +215,8 @@ pub(super) struct ScenarioWorld<'a> {
 }
 
 impl<'a> ScenarioWorld<'a> {
-    /// Builds the world for one replay: one control-plane queue per rack
-    /// (each paying the spec's per-queued-request penalty) and empty
+    /// Builds the world for one replay: the rack's control-plane queue
+    /// (paying the spec's per-queued-request penalty) and empty
     /// counters/metric series.
     pub(super) fn new(
         spec: &'a ScenarioSpec,
@@ -244,10 +226,6 @@ impl<'a> ScenarioWorld<'a> {
         rng: SimRng,
     ) -> Self {
         let penalty = spec.system.sdm_timings.queued_request_penalty;
-        // The racks this world actually owns: the whole federation on the
-        // serial single-system path, exactly one on a partitioned rack
-        // world of the threaded cluster runner.
-        let racks = system.rack_count() as u16;
         // The *flat* remote-read latency model is pure in the transfer
         // size, so the per-arrival read charges can look totals up instead
         // of rebuilding a hop-by-hop breakdown per read. The table is a
@@ -259,7 +237,7 @@ impl<'a> ScenarioWorld<'a> {
                 .total()
                 .as_nanos() as f64
         });
-        let data_path = spec.data_path.map(|cfg| DataPathState::new(cfg, racks));
+        let data_path = spec.data_path.map(DataPathState::new);
         ScenarioWorld {
             spec,
             system,
@@ -268,16 +246,7 @@ impl<'a> ScenarioWorld<'a> {
             read_latency_table,
             data_path,
             counters: Counters::default(),
-            cluster_stats: ClusterScenarioStats {
-                racks: u64::from(racks),
-                admissions_per_rack: vec![0; usize::from(racks)],
-                power_off_per_rack: vec![0; usize::from(racks)],
-                ..ClusterScenarioStats::default()
-            },
-            control_planes: (0..racks)
-                .map(|_| ControlPlaneQueue::new(penalty))
-                .collect(),
-            racks,
+            control_plane: ControlPlaneQueue::new(penalty),
             scale_up_delays_s: Vec::new(),
             read_latencies_ns: Vec::new(),
             utilization: Vec::new(),
@@ -298,16 +267,11 @@ impl<'a> ScenarioWorld<'a> {
 
     /// Maps a fault site's rack-relative ordinal onto the `component`-th
     /// brick of its kind in the rack (wrapped, so any schedule value names
-    /// a real brick). `None` for unknown racks or kinds the rack has no
-    /// bricks of.
-    pub(super) fn fault_brick(
-        &self,
-        rack: RackId,
-        kind: FaultKind,
-        component: u32,
-    ) -> Option<BrickId> {
-        let rack = self.system.rack_at(rack)?;
-        let ids: Vec<BrickId> = rack
+    /// a real brick). `None` for kinds the rack has no bricks of.
+    pub(super) fn fault_brick(&self, kind: FaultKind, component: u32) -> Option<BrickId> {
+        let ids: Vec<BrickId> = self
+            .system
+            .rack()
             .bricks()
             .filter(|b| match kind {
                 FaultKind::ComputeBrick => b.as_compute().is_some(),
@@ -322,15 +286,6 @@ impl<'a> ScenarioWorld<'a> {
         } else {
             Some(ids[component as usize % ids.len()])
         }
-    }
-
-    /// The rack owning a VM's compute brick, as a control-plane queue
-    /// index; rack 0 when the VM is already gone (the result is only used
-    /// on paths that verified the VM exists).
-    pub(super) fn vm_rack(&self, vm: VmHandle) -> usize {
-        self.system
-            .vm_brick(vm)
-            .map_or(0, |b| usize::from(self.system.rack_of(b).0))
     }
 
     /// The single accessor every remote-read latency draw goes through.
@@ -382,8 +337,7 @@ impl<'a> ScenarioWorld<'a> {
 
     /// Records one successful offload's report and counters.
     fn record_offload(&mut self, now: SimTime, report: &OffloadReport) -> QueueAdmission {
-        let admission =
-            self.admit_control(usize::from(report.rack.0), now, report.orchestration_delay);
+        let admission = self.admit_control(now, report.orchestration_delay);
         self.counters.offloads += 1;
         if report.reused_bitstream {
             self.counters.bitstream_reuses += 1;
@@ -409,41 +363,27 @@ impl<'a> ScenarioWorld<'a> {
         }
     }
 
-    /// Serializes one SDM request through the owning rack's control-plane
-    /// queue and records its queueing delay.
-    pub(super) fn admit_control(
-        &mut self,
-        rack: usize,
-        now: SimTime,
-        service: SimDuration,
-    ) -> QueueAdmission {
-        let admission = self.control_planes[rack].admit(now, service);
+    /// Serializes one SDM request through the rack's control-plane queue
+    /// and records its queueing delay.
+    pub(super) fn admit_control(&mut self, now: SimTime, service: SimDuration) -> QueueAdmission {
+        let admission = self.control_plane.admit(now, service);
         self.control_plane_wait_s
             .push(admission.queue_wait.as_secs_f64());
         admission
     }
 
-    /// Books one successful admission: counters, the owning rack's
-    /// control-plane serialization, the per-VM read charges, and the VM's
-    /// scheduled future (departure, churn, offloads).
-    fn finish_admission<S: EventSink>(
-        &mut self,
-        outcome: AdmissionOutcome,
-        now: SimTime,
-        ctx: &mut S,
-    ) {
-        let vm = outcome.vm;
+    /// Books one successful admission: counters, the rack's control-plane
+    /// serialization, the per-VM read charges, and the VM's scheduled
+    /// future (departure, churn, offloads).
+    fn finish_admission<S: EventSink>(&mut self, vm: VmHandle, now: SimTime, ctx: &mut S) {
         self.counters.admitted += 1;
         self.counters.live += 1;
         self.counters.peak_live = self.counters.peak_live.max(self.counters.live);
-        self.cluster_stats.spillovers += u64::from(outcome.spillovers);
-        self.cluster_stats.power_deferrals += u64::from(outcome.power_deferrals);
-        self.cluster_stats.admissions_per_rack[usize::from(outcome.rack.0)] += 1;
         // Serialize the admission through the SDM controller
         // queue: its lifetime starts once the control plane
         // actually finished configuring it.
         let service = self.system.admission_service_time(vm).unwrap_or_default();
-        let admission = self.admit_control(usize::from(outcome.rack.0), now, service);
+        let admission = self.admit_control(now, service);
         // Register the VM's read route with the data-path model before any
         // of its reads are priced, so its standing load is on the ledger.
         if let Some(dp) = self.data_path.as_mut() {
@@ -493,43 +433,25 @@ impl<'a> ScenarioWorld<'a> {
         }
     }
 
-    /// Books one rejected admission: the rack's controller still pays the
-    /// request parse + availability inspection.
-    fn reject_admission(&mut self, rack: usize, now: SimTime) {
-        self.counters.rejected += 1;
-        let timings = self.spec.system.sdm_timings;
-        self.admit_control(rack, now, timings.request_rpc + timings.availability_check);
-    }
-
-    /// One routed admission attempt on a partitioned rack world (the rack
-    /// is local rack 0 of its own single-rack system). On success the full
-    /// admission pipeline runs here; on failure the rack's controller pays
-    /// the inspection cost and the caller spills the request back to the
-    /// front door — the rejection, if it ever becomes final, is booked
-    /// there, not here.
-    pub(super) fn admit_routed<S: EventSink>(
-        &mut self,
-        index: usize,
-        now: SimTime,
-        sink: &mut S,
-    ) -> bool {
+    /// One admission attempt of the `index`-th trace VM on this rack. On
+    /// success the full admission pipeline runs; on failure the rack's
+    /// controller still pays the request parse + availability inspection.
+    /// Booking a refusal as final is the caller's call: a single rack
+    /// rejects outright, a federation's front door may spill the request
+    /// to another rack.
+    pub(super) fn admit<S: EventSink>(&mut self, index: usize, now: SimTime, sink: &mut S) -> bool {
         let demand = self.demands[index];
-        let admitted =
-            match self
-                .system
-                .allocate_vm_preferring(RackId(0), demand.vcpus, demand.memory)
-            {
-                Ok(outcome) => {
-                    self.cluster_stats.routed_admissions += 1;
-                    self.finish_admission(outcome, now, sink);
-                    true
-                }
-                Err(_) => {
-                    let timings = self.spec.system.sdm_timings;
-                    self.admit_control(0, now, timings.request_rpc + timings.availability_check);
-                    false
-                }
-            };
+        let admitted = match self.system.allocate_vm(demand.vcpus, demand.memory) {
+            Ok(vm) => {
+                self.finish_admission(vm, now, sink);
+                true
+            }
+            Err(_) => {
+                let timings = self.spec.system.sdm_timings;
+                self.admit_control(now, timings.request_rpc + timings.availability_check);
+                false
+            }
+        };
         self.sample_utilization();
         admitted
     }
@@ -551,11 +473,7 @@ impl<'a> ScenarioWorld<'a> {
     }
 
     pub(super) fn record_migration(&mut self, now: SimTime, report: &MigrationReport) {
-        let admission = self.admit_control(
-            usize::from(report.from_rack.0),
-            now,
-            report.orchestration_delay,
-        );
+        let admission = self.admit_control(now, report.orchestration_delay);
         self.counters.migrations += 1;
         self.migration_downtime_s
             .push((admission.queue_wait + report.downtime).as_secs_f64());
@@ -629,19 +547,17 @@ impl<'a> ScenarioWorld<'a> {
         }
         self.availability.faults_injected += 1;
         let site = fault.site;
-        let rack = RackId(site.rack as u16);
         let mut affected = 0u64;
         match site.kind {
             FaultKind::ComputeBrick => {
-                let Some(brick) = self.fault_brick(rack, site.kind, site.component) else {
+                let Some(brick) = self.fault_brick(site.kind, site.component) else {
                     return;
                 };
                 let Ok(report) = self.system.fail_compute_brick(brick) else {
                     return;
                 };
-                affected = u64::from(report.migrated + report.restarted + report.lost);
+                affected = u64::from(report.migrated + report.lost);
                 self.availability.vm_migrations += u64::from(report.migrated);
-                self.availability.vm_restarts += u64::from(report.restarted);
                 self.availability.vms_lost += u64::from(report.lost);
                 self.availability.sessions_dropped += u64::from(report.sessions_dropped);
                 self.availability.orphaned_bytes += report.orphaned.as_bytes();
@@ -661,7 +577,7 @@ impl<'a> ScenarioWorld<'a> {
                 self.availability.reclaimed_bytes += reclaim.reclaimed.as_bytes();
             }
             FaultKind::MemoryBrick => {
-                let Some(brick) = self.fault_brick(rack, site.kind, site.component) else {
+                let Some(brick) = self.fault_brick(site.kind, site.component) else {
                     return;
                 };
                 let Ok(report) = self.system.fail_membrick(brick) else {
@@ -685,7 +601,7 @@ impl<'a> ScenarioWorld<'a> {
                 }
             }
             FaultKind::AccelBrick => {
-                let Some(brick) = self.fault_brick(rack, site.kind, site.component) else {
+                let Some(brick) = self.fault_brick(site.kind, site.component) else {
                     return;
                 };
                 let Ok(report) = self.system.fail_accel_brick(brick) else {
@@ -705,17 +621,16 @@ impl<'a> ScenarioWorld<'a> {
                 }
             }
             FaultKind::Link => {
-                if let Some(report) = self.system.fail_link(rack, site.component) {
+                if let Some(report) = self.system.fail_link(site.component) {
                     self.availability.links_severed += 1;
                     self.availability.circuits_rerouted += u64::from(report.rerouted);
                     self.availability.circuits_lost += u64::from(report.lost);
                 }
             }
             FaultKind::Switch => {
-                if let Some(restored) = self.system.fail_switch(rack) {
-                    self.availability.switch_failovers += 1;
-                    self.availability.circuits_restored += restored as u64;
-                }
+                let restored = self.system.fail_switch();
+                self.availability.switch_failovers += 1;
+                self.availability.circuits_restored += restored as u64;
             }
         }
         self.blast_radius_vms.push(affected as f64);
@@ -736,67 +651,28 @@ impl<'a> ScenarioWorld<'a> {
             self.availability.vm_seconds_lost += lost as f64 * outage.as_secs_f64();
         }
         let site = fault.site;
-        let rack = RackId(site.rack as u16);
         match site.kind {
             FaultKind::ComputeBrick => {
-                if let Some(brick) = self.fault_brick(rack, site.kind, site.component) {
+                if let Some(brick) = self.fault_brick(site.kind, site.component) {
                     let _ = self.system.repair_compute_brick(brick);
                 }
             }
             FaultKind::MemoryBrick => {
-                if let Some(brick) = self.fault_brick(rack, site.kind, site.component) {
+                if let Some(brick) = self.fault_brick(site.kind, site.component) {
                     let _ = self.system.repair_membrick(brick);
                 }
             }
             FaultKind::AccelBrick => {
-                if let Some(brick) = self.fault_brick(rack, site.kind, site.component) {
+                if let Some(brick) = self.fault_brick(site.kind, site.component) {
                     let _ = self.system.repair_accel_brick(brick);
                 }
             }
             FaultKind::Link => {
-                let _ = self.system.repair_link(rack, site.component);
+                let _ = self.system.repair_link(site.component);
             }
             // The switch fault self-healed onto the standby at injection.
             FaultKind::Switch => {}
         }
-        self.sample_utilization();
-    }
-
-    /// One stage of a rolling upgrade: drain the rack, snapshot the whole
-    /// controller, serialize, restore, verify bit-identity and byte
-    /// conservation, then readmit the rack.
-    fn upgrade_rack(&mut self, now: SimTime, rack: u16) {
-        let allocated_before = self.system.pool_allocated();
-        let (reports, stranded) = self.system.drain_rack(RackId(rack));
-        self.cluster_stats.racks_drained += 1;
-        self.cluster_stats.drain_stranded += u64::from(stranded);
-        for report in &reports {
-            self.cluster_stats.cross_rack_migrations += 1;
-            self.record_migration(now, report);
-        }
-
-        // The servicing window: capture → serialize → restore. The restored
-        // controller must be the captured one bit for bit, and not a byte
-        // of pooled memory may go missing across the swap.
-        let bytes = SystemSnapshot::capture(&self.system).to_bytes();
-        self.availability.upgrade_snapshot_bytes += bytes.len() as u64;
-        match SystemSnapshot::from_bytes(&bytes) {
-            Ok(snapshot) => {
-                let restored = snapshot.into_system();
-                if restored == self.system {
-                    self.system = restored;
-                } else {
-                    self.availability.upgrade_restore_mismatches += 1;
-                }
-            }
-            Err(_) => self.availability.upgrade_restore_mismatches += 1,
-        }
-        let allocated_after = self.system.pool_allocated();
-        self.availability.upgrade_lost_bytes += allocated_before
-            .as_bytes()
-            .saturating_sub(allocated_after.as_bytes());
-        self.availability.upgrades += 1;
-        self.system.undrain_rack(RackId(rack));
         self.sample_utilization();
     }
 
@@ -816,13 +692,6 @@ impl<'a> ScenarioWorld<'a> {
             .data_path
             .take()
             .map(|dp| dp.finish(read_latency.as_ref()));
-        // The cluster tier only exists on multi-rack systems; single-rack
-        // reports stay byte-identical to the pre-federation engine.
-        let cluster = if self.racks > 1 {
-            Some(self.cluster_stats)
-        } else {
-            None
-        };
         // The availability block only exists on specs that inject faults
         // or run a rolling upgrade; every pre-existing report (and golden)
         // stays byte-identical.
@@ -858,12 +727,7 @@ impl<'a> ScenarioWorld<'a> {
             bitstream_reuses: c.bitstream_reuses,
             bitstream_programs: c.bitstream_programs,
             accel_wakes: c.accel_wakes,
-            control_plane_peak_queue: self
-                .control_planes
-                .iter()
-                .map(ControlPlaneQueue::peak_depth)
-                .max()
-                .unwrap_or(0) as u64,
+            control_plane_peak_queue: self.control_plane.peak_depth() as u64,
             scale_up_delay: Summary::from_samples(&self.scale_up_delays_s),
             read_latency,
             pool_utilization: Summary::from_samples(&self.utilization),
@@ -876,7 +740,8 @@ impl<'a> ScenarioWorld<'a> {
                 &self.offload_local_counterfactual_s,
             ),
             accel_utilization: Summary::from_samples(&self.accel_utilization),
-            cluster,
+            // The cluster tier reports from the federation's own world.
+            cluster: None,
             availability,
             data_path,
         }
@@ -910,21 +775,22 @@ impl ScenarioWorld<'_> {
     ) {
         match event {
             ScenarioEvent::Arrival { index } => {
-                let demand = self.demands[index];
-                match self.system.allocate_vm_routed(demand.vcpus, demand.memory) {
-                    Ok(outcome) => self.finish_admission(outcome, now, ctx),
-                    Err(_) => self.reject_admission(0, now),
+                // A lone rack has nowhere to spill: its refusal is final.
+                if !self.admit(index, now, ctx) {
+                    self.counters.rejected += 1;
                 }
-                self.sample_utilization();
             }
             ScenarioEvent::AdmitOn { .. }
             | ScenarioEvent::SpillOver { .. }
             | ScenarioEvent::FrontDoorTick
             | ScenarioEvent::DigestPublish
-            | ScenarioEvent::DigestUpdate { .. } => {
+            | ScenarioEvent::DigestUpdate { .. }
+            | ScenarioEvent::DrainRack { .. }
+            | ScenarioEvent::UpgradeRack { .. } => {
                 // Cluster-tier events are intercepted by the federated
-                // workers (`scenario::cluster`) before they reach the world;
-                // a single-rack replay never schedules them.
+                // workers and serial handlers (`scenario::cluster`) before
+                // they reach a rack's world; a single-rack replay never
+                // schedules them.
                 unreachable!("cluster-tier event dispatched to a rack world");
             }
             ScenarioEvent::ScaleUp {
@@ -934,8 +800,7 @@ impl ScenarioWorld<'_> {
             } => {
                 match self.system.scale_up(vm, amount) {
                     Ok(report) => {
-                        let rack = self.vm_rack(vm);
-                        let admission = self.admit_control(rack, now, report.orchestration_delay);
+                        let admission = self.admit_control(now, report.orchestration_delay);
                         self.counters.scale_ups += 1;
                         self.scale_up_delays_s
                             .push((admission.queue_wait + report.total_delay).as_secs_f64());
@@ -962,8 +827,7 @@ impl ScenarioWorld<'_> {
                 amount,
             } => {
                 if let Ok(report) = self.system.scale_down(vm, amount) {
-                    let rack = self.vm_rack(vm);
-                    let admission = self.admit_control(rack, now, report.orchestration_delay);
+                    let admission = self.admit_control(now, report.orchestration_delay);
                     self.counters.scale_downs += 1;
                     if remaining > 1 {
                         if let Some(churn) = self.spec.churn {
@@ -982,7 +846,6 @@ impl ScenarioWorld<'_> {
                 self.sample_utilization();
             }
             ScenarioEvent::Departure { vm } => {
-                let rack = self.vm_rack(vm);
                 if self.system.release_vm(vm).is_ok() {
                     self.counters.departed += 1;
                     self.counters.live -= 1;
@@ -990,7 +853,7 @@ impl ScenarioWorld<'_> {
                         dp.on_departure(vm);
                     }
                     let timings = self.spec.system.sdm_timings;
-                    self.admit_control(rack, now, timings.request_rpc + timings.reservation_write);
+                    self.admit_control(now, timings.request_rpc + timings.reservation_write);
                 }
                 self.sample_utilization();
             }
@@ -1023,12 +886,8 @@ impl ScenarioWorld<'_> {
                         // Rejections still occupy the controller for the
                         // request parse + availability inspection...
                         let timings = self.spec.system.sdm_timings;
-                        let rack = self.vm_rack(vm);
-                        let admission = self.admit_control(
-                            rack,
-                            now,
-                            timings.request_rpc + timings.availability_check,
-                        );
+                        let admission = self
+                            .admit_control(now, timings.request_rpc + timings.availability_check);
                         // ...and the VM retries once a streaming slot may
                         // have freed, rather than abandoning the rest of
                         // its offload plan (sessions end over time, so the
@@ -1048,9 +907,8 @@ impl ScenarioWorld<'_> {
             } => {
                 // The VM may have departed mid-session, in which case its
                 // release already drained the session.
-                let rack = self.vm_rack(vm);
                 if let Ok(service) = self.system.end_offload(session) {
-                    let admission = self.admit_control(rack, now, service);
+                    let admission = self.admit_control(now, service);
                     self.counters.offloads_completed += 1;
                     if remaining > 1 {
                         if let Some(plan) = self.spec.offload {
@@ -1066,31 +924,14 @@ impl ScenarioWorld<'_> {
                 }
                 self.sample_utilization();
             }
-            ScenarioEvent::PowerSweep { rack } => {
-                // Sweeps batch per rack per tick: each rack's sweep event
-                // covers only its own bricks (on a single-rack system this
-                // is exactly the whole-rack sweep it always was), and the
-                // rack's digest refreshes so cluster routing sees the freed
-                // power headroom immediately.
-                let sweep = self.system.power_off_unused_in(RackId(rack));
+            ScenarioEvent::PowerSweep => {
+                let sweep = self.system.power_off_unused();
                 self.counters.power_sweeps += 1;
                 self.counters.bricks_powered_off += sweep.total_off() as u64;
-                self.cluster_stats.power_off_per_rack[usize::from(rack)] +=
-                    sweep.total_off() as u64;
                 self.sample_utilization();
                 if let Some(every) = self.spec.power_sweep_every {
-                    ctx.schedule(now + every, ScenarioEvent::PowerSweep { rack });
+                    ctx.schedule(now + every, ScenarioEvent::PowerSweep);
                 }
-            }
-            ScenarioEvent::DrainRack { rack } => {
-                let (reports, stranded) = self.system.drain_rack(RackId(rack));
-                self.cluster_stats.racks_drained += 1;
-                self.cluster_stats.drain_stranded += u64::from(stranded);
-                for report in &reports {
-                    self.cluster_stats.cross_rack_migrations += 1;
-                    self.record_migration(now, report);
-                }
-                self.sample_utilization();
             }
             ScenarioEvent::Rebalance => {
                 if let Some(policy) = self.spec.migration {
@@ -1101,7 +942,6 @@ impl ScenarioWorld<'_> {
             }
             ScenarioEvent::Fault { index } => self.handle_fault(now, index, ctx),
             ScenarioEvent::Repair { index } => self.handle_repair(now, index),
-            ScenarioEvent::UpgradeRack { rack } => self.upgrade_rack(now, rack),
             ScenarioEvent::ReadBurst { vm, remaining } => {
                 let Some(dp) = self.data_path.as_mut() else {
                     return;

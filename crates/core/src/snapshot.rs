@@ -4,15 +4,23 @@
 //! state, swaps the controller binary, restores the state into the new
 //! process and readmits the rack. The correctness bar is bit-identity:
 //! a restored [`DredboxSystem`] must equal the captured one field for
-//! field — racks, pools, SDM and cluster controllers, hypervisors,
-//! ledgers and RMSTs — so that every subsequent decision is the one the
-//! old controller would have made (`tests/snapshot_invariants.rs` holds
-//! this under arbitrary operation traces).
+//! field — the rack, its pool, SDM controller, hypervisors, ledgers and
+//! RMSTs — so that every subsequent decision is the one the old
+//! controller would have made (`tests/snapshot_invariants.rs` holds this
+//! under arbitrary operation traces).
 //!
 //! The byte format is the deterministic [`dredbox_snap`] codec behind a
 //! small container header: magic bytes, a format version, then the
 //! snapped system. The workspace's serde is a no-op marker stub, so the
 //! hand-rolled codec is the only wire format there is.
+//!
+//! Version 1 was written when one system federated many racks, and a
+//! system still writes it: a one-element rack list, a one-rack cluster
+//! section carrying the rack's digest, and the brick stride. All three are
+//! derived on capture, and decoding rejects a stream whose recorded values
+//! disagree with the rack it carries ([`SnapError::Inconsistent`]), so a
+//! hostile stream cannot smuggle in a second rack, an empty rack list or a
+//! zero stride. `tests/fixtures/` pins a stream written before the change.
 
 use dredbox_snap::{Reader, Snap, SnapError};
 
@@ -106,14 +114,7 @@ mod tests {
         let restored = SystemSnapshot::from_bytes(&bytes).unwrap().into_system();
         assert_eq!(restored, system);
 
-        // The restored system's indexes must equal from-scratch rebuilds.
-        for rack in 0..system.rack_count() {
-            let rack = dredbox_bricks::RackId(rack as u16);
-            assert_eq!(
-                restored.rebuild_rack_digest(rack),
-                system.rebuild_rack_digest(rack)
-            );
-        }
+        assert_eq!(restored.digest(), system.digest());
 
         // And behave identically afterwards.
         let mut live = system.clone();

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::{Bitstream, BrickId, BrickKind, PortId, PowerState, Rack, RackId};
 use dredbox_interconnect::{LatencyBreakdown, PathKind, RemoteMemoryPath};
-use dredbox_memory::{HotplugModel, MemoryError};
+use dredbox_memory::HotplugModel;
 use dredbox_optical::{OpticalCircuitSwitch, OpticalTopology};
 use dredbox_orchestrator::power_mgmt::PowerSweep;
 use dredbox_orchestrator::{
@@ -18,6 +18,7 @@ use dredbox_orchestrator::{
 use dredbox_sim::arena::{SlotArena, SlotKey};
 use dredbox_sim::time::SimDuration;
 use dredbox_sim::units::{ByteSize, Watts};
+use dredbox_snap::{Reader, Snap, SnapError};
 use dredbox_softstack::{BaremetalOs, Hypervisor, ScaleUpController, SoftstackError, VmId, VmSpec};
 use dredbox_workload::OffloadDemand;
 
@@ -37,8 +38,6 @@ impl fmt::Display for VmHandle {
 /// this (compute brick, dMEMBRICK) pair are where contention accrues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ReadRoute {
-    /// Rack the circuit lives in.
-    pub rack: RackId,
     /// Source dCOMPUBRICK.
     pub compute: BrickId,
     /// Destination dMEMBRICK backing the VM's initial allocation.
@@ -56,11 +55,6 @@ pub struct MigrationReport {
     pub from: BrickId,
     /// The brick now hosting it.
     pub to: BrickId,
-    /// The rack the VM left.
-    pub from_rack: RackId,
-    /// The rack now hosting it (differs from `from_rack` only for
-    /// cross-rack migrations, where memory cannot stay resident).
-    pub to_rack: RackId,
     /// Brick-local working state that actually crossed the migration link.
     pub moved_local_state: ByteSize,
     /// Guest memory that stayed resident on its dMEMBRICKs.
@@ -89,8 +83,6 @@ pub struct OffloadReport {
     pub compute_brick: BrickId,
     /// The accelerator brick serving the session.
     pub accel_brick: BrickId,
-    /// The rack both bricks live in (offload circuits never cross racks).
-    pub rack: RackId,
     /// The kernel that ran.
     pub kernel: String,
     /// Input data streamed through the kernel.
@@ -226,70 +218,17 @@ struct PoweredCounts {
     accel: u32,
 }
 
-/// One federated rack: its physical bricks, optical cabling and SDM
-/// controller. The cluster controller above never reads per-brick state —
-/// only the [`RackDigest`] derived from the domain's own indexes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct RackDomain {
-    rack: Rack,
-    topology: OpticalTopology,
-    sdm: SdmController,
-    powered: PoweredCounts,
-}
-
-impl RackDomain {
-    /// The rack's capacity digest, read off the incrementally maintained
-    /// indexes in `O(1)`/`O(keys)` — the cost of keeping the cluster
-    /// view in lockstep with every orchestration operation.
-    fn digest(&self, draw_mw: &[u64; 3]) -> RackDigest {
-        let capacity = self.sdm.capacity();
-        let pool = self.sdm.pool();
-        let accel = self.sdm.accel();
-        RackDigest {
-            free_cores: capacity.powered_free_cores(),
-            largest_free_cores: capacity.largest_powered_free(),
-            largest_sleeping_cores: capacity.largest_sleeping_total(),
-            free_memory_bytes: pool.total_free().as_bytes(),
-            largest_segment_bytes: pool.largest_free_block().as_bytes(),
-            idle_accels: accel.idle_count() as u32,
-            accel_bricks: accel.len() as u32,
-            active_bricks: capacity.active_brick_count() as u32,
-            powered_bricks: self.powered.compute + self.powered.memory + self.powered.accel,
-            provisioned_milliwatts: u64::from(self.powered.compute) * draw_mw[0]
-                + u64::from(self.powered.memory) * draw_mw[1]
-                + u64::from(self.powered.accel) * draw_mw[2],
-        }
-    }
-}
-
-/// Where the cluster controller admitted a VM, and what it took to get
-/// there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AdmissionOutcome {
-    /// Handle of the admitted VM.
-    pub vm: VmHandle,
-    /// The rack that accepted it.
-    pub rack: RackId,
-    /// Racks that rejected the request before this one accepted it
-    /// (inter-rack spillover).
-    pub spillovers: u32,
-    /// Racks skipped at routing time because their provisioned power had
-    /// reached the rack budget.
-    pub power_deferrals: u32,
-}
-
 /// What recovering from one dCOMPUBRICK crash did: every VM the brick
 /// hosted was drained of its offload sessions, then migrated away within
-/// the rack (memory stays resident on its dMEMBRICKs), restarted on
-/// another rack (a full copy), or — when nowhere fits — stranded as an
-/// orphan whose pool segments await [`DredboxSystem::reclaim_orphans`].
+/// the rack (memory stays resident on its dMEMBRICKs) or — when no brick
+/// fits — stranded as an orphan whose pool segments await
+/// [`DredboxSystem::reclaim_orphans`]. Restarting a stranded guest on
+/// another rack is the cluster tier's job, not the rack's.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComputeFaultReport {
     /// VMs moved within the rack, memory left resident.
     pub migrated: u32,
-    /// VMs restarted on another rack via cluster spillover.
-    pub restarted: u32,
-    /// VMs lost: no surviving brick anywhere could host them.
+    /// VMs lost: no surviving brick in the rack could host them.
     pub lost: u32,
     /// Offload sessions force-ended because their VM had to move.
     pub sessions_dropped: u32,
@@ -352,24 +291,24 @@ pub struct OrphanReclaim {
 /// ordinal that selected it (so the matching repair finds exactly it).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct SeveredLink {
-    rack: u16,
     ordinal: u32,
     port: PortId,
     switch_port: u16,
 }
 
-/// The assembled dReDBox system: one or more racks federated under a
-/// cluster controller.
+/// The assembled dReDBox system: one rack — its physical bricks, optical
+/// cabling, SDM controller and software stack — behind one API. Racks
+/// federate one tier up, in the scenario engine's cluster world, which
+/// reads each rack only through its [`RackDigest`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DredboxSystem {
     config: SystemConfig,
-    /// The federated racks, indexed by rack id.
-    racks: Vec<RackDomain>,
-    /// The cluster tier: the per-rack digests routing reads.
-    cluster: ClusterController,
-    /// Brick-id namespace stride between consecutive racks
-    /// (= bricks per rack), so `rack_of` is a division instead of a map.
-    brick_stride: u32,
+    rack: Rack,
+    topology: OpticalTopology,
+    sdm: SdmController,
+    /// Physically powered-on bricks per kind, the basis of the digest's
+    /// provisioned power.
+    powered: PoweredCounts,
     /// Active draw per brick kind in milliwatts `[compute, memory, accel]`,
     /// the provisioned-power constants from the catalog.
     kind_draw_mw: [u64; 3],
@@ -400,106 +339,93 @@ pub struct DredboxSystem {
 }
 
 impl DredboxSystem {
-    /// Builds every rack, cables each to its optical switch, boots a
-    /// hypervisor on every dCOMPUBRICK, registers everything with the
-    /// rack's SDM controller and federates the racks under the cluster
+    /// Builds the rack, cables it to its optical switch, boots a hypervisor
+    /// on every dCOMPUBRICK and registers everything with the rack's SDM
     /// controller.
     ///
     /// # Errors
     ///
-    /// Fails when the configuration asks for zero racks.
+    /// Fails unless the configuration asks for exactly one rack: a
+    /// multi-rack configuration federates one [`DredboxSystem`] per rack
+    /// under the scenario engine's cluster tier.
     pub fn build(config: SystemConfig) -> Result<Self, SystemError> {
-        if config.racks == 0 {
+        if config.racks != 1 {
             return Err(SystemError::InvalidConfig {
-                reason: "a system needs at least one rack".to_owned(),
+                reason: format!(
+                    "a system is one rack (got {}); federate racks one tier up",
+                    config.racks
+                ),
             });
         }
-        let brick_stride = config.bricks_per_rack().max(1) as u32;
+        let rack = config.catalog.build_rack(
+            config.trays,
+            config.compute_per_tray,
+            config.memory_per_tray,
+            config.accel_per_tray,
+        );
+        let topology = OpticalTopology::cable_rack(&rack, OpticalCircuitSwitch::polatis_48());
+        let mut sdm = SdmController::new(
+            config.memory_policy,
+            config.placement,
+            config.sdm_timings,
+            config.latency.clone(),
+        );
         let mut hypervisors: Vec<Option<Hypervisor>> = Vec::new();
-        let mut racks = Vec::with_capacity(usize::from(config.racks));
-        for rack_index in 0..config.racks {
-            let rack = config.catalog.build_rack_in(
-                RackId(rack_index),
-                BrickId(u32::from(rack_index) * brick_stride),
-                config.trays,
-                config.compute_per_tray,
-                config.memory_per_tray,
-                config.accel_per_tray,
-            );
-            let topology = OpticalTopology::cable_rack(&rack, OpticalCircuitSwitch::polatis_48());
-            let mut sdm = SdmController::new(
-                config.memory_policy,
-                config.placement,
-                config.sdm_timings,
-                config.latency.clone(),
-            );
-            let mut powered = PoweredCounts::default();
-            for brick in rack.bricks() {
-                match brick.kind() {
-                    BrickKind::Compute => {
-                        let compute = brick.as_compute().expect("kind checked");
-                        sdm.register_compute_brick(
-                            compute.id(),
-                            compute.spec().apu_cores,
-                            compute.spec().gth_ports,
-                        );
-                        let os = BaremetalOs::new(
-                            compute.id(),
-                            compute.spec().local_memory,
-                            HotplugModel::dredbox_default(),
-                        );
-                        let slot = compute.id().0 as usize;
-                        if hypervisors.len() <= slot {
-                            hypervisors.resize_with(slot + 1, || None);
-                        }
-                        hypervisors[slot] = Some(Hypervisor::new(os, compute.spec().apu_cores));
-                        powered.compute += 1;
+        let mut powered = PoweredCounts::default();
+        for brick in rack.bricks() {
+            match brick.kind() {
+                BrickKind::Compute => {
+                    let compute = brick.as_compute().expect("kind checked");
+                    sdm.register_compute_brick(
+                        compute.id(),
+                        compute.spec().apu_cores,
+                        compute.spec().gth_ports,
+                    );
+                    let os = BaremetalOs::new(
+                        compute.id(),
+                        compute.spec().local_memory,
+                        HotplugModel::dredbox_default(),
+                    );
+                    let slot = compute.id().0 as usize;
+                    if hypervisors.len() <= slot {
+                        hypervisors.resize_with(slot + 1, || None);
                     }
-                    BrickKind::Memory => {
-                        let memory = brick.as_memory().expect("kind checked");
-                        sdm.register_membrick(memory.id(), memory.capacity());
-                        powered.memory += 1;
-                    }
-                    BrickKind::Accelerator => {
-                        // Accelerators are a scheduled resource class like the
-                        // other bricks: register the PCAP programming bandwidth
-                        // (the reprogram-cost key) and one streaming slot per
-                        // GTH transceiver with the SDM controller.
-                        let accel = brick.as_accelerator().expect("kind checked");
-                        sdm.register_accel_brick(
-                            accel.id(),
-                            accel.spec().pcap_bandwidth,
-                            u32::from(accel.spec().gth_ports),
-                        );
-                        powered.accel += 1;
-                    }
+                    hypervisors[slot] = Some(Hypervisor::new(os, compute.spec().apu_cores));
+                    powered.compute += 1;
+                }
+                BrickKind::Memory => {
+                    let memory = brick.as_memory().expect("kind checked");
+                    sdm.register_membrick(memory.id(), memory.capacity());
+                    powered.memory += 1;
+                }
+                BrickKind::Accelerator => {
+                    // Accelerators are a scheduled resource class like the
+                    // other bricks: register the PCAP programming bandwidth
+                    // (the reprogram-cost key) and one streaming slot per
+                    // GTH transceiver with the SDM controller.
+                    let accel = brick.as_accelerator().expect("kind checked");
+                    sdm.register_accel_brick(
+                        accel.id(),
+                        accel.spec().pcap_bandwidth,
+                        u32::from(accel.spec().gth_ports),
+                    );
+                    powered.accel += 1;
                 }
             }
-            racks.push(RackDomain {
-                rack,
-                topology,
-                sdm,
-                powered,
-            });
         }
 
-        let kind_draw_mw = [
-            (config.catalog.compute_spec().power.active().as_watts() * 1e3).round() as u64,
-            (config.catalog.memory_spec().power.active().as_watts() * 1e3).round() as u64,
-            (config.catalog.accelerator_spec().power.active().as_watts() * 1e3).round() as u64,
-        ];
-        let mut cluster = ClusterController::new(config.placement);
-        cluster.set_rack_budget(config.rack_power_budget);
+        let kind_draw_mw = Self::kind_draw_mw(&config);
         let read_path = match config.path {
             PathKind::CircuitSwitched => RemoteMemoryPath::circuit_switched(config.latency.clone()),
             PathKind::PacketSwitched => RemoteMemoryPath::packet_switched(config.latency.clone()),
         };
-        let mut system = DredboxSystem {
+        Ok(DredboxSystem {
             scaleup: ScaleUpController::new(config.scaleup_timings),
             config,
-            racks,
-            cluster,
-            brick_stride,
+            rack,
+            topology,
+            sdm,
+            powered,
             kind_draw_mw,
             hypervisors,
             power: PowerManager::new(),
@@ -509,11 +435,7 @@ impl DredboxSystem {
             orphans: Vec::new(),
             severed_links: Vec::new(),
             read_path,
-        };
-        for idx in 0..system.racks.len() {
-            system.refresh_digest(idx);
-        }
-        Ok(system)
+        })
     }
 
     /// The system configuration.
@@ -521,141 +443,50 @@ impl DredboxSystem {
         &self.config
     }
 
-    /// The physical rack (rack 0 of a multi-rack system — the accessor
-    /// every single-rack call site keeps using unchanged).
+    /// The physical rack.
     pub fn rack(&self) -> &Rack {
-        &self.racks[0].rack
+        &self.rack
     }
 
-    /// The optical topology and circuit manager of rack 0.
+    /// The rack's optical topology and circuit manager.
     pub fn topology(&self) -> &OpticalTopology {
-        &self.racks[0].topology
+        &self.topology
     }
 
-    /// The SDM controller of rack 0.
+    /// The rack's SDM controller.
     pub fn sdm(&self) -> &SdmController {
-        &self.racks[0].sdm
+        &self.sdm
     }
 
-    /// The cluster controller federating the racks.
-    pub fn cluster(&self) -> &ClusterController {
-        &self.cluster
-    }
-
-    /// Fleet-level provisioned-power accounting for the TCO study: the
-    /// cluster controller's per-rack draws (read off the capacity digests,
-    /// never the bricks) plus the enforced rack budget, packaged as the
-    /// live-system feed of the Section VI energy argument.
-    pub fn fleet_power(&self) -> dredbox_tco::FleetPower {
-        dredbox_tco::FleetPower::new(
-            self.cluster.provisioned_per_rack(),
-            self.cluster.rack_budget(),
-        )
-    }
-
-    /// Number of federated racks.
-    pub fn rack_count(&self) -> usize {
-        self.racks.len()
-    }
-
-    /// The rack a brick belongs to (a division — brick ids are
-    /// stride-aligned per rack).
-    pub fn rack_of(&self, brick: BrickId) -> RackId {
-        RackId((brick.0 / self.brick_stride) as u16)
-    }
-
-    /// The physical rack with the given id, if any.
-    pub fn rack_at(&self, rack: RackId) -> Option<&Rack> {
-        self.racks.get(usize::from(rack.0)).map(|d| &d.rack)
-    }
-
-    /// The SDM controller of the given rack, if any.
-    pub fn sdm_of(&self, rack: RackId) -> Option<&SdmController> {
-        self.racks.get(usize::from(rack.0)).map(|d| &d.sdm)
-    }
-
-    /// Index of the rack domain owning `brick`.
-    fn rack_index(&self, brick: BrickId) -> usize {
-        (brick.0 / self.brick_stride) as usize
-    }
-
-    /// Recomputes one rack's digest off its maintained indexes and
-    /// republishes it to the cluster controller — the lockstep refresh run
-    /// after every mutating orchestration operation.
-    fn refresh_digest(&mut self, idx: usize) {
-        let digest = self.racks[idx].digest(&self.kind_draw_mw);
-        self.cluster.upsert(RackId(idx as u16), digest);
-    }
-
-    /// Rebuilds one rack's digest from per-brick state (capacity slots,
-    /// pool allocators, accelerator slots, physical power states) instead
-    /// of the maintained aggregates — the from-scratch reference the
-    /// cluster-invariant property tests compare against.
-    pub fn rebuild_rack_digest(&self, rack: RackId) -> Option<RackDigest> {
-        let domain = self.racks.get(usize::from(rack.0))?;
-        let mut free_cores = 0u64;
-        let mut largest_free_cores = 0u32;
-        let mut largest_sleeping_cores = 0u32;
-        let mut active_bricks = 0u32;
-        for view in domain.sdm.capacity().views() {
-            if view.powered_on {
-                free_cores += u64::from(view.free_cores);
-                largest_free_cores = largest_free_cores.max(view.free_cores);
-                if view.active {
-                    active_bricks += 1;
-                }
-            } else {
-                largest_sleeping_cores = largest_sleeping_cores.max(view.total_cores);
-            }
+    /// The rack's capacity digest — what the cluster tier routes on — read
+    /// off the SDM controller's maintained indexes and the powered ledger
+    /// in `O(1)`/`O(keys)`, never off per-brick state.
+    pub fn digest(&self) -> RackDigest {
+        let capacity = self.sdm.capacity();
+        let pool = self.sdm.pool();
+        let accel = self.sdm.accel();
+        // Saturating, so a hostile snapshot's counts cannot overflow the
+        // check that decoding runs on them; real racks never get close.
+        let [compute_mw, memory_mw, accel_mw] = self.kind_draw_mw;
+        let powered = self.powered;
+        RackDigest {
+            free_cores: capacity.powered_free_cores(),
+            largest_free_cores: capacity.largest_powered_free(),
+            largest_sleeping_cores: capacity.largest_sleeping_total(),
+            free_memory_bytes: pool.total_free().as_bytes(),
+            largest_segment_bytes: pool.largest_free_block().as_bytes(),
+            idle_accels: accel.idle_count() as u32,
+            accel_bricks: accel.len() as u32,
+            active_bricks: capacity.active_brick_count() as u32,
+            powered_bricks: powered
+                .compute
+                .saturating_add(powered.memory)
+                .saturating_add(powered.accel),
+            provisioned_milliwatts: u64::from(powered.compute)
+                .saturating_mul(compute_mw)
+                .saturating_add(u64::from(powered.memory).saturating_mul(memory_mw))
+                .saturating_add(u64::from(powered.accel).saturating_mul(accel_mw)),
         }
-        let mut free_memory_bytes = 0u64;
-        let mut largest_segment_bytes = 0u64;
-        for membrick in domain.rack.brick_ids(BrickKind::Memory) {
-            free_memory_bytes += domain
-                .sdm
-                .pool()
-                .free_on(membrick)
-                .map_or(0, |b| b.as_bytes());
-            largest_segment_bytes = largest_segment_bytes.max(
-                domain
-                    .sdm
-                    .pool()
-                    .largest_free_on(membrick)
-                    .map_or(0, |b| b.as_bytes()),
-            );
-        }
-        let accel_bricks = domain.sdm.accel().len() as u32;
-        let idle_accels = domain
-            .sdm
-            .accel()
-            .slots()
-            .filter(|(_, s)| s.active_sessions == 0)
-            .count() as u32;
-        let mut powered = PoweredCounts::default();
-        for brick in domain.rack.bricks() {
-            let (state, bucket) = match brick {
-                dredbox_bricks::Brick::Compute(b) => (b.power_state(), &mut powered.compute),
-                dredbox_bricks::Brick::Memory(b) => (b.power_state(), &mut powered.memory),
-                dredbox_bricks::Brick::Accelerator(b) => (b.power_state(), &mut powered.accel),
-            };
-            if state != PowerState::Off {
-                *bucket += 1;
-            }
-        }
-        Some(RackDigest {
-            free_cores,
-            largest_free_cores,
-            largest_sleeping_cores,
-            free_memory_bytes,
-            largest_segment_bytes,
-            idle_accels,
-            accel_bricks,
-            active_bricks,
-            powered_bricks: powered.compute + powered.memory + powered.accel,
-            provisioned_milliwatts: u64::from(powered.compute) * self.kind_draw_mw[0]
-                + u64::from(powered.memory) * self.kind_draw_mw[1]
-                + u64::from(powered.accel) * self.kind_draw_mw[2],
-        })
     }
 
     /// The hypervisor running on a given compute brick.
@@ -700,143 +531,18 @@ impl DredboxSystem {
     }
 
     /// Allocates a VM with `vcpus` cores and `memory` of disaggregated
-    /// memory. Returns a handle to the new VM.
+    /// memory: the rack's SDM controller places and reserves, the
+    /// hypervisor boots the guest, and the physical rack mirrors the grant.
+    /// Returns a handle to the new VM.
     ///
     /// # Errors
     ///
     /// Fails when no compute brick has the cores or the pool lacks the
-    /// memory.
+    /// memory; a rejection rolls everything back.
     pub fn allocate_vm(&mut self, vcpus: u32, memory: ByteSize) -> Result<VmHandle, SystemError> {
-        self.allocate_vm_routed(vcpus, memory).map(|o| o.vm)
-    }
-
-    /// Allocates a VM through the cluster tier: the controller routes the
-    /// request to the best rack off the capacity digests (one pass over the
-    /// racks' digests, never a per-brick scan), and the chosen rack's SDM controller
-    /// places it. When the routed rack rejects — its digest admitted a
-    /// fragmented memory layout the pool cannot actually serve — the
-    /// request spills over to the remaining admitting racks in preference
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Fails when every candidate rack rejects the request.
-    pub fn allocate_vm_routed(
-        &mut self,
-        vcpus: u32,
-        memory: ByteSize,
-    ) -> Result<AdmissionOutcome, SystemError> {
-        let route = self.cluster.route(vcpus, memory);
-        // No rack's digest admits the request: the compute screen is exact
-        // and the memory screen necessary, so attempting anyway on the
-        // first schedulable rack reproduces the error a single-rack system
-        // would report (capacity exhausted / pool short) with full
-        // fidelity.
-        let first = match route.rack {
-            Some(rack) => rack,
-            None => (0..self.racks.len())
-                .map(|i| RackId(i as u16))
-                .find(|r| self.cluster.is_schedulable(*r))
-                .ok_or(SystemError::Orchestrator(
-                    OrchestratorError::NoComputeCapacity {
-                        requested_vcpus: vcpus,
-                    },
-                ))?,
-        };
-        let mut outcome = self.allocate_vm_preferring(first, vcpus, memory)?;
-        outcome.power_deferrals += route.power_deferrals;
-        Ok(outcome)
-    }
-
-    /// [`DredboxSystem::allocate_vm_routed`] with the first candidate rack
-    /// pinned — the spillover engine: tries `first`, then every other
-    /// admitting rack in the cluster policy's preference order, counting
-    /// each rejection as one spillover hop.
-    ///
-    /// # Errors
-    ///
-    /// Fails with the last rack's rejection when every candidate rejects.
-    pub fn allocate_vm_preferring(
-        &mut self,
-        first: RackId,
-        vcpus: u32,
-        memory: ByteSize,
-    ) -> Result<AdmissionOutcome, SystemError> {
-        let mut spillovers = 0u32;
-        let mut last_err = None;
-        // Typical case: the routed rack accepts and the admission makes no
-        // spillover pick — the per-decision cost stays the one digest pass.
-        if usize::from(first.0) < self.racks.len() {
-            match self.try_allocate_on(usize::from(first.0), vcpus, memory) {
-                Ok(vm) => {
-                    return Ok(AdmissionOutcome {
-                        vm,
-                        rack: first,
-                        spillovers,
-                        power_deferrals: 0,
-                    });
-                }
-                Err(e) => {
-                    spillovers += 1;
-                    last_err = Some(e);
-                }
-            }
-        }
-        // The routed rack refused (its digest admitted a fragmented layout
-        // the pool could not serve): spill to the best rack not yet tried.
-        // A failed attempt refreshes no digest but the attempted rack's,
-        // and every attempted rack is skipped, so the picks visit racks in
-        // exactly the preference order a materialized list would hold.
-        let mut refused: Vec<RackId> = Vec::new();
-        while let Some(rack) = self
-            .cluster
-            .pick(vcpus, memory, |r| r == first || refused.contains(&r))
-            .rack
-        {
-            refused.push(rack);
-            match self.try_allocate_on(usize::from(rack.0), vcpus, memory) {
-                Ok(vm) => {
-                    return Ok(AdmissionOutcome {
-                        vm,
-                        rack,
-                        spillovers,
-                        power_deferrals: 0,
-                    });
-                }
-                Err(e) => {
-                    spillovers += 1;
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.unwrap_or(SystemError::Orchestrator(
-            OrchestratorError::NoComputeCapacity {
-                requested_vcpus: vcpus,
-            },
-        )))
-    }
-
-    /// One rack-local admission attempt: the rack's SDM controller places
-    /// and reserves, the hypervisor boots the guest, and the physical rack
-    /// mirrors the grant. Rejections roll everything back; both outcomes
-    /// republish the rack's digest (a rejected placement can still have
-    /// woken a brick's availability flag).
-    fn try_allocate_on(
-        &mut self,
-        idx: usize,
-        vcpus: u32,
-        memory: ByteSize,
-    ) -> Result<VmHandle, SystemError> {
-        let (brick, grant) = match self.racks[idx]
+        let (brick, grant) = self
             .sdm
-            .allocate_vm(VmAllocationRequest::new(vcpus, memory))
-        {
-            Ok(placed) => placed,
-            Err(e) => {
-                self.refresh_digest(idx);
-                return Err(e.into());
-            }
-        };
+            .allocate_vm(VmAllocationRequest::new(vcpus, memory))?;
         let Some(hv) = self
             .hypervisors
             .get_mut(brick.0 as usize)
@@ -845,9 +551,8 @@ impl DredboxSystem {
             // The SDM only places on registered bricks, so this divergence
             // is only reachable through fault injection; roll the
             // reservation back instead of crashing the control plane.
-            let _ = self.racks[idx].sdm.release_scale_up(&grant);
-            let _ = self.racks[idx].sdm.release_vm(brick, vcpus);
-            self.refresh_digest(idx);
+            let _ = self.sdm.release_scale_up(&grant);
+            let _ = self.sdm.release_vm(brick, vcpus);
             return Err(SystemError::MissingHypervisor { brick });
         };
         // The grant's memory becomes visible to the baremetal OS, then the
@@ -857,18 +562,16 @@ impl DredboxSystem {
             Ok(v) => v,
             Err(e) => {
                 let _ = hv.os_mut().offline_remote(grant.grant.total());
-                let _ = self.racks[idx].sdm.release_scale_up(&grant);
+                let _ = self.sdm.release_scale_up(&grant);
                 // The SDM controller already committed the cores for this
                 // VM; hand them back too or the brick's capacity shrinks
                 // forever.
-                let _ = self.racks[idx].sdm.release_vm(brick, vcpus);
-                self.refresh_digest(idx);
+                let _ = self.sdm.release_vm(brick, vcpus);
                 return Err(e.into());
             }
         };
-        self.apply_grant_to_rack(idx, brick, &grant);
-        self.racks[idx]
-            .rack
+        self.apply_grant_to_rack(brick, &grant);
+        self.rack
             .brick_mut(brick)
             .and_then(|b| b.as_compute_mut())
             .map(|c| c.allocate_cores(vcpus))
@@ -885,7 +588,6 @@ impl DredboxSystem {
             grants: vec![grant],
             offloads: Vec::new(),
         });
-        self.refresh_digest(idx);
         Ok(VmHandle(key.to_u64()))
     }
 
@@ -904,36 +606,25 @@ impl DredboxSystem {
             Some(r) => (r.brick, r.vm),
             None => return Err(SystemError::NoSuchVm { handle }),
         };
-        let idx = self.rack_index(brick);
-        let grant = match self.racks[idx]
+        let grant = self
             .sdm
-            .handle_scale_up(ScaleUpDemand::new(brick, amount))
-        {
-            Ok(g) => g,
-            Err(e) => {
-                self.refresh_digest(idx);
-                return Err(e.into());
-            }
-        };
+            .handle_scale_up(ScaleUpDemand::new(brick, amount))?;
         let Some(hv) = self
             .hypervisors
             .get_mut(brick.0 as usize)
             .and_then(|h| h.as_mut())
         else {
-            let _ = self.racks[idx].sdm.release_scale_up(&grant);
-            self.refresh_digest(idx);
+            let _ = self.sdm.release_scale_up(&grant);
             return Err(SystemError::MissingHypervisor { brick });
         };
         let outcome = match self.scaleup.apply_grant(hv, vm, amount) {
             Ok(o) => o,
             Err(e) => {
-                let _ = self.racks[idx].sdm.release_scale_up(&grant);
-                self.refresh_digest(idx);
+                let _ = self.sdm.release_scale_up(&grant);
                 return Err(e.into());
             }
         };
-        self.apply_grant_to_rack(idx, brick, &grant);
-        self.refresh_digest(idx);
+        self.apply_grant_to_rack(brick, &grant);
 
         let report = ScaleUpReport {
             vm: handle,
@@ -966,7 +657,6 @@ impl DredboxSystem {
             .get(handle_key(handle))
             .ok_or(SystemError::NoSuchVm { handle })?;
         let (brick, vm) = (record.brick, record.vm);
-        let idx = self.rack_index(brick);
         // Find the most recent grant that matches the requested amount.
         let Some(pos) = record
             .grants
@@ -1009,7 +699,7 @@ impl DredboxSystem {
                 return Err(e.into());
             }
         };
-        let orch = match self.racks[idx].sdm.release_scale_up(&grant) {
+        let orch = match self.sdm.release_scale_up(&grant) {
             Ok(o) => o,
             Err(e) => {
                 self.vms
@@ -1017,12 +707,10 @@ impl DredboxSystem {
                     .expect("checked above")
                     .grants
                     .insert(pos, grant);
-                self.refresh_digest(idx);
                 return Err(e.into());
             }
         };
-        self.remove_grant_from_rack(idx, brick, &grant);
-        self.refresh_digest(idx);
+        self.remove_grant_from_rack(brick, &grant);
 
         Ok(ScaleUpReport {
             vm: handle,
@@ -1064,15 +752,6 @@ impl DredboxSystem {
                 OrchestratorError::InvalidMigration { from, to },
             ));
         }
-        // This is the intra-rack path: memory stays resident only while
-        // source and destination share the rack's optical fabric. Cross-rack
-        // moves go through [`DredboxSystem::migrate_vm_cross_rack`].
-        if self.rack_of(from) != self.rack_of(to) {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::InvalidMigration { from, to },
-            ));
-        }
-        let idx = self.rack_index(from);
         let guest_memory = self
             .hypervisor(from)
             .and_then(|hv| hv.vm(vm_id))
@@ -1099,13 +778,7 @@ impl DredboxSystem {
             .get(handle_key(handle))
             .expect("checked above")
             .grants;
-        let outcome = match self.racks[idx].sdm.migrate_vm(from, to, vcpus, grants_ref) {
-            Ok(o) => o,
-            Err(e) => {
-                self.refresh_digest(idx);
-                return Err(e.into());
-            }
-        };
+        let outcome = self.sdm.migrate_vm(from, to, vcpus, grants_ref)?;
 
         // From here on nothing fails: take the old grants out of the record
         // (they are replaced by the rebased set below) instead of cloning
@@ -1146,14 +819,13 @@ impl DredboxSystem {
 
         // Rack-level bookkeeping: cores and remote attachments follow the
         // VM; the dMEMBRICK exports are re-pointed at the new consumer.
-        let domain = &mut self.racks[idx];
-        if let Some(c) = domain.rack.brick_mut(from).and_then(|b| b.as_compute_mut()) {
+        if let Some(c) = self.rack.brick_mut(from).and_then(|b| b.as_compute_mut()) {
             let _ = c.detach_remote_memory(preserved);
             let _ = c.release_cores(vcpus);
         }
-        if let Some(c) = domain.rack.brick_mut(to).and_then(|b| b.as_compute_mut()) {
+        if let Some(c) = self.rack.brick_mut(to).and_then(|b| b.as_compute_mut()) {
             if c.power_state() == PowerState::Off {
-                domain.powered.compute += 1;
+                self.powered.compute += 1;
             }
             c.power_on();
             c.attach_remote_memory(preserved);
@@ -1161,7 +833,7 @@ impl DredboxSystem {
         }
         for grant in &grants {
             for segment in grant.grant.segments() {
-                if let Some(m) = domain
+                if let Some(m) = self
                     .rack
                     .brick_mut(segment.membrick)
                     .and_then(|b| b.as_memory_mut())
@@ -1179,7 +851,6 @@ impl DredboxSystem {
         rec.vm = new_vm;
         rec.grants = outcome.rebased;
 
-        self.refresh_digest(idx);
         let local_state = self.config.migration.local_state(vcpus);
         let downtime =
             self.config.migration.disaggregated_migration(local_state) + outcome.service_time;
@@ -1187,222 +858,12 @@ impl DredboxSystem {
             vm: handle,
             from,
             to,
-            from_rack: RackId(idx as u16),
-            to_rack: RackId(idx as u16),
             moved_local_state: local_state,
             preserved_memory: preserved,
             orchestration_delay: outcome.service_time,
             downtime,
             conventional_precopy: self.config.migration.conventional_migration(guest_memory),
         })
-    }
-
-    /// Migrates a VM wholesale to another rack: the destination rack's SDM
-    /// controller places it fresh (cores and new memory segments from the
-    /// destination pool), the hypervisors hand the guest over, and the
-    /// source rack releases everything. Unlike the intra-rack path there is
-    /// no shared optical fabric between racks, so **no memory stays
-    /// resident**: the guest's whole footprint crosses the inter-rack link,
-    /// and the downtime is the conventional full-copy cost plus the two
-    /// control planes' orchestration — the honest physics of leaving the
-    /// rack, and the price [`DredboxSystem::drain_rack`] pays per VM.
-    ///
-    /// # Errors
-    ///
-    /// Fails without mutating any state if the handle is unknown or pinned
-    /// by offload sessions, the rack is unknown or the VM's own, or the
-    /// destination rack cannot host the VM.
-    pub fn migrate_vm_cross_rack(
-        &mut self,
-        handle: VmHandle,
-        to_rack: RackId,
-    ) -> Result<MigrationReport, SystemError> {
-        let record = self
-            .vms
-            .get(handle_key(handle))
-            .ok_or(SystemError::NoSuchVm { handle })?;
-        let (from, vm_id, vcpus) = (record.brick, record.vm, record.vcpus);
-        let from_rack = self.rack_of(from);
-        let dst = usize::from(to_rack.0);
-        if !record.offloads.is_empty() || dst >= self.racks.len() || to_rack == from_rack {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::InvalidMigration { from, to: from },
-            ));
-        }
-        let src = usize::from(from_rack.0);
-        let guest_memory = self
-            .hypervisor(from)
-            .and_then(|hv| hv.vm(vm_id))
-            .map(|vm| vm.current_memory())
-            .ok_or(SystemError::NoSuchVm { handle })?;
-
-        // Destination control plane: place the VM as a fresh admission.
-        // Rejections leave both racks untouched (modulo a republished,
-        // identical digest).
-        let (to, grant) = match self.racks[dst]
-            .sdm
-            .allocate_vm(VmAllocationRequest::new(vcpus, guest_memory))
-        {
-            Ok(placed) => placed,
-            Err(e) => {
-                self.refresh_digest(dst);
-                return Err(e.into());
-            }
-        };
-        // Validate the destination hypervisor before any hand-over, rolling
-        // the destination reservation back if the guest will not fit.
-        let fits = self
-            .hypervisor(to)
-            .is_some_and(|hv| vcpus <= hv.free_cores());
-        if !fits {
-            let _ = self.racks[dst].sdm.release_scale_up(&grant);
-            let _ = self.racks[dst].sdm.release_vm(to, vcpus);
-            self.refresh_digest(dst);
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::NoComputeCapacity {
-                    requested_vcpus: vcpus,
-                },
-            ));
-        }
-
-        // From here on nothing fails. Softstack hand-over: online the new
-        // grant on the destination, evict the guest, retire the source's
-        // remote view, adopt on the destination.
-        let old_grants = std::mem::take(
-            &mut self
-                .vms
-                .get_mut(handle_key(handle))
-                .expect("checked above")
-                .grants,
-        );
-        let old_total: ByteSize = old_grants.iter().map(|g| g.grant.total()).sum();
-        self.hypervisors
-            .get_mut(to.0 as usize)
-            .and_then(|h| h.as_mut())
-            .expect("validated above")
-            .os_mut()
-            .online_remote(grant.grant.total());
-        let src_hv = self
-            .hypervisors
-            .get_mut(from.0 as usize)
-            .and_then(|h| h.as_mut())
-            .expect("record refers to a registered brick");
-        let guest = src_hv
-            .evict_vm(vm_id)
-            .expect("record refers to a live VM (checked above)");
-        let _ = src_hv.os_mut().offline_remote(old_total);
-        let new_vm = self
-            .hypervisors
-            .get_mut(to.0 as usize)
-            .and_then(|h| h.as_mut())
-            .expect("validated above")
-            .adopt_vm(guest)
-            .expect("destination capacity validated above");
-
-        // Source rack: release every grant and the cores, exactly as a
-        // departure would.
-        for g in &old_grants {
-            let _ = self.racks[src].sdm.release_scale_up(g);
-            self.remove_grant_from_rack(src, from, g);
-        }
-        let _ = self.racks[src].sdm.release_vm(from, vcpus);
-        if let Some(c) = self.racks[src]
-            .rack
-            .brick_mut(from)
-            .and_then(|b| b.as_compute_mut())
-        {
-            let _ = c.release_cores(vcpus);
-        }
-
-        // Destination rack: mirror the fresh grant on the physical bricks.
-        let orchestration = grant.service_time;
-        self.apply_grant_to_rack(dst, to, &grant);
-        self.racks[dst]
-            .rack
-            .brick_mut(to)
-            .and_then(|b| b.as_compute_mut())
-            .map(|c| c.allocate_cores(vcpus))
-            .transpose()
-            .ok();
-
-        let rec = self.vms.get_mut(handle_key(handle)).expect("checked above");
-        rec.brick = to;
-        rec.vm = new_vm;
-        rec.grants = vec![grant];
-
-        self.refresh_digest(src);
-        self.refresh_digest(dst);
-
-        let local_state = self.config.migration.local_state(vcpus);
-        let full_copy = self.config.migration.conventional_migration(guest_memory);
-        Ok(MigrationReport {
-            vm: handle,
-            from,
-            to,
-            from_rack,
-            to_rack,
-            moved_local_state: local_state,
-            // Nothing stays resident across racks: the guest's memory is
-            // re-allocated on the destination pool and copied over.
-            preserved_memory: ByteSize::ZERO,
-            orchestration_delay: orchestration,
-            downtime: full_copy + orchestration,
-            conventional_precopy: full_copy,
-        })
-    }
-
-    /// Drains a rack for maintenance: marks it unschedulable (the router
-    /// stops sending admissions) and evacuates its VMs cross-rack in
-    /// admission order, each to the best other rack by the current digests.
-    /// Returns the per-VM migration reports and the number of VMs left
-    /// stranded because no other rack could host them. The rack stays
-    /// unschedulable afterwards; flip it back with
-    /// [`DredboxSystem::set_rack_schedulable`].
-    pub fn drain_rack(&mut self, rack: RackId) -> (Vec<MigrationReport>, u32) {
-        self.cluster.set_schedulable(rack, false);
-        let mut reports = Vec::new();
-        let mut stranded = 0u32;
-        for handle in self.vms_on_rack(rack) {
-            let Some(record) = self.vms.get(handle_key(handle)) else {
-                continue;
-            };
-            let memory = self.vm_memory(handle).unwrap_or(ByteSize::ZERO);
-            let vcpus = record.vcpus;
-            let Some(dest) = self.cluster.pick(vcpus, memory, |r| r == rack).rack else {
-                stranded += 1;
-                continue;
-            };
-            match self.migrate_vm_cross_rack(handle, dest) {
-                Ok(report) => reports.push(report),
-                Err(_) => stranded += 1,
-            }
-        }
-        (reports, stranded)
-    }
-
-    /// VMs currently hosted anywhere on a rack, in admission order.
-    pub fn vms_on_rack(&self, rack: RackId) -> Vec<VmHandle> {
-        let mut out: Vec<(u64, VmHandle)> = self
-            .vms
-            .iter()
-            .filter(|(_, r)| self.rack_of(r.brick) == rack)
-            .map(|(key, r)| (r.seq, VmHandle(key.to_u64())))
-            .collect();
-        out.sort_unstable_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, h)| h).collect()
-    }
-
-    /// Marks a rack schedulable or not for cluster-level admission routing.
-    pub fn set_rack_schedulable(&mut self, rack: RackId, schedulable: bool) {
-        self.cluster.set_schedulable(rack, schedulable);
-    }
-
-    /// Readmits a drained rack into admission routing — the closing step of
-    /// a rolling upgrade. Returns `true` iff the rack is federated and was
-    /// actually drained; undraining an unknown or never-drained rack is a
-    /// bit-identical no-op returning `false`.
-    pub fn undrain_rack(&mut self, rack: RackId) -> bool {
-        self.cluster.undrain_rack(rack)
     }
 
     /// Begins a near-data offload session for a VM: the SDM controller
@@ -1432,20 +893,11 @@ impl DredboxSystem {
             .get(handle_key(handle))
             .ok_or(SystemError::NoSuchVm { handle })?;
         let (brick, vm) = (record.brick, record.vm);
-        let idx = self.rack_index(brick);
 
         let bitstream = Bitstream::new(demand.kernel.clone(), demand.bitstream);
-        let grant = match self.racks[idx].sdm.begin_offload(OffloadRequest::new(
-            brick,
-            bitstream.clone(),
-            demand.input,
-        )) {
-            Ok(g) => g,
-            Err(e) => {
-                self.refresh_digest(idx);
-                return Err(e.into());
-            }
-        };
+        let grant =
+            self.sdm
+                .begin_offload(OffloadRequest::new(brick, bitstream.clone(), demand.input))?;
 
         // Softstack: the VM records its issued offload. A diverged
         // hypervisor table (fault injection) rolls the session back.
@@ -1457,13 +909,11 @@ impl DredboxSystem {
         match issued {
             Some(Ok(_)) => {}
             Some(Err(e)) => {
-                let _ = self.racks[idx].sdm.end_offload(grant.session.id);
-                self.refresh_digest(idx);
+                let _ = self.sdm.end_offload(grant.session.id);
                 return Err(e.into());
             }
             None => {
-                let _ = self.racks[idx].sdm.end_offload(grant.session.id);
-                self.refresh_digest(idx);
+                let _ = self.sdm.end_offload(grant.session.id);
                 return Err(SystemError::MissingHypervisor { brick });
             }
         }
@@ -1472,14 +922,13 @@ impl DredboxSystem {
         // wake it, (re)program the slot if the controller did, start the
         // session stream.
         let accel_brick = grant.session.accel_brick;
-        let domain = &mut self.racks[idx];
-        let accel = domain
+        let accel = self
             .rack
             .brick_mut(accel_brick)
             .and_then(|b| b.as_accelerator_mut())
             .expect("SDM only places on registered accelerator bricks");
         if accel.power_state() == PowerState::Off {
-            domain.powered.accel += 1;
+            self.powered.accel += 1;
         }
         accel.power_on();
         if !grant.reused_bitstream {
@@ -1518,14 +967,12 @@ impl DredboxSystem {
             .offloads
             .push(session);
         self.offload_owners.insert(session, handle);
-        self.refresh_digest(idx);
 
         Ok(OffloadReport {
             vm: handle,
             session,
             compute_brick: brick,
             accel_brick,
-            rack: RackId(idx as u16),
             kernel: demand.kernel.clone(),
             input: demand.input,
             reused_bitstream: grant.reused_bitstream,
@@ -1553,11 +1000,7 @@ impl DredboxSystem {
             .ok_or(SystemError::Orchestrator(
                 OrchestratorError::NoSuchOffloadSession { session },
             ))?;
-        let Some(idx) = self
-            .vms
-            .get(handle_key(owner))
-            .map(|r| self.rack_index(r.brick))
-        else {
+        if self.vms.get(handle_key(owner)).is_none() {
             // The owner map outlived its VM record (a crash tore the record
             // down without draining): repair the map, report the session
             // gone.
@@ -1565,13 +1008,13 @@ impl DredboxSystem {
             return Err(SystemError::Orchestrator(
                 OrchestratorError::NoSuchOffloadSession { session },
             ));
-        };
-        let release = self.racks[idx].sdm.end_offload(session)?;
+        }
+        let release = self.sdm.end_offload(session)?;
         self.offload_owners.remove(&session);
         if let Some(record) = self.vms.get_mut(handle_key(owner)) {
             record.offloads.retain(|s| *s != session);
         }
-        if let Some(accel) = self.racks[idx]
+        if let Some(accel) = self
             .rack
             .brick_mut(release.session.accel_brick)
             .and_then(|b| b.as_accelerator_mut())
@@ -1580,7 +1023,6 @@ impl DredboxSystem {
                 .end_session()
                 .expect("rack sessions mirror controller sessions");
         }
-        self.refresh_digest(idx);
         Ok(release.service_time)
     }
 
@@ -1601,20 +1043,30 @@ impl DredboxSystem {
     /// offload session, in `[0, 1]`. Zero when the rack has no
     /// accelerators.
     pub fn accel_utilization(&self) -> f64 {
-        let total: usize = self.racks.iter().map(|d| d.sdm.accel_brick_count()).sum();
+        let total = self.sdm.accel_brick_count();
         if total == 0 {
             return 0.0;
         }
-        let idle: usize = self.racks.iter().map(|d| d.sdm.accel().idle_count()).sum();
+        let idle = self.sdm.accel().idle_count();
         (total - idle) as f64 / total as f64
+    }
+
+    /// Every live VM, in admission order.
+    pub fn vms(&self) -> Vec<VmHandle> {
+        self.vms_where(|_| true)
     }
 
     /// VMs currently hosted on a compute brick, in admission order.
     pub fn vms_on(&self, brick: BrickId) -> Vec<VmHandle> {
+        self.vms_where(|r| r.brick == brick)
+    }
+
+    /// Live VMs whose record `keep` selects, in admission order.
+    fn vms_where(&self, keep: impl Fn(&VmRecord) -> bool) -> Vec<VmHandle> {
         let mut out: Vec<(u64, VmHandle)> = self
             .vms
             .iter()
-            .filter(|(_, r)| r.brick == brick)
+            .filter(|(_, r)| keep(r))
             .map(|(key, r)| (r.seq, VmHandle(key.to_u64())))
             .collect();
         out.sort_unstable_by_key(|(seq, _)| *seq);
@@ -1627,7 +1079,7 @@ impl DredboxSystem {
     /// `None` when no such brick exists (the VM is already well placed).
     pub fn consolidation_target(&self, handle: VmHandle) -> Option<BrickId> {
         let record = self.vms.get(handle_key(handle))?;
-        let sdm = &self.racks.get(self.rack_index(record.brick))?.sdm;
+        let sdm = &self.sdm;
         let src = sdm.capacity().slot(record.brick)?;
         let to = sdm.consolidation_target(record.vcpus, record.brick)?;
         let dst = sdm.capacity().slot(to)?;
@@ -1650,21 +1102,16 @@ impl DredboxSystem {
     /// that fits it, waking a sleeping brick as a last resort.
     pub fn evacuation_target(&self, handle: VmHandle) -> Option<BrickId> {
         let record = self.vms.get(handle_key(handle))?;
-        self.racks
-            .get(self.rack_index(record.brick))?
-            .sdm
-            .evacuation_target(record.vcpus, record.brick)
+        self.sdm.evacuation_target(record.vcpus, record.brick)
     }
 
     /// Compute bricks whose used-core fraction is at or below
     /// `spare_below` while still hosting at least one VM — the
     /// consolidation sources — ascending by id.
     pub fn sparse_bricks(&self, spare_below: f64) -> Vec<BrickId> {
-        // Domains concatenate in rack order and each rack's views ascend by
-        // id, so the result stays globally ascending.
-        self.racks
-            .iter()
-            .flat_map(|d| d.sdm.capacity().views())
+        self.sdm
+            .capacity()
+            .views()
             .filter(|v| {
                 v.active
                     && v.total_cores > 0
@@ -1683,7 +1130,7 @@ impl DredboxSystem {
         // strict `>` on the cross-multiplied fractions keeps the lowest id
         // on ties (views ascend by id).
         let mut best: Option<(BrickId, u64, u64)> = None;
-        for v in self.racks.iter().flat_map(|d| d.sdm.capacity().views()) {
+        for v in self.sdm.capacity().views() {
             if !v.active || !v.powered_on || v.total_cores == 0 {
                 continue;
             }
@@ -1712,13 +1159,12 @@ impl DredboxSystem {
             .vms
             .remove(handle_key(handle))
             .ok_or(SystemError::NoSuchVm { handle })?;
-        let idx = self.rack_index(record.brick);
         // Drain the VM's live offload sessions so the accelerators, ledger
         // holds and circuits don't leak when a guest departs mid-session.
         for session in &record.offloads {
-            if let Ok(release) = self.racks[idx].sdm.end_offload(*session) {
+            if let Ok(release) = self.sdm.end_offload(*session) {
                 self.offload_owners.remove(session);
-                if let Some(accel) = self.racks[idx]
+                if let Some(accel) = self
                     .rack
                     .brick_mut(release.session.accel_brick)
                     .and_then(|b| b.as_accelerator_mut())
@@ -1740,20 +1186,19 @@ impl DredboxSystem {
             }
         }
         for grant in &record.grants {
-            let _ = self.racks[idx].sdm.release_scale_up(grant);
-            self.remove_grant_from_rack(idx, record.brick, grant);
+            let _ = self.sdm.release_scale_up(grant);
+            self.remove_grant_from_rack(record.brick, grant);
         }
         // Return the cores to the SDM controller's availability view, so the
         // brick can host future arrivals.
-        let _ = self.racks[idx].sdm.release_vm(record.brick, record.vcpus);
-        if let Some(compute) = self.racks[idx]
+        let _ = self.sdm.release_vm(record.brick, record.vcpus);
+        if let Some(compute) = self
             .rack
             .brick_mut(record.brick)
             .and_then(|b| b.as_compute_mut())
         {
             let _ = compute.release_cores(record.vcpus);
         }
-        self.refresh_digest(idx);
         Ok(())
     }
 
@@ -1763,14 +1208,13 @@ impl DredboxSystem {
         self.read_path.read(size)
     }
 
-    /// The fabric route a VM's remote reads take: its compute brick, the
-    /// dMEMBRICK backing its initial allocation, and the rack both sit in.
-    /// `None` when the handle is stale or the VM holds no remote memory.
+    /// The fabric route a VM's remote reads take: its compute brick and
+    /// the dMEMBRICK backing its initial allocation. `None` when the handle
+    /// is stale or the VM holds no remote memory.
     pub fn vm_read_route(&self, handle: VmHandle) -> Option<ReadRoute> {
         let record = self.vms.get(handle_key(handle))?;
         let membrick = record.grants.first()?.grant.segments().first()?.membrick;
         Some(ReadRoute {
-            rack: self.rack_of(record.brick),
             compute: record.brick,
             membrick,
         })
@@ -1779,120 +1223,58 @@ impl DredboxSystem {
     /// Fraction of the disaggregated memory pool currently allocated, in
     /// `[0, 1]`. Zero when the pool has no capacity.
     pub fn pool_utilization(&self) -> f64 {
-        let capacity: u64 = self
-            .racks
-            .iter()
-            .map(|d| d.sdm.pool().total_capacity().as_bytes())
-            .sum();
+        let capacity = self.sdm.pool().total_capacity().as_bytes();
         if capacity == 0 {
             return 0.0;
         }
-        let allocated: u64 = self
-            .racks
-            .iter()
-            .map(|d| d.sdm.pool().total_allocated().as_bytes())
-            .sum();
-        allocated as f64 / capacity as f64
+        self.sdm.pool().total_allocated().as_bytes() as f64 / capacity as f64
     }
 
-    /// Total bytes currently allocated from the disaggregated pool across
-    /// every rack — the conservation quantity a rolling upgrade must not
-    /// lose a byte of.
+    /// Total bytes currently allocated from the disaggregated pool — the
+    /// conservation quantity a rolling upgrade must not lose a byte of.
     pub fn pool_allocated(&self) -> ByteSize {
-        ByteSize::from_bytes(
-            self.racks
-                .iter()
-                .map(|d| d.sdm.pool().total_allocated().as_bytes())
-                .sum(),
-        )
+        self.sdm.pool().total_allocated()
     }
 
     /// Powers off every brick that currently holds no allocation, and syncs
     /// the SDM controller's availability view so placement treats the swept
     /// bricks as sleeping (waking them only as a last resort).
     pub fn power_off_unused(&mut self) -> PowerSweep {
-        self.power_off_unused_where(|_| true)
-    }
-
-    /// [`DredboxSystem::power_off_unused`] restricted to the bricks
-    /// `filter` selects — the per-shard variant: when sweeps are batched
-    /// per event-engine shard, each shard sweeps (and syncs) only its own
-    /// bricks, and the identity filter recovers the whole-rack sweep.
-    pub fn power_off_unused_where(
-        &mut self,
-        mut filter: impl FnMut(BrickId) -> bool,
-    ) -> PowerSweep {
-        let mut total = PowerSweep::default();
-        for idx in 0..self.racks.len() {
-            let sweep = self.sweep_domain(idx, &mut filter);
-            total.compute_off += sweep.compute_off;
-            total.memory_off += sweep.memory_off;
-            total.accelerator_off += sweep.accelerator_off;
-        }
-        total
-    }
-
-    /// Power sweep of a single rack with the identity filter — what the
-    /// scenario engine runs per `PowerSweep { rack }` event, so each rack's
-    /// sweep is its own control-plane operation regardless of sharding.
-    pub fn power_off_unused_in(&mut self, rack: RackId) -> PowerSweep {
-        let idx = usize::from(rack.0);
-        if idx >= self.racks.len() {
-            return PowerSweep::default();
-        }
-        self.sweep_domain(idx, &mut |_| true)
-    }
-
-    /// One rack's tracked sweep: power off its unused bricks, sync the
-    /// rack's SDM availability views, debit the powered ledger and
-    /// republish the digest.
-    fn sweep_domain(&mut self, idx: usize, filter: &mut impl FnMut(BrickId) -> bool) -> PowerSweep {
         // The sweep is the only path that powers bricks off, so syncing the
         // controller for just this sweep's newly-off bricks keeps its
         // availability view exact without re-walking every already-off brick
         // on each sweep of a long replay.
-        let domain = &mut self.racks[idx];
         let (sweep, newly_off) = self
             .power
-            .power_off_unused_tracked(&mut domain.rack, &mut *filter);
-        domain.powered.compute -= newly_off.compute.len() as u32;
-        domain.powered.memory -= newly_off.memory.len() as u32;
-        domain.powered.accel -= newly_off.accelerator.len() as u32;
+            .power_off_unused_tracked(&mut self.rack, |_| true);
+        self.powered.compute -= newly_off.compute.len() as u32;
+        self.powered.memory -= newly_off.memory.len() as u32;
+        self.powered.accel -= newly_off.accelerator.len() as u32;
         for brick in newly_off.compute {
-            let _ = domain.sdm.set_compute_power(brick, false);
+            let _ = self.sdm.set_compute_power(brick, false);
         }
         // Accelerators too: the sweep only switches off session-free bricks
         // (a streaming dACCELBRICK refuses `power_off`), and powering one
         // off drops its cached bitstream — mirrored into the controller's
         // accelerator index so placement re-programs on the next use.
         for brick in newly_off.accelerator {
-            let _ = domain.sdm.set_accel_power(brick, false);
+            let _ = self.sdm.set_accel_power(brick, false);
         }
-        self.refresh_digest(idx);
         sweep
     }
 
-    /// Current electrical draw across every rack's bricks.
+    /// Current electrical draw across the rack's bricks.
     pub fn rack_power(&self) -> Watts {
-        self.racks
-            .iter()
-            .map(|d| self.power.rack_power(&d.rack))
-            .sum()
+        self.power.rack_power(&self.rack)
     }
 
-    /// Fraction of bricks of `kind` that are currently unused, across all
-    /// racks.
+    /// Fraction of bricks of `kind` that are currently unused.
     pub fn unused_fraction(&self, kind: BrickKind) -> f64 {
-        let total: usize = self.racks.iter().map(|d| d.rack.brick_count(kind)).sum();
+        let total = self.rack.brick_count(kind);
         if total == 0 {
             return 0.0;
         }
-        let unused: usize = self
-            .racks
-            .iter()
-            .map(|d| d.rack.unused_brick_count(kind))
-            .sum();
-        unused as f64 / total as f64
+        self.rack.unused_brick_count(kind) as f64 / total as f64
     }
 
     // ------------------------------------------------------------------
@@ -1903,10 +1285,9 @@ impl DredboxSystem {
     /// hosted, in admission order: force-end the VM's offload sessions
     /// (their circuits reference the dead brick), then try an intra-rack
     /// migration (memory stays resident on the dMEMBRICKs — the
-    /// disaggregation dividend under failure), then a cross-rack restart
-    /// via cluster spillover (a full copy), and only when nothing anywhere
-    /// fits, strand the VM: its guest dies with the brick and its pool
-    /// segments stay committed as orphans until
+    /// disaggregation dividend under failure), and only when no brick of
+    /// the rack fits, strand the VM: its guest dies with the brick and its
+    /// pool segments stay committed as orphans until
     /// [`DredboxSystem::reclaim_orphans`].
     ///
     /// The physical brick's power state is untouched — a crashed brick
@@ -1921,14 +1302,7 @@ impl DredboxSystem {
         &mut self,
         brick: BrickId,
     ) -> Result<ComputeFaultReport, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::UnknownComputeBrick { brick },
-            ));
-        }
-        let newly = self.racks[idx].sdm.fail_compute_brick(brick)?;
-        self.refresh_digest(idx);
+        let newly = self.sdm.fail_compute_brick(brick)?;
         let mut report = ComputeFaultReport::default();
         if !newly {
             return Ok(report);
@@ -1946,38 +1320,9 @@ impl DredboxSystem {
                     continue;
                 }
             }
-            let vcpus = self
-                .vms
-                .get(handle_key(handle))
-                .map(|r| r.vcpus)
-                .unwrap_or(0);
-            let memory = self.vm_memory(handle).unwrap_or(ByteSize::ZERO);
-            // A failed restart refreshes only its destination's digest, and
-            // refused racks are skipped, so the picks follow the preference
-            // order as it stood before the first attempt.
-            let source = RackId(idx as u16);
-            let mut moved = false;
-            let mut refused: Vec<RackId> = Vec::new();
-            while let Some(dest) = self
-                .cluster
-                .pick(vcpus, memory, |r| r == source || refused.contains(&r))
-                .rack
-            {
-                if let Ok(m) = self.migrate_vm_cross_rack(handle, dest) {
-                    report.restarted += 1;
-                    report.reports.push(m);
-                    moved = true;
-                    break;
-                }
-                refused.push(dest);
-            }
-            if moved {
-                continue;
-            }
             report.lost += 1;
             report.orphaned += self.strand_vm(handle);
         }
-        self.refresh_digest(idx);
         Ok(report)
     }
 
@@ -1991,23 +1336,16 @@ impl DredboxSystem {
     ///
     /// Fails if the brick is not a registered dCOMPUBRICK.
     pub fn repair_compute_brick(&mut self, brick: BrickId) -> Result<bool, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::UnknownComputeBrick { brick },
-            ));
-        }
-        let repaired = self.racks[idx].sdm.repair_compute_brick(brick)?;
+        let repaired = self.sdm.repair_compute_brick(brick)?;
         if repaired {
-            let off = self.racks[idx]
+            let off = self
                 .rack
                 .brick(brick)
                 .and_then(|b| b.as_compute())
                 .is_some_and(|c| c.power_state() == PowerState::Off);
             if off {
-                let _ = self.racks[idx].sdm.set_compute_power(brick, false);
+                let _ = self.sdm.set_compute_power(brick, false);
             }
-            self.refresh_digest(idx);
         }
         Ok(repaired)
     }
@@ -2015,24 +1353,18 @@ impl DredboxSystem {
     /// Crashes a dMEMBRICK: every segment it hosted is lost, so every VM
     /// whose grants touched one is killed (its guest state referenced the
     /// lost bytes) and re-admitted with the footprint it had, carved fresh
-    /// from the surviving pool — anywhere in the cluster. VMs that no
-    /// surviving capacity can re-admit are lost. Failing an already-failed
-    /// brick is a no-op returning an empty report.
+    /// from the surviving pool. VMs the surviving capacity cannot re-admit
+    /// are lost. Failing an already-failed brick is a no-op returning an
+    /// empty report.
     ///
     /// # Errors
     ///
     /// Fails if the brick is not a registered dMEMBRICK.
     pub fn fail_membrick(&mut self, brick: BrickId) -> Result<MemoryFaultReport, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(OrchestratorError::Memory(
-                MemoryError::UnknownMemBrick { brick },
-            )));
-        }
-        if self.racks[idx].sdm.pool().is_membrick_failed(brick) {
+        if self.sdm.pool().is_membrick_failed(brick) {
             return Ok(MemoryFaultReport::default());
         }
-        let lost = self.racks[idx].sdm.fail_membrick(brick)?;
+        let lost = self.sdm.fail_membrick(brick)?;
         let lost_ids: BTreeSet<_> = lost.iter().map(|s| s.id).collect();
         let mut report = MemoryFaultReport {
             lost_bytes: lost.iter().map(|s| s.size).sum(),
@@ -2058,7 +1390,6 @@ impl DredboxSystem {
             let Some(record) = self.vms.remove(handle_key(handle)) else {
                 continue;
             };
-            let vidx = self.rack_index(record.brick);
             let memory = self
                 .hypervisor(record.brick)
                 .and_then(|hv| hv.vm(record.vm))
@@ -2077,24 +1408,22 @@ impl DredboxSystem {
             // Surviving segments release normally; the dead brick's are
             // tolerated (and counted) by the lossy release.
             for grant in &record.grants {
-                let _ = self.racks[vidx].sdm.release_scale_up_lossy(grant);
-                self.remove_grant_from_rack(vidx, record.brick, grant);
+                let _ = self.sdm.release_scale_up_lossy(grant);
+                self.remove_grant_from_rack(record.brick, grant);
             }
-            let _ = self.racks[vidx].sdm.release_vm(record.brick, record.vcpus);
-            if let Some(c) = self.racks[vidx]
+            let _ = self.sdm.release_vm(record.brick, record.vcpus);
+            if let Some(c) = self
                 .rack
                 .brick_mut(record.brick)
                 .and_then(|b| b.as_compute_mut())
             {
                 let _ = c.release_cores(record.vcpus);
             }
-            self.refresh_digest(vidx);
-            match self.allocate_vm_routed(record.vcpus, memory) {
-                Ok(outcome) => report.restarted.push((handle, outcome.vm)),
+            match self.allocate_vm(record.vcpus, memory) {
+                Ok(vm) => report.restarted.push((handle, vm)),
                 Err(_) => report.lost += 1,
             }
         }
-        self.refresh_digest(idx);
         Ok(report)
     }
 
@@ -2105,15 +1434,7 @@ impl DredboxSystem {
     ///
     /// Fails if the brick is not currently failed.
     pub fn repair_membrick(&mut self, brick: BrickId) -> Result<ByteSize, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(OrchestratorError::Memory(
-                MemoryError::UnknownMemBrick { brick },
-            )));
-        }
-        let restored = self.racks[idx].sdm.repair_membrick(brick)?;
-        self.refresh_digest(idx);
-        Ok(restored)
+        Ok(self.sdm.repair_membrick(brick)?)
     }
 
     /// Crashes a dACCELBRICK: its live offload sessions are drained (the
@@ -2126,18 +1447,12 @@ impl DredboxSystem {
     ///
     /// Fails if the brick is not a registered dACCELBRICK.
     pub fn fail_accel_brick(&mut self, brick: BrickId) -> Result<AccelFaultReport, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::UnknownAcceleratorBrick { brick },
-            ));
-        }
-        let newly = self.racks[idx].sdm.fail_accel_brick(brick)?;
+        let newly = self.sdm.fail_accel_brick(brick)?;
         let mut report = AccelFaultReport::default();
         if !newly {
             return Ok(report);
         }
-        for session in self.racks[idx].sdm.sessions_on_accel(brick) {
+        for session in self.sdm.sessions_on_accel(brick) {
             let Some(&owner) = self.offload_owners.get(&session) else {
                 continue;
             };
@@ -2145,7 +1460,7 @@ impl DredboxSystem {
                 report.drained.push((session, owner));
             }
         }
-        if let Some(accel) = self.racks[idx]
+        if let Some(accel) = self
             .rack
             .brick_mut(brick)
             .and_then(|b| b.as_accelerator_mut())
@@ -2154,7 +1469,6 @@ impl DredboxSystem {
                 let _ = accel.unload();
             }
         }
-        self.refresh_digest(idx);
         Ok(report)
     }
 
@@ -2167,52 +1481,37 @@ impl DredboxSystem {
     ///
     /// Fails if the brick is not a registered dACCELBRICK.
     pub fn repair_accel_brick(&mut self, brick: BrickId) -> Result<bool, SystemError> {
-        let idx = self.rack_index(brick);
-        if idx >= self.racks.len() {
-            return Err(SystemError::Orchestrator(
-                OrchestratorError::UnknownAcceleratorBrick { brick },
-            ));
-        }
-        let repaired = self.racks[idx].sdm.repair_accel_brick(brick)?;
+        let repaired = self.sdm.repair_accel_brick(brick)?;
         if repaired {
-            let off = self.racks[idx]
+            let off = self
                 .rack
                 .brick(brick)
                 .and_then(|b| b.as_accelerator())
                 .is_some_and(|a| a.power_state() == PowerState::Off);
             if off {
-                let _ = self.racks[idx].sdm.set_accel_power(brick, false);
+                let _ = self.sdm.set_accel_power(brick, false);
             }
-            self.refresh_digest(idx);
         }
         Ok(repaired)
     }
 
-    /// Severs one cabled optical fibre of a rack, selected by `ordinal`
-    /// (wrapped over the rack's cabled ports, so any schedule value maps to
-    /// a real fibre). Circuits that shared the fibre re-route over
-    /// surviving cabled ports where possible. Returns `None` — leaving the
-    /// system untouched — when the rack is unknown, has no cabled ports, or
-    /// the same `(rack, ordinal)` fault is already outstanding.
-    pub fn fail_link(&mut self, rack: RackId, ordinal: u32) -> Option<LinkFaultReport> {
-        let idx = usize::from(rack.0);
-        if idx >= self.racks.len()
-            || self
-                .severed_links
-                .iter()
-                .any(|l| l.rack == rack.0 && l.ordinal == ordinal)
-        {
+    /// Severs one cabled optical fibre, selected by `ordinal` (wrapped over
+    /// the rack's cabled ports, so any schedule value maps to a real
+    /// fibre). Circuits that shared the fibre re-route over surviving
+    /// cabled ports where possible. Returns `None` — leaving the system
+    /// untouched — when the rack has no cabled ports or the same `ordinal`
+    /// fault is already outstanding.
+    pub fn fail_link(&mut self, ordinal: u32) -> Option<LinkFaultReport> {
+        if self.severed_links.iter().any(|l| l.ordinal == ordinal) {
             return None;
         }
-        let domain = &mut self.racks[idx];
-        let cabled: Vec<(PortId, u16)> = domain.topology.manager().cabled_ports().collect();
+        let cabled: Vec<(PortId, u16)> = self.topology.manager().cabled_ports().collect();
         if cabled.is_empty() {
             return None;
         }
         let (port, _) = cabled[ordinal as usize % cabled.len()];
-        let failover = domain.topology.fail_link(&mut domain.rack, port).ok()?;
+        let failover = self.topology.fail_link(&mut self.rack, port).ok()?;
         self.severed_links.push(SeveredLink {
-            rack: rack.0,
             ordinal,
             port,
             switch_port: failover.switch_port,
@@ -2227,29 +1526,20 @@ impl DredboxSystem {
     /// Re-seats the fibre a matching [`DredboxSystem::fail_link`] cut,
     /// cabling the brick port back into the switch port it occupied.
     /// Returns `false` — a no-op — if no such severed link is outstanding.
-    pub fn repair_link(&mut self, rack: RackId, ordinal: u32) -> bool {
-        let Some(pos) = self
-            .severed_links
-            .iter()
-            .position(|l| l.rack == rack.0 && l.ordinal == ordinal)
-        else {
+    pub fn repair_link(&mut self, ordinal: u32) -> bool {
+        let Some(pos) = self.severed_links.iter().position(|l| l.ordinal == ordinal) else {
             return false;
         };
         let link = self.severed_links.remove(pos);
-        self.racks[usize::from(rack.0)]
-            .topology
-            .recable(link.port, link.switch_port)
-            .is_ok()
+        self.topology.recable(link.port, link.switch_port).is_ok()
     }
 
-    /// Fails a rack's optical circuit switch over to a cold standby of the
-    /// same module: every established circuit is re-programmed on the
+    /// Fails the rack's optical circuit switch over to a cold standby of
+    /// the same module: every established circuit is re-programmed on the
     /// standby, so the fault self-heals. Returns the number of circuits
-    /// restored, or `None` for an unknown rack.
-    pub fn fail_switch(&mut self, rack: RackId) -> Option<usize> {
-        self.racks
-            .get_mut(usize::from(rack.0))
-            .map(|d| d.topology.fail_over_switch())
+    /// restored.
+    pub fn fail_switch(&mut self) -> usize {
+        self.topology.fail_over_switch()
     }
 
     /// VM records stranded by compute-brick crashes, awaiting
@@ -2266,13 +1556,11 @@ impl DredboxSystem {
     pub fn reclaim_orphans(&mut self) -> OrphanReclaim {
         let orphans = std::mem::take(&mut self.orphans);
         let mut out = OrphanReclaim::default();
-        let mut touched = BTreeSet::new();
         for record in orphans {
-            let idx = self.rack_index(record.brick);
             out.vms += 1;
             for grant in &record.grants {
                 let total = grant.grant.total();
-                match self.racks[idx].sdm.release_scale_up_lossy(grant) {
+                match self.sdm.release_scale_up_lossy(grant) {
                     Ok((_service, lost)) => {
                         out.reclaimed +=
                             ByteSize::from_bytes(total.as_bytes().saturating_sub(lost.as_bytes()));
@@ -2280,20 +1568,16 @@ impl DredboxSystem {
                     }
                     Err(_) => out.unreclaimable += total,
                 }
-                self.remove_grant_from_rack(idx, record.brick, grant);
+                self.remove_grant_from_rack(record.brick, grant);
             }
-            let _ = self.racks[idx].sdm.release_vm(record.brick, record.vcpus);
-            if let Some(c) = self.racks[idx]
+            let _ = self.sdm.release_vm(record.brick, record.vcpus);
+            if let Some(c) = self
                 .rack
                 .brick_mut(record.brick)
                 .and_then(|b| b.as_compute_mut())
             {
                 let _ = c.release_cores(record.vcpus);
             }
-            touched.insert(idx);
-        }
-        for idx in touched {
-            self.refresh_digest(idx);
         }
         out
     }
@@ -2306,10 +1590,9 @@ impl DredboxSystem {
         let Some(record) = self.vms.remove(handle_key(handle)) else {
             return ByteSize::ZERO;
         };
-        let idx = self.rack_index(record.brick);
         for session in &record.offloads {
-            if let Ok(release) = self.racks[idx].sdm.end_offload(*session) {
-                if let Some(accel) = self.racks[idx]
+            if let Ok(release) = self.sdm.end_offload(*session) {
+                if let Some(accel) = self
                     .rack
                     .brick_mut(release.session.accel_brick)
                     .and_then(|b| b.as_accelerator_mut())
@@ -2334,32 +1617,31 @@ impl DredboxSystem {
         orphaned
     }
 
-    fn apply_grant_to_rack(&mut self, idx: usize, compute: BrickId, grant: &ScaleUpGrant) {
+    fn apply_grant_to_rack(&mut self, compute: BrickId, grant: &ScaleUpGrant) {
         // Wake-on-demand: a brick selected by placement may have been
         // switched off by an earlier power sweep; power it back on before
         // attaching, so long-running scenarios keep the rack-level
         // bookkeeping consistent with the pool. Every wake lands in the
         // rack's powered ledger, the basis of its provisioned-power digest.
-        let domain = &mut self.racks[idx];
-        if let Some(c) = domain
+        if let Some(c) = self
             .rack
             .brick_mut(compute)
             .and_then(|b| b.as_compute_mut())
         {
             if c.power_state() == PowerState::Off {
-                domain.powered.compute += 1;
+                self.powered.compute += 1;
             }
             c.power_on();
             c.attach_remote_memory(grant.grant.total());
         }
         for segment in grant.grant.segments() {
-            if let Some(m) = domain
+            if let Some(m) = self
                 .rack
                 .brick_mut(segment.membrick)
                 .and_then(|b| b.as_memory_mut())
             {
                 if m.power_state() == PowerState::Off {
-                    domain.powered.memory += 1;
+                    self.powered.memory += 1;
                 }
                 m.power_on();
                 let _ = m.export(compute, segment.size);
@@ -2367,9 +1649,8 @@ impl DredboxSystem {
         }
     }
 
-    fn remove_grant_from_rack(&mut self, idx: usize, compute: BrickId, grant: &ScaleUpGrant) {
-        let domain = &mut self.racks[idx];
-        if let Some(c) = domain
+    fn remove_grant_from_rack(&mut self, compute: BrickId, grant: &ScaleUpGrant) {
+        if let Some(c) = self
             .rack
             .brick_mut(compute)
             .and_then(|b| b.as_compute_mut())
@@ -2377,7 +1658,7 @@ impl DredboxSystem {
             let _ = c.detach_remote_memory(grant.grant.total());
         }
         for segment in grant.grant.segments() {
-            if let Some(m) = domain
+            if let Some(m) = self
                 .rack
                 .brick_mut(segment.membrick)
                 .and_then(|b| b.as_memory_mut())
@@ -2406,34 +1687,125 @@ dredbox_snap::snap_struct!(PoweredCounts {
     memory,
     accel,
 });
-dredbox_snap::snap_struct!(RackDomain {
-    rack,
-    topology,
-    sdm,
-    powered,
-});
-dredbox_snap::snap_struct!(SeveredLink {
-    rack,
-    ordinal,
-    port,
-    switch_port,
-});
-dredbox_snap::snap_struct!(DredboxSystem {
-    config,
-    racks,
-    cluster,
-    brick_stride,
-    kind_draw_mw,
-    hypervisors,
-    scaleup,
-    power,
-    vms,
-    offload_owners,
-    next_seq,
-    orphans,
-    severed_links,
-    read_path,
-});
+
+/// A severed link keeps the stream's per-link rack field, always rack 0.
+impl Snap for SeveredLink {
+    fn snap(&self, out: &mut Vec<u8>) {
+        0u16.snap(out);
+        self.ordinal.snap(out);
+        self.port.snap(out);
+        self.switch_port.snap(out);
+    }
+
+    fn unsnap(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        if u16::unsnap(r)? != 0 {
+            return Err(SnapError::Inconsistent { ty: "SeveredLink" });
+        }
+        Ok(SeveredLink {
+            ordinal: Snap::unsnap(r)?,
+            port: Snap::unsnap(r)?,
+            switch_port: Snap::unsnap(r)?,
+        })
+    }
+}
+
+impl DredboxSystem {
+    /// The cluster section of the stream: a one-rack federation holding
+    /// this rack's digest under the configured policy and power budget.
+    fn cluster_section(&self) -> ClusterController {
+        let mut cluster = ClusterController::new(self.config.placement);
+        cluster.set_rack_budget(self.config.rack_power_budget);
+        cluster.upsert(RackId(0), self.digest());
+        cluster
+    }
+
+    /// Active draw per brick kind in milliwatts `[compute, memory, accel]`,
+    /// from the configuration's catalog.
+    fn kind_draw_mw(config: &SystemConfig) -> [u64; 3] {
+        let catalog = &config.catalog;
+        [
+            catalog.compute_spec().power.active(),
+            catalog.memory_spec().power.active(),
+            catalog.accelerator_spec().power.active(),
+        ]
+        .map(|w| (w.as_watts() * 1e3).round() as u64)
+    }
+
+    /// The brick-id stride the stream records between racks: the rack's
+    /// brick count.
+    fn stride_section(config: &SystemConfig) -> u32 {
+        config.bricks_per_rack().max(1) as u32
+    }
+}
+
+/// The stream keeps the layout of the multi-rack system it replaced: the
+/// configuration, a rack list (always one rack: bricks, cabling, SDM
+/// controller, powered ledger), a cluster section and the brick stride,
+/// then the software stack. The list length, the cluster section and the
+/// stride are derived on capture; decoding rejects a stream whose
+/// recorded values disagree with the decoded rack.
+impl Snap for DredboxSystem {
+    fn snap(&self, out: &mut Vec<u8>) {
+        self.config.snap(out);
+        1usize.snap(out);
+        self.rack.snap(out);
+        self.topology.snap(out);
+        self.sdm.snap(out);
+        self.powered.snap(out);
+        self.cluster_section().snap(out);
+        Self::stride_section(&self.config).snap(out);
+        self.kind_draw_mw.snap(out);
+        self.hypervisors.snap(out);
+        self.scaleup.snap(out);
+        self.power.snap(out);
+        self.vms.snap(out);
+        self.offload_owners.snap(out);
+        self.next_seq.snap(out);
+        self.orphans.snap(out);
+        self.severed_links.snap(out);
+        self.read_path.snap(out);
+    }
+
+    fn unsnap(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        const TY: &str = "DredboxSystem";
+        let inconsistent = SnapError::Inconsistent { ty: TY };
+        let config = SystemConfig::unsnap(r)?;
+        if config.racks != 1 || r.take_len()? != 1 {
+            return Err(inconsistent);
+        }
+        let rack = Rack::unsnap(r)?;
+        let topology = OpticalTopology::unsnap(r)?;
+        let sdm = SdmController::unsnap(r)?;
+        let powered = PoweredCounts::unsnap(r)?;
+        let cluster = ClusterController::unsnap(r)?;
+        if u32::unsnap(r)? != Self::stride_section(&config) {
+            return Err(inconsistent);
+        }
+        let system = DredboxSystem {
+            config,
+            rack,
+            topology,
+            sdm,
+            powered,
+            kind_draw_mw: Snap::unsnap(r)?,
+            hypervisors: Snap::unsnap(r)?,
+            scaleup: Snap::unsnap(r)?,
+            power: Snap::unsnap(r)?,
+            vms: Snap::unsnap(r)?,
+            offload_owners: Snap::unsnap(r)?,
+            next_seq: Snap::unsnap(r)?,
+            orphans: Snap::unsnap(r)?,
+            severed_links: Snap::unsnap(r)?,
+            read_path: Snap::unsnap(r)?,
+        };
+        if system.kind_draw_mw != Self::kind_draw_mw(&system.config)
+            || cluster != system.cluster_section()
+        {
+            return Err(inconsistent);
+        }
+        Ok(system)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -2861,7 +2233,6 @@ mod tests {
         // force-ended before the evacuation migration.
         assert_eq!(report.sessions_dropped, 1);
         assert_eq!(report.migrated, 1);
-        assert_eq!(report.restarted, 0);
         assert_eq!(report.lost, 0);
         assert_eq!(report.orphaned, ByteSize::ZERO);
         assert!(s.vm_offloads(vm).is_empty());
@@ -2900,7 +2271,6 @@ mod tests {
 
         let report = s.fail_compute_brick(brick).unwrap();
         assert_eq!(report.migrated, 0);
-        assert_eq!(report.restarted, 0);
         assert_eq!(report.lost, 1);
         assert_eq!(report.orphaned, ByteSize::from_gib(4));
         assert_eq!(s.vm_count(), 3);
@@ -3002,20 +2372,20 @@ mod tests {
     fn link_faults_sever_reroute_and_repair() {
         let mut s = system();
         let vm = s.allocate_vm(2, ByteSize::from_gib(4)).unwrap();
-        let rack = RackId(0);
         let circuits = s.topology().manager().circuit_count();
 
-        let report = s.fail_link(rack, 0).unwrap();
+        let report = s.fail_link(0).unwrap();
         // Circuits either re-routed over surviving fibres or were lost;
         // none silently vanish.
         assert!((report.rerouted + report.lost) as usize <= circuits);
-        // The same outstanding fault cannot be injected twice, and unknown
-        // racks are rejected.
-        assert!(s.fail_link(rack, 0).is_none());
-        assert!(s.fail_link(RackId(9), 0).is_none());
+        // The same outstanding fault cannot be injected twice.
+        let before = s.clone();
+        assert!(s.fail_link(0).is_none());
+        assert_eq!(s, before, "a refused link fault must not mutate the system");
+        assert!(!s.repair_link(1), "no such severed link");
 
-        assert!(s.repair_link(rack, 0));
-        assert!(!s.repair_link(rack, 0), "repair is a one-shot");
+        assert!(s.repair_link(0));
+        assert!(!s.repair_link(0), "repair is a one-shot");
 
         // The re-seated fibre carries new circuits again.
         s.release_vm(vm).unwrap();
@@ -3030,8 +2400,7 @@ mod tests {
         let circuits = s.topology().manager().circuit_count();
 
         // Every established circuit is re-programmed on the standby module.
-        assert_eq!(s.fail_switch(RackId(0)), Some(circuits));
-        assert!(s.fail_switch(RackId(9)).is_none());
+        assert_eq!(s.fail_switch(), circuits);
         assert_eq!(s.topology().manager().circuit_count(), circuits);
 
         // Remote memory still reaches the pool through the standby.
@@ -3040,17 +2409,112 @@ mod tests {
         assert!(s.vm_memory(more).is_some());
     }
 
-    #[test]
-    fn undrain_is_a_noop_unless_the_rack_was_drained() {
-        let mut s = system();
-        let before = s.clone();
-        assert!(!s.undrain_rack(RackId(7)), "unknown rack");
-        assert!(!s.undrain_rack(RackId(0)), "rack was never drained");
-        assert_eq!(s, before, "failed undrain must not mutate the system");
+    /// Byte ranges of `s`'s snapshot stream: where the rack list's length
+    /// prefix starts, where the rack payload ends, and where the brick
+    /// stride starts.
+    fn stream_layout(s: &DredboxSystem) -> (usize, usize, usize) {
+        let mut out = Vec::new();
+        out.extend_from_slice(&crate::snapshot::MAGIC);
+        crate::snapshot::VERSION.snap(&mut out);
+        s.config.snap(&mut out);
+        let list = out.len();
+        1usize.snap(&mut out);
+        s.rack.snap(&mut out);
+        s.topology.snap(&mut out);
+        s.sdm.snap(&mut out);
+        s.powered.snap(&mut out);
+        let rack_end = out.len();
+        s.cluster_section().snap(&mut out);
+        (list, rack_end, out.len())
+    }
 
-        s.set_rack_schedulable(RackId(0), false);
-        assert!(s.undrain_rack(RackId(0)));
-        assert!(!s.undrain_rack(RackId(0)), "second undrain is a no-op");
+    fn decode(bytes: &[u8]) -> Result<DredboxSystem, SnapError> {
+        crate::SystemSnapshot::from_bytes(bytes).map(crate::SystemSnapshot::into_system)
+    }
+
+    fn one_vm_stream() -> (DredboxSystem, Vec<u8>) {
+        let mut s = system();
+        s.allocate_vm(2, ByteSize::from_gib(4)).unwrap();
+        let bytes = crate::SystemSnapshot::capture(&s).to_bytes();
+        assert_eq!(decode(&bytes).as_ref(), Ok(&s));
+        (s, bytes)
+    }
+
+    #[test]
+    fn a_zero_stride_is_rejected_at_decode() {
+        let (s, mut bytes) = one_vm_stream();
+        let (_, _, stride) = stream_layout(&s);
+        let recorded = u32::from_le_bytes(bytes[stride..stride + 4].try_into().unwrap());
+        assert_eq!(recorded as usize, s.config.bricks_per_rack());
+        bytes[stride..stride + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            decode(&bytes),
+            Err(SnapError::Inconsistent {
+                ty: "DredboxSystem"
+            })
+        );
+    }
+
+    #[test]
+    fn rack_lists_of_any_length_but_one_are_rejected_at_decode() {
+        let (s, bytes) = one_vm_stream();
+        let (list, rack_end, _) = stream_layout(&s);
+        let inconsistent = Err(SnapError::Inconsistent {
+            ty: "DredboxSystem",
+        });
+        // No racks at all: the length prefix says 0 and the rack is gone.
+        let mut empty = bytes[..list].to_vec();
+        0usize.snap(&mut empty);
+        empty.extend_from_slice(&bytes[rack_end..]);
+        assert_eq!(decode(&empty), inconsistent);
+        // Two racks: the same rack recorded twice.
+        let mut two = bytes[..list].to_vec();
+        2usize.snap(&mut two);
+        two.extend_from_slice(&bytes[list + 8..rack_end]);
+        two.extend_from_slice(&bytes[list + 8..]);
+        assert_eq!(decode(&two), inconsistent);
+    }
+
+    #[test]
+    fn a_cluster_section_or_config_that_disagrees_with_the_rack_is_rejected() {
+        let (mut s, bytes) = one_vm_stream();
+        let inconsistent = Err(SnapError::Inconsistent {
+            ty: "DredboxSystem",
+        });
+        // A recorded digest that is not the decoded rack's.
+        let (_, rack_end, stride) = stream_layout(&s);
+        let mut cluster = s.cluster_section();
+        let mut digest = s.digest();
+        digest.free_cores += 1;
+        cluster.upsert(RackId(0), digest);
+        let mut stale = bytes[..rack_end].to_vec();
+        cluster.snap(&mut stale);
+        stale.extend_from_slice(&bytes[stride..]);
+        assert_eq!(decode(&stale), inconsistent);
+        // A drained rack: nothing drains a lone rack.
+        let mut cluster = s.cluster_section();
+        cluster.set_schedulable(RackId(0), false);
+        let mut drained = bytes[..rack_end].to_vec();
+        cluster.snap(&mut drained);
+        drained.extend_from_slice(&bytes[stride..]);
+        assert_eq!(decode(&drained), inconsistent);
+        // A configuration claiming two racks.
+        s.config.racks = 2;
+        assert_eq!(
+            decode(&crate::SystemSnapshot::capture(&s).to_bytes()),
+            inconsistent
+        );
+    }
+
+    #[test]
+    fn multi_rack_configs_do_not_build() {
+        for racks in [0, 2] {
+            let config = SystemConfig::prototype_rack().with_racks(racks);
+            assert!(matches!(
+                DredboxSystem::build(config),
+                Err(SystemError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
@@ -3080,12 +2544,13 @@ mod tests {
         );
 
         // Repair re-aligns the controller's power view with the physical
-        // state: the maintained digest must match a from-scratch rebuild.
+        // state: the sleeping replacement counts as sleeping capacity in
+        // the digest, not as free powered cores.
+        let before = s.digest();
         assert_eq!(s.repair_compute_brick(idle), Ok(true));
-        assert_eq!(
-            s.cluster().digest(RackId(0)).cloned(),
-            s.rebuild_rack_digest(RackId(0))
-        );
+        let after = s.digest();
+        assert_eq!(after.free_cores, before.free_cores);
+        assert_eq!(after.largest_sleeping_cores, 4);
 
         // And the replacement wakes through the normal wake-on-demand path.
         let woken: Vec<_> = (0..3)

@@ -100,16 +100,23 @@ impl ReservationLedger {
         Ok(r)
     }
 
-    /// Rolls back a pending reservation (configuration failed).
+    /// Rolls back a pending reservation (configuration failed). Rolling
+    /// back the most recently opened reservation also hands its id back,
+    /// so a reserve → rollback pair leaves the ledger bit-identical.
     ///
     /// # Errors
     ///
     /// Returns [`OrchestratorError::NoSuchReservation`] if the id is unknown
     /// or already finalized.
     pub fn rollback(&mut self, id: ReservationId) -> Result<Reservation, OrchestratorError> {
-        self.pending
+        let r = self
+            .pending
             .remove(&id)
-            .ok_or(OrchestratorError::NoSuchReservation { reservation: id })
+            .ok_or(OrchestratorError::NoSuchReservation { reservation: id })?;
+        if id.0 + 1 == self.next_id {
+            self.next_id = id.0;
+        }
+        Ok(r)
     }
 
     /// Releases previously committed resources (VM termination or memory
@@ -220,6 +227,9 @@ mod tests {
         ledger.rollback(id).unwrap();
         assert_eq!(ledger.held_cores(BrickId(2)), 0);
         assert_eq!(ledger.held_memory(), ByteSize::ZERO);
+        // The reserve → rollback pair is an exact no-op, id counter
+        // included.
+        assert_eq!(ledger, ReservationLedger::new());
         assert!(matches!(
             ledger.rollback(id),
             Err(OrchestratorError::NoSuchReservation { .. })

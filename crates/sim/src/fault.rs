@@ -10,7 +10,7 @@
 //!   drawn from a [`SimRng`] so the same seed always produces the same
 //!   storm. The scenario layer delivers these through the sharded event
 //!   engine's timestamped mailboxes, which keeps same-seed runs
-//!   bit-identical in every sharding mode.
+//!   bit-identical at every worker count.
 //! * [`FaultInjector`] — the live bookkeeping of which sites are currently
 //!   down, when each went down, and the repair-time samples (MTTR) the
 //!   availability report summarises.

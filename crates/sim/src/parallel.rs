@@ -39,12 +39,13 @@
 //!
 //! Events scheduled through [`ShardedEngine::schedule_serial`] (or sent
 //! with [`WorkerContext::send_serial`]) execute at epoch barriers on the
-//! coordinating thread with the world reassembled whole — this is where
-//! cluster-tier decisions that touch many racks (drain, upgrade, fault,
-//! repair, rebalance) live. A serial event at time `F` fences the run: no
-//! shard processes past `F` before it, it observes every shard's state as
-//! of `F`, and parallel events at exactly `F` fire after it. Serial
-//! events order among themselves by (time, shard, seq).
+//! coordinating thread, which hands the world every shard's worker
+//! ([`ParallelWorld::handle_barrier`]) — this is where cluster-tier
+//! decisions that touch many racks (drain, upgrade, fault, repair,
+//! rebalance) live. A serial event at time `F` fences the run: no shard
+//! processes past `F` before it, it observes every shard's state as of
+//! `F`, and parallel events at exactly `F` fire after it. Serial events
+//! order among themselves by (time, shard, seq).
 
 use std::collections::BinaryHeap;
 use std::mem;
@@ -63,10 +64,11 @@ const FAR_FUTURE: SimTime = SimTime::from_nanos(u64::MAX);
 /// A world that can be torn into per-shard workers for epoch execution.
 ///
 /// [`ParallelWorld::split`] moves each shard's state out into an owned
-/// [`WorldWorker`], leaving the world hollow; [`ParallelWorld::reunite`]
-/// is the exact inverse. The runner splits once at start, reunites around
-/// every serial barrier so [`ParallelWorld::handle_serial`] sees the
-/// whole world, and reunites a final time before returning.
+/// [`WorldWorker`], leaving only the coordinator's own state behind;
+/// [`ParallelWorld::reunite`] is the exact inverse. The runner splits
+/// once when a run starts and reunites once when it returns. In between,
+/// serial events reach [`ParallelWorld::handle_barrier`] together with
+/// every shard's worker, so the world never has to reassemble itself.
 pub trait ParallelWorld {
     /// The event type simulated by this world.
     type Event: Send;
@@ -77,7 +79,8 @@ pub trait ParallelWorld {
     /// every parallel event of shard `s`.
     fn split(&mut self, shards: usize) -> Vec<Self::Worker>;
 
-    /// Puts the workers produced by [`ParallelWorld::split`] back.
+    /// Takes back the workers produced by [`ParallelWorld::split`] when
+    /// the run returns.
     fn reunite(&mut self, workers: Vec<Self::Worker>);
 
     /// Latency floor of the `from → to` message channel: every
@@ -87,15 +90,40 @@ pub trait ParallelWorld {
     /// lookahead cannot make progress.
     fn latency(&self, from: ShardId, to: ShardId) -> Option<SimDuration>;
 
-    /// Handles one serial event at an epoch barrier, with the world
-    /// reassembled and exclusive.
+    /// Handles one serial event at an epoch barrier. `workers` holds
+    /// every shard's worker, indexed by shard, exclusive for the call.
+    /// The default ignores them and hands the event to
+    /// [`ParallelWorld::handle_serial`].
+    fn handle_barrier(
+        &mut self,
+        workers: &mut [Self::Worker],
+        shard: ShardId,
+        now: SimTime,
+        event: Self::Event,
+        ctx: &mut SerialContext<'_, Self::Event>,
+    ) {
+        let _ = workers;
+        self.handle_serial(shard, now, event, ctx);
+    }
+
+    /// Handles one serial event from the coordinator's own state alone,
+    /// for worlds whose barrier logic reads no worker. Worlds that need
+    /// the workers override [`ParallelWorld::handle_barrier`] instead.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: a world that schedules serial events must
+    /// override one of the two handlers.
     fn handle_serial(
         &mut self,
         shard: ShardId,
         now: SimTime,
         event: Self::Event,
         ctx: &mut SerialContext<'_, Self::Event>,
-    );
+    ) {
+        let _ = (shard, now, event, ctx);
+        unreachable!("this world schedules no serial events");
+    }
 }
 
 /// The per-shard half of a [`ParallelWorld`]: handles that shard's
@@ -275,7 +303,7 @@ struct SerialOp<E> {
     event: E,
 }
 
-/// Scheduling surface handed to [`ParallelWorld::handle_serial`] at an
+/// Scheduling surface handed to [`ParallelWorld::handle_barrier`] at an
 /// epoch barrier: the handler has exclusive access to the whole world,
 /// so events may be placed on any shard with no latency floor.
 pub struct SerialContext<'a, E> {
@@ -818,10 +846,10 @@ impl<E: Send> ShardedEngine<E> {
         outcome
     }
 
-    /// Runs every due serial event with the world reassembled: pops the
-    /// (time, shard, seq) head while no shard has parallel work before
-    /// it, executes it against the whole world, and routes its staged
-    /// follow-ups.
+    /// Runs every due serial event with every shard's worker in hand:
+    /// pops the (time, shard, seq) head while no shard has parallel work
+    /// before it, executes it against the whole world, and routes its
+    /// staged follow-ups.
     fn serial_phase<W>(
         &mut self,
         world: &mut W,
@@ -832,7 +860,7 @@ impl<E: Send> ShardedEngine<E> {
         W: ParallelWorld<Event = E>,
     {
         let shards = slots.len();
-        let parts: Vec<W::Worker> = slots
+        let mut workers: Vec<W::Worker> = slots
             .iter_mut()
             .map(|u| {
                 u.as_mut()
@@ -842,7 +870,6 @@ impl<E: Send> ShardedEngine<E> {
                     .expect("unit carries its worker")
             })
             .collect();
-        world.reunite(parts);
 
         loop {
             if let Some(max) = self.max_events {
@@ -887,7 +914,7 @@ impl<E: Send> ShardedEngine<E> {
                 shards: shards as u32,
                 staged,
             };
-            world.handle_serial(entry.shard, entry.at, entry.event, &mut ctx);
+            world.handle_barrier(&mut workers, entry.shard, entry.at, entry.event, &mut ctx);
             for op in staged.drain(..) {
                 if op.serial {
                     let seq = self.serial_seq;
@@ -909,14 +936,8 @@ impl<E: Send> ShardedEngine<E> {
             }
         }
 
-        let parts = world.split(shards);
-        assert_eq!(
-            parts.len(),
-            shards,
-            "split must produce exactly one worker per shard"
-        );
-        for (s, worker) in parts.into_iter().enumerate() {
-            slots[s].as_mut().expect("unit is home").worker = Some(worker);
+        for (slot, worker) in slots.iter_mut().zip(workers) {
+            slot.as_mut().expect("unit is home").worker = Some(worker);
         }
     }
 }
@@ -1024,15 +1045,6 @@ mod tests {
         fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
             Some(self.latency)
         }
-        fn handle_serial(
-            &mut self,
-            _shard: ShardId,
-            _now: SimTime,
-            _ev: u32,
-            _ctx: &mut SerialContext<'_, u32>,
-        ) {
-            unreachable!("the relay schedules no serial events")
-        }
     }
 
     fn seeded_engine(shards: usize) -> ShardedEngine<u32> {
@@ -1113,7 +1125,7 @@ mod tests {
     }
 
     /// A world with serial barrier events: each shard counts local
-    /// ticks; a serial census reads the *whole* world (sum across
+    /// ticks; a serial census reads every shard's worker (sum across
     /// shards) and seeds another tick on every shard. The census value
     /// proves the barrier saw every shard caught up to the fence.
     struct Census {
@@ -1173,8 +1185,9 @@ mod tests {
         fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
             Some(SimDuration::from_nanos(50))
         }
-        fn handle_serial(
+        fn handle_barrier(
             &mut self,
+            workers: &mut [CensusWorker],
             shard: ShardId,
             now: SimTime,
             ev: CensusEvent,
@@ -1183,7 +1196,7 @@ mod tests {
             let CensusEvent::Census(round) = ev else {
                 unreachable!("ticks are parallel events")
             };
-            let total: u64 = self.counts.iter().sum();
+            let total: u64 = workers.iter().map(|w| w.count).sum();
             self.censuses.push((now, total));
             for s in 0..self.counts.len() as u32 {
                 ctx.schedule(
@@ -1234,7 +1247,8 @@ mod tests {
         }
     }
 
-    /// `send_serial` from a worker routes through the barrier queue.
+    /// `send_serial` from a worker routes through the barrier queue, and
+    /// the default barrier handler delegates to `handle_serial`.
     #[test]
     fn worker_serial_sends_reach_the_barrier() {
         struct Probe {
@@ -1329,14 +1343,6 @@ mod tests {
             fn latency(&self, _f: ShardId, _t: ShardId) -> Option<SimDuration> {
                 Some(SimDuration::ZERO)
             }
-            fn handle_serial(
-                &mut self,
-                _s: ShardId,
-                _n: SimTime,
-                _e: (),
-                _c: &mut SerialContext<'_, ()>,
-            ) {
-            }
         }
         let mut engine = ShardedEngine::new(2);
         engine.schedule(ShardId(0), SimTime::ZERO, ());
@@ -1371,14 +1377,6 @@ mod tests {
             fn reunite(&mut self, _w: Vec<CheatWorker>) {}
             fn latency(&self, _f: ShardId, _t: ShardId) -> Option<SimDuration> {
                 Some(SimDuration::from_nanos(100))
-            }
-            fn handle_serial(
-                &mut self,
-                _s: ShardId,
-                _n: SimTime,
-                _e: (),
-                _c: &mut SerialContext<'_, ()>,
-            ) {
             }
         }
         let mut engine = ShardedEngine::new(2);

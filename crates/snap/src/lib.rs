@@ -279,6 +279,9 @@ impl<T: Snap> Snap for VecDeque<T> {
     }
 }
 
+/// Sets and maps are written in ascending key order, and decoding
+/// rejects anything else — an unordered or repeated key would otherwise
+/// decode to a collection that re-encodes to different bytes.
 impl<T: Snap + Ord> Snap for BTreeSet<T> {
     fn snap(&self, out: &mut Vec<u8>) {
         self.len().snap(out);
@@ -290,7 +293,11 @@ impl<T: Snap + Ord> Snap for BTreeSet<T> {
         let len = r.take_len()?;
         let mut set = BTreeSet::new();
         for _ in 0..len {
-            set.insert(T::unsnap(r)?);
+            let item = T::unsnap(r)?;
+            if set.last().is_some_and(|last| *last >= item) {
+                return Err(SnapError::Inconsistent { ty: "BTreeSet" });
+            }
+            set.insert(item);
         }
         Ok(set)
     }
@@ -309,6 +316,9 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
         let mut map = BTreeMap::new();
         for _ in 0..len {
             let k = K::unsnap(r)?;
+            if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(SnapError::Inconsistent { ty: "BTreeMap" });
+            }
             let v = V::unsnap(r)?;
             map.insert(k, v);
         }
@@ -521,6 +531,30 @@ mod tests {
         ]));
         roundtrip((1u8, 2u16, 3u32));
         roundtrip([7u64; 3]);
+    }
+
+    #[test]
+    fn unordered_or_repeated_keys_are_rejected() {
+        // The same bytes a sequence of (key, value) pairs or of items
+        // writes: only strictly ascending keys are a map's or set's.
+        for keys in [[2u32, 1], [1, 1]] {
+            let mut bytes = Vec::new();
+            keys.len().snap(&mut bytes);
+            for k in keys {
+                k.snap(&mut bytes);
+                0u8.snap(&mut bytes);
+            }
+            assert_eq!(
+                BTreeMap::<u32, u8>::unsnap(&mut Reader::new(&bytes)),
+                Err(SnapError::Inconsistent { ty: "BTreeMap" })
+            );
+            let mut bytes = Vec::new();
+            keys.to_vec().snap(&mut bytes);
+            assert_eq!(
+                BTreeSet::<u32>::unsnap(&mut Reader::new(&bytes)),
+                Err(SnapError::Inconsistent { ty: "BTreeSet" })
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Bit-flip robustness of the snapshot codecs on the grant path.
+//! Bit-flip robustness of the snapshot codecs, from the grant path up to
+//! the whole-system stream.
 //!
 //! Each type is driven to a mid-trace state, encoded, and then every byte
 //! of the stream is flipped under several masks. Decoding the damaged stream must either
@@ -7,6 +8,10 @@
 //! reinterpret what it read. A value that does decode is then used —
 //! windows carve and release every hole size, RMSTs look up and remove
 //! every entry — and that must not panic either.
+//!
+//! `fixtures/mid_trace_rack.drbx` is a whole-system snapshot written by
+//! the code that still federated racks inside one system; decoding and
+//! re-encoding it byte for byte pins the `DRBX` v1 wire format.
 
 use dredbox::bricks::BrickId;
 use dredbox::interconnect::RemoteMemorySegmentTable;
@@ -14,6 +19,8 @@ use dredbox::memory::{BrickAllocator, MemoryPool, RemoteWindow};
 use dredbox::orchestrator::prelude::*;
 use dredbox::orchestrator::ReservationLedger;
 use dredbox::sim::units::ByteSize;
+use dredbox::workload::OffloadDemand;
+use dredbox::{DredboxSystem, SystemConfig, SystemSnapshot};
 use dredbox_snap::{Reader, Snap};
 
 const MASKS: [u8; 4] = [0x01, 0x10, 0x80, 0xff];
@@ -236,4 +243,55 @@ fn brick_allocator_survives_bit_flips() {
         }
     }
     check_bit_flips(&allocator, drop);
+}
+
+/// One accelerated rack part-way through a trace: admissions, a scale-up,
+/// a live migration, an open offload session, a release, a power sweep
+/// and a severed fibre. The committed fixture is this state, written
+/// before the system became strictly one rack.
+fn mid_trace_system() -> DredboxSystem {
+    let mut s = DredboxSystem::build(SystemConfig::accelerated_rack(1, 2, 2, 1)).expect("build");
+    let a = s.allocate_vm(2, ByteSize::from_gib(4)).expect("admit a");
+    let b = s.allocate_vm(4, ByteSize::from_gib(6)).expect("admit b");
+    let c = s.allocate_vm(1, ByteSize::from_gib(2)).expect("admit c");
+    s.scale_up(a, ByteSize::from_gib(2)).expect("scale a");
+    let to = s.evacuation_target(b).expect("a target");
+    s.migrate_vm(b, to).expect("migrate b");
+    let demand = OffloadDemand {
+        kernel: "kernel-0".to_owned(),
+        bitstream: ByteSize::from_mib(8),
+        input: ByteSize::from_mib(64),
+    };
+    s.begin_offload(c, &demand).expect("offload c");
+    s.release_vm(a).expect("release a");
+    s.power_off_unused();
+    s.fail_link(1).expect("sever a link");
+    s
+}
+
+#[test]
+fn whole_system_survives_bit_flips() {
+    let bytes = SystemSnapshot::capture(&mid_trace_system()).to_bytes();
+    for pos in 0..bytes.len() {
+        for mask in MASKS {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= mask;
+            if let Ok(snapshot) = SystemSnapshot::from_bytes(&flipped) {
+                assert_eq!(
+                    snapshot.to_bytes(),
+                    flipped,
+                    "byte {pos} ^ {mask:#04x} decoded to a system that re-encodes differently"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_snapshot_written_by_the_federating_system_round_trips_byte_for_byte() {
+    let bytes: &[u8] = include_bytes!("fixtures/mid_trace_rack.drbx");
+    let snapshot = SystemSnapshot::from_bytes(bytes).expect("the fixture decodes");
+    assert_eq!(snapshot.to_bytes(), bytes, "re-encoding changed the stream");
+    // The same trace replayed today reaches the state the fixture holds.
+    assert_eq!(snapshot.into_system(), mid_trace_system());
 }

@@ -3,21 +3,15 @@
 //! Arbitrary multi-rack traces — admissions routed through the cluster
 //! front door (cross-shard `AdmitOn` hops), churn, mid-run drains, seeded
 //! failure storms and rolling upgrades — must render the *same report,
-//! byte for byte*, however the replay is executed:
-//!
-//! * [`ShardingMode::Single`] — one calendar for the whole federation;
-//! * serial [`ShardingMode::PerRack`] — one calendar per rack, one thread;
-//! * threaded `PerRack` at 2 and 4 workers — the conservative runner,
-//!   whose epoch barriers and (time, shard, seq) mailbox merge may not
-//!   shift a single byte relative to the serial replay.
+//! byte for byte*, at every worker count: a repeated one-worker replay and
+//! the conservative runner at 2 and 4 workers, whose epoch barriers and
+//! (time, shard, seq) mailbox merge may not shift a single byte relative
+//! to the serial reference.
 //!
 //! Both pinned regression seeds (2018 and 7) are exercised per case. The
 //! cluster-tier one-shot events (drain / storm / upgrade) are generated on
-//! residues that never land on the 600 s power-sweep grid: a serial event
-//! sharing a timestamp with a shard-local sweep orders by local seq under
-//! `Single` but by shard id under `PerRack`, which is an (accepted)
-//! cross-*mode* divergence, not an engine bug — the threaded-vs-serial
-//! contract holds regardless.
+//! residues that never land on the 600 s power-sweep grid, so no serial
+//! barrier shares a timestamp with a shard-local sweep.
 
 use proptest::prelude::*;
 
@@ -111,18 +105,13 @@ proptest! {
             reads_per_vm,
         );
         for seed in [2018u64, 7] {
-            let mut single = spec.clone();
-            single.sharding = ShardingMode::Single;
-            let reference = render(&single, seed, 1);
-
-            let mut per_rack = spec.clone();
-            per_rack.sharding = ShardingMode::PerRack;
+            let reference = render(&spec, seed, 1);
             for threads in [1usize, 2, 4] {
-                let got = render(&per_rack, seed, threads);
+                let got = render(&spec, seed, threads);
                 prop_assert_eq!(
                     &got,
                     &reference,
-                    "seed {} with {} worker(s) diverged from the single-shard replay \
+                    "seed {} with {} worker(s) diverged from the serial replay \
                      (racks {}, vms {})",
                     seed,
                     threads,

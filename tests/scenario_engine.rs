@@ -366,47 +366,36 @@ fn every_scenario_serializes_requests_through_the_control_plane_queue() {
 
 /// The bit-determinism contract of the sharded engine: every extended-suite
 /// scenario, at the two pinned seeds, must reproduce the committed snapshot
-/// under `tests/golden/` byte for byte — in *both* sharding modes, since a
-/// single-rack replay may not legally differ between them. Any engine,
-/// control-plane, or index change that shifts a single report bit fails
-/// here; regenerate intentionally with `cargo run --release --example golden`.
+/// under `tests/golden/` byte for byte — serially, and for multi-rack specs
+/// on 2 and 4 worker threads too, since the conservative runner's epoch
+/// barriers and (time, shard, seq) merge may not shift a single byte. Any
+/// engine, control-plane, or index change that shifts a single report bit
+/// fails here; regenerate intentionally with
+/// `cargo run --release --example golden`.
 #[test]
-fn extended_suite_matches_golden_snapshots_in_both_sharding_modes() {
+fn extended_suite_matches_golden_snapshots_at_every_thread_count() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
     for spec in ScenarioSpec::extended_suite() {
         for seed in [2018u64, 7] {
             let path = dir.join(format!("{}-{}.txt", spec.name, seed));
             let golden = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
-            for sharding in [ShardingMode::Single, ShardingMode::PerRack] {
-                let mut run = spec.clone();
-                run.sharding = sharding;
-                let report = run.run(seed).expect("scenario runs");
+            // A single rack replays on the serial engine whatever the
+            // worker count, so only federations fan out.
+            let threads: &[usize] = if spec.system.racks > 1 {
+                &[1, 2, 4]
+            } else {
+                &[1]
+            };
+            for &threads in threads {
+                let report = spec.run_with_threads(seed, threads).expect("scenario runs");
                 let rendered = format!("{report:#?}\n{report}");
                 assert!(
                     rendered == golden,
-                    "{}-{seed} under {sharding:?} drifted from {}",
+                    "{}-{seed} with {threads} worker(s) drifted from {}",
                     spec.name,
                     path.display()
                 );
-            }
-            // The same snapshot must survive threaded execution: the
-            // conservative runner's epoch barriers and (time, shard, seq)
-            // merge may not shift a single byte relative to the serial
-            // replay, at any worker count.
-            if spec.system.racks > 1 {
-                for threads in [2usize, 4] {
-                    let mut run = spec.clone();
-                    run.sharding = ShardingMode::PerRack;
-                    let report = run.run_with_threads(seed, threads).expect("scenario runs");
-                    let rendered = format!("{report:#?}\n{report}");
-                    assert!(
-                        rendered == golden,
-                        "{}-{seed} with {threads} workers drifted from {}",
-                        spec.name,
-                        path.display()
-                    );
-                }
             }
         }
     }

@@ -1,21 +1,21 @@
 //! Snapshot/restore invariants under arbitrary operation and fault traces.
 //!
 //! Live servicing rests on one promise: a [`SystemSnapshot`] captured at any
-//! point — however tangled the history of admissions, releases, cross-rack
+//! point — however tangled the history of admissions, releases, live
 //! migrations, offload sessions, brick/link/switch faults, repairs and
 //! reclaims that led there — serializes, deserializes and restores to a
 //! system that is bit-identical *and stays bit-identical under every
-//! subsequent operation*. These property tests replay a random trace prefix,
-//! round-trip the system through the wire format, then drive the original
-//! and the restored copy through the same trace suffix in lockstep,
-//! asserting equality (and digest-rebuild agreement) after every step.
+//! subsequent operation*. These property tests replay a random trace prefix
+//! on one accelerated rack, round-trip the system through the wire format,
+//! then drive the original and the restored copy through the same trace
+//! suffix in lockstep, asserting equality after every step.
 //!
 //! A second property holds the decoder's ground: truncations of a valid
 //! stream are always rejected with an error, never misread or panicked on.
 
 use proptest::prelude::*;
 
-use dredbox::bricks::{Brick, BrickId, RackId};
+use dredbox::bricks::{Brick, BrickId};
 use dredbox::prelude::*;
 use dredbox::sim::units::ByteSize;
 use dredbox::workload::OffloadDemand;
@@ -24,7 +24,7 @@ use dredbox::workload::OffloadDemand;
 /// plus the full fault/repair surface.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Route a VM through the cluster controller.
+    /// Admit a VM.
     Admit {
         vcpus: u32,
         gib: u64,
@@ -34,10 +34,10 @@ enum Op {
     Release {
         pick: usize,
     },
-    /// Wholesale-migrate the `pick`-th tracked VM to the `rack`-th rack.
+    /// Live-migrate the `pick`-th tracked VM to the `to`-th compute brick.
     Migrate {
         pick: usize,
-        rack: usize,
+        to: usize,
     },
     /// Begin a near-data offload session on the `pick`-th tracked VM.
     Offload {
@@ -58,15 +58,12 @@ enum Op {
     FaultAccel {
         pick: usize,
     },
-    /// Sever the `ordinal`-th cabled tray-to-switch link of a rack.
+    /// Sever the `ordinal`-th cabled tray-to-switch link.
     FaultLink {
-        rack: usize,
         ordinal: u32,
     },
-    /// Kill a rack's optical switch (self-heals onto the standby).
-    FaultSwitch {
-        rack: usize,
-    },
+    /// Kill the rack's optical switch (self-heals onto the standby).
+    FaultSwitch,
     /// Repair the `pick`-th brick of one kind, or re-splice a link.
     RepairCompute {
         pick: usize,
@@ -78,7 +75,6 @@ enum Op {
         pick: usize,
     },
     RepairLink {
-        rack: usize,
         ordinal: u32,
     },
     /// Reclaim every orphaned remote segment.
@@ -90,14 +86,17 @@ enum Op {
 /// Decodes a sampled tuple into an op: ~30% admissions, then a churn mix
 /// weighted toward the fault/repair surface this suite exists to cover.
 fn decode((kind, a, b): (u8, u8, u8)) -> Op {
-    let (pick, rack, ordinal) = (a as usize, b as usize, u32::from(b));
+    let (pick, ordinal) = (a as usize, u32::from(b));
     match kind % 20 {
         0..=5 => Op::Admit {
             vcpus: u32::from(a % 4) + 1,
             gib: u64::from(b % 4) + 1,
         },
         6..=7 => Op::Release { pick },
-        8 => Op::Migrate { pick, rack },
+        8 => Op::Migrate {
+            pick,
+            to: b as usize,
+        },
         9..=10 => Op::Offload {
             pick,
             kernel: b % 3,
@@ -106,40 +105,34 @@ fn decode((kind, a, b): (u8, u8, u8)) -> Op {
         12 => Op::FaultCompute { pick },
         13 => Op::FaultMemory { pick },
         14 => Op::FaultAccel { pick },
-        15 => Op::FaultLink {
-            rack: pick,
-            ordinal,
-        },
-        16 => Op::FaultSwitch { rack: pick },
+        15 => Op::FaultLink { ordinal },
+        16 => Op::FaultSwitch,
         17 => match b % 4 {
             0 => Op::RepairCompute { pick },
             1 => Op::RepairMemory { pick },
             2 => Op::RepairAccel { pick },
-            _ => Op::RepairLink {
-                rack: pick,
-                ordinal,
-            },
+            _ => Op::RepairLink { ordinal },
         },
         18 => Op::Reclaim,
         _ => Op::Sweep,
     }
 }
 
-/// A small federation with every brick kind present: 2 racks × 2 trays ×
-/// (2 compute + 2 memory + 1 accel) bricks.
+/// A small rack with every brick kind present: 2 trays × (2 compute +
+/// 2 memory + 1 accel) bricks.
 fn build() -> DredboxSystem {
-    let config = dredbox::SystemConfig::accelerated_rack(2, 2, 2, 1).with_racks(2);
+    let config = dredbox::SystemConfig::accelerated_rack(2, 2, 2, 1);
     DredboxSystem::build(config).expect("build system")
 }
 
-/// The `pick`-th brick (across all racks) matching a kind filter.
+/// The `pick`-th brick of the rack matching a kind filter.
 fn brick(s: &DredboxSystem, pick: usize, want: fn(&Brick) -> bool) -> Option<BrickId> {
-    let mut ids: Vec<BrickId> = Vec::new();
-    for idx in 0..s.rack_count() {
-        if let Some(rack) = s.rack_at(RackId(idx as u16)) {
-            ids.extend(rack.bricks().filter(|b| want(b)).map(Brick::id));
-        }
-    }
+    let ids: Vec<BrickId> = s
+        .rack()
+        .bricks()
+        .filter(|b| want(b))
+        .map(Brick::id)
+        .collect();
     if ids.is_empty() {
         None
     } else {
@@ -167,8 +160,8 @@ fn apply(
 ) {
     match *op {
         Op::Admit { vcpus, gib } => {
-            if let Ok(outcome) = s.allocate_vm_routed(vcpus, ByteSize::from_gib(gib)) {
-                live.push(outcome.vm);
+            if let Ok(vm) = s.allocate_vm(vcpus, ByteSize::from_gib(gib)) {
+                live.push(vm);
             }
         }
         Op::Release { pick } => {
@@ -178,13 +171,14 @@ fn apply(
             let vm = live.swap_remove(pick % live.len());
             let _ = s.release_vm(vm);
         }
-        Op::Migrate { pick, rack } => {
+        Op::Migrate { pick, to } => {
             if live.is_empty() {
                 return;
             }
             let vm = live[pick % live.len()];
-            let to = RackId((rack % s.rack_count()) as u16);
-            let _ = s.migrate_vm_cross_rack(vm, to);
+            if let Some(to) = brick(s, to, |b| b.as_compute().is_some()) {
+                let _ = s.migrate_vm(vm, to);
+            }
         }
         Op::Offload { pick, kernel } => {
             if live.is_empty() {
@@ -217,13 +211,11 @@ fn apply(
                 let _ = s.fail_accel_brick(b);
             }
         }
-        Op::FaultLink { rack, ordinal } => {
-            let rack = RackId((rack % s.rack_count()) as u16);
-            let _ = s.fail_link(rack, ordinal);
+        Op::FaultLink { ordinal } => {
+            let _ = s.fail_link(ordinal);
         }
-        Op::FaultSwitch { rack } => {
-            let rack = RackId((rack % s.rack_count()) as u16);
-            let _ = s.fail_switch(rack);
+        Op::FaultSwitch => {
+            s.fail_switch();
         }
         Op::RepairCompute { pick } => {
             if let Some(b) = brick(s, pick, |b| b.as_compute().is_some()) {
@@ -240,9 +232,8 @@ fn apply(
                 let _ = s.repair_accel_brick(b);
             }
         }
-        Op::RepairLink { rack, ordinal } => {
-            let rack = RackId((rack % s.rack_count()) as u16);
-            s.repair_link(rack, ordinal);
+        Op::RepairLink { ordinal } => {
+            s.repair_link(ordinal);
         }
         Op::Reclaim => {
             s.reclaim_orphans();
@@ -277,20 +268,13 @@ proptest! {
         let mut thawed = snap.into_system();
         prop_assert_eq!(&thawed, &system);
 
-        // Restored indexes must equal from-scratch rebuilds off the
-        // restored per-brick state — no stale aggregates smuggled across.
-        for idx in 0..system.rack_count() {
-            let rack = RackId(idx as u16);
-            prop_assert_eq!(
-                thawed.rebuild_rack_digest(rack),
-                system.rebuild_rack_digest(rack)
-            );
-            prop_assert_eq!(thawed.cluster().digest(rack), system.cluster().digest(rack));
-        }
+        // The restored rack digests exactly as the captured one: no stale
+        // aggregate smuggled across.
+        prop_assert_eq!(thawed.digest(), system.digest());
 
         // Drive both through the trace suffix in lockstep: every decision —
-        // placements, spillovers, fault recovery, orphan reclaim — must come
-        // out the same, handle for handle.
+        // placements, migrations, fault recovery, orphan reclaim — must
+        // come out the same, handle for handle.
         let mut thawed_live = live.clone();
         let mut thawed_sessions = sessions.clone();
         for tuple in &ops[split..] {

@@ -137,43 +137,53 @@ fn power_model_is_consistent_with_packing_extremes() {
 #[test]
 fn fleet_power_feed_tracks_the_live_federation() {
     use dredbox::bricks::RackId;
+    use dredbox::orchestrator::{ClusterController, PlacementPolicy};
     use dredbox::prelude::*;
     use dredbox::sim::units::Watts;
     use dredbox::tco::FleetPower;
 
-    let config = dredbox::SystemConfig::datacenter_cluster(4, 2, 2, 2)
-        .with_rack_power_budget(Some(Watts::new(3_000.0)));
-    let mut system = DredboxSystem::build(config).expect("build federation");
+    // The federation's power feed as the cluster tier sees it: one digest
+    // per rack, read off each single-rack system, under the rack budget.
+    fn fleet_power(racks: &[DredboxSystem], budget: Option<Watts>) -> (FleetPower, Watts) {
+        let mut cluster = ClusterController::new(PlacementPolicy::PowerAware);
+        cluster.set_rack_budget(budget);
+        for (r, rack) in racks.iter().enumerate() {
+            cluster.upsert(RackId(r as u16), rack.digest());
+        }
+        let fleet = FleetPower::new(cluster.provisioned_per_rack(), cluster.rack_budget());
+        (fleet, cluster.provisioned_power())
+    }
+
+    let budget = Some(Watts::new(3_000.0));
+    let config =
+        dredbox::SystemConfig::datacenter_cluster(1, 2, 2, 2).with_rack_power_budget(budget);
+    let mut racks: Vec<DredboxSystem> = (0..4)
+        .map(|_| DredboxSystem::build(config.clone()).expect("build rack"))
+        .collect();
 
     // Fully provisioned, every rack draws the same and the fleet total
     // matches the cluster controller's own aggregate.
-    let all_on = system.fleet_power();
+    let (all_on, provisioned) = fleet_power(&racks, budget);
     assert_eq!(all_on.racks(), 4);
-    assert_eq!(all_on.budget, Some(Watts::new(3_000.0)));
+    assert_eq!(all_on.budget, budget);
     let total = all_on.total().as_watts();
-    assert!((total - system.cluster().provisioned_power().as_watts()).abs() < 1e-6);
+    assert!((total - provisioned.as_watts()).abs() < 1e-6);
     assert_eq!(all_on.savings_vs_all_on(all_on.total()), 0.0);
 
     // Load one rack, sweep the others: the shed draw shows up as savings
     // against the all-on baseline, and the loaded rack is the peak.
-    let vm = system
+    let loaded = 1;
+    racks[loaded]
         .allocate_vm(2, ByteSize::from_gib(2))
         .expect("admits");
-    let loaded = system
-        .vm_brick(vm)
-        .map(|b| system.rack_of(b))
-        .expect("placed");
-    for idx in 0..4u16 {
-        if RackId(idx) != loaded {
-            system.power_off_unused_in(RackId(idx));
+    for (idx, rack) in racks.iter_mut().enumerate() {
+        if idx != loaded {
+            rack.power_off_unused();
         }
     }
-    let fleet: FleetPower = system.fleet_power();
+    let (fleet, _) = fleet_power(&racks, budget);
     assert!(fleet.total().as_watts() < total);
-    assert_eq!(
-        fleet.peak_rack().map(|(idx, _)| idx),
-        Some(usize::from(loaded.0))
-    );
+    assert_eq!(fleet.peak_rack().map(|(idx, _)| idx), Some(loaded));
     assert!(fleet.savings_vs_all_on(all_on.total()) > 0.5);
     // Every rack now sits under the budget with real admission headroom.
     assert_eq!(fleet.racks_at_budget(), Vec::<usize>::new());
