@@ -936,14 +936,17 @@ impl ScenarioSpec {
         self.run_with_threads(seed, 1)
     }
 
-    /// Replays the scenario from `seed` with up to `threads` worker
-    /// threads driving the rack shards.
+    /// Replays the scenario from `seed` on up to `threads` threads in
+    /// all: the calling thread plus `threads − 1` helpers, so `threads =
+    /// 2` keeps two cores busy. `0` counts as 1.
     ///
     /// Multi-rack systems run on the partitioned federation (one shard
     /// per rack plus the cluster front door) under the conservative
-    /// threaded runner; the report is bit-identical for every `threads`
-    /// value, including 1. Single-rack systems always replay on the serial
-    /// engine — `threads` adds nothing when there is only one shard.
+    /// threaded runner, where the threads claim each epoch's busy shards
+    /// one at a time from a shared pool; the report is bit-identical for
+    /// every `threads` value, including 1. Single-rack systems always
+    /// replay on the serial engine — `threads` adds nothing when there is
+    /// only one shard.
     ///
     /// # Errors
     ///

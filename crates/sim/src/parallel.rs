@@ -1,29 +1,56 @@
 //! Threaded epoch runner for the sharded engine.
 //!
-//! [`ShardedEngine::run_threaded`] executes shard calendars on worker
+//! [`ShardedEngine::run_threaded`] executes shard calendars on several
 //! threads under *conservative synchronization*: time is carved into
 //! epochs, and within an epoch every shard may advance its calendar up to
-//! a per-shard **horizon** no cross-shard message can beat. Horizons come
-//! from declared channel latencies: if every message from shard `q` to
-//! shard `s` arrives at least `L(q→s)` after it is sent, then shard `s`
-//! can safely process everything strictly before
-//! `min over q (next_time(q) + L(q→s))` — any message `q` emits while
-//! working through its own calendar arrives at or after that bound.
-//! Cross-shard sends are buffered in per-shard outboxes and exchanged as
-//! mailbox batches at the epoch barrier, merged under the same
-//! (arrival time, source shard, send seq) contract as the serial mailbox,
-//! so the event order every shard observes is a pure function of
-//! timestamps and ids, never of thread interleaving.
+//! a per-shard **horizon**. Horizons come from declared channel
+//! latencies: if every message from shard `q` to shard `s` arrives at
+//! least `L(q→s)` after it is sent, then shard `s` processes everything
+//! strictly before `min over q (next_time(q) + L(q→s))`, taken over the
+//! shards `q` with a declared channel into `s` — any message `q` emits
+//! while working through the events it already holds arrives at or after
+//! that bound. Each shard's inbound channel list is built once from
+//! [`ParallelWorld::latency`], so a horizon costs one step per channel
+//! into the shard, not one per shard. Cross-shard sends are buffered in
+//! per-shard outboxes and exchanged as mailbox batches at the epoch
+//! barrier, merged under the same (arrival time, source shard, send seq)
+//! contract as the serial mailbox, so the event order every shard
+//! observes is a pure function of timestamps and ids, never of thread
+//! interleaving.
+//!
+//! The bound does not cover what `q` sends in answer to mail that reaches
+//! it later: a reply to mail from `s` itself, or a forward of mail from
+//! a third shard. When `q` held nothing earlier, such a message can
+//! arrive before the horizon `s` already ran to, and `s` then handles it
+//! at its own timestamp after later events. The order is still a pure
+//! function of timestamps, so every thread count agrees, but it is not
+//! the order of [`ShardedEngine::run`]. Worlds that need the serial
+//! order must not answer or forward mail through a shard that may be
+//! idle.
+//!
+//! # Threads and the work pool
+//!
+//! `threads = N` means N participating threads: the calling thread
+//! plus N − 1 helpers spawned for the run (N is clamped to
+//! `1..=shard_count`). An epoch's active shards — the *units* — go into
+//! one shared pool, and every participating thread claims units one at
+//! a time, in ascending shard order, until the pool is empty; how long a
+//! unit takes is not known in advance, so nothing is assigned up front.
+//! An epoch with a single active unit, or a run with N = 1, runs on the
+//! calling thread alone and wakes no helper. Helpers sleep between
+//! epochs and acknowledge each one; a handler panic on a helper travels
+//! back with its acknowledgement and is re-raised on the calling thread.
 //!
 //! # Determinism
 //!
 //! `run_threaded` produces bit-identical worlds and reports for every
-//! worker count, including 1: the epoch schedule (horizons, barrier
+//! thread count, including 1: the epoch schedule (horizons, barrier
 //! times, serial batches) is computed from event timestamps only, each
 //! shard's event sequence within an epoch is fully ordered by its own
 //! calendar and inbox, and barrier routing walks source shards in
-//! ascending order. Threads change *which wall-clock instant* a shard's
-//! slice runs at, never what it computes.
+//! ascending order. Which thread claims a unit, and when, changes only
+//! the wall-clock instant a shard's slice runs at, never what it
+//! computes.
 //!
 //! The one caveat is a *binding* event budget. When fewer budgeted events
 //! remain than are currently pending, the runner drops to a fine-grained
@@ -47,10 +74,12 @@
 //! `F`, and parallel events at exactly `F` fire after it. Serial events
 //! order among themselves by (time, shard, seq).
 
+use std::any::Any;
 use std::collections::BinaryHeap;
 use std::mem;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::mpsc;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use crate::engine::RunOutcome;
@@ -389,8 +418,9 @@ impl<E> Batch<E> {
 }
 
 /// One shard's travelling state: engine lane plus world worker. Units
-/// live at the coordinator between epochs and move (owned, through
-/// channels) to whichever thread runs them — no cross-thread borrows.
+/// live at the coordinator between epochs and move (owned, through the
+/// epoch's [`Pool`]) to whichever thread claims them — no cross-thread
+/// borrows.
 struct Unit<E, Wk> {
     shard: u32,
     lane: Lane<E>,
@@ -409,7 +439,7 @@ fn process_unit<E, Wk: WorldWorker<Event = E>>(
     unit: &mut Unit<E, Wk>,
     claims: &AtomicU64,
     cap: u64,
-    lat_row: &[Option<SimDuration>],
+    lat: &[Vec<Option<SimDuration>>],
 ) {
     unit.processed = 0;
     unit.max_t = None;
@@ -430,32 +460,174 @@ fn process_unit<E, Wk: WorldWorker<Event = E>>(
             shard,
             now: at,
             lane: &mut unit.lane,
-            lat_row,
+            lat_row: &lat[shard.0 as usize],
         };
         worker.handle(shard, at, event, &mut ctx);
     }
 }
 
-/// A batch of units for one worker thread to run, with the epoch's
-/// budget cap.
-struct Job<E, Wk> {
-    units: Vec<Unit<E, Wk>>,
+/// The shared state of one epoch's work pool.
+struct PoolState<E, Wk> {
+    /// Bumped once per pooled epoch; a helper runs when it moves.
+    epoch: u64,
+    /// The epoch's event-budget cap.
     cap: u64,
+    /// Unclaimed units, handed out from the back.
+    todo: Vec<Unit<E, Wk>>,
+    /// Units whose epoch slice is done.
+    done: Vec<Unit<E, Wk>>,
+    /// Helpers that have not yet acknowledged the current epoch.
+    running: usize,
+    /// The first helper panic of the epoch, re-raised by the caller.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set once the run ends, normally or by panic: helpers exit.
+    closed: bool,
+}
+
+/// Work pool shared by the calling thread and its helpers: every
+/// participating thread claims active units one at a time until none
+/// is left, so a slow unit never strands a whole fixed chunk of work
+/// behind it.
+struct Pool<E, Wk> {
+    state: Mutex<PoolState<E, Wk>>,
+    /// Wakes the helpers for a new epoch or for shutdown.
+    start: Condvar,
+    /// Wakes the calling thread once every helper has acknowledged.
+    idle: Condvar,
+}
+
+impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
+    fn new(shards: usize) -> Self {
+        Pool {
+            state: Mutex::new(PoolState {
+                epoch: 0,
+                cap: 0,
+                todo: Vec::with_capacity(shards),
+                done: Vec::with_capacity(shards),
+                running: 0,
+                panic: None,
+                closed: false,
+            }),
+            start: Condvar::new(),
+            idle: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PoolState<E, Wk>> {
+        // No handler runs under the lock, and every update made under it
+        // is a single push, pop, swap or counter step, so the state stays
+        // valid even if the mutex is poisoned.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims and runs units until the pool is empty.
+    fn drain(&self, claims: &AtomicU64, cap: u64, lat: &[Vec<Option<SimDuration>>]) {
+        let mut next = self.lock().todo.pop();
+        while let Some(mut unit) = next {
+            process_unit(&mut unit, claims, cap, lat);
+            let mut state = self.lock();
+            state.done.push(unit);
+            next = state.todo.pop();
+        }
+    }
+
+    /// A helper thread's life: wait for an epoch, drain the pool, and
+    /// acknowledge — with the panic payload if a handler panicked, so
+    /// the calling thread never waits on a dead helper.
+    fn help(&self, claims: &AtomicU64, lat: &[Vec<Option<SimDuration>>]) {
+        let mut seen = 0;
+        loop {
+            let cap = {
+                let mut state = self.lock();
+                while state.epoch == seen && !state.closed {
+                    state = self
+                        .start
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                if state.closed {
+                    return;
+                }
+                seen = state.epoch;
+                state.cap
+            };
+            let result = panic::catch_unwind(AssertUnwindSafe(|| self.drain(claims, cap, lat)));
+            let last = {
+                let mut state = self.lock();
+                if let Err(payload) = result {
+                    state.panic.get_or_insert(payload);
+                }
+                state.running -= 1;
+                state.running == 0
+            };
+            if last {
+                self.idle.notify_one();
+            }
+        }
+    }
+
+    /// Runs one epoch over `active` on the calling thread and `helpers`
+    /// helper threads, and returns the finished units in `active`.
+    /// Re-raises a helper's panic on the calling thread.
+    fn run_epoch(
+        &self,
+        active: &mut Vec<Unit<E, Wk>>,
+        helpers: usize,
+        claims: &AtomicU64,
+        cap: u64,
+        lat: &[Vec<Option<SimDuration>>],
+    ) {
+        {
+            let mut state = self.lock();
+            mem::swap(&mut state.todo, active);
+            state.cap = cap;
+            state.epoch += 1;
+            state.running = helpers;
+        }
+        self.start.notify_all();
+        self.drain(claims, cap, lat);
+        let mut state = self.lock();
+        while state.running > 0 {
+            state = self
+                .idle
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Some(payload) = state.panic.take() {
+            drop(state);
+            panic::resume_unwind(payload);
+        }
+        mem::swap(active, &mut state.done);
+    }
+}
+
+/// Closes the pool when the run ends, normally or by panic, so that
+/// every helper returns and the thread scope can join them.
+struct ClosePool<'p, E, Wk: WorldWorker<Event = E>>(&'p Pool<E, Wk>);
+
+impl<E, Wk: WorldWorker<Event = E>> Drop for ClosePool<'_, E, Wk> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.start.notify_all();
+    }
 }
 
 impl<E: Send> ShardedEngine<E> {
     /// Runs the simulation under conservative-epoch synchronization on
-    /// `threads` worker threads (clamped to `1..=shard_count`). Run
-    /// control — the event budget checked before every claim, the
-    /// horizon against each event's time, [`RunOutcome`] priorities —
-    /// is global across all workers and matches [`ShardedEngine::run`].
-    /// See the module docs for the determinism contract.
+    /// `threads` threads in all: the calling thread plus `threads − 1`
+    /// helpers (clamped to `1..=shard_count`), which claim each epoch's
+    /// active shards from a shared pool. Run control — the event budget
+    /// checked before every event, the horizon against each event's
+    /// time, [`RunOutcome`] priorities — is global across all threads and
+    /// matches [`ShardedEngine::run`]. See the module docs for the
+    /// determinism contract.
     ///
     /// # Panics
     ///
     /// Panics if the world declares a zero-latency channel, splits into
     /// the wrong number of workers, or a handler violates the send
-    /// contract.
+    /// contract. A handler panic on any thread is re-raised here with
+    /// its original payload once every helper has stopped.
     pub fn run_threaded<W>(&mut self, world: &mut W, threads: usize) -> RunOutcome
     where
         W: ParallelWorld<Event = E>,
@@ -486,6 +658,18 @@ impl<E: Send> ShardedEngine<E> {
                     .collect()
             })
             .collect();
+        // Per-destination inbound channels, so each horizon walks only
+        // the shards that can message it: O(channels) per epoch, not
+        // O(shards²). In the federation that is one channel per rack and
+        // one per rack into the front door.
+        let mut inbound: Vec<Vec<(usize, SimDuration)>> = vec![Vec::new(); shards];
+        for (q, row) in lat.iter().enumerate() {
+            for (s, l) in row.iter().enumerate() {
+                if let Some(l) = *l {
+                    inbound[s].push((q, l));
+                }
+            }
+        }
 
         // Move the per-shard engine state into lanes and tear the world
         // into owned workers; both are restored before returning.
@@ -524,8 +708,9 @@ impl<E: Send> ShardedEngine<E> {
         let mut t_eff: Vec<Option<SimTime>> = vec![None; shards];
         let mut active: Vec<Unit<E, W::Worker>> = Vec::with_capacity(shards);
         let mut outs: Vec<Outgoing<E>> = Vec::new();
-        let mut spares: Vec<Vec<Unit<E, W::Worker>>> = Vec::new();
         let claims = AtomicU64::new(0);
+        let pool = Pool::new(shards);
+        let helpers = threads_eff - 1;
         // Epoch-shape counters, reported on stderr when
         // `DREDBOX_EPOCH_DEBUG` is set: events-per-epoch and the
         // single-unit share tell whether a workload's lookahead feeds the
@@ -537,31 +722,14 @@ impl<E: Send> ShardedEngine<E> {
         let mut dbg_units = 0u64;
 
         let outcome = thread::scope(|scope| {
-            // Persistent worker pool: each thread loops on its job
-            // channel until the channel drops at the end of the run.
-            let (res_tx, res_rx) = mpsc::channel::<Vec<Unit<E, W::Worker>>>();
-            let mut job_txs: Vec<mpsc::Sender<Job<E, W::Worker>>> = Vec::new();
-            if threads_eff > 1 {
-                for _ in 0..threads_eff {
-                    let (tx, rx) = mpsc::channel::<Job<E, W::Worker>>();
-                    let res_tx = res_tx.clone();
-                    let claims = &claims;
-                    let lat = &lat;
-                    scope.spawn(move || {
-                        while let Ok(mut job) = rx.recv() {
-                            for unit in &mut job.units {
-                                let row = &lat[unit.shard as usize][..];
-                                process_unit(unit, claims, job.cap, row);
-                            }
-                            if res_tx.send(job.units).is_err() {
-                                return;
-                            }
-                        }
-                    });
-                    job_txs.push(tx);
-                }
+            // The calling thread is one of the `threads` participants; the
+            // helpers sleep on the pool between epochs and return once
+            // `_close` drops at the end of the run, panic or not.
+            let _close = ClosePool(&pool);
+            for _ in 0..helpers {
+                let (pool, claims, lat) = (&pool, &claims, &lat[..]);
+                scope.spawn(move || pool.help(claims, lat));
             }
-            drop(res_tx);
 
             // When the remaining budget is no larger than the pending
             // event count, epochs could overshoot the cutoff; fall back
@@ -705,10 +873,13 @@ impl<E: Send> ShardedEngine<E> {
                 }
 
                 // Parallel epoch: compute each shard's horizon from the
-                // other shards' next times plus channel latencies, capped
-                // by the serial fence and the run horizon (inclusive, so
-                // +1 ns as an exclusive bound).
-                for s in 0..shards {
+                // next times of the shards with a channel into it plus
+                // their latencies, capped by the serial fence and the run
+                // horizon (inclusive, so +1 ns as an exclusive bound).
+                // Walking shards in descending order leaves `active` in
+                // the order the pool hands units out from its back:
+                // ascending shard order, front door first.
+                for s in (0..shards).rev() {
                     let Some(t_s) = t_eff[s] else { continue };
                     let mut h_s = match self.horizon {
                         Some(h) => h + SimDuration::from_nanos(1),
@@ -717,11 +888,8 @@ impl<E: Send> ShardedEngine<E> {
                     if let Some(f) = serial_head {
                         h_s = h_s.min(f);
                     }
-                    for q in 0..shards {
-                        if q == s {
-                            continue;
-                        }
-                        if let (Some(l), Some(t_q)) = (lat[q][s], t_eff[q]) {
+                    for &(q, l) in &inbound[s] {
+                        if let Some(t_q) = t_eff[q] {
                             h_s = h_s.min(t_q + l);
                         }
                     }
@@ -746,35 +914,14 @@ impl<E: Send> ShardedEngine<E> {
                     dbg_single += 1;
                 }
                 claims.store(0, AtomicOrdering::Relaxed);
-                if threads_eff == 1 || active.len() == 1 {
-                    for unit in &mut active {
-                        let row = &lat[unit.shard as usize][..];
-                        process_unit(unit, &claims, remaining, row);
+                if helpers == 0 || active.len() == 1 {
+                    for unit in active.iter_mut().rev() {
+                        process_unit(unit, &claims, remaining, &lat);
                     }
                 } else {
-                    // Contiguous chunks across the pool; assignment does
-                    // not affect results, only wall-clock balance. Chunk
-                    // vectors are recycled epoch to epoch — the hot loop
-                    // allocates nothing.
-                    let per = active.len().div_ceil(threads_eff);
-                    let mut sent = 0;
-                    while !active.is_empty() {
-                        let take = per.min(active.len());
-                        let mut chunk = spares.pop().unwrap_or_default();
-                        chunk.extend(active.drain(..take));
-                        job_txs[sent]
-                            .send(Job {
-                                units: chunk,
-                                cap: remaining,
-                            })
-                            .expect("worker pool is alive");
-                        sent += 1;
-                    }
-                    for _ in 0..sent {
-                        let mut units = res_rx.recv().expect("a worker thread panicked");
-                        active.append(&mut units);
-                        spares.push(units);
-                    }
+                    // Which thread runs a unit changes only wall-clock
+                    // balance, never results.
+                    pool.run_epoch(&mut active, helpers, &claims, remaining, &lat);
                 }
 
                 for unit in active.drain(..) {
@@ -1382,5 +1529,241 @@ mod tests {
         let mut engine = ShardedEngine::new(2);
         engine.schedule(ShardId(0), SimTime::ZERO, ());
         engine.run_threaded(&mut Cheat, 1);
+    }
+
+    /// Every shard ticks every 10 ns; shard 3's handler panics once its
+    /// clock reaches 500 ns, mid-run, with all eight units in the pool.
+    fn run_with_a_panicking_shard(threads: usize) {
+        struct Faulty;
+        struct FaultyWorker;
+        impl WorldWorker for FaultyWorker {
+            type Event = ();
+            fn handle(
+                &mut self,
+                shard: ShardId,
+                now: SimTime,
+                _e: (),
+                ctx: &mut WorkerContext<'_, ()>,
+            ) {
+                if shard == ShardId(3) && now >= SimTime::from_nanos(500) {
+                    panic!("shard 3 handler failed at {now}");
+                }
+                if now < SimTime::from_nanos(5_000) {
+                    ctx.schedule(now + SimDuration::from_nanos(10), ());
+                }
+            }
+        }
+        impl ParallelWorld for Faulty {
+            type Event = ();
+            type Worker = FaultyWorker;
+            fn split(&mut self, shards: usize) -> Vec<FaultyWorker> {
+                (0..shards).map(|_| FaultyWorker).collect()
+            }
+            fn reunite(&mut self, _w: Vec<FaultyWorker>) {}
+            fn latency(&self, _f: ShardId, _t: ShardId) -> Option<SimDuration> {
+                Some(SimDuration::from_nanos(100))
+            }
+        }
+        let mut engine = ShardedEngine::new(8);
+        for s in 0..8 {
+            engine.schedule(ShardId(s), SimTime::ZERO, ());
+        }
+        engine.run_threaded(&mut Faulty, threads);
+    }
+
+    /// A handler panic on a helper thread reaches the caller instead of
+    /// leaving it waiting for an acknowledgement that never comes.
+    #[test]
+    #[should_panic(expected = "shard 3 handler failed")]
+    fn handler_panic_propagates_at_two_threads() {
+        run_with_a_panicking_shard(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 3 handler failed")]
+    fn handler_panic_propagates_at_four_threads() {
+        run_with_a_panicking_shard(4);
+    }
+
+    const HOT_TICKS: u64 = 40_000;
+    const MAIL: u64 = 1 << 40;
+    const ECHO: u64 = 1 << 41;
+    const TOCK: u64 = 1 << 42;
+
+    /// A skewed world on six shards. Shard 0 ticks every nanosecond and
+    /// leaves one far-future echo per tick, so its volume dwarfs the rest
+    /// and enough events stay pending for a budget to bind in fine mode.
+    /// Every 64 ticks it mails one of shards 1–3; shard 4 gets mail only
+    /// in the last quarter of the run, and shard 5 never does. Mail costs
+    /// its receiver one local follow-up. Only the hub channels 0 ↔ 1–4
+    /// are declared, both ways, so shard 1's 50 ns metronome bounds shard
+    /// 0's horizon and the budget check sees the echoes pile up. No shard
+    /// answers mail: an answer from a shard that looked idle can land
+    /// behind a horizon, so only one-way traffic keeps the serial engine
+    /// a valid oracle.
+    struct Skewed {
+        logs: Vec<Vec<(SimTime, u64)>>,
+    }
+
+    struct SkewedWorker {
+        log: Vec<(SimTime, u64)>,
+    }
+
+    fn skewed_latency(from: ShardId, to: ShardId) -> Option<SimDuration> {
+        let (a, b) = (from.0.min(to.0), from.0.max(to.0));
+        (a == 0 && (1..=4).contains(&b))
+            .then(|| SimDuration::from_nanos(40 + 10 * u64::from(from.0 + to.0)))
+    }
+
+    /// One skewed-world event; every follow-up leaves through `send`,
+    /// which treats a send to the own shard as a local schedule.
+    fn skewed_step(
+        shard: ShardId,
+        now: SimTime,
+        ev: u64,
+        mut send: impl FnMut(ShardId, SimTime, u64),
+    ) {
+        if ev & ECHO != 0 {
+            return;
+        }
+        if ev & TOCK != 0 {
+            if now < SimTime::from_nanos(HOT_TICKS) {
+                send(shard, now + SimDuration::from_nanos(50), TOCK);
+            }
+            return;
+        }
+        if shard == ShardId(0) {
+            if ev + 1 < HOT_TICKS {
+                send(shard, now + SimDuration::from_nanos(1), ev + 1);
+            }
+            send(shard, SimTime::from_nanos(1_000_000 + ev), ev | ECHO);
+            let to = if ev >= HOT_TICKS / 4 * 3 {
+                (ev % 256 == 0).then_some(4)
+            } else {
+                (ev % 64 == 0).then_some(1 + (ev / 64) % 3)
+            };
+            if let Some(to) = to {
+                let to = ShardId(to as u32);
+                let lat = skewed_latency(shard, to).expect("hub channel");
+                send(to, now + lat, ev | MAIL);
+            }
+        } else if ev & MAIL != 0 {
+            send(shard, now + SimDuration::from_nanos(3), ev & !MAIL);
+        }
+    }
+
+    impl ShardedProcess for Skewed {
+        type Event = u64;
+        fn handle(
+            &mut self,
+            shard: ShardId,
+            now: SimTime,
+            ev: u64,
+            ctx: &mut ShardContext<'_, u64>,
+        ) {
+            self.logs[shard.0 as usize].push((now, ev));
+            skewed_step(shard, now, ev, |to, at, e| ctx.send(to, at, e));
+        }
+    }
+
+    impl WorldWorker for SkewedWorker {
+        type Event = u64;
+        fn handle(
+            &mut self,
+            shard: ShardId,
+            now: SimTime,
+            ev: u64,
+            ctx: &mut WorkerContext<'_, u64>,
+        ) {
+            self.log.push((now, ev));
+            skewed_step(shard, now, ev, |to, at, e| ctx.send(to, at, e));
+        }
+    }
+
+    impl ParallelWorld for Skewed {
+        type Event = u64;
+        type Worker = SkewedWorker;
+        fn split(&mut self, shards: usize) -> Vec<SkewedWorker> {
+            assert_eq!(shards, self.logs.len());
+            self.logs
+                .iter_mut()
+                .map(|log| SkewedWorker {
+                    log: mem::take(log),
+                })
+                .collect()
+        }
+        fn reunite(&mut self, workers: Vec<SkewedWorker>) {
+            for (slot, worker) in self.logs.iter_mut().zip(workers) {
+                *slot = worker.log;
+            }
+        }
+        fn latency(&self, from: ShardId, to: ShardId) -> Option<SimDuration> {
+            skewed_latency(from, to)
+        }
+    }
+
+    /// Dynamic claiming must not leak into results: under a ≥100× load
+    /// skew with long-idle shards, the serial engine and every thread
+    /// count — including more threads than shards — give the same logs,
+    /// count, clock and outcome, whether the run drains, stops on a
+    /// binding budget or stops at a horizon.
+    #[test]
+    fn skewed_load_is_bit_identical_at_every_thread_count() {
+        let shards = 6;
+        for (budget, horizon, expected) in [
+            (None, None, RunOutcome::Drained),
+            (Some(30_000), None, RunOutcome::BudgetExhausted),
+            (
+                None,
+                Some(SimTime::from_nanos(25_000)),
+                RunOutcome::HorizonReached,
+            ),
+        ] {
+            // Threads 0 stands for the serial engine.
+            let run = |threads: usize| {
+                let mut engine = ShardedEngine::new(shards);
+                if let Some(b) = budget {
+                    engine = engine.with_event_budget(b);
+                }
+                if let Some(h) = horizon {
+                    engine = engine.with_horizon(h);
+                }
+                engine.schedule(ShardId(0), SimTime::ZERO, 0);
+                engine.schedule(ShardId(1), SimTime::ZERO, TOCK);
+                let mut world = Skewed {
+                    logs: vec![Vec::new(); shards],
+                };
+                let outcome = if threads == 0 {
+                    engine.run(&mut world)
+                } else {
+                    engine.run_threaded(&mut world, threads)
+                };
+                (outcome, world.logs, engine.processed(), engine.now())
+            };
+            let baseline = run(0);
+            assert_eq!(baseline.0, expected);
+            if expected == RunOutcome::Drained {
+                let volume: Vec<usize> = baseline.1.iter().map(Vec::len).collect();
+                let busiest = volume.iter().copied().max().unwrap_or(0);
+                let quietest = volume.iter().copied().filter(|&n| n > 0).min();
+                assert!(
+                    busiest >= 100 * quietest.unwrap_or(usize::MAX),
+                    "load is not skewed: {volume:?}"
+                );
+                assert!(volume[5] == 0, "shard 5 stays idle");
+                let first_mail = baseline.1[4].first().map(|&(t, _)| t);
+                assert!(
+                    first_mail > Some(SimTime::from_nanos(HOT_TICKS / 4 * 3)),
+                    "shard 4 sits idle for most of the run"
+                );
+            }
+            for threads in [1, 2, 3, 4, 8] {
+                assert_eq!(
+                    run(threads),
+                    baseline,
+                    "threads={threads} budget={budget:?} horizon={horizon:?}"
+                );
+            }
+        }
     }
 }
