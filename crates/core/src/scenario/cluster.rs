@@ -59,6 +59,10 @@ use crate::system::{DredboxSystem, MigrationReport, VmHandle};
 use super::world::{Counters, ScenarioEvent, ScenarioWorld};
 use super::{AvailabilityStats, ClusterScenarioStats, ScenarioReport, ScenarioSpec};
 
+/// Racks one federation holds: the spillover search marks refusing racks
+/// in one `u64` bitmask.
+pub(super) const MAX_RACKS: u16 = 64;
+
 /// Shard 0: the cluster controller's admission front door.
 pub(super) struct FrontDoor {
     controller: ClusterController,
@@ -265,7 +269,7 @@ pub(super) struct ClusterWorld<'a> {
     faults: FailureSchedule,
     injector: FaultInjector,
     availability: AvailabilityStats,
-    blast_radius_vms: Vec<f64>,
+    blast_radius_vms: Summary,
     /// VMs lost to each outstanding fault, charged VM-seconds at repair.
     lost_at: BTreeMap<FaultSite, u64>,
     cross_rack_migrations: u64,
@@ -288,7 +292,10 @@ impl<'a> ClusterWorld<'a> {
         timings: ClusterTimings,
     ) -> Self {
         let racks = rack_systems.len();
-        assert!(racks <= 64, "the spillover bitmask covers at most 64 racks");
+        assert!(
+            racks <= usize::from(MAX_RACKS),
+            "the spillover bitmask covers at most 64 racks"
+        );
         let mut controller = ClusterController::new(spec.system.placement);
         controller.set_rack_budget(spec.system.rack_power_budget);
         for (r, system) in rack_systems.iter().enumerate() {
@@ -326,7 +333,7 @@ impl<'a> ClusterWorld<'a> {
             faults,
             injector: FaultInjector::new(),
             availability: AvailabilityStats::default(),
-            blast_radius_vms: Vec::new(),
+            blast_radius_vms: Summary::new(),
             lost_at: BTreeMap::new(),
             cross_rack_migrations: 0,
             racks_drained: 0,
@@ -462,7 +469,7 @@ impl<'a> ClusterWorld<'a> {
         let Some(affected) = affected else {
             return;
         };
-        self.blast_radius_vms.push(affected as f64);
+        self.blast_radius_vms.record(affected as f64);
         racks[struck].world.sample_utilization();
     }
 
@@ -642,8 +649,8 @@ impl<'a> ClusterWorld<'a> {
         world.sample_utilization();
     }
 
-    /// Assembles the cluster report: sample streams concatenate in rack
-    /// order (the canonical merge order), counters sum field-wise, and
+    /// Assembles the cluster report: per-rack sketches merge in rack order
+    /// (the canonical merge order), counters sum field-wise, and
     /// the coordinator contributes the cluster-tier and availability
     /// telemetry. Every admission a rack accepted was routed to it, and
     /// every brick it powered off was one of its own, so the per-rack
@@ -670,16 +677,16 @@ impl<'a> ClusterWorld<'a> {
             ..ClusterScenarioStats::default()
         };
         let mut peak_queue = 0u64;
-        let mut scale_up_delays_s = Vec::new();
-        let mut read_latencies_ns = Vec::new();
-        let mut utilization = Vec::new();
-        let mut migration_downtime_s = Vec::new();
-        let mut precopy_counterfactual_s = Vec::new();
-        let mut scaleout_counterfactual_s = Vec::new();
-        let mut control_plane_wait_s = Vec::new();
-        let mut offload_time_s = Vec::new();
-        let mut offload_local_counterfactual_s = Vec::new();
-        let mut accel_utilization = Vec::new();
+        let mut scale_up_delays_s = Summary::new();
+        let mut read_latencies_ns = Summary::new();
+        let mut utilization = Summary::new();
+        let mut migration_downtime_s = Summary::new();
+        let mut precopy_counterfactual_s = Summary::new();
+        let mut scaleout_counterfactual_s = Summary::new();
+        let mut control_plane_wait_s = Summary::new();
+        let mut offload_time_s = Summary::new();
+        let mut offload_local_counterfactual_s = Summary::new();
+        let mut accel_utilization = Summary::new();
         for shard in &shards {
             let w = &shard.world;
             c.admitted += w.counters.admitted;
@@ -708,24 +715,24 @@ impl<'a> ClusterWorld<'a> {
             stats.admissions_per_rack.push(w.counters.admitted);
             stats.power_off_per_rack.push(w.counters.bricks_powered_off);
             peak_queue = peak_queue.max(w.control_plane.peak_depth() as u64);
-            scale_up_delays_s.extend_from_slice(&w.scale_up_delays_s);
-            read_latencies_ns.extend_from_slice(&w.read_latencies_ns);
-            utilization.extend_from_slice(&w.utilization);
-            migration_downtime_s.extend_from_slice(&w.migration_downtime_s);
-            precopy_counterfactual_s.extend_from_slice(&w.precopy_counterfactual_s);
-            scaleout_counterfactual_s.extend_from_slice(&w.scaleout_counterfactual_s);
-            control_plane_wait_s.extend_from_slice(&w.control_plane_wait_s);
-            offload_time_s.extend_from_slice(&w.offload_time_s);
-            offload_local_counterfactual_s.extend_from_slice(&w.offload_local_counterfactual_s);
-            accel_utilization.extend_from_slice(&w.accel_utilization);
+            scale_up_delays_s.merge(&w.scale_up_delays_s);
+            read_latencies_ns.merge(&w.read_latencies_ns);
+            utilization.merge(&w.utilization);
+            migration_downtime_s.merge(&w.migration_downtime_s);
+            precopy_counterfactual_s.merge(&w.precopy_counterfactual_s);
+            scaleout_counterfactual_s.merge(&w.scaleout_counterfactual_s);
+            control_plane_wait_s.merge(&w.control_plane_wait_s);
+            offload_time_s.merge(&w.offload_time_s);
+            offload_local_counterfactual_s.merge(&w.offload_local_counterfactual_s);
+            accel_utilization.merge(&w.accel_utilization);
         }
         // Final rejections live at the front door; racks only ever bounce
         // requests back for another candidate.
         c.rejected += front.rejected;
         let availability = if self.spec.faults.is_some() || self.spec.upgrade.is_some() {
             let mut stats = self.availability;
-            stats.blast_radius = Summary::from_samples(&self.blast_radius_vms);
-            stats.mttr = Summary::from_samples(self.injector.mttr_samples());
+            stats.blast_radius = self.blast_radius_vms.finish();
+            stats.mttr = self.injector.mttr().clone().finish();
             Some(stats)
         } else {
             None
@@ -755,16 +762,16 @@ impl<'a> ClusterWorld<'a> {
             bitstream_programs: c.bitstream_programs,
             accel_wakes: c.accel_wakes,
             control_plane_peak_queue: peak_queue,
-            scale_up_delay: Summary::from_samples(&scale_up_delays_s),
-            read_latency: Summary::from_samples(&read_latencies_ns),
-            pool_utilization: Summary::from_samples(&utilization),
-            migration_downtime: Summary::from_samples(&migration_downtime_s),
-            precopy_counterfactual: Summary::from_samples(&precopy_counterfactual_s),
-            scaleout_counterfactual: Summary::from_samples(&scaleout_counterfactual_s),
-            control_plane_wait: Summary::from_samples(&control_plane_wait_s),
-            offload_time: Summary::from_samples(&offload_time_s),
-            offload_local_counterfactual: Summary::from_samples(&offload_local_counterfactual_s),
-            accel_utilization: Summary::from_samples(&accel_utilization),
+            scale_up_delay: scale_up_delays_s.finish(),
+            read_latency: read_latencies_ns.finish(),
+            pool_utilization: utilization.finish(),
+            migration_downtime: migration_downtime_s.finish(),
+            precopy_counterfactual: precopy_counterfactual_s.finish(),
+            scaleout_counterfactual: scaleout_counterfactual_s.finish(),
+            control_plane_wait: control_plane_wait_s.finish(),
+            offload_time: offload_time_s.finish(),
+            offload_local_counterfactual: offload_local_counterfactual_s.finish(),
+            accel_utilization: accel_utilization.finish(),
             cluster: Some(stats),
             availability,
             // The load-dependent data path is single-rack only (validated

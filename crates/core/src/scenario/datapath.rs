@@ -242,7 +242,7 @@ pub(super) struct DataPathState {
     load: FabricLoad,
     vms: BTreeMap<u64, VmDataPath>,
     stats: DataPathStats,
-    queue_delays_ns: Vec<f64>,
+    queue_delays_ns: Summary,
 }
 
 impl DataPathState {
@@ -252,7 +252,7 @@ impl DataPathState {
             load: FabricLoad::new(),
             vms: BTreeMap::new(),
             stats: DataPathStats::default(),
-            queue_delays_ns: Vec::new(),
+            queue_delays_ns: Summary::new(),
         }
     }
 
@@ -361,7 +361,7 @@ impl DataPathState {
             breakdown.add(LatencyComponent::Queueing, queueing);
         }
         let queue_ns = queueing.as_nanos() as f64;
-        self.queue_delays_ns.push(queue_ns);
+        self.queue_delays_ns.record(queue_ns);
         (breakdown.total().as_nanos() as f64, queue_ns)
     }
 
@@ -383,12 +383,12 @@ impl DataPathState {
         self.stats.peak_fabric_utilization = self.stats.peak_fabric_utilization.max(worst);
         if queueing > SimDuration::ZERO {
             breakdown.add(LatencyComponent::Queueing, queueing);
-            self.queue_delays_ns.push(queueing.as_nanos() as f64);
+            self.queue_delays_ns.record(queueing.as_nanos() as f64);
         }
         breakdown.total().as_nanos() as f64
     }
 
-    /// Runs one sampled burst of accesses for `vm`, pushing per-access
+    /// Runs one sampled burst of accesses for `vm`, recording per-access
     /// latencies into `samples`. Re-publishes the VM's offered load from
     /// the measured miss rate and steps the granularity controller.
     pub(super) fn run_burst(
@@ -396,7 +396,7 @@ impl DataPathState {
         system: &DredboxSystem,
         vm: VmHandle,
         rng: &mut SimRng,
-        samples: &mut Vec<f64>,
+        samples: &mut Summary,
     ) -> BurstOutcome {
         let Some(mut state) = self.vms.remove(&vm.0) else {
             return BurstOutcome { ran: false };
@@ -448,7 +448,7 @@ impl DataPathState {
                 ns
             };
             total_ns += ns;
-            samples.push(ns);
+            samples.record(ns);
         }
         self.stats.reads += hits + misses;
         self.stats.cache_hits += hits;
@@ -534,7 +534,7 @@ impl DataPathState {
             self.stats.read_latency_p99_ns = summary.percentile(99.0);
             self.stats.read_latency_p999_ns = summary.percentile(99.9);
         }
-        self.stats.queue_delay = Summary::from_samples(&self.queue_delays_ns);
+        self.stats.queue_delay = self.queue_delays_ns.finish();
         self.stats
     }
 }

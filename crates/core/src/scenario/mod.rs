@@ -1154,6 +1154,9 @@ impl ScenarioSpec {
         if self.lifetime.mean.as_nanos() == 0 {
             return Err(invalid("lifetime mean must be positive"));
         }
+        if self.system.racks > cluster::MAX_RACKS {
+            return Err(invalid("a federation holds at most 64 racks"));
+        }
         match &self.migration {
             Some(MigrationPolicy::Consolidate {
                 every,
@@ -1893,6 +1896,16 @@ mod tests {
         });
         assert!(matches!(
             spec.run(1),
+            Err(SystemError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn federations_over_64_racks_are_rejected() {
+        let mut spec = ScenarioSpec::datacenter();
+        spec.system.racks = 65;
+        assert!(matches!(
+            spec.run_with_threads(1, 2),
             Err(SystemError::InvalidConfig { .. })
         ));
     }

@@ -180,8 +180,8 @@ pub(super) struct ScenarioWorld<'a> {
     /// Serializes every SDM request of the replay (admissions, scale-ups,
     /// releases, migrations) through the rack's one controller.
     pub(super) control_plane: ControlPlaneQueue,
-    pub(super) scale_up_delays_s: Vec<f64>,
-    pub(super) read_latencies_ns: Vec<f64>,
+    pub(super) scale_up_delays_s: Summary,
+    pub(super) read_latencies_ns: Summary,
     /// Precomputed remote-read latency total per [`READ_SIZES`] entry —
     /// valid ONLY while the latency model is pure in the transfer size.
     /// Every draw goes through [`ScenarioWorld::read_latency_for`], which
@@ -191,14 +191,14 @@ pub(super) struct ScenarioWorld<'a> {
     /// Live data-path model (fabric load, caches, granularity controller);
     /// `None` replays the flat latency model unchanged.
     pub(super) data_path: Option<DataPathState>,
-    pub(super) utilization: Vec<f64>,
-    pub(super) migration_downtime_s: Vec<f64>,
-    pub(super) precopy_counterfactual_s: Vec<f64>,
-    pub(super) scaleout_counterfactual_s: Vec<f64>,
-    pub(super) control_plane_wait_s: Vec<f64>,
-    pub(super) offload_time_s: Vec<f64>,
-    pub(super) offload_local_counterfactual_s: Vec<f64>,
-    pub(super) accel_utilization: Vec<f64>,
+    pub(super) utilization: Summary,
+    pub(super) migration_downtime_s: Summary,
+    pub(super) precopy_counterfactual_s: Summary,
+    pub(super) scaleout_counterfactual_s: Summary,
+    pub(super) control_plane_wait_s: Summary,
+    pub(super) offload_time_s: Summary,
+    pub(super) offload_local_counterfactual_s: Summary,
+    pub(super) accel_utilization: Summary,
     /// The spec's seeded fault schedule (empty when the spec has none);
     /// [`ScenarioEvent::Fault`]/[`ScenarioEvent::Repair`] index into it.
     pub(super) faults: FailureSchedule,
@@ -207,8 +207,8 @@ pub(super) struct ScenarioWorld<'a> {
     /// Availability telemetry; reported only when the spec injects faults
     /// or runs a rolling upgrade.
     pub(super) availability: AvailabilityStats,
-    /// VMs affected per struck fault (blast radius samples).
-    pub(super) blast_radius_vms: Vec<f64>,
+    /// VMs affected per struck fault (blast radius).
+    pub(super) blast_radius_vms: Summary,
     /// VMs lost to each currently-outstanding fault, so the repair can
     /// charge VM-seconds lost over the whole outage.
     pub(super) lost_at: BTreeMap<FaultSite, u64>,
@@ -247,20 +247,20 @@ impl<'a> ScenarioWorld<'a> {
             data_path,
             counters: Counters::default(),
             control_plane: ControlPlaneQueue::new(penalty),
-            scale_up_delays_s: Vec::new(),
-            read_latencies_ns: Vec::new(),
-            utilization: Vec::new(),
-            migration_downtime_s: Vec::new(),
-            precopy_counterfactual_s: Vec::new(),
-            scaleout_counterfactual_s: Vec::new(),
-            control_plane_wait_s: Vec::new(),
-            offload_time_s: Vec::new(),
-            offload_local_counterfactual_s: Vec::new(),
-            accel_utilization: Vec::new(),
+            scale_up_delays_s: Summary::new(),
+            read_latencies_ns: Summary::new(),
+            utilization: Summary::new(),
+            migration_downtime_s: Summary::new(),
+            precopy_counterfactual_s: Summary::new(),
+            scaleout_counterfactual_s: Summary::new(),
+            control_plane_wait_s: Summary::new(),
+            offload_time_s: Summary::new(),
+            offload_local_counterfactual_s: Summary::new(),
+            accel_utilization: Summary::new(),
             faults,
             injector: FaultInjector::new(),
             availability: AvailabilityStats::default(),
-            blast_radius_vms: Vec::new(),
+            blast_radius_vms: Summary::new(),
             lost_at: BTreeMap::new(),
         }
     }
@@ -322,16 +322,17 @@ impl<'a> ScenarioWorld<'a> {
                 .position(|s| s == pick)
                 .expect("chosen from READ_SIZES");
             let ns = self.read_latency_for(vm, slot);
-            self.read_latencies_ns.push(ns);
+            self.read_latencies_ns.record(ns);
         }
     }
 
     pub(super) fn sample_utilization(&mut self) {
-        self.utilization.push(self.system.pool_utilization());
+        self.utilization.record(self.system.pool_utilization());
         // Accelerator utilization is sampled only on systems that carry
         // dACCELBRICKs, so accelerator-free scenarios report `None`.
         if self.spec.system.total_accel_bricks() > 0 {
-            self.accel_utilization.push(self.system.accel_utilization());
+            self.accel_utilization
+                .record(self.system.accel_utilization());
         }
     }
 
@@ -348,9 +349,9 @@ impl<'a> ScenarioWorld<'a> {
             self.counters.accel_wakes += 1;
         }
         self.offload_time_s
-            .push((admission.queue_wait + report.offload_total).as_secs_f64());
+            .record((admission.queue_wait + report.offload_total).as_secs_f64());
         self.offload_local_counterfactual_s
-            .push(report.local_compute.as_secs_f64());
+            .record(report.local_compute.as_secs_f64());
         admission
     }
 
@@ -368,7 +369,7 @@ impl<'a> ScenarioWorld<'a> {
     pub(super) fn admit_control(&mut self, now: SimTime, service: SimDuration) -> QueueAdmission {
         let admission = self.control_plane.admit(now, service);
         self.control_plane_wait_s
-            .push(admission.queue_wait.as_secs_f64());
+            .record(admission.queue_wait.as_secs_f64());
         admission
     }
 
@@ -476,9 +477,9 @@ impl<'a> ScenarioWorld<'a> {
         let admission = self.admit_control(now, report.orchestration_delay);
         self.counters.migrations += 1;
         self.migration_downtime_s
-            .push((admission.queue_wait + report.downtime).as_secs_f64());
+            .record((admission.queue_wait + report.downtime).as_secs_f64());
         self.precopy_counterfactual_s
-            .push(report.conventional_precopy.as_secs_f64());
+            .record(report.conventional_precopy.as_secs_f64());
     }
 
     /// One rebalance pass per the spec's migration policy.
@@ -529,7 +530,7 @@ impl<'a> ScenarioWorld<'a> {
                     // spread the load by provisioning as many fresh VMs
                     // through the cloud control plane.
                     for delay in baseline.provision_burst(evacuated, &mut self.rng) {
-                        self.scaleout_counterfactual_s.push(delay.as_secs_f64());
+                        self.scaleout_counterfactual_s.record(delay.as_secs_f64());
                     }
                 }
             }
@@ -633,7 +634,7 @@ impl<'a> ScenarioWorld<'a> {
                 self.availability.circuits_restored += restored as u64;
             }
         }
-        self.blast_radius_vms.push(affected as f64);
+        self.blast_radius_vms.record(affected as f64);
         self.sample_utilization();
     }
 
@@ -687,7 +688,7 @@ impl<'a> ScenarioWorld<'a> {
         // The data-path block only exists on specs that configure the
         // load-dependent model; every pre-existing report (and golden)
         // stays byte-identical.
-        let read_latency = Summary::from_samples(&self.read_latencies_ns);
+        let read_latency = self.read_latencies_ns.finish();
         let data_path = self
             .data_path
             .take()
@@ -697,8 +698,8 @@ impl<'a> ScenarioWorld<'a> {
         // stays byte-identical.
         let availability = if self.spec.faults.is_some() || self.spec.upgrade.is_some() {
             let mut stats = self.availability;
-            stats.blast_radius = Summary::from_samples(&self.blast_radius_vms);
-            stats.mttr = Summary::from_samples(self.injector.mttr_samples());
+            stats.blast_radius = self.blast_radius_vms.finish();
+            stats.mttr = self.injector.mttr().clone().finish();
             Some(stats)
         } else {
             None
@@ -728,18 +729,16 @@ impl<'a> ScenarioWorld<'a> {
             bitstream_programs: c.bitstream_programs,
             accel_wakes: c.accel_wakes,
             control_plane_peak_queue: self.control_plane.peak_depth() as u64,
-            scale_up_delay: Summary::from_samples(&self.scale_up_delays_s),
+            scale_up_delay: self.scale_up_delays_s.finish(),
             read_latency,
-            pool_utilization: Summary::from_samples(&self.utilization),
-            migration_downtime: Summary::from_samples(&self.migration_downtime_s),
-            precopy_counterfactual: Summary::from_samples(&self.precopy_counterfactual_s),
-            scaleout_counterfactual: Summary::from_samples(&self.scaleout_counterfactual_s),
-            control_plane_wait: Summary::from_samples(&self.control_plane_wait_s),
-            offload_time: Summary::from_samples(&self.offload_time_s),
-            offload_local_counterfactual: Summary::from_samples(
-                &self.offload_local_counterfactual_s,
-            ),
-            accel_utilization: Summary::from_samples(&self.accel_utilization),
+            pool_utilization: self.utilization.finish(),
+            migration_downtime: self.migration_downtime_s.finish(),
+            precopy_counterfactual: self.precopy_counterfactual_s.finish(),
+            scaleout_counterfactual: self.scaleout_counterfactual_s.finish(),
+            control_plane_wait: self.control_plane_wait_s.finish(),
+            offload_time: self.offload_time_s.finish(),
+            offload_local_counterfactual: self.offload_local_counterfactual_s.finish(),
+            accel_utilization: self.accel_utilization.finish(),
             // The cluster tier reports from the federation's own world.
             cluster: None,
             availability,
@@ -803,7 +802,7 @@ impl ScenarioWorld<'_> {
                         let admission = self.admit_control(now, report.orchestration_delay);
                         self.counters.scale_ups += 1;
                         self.scale_up_delays_s
-                            .push((admission.queue_wait + report.total_delay).as_secs_f64());
+                            .record((admission.queue_wait + report.total_delay).as_secs_f64());
                         if let Some(churn) = self.spec.churn {
                             ctx.schedule(
                                 admission.completion + churn.hold,

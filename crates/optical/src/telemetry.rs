@@ -109,15 +109,15 @@ impl BerMeasurementCampaign {
         rng: &mut SimRng,
     ) -> ChannelMeasurement {
         let nominal = link.received_power();
-        let samples: Vec<f64> = (0..self.samples_per_channel)
-            .map(|_| {
-                let jitter = rng.normal(0.0, self.power_jitter_db);
-                let power = DecibelMilliwatts::new(nominal.as_dbm() + jitter);
-                self.receiver.ber(power)
-            })
-            .collect();
-        let summary =
-            Summary::from_samples(&samples).expect("campaign produces at least one finite sample");
+        let mut summary = Summary::new();
+        for _ in 0..self.samples_per_channel {
+            let jitter = rng.normal(0.0, self.power_jitter_db);
+            let power = DecibelMilliwatts::new(nominal.as_dbm() + jitter);
+            summary.record(self.receiver.ber(power));
+        }
+        let summary = summary
+            .finish()
+            .expect("campaign produces at least one finite sample");
         ChannelMeasurement {
             label: label.to_owned(),
             hops: link.switch_hops(),

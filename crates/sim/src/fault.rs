@@ -20,6 +20,7 @@
 //! layer that owns those identifiers.
 
 use crate::rng::SimRng;
+use crate::stats::Summary;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -207,7 +208,7 @@ impl FailureSchedule {
 }
 
 /// Live fault bookkeeping: which sites are down, since when, and the
-/// repair-time (MTTR) samples collected so far.
+/// repair times (MTTR) recorded so far.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultInjector {
     /// Sites currently down and when each went down.
@@ -217,8 +218,8 @@ pub struct FaultInjector {
     injected: u64,
     /// Repairs completed.
     repaired: u64,
-    /// Completed repair durations, in seconds, in completion order.
-    mttr_secs: Vec<f64>,
+    /// Completed repair durations, in seconds.
+    mttr_secs: Summary,
 }
 
 impl FaultInjector {
@@ -244,7 +245,7 @@ impl FaultInjector {
         let since = self.down.remove(&site)?;
         let outage = now.duration_since(since);
         self.repaired += 1;
-        self.mttr_secs.push(outage.as_secs_f64());
+        self.mttr_secs.record(outage.as_secs_f64());
         Some(outage)
     }
 
@@ -273,8 +274,8 @@ impl FaultInjector {
         self.repaired
     }
 
-    /// Completed repair durations in seconds, in completion order.
-    pub fn mttr_samples(&self) -> &[f64] {
+    /// Completed repair durations in seconds.
+    pub fn mttr(&self) -> &Summary {
         &self.mttr_secs
     }
 }
@@ -353,7 +354,9 @@ mod tests {
         );
         assert_eq!(injector.end(site, SimTime::from_secs(32)), None);
         assert_eq!(injector.repaired(), 1);
-        assert_eq!(injector.mttr_samples(), &[30.0]);
+        assert_eq!(injector.mttr().count(), 1);
+        assert_eq!(injector.mttr().min(), 30.0);
+        assert_eq!(injector.mttr().max(), 30.0);
         assert_eq!(injector.down_count(), 0);
     }
 }

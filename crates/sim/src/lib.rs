@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::report::{Figure, Row, Series, Table};
     pub use crate::rng::SimRng;
     pub use crate::shard::{ShardContext, ShardId, ShardedEngine, ShardedProcess};
-    pub use crate::stats::{BoxPlot, Histogram, Summary};
+    pub use crate::stats::{BoxPlot, Summary};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::units::{Bandwidth, ByteSize, DecibelMilliwatts, Milliwatts, Watts};
 }

@@ -1,21 +1,58 @@
 //! Summary statistics used by the experiment harnesses.
 //!
 //! Figure 7 of the paper is a box plot of measured BER per optical channel;
-//! Figure 10 reports per-VM average delays. [`Summary`], [`BoxPlot`] and
-//! [`Histogram`] provide exactly the aggregations those harnesses print.
+//! Figure 10 reports per-VM average delays. [`Summary`] and [`BoxPlot`]
+//! provide exactly the aggregations those harnesses print.
+//!
+//! # Error bound
+//!
+//! A [`Summary`] is a log-bucket sketch, not a sample list, so its memory
+//! grows with the number of buckets touched, not with the number of samples.
+//! A bucket holds the samples that share sign, exponent and the top 7
+//! mantissa bits, so it spans at most 2⁻⁷ of its smallest magnitude; zero
+//! has a bucket of its own.
+//!
+//! - `count`, `min` and `max` are exact.
+//! - `mean` and `std_dev` come from Welford moments (merged with Chan et
+//!   al.'s pairwise update), exact up to floating-point rounding.
+//! - A percentile keeps the rank `p/100·(n−1)` and interpolates linearly
+//!   between the floor and ceil ranks, as an exact percentile would. Each
+//!   rank is represented by the midrange of the values its bucket has seen,
+//!   which is within [`RELATIVE_ERROR`] (2⁻⁸, about 0.39%) of the sample at
+//!   that rank. For same-sign data the interpolated percentile is therefore
+//!   within [`RELATIVE_ERROR`] of the exact one; in general the error is at
+//!   most [`RELATIVE_ERROR`] times the interpolation-weighted magnitudes of
+//!   the two samples. p0 and p100 are `min` and `max` exactly, and a bucket
+//!   whose samples share one value reports it exactly. The bound holds for
+//!   normal floats; a subnormal sample is off by less than 2⁻¹⁰²⁹.
+//!
+//! The Figure 7 box plots and the Figure 10 delay percentiles are therefore
+//! approximate within this bound; their means, extremes and counts are not.
+//! Bucketing uses only integer operations on the float's bits (no `ln`,
+//! `log` or `powf`), so a sketch, and any report printing one, is the same
+//! on every host.
 
 use serde::{Deserialize, Serialize};
 
-/// Summary statistics (count, mean, std-dev, min/max, percentiles) of a set
-/// of `f64` samples.
+/// Mantissa bits a bucket key keeps below the exponent.
+const MANTISSA_BITS: u32 = 7;
+
+/// Bound on the relative error of a percentile of same-sign samples: half
+/// the widest bucket, 2⁻⁸.
+pub const RELATIVE_ERROR: f64 = 1.0 / (1u64 << (MANTISSA_BITS + 1)) as f64;
+
+/// Low bits of an `f64`'s magnitude that a bucket key drops.
+const DROPPED_BITS: u32 = 52 - MANTISSA_BITS;
+
+/// A deterministic, mergeable log-bucket sketch of a stream of `f64`
+/// samples: count, mean, std-dev, min/max and percentiles within the
+/// bound stated in the [module docs](self).
 ///
-/// Sorted samples are stored run-length encoded (distinct value + cumulative
-/// count per run), so summaries embedded in reports and snapshots stay small
-/// even for ~100k-event traces whose latency draws collapse to a handful of
-/// distinct values. Percentiles remain *exact*: the encoding loses nothing.
-/// The `Debug` representation re-expands the runs, so pretty-printed output
-/// is byte-identical to the previous `sorted: Vec<f64>` form (golden
-/// snapshots depend on this).
+/// Record samples as they happen with [`Summary::record`], combine
+/// per-shard sketches with [`Summary::merge`], and turn the result into a
+/// report field with [`Summary::finish`], which gives `None` for a metric
+/// that recorded nothing or saw a non-finite value. An empty sketch
+/// reports count 0, mean and std-dev 0, and min/max of ∞/−∞.
 ///
 /// ```
 /// use dredbox_sim::stats::Summary;
@@ -24,82 +61,173 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 2.5);
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 4.0);
+/// assert_eq!(s.median(), 2.5);
 /// ```
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
-    count: usize,
+    count: u64,
     mean: f64,
-    std_dev: f64,
+    /// Sum of squared deviations from the running mean (Welford's M2).
+    m2: f64,
     min: f64,
     max: f64,
-    /// Distinct sorted sample values, one entry per run.
-    run_values: Vec<f64>,
-    /// Cumulative sample count at the end of each run; the last entry
-    /// equals `count`.
-    run_ends: Vec<usize>,
+    /// Set once a non-finite value is recorded: such a metric has no summary.
+    saw_non_finite: bool,
+    /// Bucket keys in ascending value order (see [`bucket_key`]).
+    keys: Vec<i32>,
+    /// One entry per key, in lockstep with `keys`.
+    buckets: Vec<Bucket>,
+}
+
+/// The samples of one bucket: how many, and the smallest and largest seen.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct Bucket {
+    count: u64,
+    lo: f64,
+    hi: f64,
+}
+
+impl Bucket {
+    /// The value that stands for every sample of the bucket: the midrange
+    /// of what it has seen, within half the bucket width of each of them.
+    fn representative(&self) -> f64 {
+        self.lo + (self.hi - self.lo) / 2.0
+    }
+
+    fn absorb(&mut self, other: &Bucket) {
+        self.count += other.count;
+        self.lo = self.lo.min(other.lo);
+        self.hi = self.hi.max(other.hi);
+    }
+}
+
+/// Orders buckets by value: 0 for zero, `±(1 + magnitude bits >>
+/// DROPPED_BITS)` otherwise. Finite magnitudes order like their bit
+/// patterns, so the key keeps the exponent and top mantissa bits.
+fn bucket_key(x: f64) -> i32 {
+    if x == 0.0 {
+        return 0;
+    }
+    // At most 2^18 - 1 for a finite float, so the cast is lossless.
+    let magnitude = (x.abs().to_bits() >> DROPPED_BITS) as i32 + 1;
+    if x < 0.0 {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
+impl Default for Summary {
+    fn default() -> Self {
+        Summary::new()
+    }
 }
 
 impl Summary {
+    /// An empty sketch.
+    pub fn new() -> Self {
+        Summary {
+            count: 0,
+            mean: 0.0,
+            m2: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            saw_non_finite: false,
+            keys: Vec::new(),
+            buckets: Vec::new(),
+        }
+    }
+
     /// Builds a summary from `samples`. Returns `None` when `samples` is
     /// empty or contains non-finite values.
     pub fn from_samples(samples: &[f64]) -> Option<Self> {
-        if samples.is_empty() || samples.iter().any(|x| !x.is_finite()) {
-            return None;
+        let mut summary = Summary::new();
+        for &x in samples {
+            summary.record(x);
         }
-        let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / count as f64;
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        // Run-length encode; runs split on bit patterns so the expansion
-        // reproduces the sorted sequence exactly (e.g. -0.0 vs 0.0).
-        let mut run_values = Vec::new();
-        let mut run_ends = Vec::new();
-        for (i, &x) in sorted.iter().enumerate() {
-            match run_values.last() {
-                Some(&last) if f64::to_bits(last) == f64::to_bits(x) => {
-                    *run_ends.last_mut().expect("runs in lockstep") = i + 1;
-                }
-                _ => {
-                    run_values.push(x);
-                    run_ends.push(i + 1);
-                }
+        summary.finish()
+    }
+
+    /// Records one sample. Allocates only when it opens a bucket.
+    pub fn record(&mut self, x: f64) {
+        if !x.is_finite() {
+            self.saw_non_finite = true;
+            return;
+        }
+        self.count += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (x - self.mean);
+        // Strict `<` keeps the first of equal minima and `>=` the last of
+        // equal maxima, as a stable sort of the samples would (±0 differ).
+        if x < self.min {
+            self.min = x;
+        }
+        if x >= self.max {
+            self.max = x;
+        }
+        // One canonical zero, so bucket contents never depend on order.
+        let x = if x == 0.0 { 0.0 } else { x };
+        self.add(
+            bucket_key(x),
+            &Bucket {
+                count: 1,
+                lo: x,
+                hi: x,
+            },
+        );
+    }
+
+    /// Adds `bucket`'s samples under `key`, opening the bucket if needed.
+    fn add(&mut self, key: i32, bucket: &Bucket) {
+        match self.keys.binary_search(&key) {
+            Ok(i) => self.buckets[i].absorb(bucket),
+            Err(i) => {
+                self.keys.insert(i, key);
+                self.buckets.insert(i, *bucket);
             }
         }
-        Some(Summary {
-            count,
-            mean,
-            std_dev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[count - 1],
-            run_values,
-            run_ends,
-        })
     }
 
-    /// The `idx`-th smallest sample (0-based), decoded from the runs.
-    fn sorted_at(&self, idx: usize) -> f64 {
-        debug_assert!(idx < self.count);
-        let run = self.run_ends.partition_point(|&end| end <= idx);
-        self.run_values[run]
+    /// Folds `other` into this sketch. Bucket counts add, so the buckets
+    /// do not depend on merge order; the moments combine pairwise (Chan et
+    /// al.), so merging in a fixed order gives the same bits every time.
+    pub fn merge(&mut self, other: &Summary) {
+        self.saw_non_finite |= other.saw_non_finite;
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            // Copied, so a sketch merged into an empty one keeps its bits.
+            (self.mean, self.m2) = (other.mean, other.m2);
+        } else {
+            let (na, nb) = (self.count as f64, other.count as f64);
+            let n = na + nb;
+            let delta = other.mean - self.mean;
+            self.mean += delta * nb / n;
+            self.m2 += other.m2 + delta * delta * na * nb / n;
+        }
+        self.count += other.count;
+        if other.min < self.min {
+            self.min = other.min;
+        }
+        if other.max >= self.max {
+            self.max = other.max;
+        }
+        for (&key, bucket) in other.keys.iter().zip(&other.buckets) {
+            self.add(key, bucket);
+        }
     }
 
-    /// Iterates the samples in ascending order, expanding the runs.
-    pub fn iter_sorted(&self) -> impl Iterator<Item = f64> + '_ {
-        self.run_values
-            .iter()
-            .zip(run_lengths(&self.run_ends))
-            .flat_map(|(&value, len)| std::iter::repeat(value).take(len))
-    }
-
-    /// Number of distinct sample values retained by the encoding.
-    pub fn distinct_values(&self) -> usize {
-        self.run_values.len()
+    /// The sketch as a report field: `None` when it recorded nothing or saw
+    /// a non-finite value.
+    pub fn finish(self) -> Option<Self> {
+        (self.count > 0 && !self.saw_non_finite).then_some(self)
     }
 
     /// Number of samples.
     pub fn count(&self) -> usize {
-        self.count
+        self.count as usize
     }
 
     /// Arithmetic mean.
@@ -109,7 +237,11 @@ impl Summary {
 
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
-        self.std_dev
+        if self.count == 0 {
+            0.0
+        } else {
+            (self.m2 / self.count as f64).sqrt()
+        }
     }
 
     /// Smallest sample.
@@ -122,21 +254,40 @@ impl Summary {
         self.max
     }
 
-    /// Linear-interpolated percentile, `p` in `[0, 100]`.
+    /// The value standing for the `idx`-th smallest sample (0-based): the
+    /// exact extreme at either end, else its bucket's representative.
+    fn value_at(&self, idx: u64) -> f64 {
+        if idx == 0 {
+            return self.min;
+        }
+        if idx + 1 == self.count {
+            return self.max;
+        }
+        let mut seen = 0;
+        for bucket in &self.buckets {
+            seen += bucket.count;
+            if idx < seen {
+                return bucket.representative();
+            }
+        }
+        unreachable!("bucket counts sum to the sample count")
+    }
+
+    /// Linear-interpolated percentile, `p` in `[0, 100]`, within the bound
+    /// stated in the [module docs](self).
     ///
     /// # Panics
     ///
-    /// Panics if `p` is outside `[0, 100]`.
+    /// Panics if `p` is outside `[0, 100]` or the sketch is empty.
     pub fn percentile(&self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-        if self.count == 1 {
-            return self.run_values[0];
-        }
+        assert!(self.count > 0, "percentile of an empty summary");
         let rank = p / 100.0 * (self.count - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
+        let lo = rank.floor() as u64;
+        let hi = rank.ceil() as u64;
         let frac = rank - lo as f64;
-        self.sorted_at(lo) * (1.0 - frac) + self.sorted_at(hi) * frac
+        let value = self.value_at(lo) * (1.0 - frac) + self.value_at(hi) * frac;
+        value.clamp(self.min, self.max)
     }
 
     /// Median (50th percentile).
@@ -156,38 +307,21 @@ impl Summary {
     }
 }
 
-/// Per-run lengths recovered from the cumulative `run_ends` vector.
-fn run_lengths(run_ends: &[usize]) -> impl Iterator<Item = usize> + '_ {
-    run_ends.iter().scan(0usize, |prev, &end| {
-        let len = end - *prev;
-        *prev = end;
-        Some(len)
-    })
-}
-
-/// Prints the run-length-encoded samples expanded back into the flat sorted
-/// list, matching the derived `Debug` of the former `sorted: Vec<f64>` field
-/// byte for byte.
-struct ExpandedSorted<'a>(&'a Summary);
-
-impl std::fmt::Debug for ExpandedSorted<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.0.iter_sorted()).finish()
-    }
-}
-
 impl std::fmt::Debug for Summary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Field names and order mirror the pre-RLE derived output; golden
-        // snapshots freeze this representation.
-        f.debug_struct("Summary")
-            .field("count", &self.count)
-            .field("mean", &self.mean)
-            .field("std_dev", &self.std_dev)
-            .field("min", &self.min)
-            .field("max", &self.max)
-            .field("sorted", &ExpandedSorted(self))
-            .finish()
+        // Golden snapshots freeze this representation.
+        let mut s = f.debug_struct("Summary");
+        s.field("count", &self.count)
+            .field("mean", &self.mean())
+            .field("std_dev", &self.std_dev())
+            .field("min", &self.min);
+        if self.count > 0 {
+            s.field("p50", &self.percentile(50.0))
+                .field("p90", &self.percentile(90.0))
+                .field("p99", &self.percentile(99.0))
+                .field("p999", &self.percentile(99.9));
+        }
+        s.field("max", &self.max).finish()
     }
 }
 
@@ -223,170 +357,123 @@ impl std::fmt::Display for BoxPlot {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)`.
-///
-/// ```
-/// use dredbox_sim::stats::Histogram;
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.record(1.0);
-/// h.record(9.5);
-/// h.record(100.0); // overflow bucket
-/// assert_eq!(h.total(), 3);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((value - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total number of recorded samples, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Per-bucket counts, in order of increasing value.
-    pub fn counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// The `(low, high)` bounds of bucket `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn bucket_bounds(&self, idx: usize) -> (f64, f64) {
-        assert!(idx < self.buckets.len(), "bucket index out of range");
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        (
-            self.lo + width * idx as f64,
-            self.lo + width * (idx + 1) as f64,
-        )
-    }
-}
-
-/// Incremental mean/variance accumulator (Welford's algorithm), for places
-/// where keeping every sample would be wasteful.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Accumulator {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Accumulator {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Running mean; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation; 0 when fewer than two observations.
-    pub fn std_dev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The exact summary the sketch replaced: every sample kept and sorted.
+    /// It is the oracle the sketch's bound is checked against.
+    struct Exact {
+        mean: f64,
+        std_dev: f64,
+        sorted: Vec<f64>,
+    }
+
+    impl Exact {
+        fn new(samples: &[f64]) -> Self {
+            let n = samples.len() as f64;
+            let mean = samples.iter().sum::<f64>() / n;
+            let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+            let mut sorted = samples.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+            Exact {
+                mean,
+                std_dev: var.sqrt(),
+                sorted,
+            }
+        }
+
+        /// The exact percentile and the bound the sketch must meet for it.
+        fn percentile(&self, p: f64) -> (f64, f64) {
+            let s = &self.sorted;
+            if s.len() == 1 {
+                return (s[0], 0.0);
+            }
+            let rank = p / 100.0 * (s.len() - 1) as f64;
+            let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+            let frac = rank - lo as f64;
+            let exact = s[lo] * (1.0 - frac) + s[hi] * frac;
+            let weighted = s[lo].abs() * (1.0 - frac) + s[hi].abs() * frac;
+            // Slack for the rounding of the interpolation itself.
+            let rounding = 1e-12 * s[lo].abs().max(s[hi].abs());
+            (exact, RELATIVE_ERROR * weighted + rounding)
+        }
+    }
+
+    /// `a` is within 1e-9 of `b`, relative to `b` or, for a value that is
+    /// itself rounding noise, to the magnitude of the data.
+    fn close(a: f64, b: f64, scale: f64) -> bool {
+        (a - b).abs() <= 1e-9 * b.abs().max(1e-6 * scale)
+    }
+
+    fn check_against_exact(samples: &[f64]) {
+        let s = Summary::from_samples(samples).expect("finite, non-empty");
+        let exact = Exact::new(samples);
+        let scale = exact.sorted[0]
+            .abs()
+            .max(exact.sorted[samples.len() - 1].abs());
+        assert_eq!(s.count(), samples.len());
+        assert_eq!(s.min(), exact.sorted[0]);
+        assert_eq!(s.max(), exact.sorted[samples.len() - 1]);
+        assert!(
+            close(s.mean(), exact.mean, scale),
+            "mean {} vs {}",
+            s.mean(),
+            exact.mean
+        );
+        assert!(
+            close(s.std_dev(), exact.std_dev, scale),
+            "std_dev {} vs {}",
+            s.std_dev(),
+            exact.std_dev
+        );
+        let grid = (0..=20).map(|i| f64::from(i) * 5.0);
+        for p in [1.0, 99.0, 99.9].into_iter().chain(grid) {
+            let (want, bound) = exact.percentile(p);
+            let got = s.percentile(p);
+            assert!(
+                (got - want).abs() <= bound,
+                "p{p}: {got} vs exact {want} (bound {bound}) over {samples:?}"
+            );
+        }
+        assert_eq!(s.percentile(0.0), s.min());
+        assert_eq!(s.percentile(100.0), s.max());
+    }
+
+    /// Turns raw draws into samples mixing zeros, ties, negatives, a dense
+    /// cluster (many distinct values per bucket in [1, 1.0625)) and a
+    /// log-uniform spread over 1e-12..1e6.
+    fn mixed_samples(draws: &[(u32, f64)]) -> Vec<f64> {
+        const TIES: [f64; 4] = [0.25, 3.0, 1e-9, 4096.0];
+        draws
+            .iter()
+            .map(|&(kind, u)| {
+                let spread = 10f64.powf(-12.0 + 18.0 * u);
+                match kind {
+                    0 => 0.0,
+                    1 => TIES[(u * 4.0) as usize % 4],
+                    2 => -spread,
+                    3 => 1.0 + u / 16.0,
+                    _ => spread,
+                }
+            })
+            .collect()
+    }
 
     #[test]
     fn summary_rejects_empty_and_nan() {
         assert!(Summary::from_samples(&[]).is_none());
         assert!(Summary::from_samples(&[1.0, f64::NAN]).is_none());
         assert!(Summary::from_samples(&[1.0, f64::INFINITY]).is_none());
+        assert!(Summary::new().finish().is_none());
+        // A merged-in poisoned sketch poisons the result.
+        let mut clean = Summary::new();
+        clean.record(1.0);
+        let mut poisoned = Summary::new();
+        poisoned.record(f64::NEG_INFINITY);
+        clean.merge(&poisoned);
+        assert!(clean.finish().is_none());
     }
 
     #[test]
@@ -408,10 +495,14 @@ mod tests {
 
     #[test]
     fn single_sample_summary() {
-        let s = Summary::from_samples(&[3.5]).unwrap();
-        assert_eq!(s.percentile(10.0), 3.5);
-        assert_eq!(s.median(), 3.5);
-        assert_eq!(s.box_plot().iqr(), 0.0);
+        for x in [3.5, 0.0, -2.0, 1e-12, 1e6] {
+            let s = Summary::from_samples(&[x]).unwrap();
+            assert_eq!(s.percentile(10.0), x);
+            assert_eq!(s.median(), x);
+            assert_eq!(s.std_dev(), 0.0);
+            assert_eq!(s.box_plot().iqr(), 0.0);
+            check_against_exact(&[x]);
+        }
     }
 
     #[test]
@@ -425,83 +516,102 @@ mod tests {
     }
 
     #[test]
-    fn rle_compacts_repeated_samples_without_losing_percentiles() {
-        // Four distinct values over 12 samples: the encoding keeps 4 runs.
+    fn repeated_samples_keep_exact_percentiles() {
+        // Four distinct values over 12 samples: four buckets, each holding
+        // one value, so every percentile is the exact one.
         let samples = [
             64.0, 256.0, 64.0, 1024.0, 64.0, 256.0, 4096.0, 64.0, 1024.0, 64.0, 256.0, 4096.0,
         ];
         let s = Summary::from_samples(&samples).unwrap();
         assert_eq!(s.count(), 12);
-        assert_eq!(s.distinct_values(), 4);
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(s.iter_sorted().collect::<Vec<_>>(), sorted);
+        assert_eq!(s.buckets.len(), 4);
+        let exact = Exact::new(&samples);
         for p in [0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-            let rank = p / 100.0 * (sorted.len() - 1) as f64;
-            let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
-            let frac = rank - lo as f64;
-            let naive = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-            assert_eq!(s.percentile(p), naive, "p{p}");
+            assert_eq!(s.percentile(p), exact.percentile(p).0, "p{p}");
         }
     }
 
     #[test]
-    fn debug_output_matches_the_flat_sorted_representation() {
+    fn spread_bucket_stays_within_the_bound() {
+        // 1.0 and 1.0 + 2^-8 share a bucket, which stands for both by
+        // their midrange: p25 (rank 1, exactly 1.0) is off by 2^-9.
+        let samples = [0.5, 1.0, 1.0 + RELATIVE_ERROR, 2.0, 3.0];
+        let s = Summary::from_samples(&samples).unwrap();
+        assert_eq!(s.buckets.len(), 4);
+        assert_eq!(s.percentile(25.0), 1.0 + RELATIVE_ERROR / 2.0);
+        check_against_exact(&samples);
+    }
+
+    #[test]
+    fn debug_output_is_compact() {
         let s = Summary::from_samples(&[2.0, 1.0, 2.0]).unwrap();
-        let expected_pretty = "Summary {\n    count: 3,\n    mean: 1.6666666666666667,\n    \
-             std_dev: 0.4714045207910317,\n    min: 1.0,\n    max: 2.0,\n    \
-             sorted: [\n        1.0,\n        2.0,\n        2.0,\n    ],\n}";
-        assert_eq!(format!("{s:#?}"), expected_pretty);
-        let expected_flat = "Summary { count: 3, mean: 1.6666666666666667, \
-             std_dev: 0.4714045207910317, min: 1.0, max: 2.0, sorted: [1.0, 2.0, 2.0] }";
-        assert_eq!(format!("{s:?}"), expected_flat);
+        let expected = "Summary { count: 3, mean: 1.6666666666666667, \
+             std_dev: 0.4714045207910317, min: 1.0, p50: 2.0, p90: 2.0, p99: 2.0, \
+             p999: 2.0, max: 2.0 }";
+        assert_eq!(format!("{s:?}"), expected);
+        assert_eq!(
+            format!("{:?}", Summary::new()),
+            "Summary { count: 0, mean: 0.0, std_dev: 0.0, min: inf, max: -inf }"
+        );
     }
 
     #[test]
     fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        h.record(-1.0);
-        h.record(100.0);
-        assert_eq!(h.total(), 102);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert!(h.counts().iter().all(|&c| c == 10));
-        assert_eq!(h.bucket_bounds(0), (0.0, 10.0));
-        assert_eq!(h.bucket_bounds(9), (90.0, 100.0));
+        // Bucket keys order like the values, zero sits alone between the
+        // negatives and the positives, and each key spans 2^-7 relative.
+        assert_eq!(bucket_key(0.0), 0);
+        assert_eq!(bucket_key(-0.0), 0);
+        assert!(bucket_key(-1.0) < bucket_key(-1e-300));
+        assert!(bucket_key(-1e-300) < 0 && 0 < bucket_key(f64::MIN_POSITIVE / 2.0));
+        assert!(bucket_key(1.0) < bucket_key(1.0 + 1.0 / 128.0));
+        assert_eq!(
+            bucket_key(1.0),
+            bucket_key(1.0 + 1.0 / 128.0 - f64::EPSILON)
+        );
+        assert_eq!(bucket_key(-3.0), -bucket_key(3.0));
+        assert!(bucket_key(f64::MAX) > bucket_key(1e300));
     }
 
     #[test]
     #[should_panic]
     fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
+        // An empty sketch has no range of values to take a percentile of.
+        let _ = Summary::new().percentile(50.0);
     }
 
     #[test]
     fn accumulator_matches_summary() {
+        // Recording sample by sample, merged from shards in rack order,
+        // matches the summary of the concatenated samples.
         let data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut acc = Accumulator::new();
-        for &x in &data {
-            acc.record(x);
+        let mut acc = Summary::new();
+        for shard in data.chunks(3) {
+            let mut part = Summary::new();
+            for &x in shard {
+                part.record(x);
+            }
+            acc.merge(&part);
         }
         let s = Summary::from_samples(&data).unwrap();
-        assert_eq!(acc.count() as usize, s.count());
+        assert_eq!(acc.count(), s.count());
         assert!((acc.mean() - s.mean()).abs() < 1e-12);
         assert!((acc.std_dev() - s.std_dev()).abs() < 1e-12);
-        assert_eq!(acc.min(), Some(1.0));
-        assert_eq!(acc.max(), Some(9.0));
+        assert_eq!(acc.min(), 1.0);
+        assert_eq!(acc.max(), 9.0);
+        assert_eq!((acc.keys, acc.buckets), (s.keys, s.buckets));
     }
 
     #[test]
     fn empty_accumulator() {
-        let acc = Accumulator::new();
+        let acc = Summary::new();
         assert_eq!(acc.count(), 0);
         assert_eq!(acc.mean(), 0.0);
         assert_eq!(acc.std_dev(), 0.0);
-        assert_eq!(acc.min(), None);
-        assert_eq!(acc.max(), None);
+        assert_eq!(acc.min(), f64::INFINITY);
+        assert_eq!(acc.max(), f64::NEG_INFINITY);
+        let mut merged = Summary::from_samples(&[2.0]).unwrap();
+        merged.merge(&acc);
+        assert_eq!(Some(merged), Summary::from_samples(&[2.0]));
     }
 
     proptest! {
@@ -524,22 +634,63 @@ mod tests {
         }
 
         #[test]
-        fn rle_expansion_reproduces_the_sorted_samples(
-            samples in proptest::collection::vec(-1e6f64..1e6, 1..100),
+        fn sketch_stays_within_the_bound_of_the_exact_summary(
+            draws in proptest::collection::vec((0u32..6, 0.0f64..1.0), 1..300),
         ) {
-            let s = Summary::from_samples(&samples).unwrap();
-            let mut sorted = samples.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            prop_assert_eq!(s.iter_sorted().collect::<Vec<_>>(), sorted);
+            let samples = mixed_samples(&draws);
+            check_against_exact(&samples);
+            check_against_exact(&samples[..1]);
+        }
+
+        #[test]
+        fn merge_order_does_not_change_buckets_or_exact_fields(
+            draws in proptest::collection::vec((0u32..6, 0.0f64..1.0), 2..300),
+            cut in 0.0f64..1.0,
+        ) {
+            let samples = mixed_samples(&draws);
+            let whole = Summary::from_samples(&samples).unwrap();
+            let at = (cut * samples.len() as f64) as usize;
+            let (a, b) = samples.split_at(at);
+            let sketch = |part: &[f64]| {
+                let mut s = Summary::new();
+                part.iter().for_each(|&x| s.record(x));
+                s
+            };
+            for (first, second) in [(a, b), (b, a)] {
+                let mut merged = sketch(first);
+                merged.merge(&sketch(second));
+                prop_assert_eq!(&merged.keys, &whole.keys);
+                prop_assert_eq!(&merged.buckets, &whole.buckets);
+                prop_assert_eq!(merged.count(), whole.count());
+                prop_assert_eq!(merged.min(), whole.min());
+                prop_assert_eq!(merged.max(), whole.max());
+                let scale = whole.min().abs().max(whole.max().abs());
+                prop_assert!(close(merged.mean(), whole.mean(), scale));
+                prop_assert!(close(merged.std_dev(), whole.std_dev(), scale));
+            }
         }
 
         #[test]
         fn histogram_conserves_samples(samples in proptest::collection::vec(-50.0f64..150.0, 0..200)) {
-            let mut h = Histogram::new(0.0, 100.0, 7);
+            let mut s = Summary::new();
             for &x in &samples {
-                h.record(x);
+                s.record(x);
             }
-            prop_assert_eq!(h.total() as usize, samples.len());
+            let total: u64 = s.buckets.iter().map(|b| b.count).sum();
+            prop_assert_eq!(total as usize, samples.len());
+            prop_assert_eq!(s.count(), samples.len());
+        }
+
+        #[test]
+        fn non_finite_input_gives_none(
+            samples in proptest::collection::vec(-1e6f64..1e6, 0..50),
+            at in 0.0f64..1.0,
+            which in 0u32..3,
+        ) {
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][which as usize];
+            let mut poisoned = samples.clone();
+            poisoned.insert((at * samples.len() as f64) as usize, bad);
+            prop_assert!(Summary::from_samples(&poisoned).is_none());
         }
     }
 }
