@@ -357,9 +357,7 @@ impl DataPathState {
         let mut breakdown = system.remote_read_latency(moved);
         let (queueing, worst) = self.queueing(state, moved);
         self.stats.peak_fabric_utilization = self.stats.peak_fabric_utilization.max(worst);
-        if queueing > SimDuration::ZERO {
-            breakdown.add(LatencyComponent::Queueing, queueing);
-        }
+        breakdown.add(LatencyComponent::Queueing, queueing);
         let queue_ns = queueing.as_nanos() as f64;
         self.queue_delays_ns.record(queue_ns);
         (breakdown.total().as_nanos() as f64, queue_ns)

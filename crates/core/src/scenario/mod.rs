@@ -990,9 +990,15 @@ impl ScenarioSpec {
         let mut engine = ShardedEngine::new(1)
             .with_horizon(self.horizon)
             .with_event_budget(self.event_budget);
-        for (index, at) in arrivals.iter().enumerate() {
-            engine.schedule(ShardId(0), *at, ScenarioEvent::Arrival { index });
-        }
+        // Arrival traces are generated in time order, so they ride in the
+        // calendar's presorted run and the heap holds only in-flight events.
+        engine.schedule_sorted(
+            ShardId(0),
+            arrivals
+                .iter()
+                .enumerate()
+                .map(|(index, at)| (*at, ScenarioEvent::Arrival { index })),
+        );
         if let Some(every) = self.power_sweep_every {
             engine.schedule(ShardId(0), SimTime::ZERO + every, ScenarioEvent::PowerSweep);
         }

@@ -21,7 +21,7 @@
 //! a saturated stage yields a large-but-finite penalty. The extra time is
 //! attributed to [`LatencyComponent::Queueing`], and — crucially for
 //! replay determinism — a stage with zero background load contributes
-//! *nothing*: no `Queueing` entry is pushed, so the resulting
+//! *nothing*: the `Queueing` total stays zero, so the resulting
 //! [`LatencyBreakdown`] is bit-identical to the flat model's.
 
 use serde::{Deserialize, Serialize};
@@ -112,8 +112,8 @@ impl StageLoad {
 /// `breakdown` under [`LatencyComponent::Queueing`].
 ///
 /// When every stage is uncontended the breakdown is returned *unchanged* —
-/// not even a zero-duration entry is pushed — so a zero-background contention
-/// model is byte-identical to the flat model.
+/// its `Queueing` total stays zero — so a zero-background contention model
+/// is byte-identical to the flat model.
 pub fn charge_queueing(
     mut breakdown: LatencyBreakdown,
     moved: ByteSize,
@@ -124,9 +124,7 @@ pub fn charge_queueing(
     for stage in stages {
         queueing += stage.queueing_delay(moved, max_utilization);
     }
-    if queueing > SimDuration::ZERO {
-        breakdown.add(LatencyComponent::Queueing, queueing);
-    }
+    breakdown.add(LatencyComponent::Queueing, queueing);
     breakdown
 }
 
@@ -188,7 +186,7 @@ mod tests {
         ) {
             // Over an arbitrary trace of read sizes, the contention model at
             // zero background load must reproduce the flat model exactly:
-            // same entries, same Debug bytes, same total.
+            // same component totals, same Debug bytes, same total.
             let path = RemoteMemoryPath::circuit_switched(LatencyConfig::dredbox_default());
             let cfg = ContentionConfig::dredbox_default();
             for &size in &sizes {
@@ -199,7 +197,7 @@ mod tests {
                     StageLoad { capacity: cfg.rack_switch, background_bytes_per_sec: 0.0 },
                     StageLoad { capacity: cfg.membrick_port, background_bytes_per_sec: 0.0 },
                 ];
-                let contended = charge_queueing(flat.clone(), moved, &stages, cfg.max_utilization);
+                let contended = charge_queueing(flat, moved, &stages, cfg.max_utilization);
                 prop_assert_eq!(&contended, &flat);
                 prop_assert_eq!(format!("{contended:?}"), format!("{flat:?}"));
                 prop_assert_eq!(contended.total().as_nanos(), flat.total().as_nanos());
@@ -215,7 +213,7 @@ mod tests {
             let moved = ByteSize::from_bytes(size);
             let flat = path.read(moved);
             let contended = charge_queueing(
-                flat.clone(),
+                flat,
                 moved,
                 &[stage(background)],
                 0.96875,

@@ -42,7 +42,8 @@ pub enum LatencyComponent {
 }
 
 impl LatencyComponent {
-    /// All components in display order.
+    /// All components in display order, which is also declaration order:
+    /// `ALL[c as usize] == c` for every component `c`.
     pub const ALL: [LatencyComponent; 9] = [
         LatencyComponent::TglDecode,
         LatencyComponent::NetworkInterface,
@@ -55,6 +56,15 @@ impl LatencyComponent {
         LatencyComponent::Queueing,
     ];
 }
+
+// `LatencyBreakdown` indexes its totals by `component as usize`.
+const _: () = {
+    let mut i = 0;
+    while i < LatencyComponent::ALL.len() {
+        assert!(LatencyComponent::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 impl fmt::Display for LatencyComponent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -74,9 +84,14 @@ impl fmt::Display for LatencyComponent {
 }
 
 /// A round-trip latency broken down by component.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// One total per [`LatencyComponent`], so a breakdown is a fixed-size
+/// `Copy` value: pricing a read allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct LatencyBreakdown {
-    entries: Vec<(LatencyComponent, SimDuration)>,
+    /// Per-component totals, indexed by `LatencyComponent as usize`
+    /// (declaration order, which is [`LatencyComponent::ALL`] order).
+    totals: [SimDuration; LatencyComponent::ALL.len()],
 }
 
 impl LatencyBreakdown {
@@ -87,21 +102,17 @@ impl LatencyBreakdown {
 
     /// Adds `duration` to `component`.
     pub fn add(&mut self, component: LatencyComponent, duration: SimDuration) {
-        self.entries.push((component, duration));
+        self.totals[component as usize] += duration;
     }
 
     /// Total round-trip latency.
     pub fn total(&self) -> SimDuration {
-        self.entries.iter().map(|(_, d)| *d).sum()
+        self.totals.iter().copied().sum()
     }
 
     /// Total latency attributed to `component`.
     pub fn component_total(&self, component: LatencyComponent) -> SimDuration {
-        self.entries
-            .iter()
-            .filter(|(c, _)| *c == component)
-            .map(|(_, d)| *d)
-            .sum()
+        self.totals[component as usize]
     }
 
     /// Fraction of the total attributed to `component`, in `[0, 1]`.
@@ -121,11 +132,6 @@ impl LatencyBreakdown {
             .map(|c| (*c, self.component_total(*c)))
             .filter(|(_, d)| d.as_nanos() > 0)
             .collect()
-    }
-
-    /// Raw (component, duration) slices in insertion order.
-    pub fn entries(&self) -> &[(LatencyComponent, SimDuration)] {
-        &self.entries
     }
 }
 
@@ -395,10 +401,110 @@ mod tests {
         assert!(text.contains("MAC/PHY"));
         assert!(text.contains("optical propagation"));
         assert!(text.contains("round trip"));
-        assert!(!b.entries().is_empty());
         assert!(!b.aggregated().is_empty());
         assert_eq!(PathKind::default(), PathKind::CircuitSwitched);
         assert_eq!(PathKind::PacketSwitched.to_string(), "packet-switched");
+    }
+
+    /// A breakdown is a plain value: pricing a read must not allocate.
+    const _: fn() = assert_copy::<LatencyBreakdown>;
+    fn assert_copy<T: Copy>() {}
+
+    /// Prices a 4 KiB read on `path`, plus the queuing a 10 Gb/s stage
+    /// carrying `background` B/s of other traffic adds.
+    fn priced_read(path: &RemoteMemoryPath, background: f64) -> LatencyBreakdown {
+        let moved = ByteSize::from_bytes(4096);
+        let stage = crate::contention::StageLoad {
+            capacity: dredbox_sim::units::Bandwidth::from_gbps(10.0),
+            background_bytes_per_sec: background,
+        };
+        crate::contention::charge_queueing(path.read(moved), moved, &[stage], 0.96875)
+    }
+
+    #[test]
+    fn round_trips_keep_their_totals_aggregates_and_text() {
+        // Pinned values: reports print these breakdowns, so every path,
+        // with and without queuing, must price and print exactly this.
+        use LatencyComponent::*;
+        let ns = SimDuration::from_nanos;
+        let packet_flat = [
+            (TglDecode, ns(25)),
+            (NetworkInterface, ns(110)),
+            (OnBrickSwitch, ns(280)),
+            (MacPhy, ns(640)),
+            (Serialization, ns(3305)),
+            (OpticalPropagation, ns(98)),
+            (MemBrickGlue, ns(60)),
+            (DramAccess, ns(60)),
+        ];
+        let circuit_flat = [
+            (TglDecode, ns(25)),
+            (Serialization, ns(3296)),
+            (OpticalPropagation, ns(98)),
+            (MemBrickGlue, ns(60)),
+            (DramAccess, ns(60)),
+        ];
+        let queued = |flat: &[(LatencyComponent, SimDuration)]| {
+            let mut all = flat.to_vec();
+            all.push((Queueing, ns(2185)));
+            all
+        };
+        let cases = [
+            (packet_path(), 0.0, 4578, packet_flat.to_vec()),
+            (packet_path(), 0.5e9, 6763, queued(&packet_flat)),
+            (circuit_path(), 0.0, 3539, circuit_flat.to_vec()),
+            (circuit_path(), 0.5e9, 5724, queued(&circuit_flat)),
+        ];
+        for (path, background, total, aggregated) in cases {
+            let b = priced_read(&path, background);
+            assert_eq!(b.total(), ns(total), "{} at {background}", path.kind());
+            assert_eq!(
+                b.aggregated(),
+                aggregated,
+                "{} at {background}",
+                path.kind()
+            );
+        }
+        assert_eq!(
+            priced_read(&packet_path(), 0.5e9).to_string(),
+            "round trip: 6.763 us\n\
+             \x20 TGL decode                  25 ns  (  0.4%)\n\
+             \x20 network interface          110 ns  (  1.6%)\n\
+             \x20 on-brick switch            280 ns  (  4.1%)\n\
+             \x20 MAC/PHY                    640 ns  (  9.5%)\n\
+             \x20 serialization            3.305 us  ( 48.9%)\n\
+             \x20 optical propagation         98 ns  (  1.4%)\n\
+             \x20 dMEMBRICK glue logic        60 ns  (  0.9%)\n\
+             \x20 DRAM access                 60 ns  (  0.9%)\n\
+             \x20 fabric queuing           2.185 us  ( 32.3%)\n"
+        );
+        assert_eq!(
+            priced_read(&circuit_path(), 0.0).to_string(),
+            "round trip: 3.539 us\n\
+             \x20 TGL decode                  25 ns  (  0.7%)\n\
+             \x20 serialization            3.296 us  ( 93.1%)\n\
+             \x20 optical propagation         98 ns  (  2.8%)\n\
+             \x20 dMEMBRICK glue logic        60 ns  (  1.7%)\n\
+             \x20 DRAM access                 60 ns  (  1.7%)\n"
+        );
+    }
+
+    #[test]
+    fn repeated_components_accumulate() {
+        let mut b = LatencyBreakdown::new();
+        b.add(LatencyComponent::MacPhy, SimDuration::from_nanos(160));
+        b.add(LatencyComponent::DramAccess, SimDuration::from_nanos(60));
+        b.add(LatencyComponent::MacPhy, SimDuration::from_nanos(160));
+        assert_eq!(
+            b.component_total(LatencyComponent::MacPhy),
+            SimDuration::from_nanos(320)
+        );
+        assert_eq!(b.total(), SimDuration::from_nanos(380));
+        // Adding zero changes nothing, not even equality.
+        let mut zero = b;
+        zero.add(LatencyComponent::Queueing, SimDuration::ZERO);
+        assert_eq!(zero, b);
+        assert_eq!(zero.aggregated().len(), 2);
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! departure, re-publish when a tenant's observed traffic changes — and all
 //! mutations happen in simulation-event order, so replays are bit-identical.
 
-use std::collections::BTreeMap;
-
 use dredbox_bricks::BrickId;
 
 /// One shared stage of a read's route through the rack fabric.
@@ -38,9 +36,20 @@ pub fn read_route_stages(compute: BrickId, membrick: BrickId) -> [FabricStage; 3
 }
 
 /// Per-stage offered-load ledger for one rack's fabric.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Dense storage: one slot per brick id for uplinks and for ports, grown
+/// on publish up to the largest id seen (a rack's ids are small and
+/// dense), plus one for the switch. A stage without load reads zero,
+/// whether it was never published, drained, or lies past the end of its
+/// vector.
+#[derive(Debug, Clone, Default)]
 pub struct FabricLoad {
-    loads: BTreeMap<FabricStage, f64>,
+    /// Offered load on each compute brick's uplink, indexed by brick id.
+    uplinks: Vec<f64>,
+    /// Offered load on each dMEMBRICK's ingress port, indexed by brick id.
+    ports: Vec<f64>,
+    /// Offered load on the rack switch.
+    switch: f64,
     peak_bytes_per_sec: f64,
 }
 
@@ -55,7 +64,11 @@ impl FabricLoad {
         if bytes_per_sec <= 0.0 {
             return;
         }
-        let slot = self.loads.entry(stage).or_insert(0.0);
+        let slot = match stage {
+            FabricStage::BrickUplink(id) => grown_slot(&mut self.uplinks, id),
+            FabricStage::RackSwitch => &mut self.switch,
+            FabricStage::MembrickPort(id) => grown_slot(&mut self.ports, id),
+        };
         *slot += bytes_per_sec;
         self.peak_bytes_per_sec = self.peak_bytes_per_sec.max(*slot);
     }
@@ -66,17 +79,25 @@ impl FabricLoad {
         if bytes_per_sec <= 0.0 {
             return;
         }
-        if let Some(slot) = self.loads.get_mut(&stage) {
+        // A stage never published has no storage and stays at zero.
+        let slot = match stage {
+            FabricStage::BrickUplink(id) => self.uplinks.get_mut(id.0 as usize),
+            FabricStage::RackSwitch => Some(&mut self.switch),
+            FabricStage::MembrickPort(id) => self.ports.get_mut(id.0 as usize),
+        };
+        if let Some(slot) = slot {
             *slot = (*slot - bytes_per_sec).max(0.0);
-            if *slot == 0.0 {
-                self.loads.remove(&stage);
-            }
         }
     }
 
     /// Total offered load on `stage` in bytes/s.
     pub fn load(&self, stage: FabricStage) -> f64 {
-        self.loads.get(&stage).copied().unwrap_or(0.0)
+        let slot = match stage {
+            FabricStage::BrickUplink(id) => self.uplinks.get(id.0 as usize),
+            FabricStage::RackSwitch => Some(&self.switch),
+            FabricStage::MembrickPort(id) => self.ports.get(id.0 as usize),
+        };
+        slot.copied().unwrap_or(0.0)
     }
 
     /// Offered load on `stage` excluding `own` — the background a tenant
@@ -87,12 +108,43 @@ impl FabricLoad {
 
     /// Number of stages currently carrying load.
     pub fn loaded_stages(&self) -> usize {
-        self.loads.len()
+        let switch = std::iter::once(&self.switch);
+        self.uplinks
+            .iter()
+            .chain(&self.ports)
+            .chain(switch)
+            .filter(|&&load| load != 0.0)
+            .count()
     }
 
     /// The highest per-stage offered load ever published, in bytes/s.
     pub fn peak_bytes_per_sec(&self) -> f64 {
         self.peak_bytes_per_sec
+    }
+}
+
+/// The slot of brick `id` in `slots`, growing the vector to reach it.
+fn grown_slot(slots: &mut Vec<f64>, id: BrickId) -> &mut f64 {
+    let index = id.0 as usize;
+    if index >= slots.len() {
+        slots.resize(index + 1, 0.0);
+    }
+    &mut slots[index]
+}
+
+/// Ledgers are equal when every stage carries the same load and the peaks
+/// match; how far each vector has grown does not matter.
+impl PartialEq for FabricLoad {
+    fn eq(&self, other: &Self) -> bool {
+        fn same_loads(a: &[f64], b: &[f64]) -> bool {
+            let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+            short.iter().zip(long).all(|(x, y)| x == y)
+                && long[short.len()..].iter().all(|&load| load == 0.0)
+        }
+        self.switch == other.switch
+            && self.peak_bytes_per_sec == other.peak_bytes_per_sec
+            && same_loads(&self.uplinks, &other.uplinks)
+            && same_loads(&self.ports, &other.ports)
     }
 }
 
@@ -155,6 +207,140 @@ mod tests {
         assert_eq!(stages[1], FabricStage::RackSwitch);
         assert_eq!(stages[2], FabricStage::MembrickPort(brick(7)));
         assert!(stages[0] < stages[1] && stages[1] < stages[2]);
+    }
+
+    #[test]
+    fn widely_spaced_brick_ids_keep_their_own_slots() {
+        let mut ledger = FabricLoad::new();
+        let near = FabricStage::BrickUplink(brick(2));
+        let far = FabricStage::BrickUplink(brick(4_000));
+        let far_port = FabricStage::MembrickPort(brick(4_000));
+        ledger.publish(far, 3e6);
+        ledger.publish(near, 1e6);
+        ledger.publish(far_port, 5e6);
+        assert_eq!(ledger.load(far), 3e6);
+        assert_eq!(ledger.load(near), 1e6);
+        assert_eq!(ledger.load(far_port), 5e6);
+        // Ids between and beyond the published ones read zero.
+        assert_eq!(ledger.load(FabricStage::BrickUplink(brick(3_999))), 0.0);
+        assert_eq!(ledger.load(FabricStage::BrickUplink(brick(u32::MAX))), 0.0);
+        assert_eq!(ledger.load(FabricStage::MembrickPort(brick(2))), 0.0);
+        assert_eq!(ledger.loaded_stages(), 3);
+        ledger.retract(far, 3e6);
+        assert_eq!(ledger.loaded_stages(), 2);
+        assert_eq!(ledger.peak_bytes_per_sec(), 5e6);
+    }
+
+    #[test]
+    fn retracting_an_unpublished_stage_grows_nothing() {
+        let mut ledger = FabricLoad::new();
+        ledger.retract(FabricStage::BrickUplink(brick(u32::MAX)), 1.0);
+        ledger.retract(FabricStage::MembrickPort(brick(1_000_000)), 1.0);
+        assert!(ledger.uplinks.is_empty() && ledger.ports.is_empty());
+        ledger.publish(FabricStage::MembrickPort(brick(3)), 1.0);
+        ledger.retract(FabricStage::MembrickPort(brick(9)), 1.0);
+        assert_eq!(ledger.ports.len(), 4);
+        assert_eq!(ledger, {
+            let mut same = FabricLoad::new();
+            same.publish(FabricStage::MembrickPort(brick(3)), 1.0);
+            same
+        });
+    }
+
+    #[test]
+    fn equality_compares_loads_not_storage() {
+        // Same loads, but one ledger grew far wider before draining.
+        let mut wide = FabricLoad::new();
+        let mut narrow = FabricLoad::new();
+        wide.publish(FabricStage::BrickUplink(brick(900)), 2.0);
+        wide.retract(FabricStage::BrickUplink(brick(900)), 2.0);
+        narrow.publish(FabricStage::RackSwitch, 2.0);
+        narrow.retract(FabricStage::RackSwitch, 2.0);
+        for ledger in [&mut wide, &mut narrow] {
+            ledger.publish(FabricStage::BrickUplink(brick(1)), 7.0);
+            ledger.publish(FabricStage::MembrickPort(brick(4)), 7.0);
+        }
+        assert!(wide.uplinks.len() > narrow.uplinks.len());
+        assert_eq!(wide, narrow);
+        assert_eq!(narrow, wide);
+        // A differing load anywhere breaks equality, including a load past
+        // the end of the other ledger's vector.
+        let mut wider = wide.clone();
+        wider.publish(FabricStage::BrickUplink(brick(900)), 1.0);
+        assert_ne!(wider, narrow);
+        assert_ne!(narrow, wider);
+        let mut other = narrow.clone();
+        other.publish(FabricStage::BrickUplink(brick(500)), 1.0);
+        assert_ne!(other, wide);
+        other.retract(FabricStage::BrickUplink(brick(500)), 1.0);
+        assert_eq!(other, wide);
+        other.publish(FabricStage::RackSwitch, 1.0);
+        assert_ne!(other, wide);
+        // The peak is part of the ledger's state.
+        let mut peaked = FabricLoad::new();
+        peaked.publish(FabricStage::RackSwitch, 9.0);
+        peaked.retract(FabricStage::RackSwitch, 9.0);
+        assert_ne!(peaked, FabricLoad::new());
+    }
+
+    #[test]
+    fn loaded_stages_counts_every_stage_with_load() {
+        let mut ledger = FabricLoad::new();
+        for (compute, membrick) in [(0, 10), (1, 10), (0, 11)] {
+            for stage in read_route_stages(brick(compute), brick(membrick)) {
+                ledger.publish(stage, 1.0);
+            }
+        }
+        // Uplinks 0 and 1, the switch, ports 10 and 11.
+        assert_eq!(ledger.loaded_stages(), 5);
+        ledger.retract(FabricStage::BrickUplink(brick(1)), 1.0);
+        ledger.retract(FabricStage::MembrickPort(brick(11)), 0.5);
+        assert_eq!(ledger.loaded_stages(), 4);
+        ledger.retract(FabricStage::RackSwitch, 10.0);
+        assert_eq!(ledger.loaded_stages(), 3);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn matches_a_sparse_map_ledger_bit_for_bit(
+            ops in proptest::collection::vec((0u8..3, 0u32..40, 0u8..3, -2.0f64..8.0), 1..200),
+        ) {
+            // The reference keeps one map entry per loaded stage and drops
+            // an entry the moment a retraction drains it.
+            let mut sparse: std::collections::BTreeMap<FabricStage, f64> = Default::default();
+            let mut peak = 0.0f64;
+            let mut ledger = FabricLoad::new();
+            for (kind, id, op, rate) in ops {
+                let stage = match kind {
+                    0 => FabricStage::BrickUplink(brick(id * 97)),
+                    1 => FabricStage::RackSwitch,
+                    _ => FabricStage::MembrickPort(brick(id)),
+                };
+                if op == 0 {
+                    ledger.retract(stage, rate);
+                    if let (true, Some(slot)) = (rate > 0.0, sparse.get_mut(&stage)) {
+                        *slot = (*slot - rate).max(0.0);
+                        if *slot == 0.0 {
+                            sparse.remove(&stage);
+                        }
+                    }
+                } else {
+                    ledger.publish(stage, rate);
+                    if rate > 0.0 {
+                        let slot = sparse.entry(stage).or_insert(0.0);
+                        *slot += rate;
+                        peak = peak.max(*slot);
+                    }
+                }
+                let expect = sparse.get(&stage).copied().unwrap_or(0.0);
+                proptest::prop_assert_eq!(ledger.load(stage).to_bits(), expect.to_bits());
+                proptest::prop_assert_eq!(ledger.loaded_stages(), sparse.len());
+                proptest::prop_assert_eq!(ledger.peak_bytes_per_sec().to_bits(), peak.to_bits());
+            }
+            for (stage, load) in &sparse {
+                proptest::prop_assert_eq!(ledger.load(*stage).to_bits(), load.to_bits());
+            }
+        }
     }
 
     #[test]

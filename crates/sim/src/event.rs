@@ -31,9 +31,23 @@
 //! argmin over the packed keys, which for a few elements is cheaper than
 //! any sift. Once a queue outgrows the small representation it spills into
 //! a binary heap and stays there (no flapping on the boundary).
+//!
+//! # Presorted runs
+//!
+//! A workload often knows a long stretch of its future up front — every
+//! arrival of a trace, generated in time order before the replay starts.
+//! Pushing those through the calendar would park tens of thousands of
+//! entries in the heap and make every pop sift through them.
+//! [`EventQueue::schedule_sorted`] keeps such a batch in a FIFO *run* next
+//! to the calendar instead: its entries are stamped exactly as one-by-one
+//! [`EventQueue::schedule`] calls would stamp them, so the run is already
+//! in key order, and [`EventQueue::pop`] takes the smaller of the run's
+//! front key and the calendar's minimum. An element that would break the
+//! run's order goes to the calendar. The pop order is the same as with
+//! plain `schedule` calls; the calendar just holds the in-flight events.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::mem;
 
 use crate::time::SimTime;
@@ -65,6 +79,9 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Whether the queue has spilled into the heap representation.
     spilled: bool,
+    /// Presorted entries from [`EventQueue::schedule_sorted`], in strictly
+    /// increasing key order.
+    run: VecDeque<Entry<E>>,
     next_seq: u64,
 }
 
@@ -115,7 +132,44 @@ impl<E> EventQueue<E> {
             small_min: 0,
             heap: BinaryHeap::new(),
             spilled: false,
+            run: VecDeque::new(),
             next_seq: 0,
+        }
+    }
+
+    /// Schedules a batch of events whose times are non-decreasing, keeping
+    /// them in the presorted run instead of the calendar (see the module
+    /// docs). Sequence numbers are stamped exactly as the same
+    /// [`EventQueue::schedule`] calls would stamp them, so the pop order is
+    /// unchanged; an element earlier than the run's last entry falls back
+    /// to `schedule`.
+    ///
+    /// ```
+    /// use dredbox_sim::event::EventQueue;
+    /// use dredbox_sim::time::SimTime;
+    ///
+    /// let mut q = EventQueue::new();
+    /// q.schedule(SimTime::from_nanos(4), "in flight");
+    /// q.schedule_sorted([1, 4, 9].map(|t| (SimTime::from_nanos(t), "arrival")));
+    /// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(t, e)| (t.as_nanos(), e)).collect();
+    /// assert_eq!(
+    ///     order,
+    ///     vec![(1, "arrival"), (4, "in flight"), (4, "arrival"), (9, "arrival")]
+    /// );
+    /// ```
+    pub fn schedule_sorted<I: IntoIterator<Item = (SimTime, E)>>(&mut self, batch: I) {
+        let batch = batch.into_iter();
+        self.run.reserve(batch.size_hint().0);
+        for (at, event) in batch {
+            let key = key(at, self.next_seq);
+            // Sequence numbers only grow, so a key above the run's last one
+            // means a time no earlier than the last run entry's.
+            if self.run.back().map_or(true, |last| last.key < key) {
+                self.next_seq += 1;
+                self.run.push_back(Entry { key, event });
+            } else {
+                self.schedule(at, event);
+            }
         }
     }
 
@@ -154,34 +208,70 @@ impl<E> EventQueue<E> {
         self.small_min = best;
     }
 
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// The smallest key on the calendar (small vector or heap), if any.
+    fn calendar_min_key(&self) -> Option<u128> {
         if self.spilled {
-            return self.heap.pop().map(|e| (key_time(e.key), e.event));
+            return self.heap.peek().map(|e| e.key);
+        }
+        self.small.get(self.small_min).map(|e| e.key)
+    }
+
+    /// Removes the calendar's earliest entry, if any.
+    fn pop_calendar(&mut self) -> Option<Entry<E>> {
+        if self.spilled {
+            return self.heap.pop();
         }
         if self.small.is_empty() {
             return None;
         }
         let e = self.small.swap_remove(self.small_min);
         self.rescan_small_min();
+        Some(e)
+    }
+
+    /// Removes and returns the earliest event, if any.
+    // Inlined, so an engine loop over queues without a run pays for one
+    // emptiness check on top of the calendar pop.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let e = if self.run.is_empty() {
+            self.pop_calendar()
+        } else {
+            self.pop_with_run()
+        }?;
         Some((key_time(e.key), e.event))
     }
 
-    /// The time of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.spilled {
-            return self.heap.peek().map(|e| key_time(e.key));
+    /// [`EventQueue::pop`] while the run is non-empty: the run front,
+    /// unless the calendar holds a smaller key.
+    fn pop_with_run(&mut self) -> Option<Entry<E>> {
+        let front = self.run.front().map(|e| e.key);
+        match (front, self.calendar_min_key()) {
+            (Some(run), Some(calendar)) if calendar < run => self.pop_calendar(),
+            _ => self.run.pop_front(),
         }
-        self.small.get(self.small_min).map(|e| key_time(e.key))
     }
 
-    /// Number of pending events.
+    /// The time of the earliest pending event without removing it.
+    #[inline]
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let calendar = self.calendar_min_key();
+        match self.run.front() {
+            None => calendar.map(key_time),
+            Some(front) => Some(key_time(
+                calendar.map_or(front.key, |min| min.min(front.key)),
+            )),
+        }
+    }
+
+    /// Number of pending events, in the calendar and the presorted run.
     pub fn len(&self) -> usize {
-        if self.spilled {
+        let calendar = if self.spilled {
             self.heap.len()
         } else {
             self.small.len()
-        }
+        };
+        calendar + self.run.len()
     }
 
     /// Whether the queue has no pending events.
@@ -194,6 +284,7 @@ impl<E> EventQueue<E> {
         self.small.clear();
         self.heap.clear();
         self.spilled = false;
+        self.run.clear();
     }
 }
 
@@ -283,5 +374,127 @@ mod tests {
         q.schedule(SimTime::from_nanos(1), ());
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(1), ())));
+    }
+
+    /// A pop trace: (time in ns, event id) pairs.
+    type Trace = Vec<(u64, usize)>;
+
+    /// Replays `ops` against a `schedule`-only queue and a queue that
+    /// takes the batches through `schedule_sorted`, and returns both pop
+    /// traces. `Some(batch)` schedules a batch, `None` pops one event.
+    fn both_traces(ops: &[Option<Vec<u64>>]) -> (Trace, Trace) {
+        let mut plain = EventQueue::new();
+        let mut sorted = EventQueue::new();
+        let (mut plain_out, mut sorted_out) = (Vec::new(), Vec::new());
+        let mut id = 0;
+        for op in ops {
+            match op {
+                Some(batch) if batch.len() == 1 => {
+                    plain.schedule(SimTime::from_nanos(batch[0]), id);
+                    sorted.schedule(SimTime::from_nanos(batch[0]), id);
+                    id += 1;
+                }
+                Some(batch) => {
+                    let events: Vec<_> = batch
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &t)| (SimTime::from_nanos(t), id + i))
+                        .collect();
+                    for &(at, e) in &events {
+                        plain.schedule(at, e);
+                    }
+                    sorted.schedule_sorted(events);
+                    id += batch.len();
+                }
+                None => {
+                    plain_out.extend(plain.pop().map(|(t, e)| (t.as_nanos(), e)));
+                    sorted_out.extend(sorted.pop().map(|(t, e)| (t.as_nanos(), e)));
+                }
+            }
+            assert_eq!(plain.len(), sorted.len());
+            assert_eq!(plain.peek_time(), sorted.peek_time());
+        }
+        plain_out.extend(std::iter::from_fn(|| plain.pop()).map(|(t, e)| (t.as_nanos(), e)));
+        sorted_out.extend(std::iter::from_fn(|| sorted.pop()).map(|(t, e)| (t.as_nanos(), e)));
+        (plain_out, sorted_out)
+    }
+
+    #[test]
+    fn sorted_batches_pop_exactly_like_plain_schedules() {
+        // Equal times straddle the run and the calendar in both directions
+        // (calendar entry older than a run entry at time 20, run entries
+        // older than calendar entries at 30), a second batch appends to a
+        // non-empty run, and 15 and 5 arrive out of order and fall back to
+        // the calendar. Enough single schedules spill the calendar too.
+        let mut ops = vec![
+            Some(vec![20]),
+            Some(vec![10, 20, 20, 30, 30, 15, 40, 5, 40]),
+            Some(vec![30]),
+            None,
+            Some(vec![30, 50, 50]),
+            Some(vec![10]),
+            None,
+            None,
+        ];
+        for t in 0..2 * SMALL_MAX as u64 {
+            ops.push(Some(vec![(t * 7) % 60]));
+        }
+        ops.extend([None, Some(vec![0, 60]), None, None]);
+        let (plain, sorted) = both_traces(&ops);
+        assert_eq!(plain.len(), 33);
+        assert_eq!(sorted, plain);
+    }
+
+    #[test]
+    fn len_peek_and_clear_cover_the_sorted_run() {
+        let mut q = EventQueue::new();
+        q.schedule_sorted([3, 8].map(|t| (SimTime::from_nanos(t), "run")));
+        assert_eq!(q.len(), 2);
+        assert!(!q.is_empty());
+        // Only the run holds events: peeks read its front.
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
+        q.schedule(SimTime::from_nanos(5), "calendar");
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(3), "run")));
+        // The calendar now holds the earliest event.
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), "calendar")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(8)));
+        q.schedule(SimTime::from_nanos(1), "calendar");
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
+        // A batch after a clear starts a fresh run, even at an earlier time.
+        q.schedule_sorted([(SimTime::from_nanos(2), "run")]);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(2), "run")));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sorted_batches_match_plain_schedules_on_any_trace(
+            ops in proptest::collection::vec(
+                (0u8..10, proptest::collection::vec(0u64..40, 1..12)),
+                1..60,
+            ),
+        ) {
+            // Three in ten ops pop. Random batches are mostly out of
+            // order, which exercises the fallback; sorting half of them
+            // exercises long runs.
+            let ops: Vec<_> = ops
+                .into_iter()
+                .map(|(kind, mut batch)| match kind {
+                    0..=2 => None,
+                    3..=6 => {
+                        batch.sort_unstable();
+                        Some(batch)
+                    }
+                    _ => Some(batch),
+                })
+                .collect();
+            let (plain, sorted) = both_traces(&ops);
+            proptest::prop_assert_eq!(sorted, plain);
+        }
     }
 }

@@ -207,6 +207,8 @@ impl<E> Lane<E> {
     }
 
     /// Pops the earliest event; the local calendar wins ties.
+    // Inlined into the epoch loop, which calls it once per event.
+    #[inline]
     fn pop(&mut self) -> Option<(SimTime, E)> {
         let from_mail = match (self.queue.peek_time(), self.inbox.peek().map(|e| e.at)) {
             (None, None) => return None,

@@ -382,6 +382,30 @@ impl<E> ShardedEngine<E> {
         self.refresh_next(shard.0 as usize);
     }
 
+    /// Schedules a batch of events with non-decreasing times on `shard`,
+    /// kept in the calendar's presorted run (see
+    /// [`EventQueue::schedule_sorted`]). The pop order is the one the same
+    /// [`ShardedEngine::schedule`] calls would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any time is earlier than the current clock or `shard` is
+    /// out of range.
+    pub fn schedule_sorted<I: IntoIterator<Item = (SimTime, E)>>(
+        &mut self,
+        shard: ShardId,
+        batch: I,
+    ) {
+        let now = self.now;
+        self.queues
+            .get_mut(shard.0 as usize)
+            .unwrap_or_else(|| panic!("{shard} is not a shard of this engine"))
+            .schedule_sorted(batch.into_iter().inspect(|(at, _)| {
+                assert!(*at >= now, "cannot schedule an event in the past");
+            }));
+        self.refresh_next(shard.0 as usize);
+    }
+
     /// Schedules a *serial* event at absolute time `at`, attributed to
     /// `shard` for (time, shard, seq) ordering. Serial events execute at
     /// the epoch barriers of [`ShardedEngine::run_threaded`] with
@@ -787,6 +811,48 @@ mod tests {
         };
         assert_eq!(engine.run(&mut world), RunOutcome::BudgetExhausted);
         assert_eq!(world.trace.len(), 7);
+    }
+
+    #[test]
+    fn sorted_batches_replay_like_plain_schedules() {
+        // Chains respawn every 3 us while a presorted batch lands at
+        // 1 us spacing, so run and calendar interleave with equal times.
+        let run = |sorted: bool| {
+            let mut engine = ShardedEngine::new(1).with_horizon(SimTime::from_micros(60));
+            let mut world = Tracer {
+                trace: Vec::new(),
+                respawn: 1_000,
+                interval: SimDuration::from_micros(3),
+            };
+            engine.schedule(ShardId(0), SimTime::ZERO, 0);
+            let batch = (0..40u32).map(|i| (SimTime::from_micros(u64::from(i)), 10_000 + i));
+            if sorted {
+                engine.schedule_sorted(ShardId(0), batch);
+            } else {
+                for (at, ev) in batch {
+                    engine.schedule(ShardId(0), at, ev);
+                }
+            }
+            assert_eq!(engine.pending(), 41);
+            let outcome = engine.run(&mut world);
+            (outcome, world.trace, engine.pending(), engine.now())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule an event in the past")]
+    fn sorted_batch_in_the_past_panics() {
+        let mut engine = ShardedEngine::new(1).with_horizon(SimTime::from_micros(3));
+        engine.schedule(ShardId(0), SimTime::ZERO, 0);
+        let mut world = Tracer {
+            trace: Vec::new(),
+            respawn: 1_000,
+            interval: SimDuration::from_micros(1),
+        };
+        engine.run(&mut world);
+        assert_eq!(engine.now(), SimTime::from_micros(3));
+        engine.schedule_sorted(ShardId(0), [5, 2].map(|us| (SimTime::from_micros(us), 0)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolize a sampler.c dump and print self and inclusive profiles.
 
-    python3 tools/sampler/symbolize.py sampler.out [--top N]
+    python3 tools/sampler/symbolize.py sampler.out [--top N] [--callers PATTERN]
 
 Each address is mapped through the dump's copy of /proc/self/maps to a
 file offset, through the file's LOAD program headers (`readelf -l`) to a
@@ -10,6 +10,11 @@ link-time address, and through its symbol table (`nm -C`) to a function.
 it once to every distinct function on the sample's stack: RIP, the
 frame-pointer chain, and the word at [RSP] when it is a return address
 the chain skipped (the caller of a leaf that set up no frame).
+
+With --callers, it also prints who calls the leaves that match the
+regular expression PATTERN: each matching sample's stack is cut to its
+Rust frames (demangled names holding `::`, so libc internals drop out),
+and the most common caller chains are listed, innermost first.
 """
 
 import argparse
@@ -98,17 +103,35 @@ def read_dump(path):
     return maps, samples
 
 
+# Rust frames shown per caller chain.
+CALLER_DEPTH = 6
+
+
+def rust_chain(stack):
+    """The Rust frames of a stack below its leaf, innermost first, with
+    recursion and inlined repeats collapsed, cut to CALLER_DEPTH."""
+    chain = []
+    for name in stack[1:]:
+        if "::" in name and (not chain or chain[-1] != name):
+            chain.append(name)
+    return chain[:CALLER_DEPTH]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dump")
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--callers", metavar="PATTERN",
+                        help="list the Rust caller chains of leaves matching PATTERN")
     args = parser.parse_args()
+    leaf_filter = re.compile(args.callers) if args.callers else None
 
     maps, samples = read_dump(args.dump)
     if not samples:
         sys.exit("symbolize.py: the dump holds no samples")
     sym = Symbolizer(maps)
     self_counts, inclusive = collections.Counter(), collections.Counter()
+    callers, matched = collections.Counter(), 0
     for rip, top, *chain in samples:
         leaf = sym.name(rip) or "?? unmapped"
         self_counts[leaf] += 1
@@ -117,13 +140,21 @@ def main():
         if caller and (not chain or sym.name(chain[0]) != caller):
             stack.append(caller)
         stack.extend(sym.name(a) for a in chain)
-        inclusive.update(set(f for f in stack if f))
+        stack = [f for f in stack if f]
+        inclusive.update(set(stack))
+        if leaf_filter and leaf_filter.search(leaf):
+            matched += 1
+            callers[" <- ".join([leaf] + rust_chain(stack))] += 1
 
     total = len(samples)
     for title, counts in (("self", self_counts), ("inclusive", inclusive)):
         print(f"== {title} ({total} samples)")
         for name, n in counts.most_common(args.top):
             print(f"{100.0 * n / total:6.2f}% {n:8d}  {name}")
+    if leaf_filter:
+        print(f"== callers of /{args.callers}/ ({matched} of {total} samples)")
+        for chain, n in callers.most_common(args.top):
+            print(f"{100.0 * n / max(matched, 1):6.2f}% {n:8d}  {chain}")
 
 
 if __name__ == "__main__":
