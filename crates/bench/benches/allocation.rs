@@ -1,5 +1,9 @@
 //! Criterion bench for the memory-management substrate: pool allocation /
-//! release under every placement policy, and remote-window carving.
+//! release under every placement policy, and remote-window carving. A
+//! `stats` group times the report sketch's record path on a latency-like
+//! stream, the other per-event cost of a rack replay's grant path. CI
+//! writes the summary to `BENCH_allocation.json` (set
+//! `CRITERION_SUMMARY_JSON`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -7,6 +11,7 @@ use std::hint::black_box;
 use dredbox::bricks::BrickId;
 use dredbox::memory::{AllocationPolicy, BrickAllocator, MemoryPool, RemoteWindow};
 use dredbox::sim::rng::SimRng;
+use dredbox::sim::stats::Summary;
 use dredbox::sim::units::ByteSize;
 
 fn pool_with(policy: AllocationPolicy) -> MemoryPool {
@@ -197,5 +202,31 @@ fn bench_allocator_mixed(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pool, bench_window, bench_allocator_mixed);
+/// Records 100k read-latency-like samples (ns) into one sketch: a
+/// log-normal body around 340 ns with a heavy tail, quantised to whole
+/// nanoseconds as priced reads are, so consecutive samples often share a
+/// bucket.
+fn bench_summary_record(c: &mut Criterion) {
+    let mut rng = SimRng::seed(2018);
+    let samples: Vec<f64> = (0..100_000)
+        .map(|_| rng.log_normal(340f64.ln(), 0.9).round().max(1.0))
+        .collect();
+    c.bench_function("stats/summary_record", |b| {
+        b.iter(|| {
+            let mut summary = Summary::new();
+            for &x in &samples {
+                summary.record(black_box(x));
+            }
+            black_box(summary.count())
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_pool,
+    bench_window,
+    bench_allocator_mixed,
+    bench_summary_record
+);
 criterion_main!(benches);

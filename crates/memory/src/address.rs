@@ -67,7 +67,7 @@ pub struct RemoteWindow {
     /// Released ranges as `(len, offset)`, sorted by length and in release
     /// order within a length, all in one allocation: the exact-size reuse
     /// on [`RemoteWindow::carve`] is a binary search and the overlap check
-    /// on [`RemoteWindow::release`] one contiguous scan. Both sit on the
+    /// on [`RemoteWindow::release`] one branch-free fold. Both sit on the
     /// SDM agent's attach/detach path; a release sees about 12 holes on
     /// average on the `fed64` benchmark workload and 55 on `rack`.
     holes: Vec<(u64, u64)>,
@@ -149,11 +149,7 @@ impl RemoteWindow {
         let Some((offset, end)) = carved else {
             return Err(MemoryError::InvalidWindowRelease { address, size });
         };
-        let over_hole = self
-            .holes
-            .iter()
-            .any(|&(hole_len, hole)| hole < end && offset < hole.saturating_add(hole_len));
-        if over_hole {
+        if overlaps_hole(&self.holes, offset, end) {
             return Err(MemoryError::InvalidWindowRelease { address, size });
         }
         let at = self.holes.partition_point(|&(hole_len, _)| hole_len <= len);
@@ -161,6 +157,16 @@ impl RemoteWindow {
         self.mapped -= size;
         Ok(())
     }
+}
+
+/// Whether `[offset, end)` overlaps one of the `(len, offset)` holes. A
+/// fold with neither an early exit nor a branch per hole: a release is
+/// legal far more often than not, so the scan runs to the end anyway, and
+/// as straight-line compares it pays no per-hole branch.
+fn overlaps_hole(holes: &[(u64, u64)], offset: u64, end: u64) -> bool {
+    holes.iter().fold(false, |hit, &(len, hole)| {
+        hit | ((hole < end) & (offset < hole.saturating_add(len)))
+    })
 }
 
 // Deterministic snapshot codec impls (see `dredbox_snap`).
@@ -480,6 +486,50 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// The fold rejects exactly what the short-circuiting `any` over
+        /// the holes rejected, for ranges that start or end on a hole's
+        /// edge or one byte either side, and for holes whose end
+        /// saturates at `u64::MAX`.
+        #[test]
+        fn overlap_fold_matches_the_short_circuit_scan(
+            raw in proptest::collection::vec((0u64..u64::MAX, 0u64..4096, 0u32..3), 0..70),
+            probes in proptest::collection::vec((0usize..1 << 16, 0u32..6, 0u64..8192), 1..40),
+        ) {
+            let holes: Vec<(u64, u64)> = raw
+                .iter()
+                .map(|&(at, len, kind)| match kind {
+                    // Near the top of the address space: `hole + len` saturates.
+                    0 => (len + 1, u64::MAX - len / 2),
+                    1 => (len + 1, at),
+                    _ => (len + 1, at % 65_536),
+                })
+                .collect();
+            let any = |offset: u64, end: u64| {
+                holes
+                    .iter()
+                    .any(|&(len, hole)| hole < end && offset < hole.saturating_add(len))
+            };
+            for (pick, edge, len) in probes {
+                let (offset, end) = match holes.get(pick % holes.len().max(1)) {
+                    Some(&(hole_len, hole)) => {
+                        let hole_end = hole.saturating_add(hole_len);
+                        match edge {
+                            // Ending on, just before or just after the start.
+                            0 => (hole.saturating_sub(len), hole),
+                            1 => (hole.saturating_sub(len + 1), hole.saturating_sub(1)),
+                            2 => (hole.saturating_sub(len), hole.saturating_add(1)),
+                            // Starting on, just before or just after the end.
+                            3 => (hole_end, hole_end.saturating_add(len)),
+                            4 => (hole_end.saturating_sub(1), hole_end.saturating_add(len)),
+                            _ => (hole_end.saturating_add(1), hole_end.saturating_add(len + 1)),
+                        }
+                    }
+                    None => (len, len.saturating_mul(2)),
+                };
+                proptest::prop_assert_eq!(overlaps_hole(&holes, offset, end), any(offset, end));
+            }
+        }
+
         /// Random carves and releases — live, partial, repeated and
         /// never-carved ones — give the same results, addresses and
         /// snapshot bytes on the flat hole list as on the size-keyed map.

@@ -64,151 +64,313 @@ struct BrickStat {
     in_use: bool,
 }
 
-/// The largest block of an in-use brick; 0 for an unused one.
-fn in_use_largest(stat: &BrickStat) -> u64 {
-    if stat.in_use {
-        stat.largest
-    } else {
-        0
-    }
+/// The free-byte class of an in-use brick; `None` for an unused one.
+fn in_use_class(stat: &BrickStat) -> Option<usize> {
+    stat.in_use.then(|| free_class(stat.free))
 }
 
-/// A tournament tree over array positions: node `n`'s children are `2n`
-/// and `2n + 1`, leaves start at `leaves`, and each node holds the
-/// position with the largest key below it (lowest position on ties;
-/// `EMPTY` for padding). Node 1 is the overall winner, read in `O(1)`;
-/// replaying one leaf's matches is `O(log n)`.
+/// The keys the [`MaxTree`] ranks a brick by: its largest block, and its
+/// largest block counting only in-use bricks (0 for an unused one).
+fn tree_keys(stat: &BrickStat) -> [u64; 2] {
+    [stat.largest, if stat.in_use { stat.largest } else { 0 }]
+}
+
+/// [`MaxTree`] key: largest block over all bricks.
+const ALL: usize = 0;
+
+/// [`MaxTree`] key: largest block over the in-use bricks.
+const IN_USE: usize = 1;
+
+/// An id with no position in [`PoolIndex::pos_of`].
+const EMPTY: u32 = u32::MAX;
+
+/// Two max trees over array positions, one per key ([`ALL`], [`IN_USE`]),
+/// in one node array: node `n`'s children are `2n` and `2n + 1`, leaves
+/// start at `leaves`, and a node holds, per key, the largest key below it
+/// (0 for the padding after the last position). Node 1 holds the maxima,
+/// read in `O(1)`; the lowest position holding a maximum, or the first
+/// holding at least some value, is one root-to-leaf descent. An update
+/// replays the leaf's path towards the root and stops at the first node
+/// whose maxima did not change; it never reads the stat array, and both
+/// keys share one walk over the same nodes.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct MaxTree {
-    nodes: Vec<u32>,
+    nodes: Vec<[u64; 2]>,
     leaves: usize,
 }
 
-/// A tournament-tree node with no position below it.
-const EMPTY: u32 = u32::MAX;
-
 impl MaxTree {
-    fn build(len: usize, key: impl Fn(usize) -> u64) -> Self {
+    fn build(len: usize, keys: impl Fn(usize) -> [u64; 2]) -> Self {
         let leaves = len.next_power_of_two();
-        let mut tree = MaxTree {
-            nodes: vec![EMPTY; 2 * leaves],
-            leaves,
-        };
+        let mut nodes = vec![[0; 2]; 2 * leaves];
         for pos in 0..len {
-            tree.nodes[leaves + pos] = pos as u32;
+            nodes[leaves + pos] = keys(pos);
         }
         for node in (1..leaves).rev() {
-            tree.play(node, &key);
+            nodes[node] = Self::play(nodes[2 * node], nodes[2 * node + 1]);
         }
-        tree
+        MaxTree { nodes, leaves }
     }
 
-    fn play(&mut self, node: usize, key: impl Fn(usize) -> u64) {
-        let (a, b) = (self.nodes[2 * node], self.nodes[2 * node + 1]);
-        self.nodes[node] = if b != EMPTY && (a == EMPTY || key(b as usize) > key(a as usize)) {
-            b
-        } else {
-            a
-        };
+    /// The per-key maxima of two sibling nodes.
+    fn play(left: [u64; 2], right: [u64; 2]) -> [u64; 2] {
+        [left[ALL].max(right[ALL]), left[IN_USE].max(right[IN_USE])]
     }
 
-    /// Puts position `pos` on its (free) leaf and replays its matches.
-    fn place(&mut self, pos: usize, key: impl Fn(usize) -> u64) {
-        self.nodes[self.leaves + pos] = pos as u32;
-        self.replay(pos, key);
-    }
-
-    /// Replays the matches on the path from `pos`'s leaf to the root.
-    fn replay(&mut self, pos: usize, key: impl Fn(usize) -> u64) {
-        let mut node = (self.leaves + pos) / 2;
-        while node >= 1 {
-            self.play(node, &key);
+    /// Sets position `pos`'s keys and replays its path until a node keeps
+    /// its maxima.
+    fn set(&mut self, pos: usize, keys: [u64; 2]) {
+        let mut node = self.leaves + pos;
+        self.nodes[node] = keys;
+        while node > 1 {
             node /= 2;
+            let maxima = Self::play(self.nodes[2 * node], self.nodes[2 * node + 1]);
+            if self.nodes[node] == maxima {
+                break;
+            }
+            self.nodes[node] = maxima;
         }
     }
 
-    /// The position with the largest key, lowest on ties.
-    fn winner(&self) -> Option<usize> {
-        self.nodes
-            .get(1)
-            .filter(|&&p| p != EMPTY)
-            .map(|&p| p as usize)
+    /// The largest `key`, 0 for an empty tree.
+    fn max(&self, key: usize) -> u64 {
+        self.nodes.get(1).map_or(0, |node| node[key])
+    }
+
+    /// The lowest position whose `key` is at least `want` (`want > 0`):
+    /// one descent that turns right only when the left subtree's maximum
+    /// falls short.
+    fn first_at_least(&self, key: usize, want: u64) -> Option<usize> {
+        if self.max(key) < want {
+            return None;
+        }
+        let mut node = 1;
+        while node < self.leaves {
+            node = 2 * node + usize::from(self.nodes[2 * node][key] < want);
+        }
+        Some(node - self.leaves)
+    }
+
+    /// The lowest position holding the largest non-zero `key`.
+    fn winner(&self, key: usize) -> Option<usize> {
+        self.first_at_least(key, self.max(key).max(1))
+    }
+}
+
+/// Free-byte classes per octave: a class holds the free-byte counts that
+/// share their octave and the 3 bits below the leading one, so it spans at
+/// most an eighth of its smallest value.
+const CLASSES_PER_OCTAVE: usize = 8;
+
+/// Below 2^20 bytes (1 MiB) free, a brick is as good as full: all such
+/// counts share the lowest class.
+const FLOOR_OCTAVE: usize = 20;
+
+/// The highest classed octave: from 2^48 bytes (256 TiB) free up, counts
+/// share the highest class.
+const TOP_OCTAVE: usize = 47;
+
+/// Classes between the floor and the top octave.
+const CLASSES: usize = (TOP_OCTAVE - FLOOR_OCTAVE + 1) * CLASSES_PER_OCTAVE;
+
+/// The class of `free` bytes. Non-decreasing in `free`, so a brick in a
+/// higher class always has more free bytes than one in a lower class.
+fn free_class(free: u64) -> usize {
+    let octave = 63 - (free | 1).leading_zeros() as usize;
+    if octave < FLOOR_OCTAVE {
+        return 0;
+    }
+    if octave > TOP_OCTAVE {
+        return CLASSES - 1;
+    }
+    let below = (free >> (octave - 3)) as usize & (CLASSES_PER_OCTAVE - 1);
+    (octave - FLOOR_OCTAVE) * CLASSES_PER_OCTAVE + below
+}
+
+/// The set bits of `words` at index `from` or above, ascending.
+fn set_bits(words: &[u64], from: usize) -> impl Iterator<Item = usize> + '_ {
+    (from / 64..words.len()).flat_map(move |w| {
+        let mut word = words[w];
+        if w == from / 64 {
+            word &= !0 << (from % 64);
+        }
+        std::iter::from_fn(move || {
+            let bit = word.trailing_zeros() as usize;
+            word &= word.wrapping_sub(1);
+            (bit < 64).then_some(w * 64 + bit)
+        })
+    })
+}
+
+/// The in-use bricks grouped by [`free_class`]: one bitset over array
+/// positions per class, and a bitset of the classes with any member. A
+/// brick whose free bytes change within its class costs nothing; one that
+/// changes class clears one bit and sets another.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct FreeClasses {
+    /// `u64` words per class bitset.
+    words: usize,
+    /// Class `c`'s bitset is `bits[c * words..][..words]`.
+    bits: Vec<u64>,
+    /// Bit `c` is set when class `c` has a member.
+    occupied: [u64; CLASSES.div_ceil(64)],
+}
+
+impl FreeClasses {
+    /// Empty classes over `positions` array positions.
+    fn new(positions: usize) -> Self {
+        let words = positions.div_ceil(64);
+        FreeClasses {
+            words,
+            bits: vec![0; CLASSES * words],
+            occupied: [0; CLASSES.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, class: usize, pos: usize) {
+        self.bits[class * self.words + pos / 64] |= 1 << (pos % 64);
+        self.occupied[class / 64] |= 1 << (class % 64);
+    }
+
+    fn remove(&mut self, class: usize, pos: usize) {
+        let members = &mut self.bits[class * self.words..][..self.words];
+        members[pos / 64] &= !(1 << (pos % 64));
+        if members.iter().all(|&w| w == 0) {
+            self.occupied[class / 64] &= !(1 << (class % 64));
+        }
+    }
+
+    /// The classes with members, from `class` upward.
+    fn occupied_from(&self, class: usize) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.occupied, class)
+    }
+
+    /// The positions in `class`, ascending.
+    fn members(&self, class: usize) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.bits[class * self.words..][..self.words], 0)
     }
 }
 
 /// Incrementally maintained selection index over the pool's dMEMBRICKs,
 /// updated whenever a brick's allocator changes. A rack holds at most a
 /// few hundred dMEMBRICKs, so the index is one dense stat array in id
-/// order: an update is a binary search plus one write, and a policy query
-/// is at most one allocation-free pass over the array that keeps the
-/// first (lowest-id) brick on score ties — the deterministic tie-breaks of
-/// the reference scan. Two tournament trees serve the largest contiguous
-/// block — over all bricks (every digest refresh reads it) and over the
-/// in-use ones — in `O(1)`, so a request no brick can hold contiguously
-/// (every split allocation's first pick) never scans.
+/// order with an id → position table beside it: an update is one table
+/// read, one write, a few tree matches and at most two bit flips. The
+/// policy queries keep the first (lowest-id) brick on score ties — the
+/// deterministic tie-breaks of the reference scan:
+///
+/// - A max tree holds the largest contiguous block over all bricks (every
+///   digest refresh reads it) and over the in-use ones, so the largest
+///   block is `O(1)`, and the brick holding it, or a first fit, is one
+///   `O(log m)` descent.
+/// - The in-use bricks, grouped into ascending classes of free bytes
+///   ([`FreeClasses`]), serve the power-aware "fullest in-use brick that
+///   fits": the search starts at the request's own class, so it skips
+///   every brick with fewer free bytes, and stops at the first class with
+///   a brick whose largest block fits, taking that class's smallest
+///   `(free, position)` among them. A brick with enough free bytes but too
+///   fragmented a largest block is stepped over, and none is read at all
+///   when the tree says no in-use brick fits. An exactly sorted
+///   `(free, position)` order answers the same query, but it costs a
+///   shift per update: on the `rack` benchmark workload nearly every
+///   dMEMBRICK is in use, and a refresh moves its brick 58 places of 128
+///   on average.
+/// - BestFit and WorstFit stay one allocation-free pass over the array.
 #[derive(Debug, Clone, Default)]
 struct PoolIndex {
     /// Registered (non-failed) bricks ascending by id, with their stats.
     stats: Vec<(BrickId, BrickStat)>,
-    /// Positions in `stats` by largest block.
+    /// Each brick id's position in `stats` (`EMPTY` if not indexed). Its
+    /// length — one past the highest brick id ever indexed, as it never
+    /// shrinks — is the slot-vector length of the id-keyed stat map the
+    /// snapshot layout records. Not part of the index's meaning, so
+    /// equality ignores it.
+    pos_of: Vec<u32>,
+    /// Positions in `stats` by largest block, over all bricks and over the
+    /// in-use ones.
     largest: MaxTree,
-    /// Positions in `stats` by largest block, counting only in-use bricks.
-    largest_in_use: MaxTree,
-    /// One past the highest brick id ever indexed — the slot-vector length
-    /// of the id-keyed stat map the snapshot layout records. Not part of
-    /// the index's meaning, so equality ignores it.
-    id_span: usize,
+    /// The in-use bricks' positions by class of free bytes.
+    free_classes: FreeClasses,
 }
 
 impl PoolIndex {
-    /// Inserts or refreshes one brick's stat. `O(log n)`; a brick
-    /// registered out of id order, or one that outgrows the trees, re-lays
-    /// them out in `O(n)`.
+    /// Inserts or refreshes one brick's stat. A refresh, and an append in
+    /// id order (registration), are `O(log m)`; a brick registered out of
+    /// id order, or one that outgrows the trees, re-lays the index out in
+    /// `O(m)`.
     fn upsert(&mut self, brick: BrickId, stat: BrickStat) {
-        self.id_span = self.id_span.max(brick.0 as usize + 1);
-        match self.stats.binary_search_by_key(&brick, |&(b, _)| b) {
-            Ok(pos) => {
-                self.stats[pos].1 = stat;
-                let stats = &self.stats;
-                self.largest.replay(pos, |p| stats[p].1.largest);
-                self.largest_in_use
-                    .replay(pos, |p| in_use_largest(&stats[p].1));
+        let id = brick.0 as usize;
+        if id >= self.pos_of.len() {
+            self.pos_of.resize(id + 1, EMPTY);
+        }
+        let pos = self.pos_of[id];
+        if pos != EMPTY {
+            let pos = pos as usize;
+            let old = std::mem::replace(&mut self.stats[pos].1, stat);
+            if old != stat {
+                self.largest.set(pos, tree_keys(&stat));
+                self.reclass(pos, in_use_class(&old), in_use_class(&stat));
             }
-            Err(pos) if pos == self.stats.len() && pos < self.largest.leaves => {
-                // Registration appends in id order: fill the next leaf.
-                self.stats.push((brick, stat));
-                let stats = &self.stats;
-                self.largest.place(pos, |p| stats[p].1.largest);
-                self.largest_in_use
-                    .place(pos, |p| in_use_largest(&stats[p].1));
+            return;
+        }
+        let pos = self.stats.partition_point(|&(b, _)| b < brick);
+        if pos == self.stats.len() && pos < self.largest.leaves {
+            // Registration appends in id order: fill the next leaf.
+            self.stats.push((brick, stat));
+            self.pos_of[id] = pos as u32;
+            self.largest.set(pos, tree_keys(&stat));
+            self.reclass(pos, None, in_use_class(&stat));
+        } else {
+            self.stats.insert(pos, (brick, stat));
+            self.rebuild();
+        }
+    }
+
+    /// Moves position `pos` from free-byte class `from` to `to` (`None`:
+    /// not in use), if they differ.
+    fn reclass(&mut self, pos: usize, from: Option<usize>, to: Option<usize>) {
+        if from != to {
+            if let Some(class) = from {
+                self.free_classes.remove(class, pos);
             }
-            Err(pos) => {
-                self.stats.insert(pos, (brick, stat));
-                self.rebuild_trees();
+            if let Some(class) = to {
+                self.free_classes.insert(class, pos);
             }
         }
     }
 
     /// Drops one brick from the index — used when the brick fails and must
-    /// stop being a selection candidate entirely. `O(n)`.
+    /// stop being a selection candidate entirely. `O(m)`.
     fn remove(&mut self, brick: BrickId) {
-        if let Ok(pos) = self.stats.binary_search_by_key(&brick, |&(b, _)| b) {
-            self.stats.remove(pos);
-            self.rebuild_trees();
+        let Some(&pos) = self.pos_of.get(brick.0 as usize) else {
+            return;
+        };
+        if pos != EMPTY {
+            self.stats.remove(pos as usize);
+            self.rebuild();
         }
     }
 
-    fn rebuild_trees(&mut self) {
+    /// Re-derives the position table, the tree and the free classes from
+    /// the stat array.
+    fn rebuild(&mut self) {
         let stats = &self.stats;
-        self.largest = MaxTree::build(stats.len(), |p| stats[p].1.largest);
-        self.largest_in_use = MaxTree::build(stats.len(), |p| in_use_largest(&stats[p].1));
+        self.pos_of.fill(EMPTY);
+        for (pos, (brick, _)) in stats.iter().enumerate() {
+            self.pos_of[brick.0 as usize] = pos as u32;
+        }
+        self.largest = MaxTree::build(stats.len(), |p| tree_keys(&stats[p].1));
+        self.free_classes = FreeClasses::new(self.largest.leaves);
+        for (pos, (_, stat)) in stats.iter().enumerate() {
+            if let Some(class) = in_use_class(stat) {
+                self.free_classes.insert(class, pos);
+            }
+        }
     }
 
-    /// The brick a tree's winner names, if its key is non-zero (a
-    /// candidate).
-    fn tree_winner(&self, tree: &MaxTree, key: impl Fn(&BrickStat) -> u64) -> Option<BrickId> {
-        let (brick, stat) = self.stats[tree.winner()?];
-        (key(&stat) > 0).then_some(brick)
+    /// The lowest-id brick with the largest non-zero `key` (a candidate).
+    fn tree_winner(&self, key: usize) -> Option<BrickId> {
+        self.largest.winner(key).map(|pos| self.stats[pos].0)
     }
 
     /// Allocation candidates — bricks with a non-zero largest free block —
@@ -234,44 +396,38 @@ impl PoolIndex {
         best.map(|(_, b)| b)
     }
 
-    /// Whether some brick's largest block fits `want`. `O(1)`.
-    fn any_fits(&self, want: u64) -> bool {
-        self.largest_block() >= want
-    }
-
-    /// Lowest-id candidate whose largest block fits `want`.
+    /// Lowest-id brick whose largest block fits `want` (`want > 0`, so it
+    /// is a candidate). `O(log m)`.
     fn first_candidate_fit(&self, want: u64) -> Option<BrickId> {
-        if !self.any_fits(want) {
-            return None;
-        }
-        self.candidates()
-            .find(|(_, s)| s.largest >= want)
-            .map(|(b, _)| b)
+        self.largest
+            .first_at_least(ALL, want)
+            .map(|pos| self.stats[pos].0)
     }
 
     /// Lowest-id candidate, fitting or not (the split fallback).
+    /// `O(log m)`.
     fn min_candidate(&self) -> Option<BrickId> {
-        self.candidates().next().map(|(b, _)| b)
+        self.first_candidate_fit(1)
     }
 
     /// Candidate with the smallest largest-block that still fits `want`
     /// (lowest id on ties) — the BestFit query.
     fn tightest_fit(&self, want: u64) -> Option<BrickId> {
-        if !self.any_fits(want) {
+        if self.largest_block() < want {
             return None;
         }
         self.min_by(|s| s.largest >= want, |s| s.largest)
     }
 
     /// Candidate with the largest contiguous block (lowest id on ties).
-    /// `O(1)`.
+    /// `O(log m)`.
     fn largest_block_brick(&self) -> Option<BrickId> {
-        self.tree_winner(&self.largest, |s| s.largest)
+        self.tree_winner(ALL)
     }
 
     /// Largest contiguous free block on any brick. `O(1)`.
     fn largest_block(&self) -> u64 {
-        self.largest.winner().map_or(0, |p| self.stats[p].1.largest)
+        self.largest.max(ALL)
     }
 
     /// Candidate with the most free bytes (lowest id on ties) — the
@@ -281,22 +437,28 @@ impl PoolIndex {
     }
 
     /// Fullest in-use candidate (fewest free bytes, lowest id on ties) whose
-    /// largest block fits `want` — the power-aware packing query.
+    /// largest block fits `want` — the power-aware packing query. A brick's
+    /// largest block never exceeds its free bytes, so the search starts at
+    /// `want`'s class; the first class holding a fit holds the answer.
     fn fullest_in_use_fit(&self, want: u64) -> Option<BrickId> {
-        let in_use_max = self
-            .largest_in_use
-            .winner()
-            .map_or(0, |p| in_use_largest(&self.stats[p].1));
-        if in_use_max < want {
+        if self.largest.max(IN_USE) < want {
             return None;
         }
-        self.min_by(|s| s.in_use && s.largest >= want, |s| s.free)
+        let classes = &self.free_classes;
+        classes.occupied_from(free_class(want)).find_map(|class| {
+            classes
+                .members(class)
+                .map(|pos| (pos, self.stats[pos]))
+                .filter(|(_, (_, s))| s.largest >= want)
+                .min_by_key(|&(pos, (_, s))| (s.free, pos))
+                .map(|(_, (brick, _))| brick)
+        })
     }
 
     /// In-use candidate with the largest contiguous block (lowest id on
-    /// ties). `O(1)`.
+    /// ties). `O(log m)`.
     fn largest_in_use_block(&self) -> Option<BrickId> {
-        self.tree_winner(&self.largest_in_use, in_use_largest)
+        self.tree_winner(IN_USE)
     }
 
     /// Bricks with no allocation at all (power-off candidates), in id
@@ -790,9 +952,10 @@ impl MemoryPool {
     }
 
     /// Index-backed selection: no candidate list is rebuilt and no per-call
-    /// allocation happens. Each query is one pass over the dense stat
-    /// array (the first-fit walk stops at the first fit); the
-    /// largest-block fallback is `O(1)`.
+    /// allocation happens. FirstFit and PowerAware read the tree and the
+    /// in-use free classes (`O(log m)` plus, for PowerAware, the members of
+    /// the classes it searches); BestFit and WorstFit are one pass over the
+    /// dense stat array.
     fn pick_brick_indexed(&self, want: ByteSize) -> Option<BrickId> {
         let want = want.as_bytes();
         match self.policy {
@@ -926,7 +1089,7 @@ impl PartialEq for PoolIndex {
     fn eq(&self, other: &Self) -> bool {
         self.stats == other.stats
             && self.largest == other.largest
-            && self.largest_in_use == other.largest_in_use
+            && self.free_classes == other.free_classes
     }
 }
 
@@ -937,12 +1100,12 @@ impl PartialEq for PoolIndex {
 impl dredbox_snap::Snap for PoolIndex {
     fn snap(&self, out: &mut Vec<u8>) {
         let mut by_id = self.stats.iter().peekable();
-        let slots = (0..self.id_span).map(|i| {
+        let slots = (0..self.pos_of.len()).map(|i| {
             by_id
                 .next_if(|(b, _)| b.0 as usize == i)
                 .map(|&(_, stat)| stat)
         });
-        dredbox_snap::snap_seq(self.id_span, slots, out);
+        dredbox_snap::snap_seq(self.pos_of.len(), slots, out);
         self.stats.len().snap(out);
         let (candidates, ranks) = self.rank_sections();
         candidates.snap(out);
@@ -963,13 +1126,13 @@ impl dredbox_snap::Snap for PoolIndex {
                 .enumerate()
                 .filter_map(|(i, s)| s.map(|stat| (BrickId(i as u32), stat)))
                 .collect(),
-            id_span: slots.len(),
+            pos_of: vec![EMPTY; slots.len()],
             ..PoolIndex::default()
         };
         if index.stats.len() != live || u32::try_from(slots.len()).is_err() {
             return Err(inconsistent);
         }
-        index.rebuild_trees();
+        index.rebuild();
         let (candidates, ranks) = index.rank_sections();
         dredbox_snap::expect_seq(r, TY, candidates)?;
         for rank in ranks {
@@ -1172,14 +1335,14 @@ mod tests {
         let mut map: BrickMap<BrickStat> = BrickMap::new();
         // Reproduce the map's slot length, which never shrinks.
         map.insert(
-            BrickId(index.id_span as u32 - 1),
+            BrickId(index.pos_of.len() as u32 - 1),
             BrickStat {
                 free: 0,
                 largest: 0,
                 in_use: false,
             },
         );
-        map.remove(BrickId(index.id_span as u32 - 1));
+        map.remove(BrickId(index.pos_of.len() as u32 - 1));
         let mut candidates = BTreeSet::new();
         let mut ranks: [BTreeSet<(u64, BrickId)>; 4] = Default::default();
         let mut unused = BTreeSet::new();
@@ -1373,41 +1536,196 @@ mod tests {
         assert_eq!(MemoryPool::unsnap(&mut Reader::new(&forged)), inconsistent);
     }
 
+    #[test]
+    fn power_aware_steps_over_a_fragmented_fullest_brick() {
+        let gib = ByteSize::from_gib;
+        let mut p = MemoryPool::new(AllocationPolicy::PowerAware);
+        p.register_membrick(BrickId(1), gib(8));
+        p.register_membrick(BrickId(2), gib(8));
+        p.register_membrick(BrickId(3), gib(16));
+        let quarters: Vec<MemoryGrant> = (0..4u32)
+            .map(|vm| p.allocate(BrickId(vm), gib(2)).unwrap())
+            .collect();
+        assert!(quarters
+            .iter()
+            .all(|g| g.segments()[0].membrick == BrickId(1)));
+        let other = p.allocate(BrickId(9), gib(3)).unwrap();
+        assert_eq!(other.segments()[0].membrick, BrickId(2));
+        p.release_grant(&quarters[0]).unwrap();
+        p.release_grant(&quarters[2]).unwrap();
+        // Brick 1 is the fullest in-use brick (4 GiB free) and has room
+        // for 3 GiB, but only in two 2-GiB holes; brick 2 (5 GiB free, one
+        // block) is the fullest that fits.
+        assert_eq!(p.free_on(BrickId(1)).unwrap(), gib(4));
+        assert_eq!(p.largest_free_on(BrickId(1)).unwrap(), gib(2));
+        let want = gib(3).as_bytes();
+        assert_eq!(p.index.fullest_in_use_fit(want), Some(BrickId(2)));
+        assert_eq!(p.pick_brick_scan(gib(3)), Some(BrickId(2)));
+        let grant = p.allocate(BrickId(10), gib(3)).unwrap();
+        assert_eq!(grant.segments().len(), 1);
+        assert_eq!(grant.segments()[0].membrick, BrickId(2));
+        // Brick 2 is now the fullest (2 GiB free, in one block), and no
+        // in-use brick fits 3 GiB any more.
+        assert_eq!(
+            p.index.fullest_in_use_fit(gib(2).as_bytes()),
+            Some(BrickId(2))
+        );
+        assert_eq!(p.index.fullest_in_use_fit(want), None);
+        assert_eq!(p.unused_membricks().collect::<Vec<_>>(), vec![BrickId(3)]);
+    }
+
+    #[test]
+    fn free_classes_are_monotone_and_bounded() {
+        // Every octave's edges and the values one either side of them.
+        let mut values: Vec<u64> = (0..64)
+            .flat_map(|e| {
+                let edge = 1u64 << e;
+                [edge - 1, edge, edge + 1, edge + edge / 8, edge | (edge - 1)]
+            })
+            .chain([0, u64::MAX])
+            .collect();
+        values.sort_unstable();
+        let classes: Vec<usize> = values.iter().map(|&v| free_class(v)).collect();
+        assert!(classes.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(free_class(0), 0);
+        assert_eq!(free_class((1 << FLOOR_OCTAVE) - 1), 0);
+        assert_eq!(free_class(u64::MAX), CLASSES - 1);
+        // Within the classed range a class spans an eighth of an octave.
+        let gib = 1 << 30;
+        assert_eq!(free_class(gib), free_class(gib + gib / 8 - 1));
+        assert_eq!(free_class(gib) + 1, free_class(gib + gib / 8));
+    }
+
+    /// A rack-sized pool: 37 dMEMBRICKs of 1–4 GiB whose ids skip every
+    /// third value, registered in a scrambled order (some appends, some
+    /// inserts between already-indexed ids).
+    fn rack_pool(policy: AllocationPolicy) -> MemoryPool {
+        const BRICKS: u32 = 37;
+        let ids: Vec<u32> = (0..).filter(|i| i % 3 != 1).take(BRICKS as usize).collect();
+        let mut p = MemoryPool::new(policy);
+        for k in 0..BRICKS {
+            let i = (k * 17 % BRICKS) as usize;
+            p.register_membrick(
+                BrickId(4 + ids[i]),
+                ByteSize::from_gib(1 + ids[i] as u64 % 4),
+            );
+        }
+        p
+    }
+
+    /// One step of the rack-sized equivalence trace.
+    #[derive(Debug, Clone, Copy)]
+    enum PoolOp {
+        /// Allocate this many MiB.
+        Alloc(u64),
+        /// Release the live grant at this index (modulo the count).
+        Release(usize),
+        /// Fail the registered brick at this index (modulo the count).
+        Fail(usize),
+        /// Repair the failed brick at this index (modulo the count).
+        Repair(usize),
+    }
+
+    /// Turns a `(kind, MiB, index)` draw into an op: 6 in 11 allocate, 3
+    /// release, 1 fails a brick and 1 repairs one.
+    fn pool_op((kind, mib, at): (u8, u64, usize)) -> PoolOp {
+        match kind {
+            0..=5 => PoolOp::Alloc(mib),
+            6..=8 => PoolOp::Release(at),
+            9 => PoolOp::Fail(at),
+            _ => PoolOp::Repair(at),
+        }
+    }
+
+    /// Applies one op to both pools and checks that they agree, that the
+    /// grants in `live` stay live, and that the index equals a rebuilt one.
+    fn step_both(
+        indexed: &mut MemoryPool,
+        scan: &mut MemoryPool,
+        live: &mut Vec<MemoryGrant>,
+        owner: u32,
+        op: PoolOp,
+    ) {
+        match op {
+            PoolOp::Alloc(mib) => {
+                let size = ByteSize::from_mib(mib);
+                let a = indexed.allocate(BrickId(owner), size);
+                let b = scan.allocate(BrickId(owner), size);
+                prop_assert_eq!(&a, &b, "{:?} diverged on allocate", indexed.policy());
+                live.extend(a);
+            }
+            PoolOp::Release(i) if !live.is_empty() => {
+                let g = live.swap_remove(i % live.len());
+                indexed.release_grant(&g).unwrap();
+                scan.release_grant(&g).unwrap();
+            }
+            PoolOp::Fail(i) if indexed.membrick_count() > 0 => {
+                let bricks: Vec<BrickId> = indexed.allocators.iter().map(|(b, _)| b).collect();
+                let brick = bricks[i % bricks.len()];
+                let lost = indexed.fail_membrick(brick).unwrap();
+                prop_assert_eq!(scan.fail_membrick(brick).unwrap(), lost);
+                // Grants that lost a segment release what they kept.
+                for g in live
+                    .iter()
+                    .filter(|g| g.segments().iter().any(|s| s.membrick == brick))
+                {
+                    for seg in g.segments().iter().filter(|s| s.membrick != brick) {
+                        indexed.release(seg).unwrap();
+                        scan.release(seg).unwrap();
+                    }
+                }
+                live.retain(|g| g.segments().iter().all(|s| s.membrick != brick));
+            }
+            PoolOp::Repair(i) => {
+                let failed: Vec<BrickId> = indexed.failed_membricks().collect();
+                if let Some(&brick) = failed.get(i % failed.len().max(1)) {
+                    prop_assert_eq!(indexed.repair_membrick(brick), scan.repair_membrick(brick));
+                }
+            }
+            PoolOp::Release(_) | PoolOp::Fail(_) => {}
+        }
+        prop_assert_eq!(indexed.total_free(), scan.total_free());
+        prop_assert_eq!(
+            indexed.unused_membricks().collect::<Vec<_>>(),
+            scan.unused_membricks().collect::<Vec<_>>()
+        );
+        // The incrementally kept index equals one derived from scratch.
+        let mut rebuilt = indexed.index.clone();
+        rebuilt.rebuild();
+        prop_assert_eq!(&rebuilt, &indexed.index);
+    }
+
     proptest! {
         /// Determinism regression guard: the indexed selection and the
         /// reference candidate-list scan must hand out bit-identical grants
         /// (and fail identically) for every policy over random
-        /// allocate/release traces.
+        /// allocate/release/fail/repair traces on a rack-sized pool. Half
+        /// way through, the indexed pool goes through a snapshot round trip
+        /// and must keep picking identically.
         #[test]
-        fn indexed_pick_matches_reference_scan(ops in proptest::collection::vec((1u64..24, proptest::bool::ANY), 1..40)) {
+        fn indexed_pick_matches_reference_scan(
+            draws in proptest::collection::vec((0u8..11, 1u64..1536, 0usize..1 << 20), 1..160),
+        ) {
+            use dredbox_snap::Snap;
             for policy in [
                 AllocationPolicy::FirstFit,
                 AllocationPolicy::BestFit,
                 AllocationPolicy::WorstFit,
                 AllocationPolicy::PowerAware,
             ] {
-                let mut indexed = pool(policy);
-                let mut scan = pool(policy);
+                let mut indexed = rack_pool(policy);
+                let mut scan = rack_pool(policy);
                 scan.set_pick_strategy(PickStrategy::ReferenceScan);
                 let mut live: Vec<MemoryGrant> = Vec::new();
-                for (i, (gib, do_alloc)) in ops.iter().enumerate() {
-                    if *do_alloc || live.is_empty() {
-                        let a = indexed.allocate(BrickId(i as u32), ByteSize::from_gib(*gib));
-                        let b = scan.allocate(BrickId(i as u32), ByteSize::from_gib(*gib));
-                        prop_assert_eq!(&a, &b, "{:?} diverged on allocate", policy);
-                        if let Ok(g) = a {
-                            live.push(g);
-                        }
-                    } else {
-                        let g = live.remove(i % live.len());
-                        indexed.release_grant(&g).unwrap();
-                        scan.release_grant(&g).unwrap();
+                for (i, &draw) in draws.iter().enumerate() {
+                    if i == draws.len() / 2 {
+                        let mut bytes = Vec::new();
+                        indexed.snap(&mut bytes);
+                        let back = MemoryPool::unsnap(&mut dredbox_snap::Reader::new(&bytes));
+                        prop_assert_eq!(back.as_ref(), Ok(&indexed));
+                        indexed = back.unwrap();
                     }
-                    prop_assert_eq!(indexed.total_free(), scan.total_free());
-                    prop_assert_eq!(
-                        indexed.unused_membricks().collect::<Vec<_>>(),
-                        scan.unused_membricks().collect::<Vec<_>>()
-                    );
+                    step_both(&mut indexed, &mut scan, &mut live, i as u32, pool_op(draw));
                 }
             }
         }

@@ -63,7 +63,7 @@ const DROPPED_BITS: u32 = 52 - MANTISSA_BITS;
 /// assert_eq!(s.max(), 4.0);
 /// assert_eq!(s.median(), 2.5);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -77,6 +77,34 @@ pub struct Summary {
     keys: Vec<i32>,
     /// One entry per key, in lockstep with `keys`.
     buckets: Vec<Bucket>,
+    /// Lookup directory over `keys`, one entry per occupied [`Block`], in
+    /// ascending order.
+    blocks: Vec<Block>,
+    /// Position of the bucket the last sample went to: consecutive
+    /// samples of a latency stream land in the same bucket about half the
+    /// time, and then need no directory lookup at all.
+    last: usize,
+}
+
+/// 128 consecutive bucket keys: those `k` with `(k - 1) >> 7 == group`, so
+/// the positive keys of one binary exponent (its 128 mantissa buckets)
+/// share a block. `occupied` is a 128-bit occupancy word in two halves:
+/// bit `i % 64` of half `i / 64` is set when the block's `i`-th key has a
+/// bucket, and that key's position in `keys` is where its half starts
+/// (`first`) plus the popcount of the half's bits below it: one 64-bit
+/// popcount per lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct Block {
+    occupied: [u64; 2],
+    first: [u32; 2],
+    group: i32,
+}
+
+/// A key's block group and bit within the block.
+fn block_of(key: i32) -> (i32, u32) {
+    // Keys are at least -(2^18), so `key - 1` cannot overflow.
+    let k = key - 1;
+    (k >> 7, (k & 127) as u32)
 }
 
 /// The samples of one bucket: how many, and the smallest and largest seen.
@@ -135,6 +163,8 @@ impl Summary {
             saw_non_finite: false,
             keys: Vec::new(),
             buckets: Vec::new(),
+            blocks: Vec::new(),
+            last: 0,
         }
     }
 
@@ -150,6 +180,11 @@ impl Summary {
 
     /// Records one sample. Allocates only when it opens a bucket.
     pub fn record(&mut self, x: f64) {
+        self.record_with(x, Summary::add);
+    }
+
+    /// [`Summary::record`], placing the sample's bucket with `add`.
+    fn record_with(&mut self, x: f64, add: impl Fn(&mut Summary, i32, &Bucket)) {
         if !x.is_finite() {
             self.saw_non_finite = true;
             return;
@@ -168,7 +203,8 @@ impl Summary {
         }
         // One canonical zero, so bucket contents never depend on order.
         let x = if x == 0.0 { 0.0 } else { x };
-        self.add(
+        add(
+            self,
             bucket_key(x),
             &Bucket {
                 count: 1,
@@ -179,20 +215,62 @@ impl Summary {
     }
 
     /// Adds `bucket`'s samples under `key`, opening the bucket if needed.
+    /// The last bucket used is checked first; otherwise a binary search
+    /// over the few occupied blocks and a popcount give the position.
     fn add(&mut self, key: i32, bucket: &Bucket) {
-        match self.keys.binary_search(&key) {
-            Ok(i) => self.buckets[i].absorb(bucket),
-            Err(i) => {
-                self.keys.insert(i, key);
-                self.buckets.insert(i, *bucket);
-            }
+        if self.keys.get(self.last) == Some(&key) {
+            self.buckets[self.last].absorb(bucket);
+            return;
         }
+        let (group, bit) = block_of(key);
+        let b = self.blocks.partition_point(|block| block.group < group);
+        let (half, bit) = (bit as usize / 64, bit % 64);
+        let pos = match self.blocks.get_mut(b) {
+            Some(block) if block.group == group => {
+                let word = block.occupied[half];
+                let pos =
+                    block.first[half] as usize + (word & ((1 << bit) - 1)).count_ones() as usize;
+                if word >> bit & 1 != 0 {
+                    self.buckets[pos].absorb(bucket);
+                    self.last = pos;
+                    return;
+                }
+                block.occupied[half] |= 1 << bit;
+                if half == 0 {
+                    block.first[1] += 1;
+                }
+                pos
+            }
+            next => {
+                let pos = next.map_or(self.keys.len(), |block| block.first[0] as usize) as u32;
+                let mut block = Block {
+                    occupied: [0; 2],
+                    first: [pos, pos + u32::from(half == 0)],
+                    group,
+                };
+                block.occupied[half] = 1 << bit;
+                self.blocks.insert(b, block);
+                pos as usize
+            }
+        };
+        for block in &mut self.blocks[b + 1..] {
+            block.first[0] += 1;
+            block.first[1] += 1;
+        }
+        self.keys.insert(pos, key);
+        self.buckets.insert(pos, *bucket);
+        self.last = pos;
     }
 
     /// Folds `other` into this sketch. Bucket counts add, so the buckets
     /// do not depend on merge order; the moments combine pairwise (Chan et
     /// al.), so merging in a fixed order gives the same bits every time.
     pub fn merge(&mut self, other: &Summary) {
+        self.merge_with(other, Summary::add);
+    }
+
+    /// [`Summary::merge`], placing `other`'s buckets with `add`.
+    fn merge_with(&mut self, other: &Summary, add: impl Fn(&mut Summary, i32, &Bucket)) {
         self.saw_non_finite |= other.saw_non_finite;
         if other.count == 0 {
             return;
@@ -215,7 +293,7 @@ impl Summary {
             self.max = other.max;
         }
         for (&key, bucket) in other.keys.iter().zip(&other.buckets) {
-            self.add(key, bucket);
+            add(self, key, bucket);
         }
     }
 
@@ -304,6 +382,21 @@ impl Summary {
             q3: self.percentile(75.0),
             max: self.max,
         }
+    }
+}
+
+/// Compares what the sketch has recorded; the lookup directory and the
+/// last-bucket hint follow from it or from the recording order.
+impl PartialEq for Summary {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.mean == other.mean
+            && self.m2 == other.m2
+            && self.min == other.min
+            && self.max == other.max
+            && self.saw_non_finite == other.saw_non_finite
+            && self.keys == other.keys
+            && self.buckets == other.buckets
     }
 }
 
@@ -456,6 +549,69 @@ mod tests {
                     2 => -spread,
                     3 => 1.0 + u / 16.0,
                     _ => spread,
+                }
+            })
+            .collect()
+    }
+
+    /// The binary search over every key that the block directory
+    /// replaced: the reference for where a bucket goes.
+    fn add_by_search(s: &mut Summary, key: i32, bucket: &Bucket) {
+        match s.keys.binary_search(&key) {
+            Ok(i) => s.buckets[i].absorb(bucket),
+            Err(i) => {
+                s.keys.insert(i, key);
+                s.buckets.insert(i, *bucket);
+            }
+        }
+    }
+
+    /// The directory agrees with the keys: blocks ascend, and each names
+    /// exactly its keys and where they start.
+    fn check_directory(s: &Summary) {
+        let mut pos = 0;
+        for (i, block) in s.blocks.iter().enumerate() {
+            assert!(i == 0 || s.blocks[i - 1].group < block.group);
+            assert_eq!(block.first[0] as usize, pos);
+            let low = block.occupied[0].count_ones() as usize;
+            assert_eq!(block.first[1] as usize, pos + low);
+            let len = low + block.occupied[1].count_ones() as usize;
+            let mut bits = [0u64; 2];
+            for &key in &s.keys[pos..pos + len] {
+                let (group, bit) = block_of(key);
+                assert_eq!(group, block.group);
+                bits[bit as usize / 64] |= 1 << (bit % 64);
+            }
+            assert_eq!(bits, block.occupied);
+            pos += len;
+        }
+        assert_eq!(pos, s.keys.len());
+    }
+
+    /// Samples that stress bucket placement: both zeros, subnormals,
+    /// extreme exponents and raw bit patterns of either sign, and a
+    /// latency-like stream that revisits a few hundred buckets.
+    fn placement_samples(draws: &[(u32, u64)]) -> Vec<f64> {
+        draws
+            .iter()
+            .map(|&(kind, bits)| {
+                let sign = if bits >> 63 == 1 { -1.0 } else { 1.0 };
+                let mantissa = bits & ((1 << 52) - 1);
+                match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => sign * f64::from_bits(mantissa.max(1)),
+                    3 => sign * f64::from_bits((2040 + bits % 7) << 52 | mantissa),
+                    4 => sign * f64::from_bits((1 + bits % 6) << 52 | mantissa),
+                    5 => {
+                        let x = f64::from_bits(bits & !(1 << 63));
+                        if x.is_finite() {
+                            sign * x
+                        } else {
+                            sign * f64::MAX
+                        }
+                    }
+                    _ => 100.0 + (bits % 4096) as f64 * 97.0,
                 }
             })
             .collect()
@@ -667,6 +823,50 @@ mod tests {
                 let scale = whole.min().abs().max(whole.max().abs());
                 prop_assert!(close(merged.mean(), whole.mean(), scale));
                 prop_assert!(close(merged.std_dev(), whole.std_dev(), scale));
+            }
+        }
+
+        #[test]
+        fn directory_places_buckets_like_the_binary_search(
+            draws in proptest::collection::vec((0u32..7, 0u64..u64::MAX), 1..400),
+            cuts in (0.0f64..1.0, 0.0f64..1.0),
+        ) {
+            let samples = placement_samples(&draws);
+            let (mut directory, mut search) = (Summary::new(), Summary::new());
+            for &x in &samples {
+                directory.record(x);
+                search.record_with(x, add_by_search);
+            }
+            check_directory(&directory);
+            prop_assert_eq!(&directory.keys, &search.keys);
+            prop_assert_eq!(&directory.buckets, &search.buckets);
+            prop_assert_eq!(format!("{directory:?}"), format!("{search:?}"));
+
+            // Three parts, merged in every order.
+            let mut at = [
+                (cuts.0 * samples.len() as f64) as usize,
+                (cuts.1 * samples.len() as f64) as usize,
+            ];
+            at.sort_unstable();
+            let parts = [&samples[..at[0]], &samples[at[0]..at[1]], &samples[at[1]..]];
+            let sketch = |part: &[f64]| {
+                let mut s = Summary::new();
+                part.iter().for_each(|&x| s.record(x));
+                s
+            };
+            for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+                let (mut directory, mut search) = (Summary::new(), Summary::new());
+                for i in order {
+                    let part = sketch(parts[i]);
+                    directory.merge(&part);
+                    search.merge_with(&part, add_by_search);
+                }
+                check_directory(&directory);
+                prop_assert_eq!(&directory.keys, &search.keys);
+                prop_assert_eq!(&directory.buckets, &search.buckets);
+                prop_assert_eq!(format!("{directory:?}"), format!("{search:?}"));
+                // Bucket counts add, so every order gives the whole stream's.
+                prop_assert_eq!(&directory.buckets, &sketch(&samples).buckets);
             }
         }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Symbolize a sampler.c dump and print self and inclusive profiles.
 
-    python3 tools/sampler/symbolize.py sampler.out [--top N] [--callers PATTERN]
+    python3 tools/sampler/symbolize.py sampler.out [--top N]
+        [--callers PATTERN] [--callees PATTERN]
 
 Each address is mapped through the dump's copy of /proc/self/maps to a
 file offset, through the file's LOAD program headers (`readelf -l`) to a
@@ -11,15 +12,28 @@ it once to every distinct function on the sample's stack: RIP, the
 frame-pointer chain, and the word at [RSP] when it is a return address
 the chain skipped (the caller of a leaf that set up no frame).
 
+A mapped file is only read if it is still the file the process mapped:
+its inode must be the one the dump's maps line records. A binary rebuilt
+after the dump was taken has a new inode; its addresses are then
+reported as `?? replaced <file>` (with a warning on stderr) instead of
+being resolved against code they never belonged to.
+
 With --callers, it also prints who calls the leaves that match the
 regular expression PATTERN: each matching sample's stack is cut to its
 Rust frames (demangled names holding `::`, so libc internals drop out),
 and the most common caller chains are listed, innermost first.
+
+With --callees, it prints where the time of the functions matching
+PATTERN goes: for every sample with such a function on its stack, the
+outermost matching frame's direct callee (or `(self)` when the function
+itself was running) is charged once, and each callee's share of those
+samples is its inclusive share of the function.
 """
 
 import argparse
 import bisect
 import collections
+import os
 import re
 import subprocess
 import sys
@@ -66,16 +80,17 @@ class Symbolizer:
         result = None
         i = bisect.bisect_right(self.starts, address) - 1
         if i >= 0:
-            start, end, offset, path = self.maps[i]
+            start, end, offset, inode, path = self.maps[i]
             if address < end:
-                result = self.lookup(path, address - start + offset)
+                result = self.lookup(path, inode, address - start + offset)
         self.cache[address] = result
         return result
 
-    def lookup(self, path, file_offset):
+    def lookup(self, path, inode, file_offset):
         if path not in self.files:
-            symbols = load_symbols(path)
-            self.files[path] = (load_segments(path), [s[0] for s in symbols], symbols)
+            self.files[path] = self.load(path, inode)
+        if self.files[path] is None:
+            return "?? replaced " + path.rsplit("/", 1)[-1]
         segments, addresses, symbols = self.files[path]
         for seg_offset, vaddr, size in segments:
             if seg_offset <= file_offset < seg_offset + size:
@@ -83,6 +98,23 @@ class Symbolizer:
                 if i >= 0:
                     return symbols[i][1]
         return "?? " + path.rsplit("/", 1)[-1]
+
+    @staticmethod
+    def load(path, inode):
+        """Segments and symbols of `path`, or None (with a warning) when the
+        file on disk is no longer the one the process mapped."""
+        try:
+            on_disk = os.stat(path).st_ino
+        except OSError:
+            on_disk = None
+        if on_disk != inode:
+            now = "gone" if on_disk is None else f"inode {on_disk}"
+            print(f"symbolize.py: {path} was replaced after the dump was taken "
+                  f"(inode {inode} when mapped, {now} now); its samples stay "
+                  f"unresolved", file=sys.stderr)
+            return None
+        symbols = load_symbols(path)
+        return load_segments(path), [s[0] for s in symbols], symbols
 
 
 def read_dump(path):
@@ -93,11 +125,11 @@ def read_dump(path):
                 section = line.split()[1]
                 continue
             if section == "maps":
-                m = re.match(r"([0-9a-f]+)-([0-9a-f]+) (\S+) ([0-9a-f]+) \S+ \S+\s+(/\S.*)$",
+                m = re.match(r"([0-9a-f]+)-([0-9a-f]+) (\S+) ([0-9a-f]+) \S+ (\d+)\s+(/\S.*)$",
                              line.rstrip("\n"))
                 if m and "x" in m.group(3):
                     maps.append((int(m.group(1), 16), int(m.group(2), 16),
-                                 int(m.group(4), 16), m.group(5)))
+                                 int(m.group(4), 16), int(m.group(5)), m.group(6)))
             elif section == "samples" and line.strip():
                 samples.append([int(word, 16) for word in line.split()])
     return maps, samples
@@ -117,14 +149,31 @@ def rust_chain(stack):
     return chain[:CALLER_DEPTH]
 
 
+def direct_callee(stack, pattern):
+    """The frame the outermost function matching `pattern` called on this
+    stack (innermost first), `(self)` if it was running, or None if no frame
+    matches. Repeats of the matched frame (recursion, the [RSP] word) are
+    stepped over."""
+    outer = max((i for i, name in enumerate(stack) if pattern.search(name)), default=None)
+    if outer is None:
+        return None
+    for name in reversed(stack[:outer]):
+        if name != stack[outer]:
+            return name
+    return "(self)"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dump")
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--callers", metavar="PATTERN",
                         help="list the Rust caller chains of leaves matching PATTERN")
+    parser.add_argument("--callees", metavar="PATTERN",
+                        help="split the samples of functions matching PATTERN by direct callee")
     args = parser.parse_args()
     leaf_filter = re.compile(args.callers) if args.callers else None
+    callee_filter = re.compile(args.callees) if args.callees else None
 
     maps, samples = read_dump(args.dump)
     if not samples:
@@ -132,6 +181,7 @@ def main():
     sym = Symbolizer(maps)
     self_counts, inclusive = collections.Counter(), collections.Counter()
     callers, matched = collections.Counter(), 0
+    callees, under = collections.Counter(), 0
     for rip, top, *chain in samples:
         leaf = sym.name(rip) or "?? unmapped"
         self_counts[leaf] += 1
@@ -145,6 +195,10 @@ def main():
         if leaf_filter and leaf_filter.search(leaf):
             matched += 1
             callers[" <- ".join([leaf] + rust_chain(stack))] += 1
+        callee = direct_callee(stack, callee_filter) if callee_filter else None
+        if callee:
+            under += 1
+            callees[callee] += 1
 
     total = len(samples)
     for title, counts in (("self", self_counts), ("inclusive", inclusive)):
@@ -155,6 +209,10 @@ def main():
         print(f"== callers of /{args.callers}/ ({matched} of {total} samples)")
         for chain, n in callers.most_common(args.top):
             print(f"{100.0 * n / max(matched, 1):6.2f}% {n:8d}  {chain}")
+    if callee_filter:
+        print(f"== callees of /{args.callees}/ ({under} of {total} samples)")
+        for name, n in callees.most_common(args.top):
+            print(f"{100.0 * n / max(under, 1):6.2f}% {n:8d}  {name}")
 
 
 if __name__ == "__main__":
