@@ -12,7 +12,7 @@
 //! [`Summary`]/[`Table`] reports.
 //!
 //! The module splits in two: this file holds the declarative side — specs,
-//! suites, validation and report types — while [`world`] (private) holds the
+//! suites, validation and report types — while `world` (private) holds the
 //! state machine the engine drives. Replays run on the
 //! [`ShardedEngine`]: each rack owns its own event calendar and
 //! control-plane queue. On a multi-rack system, admissions route through
@@ -940,13 +940,14 @@ impl ScenarioSpec {
     /// all: the calling thread plus `threads − 1` helpers, so `threads =
     /// 2` keeps two cores busy. `0` counts as 1.
     ///
-    /// Multi-rack systems run on the partitioned federation (one shard
-    /// per rack plus the cluster front door) under the conservative
-    /// threaded runner, where the threads claim each epoch's busy shards
-    /// one at a time from a shared pool; the report is bit-identical for
-    /// every `threads` value, including 1. Single-rack systems always
-    /// replay on the serial engine — `threads` adds nothing when there is
-    /// only one shard.
+    /// Every replay runs under the conservative epoch runner
+    /// ([`ShardedEngine::run_threaded`]), and the report is bit-identical
+    /// for every `threads` value, including 1. Multi-rack systems run on
+    /// the partitioned federation (one shard per rack plus the cluster
+    /// front door), where the threads claim each epoch's busy shards one
+    /// at a time from a shared pool. A single-rack system is one shard
+    /// with no channels, so it replays on the calling thread alone —
+    /// `threads` adds nothing there.
     ///
     /// # Errors
     ///
@@ -985,7 +986,7 @@ impl ScenarioSpec {
             return self.run_cluster(demands, arrivals, &mut rng, threads);
         }
 
-        // Single-rack: the one-shard serial engine.
+        // Single-rack: one shard, no channels.
         let system = DredboxSystem::build(self.system.clone())?;
         let mut engine = ShardedEngine::new(1)
             .with_horizon(self.horizon)
@@ -1012,23 +1013,13 @@ impl ScenarioSpec {
             );
         }
         // Fork order is part of the replay contract: demands (1), arrivals
-        // (2), world (3), faults (4). The fault fork is only drawn when the
-        // spec injects faults, so every pre-existing spec's streams — and
-        // goldens — are untouched.
+        // (2), world (3), faults (4).
         let world_rng = rng.fork(3);
-        let faults = match &self.faults {
-            Some(plan) => {
-                let sites = SiteCounts {
-                    compute: u32::from(self.system.trays) * u32::from(self.system.compute_per_tray),
-                    memory: u32::from(self.system.trays) * u32::from(self.system.memory_per_tray),
-                    accel: u32::from(self.system.trays) * u32::from(self.system.accel_per_tray),
-                    links: system.topology().manager().cabled_count() as u32,
-                    switches: 1,
-                };
-                FailureSchedule::generate(plan, 1, sites, &mut rng.fork(4))
-            }
-            None => FailureSchedule::default(),
-        };
+        let faults = self.fault_schedule(
+            1,
+            system.topology().manager().cabled_count() as u32,
+            &mut rng,
+        );
         for (index, fault) in faults.faults().iter().enumerate() {
             engine.schedule(ShardId(0), fault.at, ScenarioEvent::Fault { index });
             engine.schedule(
@@ -1038,9 +1029,29 @@ impl ScenarioSpec {
             );
         }
 
-        let mut world = ScenarioWorld::new(self, system, demands, faults, world_rng);
-        let outcome = engine.run(&mut world);
+        let mut worlds = vec![ScenarioWorld::new(self, system, demands, faults, world_rng)];
+        let outcome = engine.run_threaded(&mut worlds, threads);
+        let world = worlds.pop().expect("the runner hands the world back");
         Ok(world.finish(outcome, engine.now(), engine.processed()))
+    }
+
+    /// The spec's seeded fault schedule over `racks` racks of
+    /// `cabled_links` links each, drawn from the replay's fourth fork —
+    /// and only when the spec injects faults, so every fault-free spec's
+    /// streams (and goldens) are untouched.
+    fn fault_schedule(&self, racks: u32, cabled_links: u32, rng: &mut SimRng) -> FailureSchedule {
+        let Some(plan) = &self.faults else {
+            return FailureSchedule::default();
+        };
+        let trays = u32::from(self.system.trays);
+        let sites = SiteCounts {
+            compute: trays * u32::from(self.system.compute_per_tray),
+            memory: trays * u32::from(self.system.memory_per_tray),
+            accel: trays * u32::from(self.system.accel_per_tray),
+            links: cabled_links,
+            switches: 1,
+        };
+        FailureSchedule::generate(plan, racks, sites, &mut rng.fork(4))
     }
 
     /// The multi-rack replay: the federation partitions into one
@@ -1067,19 +1078,11 @@ impl ScenarioSpec {
         // (2), world (3) — sub-forked per rack, in rack order — faults (4).
         let mut world_rng = rng.fork(3);
         let rack_rngs: Vec<SimRng> = (0..racks).map(|r| world_rng.fork(r as u64)).collect();
-        let faults = match &self.faults {
-            Some(plan) => {
-                let sites = SiteCounts {
-                    compute: u32::from(self.system.trays) * u32::from(self.system.compute_per_tray),
-                    memory: u32::from(self.system.trays) * u32::from(self.system.memory_per_tray),
-                    accel: u32::from(self.system.trays) * u32::from(self.system.accel_per_tray),
-                    links: rack_systems[0].topology().manager().cabled_count() as u32,
-                    switches: 1,
-                };
-                FailureSchedule::generate(plan, racks as u32, sites, &mut rng.fork(4))
-            }
-            None => FailureSchedule::default(),
-        };
+        let faults = self.fault_schedule(
+            racks as u32,
+            rack_systems[0].topology().manager().cabled_count() as u32,
+            rng,
+        );
 
         let timings = ClusterTimings::dredbox_default();
         // Shard 0 is the front door; shard 1 + r is rack r.
@@ -1147,7 +1150,7 @@ impl ScenarioSpec {
             rack_rngs,
             timings,
         );
-        let outcome = engine.run_threaded(&mut world, threads.max(1));
+        let outcome = engine.run_threaded(&mut world, threads);
         Ok(world.finish(outcome, engine.now(), engine.processed()))
     }
 

@@ -1,10 +1,10 @@
-//! The mutable world the sharded discrete-event engine drives.
+//! The mutable world the epoch runner drives.
 //!
 //! This module is the state-machine half of the scenario engine: the
 //! [`ScenarioEvent`] alphabet, the per-replay [`Counters`], and
-//! [`ScenarioWorld`] — the [`ShardedProcess`] implementation that turns
-//! each popped event into calls on the [`DredboxSystem`] and schedules the
-//! follow-ups. The spec/report half lives in the parent module.
+//! [`ScenarioWorld`] — the [`WorldWorker`] that turns each popped event
+//! into calls on the [`DredboxSystem`] and schedules the follow-ups. The
+//! spec/report half lives in the parent module.
 //!
 //! Hot-path discipline: the world never clones system state per event —
 //! VM and hypervisor records are interned in slab arenas inside
@@ -14,7 +14,9 @@
 //!
 //! ## Two orchestration tiers, one event alphabet
 //!
-//! A world owns exactly one rack. On a single-rack scenario an
+//! A world owns exactly one rack, and every replay runs it under
+//! [`ShardedEngine::run_threaded`](dredbox_sim::shard::ShardedEngine::run_threaded).
+//! A single-rack scenario is a one-shard world with no channels, where an
 //! [`ScenarioEvent::Arrival`] admits inline. On a federation this world is
 //! one rack shard of the [`ClusterWorld`](super::cluster::ClusterWorld)
 //! and never sees arrivals: the cluster front door batches the arrival
@@ -34,10 +36,10 @@ use dredbox_bricks::BrickId;
 use dredbox_orchestrator::{OffloadSessionId, RackDigest};
 use dredbox_sim::engine::RunOutcome;
 use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
-use dredbox_sim::parallel::WorkerContext;
+use dredbox_sim::parallel::{WorkerContext, WorldWorker};
 use dredbox_sim::queue::{ControlPlaneQueue, QueueAdmission};
 use dredbox_sim::rng::SimRng;
-use dredbox_sim::shard::{ShardContext, ShardId, ShardedProcess};
+use dredbox_sim::shard::ShardId;
 use dredbox_sim::stats::Summary;
 use dredbox_sim::time::{SimDuration, SimTime};
 use dredbox_sim::units::ByteSize;
@@ -146,29 +148,6 @@ pub(super) struct Counters {
 
 /// The remote-read transfer sizes the per-arrival read charges draw from.
 const READ_SIZES: [u64; 4] = [64, 256, 1_024, 4_096];
-
-/// Where a dispatched event's follow-ups land.
-///
-/// The same world logic runs in two event loops: the serial
-/// [`ShardedEngine`](dredbox_sim::shard::ShardedEngine) loop
-/// ([`ShardContext`]) and a worker thread of the threaded runner
-/// ([`WorkerContext`]).
-pub(super) trait EventSink {
-    /// Schedules a follow-up on the shard that dispatched the event.
-    fn schedule(&mut self, at: SimTime, event: ScenarioEvent);
-}
-
-impl EventSink for ShardContext<'_, ScenarioEvent> {
-    fn schedule(&mut self, at: SimTime, event: ScenarioEvent) {
-        ShardContext::schedule(self, at, event);
-    }
-}
-
-impl EventSink for WorkerContext<'_, ScenarioEvent> {
-    fn schedule(&mut self, at: SimTime, event: ScenarioEvent) {
-        WorkerContext::schedule(self, at, event);
-    }
-}
 
 /// The mutable world the discrete-event engine drives.
 pub(super) struct ScenarioWorld<'a> {
@@ -376,7 +355,12 @@ impl<'a> ScenarioWorld<'a> {
     /// Books one successful admission: counters, the rack's control-plane
     /// serialization, the per-VM read charges, and the VM's scheduled
     /// future (departure, churn, offloads).
-    fn finish_admission<S: EventSink>(&mut self, vm: VmHandle, now: SimTime, ctx: &mut S) {
+    fn finish_admission(
+        &mut self,
+        vm: VmHandle,
+        now: SimTime,
+        ctx: &mut WorkerContext<'_, ScenarioEvent>,
+    ) {
         self.counters.admitted += 1;
         self.counters.live += 1;
         self.counters.peak_live = self.counters.peak_live.max(self.counters.live);
@@ -440,11 +424,16 @@ impl<'a> ScenarioWorld<'a> {
     /// Booking a refusal as final is the caller's call: a single rack
     /// rejects outright, a federation's front door may spill the request
     /// to another rack.
-    pub(super) fn admit<S: EventSink>(&mut self, index: usize, now: SimTime, sink: &mut S) -> bool {
+    pub(super) fn admit(
+        &mut self,
+        index: usize,
+        now: SimTime,
+        ctx: &mut WorkerContext<'_, ScenarioEvent>,
+    ) -> bool {
         let demand = self.demands[index];
         let admitted = match self.system.allocate_vm(demand.vcpus, demand.memory) {
             Ok(vm) => {
-                self.finish_admission(vm, now, sink);
+                self.finish_admission(vm, now, ctx);
                 true
             }
             Err(_) => {
@@ -540,7 +529,12 @@ impl<'a> ScenarioWorld<'a> {
     /// Delivers one planned fault to its site and runs the system's
     /// recovery protocol, charging everything the availability report
     /// tracks. A fault striking an already-down site is absorbed.
-    fn handle_fault<S: EventSink>(&mut self, now: SimTime, index: usize, ctx: &mut S) {
+    fn handle_fault(
+        &mut self,
+        now: SimTime,
+        index: usize,
+        ctx: &mut WorkerContext<'_, ScenarioEvent>,
+    ) {
         let fault = self.faults.faults()[index];
         if !self.injector.begin(fault.site, now) {
             self.availability.faults_absorbed += 1;
@@ -747,7 +741,8 @@ impl<'a> ScenarioWorld<'a> {
     }
 }
 
-impl ShardedProcess for ScenarioWorld<'_> {
+/// A single-rack replay: the world is the one shard's worker.
+impl WorldWorker for ScenarioWorld<'_> {
     type Event = ScenarioEvent;
 
     fn handle(
@@ -755,7 +750,7 @@ impl ShardedProcess for ScenarioWorld<'_> {
         _shard: ShardId,
         now: SimTime,
         event: ScenarioEvent,
-        ctx: &mut ShardContext<'_, ScenarioEvent>,
+        ctx: &mut WorkerContext<'_, ScenarioEvent>,
     ) {
         self.dispatch(now, event, ctx);
     }
@@ -763,14 +758,13 @@ impl ShardedProcess for ScenarioWorld<'_> {
 
 impl ScenarioWorld<'_> {
     /// Turns one popped event into calls on the system and schedules the
-    /// follow-ups through `sink` — the driver-agnostic heart of the
-    /// scenario engine, shared by the serial loop, the threaded rack
-    /// workers and the coordinator's serial barrier handlers.
-    pub(super) fn dispatch<S: EventSink>(
+    /// follow-ups on `ctx` — the heart of the scenario engine, shared by
+    /// a single rack's worker and each rack worker of a federation.
+    pub(super) fn dispatch(
         &mut self,
         now: SimTime,
         event: ScenarioEvent,
-        ctx: &mut S,
+        ctx: &mut WorkerContext<'_, ScenarioEvent>,
     ) {
         match event {
             ScenarioEvent::Arrival { index } => {

@@ -6,10 +6,11 @@
 //!
 //! * [`time`] — nanosecond-resolution simulated time ([`SimTime`], [`SimDuration`]).
 //! * [`event`] — a deterministic event queue keyed by time and insertion order.
-//! * [`engine`] — a small engine that drains an [`event::EventQueue`] against a
-//!   user-provided world state.
-//! * [`shard`] — the same engine partitioned into per-shard calendars (one per
+//! * [`shard`] — the discrete-event engine: per-shard calendars (one per
 //!   rack) with deterministic (time, shard, seq) cross-shard mailboxes.
+//! * [`parallel`] — the epoch runner that drives every scenario replay,
+//!   one rack or a federation, on one or more threads.
+//! * [`engine`] — [`engine::RunOutcome`], why a run stopped.
 //! * [`flat`] — sorted-vector maps and sets for small per-brick tables.
 //! * [`arena`] — generational slab arenas giving the scenario hot path stable
 //!   `u32` slots and an allocation-free steady state.
@@ -58,7 +59,7 @@ pub mod units;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::arena::{SlotArena, SlotKey};
-    pub use crate::engine::{Engine, Process, RunOutcome};
+    pub use crate::engine::RunOutcome;
     pub use crate::error::SimError;
     pub use crate::event::EventQueue;
     pub use crate::fault::{

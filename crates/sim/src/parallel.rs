@@ -64,15 +64,24 @@
 //!
 //! # Serial events
 //!
-//! Events scheduled through [`ShardedEngine::schedule_serial`] (or sent
-//! with [`WorkerContext::send_serial`]) execute at epoch barriers on the
-//! coordinating thread, which hands the world every shard's worker
+//! Events scheduled through [`ShardedEngine::schedule_serial`] (or
+//! [`SerialContext::schedule_serial`] from a barrier handler) execute at
+//! epoch barriers on the coordinating thread, which hands the world every
+//! shard's worker
 //! ([`ParallelWorld::handle_barrier`]) — this is where cluster-tier
 //! decisions that touch many racks (drain, upgrade, fault, repair,
 //! rebalance) live. A serial event at time `F` fences the run: no shard
 //! processes past `F` before it, it observes every shard's state as of
 //! `F`, and parallel events at exactly `F` fire after it. Serial events
 //! order among themselves by (time, shard, seq).
+//!
+//! # Independent shards
+//!
+//! A `Vec` of workers is itself a [`ParallelWorld`]: worker `s` is shard
+//! `s`, no channel joins two shards and no serial event runs. Every
+//! horizon is then the run's own, so each shard works through its whole
+//! calendar in one epoch. A single-rack scenario replay is the
+//! one-element case and runs on the calling thread alone.
 
 use std::any::Any;
 use std::collections::BinaryHeap;
@@ -173,15 +182,32 @@ pub trait WorldWorker {
     );
 }
 
+/// Independent shards, one per worker and joined by no channel (see the
+/// module docs).
+impl<Wk: WorldWorker + Send> ParallelWorld for Vec<Wk> {
+    type Event = Wk::Event;
+    type Worker = Wk;
+
+    fn split(&mut self, _shards: usize) -> Vec<Wk> {
+        mem::take(self)
+    }
+
+    fn reunite(&mut self, workers: Vec<Wk>) {
+        *self = workers;
+    }
+
+    fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
+        None
+    }
+}
+
 /// One buffered cross-shard send, waiting for the epoch barrier.
 #[derive(Debug)]
 struct Outgoing<E> {
     to: u32,
     at: SimTime,
-    /// Send seq stamped from the source lane's counter (parallel sends
-    /// only; serial sends are sequenced at barrier insertion).
+    /// Send seq stamped from the source lane's counter.
     seq: u64,
-    serial: bool,
     event: E,
 }
 
@@ -286,32 +312,6 @@ impl<E> WorkerContext<'_, E> {
             to: to.0,
             at,
             seq,
-            serial: false,
-            event,
-        });
-    }
-
-    /// Sends a *serial* event attributed to shard `to`, executing at an
-    /// epoch barrier once every shard has caught up to `at`. Subject to
-    /// the same channel-latency floor as [`WorkerContext::send`]; a
-    /// serial send to the *own* shard needs only a nonzero delay (the
-    /// event still has to reach the next barrier).
-    pub fn send_serial(&mut self, to: ShardId, at: SimTime, event: E) {
-        let lat = if to == self.shard {
-            SimDuration::from_nanos(1)
-        } else {
-            self.channel_to(to)
-        };
-        assert!(
-            at >= self.now + lat,
-            "serial send {} -> {to} beats the declared channel latency",
-            self.shard
-        );
-        self.lane.outbox.push(Outgoing {
-            to: to.0,
-            at,
-            seq: 0,
-            serial: true,
             event,
         });
     }
@@ -845,31 +845,20 @@ impl<E: Send> ShardedEngine<E> {
                         .as_mut()
                         .expect("unit carries its worker")
                         .handle(shard, at, event, &mut ctx);
+                    // Fine mode is sequential: deliver directly.
                     outs.append(&mut unit.lane.outbox);
                     for out in outs.drain(..) {
-                        if out.serial {
-                            let seq = self.serial_seq;
-                            self.serial_seq += 1;
-                            self.serial.push(SerialEntry {
+                        slots[out.to as usize]
+                            .as_mut()
+                            .expect("unit is home")
+                            .lane
+                            .inbox
+                            .push(MailEntry {
                                 at: out.at,
-                                shard: ShardId(out.to),
-                                seq,
+                                from: shard,
+                                seq: out.seq,
                                 event: out.event,
                             });
-                        } else {
-                            // Fine mode is sequential: deliver directly.
-                            slots[out.to as usize]
-                                .as_mut()
-                                .expect("unit is home")
-                                .lane
-                                .inbox
-                                .push(MailEntry {
-                                    at: out.at,
-                                    from: shard,
-                                    seq: out.seq,
-                                    event: out.event,
-                                });
-                        }
                     }
                     continue 'run;
                 }
@@ -934,29 +923,18 @@ impl<E: Send> ShardedEngine<E> {
                     let home = unit.shard as usize;
                     slots[home] = Some(unit);
                 }
-                // Route outboxes in ascending source-shard order so the
-                // serial queue's insertion seq is thread-count-invariant.
-                for (s, slot) in slots.iter_mut().enumerate().take(shards) {
+                // Route outboxes into the destination batches; the batch
+                // merge orders them by (time, source shard, send seq).
+                for (s, slot) in slots.iter_mut().enumerate() {
                     let unit = slot.as_mut().expect("unit is home");
                     outs.append(&mut unit.lane.outbox);
                     for out in outs.drain(..) {
-                        if out.serial {
-                            let seq = self.serial_seq;
-                            self.serial_seq += 1;
-                            self.serial.push(SerialEntry {
-                                at: out.at,
-                                shard: ShardId(out.to),
-                                seq,
-                                event: out.event,
-                            });
-                        } else {
-                            batches[out.to as usize].push(MailEntry {
-                                at: out.at,
-                                from: ShardId(s as u32),
-                                seq: out.seq,
-                                event: out.event,
-                            });
-                        }
+                        batches[out.to as usize].push(MailEntry {
+                            at: out.at,
+                            from: ShardId(s as u32),
+                            seq: out.seq,
+                            event: out.event,
+                        });
                     }
                 }
             }
@@ -1396,8 +1374,8 @@ mod tests {
         }
     }
 
-    /// `send_serial` from a worker routes through the barrier queue, and
-    /// the default barrier handler delegates to `handle_serial`.
+    /// A serial event seeded on the engine reaches the barrier, where the
+    /// default barrier handler delegates to `handle_serial`.
     #[test]
     fn worker_serial_sends_reach_the_barrier() {
         struct Probe {
@@ -1408,14 +1386,12 @@ mod tests {
             type Event = u8;
             fn handle(
                 &mut self,
-                shard: ShardId,
-                now: SimTime,
+                _shard: ShardId,
+                _now: SimTime,
                 ev: u8,
-                ctx: &mut WorkerContext<'_, u8>,
+                _ctx: &mut WorkerContext<'_, u8>,
             ) {
-                if ev == 0 {
-                    ctx.send_serial(ShardId(1 - shard.0), now + SimDuration::from_nanos(90), 1);
-                }
+                assert_eq!(ev, 0);
             }
         }
         impl ParallelWorld for Probe {
@@ -1442,6 +1418,7 @@ mod tests {
         for threads in [1, 2] {
             let mut engine = ShardedEngine::new(2);
             engine.schedule(ShardId(0), SimTime::from_nanos(3), 0);
+            engine.schedule_serial(ShardId(1), SimTime::from_nanos(93), 1);
             let mut world = Probe { fired: Vec::new() };
             assert_eq!(
                 engine.run_threaded(&mut world, threads),
@@ -1469,6 +1446,128 @@ mod tests {
         assert_eq!(world.logs, serial_world.logs);
         assert_eq!(engine.now(), serial_engine.now());
         assert_eq!(engine.processed(), serial_engine.processed());
+    }
+
+    /// Independent chains: every shard holds a presorted run of arrivals
+    /// at the same instants, and each arrival respawns local follow-ups,
+    /// spaced by shard, until its low byte reaches `CHAIN_DEPTH`. No shard
+    /// ever messages another. The equal-time arrivals make a budget cut
+    /// depend on the lowest-shard-first tie-break.
+    const CHAIN_DEPTH: u32 = 4;
+
+    fn chain_step(shard: ShardId, now: SimTime, ev: u32) -> Option<(SimTime, u32)> {
+        let depth = ev & 0xff;
+        (depth < CHAIN_DEPTH).then(|| {
+            let gap = 2 + u64::from(shard.0) + u64::from(depth);
+            (now + SimDuration::from_nanos(gap), ev + 1)
+        })
+    }
+
+    struct Chains {
+        logs: Vec<Vec<(SimTime, u32)>>,
+    }
+
+    impl ShardedProcess for Chains {
+        type Event = u32;
+        fn handle(
+            &mut self,
+            shard: ShardId,
+            now: SimTime,
+            ev: u32,
+            ctx: &mut ShardContext<'_, u32>,
+        ) {
+            self.logs[shard.0 as usize].push((now, ev));
+            if let Some((at, next)) = chain_step(shard, now, ev) {
+                ctx.schedule(at, next);
+            }
+        }
+    }
+
+    struct ChainWorker {
+        log: Vec<(SimTime, u32)>,
+    }
+
+    impl WorldWorker for ChainWorker {
+        type Event = u32;
+        fn handle(
+            &mut self,
+            shard: ShardId,
+            now: SimTime,
+            ev: u32,
+            ctx: &mut WorkerContext<'_, u32>,
+        ) {
+            self.log.push((now, ev));
+            if let Some((at, next)) = chain_step(shard, now, ev) {
+                ctx.schedule(at, next);
+            }
+        }
+    }
+
+    /// A `Vec` of workers runs as independent shards: at every thread
+    /// count it matches the serial engine on the logs, the clock, the
+    /// processed count, the pending count and the outcome — draining,
+    /// stopping at a horizon, or cut by a budget smaller than the
+    /// arrivals still queued, which the runner meets in fine-step mode.
+    #[test]
+    fn independent_shards_match_serial_at_every_thread_count() {
+        const ARRIVALS: u32 = 60;
+        for shards in [1usize, 4] {
+            let total = shards as u64 * u64::from(ARRIVALS);
+            for (budget, horizon, expected) in [
+                (None, None, RunOutcome::Drained),
+                (
+                    None,
+                    Some(SimTime::from_nanos(333)),
+                    RunOutcome::HorizonReached,
+                ),
+                (Some(total * 3 / 4), None, RunOutcome::BudgetExhausted),
+                (
+                    Some(total / 2),
+                    Some(SimTime::from_nanos(500)),
+                    RunOutcome::BudgetExhausted,
+                ),
+            ] {
+                let build = || {
+                    let mut engine = ShardedEngine::new(shards);
+                    if let Some(b) = budget {
+                        engine = engine.with_event_budget(b);
+                    }
+                    if let Some(h) = horizon {
+                        engine = engine.with_horizon(h);
+                    }
+                    for s in 0..shards as u32 {
+                        engine.schedule_sorted(
+                            ShardId(s),
+                            (0..ARRIVALS).map(|k| (SimTime::from_nanos(u64::from(10 * k)), k << 8)),
+                        );
+                    }
+                    engine
+                };
+                let mut serial_engine = build();
+                let mut serial_world = Chains {
+                    logs: vec![Vec::new(); shards],
+                };
+                let serial_outcome = serial_engine.run(&mut serial_world);
+                assert_eq!(serial_outcome, expected, "shards={shards}");
+
+                for threads in [1, 2, 4] {
+                    let case = format!(
+                        "shards={shards} threads={threads} budget={budget:?} horizon={horizon:?}"
+                    );
+                    let mut engine = build();
+                    let mut world: Vec<ChainWorker> = (0..shards)
+                        .map(|_| ChainWorker { log: Vec::new() })
+                        .collect();
+                    let outcome = engine.run_threaded(&mut world, threads);
+                    assert_eq!(outcome, serial_outcome, "{case}");
+                    let logs: Vec<_> = world.into_iter().map(|w| w.log).collect();
+                    assert_eq!(logs, serial_world.logs, "{case}");
+                    assert_eq!(engine.now(), serial_engine.now(), "{case}");
+                    assert_eq!(engine.processed(), serial_engine.processed(), "{case}");
+                    assert_eq!(engine.pending(), serial_engine.pending(), "{case}");
+                }
+            }
+        }
     }
 
     /// A declared zero-latency channel is rejected up front.

@@ -2,16 +2,18 @@
 //! cross-shard mailbox.
 //!
 //! A [`ShardedEngine`] runs one event calendar per *shard* — a rack in the
-//! dReDBox scenarios; the whole system is shard 0 for everything that does
-//! not opt into partitioning. The engine stays single-threaded: sharding
-//! here is a *data-structure* boundary (per-shard heaps, per-shard control
-//! planes) that a future threaded runner can pick up without changing a
-//! single report bit.
+//! dReDBox scenarios, plus the cluster front door on a federation; a
+//! single-rack replay is one shard. It has two run loops over the same
+//! calendars: the single-threaded [`ShardedEngine::run`] below, and the
+//! conservative epoch runner [`ShardedEngine::run_threaded`]
+//! ([`crate::parallel`]), which drives every scenario replay on one or
+//! more threads. The serial loop is the reference order the epoch runner
+//! is tested against.
 //!
 //! # Ordering contract
 //!
-//! The engine extends the [`EventQueue`](crate::event::EventQueue)
-//! contract of (time, seq) FIFO tie-breaking to (time, shard, seq):
+//! The engine extends the [`EventQueue`] contract of (time, seq) FIFO
+//! tie-breaking to (time, shard, seq):
 //!
 //! 1. **Within a shard**, locally scheduled events fire in (time, local
 //!    seq) order — exactly the single-engine contract.
@@ -27,8 +29,8 @@
 //!    interleaving.
 //!
 //! With a single shard and only local scheduling, the run is
-//! *bit-identical* to [`Engine`](crate::engine::Engine) on the same trace:
-//! same pops, same clock, same [`RunOutcome`].
+//! *bit-identical* to draining one [`EventQueue`] on the same trace: same
+//! pops, same clock, same [`RunOutcome`].
 //!
 //! ```
 //! use dredbox_sim::shard::{ShardContext, ShardId, ShardedEngine, ShardedProcess};
@@ -272,9 +274,9 @@ impl<E> Ord for SerialEntry<E> {
 }
 
 /// Discrete-event engine with one calendar per shard and deterministic
-/// cross-shard mailboxes. See the module docs for the ordering contract;
-/// run semantics (horizon, event budget, outcomes) mirror
-/// [`Engine`](crate::engine::Engine).
+/// cross-shard mailboxes. See the module docs for the ordering contract.
+/// A run stops when every calendar drains, before the first event past
+/// the horizon, or once the event budget is spent ([`RunOutcome`]).
 #[derive(Debug)]
 pub struct ShardedEngine<E> {
     pub(crate) now: SimTime,
@@ -517,9 +519,8 @@ impl<E> ShardedEngine<E> {
     }
 
     /// Runs the simulation single-threaded until every calendar and
-    /// mailbox drains or a limit is hit. Semantics match
-    /// [`Engine::run`](crate::engine::Engine::run): the budget is checked
-    /// before each pop and the horizon against the next event's time.
+    /// mailbox drains or a limit is hit: the budget is checked before
+    /// each pop and the horizon against the next event's time.
     ///
     /// # Panics
     ///
@@ -588,10 +589,10 @@ impl<E> ShardedEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, Process};
     use crate::time::SimDuration;
 
-    /// Mirrors the single-engine `Pinger`, recording the full pop trace.
+    /// Respawns each event until its payload reaches `respawn`, recording
+    /// the full pop trace.
     struct Tracer {
         trace: Vec<(SimTime, u32, u32)>, // (time, shard, payload)
         respawn: u32,
@@ -614,39 +615,38 @@ mod tests {
         }
     }
 
-    struct FlatTracer {
-        trace: Vec<(SimTime, u32, u32)>,
-        respawn: u32,
-        interval: SimDuration,
-    }
-
-    impl Process for FlatTracer {
-        type Event = u32;
-        fn handle(&mut self, now: SimTime, ev: u32, q: &mut EventQueue<u32>) {
-            self.trace.push((now, 0, ev));
-            if ev < self.respawn {
-                q.schedule(now + self.interval, ev + 1);
-            }
-        }
-    }
-
     #[test]
     fn one_shard_matches_the_flat_engine_bit_for_bit() {
         let interval = SimDuration::from_micros(3);
-        let mut flat = Engine::new().with_horizon(SimTime::from_micros(40));
-        let mut flat_world = FlatTracer {
-            trace: Vec::new(),
-            respawn: 1_000,
-            interval,
-        };
-        flat.schedule(SimTime::ZERO, 0);
-        flat.schedule(SimTime::from_micros(5), 100);
-        let flat_outcome = flat.run(&mut flat_world);
+        let horizon = SimTime::from_micros(40);
+        let respawn = 1_000;
 
-        let mut sharded = ShardedEngine::new(1).with_horizon(SimTime::from_micros(40));
+        // Reference: one calendar drained by hand up to the horizon.
+        let mut flat = EventQueue::new();
+        flat.schedule(SimTime::ZERO, 0u32);
+        flat.schedule(SimTime::from_micros(5), 100);
+        let mut flat_trace = Vec::new();
+        let (mut flat_now, mut flat_processed) = (SimTime::ZERO, 0u64);
+        let flat_outcome = loop {
+            match flat.peek_time() {
+                None => break RunOutcome::Drained,
+                Some(t) if t > horizon => break RunOutcome::HorizonReached,
+                Some(_) => {}
+            }
+            let (now, ev) = flat.pop().expect("peeked event must exist");
+            flat_now = now;
+            flat_processed += 1;
+            flat_trace.push((now, 0, ev));
+            if ev < respawn {
+                flat.schedule(now + interval, ev + 1);
+            }
+        };
+        assert_eq!(flat_outcome, RunOutcome::HorizonReached);
+
+        let mut sharded = ShardedEngine::new(1).with_horizon(horizon);
         let mut world = Tracer {
             trace: Vec::new(),
-            respawn: 1_000,
+            respawn,
             interval,
         };
         sharded.schedule(ShardId(0), SimTime::ZERO, 0);
@@ -654,10 +654,10 @@ mod tests {
         let outcome = sharded.run(&mut world);
 
         assert_eq!(outcome, flat_outcome);
-        assert_eq!(world.trace, flat_world.trace);
-        assert_eq!(sharded.now(), flat.now());
-        assert_eq!(sharded.processed(), flat.processed());
-        assert_eq!(sharded.pending(), flat.pending());
+        assert_eq!(world.trace, flat_trace);
+        assert_eq!(sharded.now(), flat_now);
+        assert_eq!(sharded.processed(), flat_processed);
+        assert_eq!(sharded.pending(), flat.len());
     }
 
     #[test]

@@ -380,8 +380,9 @@ fn extended_suite_matches_golden_snapshots_at_every_thread_count() {
             let path = dir.join(format!("{}-{}.txt", spec.name, seed));
             let golden = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
-            // A single rack replays on the serial engine whatever the
-            // worker count, so only federations fan out.
+            // A single rack is one shard, which runs on the calling
+            // thread whatever the worker count, so only federations fan
+            // out.
             let threads: &[usize] = if spec.system.racks > 1 {
                 &[1, 2, 4]
             } else {
@@ -397,6 +398,38 @@ fn extended_suite_matches_golden_snapshots_at_every_thread_count() {
                     path.display()
                 );
             }
+        }
+    }
+}
+
+/// A binding event budget cuts a single-rack replay on the same event the
+/// serial engine did. The fixtures under `tests/fixtures/` were rendered
+/// by the serial single-rack loop. `rack-scale`'s budget is smaller than
+/// its 4,096 queued arrivals, so the epoch runner steps one event at a
+/// time from the start; `offload-heavy`'s outlasts its 32 arrivals and
+/// binds inside the run's one epoch.
+#[test]
+fn single_rack_budget_cutoffs_match_the_serial_renders() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    for (mut spec, budget) in [
+        (ScenarioSpec::rack_scale(), 3_001u64),
+        (ScenarioSpec::offload_heavy(), 97),
+    ] {
+        spec.event_budget = budget;
+        let path = dir.join(format!("{}-2018-budget-{budget}.txt", spec.name));
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+        for threads in [1, 2] {
+            let report = spec.run_with_threads(2018, threads).expect("scenario runs");
+            assert_eq!(report.outcome, RunOutcome::BudgetExhausted, "{}", spec.name);
+            assert_eq!(report.events, budget, "{}", spec.name);
+            let rendered = format!("{report:#?}\n{report}");
+            assert!(
+                rendered == expected,
+                "{} at budget {budget} on {threads} thread(s) drifted from {}",
+                spec.name,
+                path.display()
+            );
         }
     }
 }
