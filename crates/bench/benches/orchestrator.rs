@@ -17,6 +17,11 @@
 //! about 60% full — the pool carve, RMST attach, circuit programming and
 //! their reversal, against a populated pool and per-brick tables.
 //!
+//! An `offload_cycle` group times one offload begin and one end on a warm
+//! accelerated rack (16 trays, 2 dACCELBRICKs each) through the whole
+//! system: accelerator placement by kernel name, ledger hold, circuit,
+//! rack-side programming and the session's teardown.
+//!
 //! A last group sweeps the *rack count* (1 / 4 / 16 / 64) at a fixed
 //! per-rack shape and isolates the cluster controller's digest-only
 //! routing decision — one pass over the rack digests, linear in racks and
@@ -155,6 +160,8 @@ fn run_trace(sdm: &mut SdmController, ops: &[Op], scan: bool) -> usize {
     let mut live: Vec<(BrickId, u32, ScaleUpGrant)> = Vec::new();
     let mut sessions: Vec<OffloadSessionId> = Vec::new();
     let mut admitted = 0usize;
+    // One shared name per kernel, as the pilots hand them out.
+    let kernels: Vec<std::sync::Arc<str>> = (0..4).map(|k| format!("kernel-{k}").into()).collect();
     for op in ops {
         match *op {
             Op::Alloc(vcpus, gib) => {
@@ -191,8 +198,8 @@ fn run_trace(sdm: &mut SdmController, ops: &[Op], scan: bool) -> usize {
                 if let Ok(outcome) = sdm.migrate_vm(from, to, vcpus, &[grant]) {
                     let rebased = outcome
                         .rebased
-                        .into_iter()
-                        .next()
+                        .first()
+                        .cloned()
                         .expect("one grant in, one grant out");
                     live[slot] = (to, vcpus, rebased);
                 }
@@ -200,7 +207,7 @@ fn run_trace(sdm: &mut SdmController, ops: &[Op], scan: bool) -> usize {
             Op::OffloadBegin(brick, kernel) => {
                 let request = OffloadRequest::new(
                     BrickId(brick),
-                    Bitstream::new(format!("kernel-{kernel}"), ByteSize::from_mib(8)),
+                    Bitstream::new(kernels[usize::from(kernel)].clone(), ByteSize::from_mib(8)),
                     ByteSize::from_gib(1),
                 );
                 if let Ok(grant) = sdm.begin_offload(request) {
@@ -426,10 +433,57 @@ fn bench_grant_cycle(c: &mut Criterion) {
     group.finish();
 }
 
+/// One offload begin and one end on a warm accelerated rack: 512 admitted
+/// VMs, the three pilot kernels in rotation, 24 sessions kept streaming,
+/// so placements mix bitstream reuse with reprograms of idle bricks.
+fn bench_offload_cycle(c: &mut Criterion) {
+    use dredbox::workload::PilotOffloadMix;
+
+    let mut system = DredboxSystem::build(SystemConfig::accelerated_rack(16, 16, 8, 2))
+        .expect("build accelerated rack");
+    let vms: Vec<_> = (0..512)
+        .map(|_| {
+            system
+                .allocate_vm(2, ByteSize::from_gib(2))
+                .expect("the rack has room")
+        })
+        .collect();
+    let mix = PilotOffloadMix::dredbox_default();
+    let demands = [
+        mix.video.offload_demand(40.0),
+        mix.nfv.offload_demand(12.0),
+        mix.network
+            .offload_demand(dredbox::sim::time::SimDuration::from_secs(2)),
+    ];
+    let mut live = std::collections::VecDeque::new();
+    let mut next = 0usize;
+    let mut begin = |system: &mut DredboxSystem, live: &mut std::collections::VecDeque<_>| {
+        let vm = vms[next % vms.len()];
+        let report = system
+            .begin_offload(vm, &demands[next % demands.len()])
+            .expect("an accelerator has a free slot");
+        next += 1;
+        live.push_back(report.session);
+    };
+    while live.len() < 24 {
+        begin(&mut system, &mut live);
+    }
+    let mut group = c.benchmark_group("orchestrator/offload_cycle");
+    group.bench_function("accelerated_rack_24_live", |b| {
+        b.iter(|| {
+            begin(&mut system, &mut live);
+            let oldest = live.pop_front().expect("sessions stream");
+            black_box(system.end_offload(oldest).expect("live session ends"))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_control_plane,
     bench_grant_cycle,
+    bench_offload_cycle,
     bench_migration_trace,
     bench_offload_trace,
     bench_placement_decision,

@@ -9,6 +9,8 @@
 //! reconfiguration via the PCAP port, driven by a thin middleware on the
 //! local APU.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use dredbox_sim::time::SimDuration;
@@ -22,15 +24,16 @@ use crate::power::{PowerModel, PowerState};
 /// A partial-reconfiguration bitstream received from a compute brick.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Bitstream {
-    /// Human-readable accelerator name (e.g. "video-motion-detect").
-    pub name: String,
+    /// Human-readable accelerator name (e.g. "video-motion-detect"),
+    /// shared with every request and session naming the same kernel.
+    pub name: Arc<str>,
     /// Size of the partial bitstream; determines PCAP programming time.
     pub size: ByteSize,
 }
 
 impl Bitstream {
     /// Creates a bitstream descriptor.
-    pub fn new<N: Into<String>>(name: N, size: ByteSize) -> Self {
+    pub fn new<N: Into<Arc<str>>>(name: N, size: ByteSize) -> Self {
         Bitstream {
             name: name.into(),
             size,
@@ -362,7 +365,7 @@ mod tests {
             "16 MiB at 3.2 Gb/s should take tens of ms, got {t}"
         );
         assert!(b.slot().is_occupied());
-        assert_eq!(b.slot().loaded().unwrap().name, "sobel");
+        assert_eq!(b.slot().loaded().unwrap().name.as_ref(), "sobel");
         assert_eq!(b.slot().reconfigurations(), 1);
         assert_eq!(b.power_state(), PowerState::Active);
 
@@ -372,7 +375,7 @@ mod tests {
         ));
 
         let bs = b.unload().unwrap();
-        assert_eq!(bs.name, "sobel");
+        assert_eq!(&*bs.name, "sobel");
         assert!(b.is_unused());
         assert_eq!(b.power_state(), PowerState::Idle);
         assert!(matches!(b.unload(), Err(BrickError::SlotEmpty { .. })));
@@ -427,7 +430,7 @@ mod tests {
         b.end_session().unwrap();
         assert!(b.is_unused(), "an idle loaded brick is sleepable");
         // The bitstream survived the sessions for reuse.
-        assert_eq!(b.slot().loaded().unwrap().name, "sobel");
+        assert_eq!(b.slot().loaded().unwrap().name.as_ref(), "sobel");
         assert_eq!(b.slot().reconfigurations(), 1);
         // A powered-off brick cannot start sessions.
         b.power_off().unwrap();

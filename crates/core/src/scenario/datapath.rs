@@ -55,12 +55,13 @@
 //! byte-for-byte like the flat model, and contended replays stay
 //! bit-identical at every worker count.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
 use dredbox_interconnect::{ContentionConfig, LatencyComponent, StageLoad};
 use dredbox_optical::{read_route_stages, FabricLoad};
+use dredbox_sim::arena::SlotKey;
 use dredbox_sim::rng::SimRng;
 use dredbox_sim::stats::Summary;
 use dredbox_sim::time::SimDuration;
@@ -213,19 +214,46 @@ pub struct DataPathStats {
     pub peak_fabric_utilization: f64,
 }
 
-/// Per-VM runtime state of the data path.
+/// Per-VM runtime state of the data path. One lives per VM arena slot and
+/// outlasts its VM: the next VM admitted into the slot clears it and
+/// reuses its buffers, so a steady replay stops allocating here once its
+/// slots have seen a burst.
 #[derive(Debug, Clone)]
 struct VmDataPath {
+    /// The VM this state belongs to (its handle), `None` once it departed.
+    vm: Option<u64>,
     route: ReadRoute,
     granularity: Granularity,
     /// FIFO tag order of cached blocks.
     fifo: VecDeque<u64>,
-    /// Tag membership for O(log n) lookups.
-    cached: BTreeSet<u64>,
+    /// Tag membership: one bit per block of the working set at the current
+    /// granule.
+    cached: Vec<u64>,
     /// Offered load currently published on the route's stages, bytes/s.
     published: f64,
     /// Cache line touched by the previous access (sequential-run state).
     last_line: u64,
+}
+
+impl VmDataPath {
+    fn is_cached(&self, block: u64) -> bool {
+        self.cached[(block / 64) as usize] & (1 << (block % 64)) != 0
+    }
+
+    fn set_cached(&mut self, block: u64, on: bool) {
+        let word = &mut self.cached[(block / 64) as usize];
+        if on {
+            *word |= 1 << (block % 64);
+        } else {
+            *word &= !(1 << (block % 64));
+        }
+    }
+
+    /// Drops every tag (a granule switch, or a new VM in the slot).
+    fn clear_tags(&mut self) {
+        self.fifo.clear();
+        self.cached.clear();
+    }
 }
 
 /// What one burst contributed, for scheduling follow-ups.
@@ -234,13 +262,37 @@ pub(super) struct BurstOutcome {
     pub ran: bool,
 }
 
+/// Where a VM's live state is kept in [`DataPathState`].
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// At its arena slot.
+    Slot(usize),
+    /// In the displaced list, at this index.
+    Displaced(usize),
+}
+
+/// The slot of a VM handle in the system's VM arena.
+fn slot_of(vm: VmHandle) -> usize {
+    SlotKey::from_u64(vm.0).index() as usize
+}
+
 /// World-side runtime of the data-path model: the fabric ledger, per-VM
 /// caches and the aggregate telemetry.
 pub(super) struct DataPathState {
+    fabric: Fabric,
+    /// Per-VM state, indexed by VM arena slot.
+    vms: Vec<VmDataPath>,
+    /// Live states whose slot a later VM took before they departed (a VM
+    /// lost to a fault departs lazily, at its next burst).
+    displaced: Vec<VmDataPath>,
+}
+
+/// The shared side of the data path: configuration, the rack fabric's
+/// offered-load ledger and the telemetry.
+struct Fabric {
     cfg: DataPathConfig,
     /// The rack fabric's offered-load ledger.
     load: FabricLoad,
-    vms: BTreeMap<u64, VmDataPath>,
     stats: DataPathStats,
     queue_delays_ns: Summary,
 }
@@ -248,18 +300,153 @@ pub(super) struct DataPathState {
 impl DataPathState {
     pub(super) fn new(cfg: DataPathConfig) -> Self {
         DataPathState {
-            cfg,
-            load: FabricLoad::new(),
-            vms: BTreeMap::new(),
-            stats: DataPathStats::default(),
-            queue_delays_ns: Summary::new(),
+            fabric: Fabric {
+                cfg,
+                load: FabricLoad::new(),
+                stats: DataPathStats::default(),
+                queue_delays_ns: Summary::new(),
+            },
+            vms: Vec::new(),
+            displaced: Vec::new(),
         }
     }
 
     pub(super) fn config(&self) -> &DataPathConfig {
-        &self.cfg
+        &self.fabric.cfg
     }
 
+    /// Where the live state of `vm` is kept: its slot, or the displaced
+    /// list.
+    fn locate(&self, vm: VmHandle) -> Option<Place> {
+        let live = |state: &VmDataPath| state.vm == Some(vm.0);
+        if self.vms.get(slot_of(vm)).is_some_and(live) {
+            return Some(Place::Slot(slot_of(vm)));
+        }
+        self.displaced.iter().position(live).map(Place::Displaced)
+    }
+
+    fn state(&self, place: Place) -> &VmDataPath {
+        match place {
+            Place::Slot(i) => &self.vms[i],
+            Place::Displaced(i) => &self.displaced[i],
+        }
+    }
+
+    /// Registers an admitted VM: pessimistic all-miss load published until
+    /// the first burst measures its real miss rate.
+    pub(super) fn on_admit(&mut self, vm: VmHandle, route: ReadRoute) {
+        // Defensive: a recycled handle key must not leak its predecessor's
+        // published load.
+        self.on_departure(vm);
+        let granularity = self.fabric.cfg.initial_granularity;
+        let published = self.fabric.all_miss_load(granularity);
+        self.fabric.publish(route, published);
+        let slot = slot_of(vm);
+        while self.vms.len() <= slot {
+            self.vms.push(VmDataPath {
+                vm: None,
+                route,
+                granularity,
+                fifo: VecDeque::new(),
+                cached: Vec::new(),
+                published: 0.0,
+                last_line: 0,
+            });
+        }
+        let state = &mut self.vms[slot];
+        if state.vm.is_some() {
+            self.displaced.push(VmDataPath {
+                fifo: std::mem::take(&mut state.fifo),
+                cached: std::mem::take(&mut state.cached),
+                ..*state
+            });
+        }
+        state.vm = Some(vm.0);
+        state.route = route;
+        state.granularity = granularity;
+        state.clear_tags();
+        state.published = published;
+        state.last_line = 0;
+    }
+
+    /// Deregisters a departed (or faulted-away) VM, retracting its load.
+    pub(super) fn on_departure(&mut self, vm: VmHandle) {
+        let (route, published) = match self.locate(vm) {
+            Some(Place::Slot(i)) => {
+                let state = &mut self.vms[i];
+                state.vm = None;
+                (state.route, state.published)
+            }
+            Some(Place::Displaced(i)) => {
+                let state = self.displaced.swap_remove(i);
+                (state.route, state.published)
+            }
+            None => return,
+        };
+        self.fabric.retract(route, published);
+    }
+
+    /// Latency of a direct (uncached) read of `size` bytes by `vm` — the
+    /// accessor behind the per-admission read charges. Live-model path:
+    /// never consults the precomputed flat table.
+    pub(super) fn direct_read_ns(
+        &mut self,
+        system: &DredboxSystem,
+        vm: VmHandle,
+        size: ByteSize,
+    ) -> f64 {
+        let mut breakdown = system.remote_read_latency(size);
+        let (queueing, worst) = match self.locate(vm) {
+            Some(place) => self.fabric.queueing(self.state(place), size),
+            // No route registered (VM without remote memory): flat model.
+            None => (SimDuration::ZERO, 0.0),
+        };
+        let fabric = &mut self.fabric;
+        fabric.stats.peak_fabric_utilization = fabric.stats.peak_fabric_utilization.max(worst);
+        if queueing > SimDuration::ZERO {
+            breakdown.add(LatencyComponent::Queueing, queueing);
+            fabric.queue_delays_ns.record(queueing.as_nanos() as f64);
+        }
+        breakdown.total().as_nanos() as f64
+    }
+
+    /// Runs one sampled burst of accesses for `vm`, recording per-access
+    /// latencies into `samples`. Re-publishes the VM's offered load from
+    /// the measured miss rate and steps the granularity controller. The
+    /// VM's state is updated where it lives.
+    pub(super) fn run_burst(
+        &mut self,
+        system: &DredboxSystem,
+        vm: VmHandle,
+        rng: &mut SimRng,
+        samples: &mut Summary,
+    ) -> BurstOutcome {
+        let Some(place) = self.locate(vm) else {
+            return BurstOutcome { ran: false };
+        };
+        let state = match place {
+            Place::Slot(i) => &mut self.vms[i],
+            Place::Displaced(i) => &mut self.displaced[i],
+        };
+        self.fabric.burst(system, state, rng, samples);
+        BurstOutcome { ran: true }
+    }
+
+    /// Folds the collected telemetry into the report block. `read_latency`
+    /// is the replay's per-access latency summary (percentile source).
+    pub(super) fn finish(self, read_latency: Option<&Summary>) -> DataPathStats {
+        let mut fabric = self.fabric;
+        if let Some(summary) = read_latency {
+            fabric.stats.read_latency_p50_ns = summary.percentile(50.0);
+            fabric.stats.read_latency_p99_ns = summary.percentile(99.0);
+            fabric.stats.read_latency_p999_ns = summary.percentile(99.9);
+        }
+        fabric.stats.queue_delay = fabric.queue_delays_ns.finish();
+        fabric.stats
+    }
+}
+
+impl Fabric {
     /// All-miss offered load of one VM at `granularity`, bytes/s.
     fn all_miss_load(&self, granularity: Granularity) -> f64 {
         self.cfg.profile.reads_per_sec * granularity.bytes() as f64
@@ -276,34 +463,6 @@ impl DataPathState {
     fn retract(&mut self, route: ReadRoute, bytes_per_sec: f64) {
         for stage in read_route_stages(route.compute, route.membrick) {
             self.load.retract(stage, bytes_per_sec);
-        }
-    }
-
-    /// Registers an admitted VM: pessimistic all-miss load published until
-    /// the first burst measures its real miss rate.
-    pub(super) fn on_admit(&mut self, vm: VmHandle, route: ReadRoute) {
-        // Defensive: a recycled handle key must not leak its predecessor's
-        // published load.
-        self.on_departure(vm);
-        let published = self.all_miss_load(self.cfg.initial_granularity);
-        self.publish(route, published);
-        self.vms.insert(
-            vm.0,
-            VmDataPath {
-                route,
-                granularity: self.cfg.initial_granularity,
-                fifo: VecDeque::new(),
-                cached: BTreeSet::new(),
-                published,
-                last_line: 0,
-            },
-        );
-    }
-
-    /// Deregisters a departed (or faulted-away) VM, retracting its load.
-    pub(super) fn on_departure(&mut self, vm: VmHandle) {
-        if let Some(state) = self.vms.remove(&vm.0) {
-            self.retract(state.route, state.published);
         }
     }
 
@@ -363,44 +522,40 @@ impl DataPathState {
         (breakdown.total().as_nanos() as f64, queue_ns)
     }
 
-    /// Latency of a direct (uncached) read of `size` bytes by `vm` — the
-    /// accessor behind the per-admission read charges. Live-model path:
-    /// never consults the precomputed flat table.
-    pub(super) fn direct_read_ns(
-        &mut self,
-        system: &DredboxSystem,
-        vm: VmHandle,
-        size: ByteSize,
-    ) -> f64 {
-        let mut breakdown = system.remote_read_latency(size);
-        let (queueing, worst) = match self.vms.get(&vm.0) {
-            Some(state) => self.queueing(state, size),
-            // No route registered (VM without remote memory): flat model.
-            None => (SimDuration::ZERO, 0.0),
+    /// Sizes the cache tags of `state` for its granule, once per VM and
+    /// granule: the tag bits cover the working set's blocks, and the FIFO
+    /// is reserved for the most blocks it can hold — the cache's, the
+    /// working set's, or the VM's lifetime reads, whichever is fewest.
+    fn size_tags(&self, state: &mut VmDataPath, ws_lines: u64) {
+        let Some(cache) = self.cfg.cache else {
+            return;
         };
-        self.stats.peak_fabric_utilization = self.stats.peak_fabric_utilization.max(worst);
-        if queueing > SimDuration::ZERO {
-            breakdown.add(LatencyComponent::Queueing, queueing);
-            self.queue_delays_ns.record(queueing.as_nanos() as f64);
+        let lines_per_block = state.granularity.bytes() / Granularity::CacheLine.bytes();
+        let ws_blocks = ws_lines.div_ceil(lines_per_block);
+        let words = ws_blocks.div_ceil(64) as usize;
+        if state.cached.len() != words {
+            state.cached.clear();
+            state.cached.resize(words, 0);
+            let profile = self.cfg.profile;
+            let reads = u64::from(profile.bursts_per_vm) * u64::from(profile.reads_per_burst);
+            let cache_blocks = (cache.capacity.as_bytes() / state.granularity.bytes()).max(1);
+            let most = cache_blocks.min(ws_blocks).min(reads) as usize;
+            state.fifo.reserve(most.saturating_sub(state.fifo.len()));
         }
-        breakdown.total().as_nanos() as f64
     }
 
-    /// Runs one sampled burst of accesses for `vm`, recording per-access
-    /// latencies into `samples`. Re-publishes the VM's offered load from
-    /// the measured miss rate and steps the granularity controller.
-    pub(super) fn run_burst(
+    /// One sampled burst of `state`'s accesses (see
+    /// [`DataPathState::run_burst`]).
+    fn burst(
         &mut self,
         system: &DredboxSystem,
-        vm: VmHandle,
+        state: &mut VmDataPath,
         rng: &mut SimRng,
         samples: &mut Summary,
-    ) -> BurstOutcome {
-        let Some(mut state) = self.vms.remove(&vm.0) else {
-            return BurstOutcome { ran: false };
-        };
+    ) {
         let profile = self.cfg.profile;
         let ws_lines = (profile.working_set.as_bytes() / Granularity::CacheLine.bytes()).max(1);
+        self.size_tags(state, ws_lines);
         let mut hits = 0u64;
         let mut misses = 0u64;
         let mut total_ns = 0.0f64;
@@ -416,7 +571,7 @@ impl DataPathState {
             state.last_line = line;
             let lines_per_block = state.granularity.bytes() / Granularity::CacheLine.bytes();
             let block = line / lines_per_block;
-            let cached = self.cfg.cache.is_some() && state.cached.contains(&block);
+            let cached = self.cfg.cache.is_some() && state.is_cached(block);
             let ns = if cached {
                 hits += 1;
                 self.cfg
@@ -431,17 +586,17 @@ impl DataPathState {
                     Granularity::Page => self.stats.page_fetches += 1,
                 }
                 let moved = ByteSize::from_bytes(state.granularity.bytes());
-                let (ns, q) = self.fetch(system, &state, moved);
+                let (ns, q) = self.fetch(system, state, moved);
                 queue_ns += q;
                 if let Some(cache) = self.cfg.cache {
                     let blocks = (cache.capacity.as_bytes() / state.granularity.bytes()).max(1);
                     while state.fifo.len() as u64 >= blocks {
                         if let Some(evicted) = state.fifo.pop_front() {
-                            state.cached.remove(&evicted);
+                            state.set_cached(evicted, false);
                         }
                     }
                     state.fifo.push_back(block);
-                    state.cached.insert(block);
+                    state.set_cached(block, true);
                 }
                 ns
             };
@@ -465,10 +620,8 @@ impl DataPathState {
         self.publish(state.route, measured);
 
         if self.cfg.adaptive {
-            self.adapt(&mut state, queue_ns, total_ns);
+            self.adapt(state, queue_ns, total_ns);
         }
-        self.vms.insert(vm.0, state);
-        BurstOutcome { ran: true }
     }
 
     /// The granularity-switch state machine (see module docs).
@@ -491,8 +644,7 @@ impl DataPathState {
             self.stats.granularity_switches += 1;
             state.granularity = next;
             // Tags are granule-addressed: a switch invalidates them all.
-            state.fifo.clear();
-            state.cached.clear();
+            state.clear_tags();
             // Until the next burst measures the new miss rate, publish the
             // pessimistic all-miss load at the new granule (the cache is
             // cold anyway).
@@ -523,16 +675,46 @@ impl DataPathState {
         }
         worst
     }
+}
 
-    /// Folds the collected telemetry into the report block. `read_latency`
-    /// is the replay's per-access latency summary (percentile source).
-    pub(super) fn finish(mut self, read_latency: Option<&Summary>) -> DataPathStats {
-        if let Some(summary) = read_latency {
-            self.stats.read_latency_p50_ns = summary.percentile(50.0);
-            self.stats.read_latency_p99_ns = summary.percentile(99.0);
-            self.stats.read_latency_p999_ns = summary.percentile(99.9);
-        }
-        self.stats.queue_delay = self.queue_delays_ns.finish();
-        self.stats
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::ScenarioSpec;
+    use dredbox_bricks::BrickId;
+    use dredbox_optical::FabricStage;
+
+    fn handle(slot: u32, generation: u32) -> VmHandle {
+        VmHandle((u64::from(generation) << 32) | u64::from(slot))
+    }
+
+    /// A VM lost to a fault leaves without a departure; when a new VM
+    /// takes its arena slot first, both keep their published load until
+    /// each departs, as when states were keyed by the whole handle.
+    #[test]
+    fn a_displaced_state_keeps_its_load_until_its_vm_departs() {
+        let cfg = ScenarioSpec::memory_thrash().data_path.expect("data path");
+        let mut dp = DataPathState::new(cfg);
+        let route = ReadRoute {
+            compute: BrickId(0),
+            membrick: BrickId(8),
+        };
+        let switch = |dp: &DataPathState| dp.fabric.load.load(FabricStage::RackSwitch);
+        let (lost, next) = (handle(3, 0), handle(3, 1));
+        dp.on_admit(lost, route);
+        let one = switch(&dp);
+        assert!(one > 0.0);
+        dp.on_admit(next, route);
+        assert_eq!(switch(&dp), 2.0 * one);
+        assert_eq!(dp.displaced.len(), 1);
+        dp.on_departure(lost);
+        assert_eq!(switch(&dp), one);
+        assert!(dp.displaced.is_empty());
+        dp.on_departure(next);
+        dp.on_departure(next);
+        assert_eq!(switch(&dp), 0.0);
+        // The slot's state outlives its VM, buffers and all.
+        assert_eq!(dp.vms.len(), 4);
+        assert_eq!(dp.vms[3].vm, None);
     }
 }

@@ -1,8 +1,9 @@
 //! The end-to-end disaggregated system: rack + optical network + software
 //! stack + orchestration, behind one API.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -13,9 +14,10 @@ use dredbox_optical::{OpticalCircuitSwitch, OpticalTopology};
 use dredbox_orchestrator::power_mgmt::PowerSweep;
 use dredbox_orchestrator::{
     ClusterController, OffloadRequest, OffloadSessionId, OrchestratorError, PowerManager,
-    RackDigest, ScaleUpDemand, ScaleUpGrant, SdmController, VmAllocationRequest,
+    RackDigest, ScaleUpDemand, ScaleUpGrant, SdmController, VmAllocationRequest, VmGrants,
 };
 use dredbox_sim::arena::{SlotArena, SlotKey};
+use dredbox_sim::flat::{FlatMap, InlineVec};
 use dredbox_sim::time::SimDuration;
 use dredbox_sim::units::{ByteSize, Watts};
 use dredbox_snap::{Reader, Snap, SnapError};
@@ -84,7 +86,7 @@ pub struct OffloadReport {
     /// The accelerator brick serving the session.
     pub accel_brick: BrickId,
     /// The kernel that ran.
-    pub kernel: String,
+    pub kernel: Arc<str>,
     /// Input data streamed through the kernel.
     pub input: ByteSize,
     /// Whether the accelerator was already programmed with the kernel.
@@ -199,9 +201,10 @@ struct VmRecord {
     /// carries the order the control plane admitted it in — the order
     /// [`DredboxSystem::vms_on`] reports.
     seq: u64,
-    grants: Vec<ScaleUpGrant>,
-    /// Live offload sessions the VM holds on dACCELBRICKs.
-    offloads: Vec<OffloadSessionId>,
+    grants: VmGrants,
+    /// Live offload sessions the VM holds on dACCELBRICKs. A scenario VM
+    /// runs its sessions one after another, so one stays in place.
+    offloads: InlineVec<OffloadSessionId, 1>,
 }
 
 /// The arena key a [`VmHandle`] packs.
@@ -324,7 +327,7 @@ pub struct DredboxSystem {
     /// missing even after its slot is recycled.
     vms: SlotArena<VmRecord>,
     /// Owner of every live offload session, so departures can drain them.
-    offload_owners: BTreeMap<OffloadSessionId, VmHandle>,
+    offload_owners: FlatMap<OffloadSessionId, VmHandle>,
     /// Admission counter stamped into [`VmRecord::seq`].
     next_seq: u64,
     /// VM records stranded by a dCOMPUBRICK crash that nothing could
@@ -430,7 +433,7 @@ impl DredboxSystem {
             hypervisors,
             power: PowerManager::new(),
             vms: SlotArena::new(),
-            offload_owners: BTreeMap::new(),
+            offload_owners: FlatMap::new(),
             next_seq: 0,
             orphans: Vec::new(),
             severed_links: Vec::new(),
@@ -585,8 +588,8 @@ impl DredboxSystem {
             vm,
             vcpus,
             seq,
-            grants: vec![grant],
-            offloads: Vec::new(),
+            grants: std::iter::once(grant).collect(),
+            offloads: InlineVec::new(),
         });
         Ok(VmHandle(key.to_u64()))
     }
@@ -894,7 +897,7 @@ impl DredboxSystem {
             .ok_or(SystemError::NoSuchVm { handle })?;
         let (brick, vm) = (record.brick, record.vm);
 
-        let bitstream = Bitstream::new(demand.kernel.clone(), demand.bitstream);
+        let bitstream = Bitstream::new(Arc::clone(&demand.kernel), demand.bitstream);
         let grant =
             self.sdm
                 .begin_offload(OffloadRequest::new(brick, bitstream.clone(), demand.input))?;
@@ -973,7 +976,7 @@ impl DredboxSystem {
             session,
             compute_brick: brick,
             accel_brick,
-            kernel: demand.kernel.clone(),
+            kernel: Arc::clone(&demand.kernel),
             input: demand.input,
             reused_bitstream: grant.reused_bitstream,
             woke_brick: grant.woke_brick,
@@ -1030,7 +1033,7 @@ impl DredboxSystem {
     pub fn vm_offloads(&self, handle: VmHandle) -> Vec<OffloadSessionId> {
         self.vms
             .get(handle_key(handle))
-            .map(|r| r.offloads.clone())
+            .map(|r| r.offloads.to_vec())
             .unwrap_or_default()
     }
 
@@ -1244,23 +1247,27 @@ impl DredboxSystem {
         // controller for just this sweep's newly-off bricks keeps its
         // availability view exact without re-walking every already-off brick
         // on each sweep of a long replay.
-        let (sweep, newly_off) = self
-            .power
-            .power_off_unused_tracked(&mut self.rack, |_| true);
-        self.powered.compute -= newly_off.compute.len() as u32;
-        self.powered.memory -= newly_off.memory.len() as u32;
-        self.powered.accel -= newly_off.accelerator.len() as u32;
-        for brick in newly_off.compute {
-            let _ = self.sdm.set_compute_power(brick, false);
-        }
-        // Accelerators too: the sweep only switches off session-free bricks
-        // (a streaming dACCELBRICK refuses `power_off`), and powering one
-        // off drops its cached bitstream — mirrored into the controller's
-        // accelerator index so placement re-programs on the next use.
-        for brick in newly_off.accelerator {
-            let _ = self.sdm.set_accel_power(brick, false);
-        }
-        sweep
+        let (sdm, powered) = (&mut self.sdm, &mut self.powered);
+        self.power.power_off_unused_tracked(
+            &mut self.rack,
+            |_| true,
+            |kind, brick| match kind {
+                BrickKind::Compute => {
+                    powered.compute -= 1;
+                    let _ = sdm.set_compute_power(brick, false);
+                }
+                BrickKind::Memory => powered.memory -= 1,
+                // Accelerators too: the sweep only switches off session-free
+                // bricks (a streaming dACCELBRICK refuses `power_off`), and
+                // powering one off drops its cached bitstream — mirrored
+                // into the controller's accelerator index so placement
+                // re-programs on the next use.
+                BrickKind::Accelerator => {
+                    powered.accel -= 1;
+                    let _ = sdm.set_accel_power(brick, false);
+                }
+            },
+        )
     }
 
     /// Current electrical draw across the rack's bricks.
@@ -2043,7 +2050,7 @@ mod tests {
 
     fn video_demand() -> dredbox_workload::OffloadDemand {
         dredbox_workload::OffloadDemand {
-            kernel: "video-motion-detect".to_owned(),
+            kernel: "video-motion-detect".into(),
             bitstream: ByteSize::from_mib(16),
             input: ByteSize::from_gib(2),
         }

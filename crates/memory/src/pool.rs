@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::{BrickId, BrickMap};
+use dredbox_sim::flat::InlineVec;
 use dredbox_sim::units::ByteSize;
 
 use crate::allocator::BrickAllocator;
@@ -506,12 +507,21 @@ impl PoolIndex {
     }
 }
 
+/// Segments a [`MemoryGrant`] holds in place; a grant split over more
+/// dMEMBRICKs moves its list to the heap. On the seed-2018 replays, 98% of
+/// `datacenter-64` grants have at most two segments, and 81% on the more
+/// fragmented `rack-scale`. A VM record keeps its grants in place, so each
+/// slot costs 32 bytes on every grant of every live VM: a third slot keeps
+/// nine `rack-scale` grants in ten off the heap, but adds 1.5 MiB (2%) to
+/// the 64-rack replay's peak RSS.
+pub const GRANT_INLINE_SEGMENTS: usize = 2;
+
 /// A grant: the set of segments that together satisfy one allocation
 /// request. A single request may span several dMEMBRICKs when no single
 /// brick has enough contiguous space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MemoryGrant {
-    segments: Vec<MemorySegment>,
+    segments: InlineVec<MemorySegment, GRANT_INLINE_SEGMENTS>,
 }
 
 impl MemoryGrant {
@@ -527,10 +537,13 @@ impl MemoryGrant {
 
     /// Number of distinct dMEMBRICKs involved.
     pub fn membrick_count(&self) -> usize {
-        let mut bricks: Vec<BrickId> = self.segments.iter().map(|s| s.membrick).collect();
-        bricks.sort_unstable();
-        bricks.dedup();
-        bricks.len()
+        let segments = &self.segments;
+        (0..segments.len())
+            .filter(|&i| {
+                let brick = segments[i].membrick;
+                !segments[..i].iter().any(|s| s.membrick == brick)
+            })
+            .count()
     }
 }
 
@@ -742,7 +755,7 @@ impl MemoryPool {
             });
         }
         let mut remaining = size;
-        let mut segments = Vec::new();
+        let mut segments = InlineVec::new();
         while !remaining.is_zero() {
             let Some(brick) = self.pick_brick(remaining) else {
                 // Roll back anything we carved so far.
@@ -840,7 +853,7 @@ impl MemoryPool {
                 return Err(MemoryError::NoSuchSegment { segment: seg.id });
             }
         }
-        let mut segments = Vec::with_capacity(grant.segments().len());
+        let mut segments = InlineVec::new();
         for seg in grant.segments() {
             self.allocators
                 .get_mut(seg.membrick)
@@ -1443,7 +1456,7 @@ mod tests {
         assert!(p
             .reassign_owner(
                 &MemoryGrant {
-                    segments: vec![forged]
+                    segments: std::iter::once(forged).collect()
                 },
                 BrickId(1)
             )

@@ -22,7 +22,7 @@ impl std::fmt::Display for SegmentId {
 }
 
 /// A contiguous remote memory segment granted to a compute brick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MemorySegment {
     /// Segment identifier.
     pub id: SegmentId,

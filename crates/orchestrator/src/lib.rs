@@ -45,8 +45,8 @@ pub use reservation::{Reservation, ReservationId, ReservationLedger};
 pub use scheduler::{Admission, FcfsScheduler, ScheduleOutcome};
 pub use sdm_agent::{AttachOutcome, SdmAgent};
 pub use sdm_controller::{
-    MigrationOutcome, OffloadGrant, OffloadRelease, OffloadSession, OffloadSessionId, ScaleUpGrant,
-    SdmController, SdmTimings,
+    MigrationOutcome, OffloadGrant, OffloadRelease, OffloadSession, OffloadSessionId, RmstBases,
+    ScaleUpGrant, SdmController, SdmTimings, VmGrants,
 };
 
 /// Convenient re-exports of the most commonly used items.
@@ -62,6 +62,6 @@ pub mod prelude {
     pub use crate::sdm_agent::{AttachOutcome, SdmAgent};
     pub use crate::sdm_controller::{
         MigrationOutcome, OffloadGrant, OffloadRelease, OffloadSession, OffloadSessionId,
-        ScaleUpGrant, SdmController, SdmTimings,
+        RmstBases, ScaleUpGrant, SdmController, SdmTimings, VmGrants,
     };
 }

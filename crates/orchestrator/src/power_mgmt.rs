@@ -28,18 +28,6 @@ impl PowerSweep {
     }
 }
 
-/// The bricks a [`PowerManager::power_off_unused_tracked`] sweep newly
-/// switched off, in rack iteration order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NewlyOff {
-    /// dCOMPUBRICKs this sweep powered off.
-    pub compute: Vec<dredbox_bricks::BrickId>,
-    /// dMEMBRICKs this sweep powered off.
-    pub memory: Vec<dredbox_bricks::BrickId>,
-    /// dACCELBRICKs this sweep powered off.
-    pub accelerator: Vec<dredbox_bricks::BrickId>,
-}
-
 /// Rack-level power manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PowerManager;
@@ -64,28 +52,29 @@ impl PowerManager {
         rack: &mut Rack,
         filter: impl FnMut(dredbox_bricks::BrickId) -> bool,
     ) -> PowerSweep {
-        self.power_off_unused_tracked(rack, filter).0
+        self.power_off_unused_tracked(rack, filter, |_, _| {})
     }
 
-    /// [`PowerManager::power_off_unused_where`] that also reports which
-    /// compute and accelerator bricks this sweep newly switched off, so
-    /// callers can sync dependent views (the SDM controller's availability
-    /// indexes) without re-scanning the rack for every already-off brick.
+    /// [`PowerManager::power_off_unused_where`] that also hands each brick
+    /// this sweep newly switched off to `newly_off`, in rack iteration
+    /// order, so callers can sync dependent views (the SDM controller's
+    /// availability indexes) without re-scanning the rack for every
+    /// already-off brick, and without the sweep collecting a list.
     pub fn power_off_unused_tracked(
         &self,
         rack: &mut Rack,
         mut filter: impl FnMut(dredbox_bricks::BrickId) -> bool,
-    ) -> (PowerSweep, NewlyOff) {
+        mut newly_off: impl FnMut(BrickKind, dredbox_bricks::BrickId),
+    ) -> PowerSweep {
         let mut sweep = PowerSweep::default();
-        let mut newly = NewlyOff::default();
         for brick in rack.bricks_mut() {
             if !brick.is_unused() || !filter(brick.id()) {
                 continue;
             }
             // `power_off` succeeds on an already-off unused brick, and the
             // sweep counters deliberately keep counting those (they are the
-            // long-standing scenario-visible totals); the `NewlyOff` lists
-            // report only genuine on→off transitions so dependent ledgers
+            // long-standing scenario-visible totals); `newly_off` hears
+            // only of genuine on→off transitions so dependent ledgers
             // (controller availability, powered counts) never double-debit.
             match brick {
                 Brick::Compute(b) => {
@@ -93,7 +82,7 @@ impl PowerManager {
                     if b.power_off().is_ok() {
                         sweep.compute_off += 1;
                         if was_on {
-                            newly.compute.push(b.id());
+                            newly_off(BrickKind::Compute, b.id());
                         }
                     }
                 }
@@ -102,7 +91,7 @@ impl PowerManager {
                     if b.power_off().is_ok() {
                         sweep.memory_off += 1;
                         if was_on {
-                            newly.memory.push(b.id());
+                            newly_off(BrickKind::Memory, b.id());
                         }
                     }
                 }
@@ -111,13 +100,13 @@ impl PowerManager {
                     if b.power_off().is_ok() {
                         sweep.accelerator_off += 1;
                         if was_on {
-                            newly.accelerator.push(b.id());
+                            newly_off(BrickKind::Accelerator, b.id());
                         }
                     }
                 }
             }
         }
-        (sweep, newly)
+        sweep
     }
 
     /// Powers every brick in the rack back on.

@@ -29,7 +29,7 @@ impl std::fmt::Display for VmAllocationRequest {
 
 /// A scale-up demand: a VM on a given dCOMPUBRICK asking for more memory
 /// through the Scale-up API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct ScaleUpDemand {
     /// The compute brick whose VM is asking.
     pub compute_brick: BrickId,

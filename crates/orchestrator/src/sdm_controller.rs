@@ -8,15 +8,17 @@
 //! work — determines the scale-up agility evaluated in Figure 10.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::{BrickId, BrickMap, PortId};
 use dredbox_interconnect::LatencyConfig;
+use dredbox_memory::pool::GRANT_INLINE_SEGMENTS;
 use dredbox_memory::{
     AllocationPolicy, MemoryError, MemoryGrant, MemoryPool, MemorySegment, PickStrategy,
 };
-use dredbox_sim::flat::{FlatMap, FlatSet};
+use dredbox_sim::flat::{FlatMap, FlatSet, InlineVec};
 use dredbox_sim::queue::ControlPlaneQueue;
 use dredbox_sim::time::{SimDuration, SimTime};
 use dredbox_sim::units::{Bandwidth, ByteSize};
@@ -73,17 +75,27 @@ impl Default for SdmTimings {
 /// The result of one scale-up handled by the controller: the memory grant
 /// plus the controller-side service time (not including the brick-local
 /// hotplug, which the Scale-up controller accounts separately).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ScaleUpGrant {
     /// The demand that was served.
     pub demand: ScaleUpDemand,
     /// The segments granted from the pool.
     pub grant: MemoryGrant,
     /// RMST base addresses installed on the compute brick, one per segment.
-    pub rmst_bases: Vec<u64>,
+    pub rmst_bases: RmstBases,
     /// SDM-controller service time for this request.
     pub service_time: SimDuration,
 }
+
+/// The RMST bases of one grant's segments. One more base than a grant
+/// keeps segments fits in the same 32 bytes (the list is as wide as a
+/// `Vec` either way), so a grant split once past its inline segments
+/// still records its bases in place.
+pub type RmstBases = InlineVec<u64, { GRANT_INLINE_SEGMENTS + 1 }>;
+
+/// The grants one VM holds: its admission grant and the scale-ups it has
+/// not given back. A churn cycle adds a second, so two stay in place.
+pub type VmGrants = InlineVec<ScaleUpGrant, 2>;
 
 /// The result of migrating a VM's compute placement between bricks through
 /// the SDM controller: the grants as re-based onto the destination (new
@@ -100,7 +112,7 @@ pub struct MigrationOutcome {
     pub vcpus: u32,
     /// The VM's grants, re-pointed at the destination (same segments, new
     /// RMST bases). Replaces the caller's previous grant records.
-    pub rebased: Vec<ScaleUpGrant>,
+    pub rebased: VmGrants,
     /// New optical circuits programmed towards the involved dMEMBRICKs.
     pub circuits_programmed: u32,
     /// Source-side circuits torn down because no RMST route needs them.
@@ -133,7 +145,7 @@ pub struct OffloadSession {
     /// The accelerator brick serving it.
     pub accel_brick: BrickId,
     /// Name of the kernel bitstream in the accelerator's slot.
-    pub bitstream: String,
+    pub bitstream: Arc<str>,
     /// Input data the kernel streams through.
     pub input: ByteSize,
 }
@@ -173,6 +185,46 @@ pub struct OffloadRelease {
     pub service_time: SimDuration,
 }
 
+/// Live compute→accelerator circuits, keyed `(compute brick, accelerator
+/// brick)`, with the sessions using each. One sorted list instead of a map
+/// per compute brick, so a compute brick's first session allocates
+/// nothing. Encoded as the nested `compute → accelerator → users` map.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct AccelCircuits(FlatMap<(BrickId, BrickId), u32>);
+
+impl dredbox_snap::Snap for AccelCircuits {
+    fn snap(&self, out: &mut Vec<u8>) {
+        let mut nested: Vec<(BrickId, Vec<(BrickId, u32)>)> = Vec::new();
+        for (&(compute, accel), &users) in self.0.iter() {
+            match nested.last_mut() {
+                Some((last, routes)) if *last == compute => routes.push((accel, users)),
+                _ => nested.push((compute, vec![(accel, users)])),
+            }
+        }
+        nested.snap(out);
+    }
+
+    /// Rejects an empty per-compute map: the controller never keeps one.
+    fn unsnap(r: &mut dredbox_snap::Reader<'_>) -> Result<Self, dredbox_snap::SnapError> {
+        let nested: BTreeMap<BrickId, BTreeMap<BrickId, u32>> = dredbox_snap::Snap::unsnap(r)?;
+        if nested.values().any(BTreeMap::is_empty) {
+            return Err(dredbox_snap::SnapError::Inconsistent {
+                ty: "AccelCircuits",
+            });
+        }
+        Ok(AccelCircuits(
+            nested
+                .iter()
+                .flat_map(|(&compute, routes)| {
+                    routes
+                        .iter()
+                        .map(move |(&accel, &users)| ((compute, accel), users))
+                })
+                .collect(),
+        ))
+    }
+}
+
 /// Authoritative per-accelerator state the controller schedules against.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct AccelState {
@@ -183,7 +235,7 @@ struct AccelState {
     /// Sessions currently streaming.
     active_sessions: u32,
     /// The kernel programmed into the reconfigurable slot.
-    loaded: Option<String>,
+    loaded: Option<Arc<str>>,
     /// Power view (synced with rack sweeps like the compute one).
     powered_on: bool,
 }
@@ -270,9 +322,9 @@ pub struct SdmController {
     accel_index: AccelIndex,
     /// Per compute brick, the accelerators it holds a circuit towards and
     /// how many live sessions use each (torn down when the count drains).
-    accel_circuits: BTreeMap<BrickId, BTreeMap<BrickId, u32>>,
+    accel_circuits: AccelCircuits,
     /// Live offload sessions by id.
-    sessions: BTreeMap<OffloadSessionId, OffloadSession>,
+    sessions: FlatMap<OffloadSessionId, OffloadSession>,
     next_session: u64,
     /// Compute bricks currently failed by fault injection. They stay
     /// registered — draining their VMs and migrating away from them uses
@@ -315,8 +367,8 @@ impl SdmController {
             circuits: BrickMap::new(),
             accel: BTreeMap::new(),
             accel_index: AccelIndex::new(),
-            accel_circuits: BTreeMap::new(),
-            sessions: BTreeMap::new(),
+            accel_circuits: AccelCircuits::default(),
+            sessions: FlatMap::new(),
             next_session: 0,
             failed_compute: BTreeSet::new(),
             failed_accel: BTreeSet::new(),
@@ -712,7 +764,7 @@ impl SdmController {
         // Re-route: install every segment on the destination agent *before*
         // touching the source, so an attach failure rolls back to the exact
         // pre-migration state while the source keeps serving.
-        let mut new_bases: Vec<Vec<u64>> = Vec::with_capacity(grants.len());
+        let mut new_bases: Vec<RmstBases> = Vec::with_capacity(grants.len());
         let mut attach_failed = false;
         {
             let agent = self
@@ -720,7 +772,7 @@ impl SdmController {
                 .get_mut(to)
                 .expect("agent exists for every registered brick");
             'grants: for grant in grants {
-                let mut bases = Vec::with_capacity(grant.grant.segments().len());
+                let mut bases = InlineVec::with_capacity(grant.grant.segments().len());
                 for segment in grant.grant.segments() {
                     let port = PortId::new(to, (dst_attached % dst_ports) as u8);
                     match agent.apply_attach(segment, port) {
@@ -816,7 +868,7 @@ impl SdmController {
 
         // Re-point the pool's segment ownership and hand back the grants as
         // they now stand on the destination.
-        let mut rebased = Vec::with_capacity(grants.len());
+        let mut rebased = VmGrants::new();
         for (grant, bases) in grants.iter().zip(new_bases) {
             let regrant = self
                 .pool
@@ -992,7 +1044,7 @@ impl SdmController {
             (b, false, true)
         } else {
             return Err(OrchestratorError::NoAcceleratorCapacity {
-                bitstream: name.clone(),
+                bitstream: name.to_string(),
             });
         };
 
@@ -1024,11 +1076,11 @@ impl SdmController {
         self.sync_accel(accel_brick);
 
         // Program the compute→accelerator circuit if this pair has none.
-        let routes = self
+        let users = self
             .accel_circuits
-            .entry(request.compute_brick)
-            .or_default();
-        let users = routes.entry(accel_brick).or_insert(0);
+            .0
+            .entry((request.compute_brick, accel_brick))
+            .or_insert(0);
         let circuit_programmed = *users == 0;
         *users += 1;
         if circuit_programmed {
@@ -1089,17 +1141,13 @@ impl SdmController {
         self.sync_accel(record.accel_brick);
 
         let mut circuit_torn_down = false;
-        if let Some(routes) = self.accel_circuits.get_mut(&record.compute_brick) {
-            if let Some(users) = routes.get_mut(&record.accel_brick) {
-                *users -= 1;
-                if *users == 0 {
-                    routes.remove(&record.accel_brick);
-                    circuit_torn_down = true;
-                    service_time += self.timings.circuit_switch_program;
-                }
-            }
-            if routes.is_empty() {
-                self.accel_circuits.remove(&record.compute_brick);
+        let pair = (record.compute_brick, record.accel_brick);
+        if let Some(users) = self.accel_circuits.0.get_mut(&pair) {
+            *users -= 1;
+            if *users == 0 {
+                self.accel_circuits.0.remove(&pair);
+                circuit_torn_down = true;
+                service_time += self.timings.circuit_switch_program;
             }
         }
 
@@ -1151,7 +1199,7 @@ impl SdmController {
         // Program circuits towards dMEMBRICKs this brick does not reach yet
         // (remembering which ones, so a failed attach can unwind them).
         let known = self.circuits.get_or_insert_default(demand.compute_brick);
-        let mut new_circuits: Vec<BrickId> = Vec::new();
+        let mut new_circuits: InlineVec<BrickId, 16> = InlineVec::new();
         for segment in grant.segments() {
             if known.insert(segment.membrick) {
                 new_circuits.push(segment.membrick);
@@ -1171,7 +1219,7 @@ impl SdmController {
             .agents
             .get_mut(demand.compute_brick)
             .expect("agent exists for every registered brick");
-        let mut rmst_bases = Vec::with_capacity(grant.segments().len());
+        let mut rmst_bases = InlineVec::with_capacity(grant.segments().len());
         for segment in grant.segments() {
             let port_index = (state.attached_segments % u32::from(state.gth_ports)) as u8;
             let port = PortId::new(demand.compute_brick, port_index);

@@ -1,4 +1,5 @@
-//! Sorted-vector maps and sets for small per-brick tables.
+//! Sorted-vector maps and sets for small per-brick tables, and an inline
+//! small vector for short per-request lists.
 //!
 //! A brick's mapping state — its RMST entries, switch routes, the ranges
 //! its allocator has handed out, the VM core counts it hosts, the
@@ -26,6 +27,13 @@
 //! hostile stream can neither smuggle in duplicates nor force quadratic
 //! inserts.
 //!
+//! [`InlineVec`] is for the other kind of small list: the segments of one
+//! memory grant, their RMST bases, the grants of one VM. These are created
+//! and dropped per request, almost always hold one or two items, and as
+//! `Vec`s cost an allocation each time. An `InlineVec<T, N>` keeps up to
+//! `N` items in place and moves to the heap only past that, so the common
+//! case allocates nothing. It encodes and prints exactly like a `Vec`.
+//!
 //! ```
 //! use dredbox_sim::flat::{FlatMap, FlatSet};
 //!
@@ -41,9 +49,22 @@
 //! assert!(!reached.insert(5));
 //! assert_eq!(reached.first(), Some(&5));
 //! ```
+//!
+//! ```
+//! use dredbox_sim::flat::InlineVec;
+//!
+//! let mut bases: InlineVec<u64, 2> = InlineVec::new();
+//! bases.push(0x1000);
+//! bases.push(0x2000);
+//! assert!(bases.is_inline());
+//! bases.push(0x3000); // a third item moves the list to the heap
+//! assert!(!bases.is_inline());
+//! assert_eq!(bases[..], [0x1000, 0x2000, 0x3000]);
+//! assert_eq!(format!("{bases:?}"), format!("{:?}", vec![0x1000, 0x2000, 0x3000]));
+//! ```
 
 use std::fmt;
-use std::ops::{Bound, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 
 use dredbox_snap::{Reader, Snap, SnapError};
 
@@ -363,6 +384,227 @@ impl<T: Snap + Ord> Snap for FlatSet<T> {
     }
 }
 
+/// A list that keeps up to `N` items in place and spills to a `Vec` past
+/// that. See the [module docs](self) for when to use it.
+///
+/// The unused inline slots hold `T::default()`, which keeps the type free
+/// of `unsafe`; the types stored here are small plain records. It derefs
+/// to a slice, and `Debug`, equality and the [`Snap`] encoding are those
+/// of the `Vec` holding the same items. Once spilled, a list stays on the
+/// heap until it is dropped.
+#[derive(Clone)]
+pub struct InlineVec<T, const N: usize> {
+    repr: Repr<T, N>,
+}
+
+#[derive(Clone)]
+enum Repr<T, const N: usize> {
+    /// A `u32` length packs beside the variant tag, so `N` plain records
+    /// cost one word more than their own bytes.
+    Inline {
+        len: u32,
+        items: [T; N],
+    },
+    Heap(Vec<T>),
+}
+
+impl<T: Default, const N: usize> Default for InlineVec<T, N> {
+    fn default() -> Self {
+        InlineVec {
+            repr: Repr::Inline {
+                len: 0,
+                items: std::array::from_fn(|_| T::default()),
+            },
+        }
+    }
+}
+
+impl<T: Default, const N: usize> InlineVec<T, N> {
+    /// Creates an empty list.
+    pub fn new() -> Self {
+        InlineVec::default()
+    }
+
+    /// An empty list with room for `capacity` items: in place when they
+    /// fit, else already on the heap, so a list whose length is known
+    /// grows without reallocating.
+    pub fn with_capacity(capacity: usize) -> Self {
+        if capacity <= N {
+            InlineVec::new()
+        } else {
+            InlineVec {
+                repr: Repr::Heap(Vec::with_capacity(capacity)),
+            }
+        }
+    }
+
+    /// The heap list a full inline one moves to, its items taken out. It
+    /// has room for four times the inline items: a list that outgrows its
+    /// place is a long one, and a growth step is one more allocation.
+    fn spill(items: &mut [T; N]) -> Vec<T> {
+        let mut heap = Vec::with_capacity(4 * N.max(1));
+        heap.extend(items.iter_mut().map(std::mem::take));
+        heap
+    }
+
+    /// Appends `item`, moving the list to the heap if it is full.
+    pub fn push(&mut self, item: T) {
+        let len = self.len();
+        self.insert(len, item);
+    }
+
+    /// Inserts `item` at `index`, shifting the tail right and moving the
+    /// list to the heap if it is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index > len`, like `Vec::insert`.
+    pub fn insert(&mut self, index: usize, item: T) {
+        match &mut self.repr {
+            Repr::Inline { len, items } if (*len as usize) < N => {
+                let end = *len as usize;
+                assert!(index <= end, "insertion index {index} out of bounds");
+                items[end] = item;
+                items[index..=end].rotate_right(1);
+                *len += 1;
+            }
+            Repr::Inline { items, .. } => {
+                let mut heap = Self::spill(items);
+                heap.insert(index, item);
+                self.repr = Repr::Heap(heap);
+            }
+            Repr::Heap(heap) => heap.insert(index, item),
+        }
+    }
+
+    /// Removes and returns the item at `index`, shifting the tail left.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds, like `Vec::remove`.
+    pub fn remove(&mut self, index: usize) -> T {
+        match &mut self.repr {
+            Repr::Inline { len, items } => {
+                let end = *len as usize;
+                assert!(index < end, "removal index {index} out of bounds");
+                let item = std::mem::take(&mut items[index]);
+                items[index..end].rotate_left(1);
+                *len -= 1;
+                item
+            }
+            Repr::Heap(heap) => heap.remove(index),
+        }
+    }
+
+    /// Keeps only the items for which `keep` returns `true`, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        match &mut self.repr {
+            Repr::Inline { len, items } => {
+                let mut kept = 0;
+                for i in 0..*len as usize {
+                    if keep(&items[i]) {
+                        items.swap(kept, i);
+                        kept += 1;
+                    }
+                }
+                for item in &mut items[kept..*len as usize] {
+                    *item = T::default();
+                }
+                *len = kept as u32;
+            }
+            Repr::Heap(heap) => heap.retain(keep),
+        }
+    }
+
+    /// Removes every item, keeping the storage.
+    pub fn clear(&mut self) {
+        self.retain(|_| false);
+    }
+}
+
+impl<T, const N: usize> InlineVec<T, N> {
+    /// Whether the items are still held in place (never spilled).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.repr, Repr::Inline { .. })
+    }
+}
+
+impl<T, const N: usize> Deref for InlineVec<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.repr {
+            Repr::Inline { len, items } => &items[..*len as usize],
+            Repr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<T, const N: usize> DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.repr {
+            Repr::Inline { len, items } => &mut items[..*len as usize],
+            Repr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<T: Default, const N: usize> Extend<T> for InlineVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for item in iter {
+            self.push(item);
+        }
+    }
+}
+
+impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut list = InlineVec::new();
+        list.extend(iter);
+        list
+    }
+}
+
+impl<'a, T, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: Snap + Default, const N: usize> Snap for InlineVec<T, N> {
+    fn snap(&self, out: &mut Vec<u8>) {
+        self.len().snap(out);
+        for item in self.iter() {
+            item.snap(out);
+        }
+    }
+    fn unsnap(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        let len = r.take_len()?;
+        let mut list = InlineVec::new();
+        for _ in 0..len {
+            list.push(T::unsnap(r)?);
+        }
+        Ok(list)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,6 +699,58 @@ mod tests {
                 prop_assert_eq!(back.as_ref(), Ok(&map));
                 let back = FlatSet::<u8>::unsnap(&mut Reader::new(&bytes(&set_model)));
                 prop_assert_eq!(back.as_ref(), Ok(&set));
+            }
+        }
+
+        /// Random push/insert/remove/retain/clear sequences leave an `InlineVec` holding
+        /// what a `Vec` holds, with the same `Debug` text and `Snap` bytes,
+        /// and it stays inline until it first outgrows `N`.
+        #[test]
+        fn inline_vec_matches_a_vec(
+            ops in proptest::collection::vec((0u8..7, 0u16..1000), 1..40)
+        ) {
+            let mut list: InlineVec<u16, 2> = InlineVec::new();
+            let mut model: Vec<u16> = Vec::new();
+            let mut peak = 0;
+            for (op, v) in ops {
+                match op {
+                    0 | 1 => {
+                        list.push(v);
+                        model.push(v);
+                    }
+                    2 if !model.is_empty() => {
+                        let at = usize::from(v) % model.len();
+                        prop_assert_eq!(list.remove(at), model.remove(at));
+                    }
+                    3 => {
+                        if let Some(first) = list.first_mut() {
+                            *first = v;
+                            model[0] = v;
+                        }
+                    }
+                    4 => {
+                        let at = usize::from(v) % (model.len() + 1);
+                        list.insert(at, v);
+                        model.insert(at, v);
+                    }
+                    5 => {
+                        list.retain(|x| x % 3 != v % 3);
+                        model.retain(|x| x % 3 != v % 3);
+                    }
+                    _ => {
+                        list.clear();
+                        model.clear();
+                    }
+                }
+                peak = peak.max(model.len());
+                prop_assert_eq!(&list[..], &model[..]);
+                prop_assert_eq!(list.is_inline(), peak <= 2);
+                prop_assert_eq!(format!("{list:#?}"), format!("{model:#?}"));
+                prop_assert_eq!(bytes(&list), bytes(&model));
+                let back = InlineVec::<u16, 2>::unsnap(&mut Reader::new(&bytes(&model)));
+                prop_assert_eq!(back.as_ref(), Ok(&list));
+                let collected: InlineVec<u16, 2> = model.iter().copied().collect();
+                prop_assert_eq!(&collected, &list);
             }
         }
 

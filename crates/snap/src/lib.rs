@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Decoding failure: the byte stream does not describe the requested type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,6 +224,22 @@ impl Snap for String {
         let len = r.take_len()?;
         let bytes = r.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Utf8)
+    }
+}
+
+/// Encoded exactly as a `String`: a shared name and an owned one holding
+/// the same text write the same bytes.
+impl Snap for Arc<str> {
+    fn snap(&self, out: &mut Vec<u8>) {
+        self.len().snap(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn unsnap(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        let len = r.take_len()?;
+        let bytes = r.take(len)?;
+        std::str::from_utf8(bytes)
+            .map(Arc::from)
+            .map_err(|_| SnapError::Utf8)
     }
 }
 

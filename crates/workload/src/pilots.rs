@@ -14,6 +14,8 @@
 //!    can be scaled down during datacenter memory peaks as long as it keeps
 //!    running.
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
 use dredbox_sim::rng::SimRng;
@@ -176,12 +178,18 @@ impl Default for NetworkAnalyticsWorkload {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OffloadDemand {
     /// Kernel name; offloads naming the same kernel can reuse a programmed
-    /// accelerator slot.
-    pub kernel: String,
+    /// accelerator slot. The pilots share one name per kernel, so a demand,
+    /// its bitstream, its session and its report all point at it.
+    pub kernel: Arc<str>,
     /// Size of the partial bitstream (determines PCAP programming time).
     pub bitstream: ByteSize,
     /// Input data the kernel streams through.
     pub input: ByteSize,
+}
+
+/// The one shared name of a pilot kernel, created on first use.
+fn pilot_kernel(name: &'static OnceLock<Arc<str>>, text: &str) -> Arc<str> {
+    Arc::clone(name.get_or_init(|| Arc::from(text)))
 }
 
 impl VideoAnalyticsWorkload {
@@ -189,9 +197,10 @@ impl VideoAnalyticsWorkload {
     /// footage: input is the resident working set of `case_hours` of
     /// footage, capped so a single session stays rack-serviceable.
     pub fn offload_demand(&self, case_hours: f64) -> OffloadDemand {
+        static KERNEL: OnceLock<Arc<str>> = OnceLock::new();
         let cap = ByteSize::from_gib(8);
         OffloadDemand {
-            kernel: "video-motion-detect".to_owned(),
+            kernel: pilot_kernel(&KERNEL, "video-motion-detect"),
             bitstream: ByteSize::from_mib(16),
             input: self.memory_demand(case_hours).min(cap),
         }
@@ -202,8 +211,9 @@ impl NetworkAnalyticsWorkload {
     /// The frame-classification kernel the offline stage offloads: input is
     /// the flagged-traffic buffer of one capture window.
     pub fn offload_demand(&self, window: SimDuration) -> OffloadDemand {
+        static KERNEL: OnceLock<Arc<str>> = OnceLock::new();
         OffloadDemand {
-            kernel: "frame-classify".to_owned(),
+            kernel: pilot_kernel(&KERNEL, "frame-classify"),
             bitstream: ByteSize::from_mib(8),
             input: self.offline_buffer(window),
         }
@@ -214,8 +224,9 @@ impl NfvKeyServerWorkload {
     /// The TLS handshake-offload kernel the key server uses at a given hour:
     /// input scales with the session-cache footprint at that hour.
     pub fn offload_demand(&self, hour: f64) -> OffloadDemand {
+        static KERNEL: OnceLock<Arc<str>> = OnceLock::new();
         OffloadDemand {
-            kernel: "tls-handshake".to_owned(),
+            kernel: pilot_kernel(&KERNEL, "tls-handshake"),
             bitstream: ByteSize::from_mib(4),
             input: self.memory_at_hour(hour),
         }
@@ -315,10 +326,13 @@ mod tests {
         assert_eq!(demands, replay, "same seed must sample the same demands");
         // All three pilot kernels appear, inputs are nonzero and bounded.
         for kernel in ["video-motion-detect", "tls-handshake", "frame-classify"] {
-            assert!(
-                demands.iter().any(|d| d.kernel == kernel),
-                "kernel {kernel} never sampled"
-            );
+            let named: Vec<&OffloadDemand> =
+                demands.iter().filter(|d| &*d.kernel == kernel).collect();
+            assert!(!named.is_empty(), "kernel {kernel} never sampled");
+            // Every demand of a pilot shares its one name.
+            assert!(named
+                .iter()
+                .all(|d| Arc::ptr_eq(&d.kernel, &named[0].kernel)));
         }
         for d in &demands {
             assert!(!d.input.is_zero(), "{}: empty input", d.kernel);

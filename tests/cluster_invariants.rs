@@ -169,7 +169,7 @@ fn brick(s: &DredboxSystem, kind: u8, pick: usize) -> Option<BrickId> {
 
 fn demand() -> OffloadDemand {
     OffloadDemand {
-        kernel: "kernel-0".to_owned(),
+        kernel: "kernel-0".into(),
         bitstream: ByteSize::from_mib(8),
         input: ByteSize::from_mib(64),
     }

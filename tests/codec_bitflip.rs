@@ -112,7 +112,7 @@ fn mid_trace_controller() -> SdmController {
                 let (from, vcpus, grants) = &vms[i];
                 let to = BrickId((from.0 + 1) % 4);
                 if let Ok(outcome) = sdm.migrate_vm(*from, to, *vcpus, grants) {
-                    vms[i] = (to, *vcpus, outcome.rebased);
+                    vms[i] = (to, *vcpus, outcome.rebased.to_vec());
                 }
             }
             _ if !vms.is_empty() => {
@@ -258,7 +258,7 @@ fn mid_trace_system() -> DredboxSystem {
     let to = s.evacuation_target(b).expect("a target");
     s.migrate_vm(b, to).expect("migrate b");
     let demand = OffloadDemand {
-        kernel: "kernel-0".to_owned(),
+        kernel: "kernel-0".into(),
         bitstream: ByteSize::from_mib(8),
         input: ByteSize::from_mib(64),
     };

@@ -14,13 +14,23 @@
 //!   controller's view (including after power sweeps drop it);
 //! * rejected offload requests leave the system bit-identical;
 //! * draining everything returns the rack to zero sessions and holds.
+//!
+//! A second, seeded test drives the SDM controller alone through offload
+//! begin/end, accelerator failure and repair and power sweeps over bricks
+//! of mixed PCAP bandwidths, and holds the dense `AccelIndex` to two
+//! oracles after every step: a from-scratch rebuild, and the ordered-map
+//! index it replaced, kept below as [`ReferenceIndex`].
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use dredbox::bricks::PowerState;
-use dredbox::orchestrator::accel_index::AccelIndex;
-use dredbox::orchestrator::OffloadSessionId;
+use dredbox::bricks::{Bitstream, BrickId, PowerState};
+use dredbox::orchestrator::accel_index::{AccelIndex, AccelSlot};
+use dredbox::orchestrator::{OffloadRequest, OffloadSessionId, SdmController};
 use dredbox::prelude::*;
+use dredbox::sim::rng::SimRng;
+use dredbox::sim::units::Bandwidth;
 use dredbox::sim::units::ByteSize;
 use dredbox::workload::OffloadDemand;
 
@@ -60,7 +70,7 @@ fn decode((kind, a, b): (u8, u8, u8)) -> Op {
 
 fn demand(kernel: u8) -> OffloadDemand {
     OffloadDemand {
-        kernel: format!("kernel-{kernel}"),
+        kernel: format!("kernel-{kernel}").into(),
         bitstream: ByteSize::from_mib(8),
         input: ByteSize::from_gib(1),
     }
@@ -117,7 +127,7 @@ fn check_invariants(s: &DredboxSystem, live_sessions: &[(OffloadSessionId, VmHan
         );
         assert_eq!(
             slot.loaded.as_deref(),
-            brick.slot().loaded().map(|bs| bs.name.as_str()),
+            brick.slot().loaded().map(|bs| &*bs.name),
             "{id}: loaded bitstream view"
         );
         // A sleeping brick never keeps a bitstream (PR state is lost).
@@ -198,5 +208,165 @@ proptest! {
         prop_assert_eq!(system.accel_utilization(), 0.0);
         prop_assert_eq!(system.sdm().pool().total_allocated(), ByteSize::ZERO);
         prop_assert_eq!(system.sdm().ledger().held_memory(), ByteSize::ZERO);
+    }
+}
+
+/// The accelerator index as ordered maps: one bucket per kernel name and
+/// per PCAP bandwidth, each a set of brick ids. This is the layout the
+/// dense index replaced; its answers are the reference.
+#[derive(Default)]
+struct ReferenceIndex {
+    loaded_available: BTreeMap<String, BTreeSet<BrickId>>,
+    empty_by_pcap: BTreeMap<u64, BTreeSet<BrickId>>,
+    idle_loaded_by_pcap: BTreeMap<u64, BTreeSet<BrickId>>,
+    sleeping_by_pcap: BTreeMap<u64, BTreeSet<BrickId>>,
+    idle: BTreeSet<BrickId>,
+}
+
+impl ReferenceIndex {
+    fn build<'a>(slots: impl Iterator<Item = (BrickId, &'a AccelSlot)>) -> Self {
+        let mut index = ReferenceIndex::default();
+        for (brick, slot) in slots {
+            if slot.powered_on {
+                match &slot.loaded {
+                    Some(name) => {
+                        if slot.active_sessions < slot.session_capacity {
+                            let bucket = index.loaded_available.entry(name.to_string());
+                            bucket.or_default().insert(brick);
+                        }
+                        if slot.active_sessions == 0 {
+                            let bucket = index.idle_loaded_by_pcap.entry(slot.pcap_bps);
+                            bucket.or_default().insert(brick);
+                        }
+                    }
+                    None => {
+                        let bucket = index.empty_by_pcap.entry(slot.pcap_bps);
+                        bucket.or_default().insert(brick);
+                    }
+                }
+            } else {
+                let bucket = index.sleeping_by_pcap.entry(slot.pcap_bps);
+                bucket.or_default().insert(brick);
+            }
+            if slot.active_sessions == 0 {
+                index.idle.insert(brick);
+            }
+        }
+        index
+    }
+
+    fn loaded_fit(&self, kernel: &str) -> Option<BrickId> {
+        self.loaded_available
+            .get(kernel)
+            .and_then(|bucket| bucket.first().copied())
+    }
+
+    /// Fastest PCAP first, lowest id on ties.
+    fn fastest(map: &BTreeMap<u64, BTreeSet<BrickId>>) -> Option<BrickId> {
+        map.values()
+            .next_back()
+            .and_then(|bucket| bucket.first().copied())
+    }
+}
+
+/// Asserts the dense index equals its rebuild and answers all five queries
+/// as the reference does.
+fn check_index(index: &AccelIndex, kernels: &[String]) {
+    let mut rebuilt = AccelIndex::new();
+    for (brick, slot) in index.slots() {
+        rebuilt.upsert(brick, slot.clone());
+    }
+    assert_eq!(
+        &rebuilt, index,
+        "incremental index diverged from its rebuild"
+    );
+
+    let reference = ReferenceIndex::build(index.slots());
+    for kernel in kernels.iter().map(String::as_str).chain(["never-loaded"]) {
+        assert_eq!(
+            index.loaded_fit(kernel),
+            reference.loaded_fit(kernel),
+            "loaded_fit({kernel})"
+        );
+    }
+    assert_eq!(
+        index.fastest_empty(),
+        ReferenceIndex::fastest(&reference.empty_by_pcap)
+    );
+    assert_eq!(
+        index.fastest_idle_loaded(),
+        ReferenceIndex::fastest(&reference.idle_loaded_by_pcap)
+    );
+    assert_eq!(
+        index.fastest_sleeping(),
+        ReferenceIndex::fastest(&reference.sleeping_by_pcap)
+    );
+    assert!(index.idle_bricks().eq(reference.idle.iter().copied()));
+    assert_eq!(index.idle_count(), reference.idle.len());
+}
+
+/// Seeded traces over a controller whose accelerators mix three PCAP
+/// bandwidths and are registered out of id order, so bandwidth rank and id
+/// order differ and registration re-lays the index out.
+#[test]
+fn dense_accel_index_matches_its_rebuild_and_the_ordered_map_reference() {
+    let kernels: Vec<String> = (0..5).map(|k| format!("kernel-{k}")).collect();
+    for seed in 0..4u64 {
+        let mut rng = SimRng::seed(seed);
+        let mut sdm = SdmController::dredbox_default();
+        for b in 0..4u32 {
+            sdm.register_compute_brick(BrickId(b), 32, 8);
+        }
+        let accels: Vec<BrickId> = [71u32, 40, 66, 45, 90, 52, 83, 41, 60, 77]
+            .into_iter()
+            .map(BrickId)
+            .collect();
+        for (i, &brick) in accels.iter().enumerate() {
+            let gbps = [3.2, 1.6, 6.4][i % 3];
+            sdm.register_accel_brick(brick, Bandwidth::from_gbps(gbps), 1 + (i % 3) as u32);
+            check_index(sdm.accel(), &kernels);
+        }
+        let mut sessions: Vec<OffloadSessionId> = Vec::new();
+        for _ in 0..600 {
+            match rng.range(0u64..10) {
+                0..=3 => {
+                    let kernel = &kernels[rng.range(0..kernels.len())];
+                    let request = OffloadRequest::new(
+                        BrickId(rng.range(0u32..4)),
+                        Bitstream::new(kernel.as_str(), ByteSize::from_mib(8)),
+                        ByteSize::from_mib(64),
+                    );
+                    if let Ok(grant) = sdm.begin_offload(request) {
+                        sessions.push(grant.session.id);
+                    }
+                }
+                4..=6 if !sessions.is_empty() => {
+                    let session = sessions.swap_remove(rng.range(0..sessions.len()));
+                    sdm.end_offload(session).expect("live session ends");
+                }
+                7 => {
+                    // A failure drains the brick's sessions first, as the
+                    // system's fault handling does.
+                    let brick = accels[rng.range(0..accels.len())];
+                    for session in sdm.sessions_on_accel(brick) {
+                        sdm.end_offload(session).expect("live session ends");
+                        sessions.retain(|s| *s != session);
+                    }
+                    sdm.fail_accel_brick(brick).expect("registered brick");
+                }
+                8 => {
+                    let brick = accels[rng.range(0..accels.len())];
+                    sdm.repair_accel_brick(brick).expect("registered brick");
+                }
+                _ => {
+                    let idle: Vec<BrickId> = sdm.idle_accel_bricks().collect();
+                    for brick in idle {
+                        sdm.set_accel_power(brick, false)
+                            .expect("idle brick sleeps");
+                    }
+                }
+            }
+            check_index(sdm.accel(), &kernels);
+        }
     }
 }

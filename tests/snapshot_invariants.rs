@@ -142,7 +142,7 @@ fn brick(s: &DredboxSystem, pick: usize, want: fn(&Brick) -> bool) -> Option<Bri
 
 fn demand(kernel: u8) -> OffloadDemand {
     OffloadDemand {
-        kernel: format!("kernel-{kernel}"),
+        kernel: format!("kernel-{kernel}").into(),
         bitstream: ByteSize::from_mib(8),
         input: ByteSize::from_mib(256),
     }
@@ -305,4 +305,57 @@ proptest! {
         let len = ((bytes.len() - 1) as f64 * cut) as usize;
         prop_assert!(SystemSnapshot::from_bytes(&bytes[..len]).is_err());
     }
+}
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `DRBX` bytes of an accelerated rack holding loaded bitstreams (one
+/// reused, one idle after its session ended, one dropped by a power sweep
+/// and programmed again), live offload sessions and multi-grant VMs are
+/// pinned: a change to how kernel names, grants or the accelerator index
+/// are held in memory must leave the encoding byte for byte as it was.
+#[test]
+fn accelerated_rack_snapshot_bytes_are_pinned() {
+    use dredbox::workload::VideoAnalyticsWorkload;
+    use dredbox::workload::{NetworkAnalyticsWorkload, NfvKeyServerWorkload};
+
+    let mut system = DredboxSystem::build(dredbox::SystemConfig::accelerated_rack(2, 2, 2, 2))
+        .expect("build system");
+    let video = VideoAnalyticsWorkload::dredbox_default().offload_demand(40.0);
+    let tls = NfvKeyServerWorkload::dredbox_default().offload_demand(15.0);
+    let frames = NetworkAnalyticsWorkload::dredbox_default()
+        .offload_demand(dredbox::sim::time::SimDuration::from_secs(2));
+    let vms: Vec<VmHandle> = (0..5u32)
+        .map(|i| {
+            system
+                .allocate_vm(2 + i, ByteSize::from_gib(3 + u64::from(i)))
+                .expect("admit")
+        })
+        .collect();
+    system
+        .scale_up(vms[1], ByteSize::from_gib(2))
+        .expect("scale up");
+    let a = system.begin_offload(vms[0], &video).expect("offload");
+    let b = system.begin_offload(vms[1], &tls).expect("offload");
+    let c = system.begin_offload(vms[2], &frames).expect("offload");
+    system.end_offload(b.session).expect("end");
+    system.power_off_unused();
+    let reuse = system.begin_offload(vms[3], &video).expect("reuse");
+    let again = system.begin_offload(vms[4], &tls).expect("program");
+    system.end_offload(c.session).expect("end");
+    assert!(!a.reused_bitstream && reuse.reused_bitstream && !again.reused_bitstream);
+    assert_eq!(reuse.accel_brick, a.accel_brick);
+
+    let bytes = SystemSnapshot::capture(&system).to_bytes();
+    let back = SystemSnapshot::from_bytes(&bytes).expect("decodes");
+    assert_eq!(back.into_system(), system);
+    assert_eq!(
+        (bytes.len(), format!("{:016x}", fnv1a(&bytes))),
+        (7963, "9291f76555f246cf".to_owned())
+    );
 }

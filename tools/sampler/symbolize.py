@@ -2,7 +2,7 @@
 """Symbolize a sampler.c dump and print self and inclusive profiles.
 
     python3 tools/sampler/symbolize.py sampler.out [--top N]
-        [--callers PATTERN] [--callees PATTERN]
+        [--under PATTERN] [--callers PATTERN] [--callees PATTERN]
 
 Each address is mapped through the dump's copy of /proc/self/maps to a
 file offset, through the file's LOAD program headers (`readelf -l`) to a
@@ -17,6 +17,11 @@ its inode must be the one the dump's maps line records. A binary rebuilt
 after the dump was taken has a new inode; its addresses are then
 reported as `?? replaced <file>` (with a warning on stderr) instead of
 being resolved against code they never belonged to.
+
+With --under, only the samples with a frame matching the regular
+expression PATTERN anywhere on their stack are kept, and every table
+(and its sample count) covers those alone: `--under 'run_threaded'`
+drops what a benchmark harness does around the replay.
 
 With --callers, it also prints who calls the leaves that match the
 regular expression PATTERN: each matching sample's stack is cut to its
@@ -167,6 +172,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dump")
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--under", metavar="PATTERN",
+                        help="keep only samples with a frame matching PATTERN on the stack")
     parser.add_argument("--callers", metavar="PATTERN",
                         help="list the Rust caller chains of leaves matching PATTERN")
     parser.add_argument("--callees", metavar="PATTERN",
@@ -174,6 +181,7 @@ def main():
     args = parser.parse_args()
     leaf_filter = re.compile(args.callers) if args.callers else None
     callee_filter = re.compile(args.callees) if args.callees else None
+    under_filter = re.compile(args.under) if args.under else None
 
     maps, samples = read_dump(args.dump)
     if not samples:
@@ -182,15 +190,19 @@ def main():
     self_counts, inclusive = collections.Counter(), collections.Counter()
     callers, matched = collections.Counter(), 0
     callees, under = collections.Counter(), 0
+    total = 0
     for rip, top, *chain in samples:
         leaf = sym.name(rip) or "?? unmapped"
-        self_counts[leaf] += 1
         stack = [leaf]
         caller = sym.name(top) if top else None
         if caller and (not chain or sym.name(chain[0]) != caller):
             stack.append(caller)
         stack.extend(sym.name(a) for a in chain)
         stack = [f for f in stack if f]
+        if under_filter and not any(under_filter.search(f) for f in stack):
+            continue
+        total += 1
+        self_counts[leaf] += 1
         inclusive.update(set(stack))
         if leaf_filter and leaf_filter.search(leaf):
             matched += 1
@@ -200,9 +212,11 @@ def main():
             under += 1
             callees[callee] += 1
 
-    total = len(samples)
+    if not total:
+        sys.exit(f"symbolize.py: no sample has a frame matching /{args.under}/")
+    kept = f" under /{args.under}/" if under_filter else ""
     for title, counts in (("self", self_counts), ("inclusive", inclusive)):
-        print(f"== {title} ({total} samples)")
+        print(f"== {title} ({total} samples{kept})")
         for name, n in counts.most_common(args.top):
             print(f"{100.0 * n / total:6.2f}% {n:8d}  {name}")
     if leaf_filter:
