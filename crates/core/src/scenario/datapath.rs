@@ -218,7 +218,7 @@ pub struct DataPathStats {
 /// outlasts its VM: the next VM admitted into the slot clears it and
 /// reuses its buffers, so a steady replay stops allocating here once its
 /// slots have seen a burst.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct VmDataPath {
     /// The VM this state belongs to (its handle), `None` once it departed.
     vm: Option<u64>,

@@ -148,11 +148,6 @@ fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// The lowest set bit of a bitset.
-fn first_bit(bits: &[u64]) -> Option<usize> {
-    set_bits(bits).next()
-}
-
 impl AccelIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
@@ -288,7 +283,9 @@ impl AccelIndex {
 
     /// The brick at the first set bit of a rank bitset.
     fn first_ranked(&self, bits: &[u64]) -> Option<BrickId> {
-        first_bit(bits).map(|rank| self.slots[self.at_rank[rank] as usize].0)
+        set_bits(bits)
+            .next()
+            .map(|rank| self.slots[self.at_rank[rank] as usize].0)
     }
 
     /// Accelerator bricks streaming no session, ascending by id.

@@ -515,11 +515,6 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
             Repr::Heap(heap) => heap.retain(keep),
         }
     }
-
-    /// Removes every item, keeping the storage.
-    pub fn clear(&mut self) {
-        self.retain(|_| false);
-    }
 }
 
 impl<T, const N: usize> InlineVec<T, N> {
@@ -563,18 +558,12 @@ impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
     }
 }
 
-impl<T: Default, const N: usize> Extend<T> for InlineVec<T, N> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for item in iter {
-            self.push(item);
-        }
-    }
-}
-
 impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut list = InlineVec::new();
-        list.extend(iter);
+        for item in iter {
+            list.push(item);
+        }
         list
     }
 }
@@ -702,7 +691,7 @@ mod tests {
             }
         }
 
-        /// Random push/insert/remove/retain/clear sequences leave an `InlineVec` holding
+        /// Random push/insert/remove/retain sequences leave an `InlineVec` holding
         /// what a `Vec` holds, with the same `Debug` text and `Snap` bytes,
         /// and it stays inline until it first outgrows `N`.
         #[test]
@@ -738,7 +727,7 @@ mod tests {
                         model.retain(|x| x % 3 != v % 3);
                     }
                     _ => {
-                        list.clear();
+                        list.retain(|_| false);
                         model.clear();
                     }
                 }
