@@ -764,7 +764,7 @@ impl SdmController {
         // Re-route: install every segment on the destination agent *before*
         // touching the source, so an attach failure rolls back to the exact
         // pre-migration state while the source keeps serving.
-        let mut new_bases: Vec<RmstBases> = Vec::with_capacity(grants.len());
+        let mut new_bases: InlineVec<RmstBases, 2> = InlineVec::new();
         let mut attach_failed = false;
         {
             let agent = self
@@ -805,10 +805,14 @@ impl SdmController {
         }
 
         // Program circuits towards dMEMBRICKs the destination can't reach.
-        let involved: BTreeSet<BrickId> = grants
+        // The involved dMEMBRICKs, ascending and each once.
+        let mut involved: InlineVec<BrickId, 8> = grants
             .iter()
             .flat_map(|g| g.grant.segments().iter().map(|s| s.membrick))
             .collect();
+        involved.sort_unstable();
+        let mut previous = None;
+        involved.retain(|&b| previous.replace(b) != Some(b));
         let known = self.circuits.get_or_insert_default(to);
         let mut circuits_programmed = 0u32;
         for membrick in &involved {
@@ -841,7 +845,7 @@ impl SdmController {
                 }
             }
         }
-        let circuits_torn_down = self.tear_down_unused_circuits(from, involved);
+        let circuits_torn_down = self.tear_down_unused_circuits(from, involved.iter().copied());
         service_time += self
             .timings
             .circuit_switch_program
@@ -869,7 +873,7 @@ impl SdmController {
         // Re-point the pool's segment ownership and hand back the grants as
         // they now stand on the destination.
         let mut rebased = VmGrants::new();
-        for (grant, bases) in grants.iter().zip(new_bases) {
+        for (grant, bases) in grants.iter().zip(new_bases.iter_mut().map(std::mem::take)) {
             let regrant = self
                 .pool
                 .reassign_owner(&grant.grant, to)

@@ -134,7 +134,7 @@ fn steady_state_rack_events_stay_under_the_allocation_ceiling() {
     // Ceilings sit at the values reached; lower them as sources go.
     let gated = [
         (ScenarioSpec::rack_scale(), 0.31),
-        (accelerated_rack(), 0.29),
+        (accelerated_rack(), 0.27),
     ];
     let mut over = Vec::new();
     for (spec, ceiling) in gated {
