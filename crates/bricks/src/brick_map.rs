@@ -124,7 +124,7 @@ impl<T> BrickMap<T> {
     }
 
     /// Entries in ascending brick-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (BrickId, &T)> {
+    pub fn iter(&self) -> impl Iterator<Item = (BrickId, &T)> + Clone {
         self.slots
             .iter()
             .enumerate()

@@ -56,6 +56,7 @@ use dredbox_workload::VmDemand;
 use crate::snapshot::SystemSnapshot;
 use crate::system::{DredboxSystem, MigrationReport, VmHandle};
 
+use super::observer::Metric;
 use super::world::{Counters, ScenarioEvent, ScenarioWorld};
 use super::{AvailabilityStats, ClusterScenarioStats, ScenarioReport, ScenarioSpec};
 
@@ -677,18 +678,9 @@ impl<'a> ClusterWorld<'a> {
             ..ClusterScenarioStats::default()
         };
         let mut peak_queue = 0u64;
-        let mut scale_up_delays_s = Summary::new();
-        let mut read_latencies_ns = Summary::new();
-        let mut utilization = Summary::new();
-        let mut migration_downtime_s = Summary::new();
-        let mut precopy_counterfactual_s = Summary::new();
-        let mut scaleout_counterfactual_s = Summary::new();
-        let mut control_plane_wait_s = Summary::new();
-        let mut offload_time_s = Summary::new();
-        let mut offload_local_counterfactual_s = Summary::new();
-        let mut accel_utilization = Summary::new();
-        for shard in &shards {
-            let w = &shard.world;
+        let mut merged: [Summary; Metric::ALL.len()] = std::array::from_fn(|_| Summary::new());
+        for shard in shards {
+            let w = &mut shard.world;
             c.admitted += w.counters.admitted;
             c.rejected += w.counters.rejected;
             c.live += w.counters.live;
@@ -715,17 +707,12 @@ impl<'a> ClusterWorld<'a> {
             stats.admissions_per_rack.push(w.counters.admitted);
             stats.power_off_per_rack.push(w.counters.bricks_powered_off);
             peak_queue = peak_queue.max(w.control_plane.peak_depth() as u64);
-            scale_up_delays_s.merge(&w.scale_up_delays_s);
-            read_latencies_ns.merge(&w.read_latencies_ns);
-            utilization.merge(&w.utilization);
-            migration_downtime_s.merge(&w.migration_downtime_s);
-            precopy_counterfactual_s.merge(&w.precopy_counterfactual_s);
-            scaleout_counterfactual_s.merge(&w.scaleout_counterfactual_s);
-            control_plane_wait_s.merge(&w.control_plane_wait_s);
-            offload_time_s.merge(&w.offload_time_s);
-            offload_local_counterfactual_s.merge(&w.offload_local_counterfactual_s);
-            accel_utilization.merge(&w.accel_utilization);
+            let observed = w.log.observer();
+            for metric in Metric::ALL {
+                merged[metric as usize].merge(observed.summary(metric));
+            }
         }
+        let mut finish = |metric: Metric| mem::take(&mut merged[metric as usize]).finish();
         // Final rejections live at the front door; racks only ever bounce
         // requests back for another candidate.
         c.rejected += front.rejected;
@@ -762,16 +749,16 @@ impl<'a> ClusterWorld<'a> {
             bitstream_programs: c.bitstream_programs,
             accel_wakes: c.accel_wakes,
             control_plane_peak_queue: peak_queue,
-            scale_up_delay: scale_up_delays_s.finish(),
-            read_latency: read_latencies_ns.finish(),
-            pool_utilization: utilization.finish(),
-            migration_downtime: migration_downtime_s.finish(),
-            precopy_counterfactual: precopy_counterfactual_s.finish(),
-            scaleout_counterfactual: scaleout_counterfactual_s.finish(),
-            control_plane_wait: control_plane_wait_s.finish(),
-            offload_time: offload_time_s.finish(),
-            offload_local_counterfactual: offload_local_counterfactual_s.finish(),
-            accel_utilization: accel_utilization.finish(),
+            scale_up_delay: finish(Metric::ScaleUpDelay),
+            read_latency: finish(Metric::ReadLatency),
+            pool_utilization: finish(Metric::PoolUtilization),
+            migration_downtime: finish(Metric::MigrationDowntime),
+            precopy_counterfactual: finish(Metric::PrecopyCounterfactual),
+            scaleout_counterfactual: finish(Metric::ScaleoutCounterfactual),
+            control_plane_wait: finish(Metric::ControlPlaneWait),
+            offload_time: finish(Metric::OffloadTime),
+            offload_local_counterfactual: finish(Metric::OffloadLocalCounterfactual),
+            accel_utilization: finish(Metric::AccelUtilization),
             cluster: Some(stats),
             availability,
             // The load-dependent data path is single-rack only (validated

@@ -45,21 +45,34 @@
 //!
 //! The cache is flushed on every switch (tags are granule-addressed).
 //!
+//! ## Two sides
+//!
+//! Latencies feed report samples only; they never shift an event
+//! timestamp. So the model splits in two. The event loop keeps
+//! [`DataPathLoop`]: every per-access RNG draw, from the world's forked
+//! RNG with a fixed draw count per access (one locality trial, plus one
+//! address draw on non-local accesses), and which VMs hold a data-path
+//! entry, the one fact a decision reads. The rack's observer keeps
+//! [`DataPathModel`]: caches, granules, the fabric ledger, prices and
+//! telemetry, fed the loop's admits, bursts (with their drawn accesses),
+//! direct reads and departures through the observation log in event
+//! order (see `scenario::observer`).
+//!
 //! ## Determinism
 //!
-//! All state mutates in simulation-event order; per-access randomness draws
-//! from the world's forked RNG with a fixed draw count per access (one
-//! locality trial, plus one address draw on non-local accesses). Latencies
-//! feed report samples only — they never shift event timestamps — so a
-//! contention-free configuration replays decision-for-decision and
-//! byte-for-byte like the flat model, and contended replays stay
-//! bit-identical at every worker count.
+//! The model's state mutates in log order, which is simulation-event
+//! order, wherever the log drains. A contention-free configuration
+//! therefore replays decision-for-decision and byte-for-byte like the
+//! flat model, and contended replays stay bit-identical at every worker
+//! count.
 
 use std::collections::VecDeque;
+use std::mem;
 
 use serde::{Deserialize, Serialize};
 
-use dredbox_interconnect::{ContentionConfig, LatencyComponent, StageLoad};
+use dredbox_bricks::BrickId;
+use dredbox_interconnect::{queueing_wait, ContentionConfig, StageLoad};
 use dredbox_optical::{read_route_stages, FabricLoad};
 use dredbox_sim::arena::SlotKey;
 use dredbox_sim::rng::SimRng;
@@ -214,14 +227,210 @@ pub struct DataPathStats {
     pub peak_fabric_utilization: f64,
 }
 
-/// Per-VM runtime state of the data path. One lives per VM arena slot and
-/// outlasts its VM: the next VM admitted into the slot clears it and
-/// reuses its buffers, so a steady replay stops allocating here once its
-/// slots have seen a burst.
+/// The transfer sizes reads are priced at: a direct read draws one per
+/// charge, and a fetch moves a cache line (the first) or a page (the
+/// last).
+pub(super) const READ_SIZES: [u64; 4] = [64, 256, 1_024, 4_096];
+
+impl Granularity {
+    /// The granule's index in [`READ_SIZES`].
+    fn size_index(self) -> usize {
+        match self {
+            Granularity::CacheLine => 0,
+            Granularity::Page => READ_SIZES.len() - 1,
+        }
+    }
+}
+
+/// A drawn access that continues the sequential run. Every other draw is
+/// the cache line a jump lands on.
+pub(super) const SEQUENTIAL: u64 = u64::MAX;
+
+/// Read prices fixed at build. The rack's read path never changes after
+/// it and the flat model is pure in the transfer size, so a fetch is
+/// priced by lookup rather than by rebuilding its hop-by-hop breakdown.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct ReadPrices {
+    /// Flat total of one read per [`READ_SIZES`] entry.
+    flat: [SimDuration; READ_SIZES.len()],
+    /// Service time per [`READ_SIZES`] entry at each contended stage, in
+    /// route order; zero when the fabric is uncontended.
+    service: [[SimDuration; READ_SIZES.len()]; 3],
+}
+
+impl ReadPrices {
+    pub(super) fn new(system: &DredboxSystem, contention: Option<&ContentionConfig>) -> Self {
+        let flat = READ_SIZES.map(|size| {
+            system
+                .remote_read_latency(ByteSize::from_bytes(size))
+                .total()
+        });
+        let service = match contention {
+            Some(c) => [c.brick_uplink, c.rack_switch, c.membrick_port].map(|capacity| {
+                READ_SIZES.map(|size| capacity.transfer_time(ByteSize::from_bytes(size)))
+            }),
+            None => [[SimDuration::ZERO; READ_SIZES.len()]; 3],
+        };
+        ReadPrices { flat, service }
+    }
+
+    /// Flat latency of a read of `READ_SIZES[size]` bytes, nanoseconds.
+    pub(super) fn flat_ns(&self, size: usize) -> f64 {
+        self.flat[size].as_nanos() as f64
+    }
+}
+
+/// Per-VM entries of the data path, at the VM's arena slot. An entry
+/// outlasts its VM: the next VM admitted into the slot reuses it, buffers
+/// and all, so a steady replay stops allocating here once its slots have
+/// seen a burst. A VM lost to a fault departs lazily, at its next burst;
+/// when a later VM takes its slot first, its entry waits in the displaced
+/// list until then.
+#[derive(Debug, Default)]
+struct SlotTable<T> {
+    slots: Vec<Entry<T>>,
+    displaced: Vec<Entry<T>>,
+}
+
+#[derive(Debug, Default)]
+struct Entry<T> {
+    /// The VM the entry belongs to (its handle), `None` once it departed.
+    vm: Option<u64>,
+    state: T,
+}
+
+/// Where a VM's entry is kept in a [`SlotTable`].
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// At its arena slot.
+    Slot(usize),
+    /// In the displaced list, at this index.
+    Displaced(usize),
+}
+
+/// The slot of a VM handle in the system's VM arena.
+fn slot_of(vm: VmHandle) -> usize {
+    SlotKey::from_u64(vm.0).index() as usize
+}
+
+impl<T: Default> SlotTable<T> {
+    fn locate(&self, vm: VmHandle) -> Option<Place> {
+        let live = |entry: &Entry<T>| entry.vm == Some(vm.0);
+        let slot = slot_of(vm);
+        if self.slots.get(slot).is_some_and(live) {
+            return Some(Place::Slot(slot));
+        }
+        self.displaced.iter().position(live).map(Place::Displaced)
+    }
+
+    fn get(&self, vm: VmHandle) -> Option<&T> {
+        match self.locate(vm)? {
+            Place::Slot(i) => Some(&self.slots[i].state),
+            Place::Displaced(i) => Some(&self.displaced[i].state),
+        }
+    }
+
+    fn get_mut(&mut self, vm: VmHandle) -> Option<&mut T> {
+        match self.locate(vm)? {
+            Place::Slot(i) => Some(&mut self.slots[i].state),
+            Place::Displaced(i) => Some(&mut self.displaced[i].state),
+        }
+    }
+
+    /// Ends `vm`'s entry, returning what `read` takes from its last state.
+    fn remove<R>(&mut self, vm: VmHandle, read: impl FnOnce(&T) -> R) -> Option<R> {
+        match self.locate(vm)? {
+            Place::Slot(i) => {
+                let entry = &mut self.slots[i];
+                entry.vm = None;
+                Some(read(&entry.state))
+            }
+            Place::Displaced(i) => Some(read(&self.displaced.swap_remove(i).state)),
+        }
+    }
+
+    /// Starts the entry of `vm`, which holds none, at its slot, moving a
+    /// live occupant to the displaced list. The returned state still holds
+    /// the slot's previous fields and buffers.
+    fn insert(&mut self, vm: VmHandle) -> &mut T {
+        let slot = slot_of(vm);
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, Entry::default);
+        }
+        let entry = &mut self.slots[slot];
+        if let Some(occupant) = entry.vm {
+            self.displaced.push(Entry {
+                vm: Some(occupant),
+                state: mem::take(&mut entry.state),
+            });
+        }
+        entry.vm = Some(vm.0);
+        &mut entry.state
+    }
+}
+
+/// The event loop's side of the data path: the configuration, every
+/// per-access RNG draw, and which VMs hold a data-path entry. That last
+/// fact is the only one a decision reads: the burst of a VM without an
+/// entry does not run, so it schedules no successor. The entries
+/// themselves, and everything priced from them, live in the observer's
+/// [`DataPathModel`], which applies the same admits and departures.
+pub(super) struct DataPathLoop {
+    cfg: DataPathConfig,
+    /// The working set in cache lines: the range a jump draws from.
+    ws_lines: u64,
+    live: SlotTable<()>,
+}
+
+impl DataPathLoop {
+    pub(super) fn new(cfg: DataPathConfig) -> Self {
+        let ws_lines = (cfg.profile.working_set.as_bytes() / Granularity::CacheLine.bytes()).max(1);
+        DataPathLoop {
+            cfg,
+            ws_lines,
+            live: SlotTable::default(),
+        }
+    }
+
+    pub(super) fn config(&self) -> &DataPathConfig {
+        &self.cfg
+    }
+
+    /// Registers an admitted VM, as [`DataPathModel::on_admit`] does.
+    pub(super) fn admit(&mut self, vm: VmHandle) {
+        self.live.remove(vm, |_| ());
+        self.live.insert(vm);
+    }
+
+    /// Deregisters `vm`; true when it held an entry.
+    pub(super) fn depart(&mut self, vm: VmHandle) -> bool {
+        self.live.remove(vm, |_| ()).is_some()
+    }
+
+    /// Whether `vm` holds an entry, so its next burst runs.
+    pub(super) fn is_live(&self, vm: VmHandle) -> bool {
+        self.live.locate(vm).is_some()
+    }
+
+    /// Draws one burst's accesses into `draws`: one locality trial per
+    /// access, and one address draw on a jump. The fixed draw count keeps
+    /// replays aligned across configurations.
+    pub(super) fn draw_burst(&self, rng: &mut SimRng, draws: &mut Vec<u64>) {
+        let profile = &self.cfg.profile;
+        for _ in 0..profile.reads_per_burst {
+            let draw = if rng.chance(profile.locality) {
+                SEQUENTIAL
+            } else {
+                rng.range(0..self.ws_lines)
+            };
+            draws.push(draw);
+        }
+    }
+}
+
+/// Per-VM runtime state of the data-path model.
 #[derive(Debug)]
 struct VmDataPath {
-    /// The VM this state belongs to (its handle), `None` once it departed.
-    vm: Option<u64>,
     route: ReadRoute,
     granularity: Granularity,
     /// FIFO tag order of cached blocks.
@@ -233,6 +442,22 @@ struct VmDataPath {
     published: f64,
     /// Cache line touched by the previous access (sequential-run state).
     last_line: u64,
+}
+
+impl Default for VmDataPath {
+    fn default() -> Self {
+        VmDataPath {
+            route: ReadRoute {
+                compute: BrickId(0),
+                membrick: BrickId(0),
+            },
+            granularity: Granularity::CacheLine,
+            fifo: VecDeque::new(),
+            cached: Vec::new(),
+            published: 0.0,
+            last_line: 0,
+        }
+    }
 }
 
 impl VmDataPath {
@@ -256,79 +481,36 @@ impl VmDataPath {
     }
 }
 
-/// What one burst contributed, for scheduling follow-ups.
-pub(super) struct BurstOutcome {
-    /// Whether the VM still existed and the burst ran.
-    pub ran: bool,
-}
-
-/// Where a VM's live state is kept in [`DataPathState`].
-#[derive(Debug, Clone, Copy)]
-enum Place {
-    /// At its arena slot.
-    Slot(usize),
-    /// In the displaced list, at this index.
-    Displaced(usize),
-}
-
-/// The slot of a VM handle in the system's VM arena.
-fn slot_of(vm: VmHandle) -> usize {
-    SlotKey::from_u64(vm.0).index() as usize
-}
-
-/// World-side runtime of the data-path model: the fabric ledger, per-VM
-/// caches and the aggregate telemetry.
-pub(super) struct DataPathState {
+/// The observer's side of the data path: the fabric ledger, per-VM caches
+/// and granularity state, and the telemetry. It applies the loop's
+/// admits, bursts, direct reads and departures in event order.
+pub(super) struct DataPathModel {
     fabric: Fabric,
-    /// Per-VM state, indexed by VM arena slot.
-    vms: Vec<VmDataPath>,
-    /// Live states whose slot a later VM took before they departed (a VM
-    /// lost to a fault departs lazily, at its next burst).
-    displaced: Vec<VmDataPath>,
+    vms: SlotTable<VmDataPath>,
 }
 
-/// The shared side of the data path: configuration, the rack fabric's
-/// offered-load ledger and the telemetry.
+/// The shared side of the data path: configuration, read prices, the rack
+/// fabric's offered-load ledger and the telemetry.
 struct Fabric {
     cfg: DataPathConfig,
+    prices: ReadPrices,
     /// The rack fabric's offered-load ledger.
     load: FabricLoad,
     stats: DataPathStats,
     queue_delays_ns: Summary,
 }
 
-impl DataPathState {
-    pub(super) fn new(cfg: DataPathConfig) -> Self {
-        DataPathState {
+impl DataPathModel {
+    pub(super) fn new(cfg: DataPathConfig, prices: ReadPrices) -> Self {
+        DataPathModel {
             fabric: Fabric {
                 cfg,
+                prices,
                 load: FabricLoad::new(),
                 stats: DataPathStats::default(),
                 queue_delays_ns: Summary::new(),
             },
-            vms: Vec::new(),
-            displaced: Vec::new(),
-        }
-    }
-
-    pub(super) fn config(&self) -> &DataPathConfig {
-        &self.fabric.cfg
-    }
-
-    /// Where the live state of `vm` is kept: its slot, or the displaced
-    /// list.
-    fn locate(&self, vm: VmHandle) -> Option<Place> {
-        let live = |state: &VmDataPath| state.vm == Some(vm.0);
-        if self.vms.get(slot_of(vm)).is_some_and(live) {
-            return Some(Place::Slot(slot_of(vm)));
-        }
-        self.displaced.iter().position(live).map(Place::Displaced)
-    }
-
-    fn state(&self, place: Place) -> &VmDataPath {
-        match place {
-            Place::Slot(i) => &self.vms[i],
-            Place::Displaced(i) => &self.displaced[i],
+            vms: SlotTable::default(),
         }
     }
 
@@ -341,27 +523,7 @@ impl DataPathState {
         let granularity = self.fabric.cfg.initial_granularity;
         let published = self.fabric.all_miss_load(granularity);
         self.fabric.publish(route, published);
-        let slot = slot_of(vm);
-        while self.vms.len() <= slot {
-            self.vms.push(VmDataPath {
-                vm: None,
-                route,
-                granularity,
-                fifo: VecDeque::new(),
-                cached: Vec::new(),
-                published: 0.0,
-                last_line: 0,
-            });
-        }
-        let state = &mut self.vms[slot];
-        if state.vm.is_some() {
-            self.displaced.push(VmDataPath {
-                fifo: std::mem::take(&mut state.fifo),
-                cached: std::mem::take(&mut state.cached),
-                ..*state
-            });
-        }
-        state.vm = Some(vm.0);
+        let state = self.vms.insert(vm);
         state.route = route;
         state.granularity = granularity;
         state.clear_tags();
@@ -371,65 +533,38 @@ impl DataPathState {
 
     /// Deregisters a departed (or faulted-away) VM, retracting its load.
     pub(super) fn on_departure(&mut self, vm: VmHandle) {
-        let (route, published) = match self.locate(vm) {
-            Some(Place::Slot(i)) => {
-                let state = &mut self.vms[i];
-                state.vm = None;
-                (state.route, state.published)
-            }
-            Some(Place::Displaced(i)) => {
-                let state = self.displaced.swap_remove(i);
-                (state.route, state.published)
-            }
-            None => return,
-        };
-        self.fabric.retract(route, published);
+        if let Some((route, published)) = self.vms.remove(vm, |s| (s.route, s.published)) {
+            self.fabric.retract(route, published);
+        }
     }
 
-    /// Latency of a direct (uncached) read of `size` bytes by `vm` — the
-    /// accessor behind the per-admission read charges. Live-model path:
-    /// never consults the precomputed flat table.
-    pub(super) fn direct_read_ns(
-        &mut self,
-        system: &DredboxSystem,
-        vm: VmHandle,
-        size: ByteSize,
-    ) -> f64 {
-        let mut breakdown = system.remote_read_latency(size);
-        let (queueing, worst) = match self.locate(vm) {
-            Some(place) => self.fabric.queueing(self.state(place), size),
+    /// Latency of a direct (uncached) read of `READ_SIZES[size]` bytes by
+    /// `vm`, the accessor behind the per-admission read charges: the flat
+    /// price plus the queuing the live fabric load charges.
+    pub(super) fn direct_read_ns(&mut self, vm: VmHandle, size: usize) -> f64 {
+        let (queueing, worst) = match self.vms.get(vm) {
+            Some(state) => self.fabric.queueing(state, size),
             // No route registered (VM without remote memory): flat model.
             None => (SimDuration::ZERO, 0.0),
         };
         let fabric = &mut self.fabric;
         fabric.stats.peak_fabric_utilization = fabric.stats.peak_fabric_utilization.max(worst);
         if queueing > SimDuration::ZERO {
-            breakdown.add(LatencyComponent::Queueing, queueing);
             fabric.queue_delays_ns.record(queueing.as_nanos() as f64);
         }
-        breakdown.total().as_nanos() as f64
+        (fabric.prices.flat[size] + queueing).as_nanos() as f64
     }
 
-    /// Runs one sampled burst of accesses for `vm`, recording per-access
-    /// latencies into `samples`. Re-publishes the VM's offered load from
-    /// the measured miss rate and steps the granularity controller. The
-    /// VM's state is updated where it lives.
-    pub(super) fn run_burst(
-        &mut self,
-        system: &DredboxSystem,
-        vm: VmHandle,
-        rng: &mut SimRng,
-        samples: &mut Summary,
-    ) -> BurstOutcome {
-        let Some(place) = self.locate(vm) else {
-            return BurstOutcome { ran: false };
-        };
-        let state = match place {
-            Place::Slot(i) => &mut self.vms[i],
-            Place::Displaced(i) => &mut self.displaced[i],
-        };
-        self.fabric.burst(system, state, rng, samples);
-        BurstOutcome { ran: true }
+    /// Runs one sampled burst of `vm`'s accesses, as drawn on the loop,
+    /// recording per-access latencies into `samples`. Re-publishes the
+    /// VM's offered load from the measured miss rate and steps the
+    /// granularity controller. The VM's state is updated where it lives.
+    pub(super) fn run_burst(&mut self, vm: VmHandle, draws: &[u64], samples: &mut Summary) {
+        let state = self
+            .vms
+            .get_mut(vm)
+            .expect("the loop logs bursts of VMs with a data-path entry");
+        self.fabric.burst(state, draws, samples);
     }
 
     /// Folds the collected telemetry into the report block. `read_latency`
@@ -488,38 +623,36 @@ impl Fabric {
         Some(out)
     }
 
-    /// Queuing delay of a fetch moving `moved` bytes for `state`, plus the
-    /// worst stage utilization it observed.
-    fn queueing(&self, state: &VmDataPath, moved: ByteSize) -> (SimDuration, f64) {
-        let Some(stages) = self.stage_loads(state) else {
+    /// Queuing delay of a fetch moving `READ_SIZES[size]` bytes for
+    /// `state`, plus the worst stage utilization it observed.
+    fn queueing(&self, state: &VmDataPath, size: usize) -> (SimDuration, f64) {
+        let (Some(contention), Some(stages)) =
+            (self.cfg.contention.as_ref(), self.stage_loads(state))
+        else {
             return (SimDuration::ZERO, 0.0);
         };
-        let cap = self
-            .cfg
-            .contention
-            .as_ref()
-            .map(|c| c.max_utilization)
-            .unwrap_or(0.0);
         let mut delay = SimDuration::ZERO;
         let mut worst = 0.0f64;
-        for stage in stages {
-            delay += stage.queueing_delay(moved, cap);
-            worst = worst.max(stage.utilization(cap));
+        for (stage, service) in stages.into_iter().zip(&self.prices.service) {
+            let rho = stage.utilization(contention.max_utilization);
+            delay += queueing_wait(service[size], rho);
+            worst = worst.max(rho);
         }
         (delay, worst)
     }
 
-    /// One fetch of `moved` bytes over the fabric for `state`: the flat
-    /// breakdown plus the queuing charge. Returns total nanoseconds and the
-    /// queuing slice alone.
-    fn fetch(&mut self, system: &DredboxSystem, state: &VmDataPath, moved: ByteSize) -> (f64, f64) {
-        let mut breakdown = system.remote_read_latency(moved);
-        let (queueing, worst) = self.queueing(state, moved);
+    /// One fetch of `READ_SIZES[size]` bytes over the fabric for `state`:
+    /// the flat price plus the queuing charge. Returns total nanoseconds
+    /// and the queuing slice alone.
+    fn fetch(&mut self, state: &VmDataPath, size: usize) -> (f64, f64) {
+        let (queueing, worst) = self.queueing(state, size);
         self.stats.peak_fabric_utilization = self.stats.peak_fabric_utilization.max(worst);
-        breakdown.add(LatencyComponent::Queueing, queueing);
         let queue_ns = queueing.as_nanos() as f64;
         self.queue_delays_ns.record(queue_ns);
-        (breakdown.total().as_nanos() as f64, queue_ns)
+        (
+            (self.prices.flat[size] + queueing).as_nanos() as f64,
+            queue_ns,
+        )
     }
 
     /// Sizes the cache tags of `state` for its granule, once per VM and
@@ -545,14 +678,8 @@ impl Fabric {
     }
 
     /// One sampled burst of `state`'s accesses (see
-    /// [`DataPathState::run_burst`]).
-    fn burst(
-        &mut self,
-        system: &DredboxSystem,
-        state: &mut VmDataPath,
-        rng: &mut SimRng,
-        samples: &mut Summary,
-    ) {
+    /// [`DataPathModel::run_burst`]).
+    fn burst(&mut self, state: &mut VmDataPath, draws: &[u64], samples: &mut Summary) {
         let profile = self.cfg.profile;
         let ws_lines = (profile.working_set.as_bytes() / Granularity::CacheLine.bytes()).max(1);
         self.size_tags(state, ws_lines);
@@ -560,13 +687,11 @@ impl Fabric {
         let mut misses = 0u64;
         let mut total_ns = 0.0f64;
         let mut queue_ns = 0.0f64;
-        for _ in 0..profile.reads_per_burst {
-            // One locality trial per access, one address draw on jumps:
-            // fixed draw count keeps replays aligned across configurations.
-            let line = if rng.chance(profile.locality) {
+        for &draw in draws {
+            let line = if draw == SEQUENTIAL {
                 (state.last_line + 1) % ws_lines
             } else {
-                rng.range(0..ws_lines)
+                draw
             };
             state.last_line = line;
             let lines_per_block = state.granularity.bytes() / Granularity::CacheLine.bytes();
@@ -585,8 +710,7 @@ impl Fabric {
                     Granularity::CacheLine => self.stats.line_fetches += 1,
                     Granularity::Page => self.stats.page_fetches += 1,
                 }
-                let moved = ByteSize::from_bytes(state.granularity.bytes());
-                let (ns, q) = self.fetch(system, state, moved);
+                let (ns, q) = self.fetch(state, state.granularity.size_index());
                 queue_ns += q;
                 if let Some(cache) = self.cfg.cache {
                     let blocks = (cache.capacity.as_bytes() / state.granularity.bytes()).max(1);
@@ -681,40 +805,57 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioSpec;
-    use dredbox_bricks::BrickId;
     use dredbox_optical::FabricStage;
 
     fn handle(slot: u32, generation: u32) -> VmHandle {
         VmHandle((u64::from(generation) << 32) | u64::from(slot))
     }
 
+    #[test]
+    fn granules_are_priced_at_their_own_sizes() {
+        for g in [Granularity::CacheLine, Granularity::Page] {
+            assert_eq!(READ_SIZES[g.size_index()], g.bytes());
+        }
+    }
+
     /// A VM lost to a fault leaves without a departure; when a new VM
     /// takes its arena slot first, both keep their published load until
-    /// each departs, as when states were keyed by the whole handle.
+    /// each departs, as when states were keyed by the whole handle. The
+    /// loop's registry follows the model's entries step by step.
     #[test]
     fn a_displaced_state_keeps_its_load_until_its_vm_departs() {
-        let cfg = ScenarioSpec::memory_thrash().data_path.expect("data path");
-        let mut dp = DataPathState::new(cfg);
+        let spec = ScenarioSpec::memory_thrash();
+        let cfg = spec.data_path.expect("data path");
+        let system = DredboxSystem::build(spec.system.clone()).expect("spec builds");
+        let mut dp = DataPathModel::new(cfg, ReadPrices::new(&system, cfg.contention.as_ref()));
+        let mut live = DataPathLoop::new(cfg);
         let route = ReadRoute {
             compute: BrickId(0),
             membrick: BrickId(8),
         };
-        let switch = |dp: &DataPathState| dp.fabric.load.load(FabricStage::RackSwitch);
+        let switch = |dp: &DataPathModel| dp.fabric.load.load(FabricStage::RackSwitch);
         let (lost, next) = (handle(3, 0), handle(3, 1));
         dp.on_admit(lost, route);
+        live.admit(lost);
         let one = switch(&dp);
         assert!(one > 0.0);
         dp.on_admit(next, route);
+        live.admit(next);
         assert_eq!(switch(&dp), 2.0 * one);
-        assert_eq!(dp.displaced.len(), 1);
+        assert_eq!(dp.vms.displaced.len(), 1);
+        assert!(live.is_live(lost) && live.is_live(next));
         dp.on_departure(lost);
+        assert!(live.depart(lost));
         assert_eq!(switch(&dp), one);
-        assert!(dp.displaced.is_empty());
+        assert!(dp.vms.displaced.is_empty());
+        assert!(!live.is_live(lost) && live.is_live(next));
         dp.on_departure(next);
         dp.on_departure(next);
+        assert!(live.depart(next));
+        assert!(!live.depart(next));
         assert_eq!(switch(&dp), 0.0);
         // The slot's state outlives its VM, buffers and all.
-        assert_eq!(dp.vms.len(), 4);
-        assert_eq!(dp.vms[3].vm, None);
+        assert_eq!(dp.vms.slots.len(), 4);
+        assert_eq!(dp.vms.slots[3].vm, None);
     }
 }

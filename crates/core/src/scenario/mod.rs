@@ -97,6 +97,7 @@
 
 mod cluster;
 mod datapath;
+mod observer;
 mod world;
 
 use std::sync::Arc;
@@ -109,6 +110,7 @@ use dredbox_sim::engine::RunOutcome;
 pub use dredbox_sim::fault::{
     FailurePlan, FailureSchedule, FaultInjector, FaultKind, FaultSite, PlannedFault, SiteCounts,
 };
+use dredbox_sim::observe::drain_on_helper;
 pub use dredbox_sim::queue::{ControlPlaneQueue, QueueAdmission};
 use dredbox_sim::report::{Row, Table};
 use dredbox_sim::rng::SimRng;
@@ -946,8 +948,9 @@ impl ScenarioSpec {
     /// the partitioned federation (one shard per rack plus the cluster
     /// front door), where the threads claim each epoch's busy shards one
     /// at a time from a shared pool. A single-rack system is one shard
-    /// with no channels, so it replays on the calling thread alone —
-    /// `threads` adds nothing there.
+    /// with no channels, so its events run on the calling thread; from
+    /// `threads = 2` its report work (priced reads and report samples)
+    /// runs beside them on one helper thread.
     ///
     /// # Errors
     ///
@@ -1030,7 +1033,17 @@ impl ScenarioSpec {
         }
 
         let mut worlds = vec![ScenarioWorld::new(self, system, demands, faults, world_rng)];
-        let outcome = engine.run_threaded(&mut worlds, threads);
+        // One shard keeps every other worker idle, so a second thread
+        // drains the rack's observation log instead.
+        let outcome = if threads >= 2 {
+            drain_on_helper(
+                &mut worlds,
+                |worlds| &mut worlds[0].log,
+                |worlds| engine.run_threaded(worlds, threads),
+            )
+        } else {
+            engine.run_threaded(&mut worlds, threads)
+        };
         let world = worlds.pop().expect("the runner hands the world back");
         Ok(world.finish(outcome, engine.now(), engine.processed()))
     }
@@ -1156,6 +1169,11 @@ impl ScenarioSpec {
 
     /// Rejects parameter combinations the trace generators would panic on,
     /// so a spec deserialized from config reaches the caller as an error.
+    /// The data path's fabric contention, when the spec configures both.
+    fn contention(&self) -> Option<&ContentionConfig> {
+        self.data_path.as_ref()?.contention.as_ref()
+    }
+
     fn validate(&self) -> Result<(), SystemError> {
         let invalid = |reason: &str| SystemError::InvalidConfig {
             reason: reason.to_owned(),

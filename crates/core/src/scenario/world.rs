@@ -30,24 +30,26 @@
 //! serial handlers.
 
 use std::collections::BTreeMap;
+use std::mem;
 use std::sync::Arc;
 
 use dredbox_bricks::BrickId;
 use dredbox_orchestrator::{OffloadSessionId, RackDigest};
 use dredbox_sim::engine::RunOutcome;
 use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
+use dredbox_sim::observe::ObservationLog;
 use dredbox_sim::parallel::{WorkerContext, WorldWorker};
 use dredbox_sim::queue::{ControlPlaneQueue, QueueAdmission};
 use dredbox_sim::rng::SimRng;
 use dredbox_sim::shard::ShardId;
-use dredbox_sim::stats::Summary;
 use dredbox_sim::time::{SimDuration, SimTime};
 use dredbox_sim::units::ByteSize;
 use dredbox_workload::VmDemand;
 
 use crate::system::{DredboxSystem, MigrationReport, OffloadReport, SystemError, VmHandle};
 
-use super::datapath::DataPathState;
+use super::datapath::{DataPathLoop, DataPathModel, ReadPrices, READ_SIZES};
+use super::observer::{Metric, Op, RackObserver};
 use super::{AvailabilityStats, ChurnModel, MigrationPolicy, ScenarioReport, ScenarioSpec};
 
 /// Events driving one scenario replay. Every calendar and mailbox entry
@@ -146,9 +148,6 @@ pub(super) struct Counters {
     pub(super) accel_wakes: u64,
 }
 
-/// The remote-read transfer sizes the per-arrival read charges draw from.
-const READ_SIZES: [u64; 4] = [64, 256, 1_024, 4_096];
-
 /// The mutable world the discrete-event engine drives.
 pub(super) struct ScenarioWorld<'a> {
     pub(super) spec: &'a ScenarioSpec,
@@ -159,25 +158,15 @@ pub(super) struct ScenarioWorld<'a> {
     /// Serializes every SDM request of the replay (admissions, scale-ups,
     /// releases, migrations) through the rack's one controller.
     pub(super) control_plane: ControlPlaneQueue,
-    pub(super) scale_up_delays_s: Summary,
-    pub(super) read_latencies_ns: Summary,
-    /// Precomputed remote-read latency total per [`READ_SIZES`] entry —
-    /// valid ONLY while the latency model is pure in the transfer size.
-    /// Every draw goes through [`ScenarioWorld::read_latency_for`], which
-    /// bypasses this table whenever the spec configures the load-dependent
-    /// data path.
-    read_latency_table: [f64; READ_SIZES.len()],
-    /// Live data-path model (fabric load, caches, granularity controller);
-    /// `None` replays the flat latency model unchanged.
-    pub(super) data_path: Option<DataPathState>,
-    pub(super) utilization: Summary,
-    pub(super) migration_downtime_s: Summary,
-    pub(super) precopy_counterfactual_s: Summary,
-    pub(super) scaleout_counterfactual_s: Summary,
-    pub(super) control_plane_wait_s: Summary,
-    pub(super) offload_time_s: Summary,
-    pub(super) offload_local_counterfactual_s: Summary,
-    pub(super) accel_utilization: Summary,
+    /// The report work of every event, in event order: priced reads,
+    /// data-path admits, bursts and departures, and every report sample.
+    /// Its [`RackObserver`] owns the data-path model and the summaries.
+    pub(super) log: ObservationLog<RackObserver>,
+    /// The loop's side of the data path (its draws, and which VMs hold an
+    /// entry); `None` replays the flat latency model unchanged.
+    data_path: Option<DataPathLoop>,
+    /// Reused list of the VMs on one brick, for rebalance passes.
+    vms_scratch: Vec<VmHandle>,
     /// The spec's seeded fault schedule (empty when the spec has none);
     /// [`ScenarioEvent::Fault`]/[`ScenarioEvent::Repair`] index into it.
     pub(super) faults: FailureSchedule,
@@ -186,8 +175,6 @@ pub(super) struct ScenarioWorld<'a> {
     /// Availability telemetry; reported only when the spec injects faults
     /// or runs a rolling upgrade.
     pub(super) availability: AvailabilityStats,
-    /// VMs affected per struck fault (blast radius).
-    pub(super) blast_radius_vms: Summary,
     /// VMs lost to each currently-outstanding fault, so the repair can
     /// charge VM-seconds lost over the whole outage.
     pub(super) lost_at: BTreeMap<FaultSite, u64>,
@@ -205,43 +192,29 @@ impl<'a> ScenarioWorld<'a> {
         rng: SimRng,
     ) -> Self {
         let penalty = spec.system.sdm_timings.queued_request_penalty;
-        // The *flat* remote-read latency model is pure in the transfer
-        // size, so the per-arrival read charges can look totals up instead
-        // of rebuilding a hop-by-hop breakdown per read. The table is a
-        // cache of that purity assumption — read_latency_for() bypasses it
-        // the moment the spec configures the load-dependent data path.
-        let read_latency_table = READ_SIZES.map(|size| {
-            system
-                .remote_read_latency(ByteSize::from_bytes(size))
-                .total()
-                .as_nanos() as f64
-        });
-        let data_path = spec.data_path.map(DataPathState::new);
+        let prices = ReadPrices::new(&system, spec.contention());
+        let model = spec.data_path.map(|cfg| DataPathModel::new(cfg, prices));
         ScenarioWorld {
             spec,
             system,
             demands,
             rng,
-            read_latency_table,
-            data_path,
+            log: ObservationLog::new(RackObserver::new(prices, model)),
+            data_path: spec.data_path.map(DataPathLoop::new),
+            vms_scratch: Vec::new(),
             counters: Counters::default(),
             control_plane: ControlPlaneQueue::new(penalty),
-            scale_up_delays_s: Summary::new(),
-            read_latencies_ns: Summary::new(),
-            utilization: Summary::new(),
-            migration_downtime_s: Summary::new(),
-            precopy_counterfactual_s: Summary::new(),
-            scaleout_counterfactual_s: Summary::new(),
-            control_plane_wait_s: Summary::new(),
-            offload_time_s: Summary::new(),
-            offload_local_counterfactual_s: Summary::new(),
-            accel_utilization: Summary::new(),
             faults,
             injector: FaultInjector::new(),
             availability: AvailabilityStats::default(),
-            blast_radius_vms: Summary::new(),
             lost_at: BTreeMap::new(),
         }
+    }
+
+    /// Logs one sample of a report summary.
+    fn sample(&mut self, metric: Metric, value: f64) {
+        self.log
+            .record(|batch| batch.ops.push(Op::Sample { metric, value }));
     }
 
     /// Maps a fault site's rack-relative ordinal onto the `component`-th
@@ -267,51 +240,25 @@ impl<'a> ScenarioWorld<'a> {
         }
     }
 
-    /// The single accessor every remote-read latency draw goes through.
-    ///
-    /// When the spec configures the data path, the latency model is no
-    /// longer pure in the transfer size (it depends on live fabric load),
-    /// so the precomputed table is bypassed and the live model is consulted
-    /// per read. On the contention-free path the table is used — and
-    /// checked against the live model in debug builds, so a future impure
-    /// model cannot silently serve stale entries.
-    fn read_latency_for(&mut self, vm: VmHandle, slot: usize) -> f64 {
-        let size = ByteSize::from_bytes(READ_SIZES[slot]);
-        match self.data_path.as_mut() {
-            Some(dp) => dp.direct_read_ns(&self.system, vm, size),
-            None => {
-                debug_assert_eq!(
-                    self.read_latency_table[slot],
-                    self.system.remote_read_latency(size).total().as_nanos() as f64,
-                    "read-latency table diverged from the live model"
-                );
-                self.read_latency_table[slot]
-            }
-        }
-    }
-
     /// Charges the configured number of remote reads (of mixed transfer
-    /// sizes) through the interconnect latency model. The per-read size
-    /// draw is unchanged from the pre-data-path engine.
+    /// sizes): the loop draws each size, and the observer prices the read,
+    /// through the live data-path model when the spec configures one. The
+    /// per-read size draw is unchanged from the pre-data-path engine (it
+    /// is `SimRng::choose` over [`READ_SIZES`], by index).
     fn charge_reads(&mut self, vm: VmHandle) {
         for _ in 0..self.spec.reads_per_vm {
-            let pick = self.rng.choose(&READ_SIZES).expect("sizes non-empty");
-            let slot = READ_SIZES
-                .iter()
-                .position(|s| s == pick)
-                .expect("chosen from READ_SIZES");
-            let ns = self.read_latency_for(vm, slot);
-            self.read_latencies_ns.record(ns);
+            let size = self.rng.range(0..READ_SIZES.len()) as u8;
+            self.log
+                .record(|batch| batch.ops.push(Op::Read { vm, size }));
         }
     }
 
     pub(super) fn sample_utilization(&mut self) {
-        self.utilization.record(self.system.pool_utilization());
+        self.sample(Metric::PoolUtilization, self.system.pool_utilization());
         // Accelerator utilization is sampled only on systems that carry
         // dACCELBRICKs, so accelerator-free scenarios report `None`.
         if self.spec.system.total_accel_bricks() > 0 {
-            self.accel_utilization
-                .record(self.system.accel_utilization());
+            self.sample(Metric::AccelUtilization, self.system.accel_utilization());
         }
     }
 
@@ -327,10 +274,14 @@ impl<'a> ScenarioWorld<'a> {
         if report.woke_brick {
             self.counters.accel_wakes += 1;
         }
-        self.offload_time_s
-            .record((admission.queue_wait + report.offload_total).as_secs_f64());
-        self.offload_local_counterfactual_s
-            .record(report.local_compute.as_secs_f64());
+        self.sample(
+            Metric::OffloadTime,
+            (admission.queue_wait + report.offload_total).as_secs_f64(),
+        );
+        self.sample(
+            Metric::OffloadLocalCounterfactual,
+            report.local_compute.as_secs_f64(),
+        );
         admission
     }
 
@@ -347,8 +298,7 @@ impl<'a> ScenarioWorld<'a> {
     /// and records its queueing delay.
     pub(super) fn admit_control(&mut self, now: SimTime, service: SimDuration) -> QueueAdmission {
         let admission = self.control_plane.admit(now, service);
-        self.control_plane_wait_s
-            .record(admission.queue_wait.as_secs_f64());
+        self.sample(Metric::ControlPlaneWait, admission.queue_wait.as_secs_f64());
         admission
     }
 
@@ -373,7 +323,9 @@ impl<'a> ScenarioWorld<'a> {
         // of its reads are priced, so its standing load is on the ledger.
         if let Some(dp) = self.data_path.as_mut() {
             if let Some(route) = self.system.vm_read_route(vm) {
-                dp.on_admit(vm, route);
+                dp.admit(vm);
+                self.log
+                    .record(|batch| batch.ops.push(Op::Admit { vm, route }));
                 let profile = dp.config().profile;
                 if profile.bursts_per_vm > 0 {
                     ctx.schedule(
@@ -465,10 +417,14 @@ impl<'a> ScenarioWorld<'a> {
     pub(super) fn record_migration(&mut self, now: SimTime, report: &MigrationReport) {
         let admission = self.admit_control(now, report.orchestration_delay);
         self.counters.migrations += 1;
-        self.migration_downtime_s
-            .record((admission.queue_wait + report.downtime).as_secs_f64());
-        self.precopy_counterfactual_s
-            .record(report.conventional_precopy.as_secs_f64());
+        self.sample(
+            Metric::MigrationDowntime,
+            (admission.queue_wait + report.downtime).as_secs_f64(),
+        );
+        self.sample(
+            Metric::PrecopyCounterfactual,
+            report.conventional_precopy.as_secs_f64(),
+        );
     }
 
     /// One rebalance pass per the spec's migration policy.
@@ -481,8 +437,10 @@ impl<'a> ScenarioWorld<'a> {
                 ..
             } => {
                 let mut moved = 0usize;
+                let mut vms = mem::take(&mut self.vms_scratch);
                 'sources: for brick in self.system.sparse_bricks(spare_below) {
-                    for vm in self.system.vms_on(brick) {
+                    self.system.vms_on_into(brick, &mut vms);
+                    for &vm in &vms {
                         if moved >= max_moves {
                             break 'sources;
                         }
@@ -494,6 +452,7 @@ impl<'a> ScenarioWorld<'a> {
                         }
                     }
                 }
+                self.vms_scratch = vms;
             }
             MigrationPolicy::EvacuateHotspot {
                 saturated_at,
@@ -504,7 +463,9 @@ impl<'a> ScenarioWorld<'a> {
                     return;
                 };
                 let mut evacuated = 0usize;
-                for vm in self.system.vms_on(hot) {
+                let mut vms = mem::take(&mut self.vms_scratch);
+                self.system.vms_on_into(hot, &mut vms);
+                for &vm in &vms {
                     let Some(target) = self.system.evacuation_target(vm) else {
                         self.counters.migration_failures += 1;
                         continue;
@@ -513,13 +474,14 @@ impl<'a> ScenarioWorld<'a> {
                         evacuated += 1;
                     }
                 }
+                self.vms_scratch = vms;
                 if evacuated > 0 {
                     self.counters.evacuations += 1;
                     // The counterfactual: conventional elasticity would
                     // spread the load by provisioning as many fresh VMs
                     // through the cloud control plane.
                     for delay in baseline.provision_burst(evacuated, &mut self.rng) {
-                        self.scaleout_counterfactual_s.record(delay.as_secs_f64());
+                        self.sample(Metric::ScaleoutCounterfactual, delay.as_secs_f64());
                     }
                 }
             }
@@ -628,7 +590,7 @@ impl<'a> ScenarioWorld<'a> {
                 self.availability.circuits_restored += restored as u64;
             }
         }
-        self.blast_radius_vms.record(affected as f64);
+        self.sample(Metric::BlastRadius, affected as f64);
         self.sample_utilization();
     }
 
@@ -672,27 +634,27 @@ impl<'a> ScenarioWorld<'a> {
     }
 
     /// Assembles the report once the engine stops.
-    pub(super) fn finish(
-        mut self,
-        outcome: RunOutcome,
-        end: SimTime,
-        events: u64,
-    ) -> ScenarioReport {
+    pub(super) fn finish(self, outcome: RunOutcome, end: SimTime, events: u64) -> ScenarioReport {
         let c = self.counters;
+        let mut observed = self.log.into_observer();
+        debug_assert_eq!(
+            *observed.prices(),
+            ReadPrices::new(&self.system, self.spec.contention()),
+            "read prices diverged from the live model"
+        );
         // The data-path block only exists on specs that configure the
         // load-dependent model; every pre-existing report (and golden)
         // stays byte-identical.
-        let read_latency = self.read_latencies_ns.finish();
-        let data_path = self
-            .data_path
-            .take()
+        let read_latency = observed.finish(Metric::ReadLatency);
+        let data_path = observed
+            .take_data_path()
             .map(|dp| dp.finish(read_latency.as_ref()));
         // The availability block only exists on specs that inject faults
         // or run a rolling upgrade; every pre-existing report (and golden)
         // stays byte-identical.
         let availability = if self.spec.faults.is_some() || self.spec.upgrade.is_some() {
             let mut stats = self.availability;
-            stats.blast_radius = self.blast_radius_vms.finish();
+            stats.blast_radius = observed.finish(Metric::BlastRadius);
             stats.mttr = self.injector.mttr().clone().finish();
             Some(stats)
         } else {
@@ -723,16 +685,16 @@ impl<'a> ScenarioWorld<'a> {
             bitstream_programs: c.bitstream_programs,
             accel_wakes: c.accel_wakes,
             control_plane_peak_queue: self.control_plane.peak_depth() as u64,
-            scale_up_delay: self.scale_up_delays_s.finish(),
+            scale_up_delay: observed.finish(Metric::ScaleUpDelay),
             read_latency,
-            pool_utilization: self.utilization.finish(),
-            migration_downtime: self.migration_downtime_s.finish(),
-            precopy_counterfactual: self.precopy_counterfactual_s.finish(),
-            scaleout_counterfactual: self.scaleout_counterfactual_s.finish(),
-            control_plane_wait: self.control_plane_wait_s.finish(),
-            offload_time: self.offload_time_s.finish(),
-            offload_local_counterfactual: self.offload_local_counterfactual_s.finish(),
-            accel_utilization: self.accel_utilization.finish(),
+            pool_utilization: observed.finish(Metric::PoolUtilization),
+            migration_downtime: observed.finish(Metric::MigrationDowntime),
+            precopy_counterfactual: observed.finish(Metric::PrecopyCounterfactual),
+            scaleout_counterfactual: observed.finish(Metric::ScaleoutCounterfactual),
+            control_plane_wait: observed.finish(Metric::ControlPlaneWait),
+            offload_time: observed.finish(Metric::OffloadTime),
+            offload_local_counterfactual: observed.finish(Metric::OffloadLocalCounterfactual),
+            accel_utilization: observed.finish(Metric::AccelUtilization),
             // The cluster tier reports from the federation's own world.
             cluster: None,
             availability,
@@ -795,8 +757,10 @@ impl ScenarioWorld<'_> {
                     Ok(report) => {
                         let admission = self.admit_control(now, report.orchestration_delay);
                         self.counters.scale_ups += 1;
-                        self.scale_up_delays_s
-                            .record((admission.queue_wait + report.total_delay).as_secs_f64());
+                        self.sample(
+                            Metric::ScaleUpDelay,
+                            (admission.queue_wait + report.total_delay).as_secs_f64(),
+                        );
                         if let Some(churn) = self.spec.churn {
                             ctx.schedule(
                                 admission.completion + churn.hold,
@@ -842,8 +806,9 @@ impl ScenarioWorld<'_> {
                 if self.system.release_vm(vm).is_ok() {
                     self.counters.departed += 1;
                     self.counters.live -= 1;
-                    if let Some(dp) = self.data_path.as_mut() {
-                        dp.on_departure(vm);
+                    if self.data_path.as_mut().is_some_and(|dp| dp.depart(vm)) {
+                        self.log
+                            .record(|batch| batch.ops.push(Op::Departure { vm }));
                     }
                     let timings = self.spec.system.sdm_timings;
                     self.admit_control(now, timings.request_rpc + timings.reservation_write);
@@ -942,12 +907,24 @@ impl ScenarioWorld<'_> {
                 if self.system.vm_brick(vm).is_none() {
                     // The VM is gone (departed or lost to a fault) under a
                     // stale handle: retract any load it still publishes.
-                    dp.on_departure(vm);
+                    if dp.depart(vm) {
+                        self.log
+                            .record(|batch| batch.ops.push(Op::Departure { vm }));
+                    }
                     return;
                 }
-                let outcome =
-                    dp.run_burst(&self.system, vm, &mut self.rng, &mut self.read_latencies_ns);
-                if outcome.ran && remaining > 1 {
+                // A VM without a data-path entry runs no burst, and so
+                // schedules no successor.
+                if !dp.is_live(vm) {
+                    return;
+                }
+                let rng = &mut self.rng;
+                self.log.record(|batch| {
+                    dp.draw_burst(rng, &mut batch.draws);
+                    let reads = dp.config().profile.reads_per_burst;
+                    batch.ops.push(Op::Burst { vm, reads });
+                });
+                if remaining > 1 {
                     let every = dp.config().profile.burst_every;
                     ctx.schedule(
                         now + every,

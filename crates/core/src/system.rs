@@ -1031,10 +1031,17 @@ impl DredboxSystem {
 
     /// Live offload sessions of a VM, in begin order.
     pub fn vm_offloads(&self, handle: VmHandle) -> Vec<OffloadSessionId> {
-        self.vms
-            .get(handle_key(handle))
-            .map(|r| r.offloads.to_vec())
-            .unwrap_or_default()
+        let mut out = Vec::new();
+        self.vm_offloads_into(handle, &mut out);
+        out
+    }
+
+    /// [`DredboxSystem::vm_offloads`] into `out`, which is cleared first.
+    pub fn vm_offloads_into(&self, handle: VmHandle, out: &mut Vec<OffloadSessionId>) {
+        out.clear();
+        if let Some(record) = self.vms.get(handle_key(handle)) {
+            out.extend_from_slice(&record.offloads);
+        }
     }
 
     /// Total live offload sessions across the rack.
@@ -1064,16 +1071,30 @@ impl DredboxSystem {
         self.vms_where(|r| r.brick == brick)
     }
 
+    /// [`DredboxSystem::vms_on`] into `out`, which is cleared first, so a
+    /// caller asking brick after brick reuses one buffer.
+    pub fn vms_on_into(&self, brick: BrickId, out: &mut Vec<VmHandle>) {
+        self.vms_where_into(|r| r.brick == brick, out);
+    }
+
     /// Live VMs whose record `keep` selects, in admission order.
     fn vms_where(&self, keep: impl Fn(&VmRecord) -> bool) -> Vec<VmHandle> {
-        let mut out: Vec<(u64, VmHandle)> = self
-            .vms
-            .iter()
-            .filter(|(_, r)| keep(r))
-            .map(|(key, r)| (r.seq, VmHandle(key.to_u64())))
-            .collect();
-        out.sort_unstable_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, h)| h).collect()
+        let mut out = Vec::new();
+        self.vms_where_into(keep, &mut out);
+        out
+    }
+
+    /// [`DredboxSystem::vms_where`] into `out`, which is cleared first.
+    fn vms_where_into(&self, keep: impl Fn(&VmRecord) -> bool, out: &mut Vec<VmHandle>) {
+        out.clear();
+        out.extend(
+            self.vms
+                .iter()
+                .filter(|(_, r)| keep(r))
+                .map(|(key, _)| VmHandle(key.to_u64())),
+        );
+        // Handles are distinct, so the unstable sort is deterministic.
+        out.sort_unstable_by_key(|&h| self.vms.get(handle_key(h)).map(|r| r.seq));
     }
 
     /// The consolidation target for a VM: the fullest *other* active brick
@@ -1314,8 +1335,10 @@ impl DredboxSystem {
         if !newly {
             return Ok(report);
         }
+        let mut sessions = Vec::new();
         for handle in self.vms_on(brick) {
-            for session in self.vm_offloads(handle) {
+            self.vm_offloads_into(handle, &mut sessions);
+            for &session in &sessions {
                 if self.end_offload(session).is_ok() {
                     report.sessions_dropped += 1;
                 }
@@ -1388,8 +1411,10 @@ impl DredboxSystem {
             .map(|(key, r)| (r.seq, VmHandle(key.to_u64())))
             .collect();
         affected.sort_unstable_by_key(|(seq, _)| *seq);
+        let mut sessions = Vec::new();
         for (_, handle) in affected {
-            for session in self.vm_offloads(handle) {
+            self.vm_offloads_into(handle, &mut sessions);
+            for &session in &sessions {
                 if self.end_offload(session).is_ok() {
                     report.sessions_dropped += 1;
                 }

@@ -103,9 +103,19 @@ impl StageLoad {
         if rho <= 0.0 {
             return SimDuration::ZERO;
         }
-        let service = self.capacity.transfer_time(moved);
-        SimDuration::from_nanos_f64(service.as_nanos() as f64 * rho / (1.0 - rho))
+        queueing_wait(self.capacity.transfer_time(moved), rho)
     }
+}
+
+/// The wait `service × ρ/(1−ρ)` of a transfer whose service time at a
+/// stage of utilization `rho` is `service`: what
+/// [`StageLoad::queueing_delay`] charges, for callers that keep service
+/// times in a table. Zero on an idle stage.
+pub fn queueing_wait(service: SimDuration, rho: f64) -> SimDuration {
+    if rho <= 0.0 {
+        return SimDuration::ZERO;
+    }
+    SimDuration::from_nanos_f64(service.as_nanos() as f64 * rho / (1.0 - rho))
 }
 
 /// Adds the per-stage queuing delays for a transfer moving `moved` bytes to

@@ -49,7 +49,7 @@ pub mod tgl;
 pub mod transaction;
 
 pub use config::LatencyConfig;
-pub use contention::{charge_queueing, ContentionConfig, StageLoad};
+pub use contention::{charge_queueing, queueing_wait, ContentionConfig, StageLoad};
 pub use error::InterconnectError;
 pub use ni::NetworkInterface;
 pub use nswitch::OnBrickSwitch;

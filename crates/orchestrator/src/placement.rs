@@ -63,10 +63,21 @@ impl PlacementPolicy {
     /// queries from a [`CapacityIndex`]'s bitsets; a property test keeps
     /// the two decision-for-decision identical.
     pub fn choose(self, bricks: &[ComputeBrickView], vcpus: u32) -> Option<BrickId> {
+        self.choose_from(bricks.iter().copied(), vcpus)
+    }
+
+    /// [`PlacementPolicy::choose`] over any re-walkable sequence of views,
+    /// so a caller can scan its bricks without collecting them first.
+    pub fn choose_from<I>(self, bricks: I, vcpus: u32) -> Option<BrickId>
+    where
+        I: IntoIterator<Item = ComputeBrickView>,
+        I::IntoIter: Clone,
+    {
         use std::cmp::Reverse;
 
-        let powered = || bricks.iter().filter(|b| b.powered_on);
-        let fits = move |b: &&ComputeBrickView| b.free_cores >= vcpus;
+        let bricks = bricks.into_iter();
+        let powered = || bricks.clone().filter(|b| b.powered_on);
+        let fits = move |b: &ComputeBrickView| b.free_cores >= vcpus;
 
         let choice = match self {
             PlacementPolicy::FirstFit => powered().filter(fits).map(|b| b.brick).min(),
@@ -89,7 +100,7 @@ impl PlacementPolicy {
             // Last resort for every policy: wake a sleeping brick that
             // could host the VM at full capacity.
             bricks
-                .iter()
+                .clone()
                 .filter(|b| !b.powered_on && b.total_cores >= vcpus)
                 .map(|b| b.brick)
                 .min()

@@ -539,13 +539,19 @@ impl SdmController {
     /// compute brick — the pre-index availability inspection, kept as the
     /// reference path for equivalence testing and benchmarking.
     pub fn compute_views(&self) -> Vec<ComputeBrickView> {
+        self.compute_view_iter().collect()
+    }
+
+    /// [`SdmController::compute_views`] without collecting them: the
+    /// debug cross-check of every admission walks this, so debug builds
+    /// allocate no view list per admission.
+    fn compute_view_iter(&self) -> impl Iterator<Item = ComputeBrickView> + Clone + '_ {
         // Failed bricks are skipped so the scan stays equivalent to the
         // index, which drops them on failure.
         self.compute
             .iter()
             .filter(|(b, _)| !self.failed_compute.contains(b))
             .map(|(b, s)| s.slot().view(b))
-            .collect()
     }
 
     /// Handles a VM allocation request: picks a compute brick for the vCPUs
@@ -572,7 +578,8 @@ impl SdmController {
             })?;
         debug_assert_eq!(
             Some(brick),
-            self.placement.choose(&self.compute_views(), request.vcpus),
+            self.placement
+                .choose_from(self.compute_view_iter(), request.vcpus),
             "indexed placement diverged from the reference scan"
         );
         self.admit_on(brick, request)

@@ -12,6 +12,9 @@
 //!   one rack or a federation, on one or more threads.
 //! * [`engine`] — [`engine::RunOutcome`], why a run stopped.
 //! * [`flat`] — sorted-vector maps and sets for small per-brick tables.
+//! * [`observe`] — an observation log that carries decision-free work
+//!   (report samples, priced reads) off the event loop, inline or to a
+//!   helper thread.
 //! * [`arena`] — generational slab arenas giving the scenario hot path stable
 //!   `u32` slots and an allocation-free steady state.
 //! * [`rng`] — a seedable, reproducible random-number generator wrapper so that
@@ -47,6 +50,7 @@ pub mod error;
 pub mod event;
 pub mod fault;
 pub mod flat;
+pub mod observe;
 pub mod parallel;
 pub mod queue;
 pub mod report;

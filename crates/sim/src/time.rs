@@ -94,6 +94,21 @@ impl SimTime {
     }
 }
 
+/// `x.round() as u64` for a finite, non-negative `x`, in integer
+/// operations rather than a libm `round` call. Below 2^52 the fraction
+/// `x - trunc(x)` is exact, so comparing it with one half rounds half
+/// away from zero as `f64::round` does; from 2^52 up every `f64` is an
+/// integer, and the cast saturates past `u64::MAX` as before.
+fn round_to_u64(x: f64) -> u64 {
+    const FRACTIONLESS: f64 = 4_503_599_627_370_496.0; // 2^52
+    if x < FRACTIONLESS {
+        let whole = x as u64;
+        whole + u64::from(x - whole as f64 >= 0.5)
+    } else {
+        x as u64
+    }
+}
+
 impl SimDuration {
     /// A zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
@@ -128,7 +143,7 @@ impl SimDuration {
             secs.is_finite() && secs >= 0.0,
             "seconds must be finite and non-negative"
         );
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(round_to_u64(secs * 1e9))
     }
 
     /// Creates a duration from a floating-point number of microseconds.
@@ -141,7 +156,7 @@ impl SimDuration {
             micros.is_finite() && micros >= 0.0,
             "microseconds must be finite and non-negative"
         );
-        SimDuration((micros * 1e3).round() as u64)
+        SimDuration(round_to_u64(micros * 1e3))
     }
 
     /// Creates a duration from a floating-point number of nanoseconds.
@@ -154,7 +169,7 @@ impl SimDuration {
             nanos.is_finite() && nanos >= 0.0,
             "nanoseconds must be finite and non-negative"
         );
-        SimDuration(nanos.round() as u64)
+        SimDuration(round_to_u64(nanos))
     }
 
     /// Length in nanoseconds.
@@ -313,6 +328,19 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
         assert_eq!(SimDuration::from_micros_f64(0.25).as_nanos(), 250);
         assert_eq!(SimDuration::from_nanos_f64(7.6).as_nanos(), 8);
+        assert_eq!(SimDuration::from_nanos_f64(2.5).as_nanos(), 3);
+        assert_eq!(
+            SimDuration::from_nanos_f64(0.49999999999999994).as_nanos(),
+            0
+        );
+        assert_eq!(SimDuration::from_nanos_f64(-0.0).as_nanos(), 0);
+        assert_eq!(SimDuration::from_nanos_f64(1e30).as_nanos(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "nanoseconds must be finite and non-negative")]
+    fn negative_nanoseconds_are_rejected() {
+        SimDuration::from_nanos_f64(-0.5);
     }
 
     #[test]
@@ -331,6 +359,35 @@ mod tests {
             let d = SimDuration::from_nanos(delta);
             prop_assert_eq!((t + d) - d, t);
             prop_assert_eq!((t + d).duration_since(t), d);
+        }
+
+        #[test]
+        fn rounding_matches_f64_round_on_halves(n in 0u64..1 << 54) {
+            // n / 2 is exact: every integer and half below 2^53, and the
+            // neighbours just either side of each half.
+            let x = n as f64 / 2.0;
+            for y in [x, f64::from_bits(x.to_bits().saturating_sub(1)), f64::from_bits(x.to_bits() + 1)] {
+                prop_assert_eq!(SimDuration::from_nanos_f64(y).as_nanos(), y.round() as u64);
+            }
+        }
+
+        #[test]
+        fn rounding_matches_f64_round_on_integers_from_2_pow_52(n in 1u64 << 52..u64::MAX) {
+            let x = n as f64;
+            prop_assert_eq!(SimDuration::from_nanos_f64(x).as_nanos(), x.round() as u64);
+        }
+
+        #[test]
+        fn rounding_saturates_past_u64_max_as_f64_round_does(x in 1.8446744073709552e19f64..1.0e300) {
+            prop_assert_eq!(SimDuration::from_nanos_f64(x).as_nanos(), u64::MAX);
+            prop_assert_eq!(SimDuration::from_nanos_f64(x).as_nanos(), x.round() as u64);
+        }
+
+        #[test]
+        fn rounding_matches_f64_round_on_every_finite_bit_pattern(bits in 0u64..0x7FF0_0000_0000_0000) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(SimDuration::from_nanos_f64(x).as_nanos(), x.round() as u64);
+            prop_assert_eq!(SimDuration::from_secs_f64(x / 1e9).as_nanos(), (x / 1e9 * 1e9).round() as u64);
         }
 
         #[test]

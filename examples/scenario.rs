@@ -34,7 +34,11 @@
 //! federated scenario on N worker threads through the conservative
 //! parallel runner, asserts the report is bit-identical to the serial
 //! replay — and, when the committed golden snapshot for the seed exists,
-//! byte-identical to that too — and prints both wall-clock times.
+//! byte-identical to that too — and prints both wall-clock times. With
+//! `datapath`, it replays each data-path scenario on N threads, where the
+//! rack's observation log (bursts, priced reads, report samples) drains
+//! on a helper thread, and asserts the report renders identically to the
+//! serial one.
 //!
 //! Passing `datacenter-64` replays the 64-rack federation on `--threads N`
 //! workers (default 1) with a determinism replay. It is too large for the
@@ -282,6 +286,19 @@ fn main() -> Result<(), SystemError> {
             println!("\n{report}");
             let replay = spec.run(seed)?;
             assert_eq!(report, replay, "{} same-seed replay diverged", spec.name);
+            if threads > 1 {
+                let threaded = spec.run_with_threads(seed, threads)?;
+                assert_eq!(
+                    format!("{report:#?}\n{report}"),
+                    format!("{threaded:#?}\n{threaded}"),
+                    "{} on {threads} threads diverged from the serial replay",
+                    spec.name
+                );
+                println!(
+                    "thread check: {} on {threads} threads rendered identically",
+                    spec.name
+                );
+            }
             let dp = report.data_path.as_ref().expect("data-path block reported");
             assert!(dp.reads > 0, "{}: no accesses driven", spec.name);
             assert!(

@@ -170,6 +170,9 @@ fn incast_contention_collapses_p99_and_adaptive_granularity_recovers_it() {
     );
 }
 
+/// A single rack's events run on one thread whatever the count; from two
+/// threads its observation log (bursts, priced reads, report samples)
+/// drains on a helper, which may not move a report bit.
 #[test]
 fn data_path_scenarios_replay_bit_identically_at_any_thread_count() {
     for spec in [ScenarioSpec::memory_thrash(), ScenarioSpec::incast()] {

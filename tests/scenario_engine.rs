@@ -366,9 +366,10 @@ fn every_scenario_serializes_requests_through_the_control_plane_queue() {
 
 /// The bit-determinism contract of the sharded engine: every extended-suite
 /// scenario, at the two pinned seeds, must reproduce the committed snapshot
-/// under `tests/golden/` byte for byte — serially, and for multi-rack specs
-/// on 2 and 4 worker threads too, since the conservative runner's epoch
-/// barriers and (time, shard, seq) merge may not shift a single byte. Any
+/// under `tests/golden/` byte for byte on 1, 2 and 4 worker threads. On a
+/// federation the conservative runner's epoch barriers and (time, shard,
+/// seq) merge may not shift a single byte; on a single rack neither may
+/// the observation log drained on a helper thread from 2 threads up. Any
 /// engine, control-plane, or index change that shifts a single report bit
 /// fails here; regenerate intentionally with
 /// `cargo run --release --example golden`.
@@ -380,15 +381,7 @@ fn extended_suite_matches_golden_snapshots_at_every_thread_count() {
             let path = dir.join(format!("{}-{}.txt", spec.name, seed));
             let golden = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
-            // A single rack is one shard, which runs on the calling
-            // thread whatever the worker count, so only federations fan
-            // out.
-            let threads: &[usize] = if spec.system.racks > 1 {
-                &[1, 2, 4]
-            } else {
-                &[1]
-            };
-            for &threads in threads {
+            for threads in [1, 2, 4] {
                 let report = spec.run_with_threads(seed, threads).expect("scenario runs");
                 let rendered = format!("{report:#?}\n{report}");
                 assert!(
@@ -407,19 +400,22 @@ fn extended_suite_matches_golden_snapshots_at_every_thread_count() {
 /// by the serial single-rack loop. `rack-scale`'s budget is smaller than
 /// its 4,096 queued arrivals, so the epoch runner steps one event at a
 /// time from the start; `offload-heavy`'s outlasts its 32 arrivals and
-/// binds inside the run's one epoch.
+/// binds inside the run's one epoch. `memory-thrash` cuts its data path
+/// mid-run, so the report prices exactly the bursts and reads logged
+/// before the cut, whichever thread drained the log.
 #[test]
 fn single_rack_budget_cutoffs_match_the_serial_renders() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
     for (mut spec, budget) in [
         (ScenarioSpec::rack_scale(), 3_001u64),
         (ScenarioSpec::offload_heavy(), 97),
+        (ScenarioSpec::memory_thrash(), 101),
     ] {
         spec.event_budget = budget;
         let path = dir.join(format!("{}-2018-budget-{budget}.txt", spec.name));
         let expected = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
-        for threads in [1, 2] {
+        for threads in [1, 2, 4] {
             let report = spec.run_with_threads(2018, threads).expect("scenario runs");
             assert_eq!(report.outcome, RunOutcome::BudgetExhausted, "{}", spec.name);
             assert_eq!(report.events, budget, "{}", spec.name);
