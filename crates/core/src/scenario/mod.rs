@@ -1167,13 +1167,13 @@ impl ScenarioSpec {
         Ok(world.finish(outcome, engine.now(), engine.processed()))
     }
 
-    /// Rejects parameter combinations the trace generators would panic on,
-    /// so a spec deserialized from config reaches the caller as an error.
     /// The data path's fabric contention, when the spec configures both.
     fn contention(&self) -> Option<&ContentionConfig> {
         self.data_path.as_ref()?.contention.as_ref()
     }
 
+    /// Rejects parameter combinations the trace generators would panic on,
+    /// so a spec deserialized from config reaches the caller as an error.
     fn validate(&self) -> Result<(), SystemError> {
         let invalid = |reason: &str| SystemError::InvalidConfig {
             reason: reason.to_owned(),

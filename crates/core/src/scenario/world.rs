@@ -10,7 +10,9 @@
 //! VM and hypervisor records are interned in slab arenas inside
 //! [`DredboxSystem`], every SDM request serializes through the rack's
 //! [`ControlPlaneQueue`], and each power-sweep tick is one
-//! [`DredboxSystem::power_off_unused`].
+//! [`DredboxSystem::power_off_unused`]. Work no decision reads (pricing a
+//! read, recording a report sample) is not done here at all: it is
+//! logged, in event order, for the rack's observer (`super::observer`).
 //!
 //! ## Two orchestration tiers, one event alphabet
 //!
