@@ -14,10 +14,14 @@
 //! release, scale, migrate and power transition refreshes the owning
 //! rack's digest (a handful of `O(1)`/`O(keys)` reads off the rack's own
 //! indexes), and the controller stores it with one write into a dense
-//! per-rack array. A routing decision is one allocation-free pass over
-//! that array — `O(racks)` digest compares (64 at datacenter scale),
-//! never per-brick state — and so is the spillover pick that follows a
-//! refusal ([`ClusterController::pick`]).
+//! per-rack array. Beside that array it keeps the federated racks sorted
+//! by the policy's preference key; storing a digest moves its one rack to
+//! its new place in that order, a shift over the racks it passes. A
+//! routing decision, and the spillover pick that follows a refusal
+//! ([`ClusterController::pick`]), walks the order best first and stops
+//! at the first rack that passes the screens: allocation-free, never
+//! per-brick state, and `O(racks)` digest compares (64 at datacenter
+//! scale) only when nothing ahead of the chosen rack admits the request.
 //!
 //! ## Admission screens are optimistic
 //!
@@ -43,6 +47,7 @@
 //! off" bound the conventional datacenter's.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem;
 
 use serde::{Deserialize, Serialize};
 
@@ -189,6 +194,12 @@ pub struct ClusterController {
     /// Per-rack provisioned-power budget; `None` disables admission-time
     /// power screening.
     budget_milliwatts: Option<u64>,
+    /// Every federated rack under its preference key, ascending: the
+    /// order routing walks. Derived from `policy` and the digests, and
+    /// kept in step by `upsert` and `remove`, so it never changes
+    /// equality or the snapshot.
+    #[serde(skip)]
+    order: Vec<(PreferenceKey, RackId)>,
 }
 
 /// A rack's place in the policy's preference order: lower is better.
@@ -208,9 +219,9 @@ impl ClusterController {
         self.policy
     }
 
-    /// Number of federated racks. `O(racks)`.
+    /// Number of federated racks.
     pub fn len(&self) -> usize {
-        self.racks.iter().filter(|s| s.digest.is_some()).count()
+        self.order.len()
     }
 
     /// Whether no rack is federated.
@@ -287,17 +298,50 @@ impl ClusterController {
         true
     }
 
-    /// Inserts or replaces a rack's digest. `O(1)` — one write.
+    /// Inserts or replaces a rack's digest, and moves the rack from its
+    /// old place in the preference order to its new one: a binary search,
+    /// then one swap per rack it passes.
     pub fn upsert(&mut self, rack: RackId, digest: RackDigest) {
-        self.slot_mut(rack).digest = Some(digest);
+        let entry = (self.preference(rack, &digest), rack);
+        let Some(old) = self.slot_mut(rack).digest.replace(digest) else {
+            let at = self.order.partition_point(|e| *e < entry);
+            self.order.insert(at, entry);
+            return;
+        };
+        let old = (self.preference(rack, &old), rack);
+        if old == entry {
+            return;
+        }
+        let mut at = self.position(old);
+        self.order[at] = entry;
+        while at > 0 && self.order[at - 1] > entry {
+            self.order.swap(at - 1, at);
+            at -= 1;
+        }
+        while at + 1 < self.order.len() && self.order[at + 1] < entry {
+            self.order.swap(at, at + 1);
+            at += 1;
+        }
     }
 
-    /// Removes a rack from the federation. `O(1)`.
+    /// Removes a rack from the federation.
     pub fn remove(&mut self, rack: RackId) {
-        if let Some(slot) = self.racks.get_mut(usize::from(rack.0)) {
-            *slot = RackSlot::default();
-            self.trim();
+        let Some(slot) = self.racks.get_mut(usize::from(rack.0)) else {
+            return;
+        };
+        let old = mem::take(slot);
+        self.trim();
+        if let Some(digest) = old.digest {
+            let at = self.position((self.preference(rack, &digest), rack));
+            self.order.remove(at);
         }
+    }
+
+    /// Where a federated rack's entry sits in the preference order.
+    fn position(&self, entry: (PreferenceKey, RackId)) -> usize {
+        self.order
+            .binary_search(&entry)
+            .expect("a federated rack is in the preference order")
     }
 
     /// Total provisioned draw across the federation — the figure the TCO
@@ -336,8 +380,8 @@ impl ClusterController {
 
     /// Routes one admission: the first rack in the policy's preference
     /// order that is schedulable, passes the capacity screen and has power
-    /// headroom. One allocation-free pass over the digests — never
-    /// per-brick state.
+    /// headroom. One allocation-free walk of the order, never per-brick
+    /// state.
     pub fn route(&self, vcpus: u32, memory: ByteSize) -> RackRoute {
         self.pick(vcpus, memory, |_| false)
     }
@@ -350,70 +394,53 @@ impl ClusterController {
     /// ahead of the chosen one (all of them when none is chosen) that were
     /// skipped for lack of power headroom.
     pub fn pick(&self, vcpus: u32, memory: ByteSize, skip: impl Fn(RackId) -> bool) -> RackRoute {
-        let mut best: Option<(PreferenceKey, RackId)> = None;
-        let mut deferred = 0u32;
-        for (rack, digest) in self.screened(vcpus, memory, &skip) {
-            if !self.headroom_ok(digest) {
-                deferred += 1;
+        let mut power_deferrals = 0u32;
+        for (rack, digest) in self.candidates(vcpus, memory) {
+            if skip(rack) {
                 continue;
             }
-            let key = self.preference(rack, digest);
-            if best.map_or(true, |(k, _)| key < k) {
-                best = Some((key, rack));
-                if self.policy == PlacementPolicy::FirstFit {
-                    // Ids ascend, so the first fit is the best and every
-                    // deferral counted so far lies ahead of it.
-                    break;
-                }
+            if !self.headroom_ok(digest) {
+                power_deferrals += 1;
+                continue;
             }
+            return RackRoute {
+                rack: Some(rack),
+                power_deferrals,
+            };
         }
-        let power_deferrals = match best {
-            Some((chosen, _)) if deferred > 0 && self.policy != PlacementPolicy::FirstFit => {
-                self.screened(vcpus, memory, &skip)
-                    .filter(|(rack, d)| !self.headroom_ok(d) && self.preference(*rack, d) < chosen)
-                    .count() as u32
-            }
-            _ => deferred,
-        };
         RackRoute {
-            rack: best.map(|(_, rack)| rack),
+            rack: None,
             power_deferrals,
         }
     }
 
-    /// Schedulable racks that pass the digest screen and are not skipped,
-    /// ascending by id.
-    fn screened<'a>(
-        &'a self,
+    /// Schedulable racks that pass the digest screen, best first.
+    fn candidates(
+        &self,
         vcpus: u32,
         memory: ByteSize,
-        skip: &'a impl Fn(RackId) -> bool,
-    ) -> impl Iterator<Item = (RackId, &'a RackDigest)> + 'a {
-        self.racks.iter().enumerate().filter_map(move |(i, slot)| {
-            let rack = RackId(i as u16);
+    ) -> impl Iterator<Item = (RackId, &RackDigest)> + '_ {
+        self.order.iter().filter_map(move |&(_, rack)| {
+            let slot = &self.racks[usize::from(rack.0)];
             let digest = slot.digest.as_ref()?;
-            (!slot.unschedulable && digest.admits(vcpus, memory) && !skip(rack))
-                .then_some((rack, digest))
+            (!slot.unschedulable && digest.admits(vcpus, memory)).then_some((rack, digest))
         })
     }
 
     /// Every rack a spillover could reach, best first: the racks repeated
     /// [`ClusterController::pick`]s would visit, optionally excluding one
     /// (the drain source must not receive its own evacuees). Allocates
-    /// and sorts; the admission paths pick one rack at a time instead.
+    /// the list; the admission paths pick one rack at a time instead.
     pub fn spillover_order(
         &self,
         vcpus: u32,
         memory: ByteSize,
         exclude: Option<RackId>,
     ) -> Vec<RackId> {
-        let mut order: Vec<(PreferenceKey, RackId)> = self
-            .screened(vcpus, memory, &|r| Some(r) == exclude)
-            .filter(|(_, d)| self.headroom_ok(d))
-            .map(|(r, d)| (self.preference(r, d), r))
-            .collect();
-        order.sort_unstable();
-        order.into_iter().map(|(_, r)| r).collect()
+        self.candidates(vcpus, memory)
+            .filter(|&(r, d)| Some(r) != exclude && self.headroom_ok(d))
+            .map(|(r, _)| r)
+            .collect()
     }
 
     /// The racks in a `(free cores, rack)` rank, ascending — the

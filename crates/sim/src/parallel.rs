@@ -37,9 +37,18 @@
 //! a time, in ascending shard order, until the pool is empty; how long a
 //! unit takes is not known in advance, so nothing is assigned up front.
 //! An epoch with a single active unit, or a run with N = 1, runs on the
-//! calling thread alone and wakes no helper. Helpers sleep between
-//! epochs and acknowledge each one; a handler panic on a helper travels
-//! back with its acknowledgement and is re-raised on the calling thread.
+//! calling thread alone and wakes no helper. Helpers wait between epochs
+//! and acknowledge each one; a handler panic on a helper travels back
+//! with its acknowledgement and is re-raised on the calling thread.
+//!
+//! Both waits at the epoch barrier — a helper's for the next epoch, the
+//! calling thread's for the helpers' acknowledgements — first spin on an
+//! atomic mirror of the pool state for at most [`SPIN`], and then park on
+//! a condition variable; a thread wakes a parked one only when one is
+//! parked. The spin is taken only when every participating thread can
+//! have a core of its own (N ≤ [`thread::available_parallelism`]);
+//! otherwise a spinning thread would hold the core the thread it waits
+//! for needs, so waiters park at once.
 //!
 //! # Determinism
 //!
@@ -85,11 +94,13 @@
 
 use std::any::Any;
 use std::collections::BinaryHeap;
+use std::hint;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use crate::engine::RunOutcome;
 use crate::event::EventQueue;
@@ -98,6 +109,14 @@ use crate::time::{SimDuration, SimTime};
 
 /// Effectively-unbounded horizon cap.
 const FAR_FUTURE: SimTime = SimTime::from_nanos(u64::MAX);
+
+/// How long a thread waiting at the epoch barrier spins before it parks.
+/// In a two-thread `datacenter-64` replay on a 2-core host, the calling
+/// thread spends ~80 µs on average between pooled epochs (a front-door-
+/// only epoch and the barrier's bookkeeping), but the tail is long:
+/// spinning 100 µs still left the helper parked for ~10% of its time,
+/// 400 µs for ~2%.
+const SPIN: Duration = Duration::from_micros(400);
 
 /// A world that can be torn into per-shard workers for epoch execution.
 ///
@@ -436,7 +455,9 @@ struct Unit<E, Wk> {
 }
 
 /// One parallel epoch for one shard: pop while strictly below the
-/// horizon, claiming from the shared budget before every pop.
+/// horizon, claiming from the shared budget before every pop. A
+/// budget-free run (`cap == u64::MAX`) can never reach its cap, so it
+/// leaves the shared counter alone.
 fn process_unit<E, Wk: WorldWorker<Event = E>>(
     unit: &mut Unit<E, Wk>,
     claims: &AtomicU64,
@@ -452,7 +473,7 @@ fn process_unit<E, Wk: WorldWorker<Event = E>>(
             Some(at) if at < unit.horizon => {}
             _ => break,
         }
-        if claims.fetch_add(1, AtomicOrdering::Relaxed) >= cap {
+        if cap != u64::MAX && claims.fetch_add(1, AtomicOrdering::Relaxed) >= cap {
             break;
         }
         let (at, event) = unit.lane.pop().expect("peeked event must exist");
@@ -480,6 +501,10 @@ struct PoolState<E, Wk> {
     done: Vec<Unit<E, Wk>>,
     /// Helpers that have not yet acknowledged the current epoch.
     running: usize,
+    /// Helpers parked on `start`.
+    parked_helpers: usize,
+    /// Whether the calling thread is parked on `idle`.
+    caller_parked: bool,
     /// The first helper panic of the epoch, re-raised by the caller.
     panic: Option<Box<dyn Any + Send>>,
     /// Set once the run ends, normally or by panic: helpers exit.
@@ -492,14 +517,22 @@ struct PoolState<E, Wk> {
 /// behind it.
 struct Pool<E, Wk> {
     state: Mutex<PoolState<E, Wk>>,
-    /// Wakes the helpers for a new epoch or for shutdown.
+    /// Wakes parked helpers for a new epoch or for shutdown.
     start: Condvar,
-    /// Wakes the calling thread once every helper has acknowledged.
+    /// Wakes the parked calling thread once every helper has acknowledged.
     idle: Condvar,
+    /// `state.epoch`, mirrored for helpers spinning at the barrier; also
+    /// bumped at shutdown so that they stop spinning.
+    epoch: AtomicU64,
+    /// `state.running`, mirrored for the calling thread spinning at the
+    /// barrier.
+    running: AtomicUsize,
+    /// Whether barrier waits spin before they park (see the module docs).
+    spin: bool,
 }
 
 impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
-    fn new(shards: usize) -> Self {
+    fn new(shards: usize, spin: bool) -> Self {
         Pool {
             state: Mutex::new(PoolState {
                 epoch: 0,
@@ -507,11 +540,37 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
                 todo: Vec::with_capacity(shards),
                 done: Vec::with_capacity(shards),
                 running: 0,
+                parked_helpers: 0,
+                caller_parked: false,
                 panic: None,
                 closed: false,
             }),
             start: Condvar::new(),
             idle: Condvar::new(),
+            epoch: AtomicU64::new(0),
+            running: AtomicUsize::new(0),
+            spin,
+        }
+    }
+
+    /// Spins until `ready` holds or [`SPIN`] has passed, when the pool
+    /// spins at all. The caller then checks its condition under the lock
+    /// and parks if it still does not hold.
+    fn spin_until(&self, ready: impl Fn() -> bool) {
+        if !self.spin {
+            return;
+        }
+        let deadline = Instant::now() + SPIN;
+        loop {
+            for _ in 0..64 {
+                if ready() {
+                    return;
+                }
+                hint::spin_loop();
+            }
+            if Instant::now() >= deadline {
+                return;
+            }
         }
     }
 
@@ -539,13 +598,16 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
     fn help(&self, claims: &AtomicU64, lat: &[Vec<Option<SimDuration>>]) {
         let mut seen = 0;
         loop {
+            self.spin_until(|| self.epoch.load(AtomicOrdering::Acquire) != seen);
             let cap = {
                 let mut state = self.lock();
                 while state.epoch == seen && !state.closed {
+                    state.parked_helpers += 1;
                     state = self
                         .start
                         .wait(state)
                         .unwrap_or_else(PoisonError::into_inner);
+                    state.parked_helpers -= 1;
                 }
                 if state.closed {
                     return;
@@ -554,15 +616,16 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
                 state.cap
             };
             let result = panic::catch_unwind(AssertUnwindSafe(|| self.drain(claims, cap, lat)));
-            let last = {
+            let wake = {
                 let mut state = self.lock();
                 if let Err(payload) = result {
                     state.panic.get_or_insert(payload);
                 }
                 state.running -= 1;
-                state.running == 0
+                self.running.store(state.running, AtomicOrdering::Release);
+                state.running == 0 && state.caller_parked
             };
-            if last {
+            if wake {
                 self.idle.notify_one();
             }
         }
@@ -579,21 +642,29 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
         cap: u64,
         lat: &[Vec<Option<SimDuration>>],
     ) {
-        {
+        let wake = {
             let mut state = self.lock();
             mem::swap(&mut state.todo, active);
             state.cap = cap;
             state.epoch += 1;
             state.running = helpers;
+            self.running.store(helpers, AtomicOrdering::Release);
+            self.epoch.store(state.epoch, AtomicOrdering::Release);
+            state.parked_helpers > 0
+        };
+        if wake {
+            self.start.notify_all();
         }
-        self.start.notify_all();
         self.drain(claims, cap, lat);
+        self.spin_until(|| self.running.load(AtomicOrdering::Acquire) == 0);
         let mut state = self.lock();
         while state.running > 0 {
+            state.caller_parked = true;
             state = self
                 .idle
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.caller_parked = false;
         }
         if let Some(payload) = state.panic.take() {
             drop(state);
@@ -610,6 +681,7 @@ struct ClosePool<'p, E, Wk: WorldWorker<Event = E>>(&'p Pool<E, Wk>);
 impl<E, Wk: WorldWorker<Event = E>> Drop for ClosePool<'_, E, Wk> {
     fn drop(&mut self) {
         self.0.lock().closed = true;
+        self.0.epoch.fetch_add(1, AtomicOrdering::Release);
         self.0.start.notify_all();
     }
 }
@@ -634,8 +706,20 @@ impl<E: Send> ShardedEngine<E> {
     where
         W: ParallelWorld<Event = E>,
     {
+        let threads = threads.clamp(1, self.queues.len());
+        // One thread never waits at a barrier, so it skips the host query.
+        let spin = threads > 1
+            && thread::available_parallelism().is_ok_and(|cores| threads <= cores.get());
+        self.run_epochs(world, threads, spin)
+    }
+
+    /// [`ShardedEngine::run_threaded`] on exactly `threads` threads, whose
+    /// barrier waits spin before they park iff `spin`.
+    fn run_epochs<W>(&mut self, world: &mut W, threads: usize, spin: bool) -> RunOutcome
+    where
+        W: ParallelWorld<Event = E>,
+    {
         let shards = self.queues.len();
-        let threads_eff = threads.clamp(1, shards);
 
         // Channel latency matrix, validated once: a declared channel with
         // zero latency would collapse every horizon onto the global
@@ -711,8 +795,8 @@ impl<E: Send> ShardedEngine<E> {
         let mut active: Vec<Unit<E, W::Worker>> = Vec::with_capacity(shards);
         let mut outs: Vec<Outgoing<E>> = Vec::new();
         let claims = AtomicU64::new(0);
-        let pool = Pool::new(shards);
-        let helpers = threads_eff - 1;
+        let pool = Pool::new(shards, spin);
+        let helpers = threads - 1;
         // Epoch-shape counters, reported on stderr when
         // `DREDBOX_EPOCH_DEBUG` is set: events-per-epoch and the
         // single-unit share tell whether a workload's lookahead feeds the
@@ -1634,7 +1718,9 @@ mod tests {
 
     /// Every shard ticks every 10 ns; shard 3's handler panics once its
     /// clock reaches 500 ns, mid-run, with all eight units in the pool.
-    fn run_with_a_panicking_shard(threads: usize) {
+    /// `spin` picks the barrier's wait branch; `None` leaves it to the
+    /// host, as `run_threaded` does.
+    fn run_with_a_panicking_shard(threads: usize, spin: Option<bool>) {
         struct Faulty;
         struct FaultyWorker;
         impl WorldWorker for FaultyWorker {
@@ -1669,7 +1755,10 @@ mod tests {
         for s in 0..8 {
             engine.schedule(ShardId(s), SimTime::ZERO, ());
         }
-        engine.run_threaded(&mut Faulty, threads);
+        match spin {
+            Some(spin) => engine.run_epochs(&mut Faulty, threads, spin),
+            None => engine.run_threaded(&mut Faulty, threads),
+        };
     }
 
     /// A handler panic on a helper thread reaches the caller instead of
@@ -1677,13 +1766,127 @@ mod tests {
     #[test]
     #[should_panic(expected = "shard 3 handler failed")]
     fn handler_panic_propagates_at_two_threads() {
-        run_with_a_panicking_shard(2);
+        run_with_a_panicking_shard(2, None);
     }
 
     #[test]
     #[should_panic(expected = "shard 3 handler failed")]
     fn handler_panic_propagates_at_four_threads() {
-        run_with_a_panicking_shard(4);
+        run_with_a_panicking_shard(4, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 3 handler failed")]
+    fn handler_panic_propagates_through_a_spinning_barrier() {
+        run_with_a_panicking_shard(2, Some(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 3 handler failed")]
+    fn handler_panic_propagates_through_a_parking_barrier() {
+        run_with_a_panicking_shard(4, Some(false));
+    }
+
+    /// Both barrier branches — spin then park, and park at once, whatever
+    /// the host's core count — give the one-thread run's logs, count,
+    /// clock and outcome, on the ring relay (one pooled epoch per hop)
+    /// and on the skewed hub (long-idle shards, so waits often park).
+    #[test]
+    fn both_barrier_branches_match_one_thread() {
+        let relay = |threads: usize, spin: bool| {
+            let mut engine = seeded_engine(4);
+            let mut world = Relay::new(4, 3000);
+            let outcome = engine.run_epochs(&mut world, threads, spin);
+            (outcome, world.logs, engine.processed(), engine.now())
+        };
+        let skewed = |threads: usize, spin: bool| {
+            let mut engine = ShardedEngine::new(6);
+            engine.schedule(ShardId(0), SimTime::ZERO, 0);
+            engine.schedule(ShardId(1), SimTime::ZERO, TOCK);
+            let mut world = Skewed {
+                logs: vec![Vec::new(); 6],
+            };
+            let outcome = engine.run_epochs(&mut world, threads, spin);
+            (outcome, world.logs, engine.processed(), engine.now())
+        };
+        let relay_baseline = relay(1, false);
+        let skewed_baseline = skewed(1, false);
+        for (threads, spin) in [(2, true), (2, false), (4, true), (4, false)] {
+            let case = format!("threads={threads} spin={spin}");
+            assert_eq!(relay(threads, spin), relay_baseline, "relay {case}");
+            assert_eq!(skewed(threads, spin), skewed_baseline, "skewed {case}");
+        }
+    }
+
+    /// Independent countdowns: an event carrying `n > 0` schedules `n − 1`
+    /// one nanosecond later on its own shard.
+    struct CountdownWorker {
+        handled: u64,
+    }
+
+    impl WorldWorker for CountdownWorker {
+        type Event = u32;
+        fn handle(&mut self, _s: ShardId, now: SimTime, n: u32, ctx: &mut WorkerContext<'_, u32>) {
+            self.handled += 1;
+            if n > 0 {
+                ctx.schedule(now + SimDuration::from_nanos(1), n - 1);
+            }
+        }
+    }
+
+    /// A budget that binds inside one pooled epoch: four countdowns of 500
+    /// events each run in a single epoch, and a budget of 777 is far above
+    /// the four events pending when it starts, so the fine-step guard
+    /// stays off and the shared claim counter alone must stop the run.
+    /// Every thread count and barrier branch stops at exactly the serial
+    /// engine's cutoff; which countdowns got how far is the unspecified
+    /// part of that corner (see the module docs).
+    #[test]
+    fn a_budget_binding_inside_a_pooled_epoch_stops_at_the_serial_cutoff() {
+        const BUDGET: u64 = 777;
+        struct Countdowns {
+            handled: Vec<u64>,
+        }
+        impl ShardedProcess for Countdowns {
+            type Event = u32;
+            fn handle(
+                &mut self,
+                s: ShardId,
+                now: SimTime,
+                n: u32,
+                ctx: &mut ShardContext<'_, u32>,
+            ) {
+                self.handled[s.0 as usize] += 1;
+                if n > 0 {
+                    ctx.schedule(now + SimDuration::from_nanos(1), n - 1);
+                }
+            }
+        }
+        let build = || {
+            let mut engine = ShardedEngine::new(4).with_event_budget(BUDGET);
+            for s in 0..4 {
+                engine.schedule(ShardId(s), SimTime::ZERO, 499);
+            }
+            engine
+        };
+        let mut serial = build();
+        let serial_outcome = serial.run(&mut Countdowns {
+            handled: vec![0; 4],
+        });
+        assert_eq!(serial_outcome, RunOutcome::BudgetExhausted);
+        assert_eq!(serial.processed(), BUDGET);
+
+        for (threads, spin) in [(1, false), (2, true), (2, false), (4, false)] {
+            let case = format!("threads={threads} spin={spin}");
+            let mut engine = build();
+            let mut world: Vec<CountdownWorker> =
+                (0..4).map(|_| CountdownWorker { handled: 0 }).collect();
+            let outcome = engine.run_epochs(&mut world, threads, spin);
+            assert_eq!(outcome, serial_outcome, "{case}");
+            assert_eq!(engine.processed(), BUDGET, "{case}");
+            let handled: u64 = world.iter().map(|w| w.handled).sum();
+            assert_eq!(handled, BUDGET, "{case}");
+        }
     }
 
     const HOT_TICKS: u64 = 40_000;

@@ -12,6 +12,13 @@
 //!   rack of the order; and
 //! * repeated picks, each skipping the racks picked before, enumerate the
 //!   whole order, and so does `spillover_order`.
+//!
+//! The controller keeps that order as derived state, moved one rack at a
+//! time as digests change. A second property interleaves upserts, removals,
+//! drains, undrains and budget changes, and after every step checks picks
+//! under random skip sets (rack and `power_deferrals`) and
+//! `spillover_order` against the oracle, then that a snapshot round trip
+//! of the mutated controller compares equal and picks identically.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -20,6 +27,7 @@ use proptest::prelude::*;
 use dredbox::bricks::RackId;
 use dredbox::orchestrator::{ClusterController, PlacementPolicy, RackDigest, RackRoute};
 use dredbox::sim::units::{ByteSize, Watts};
+use dredbox_snap::{Reader, Snap};
 
 const POLICIES: [PlacementPolicy; 3] = [
     PlacementPolicy::FirstFit,
@@ -70,9 +78,19 @@ impl Federation {
     }
 
     fn route(&self, policy: PlacementPolicy, vcpus: u32, memory: ByteSize) -> RackRoute {
+        self.pick(policy, vcpus, memory, |_| false)
+    }
+
+    fn pick(
+        &self,
+        policy: PlacementPolicy,
+        vcpus: u32,
+        memory: ByteSize,
+        skip: impl Fn(RackId) -> bool,
+    ) -> RackRoute {
         let mut power_deferrals = 0;
         for rack in self.preference_order(policy) {
-            if !self.digests[&rack].admits(vcpus, memory) {
+            if !self.digests[&rack].admits(vcpus, memory) || skip(rack) {
                 continue;
             }
             if !self.headroom_ok(rack) {
@@ -101,6 +119,19 @@ impl Federation {
             .into_iter()
             .filter(|r| self.digests[r].admits(vcpus, memory) && self.headroom_ok(*r))
             .collect()
+    }
+
+    /// `ClusterController::remove`: a removed rack also leaves the
+    /// unschedulable set.
+    fn remove(&mut self, rack: RackId) {
+        self.digests.remove(&rack);
+        self.unschedulable.remove(&rack);
+    }
+
+    /// `ClusterController::undrain_rack`: only a federated, drained rack
+    /// comes back.
+    fn undrain(&mut self, rack: RackId) -> bool {
+        self.digests.contains_key(&rack) && self.unschedulable.remove(&rack)
     }
 
     fn controller(
@@ -199,6 +230,117 @@ proptest! {
                     "{:?} spillover order diverged", policy
                 );
             }
+        }
+    }
+}
+
+/// Whether `rack` is in the bit mask `mask`.
+fn in_mask(mask: u64, rack: RackId) -> bool {
+    mask & (1u64 << rack.0) != 0
+}
+
+/// Compares every routing answer of `cluster` with the oracle's, for
+/// each request `(vcpus, GiB, skip mask, excluded rack)`.
+fn assert_routes_like(
+    cluster: &ClusterController,
+    fed: &Federation,
+    policy: PlacementPolicy,
+    requests: &[(u32, u64, u64, u16)],
+    step: usize,
+) {
+    for &(vcpus, gib, mask, exclude) in requests {
+        let memory = ByteSize::from_gib(gib);
+        assert_eq!(
+            cluster.pick(vcpus, memory, |r| in_mask(mask, r)),
+            fed.pick(policy, vcpus, memory, |r| in_mask(mask, r)),
+            "{policy:?} pick diverged after step {step}"
+        );
+        assert_eq!(
+            cluster.route(vcpus, memory),
+            fed.route(policy, vcpus, memory),
+            "{policy:?} route diverged after step {step}"
+        );
+        let exclude = RackId(exclude);
+        let order: Vec<RackId> = fed
+            .spillover_order(policy, vcpus, memory)
+            .into_iter()
+            .filter(|&r| r != exclude)
+            .collect();
+        assert_eq!(
+            cluster.spillover_order(vcpus, memory, Some(exclude)),
+            order,
+            "{policy:?} spillover order diverged after step {step}"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn routing_follows_the_reference_through_interleaved_mutations(
+        seed in proptest::collection::vec((0u16..24, digest_fields()), 0..16),
+        steps in proptest::collection::vec(
+            ((0u8..10, 0u16..24), digest_fields(), 0u64..5),
+            1..48,
+        ),
+        requests in proptest::collection::vec((1u32..40, 0u64..5, 0u64..u64::MAX, 0u16..24), 1..5),
+    ) {
+        for policy in POLICIES {
+            let mut fed = Federation {
+                digests: BTreeMap::new(),
+                unschedulable: BTreeSet::new(),
+                budget_milliwatts: None,
+            };
+            let mut cluster = ClusterController::new(policy);
+            for &(rack, draw) in &seed {
+                fed.digests.insert(RackId(rack), digest(draw));
+                cluster.upsert(RackId(rack), digest(draw));
+            }
+            for (i, &((kind, rack), draw, watts)) in steps.iter().enumerate() {
+                let rack = RackId(rack);
+                match kind {
+                    // Upserts dominate, as digest refreshes do in a replay:
+                    // free cores and activity move, so racks change places.
+                    0..=4 => {
+                        fed.digests.insert(rack, digest(draw));
+                        cluster.upsert(rack, digest(draw));
+                    }
+                    5 => {
+                        fed.remove(rack);
+                        cluster.remove(rack);
+                    }
+                    6 | 7 => {
+                        let schedulable = kind == 7;
+                        if schedulable {
+                            fed.unschedulable.remove(&rack);
+                        } else {
+                            fed.unschedulable.insert(rack);
+                        }
+                        cluster.set_schedulable(rack, schedulable);
+                    }
+                    8 => {
+                        prop_assert_eq!(
+                            cluster.undrain_rack(rack),
+                            fed.undrain(rack),
+                            "{:?} undrain diverged at step {}", policy, i
+                        );
+                    }
+                    _ => {
+                        // Zero draws "no budget".
+                        fed.budget_milliwatts = (watts > 0).then_some(watts * 1_000);
+                        cluster.set_rack_budget(
+                            fed.budget_milliwatts.map(|mw| Watts::new(mw as f64 / 1e3)),
+                        );
+                    }
+                }
+                prop_assert_eq!(cluster.len(), fed.digests.len());
+                assert_routes_like(&cluster, &fed, policy, &requests, i);
+            }
+
+            let mut bytes = Vec::new();
+            cluster.snap(&mut bytes);
+            let back = ClusterController::unsnap(&mut Reader::new(&bytes)).expect("round trip");
+            prop_assert_eq!(&back, &cluster, "{:?} snapshot round trip", policy);
+            assert_routes_like(&back, &fed, policy, &requests, steps.len());
         }
     }
 }

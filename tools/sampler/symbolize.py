@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolize a sampler.c dump and print self and inclusive profiles.
 
-    python3 tools/sampler/symbolize.py sampler.out [--top N]
+    python3 tools/sampler/symbolize.py sampler.out [--top N] [--thread TID]
         [--under PATTERN] [--callers PATTERN] [--callees PATTERN]
 
 Each address is mapped through the dump's copy of /proc/self/maps to a
@@ -17,6 +17,11 @@ its inode must be the one the dump's maps line records. A binary rebuilt
 after the dump was taken has a new inode; its addresses are then
 reported as `?? replaced <file>` (with a warning on stderr) instead of
 being resolved against code they never belonged to.
+
+Every sample carries the id of the thread it was taken on. A `threads`
+table prints the samples kept per thread (the main thread's id is the
+process id, labelled `main`), and --thread keeps only the samples of one
+thread, by id or as `main`.
 
 With --under, only the samples with a frame matching the regular
 expression PATTERN anywhere on their stack are kept, and every table
@@ -123,11 +128,16 @@ class Symbolizer:
 
 
 def read_dump(path):
-    maps, samples, section = [], [], None
+    """The dump's executable maps, its samples as (thread id, words) and
+    the process id (None for dumps that predate thread ids)."""
+    maps, samples, section, pid = [], [], None, None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("# "):
                 section = line.split()[1]
+                m = re.match(r"# thread-samples pid (\d+)", line)
+                if m:
+                    pid = int(m.group(1))
                 continue
             if section == "maps":
                 m = re.match(r"([0-9a-f]+)-([0-9a-f]+) (\S+) ([0-9a-f]+) \S+ (\d+)\s+(/\S.*)$",
@@ -135,9 +145,12 @@ def read_dump(path):
                 if m and "x" in m.group(3):
                     maps.append((int(m.group(1), 16), int(m.group(2), 16),
                                  int(m.group(4), 16), int(m.group(5)), m.group(6)))
+            elif section == "thread-samples" and line.strip():
+                tid, *words = line.split()
+                samples.append((int(tid), [int(word, 16) for word in words]))
             elif section == "samples" and line.strip():
-                samples.append([int(word, 16) for word in line.split()])
-    return maps, samples
+                samples.append((None, [int(word, 16) for word in line.split()]))
+    return maps, samples, pid
 
 
 # Rust frames shown per caller chain.
@@ -172,6 +185,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("dump")
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--thread", metavar="TID",
+                        help="keep only the samples of thread TID (an id, or `main`)")
     parser.add_argument("--under", metavar="PATTERN",
                         help="keep only samples with a frame matching PATTERN on the stack")
     parser.add_argument("--callers", metavar="PATTERN",
@@ -183,15 +198,21 @@ def main():
     callee_filter = re.compile(args.callees) if args.callees else None
     under_filter = re.compile(args.under) if args.under else None
 
-    maps, samples = read_dump(args.dump)
+    maps, samples, pid = read_dump(args.dump)
     if not samples:
         sys.exit("symbolize.py: the dump holds no samples")
+    if args.thread is not None:
+        want = pid if args.thread == "main" else int(args.thread)
+        samples = [(tid, words) for tid, words in samples if tid == want]
+        if not samples:
+            sys.exit(f"symbolize.py: no sample was taken on thread {args.thread}")
     sym = Symbolizer(maps)
     self_counts, inclusive = collections.Counter(), collections.Counter()
     callers, matched = collections.Counter(), 0
     callees, under = collections.Counter(), 0
+    threads = collections.Counter()
     total = 0
-    for rip, top, *chain in samples:
+    for tid, (rip, top, *chain) in samples:
         leaf = sym.name(rip) or "?? unmapped"
         stack = [leaf]
         caller = sym.name(top) if top else None
@@ -202,6 +223,7 @@ def main():
         if under_filter and not any(under_filter.search(f) for f in stack):
             continue
         total += 1
+        threads[tid] += 1
         self_counts[leaf] += 1
         inclusive.update(set(stack))
         if leaf_filter and leaf_filter.search(leaf):
@@ -215,6 +237,12 @@ def main():
     if not total:
         sys.exit(f"symbolize.py: no sample has a frame matching /{args.under}/")
     kept = f" under /{args.under}/" if under_filter else ""
+    if args.thread is not None:
+        kept += f" on thread {args.thread}"
+    print(f"== threads ({total} samples{kept})")
+    for tid, n in threads.most_common():
+        label = "main" if tid == pid else "?" if tid is None else str(tid)
+        print(f"{100.0 * n / total:6.2f}% {n:8d}  {label}")
     for title, counts in (("self", self_counts), ("inclusive", inclusive)):
         print(f"== {title} ({total} samples{kept})")
         for name, n in counts.most_common(args.top):
