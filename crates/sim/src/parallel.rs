@@ -720,6 +720,7 @@ impl<E: Send> ShardedEngine<E> {
         W: ParallelWorld<Event = E>,
     {
         let shards = self.queues.len();
+        debug_assert!((1..=shards).contains(&threads), "threads out of range");
 
         // Channel latency matrix, validated once: a declared channel with
         // zero latency would collapse every horizon onto the global

@@ -1,10 +1,10 @@
 //! Cluster routing against its reference: the [`ClusterController`]
-//! answers `route` and the front door's spillover pick with one pass over
-//! a dense per-rack array. This file keeps the materialized preference
-//! order those passes replaced — the rack list sorted per policy, filtered
-//! by schedulability, the digest screen and the power budget — as the
-//! oracle, and checks over random digests, budgets, drained racks and
-//! `tried` masks, for all three policies, that
+//! answers `route` and the front door's spillover pick by walking a
+//! preference order it keeps up to date as digests change. This file
+//! builds that order from scratch instead — the rack list sorted per
+//! policy, filtered by schedulability, the digest screen and the power
+//! budget — as the oracle, and checks over random digests, budgets,
+//! drained racks and `tried` masks, for all three policies, that
 //!
 //! * `route` picks the first rack of that order and counts exactly the
 //!   over-budget racks ahead of it in `power_deferrals`;
@@ -13,8 +13,8 @@
 //! * repeated picks, each skipping the racks picked before, enumerate the
 //!   whole order, and so does `spillover_order`.
 //!
-//! The controller keeps that order as derived state, moved one rack at a
-//! time as digests change. A second property interleaves upserts, removals,
+//! The controller's order is derived state, moved one rack at a time as
+//! digests change. A second property interleaves upserts, removals,
 //! drains, undrains and budget changes, and after every step checks picks
 //! under random skip sets (rack and `power_deferrals`) and
 //! `spillover_order` against the oracle, then that a snapshot round trip

@@ -129,7 +129,7 @@ class Symbolizer:
 
 def read_dump(path):
     """The dump's executable maps, its samples as (thread id, words) and
-    the process id (None for dumps that predate thread ids)."""
+    the process id."""
     maps, samples, section, pid = [], [], None, None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -148,8 +148,6 @@ def read_dump(path):
             elif section == "thread-samples" and line.strip():
                 tid, *words = line.split()
                 samples.append((int(tid), [int(word, 16) for word in words]))
-            elif section == "samples" and line.strip():
-                samples.append((None, [int(word, 16) for word in line.split()]))
     return maps, samples, pid
 
 
@@ -241,8 +239,7 @@ def main():
         kept += f" on thread {args.thread}"
     print(f"== threads ({total} samples{kept})")
     for tid, n in threads.most_common():
-        label = "main" if tid == pid else "?" if tid is None else str(tid)
-        print(f"{100.0 * n / total:6.2f}% {n:8d}  {label}")
+        print(f"{100.0 * n / total:6.2f}% {n:8d}  {'main' if tid == pid else tid}")
     for title, counts in (("self", self_counts), ("inclusive", inclusive)):
         print(f"== {title} ({total} samples{kept})")
         for name, n in counts.most_common(args.top):
