@@ -43,7 +43,7 @@
 //!
 //! Both waits at the epoch barrier — a helper's for the next epoch, the
 //! calling thread's for the helpers' acknowledgements — first spin on an
-//! atomic mirror of the pool state for at most [`SPIN`], and then park on
+//! atomic mirror of the pool state for at most `SPIN` (400 µs), then park on
 //! a condition variable; a thread wakes a parked one only when one is
 //! parked. The spin is taken only when every participating thread can
 //! have a core of its own (N ≤ [`thread::available_parallelism`]);
