@@ -44,11 +44,14 @@
 //! Both waits at the epoch barrier — a helper's for the next epoch, the
 //! calling thread's for the helpers' acknowledgements — first spin on an
 //! atomic mirror of the pool state for at most `SPIN` (400 µs), then park on
-//! a condition variable; a thread wakes a parked one only when one is
-//! parked. The spin is taken only when every participating thread can
-//! have a core of its own (N ≤ [`thread::available_parallelism`]);
+//! a condition variable. The spin is taken only when every participating
+//! thread can have a core of its own (N ≤ [`thread::available_parallelism`]);
 //! otherwise a spinning thread would hold the core the thread it waits
-//! for needs, so waiters park at once.
+//! for needs, so waiters park at once. The check counts this run's own
+//! threads only, not how busy the host is: threaded runs made side by
+//! side (a test binary's parallel tests, a sweep in several processes)
+//! each still spin and may take turns on a shared core. That costs wall
+//! time, never results.
 //!
 //! # Determinism
 //!
@@ -455,9 +458,7 @@ struct Unit<E, Wk> {
 }
 
 /// One parallel epoch for one shard: pop while strictly below the
-/// horizon, claiming from the shared budget before every pop. A
-/// budget-free run (`cap == u64::MAX`) can never reach its cap, so it
-/// leaves the shared counter alone.
+/// horizon, claiming from the shared budget before every pop.
 fn process_unit<E, Wk: WorldWorker<Event = E>>(
     unit: &mut Unit<E, Wk>,
     claims: &AtomicU64,
@@ -473,7 +474,7 @@ fn process_unit<E, Wk: WorldWorker<Event = E>>(
             Some(at) if at < unit.horizon => {}
             _ => break,
         }
-        if cap != u64::MAX && claims.fetch_add(1, AtomicOrdering::Relaxed) >= cap {
+        if claims.fetch_add(1, AtomicOrdering::Relaxed) >= cap {
             break;
         }
         let (at, event) = unit.lane.pop().expect("peeked event must exist");
@@ -501,10 +502,6 @@ struct PoolState<E, Wk> {
     done: Vec<Unit<E, Wk>>,
     /// Helpers that have not yet acknowledged the current epoch.
     running: usize,
-    /// Helpers parked on `start`.
-    parked_helpers: usize,
-    /// Whether the calling thread is parked on `idle`.
-    caller_parked: bool,
     /// The first helper panic of the epoch, re-raised by the caller.
     panic: Option<Box<dyn Any + Send>>,
     /// Set once the run ends, normally or by panic: helpers exit.
@@ -517,9 +514,9 @@ struct PoolState<E, Wk> {
 /// behind it.
 struct Pool<E, Wk> {
     state: Mutex<PoolState<E, Wk>>,
-    /// Wakes parked helpers for a new epoch or for shutdown.
+    /// Wakes the helpers for a new epoch or for shutdown.
     start: Condvar,
-    /// Wakes the parked calling thread once every helper has acknowledged.
+    /// Wakes the calling thread once every helper has acknowledged.
     idle: Condvar,
     /// `state.epoch`, mirrored for helpers spinning at the barrier; also
     /// bumped at shutdown so that they stop spinning.
@@ -540,8 +537,6 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
                 todo: Vec::with_capacity(shards),
                 done: Vec::with_capacity(shards),
                 running: 0,
-                parked_helpers: 0,
-                caller_parked: false,
                 panic: None,
                 closed: false,
             }),
@@ -602,12 +597,10 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
             let cap = {
                 let mut state = self.lock();
                 while state.epoch == seen && !state.closed {
-                    state.parked_helpers += 1;
                     state = self
                         .start
                         .wait(state)
                         .unwrap_or_else(PoisonError::into_inner);
-                    state.parked_helpers -= 1;
                 }
                 if state.closed {
                     return;
@@ -616,16 +609,16 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
                 state.cap
             };
             let result = panic::catch_unwind(AssertUnwindSafe(|| self.drain(claims, cap, lat)));
-            let wake = {
+            let last = {
                 let mut state = self.lock();
                 if let Err(payload) = result {
                     state.panic.get_or_insert(payload);
                 }
                 state.running -= 1;
                 self.running.store(state.running, AtomicOrdering::Release);
-                state.running == 0 && state.caller_parked
+                state.running == 0
             };
-            if wake {
+            if last {
                 self.idle.notify_one();
             }
         }
@@ -642,7 +635,7 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
         cap: u64,
         lat: &[Vec<Option<SimDuration>>],
     ) {
-        let wake = {
+        {
             let mut state = self.lock();
             mem::swap(&mut state.todo, active);
             state.cap = cap;
@@ -650,21 +643,16 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
             state.running = helpers;
             self.running.store(helpers, AtomicOrdering::Release);
             self.epoch.store(state.epoch, AtomicOrdering::Release);
-            state.parked_helpers > 0
-        };
-        if wake {
-            self.start.notify_all();
         }
+        self.start.notify_all();
         self.drain(claims, cap, lat);
         self.spin_until(|| self.running.load(AtomicOrdering::Acquire) == 0);
         let mut state = self.lock();
         while state.running > 0 {
-            state.caller_parked = true;
             state = self
                 .idle
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
-            state.caller_parked = false;
         }
         if let Some(payload) = state.panic.take() {
             drop(state);
