@@ -429,3 +429,31 @@ fn single_rack_budget_cutoffs_match_the_serial_renders() {
         }
     }
 }
+
+/// The failure storm on one rack: every fault and repair strikes the lone
+/// rack, so recovery has no other rack to restart onto. Seed 2018 covers
+/// in-rack migrations, a memory-fault restart, lost VMs, orphan reclaim,
+/// link faults and a switch failover. The fixtures pin the reports at
+/// every thread count, where the rack's observation log drains on a
+/// helper from 2 threads up.
+#[test]
+fn single_rack_failure_storm_matches_the_pinned_renders() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+    let mut spec = ScenarioSpec::failure_storm();
+    spec.system.racks = 1;
+    for seed in [2018u64, 7] {
+        let path = dir.join(format!("failure-storm-1rack-{seed}.txt"));
+        let expected = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+        for threads in [1, 2, 4] {
+            let report = spec.run_with_threads(seed, threads).expect("scenario runs");
+            assert!(report.cluster.is_none(), "one rack federates nothing");
+            let rendered = format!("{report:#?}\n{report}");
+            assert!(
+                rendered == expected,
+                "failure-storm on one rack at seed {seed} on {threads} thread(s) drifted from {}",
+                path.display()
+            );
+        }
+    }
+}
