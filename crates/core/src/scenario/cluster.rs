@@ -28,23 +28,24 @@
 //! Cluster-tier operations that genuinely span racks — drain, rolling
 //! upgrade, fault recovery with cross-rack restarts, rebalance — run as
 //! *serial* events at epoch barriers, where the coordinator holds every
-//! shard's worker at once ([`ParallelWorld::handle_barrier`]). The declared
-//! channel latencies (front→rack: route + hop; rack→front: route; no
-//! rack→rack channel) give the conservative runner its lookahead: between
-//! control-interval ticks every rack advances a full epoch in parallel.
+//! shard's worker at once ([`ParallelWorld::handle_barrier`]). Fault
+//! recovery is the [`FaultLedger`] a single-rack replay drives too; this
+//! world hands it the front door's controller, so guests the struck rack
+//! strands restart on the other racks. The declared channel latencies
+//! (front→rack: route + hop; rack→front: route; no rack→rack channel)
+//! give the conservative runner its lookahead: between control-interval
+//! ticks every rack advances a full epoch in parallel.
 //!
 //! The partition is the semantics: `threads = 1` replays the identical
 //! event order, so the committed multi-rack goldens are the proof that
 //! worker counts never leak into a report.
 
-use std::collections::BTreeMap;
 use std::mem;
 use std::sync::Arc;
 
 use dredbox_bricks::{BrickId, RackId};
 use dredbox_orchestrator::{ClusterController, ClusterTimings};
 use dredbox_sim::engine::RunOutcome;
-use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
 use dredbox_sim::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
 use dredbox_sim::rng::SimRng;
 use dredbox_sim::shard::ShardId;
@@ -56,9 +57,10 @@ use dredbox_workload::VmDemand;
 use crate::snapshot::SystemSnapshot;
 use crate::system::{DredboxSystem, MigrationReport, VmHandle};
 
+use super::faults::FaultLedger;
 use super::observer::Metric;
 use super::world::{Counters, ScenarioEvent, ScenarioWorld};
-use super::{AvailabilityStats, ClusterScenarioStats, ScenarioReport, ScenarioSpec};
+use super::{ClusterScenarioStats, ScenarioReport, ScenarioSpec};
 
 /// Racks one federation holds: the spillover search marks refusing racks
 /// in one `u64` bitmask.
@@ -242,37 +244,33 @@ impl WorldWorker for ClusterWorker<'_> {
     }
 }
 
-/// Shard 0's front door and the rack shards of a split federation, typed:
-/// the split puts the front door first and rack `r` at shard `1 + r`.
+/// Shard 0's front door and every rack's world of a split federation,
+/// typed: the split puts the front door first and rack `r` at shard
+/// `1 + r`.
 fn parts<'w, 'a>(
     workers: &'w mut [ClusterWorker<'a>],
-) -> (&'w mut FrontDoor, Vec<&'w mut RackShard<'a>>) {
+) -> (&'w mut FrontDoor, Vec<&'w mut ScenarioWorld<'a>>) {
     let mut front = None;
     let mut racks = Vec::with_capacity(workers.len().saturating_sub(1));
     for worker in workers {
         match worker {
             ClusterWorker::Front(f) => front = Some(f),
-            ClusterWorker::Rack(shard) => racks.push(&mut **shard),
+            ClusterWorker::Rack(shard) => racks.push(&mut shard.world),
         }
     }
     (front.expect("every split holds the front door"), racks)
 }
 
 /// The whole federation: front door plus one [`RackShard`] per rack,
-/// with the cluster-tier availability state held by the coordinator.
+/// with the cluster-tier state held by the coordinator.
 pub(super) struct ClusterWorld<'a> {
     spec: &'a ScenarioSpec,
     timings: ClusterTimings,
     /// Every shard's worker, front door first, while no run holds them.
     workers: Vec<ClusterWorker<'a>>,
-    /// The spec's seeded fault schedule; faults strike at epoch barriers
-    /// so recovery can restart guests across racks.
-    faults: FailureSchedule,
-    injector: FaultInjector,
-    availability: AvailabilityStats,
-    blast_radius_vms: Summary,
-    /// VMs lost to each outstanding fault, charged VM-seconds at repair.
-    lost_at: BTreeMap<FaultSite, u64>,
+    /// Fault recovery and the availability telemetry, rolling upgrades'
+    /// figures included.
+    faults: FaultLedger,
     cross_rack_migrations: u64,
     racks_drained: u64,
     drain_stranded: u64,
@@ -287,7 +285,7 @@ impl<'a> ClusterWorld<'a> {
         spec: &'a ScenarioSpec,
         demands: Arc<Vec<VmDemand>>,
         arrivals: Vec<SimTime>,
-        faults: FailureSchedule,
+        faults: FaultLedger,
         rack_systems: Vec<DredboxSystem>,
         rack_rngs: Vec<SimRng>,
         timings: ClusterTimings,
@@ -318,13 +316,7 @@ impl<'a> ClusterWorld<'a> {
             workers.push(ClusterWorker::Rack(Box::new(RackShard {
                 rack: r as u16,
                 timings,
-                world: ScenarioWorld::new(
-                    spec,
-                    system,
-                    Arc::clone(&demands),
-                    FailureSchedule::default(),
-                    rng,
-                ),
+                world: ScenarioWorld::new(spec, system, Arc::clone(&demands), rng),
             })));
         }
         ClusterWorld {
@@ -332,10 +324,6 @@ impl<'a> ClusterWorld<'a> {
             timings,
             workers,
             faults,
-            injector: FaultInjector::new(),
-            availability: AvailabilityStats::default(),
-            blast_radius_vms: Summary::new(),
-            lost_at: BTreeMap::new(),
             cross_rack_migrations: 0,
             racks_drained: 0,
             drain_stranded: 0,
@@ -348,7 +336,7 @@ impl<'a> ClusterWorld<'a> {
     fn evacuate_rack(
         &mut self,
         front: &mut FrontDoor,
-        racks: &mut [&mut RackShard<'a>],
+        racks: &mut [&mut ScenarioWorld<'a>],
         now: SimTime,
         source: u16,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
@@ -356,9 +344,9 @@ impl<'a> ClusterWorld<'a> {
         front.controller.set_schedulable(RackId(source), false);
         self.racks_drained += 1;
         let src = usize::from(source);
-        let residents = racks[src].world.system.vms();
+        let residents = racks[src].system.vms();
         for vm in residents {
-            let system = &racks[src].world.system;
+            let system = &racks[src].system;
             let (Some(vcpus), Some(memory), Some(from)) = (
                 system.vm_vcpus(vm),
                 system.vm_memory(vm),
@@ -373,12 +361,14 @@ impl<'a> ClusterWorld<'a> {
             };
             // The old handle's scheduled events decay into no-ops; the
             // moved guest lives on under the fresh handle at `dest`.
-            let _ = racks[src].world.system.release_vm(vm);
-            racks[src].world.counters.live -= 1;
+            let _ = racks[src].system.release_vm(vm);
+            racks[src].counters.live -= 1;
+            let shard = ShardId(1 + u32::from(dest.0));
+            let dest = usize::from(dest.0);
             let report = land_on(
-                self.spec,
                 now,
-                racks[usize::from(dest.0)],
+                racks[dest],
+                shard,
                 vm,
                 new_vm,
                 from,
@@ -386,10 +376,10 @@ impl<'a> ClusterWorld<'a> {
                 memory,
                 ctx,
             );
-            racks[src].world.record_migration(now, &report);
+            racks[src].record_migration(now, &report);
             self.cross_rack_migrations += 1;
         }
-        racks[src].world.sample_utilization();
+        racks[src].sample_utilization();
     }
 
     /// One stage of the rolling upgrade: evacuate the rack, snapshot and
@@ -398,256 +388,34 @@ impl<'a> ClusterWorld<'a> {
     fn upgrade_rack(
         &mut self,
         front: &mut FrontDoor,
-        racks: &mut [&mut RackShard<'a>],
+        racks: &mut [&mut ScenarioWorld<'a>],
         now: SimTime,
         rack: u16,
         ctx: &mut SerialContext<'_, ScenarioEvent>,
     ) {
         let allocated_before = pool_allocated(racks);
         self.evacuate_rack(front, racks, now, rack, ctx);
-        let world = &mut racks[usize::from(rack)].world;
+        let world = &mut racks[usize::from(rack)];
+        let stats = &mut self.faults.stats;
         let bytes = SystemSnapshot::capture(&world.system).to_bytes();
-        self.availability.upgrade_snapshot_bytes += bytes.len() as u64;
+        stats.upgrade_snapshot_bytes += bytes.len() as u64;
         match SystemSnapshot::from_bytes(&bytes) {
             Ok(snapshot) => {
                 let restored = snapshot.into_system();
                 if restored == world.system {
                     world.system = restored;
                 } else {
-                    self.availability.upgrade_restore_mismatches += 1;
+                    stats.upgrade_restore_mismatches += 1;
                 }
             }
-            Err(_) => self.availability.upgrade_restore_mismatches += 1,
+            Err(_) => stats.upgrade_restore_mismatches += 1,
         }
         let allocated_after = pool_allocated(racks);
-        self.availability.upgrade_lost_bytes += allocated_before.saturating_sub(allocated_after);
-        self.availability.upgrades += 1;
+        let stats = &mut self.faults.stats;
+        stats.upgrade_lost_bytes += allocated_before.saturating_sub(allocated_after);
+        stats.upgrades += 1;
         front.controller.undrain_rack(RackId(rack));
-        racks[usize::from(rack)].world.sample_utilization();
-    }
-
-    /// Delivers one planned fault at an epoch barrier. Rack-local damage
-    /// replays the single-system recovery protocol inside the struck
-    /// rack's world; guests that rack can no longer hold get the
-    /// cross-rack restart the federation owes them, placed here by the
-    /// coordinator.
-    fn cluster_fault(
-        &mut self,
-        front: &FrontDoor,
-        racks: &mut [&mut RackShard<'a>],
-        now: SimTime,
-        index: usize,
-        ctx: &mut SerialContext<'_, ScenarioEvent>,
-    ) {
-        let fault = self.faults.faults()[index];
-        if !self.injector.begin(fault.site, now) {
-            self.availability.faults_absorbed += 1;
-            return;
-        }
-        self.availability.faults_injected += 1;
-        let site = fault.site;
-        let struck = site.rack as usize;
-        let affected = match site.kind {
-            FaultKind::ComputeBrick => self.fault_compute(&front.controller, racks, now, site, ctx),
-            FaultKind::MemoryBrick => self.fault_memory(racks[struck], now, site, ctx),
-            FaultKind::AccelBrick => self.fault_accel(racks[struck], now, site, ctx),
-            FaultKind::Link => {
-                let world = &mut racks[struck].world;
-                if let Some(report) = world.system.fail_link(site.component) {
-                    self.availability.links_severed += 1;
-                    self.availability.circuits_rerouted += u64::from(report.rerouted);
-                    self.availability.circuits_lost += u64::from(report.lost);
-                }
-                Some(0)
-            }
-            FaultKind::Switch => {
-                let restored = racks[struck].world.system.fail_switch();
-                self.availability.switch_failovers += 1;
-                self.availability.circuits_restored += restored as u64;
-                Some(0)
-            }
-        };
-        let Some(affected) = affected else {
-            return;
-        };
-        self.blast_radius_vms.record(affected as f64);
-        racks[struck].world.sample_utilization();
-    }
-
-    /// A compute brick dies: sessions drop, guests migrate within the
-    /// rack where possible, and the rest restart on other racks chosen by
-    /// the front door's digests (truly lost only when no rack can hold
-    /// them).
-    fn fault_compute(
-        &mut self,
-        controller: &ClusterController,
-        racks: &mut [&mut RackShard<'a>],
-        now: SimTime,
-        site: FaultSite,
-        ctx: &mut SerialContext<'_, ScenarioEvent>,
-    ) -> Option<u64> {
-        let struck = site.rack as usize;
-        let src = &mut racks[struck].world;
-        let brick = src.fault_brick(site.kind, site.component)?;
-        // Captured before the failure: who must be alive somewhere once
-        // recovery is done.
-        let residents: Vec<(VmHandle, u32, ByteSize)> = src
-            .system
-            .vms_on(brick)
-            .into_iter()
-            .filter_map(|vm| Some((vm, src.system.vm_vcpus(vm)?, src.system.vm_memory(vm)?)))
-            .collect();
-        let report = src.system.fail_compute_brick(brick).ok()?;
-        self.availability.vm_migrations += u64::from(report.migrated);
-        self.availability.sessions_dropped += u64::from(report.sessions_dropped);
-        self.availability.orphaned_bytes += report.orphaned.as_bytes();
-        src.counters.live -= u64::from(report.lost);
-        for migration in &report.reports {
-            src.record_migration(now, migration);
-            // Evacuation downtime is availability lost to the fault.
-            self.availability.vm_seconds_lost += migration.downtime.as_secs_f64();
-        }
-        // A single rack has nowhere to spill; the coordinator restarts the
-        // guests its rack stranded on the other racks.
-        let mut restarted = 0u64;
-        let mut lost = 0u64;
-        for (vm, vcpus, memory) in residents {
-            if racks[struck].world.system.vm_brick(vm).is_some() {
-                // Survived in place or migrated within the rack.
-                continue;
-            }
-            let placed =
-                place_on_cluster(controller, racks, RackId(site.rack as u16), vcpus, memory);
-            let Some((dest, new_vm)) = placed else {
-                lost += 1;
-                continue;
-            };
-            restarted += 1;
-            let report = land_on(
-                self.spec,
-                now,
-                racks[usize::from(dest.0)],
-                vm,
-                new_vm,
-                brick,
-                vcpus,
-                memory,
-                ctx,
-            );
-            racks[struck].world.record_migration(now, &report);
-            self.availability.vm_seconds_lost += report.downtime.as_secs_f64();
-        }
-        self.availability.vm_restarts += restarted;
-        self.availability.vms_lost += lost;
-        if lost > 0 {
-            *self.lost_at.entry(site).or_default() += lost;
-        }
-        // Orphan detection runs as part of the recovery protocol: bytes
-        // stranded by dead guests (including the restarted ones' old
-        // segments) go back to the pool now.
-        let reclaim = racks[struck].world.system.reclaim_orphans();
-        self.availability.reclaimed_bytes += reclaim.reclaimed.as_bytes();
-        Some(u64::from(report.migrated) + restarted + lost)
-    }
-
-    /// A memory brick dies: segments vanish, affected guests restart
-    /// within the struck rack (memory faults never leave the rack — the
-    /// guest's compute brick survives in place).
-    fn fault_memory(
-        &mut self,
-        shard: &mut RackShard<'a>,
-        now: SimTime,
-        site: FaultSite,
-        ctx: &mut SerialContext<'_, ScenarioEvent>,
-    ) -> Option<u64> {
-        let brick = shard.world.fault_brick(site.kind, site.component)?;
-        let report = shard.world.system.fail_membrick(brick).ok()?;
-        let affected = report.restarted.len() as u64 + u64::from(report.lost);
-        self.availability.segments_lost_bytes += report.lost_bytes.as_bytes();
-        self.availability.sessions_dropped += u64::from(report.sessions_dropped);
-        self.availability.vm_restarts += report.restarted.len() as u64;
-        self.availability.vms_lost += u64::from(report.lost);
-        shard.world.counters.live -= u64::from(report.lost);
-        if report.lost > 0 {
-            *self.lost_at.entry(site).or_default() += u64::from(report.lost);
-        }
-        // Each killed-and-readmitted guest restarts under a fresh handle:
-        // the old handle's scheduled events decay into no-ops, and the new
-        // guest gets its own departure on the struck shard.
-        for &(_, vm) in &report.restarted {
-            let lifetime = self.spec.lifetime.sample(&mut shard.world.rng);
-            ctx.schedule(
-                ShardId(1 + site.rack),
-                now + lifetime,
-                ScenarioEvent::Departure { vm },
-            );
-        }
-        Some(affected)
-    }
-
-    /// An accelerator brick dies: streaming sessions drain and their
-    /// owners retry once a surviving accelerator may pick them up.
-    fn fault_accel(
-        &mut self,
-        shard: &mut RackShard<'a>,
-        now: SimTime,
-        site: FaultSite,
-        ctx: &mut SerialContext<'_, ScenarioEvent>,
-    ) -> Option<u64> {
-        let brick = shard.world.fault_brick(site.kind, site.component)?;
-        let report = shard.world.system.fail_accel_brick(brick).ok()?;
-        let affected = report.drained.len() as u64;
-        self.availability.sessions_dropped += report.drained.len() as u64;
-        if let Some(plan) = self.spec.offload {
-            for &(_, vm) in &report.drained {
-                ctx.schedule(
-                    ShardId(1 + site.rack),
-                    now + plan.start_after,
-                    ScenarioEvent::OffloadBegin { vm, remaining: 1 },
-                );
-            }
-        }
-        Some(affected)
-    }
-
-    /// Repairs one planned fault's site on the struck rack's world. A
-    /// repair for an absorbed fault is a no-op — the earlier fault's own
-    /// repair brings the site back.
-    fn cluster_repair(&mut self, racks: &mut [&mut RackShard<'a>], now: SimTime, index: usize) {
-        let fault = self.faults.faults()[index];
-        let Some(outage) = self.injector.end(fault.site, now) else {
-            return;
-        };
-        self.availability.repairs += 1;
-        if let Some(lost) = self.lost_at.remove(&fault.site) {
-            // Lost guests were down for the whole outage.
-            self.availability.vm_seconds_lost += lost as f64 * outage.as_secs_f64();
-        }
-        let site = fault.site;
-        let world = &mut racks[site.rack as usize].world;
-        match site.kind {
-            FaultKind::ComputeBrick => {
-                if let Some(brick) = world.fault_brick(site.kind, site.component) {
-                    let _ = world.system.repair_compute_brick(brick);
-                }
-            }
-            FaultKind::MemoryBrick => {
-                if let Some(brick) = world.fault_brick(site.kind, site.component) {
-                    let _ = world.system.repair_membrick(brick);
-                }
-            }
-            FaultKind::AccelBrick => {
-                if let Some(brick) = world.fault_brick(site.kind, site.component) {
-                    let _ = world.system.repair_accel_brick(brick);
-                }
-            }
-            FaultKind::Link => {
-                let _ = world.system.repair_link(site.component);
-            }
-            // The switch fault self-healed onto the standby at injection.
-            FaultKind::Switch => {}
-        }
-        world.sample_utilization();
+        racks[usize::from(rack)].sample_utilization();
     }
 
     /// Assembles the cluster report: per-rack sketches merge in rack order
@@ -663,27 +431,24 @@ impl<'a> ClusterWorld<'a> {
         events: u64,
     ) -> ScenarioReport {
         let mut workers = mem::take(&mut self.workers);
-        let (front, shards) = parts(&mut workers);
-        let racks = shards.len();
+        let (front, racks) = parts(&mut workers);
         let mut c = Counters::default();
         let mut stats = ClusterScenarioStats {
-            racks: racks as u64,
+            racks: racks.len() as u64,
             spillovers: front.spillovers,
             power_deferrals: front.power_deferrals,
             cross_rack_migrations: self.cross_rack_migrations,
             racks_drained: self.racks_drained,
             drain_stranded: self.drain_stranded,
-            admissions_per_rack: Vec::with_capacity(racks),
-            power_off_per_rack: Vec::with_capacity(racks),
+            admissions_per_rack: Vec::with_capacity(racks.len()),
+            power_off_per_rack: Vec::with_capacity(racks.len()),
             ..ClusterScenarioStats::default()
         };
         let mut peak_queue = 0u64;
         let mut merged: [Summary; Metric::ALL.len()] = std::array::from_fn(|_| Summary::new());
-        for shard in shards {
-            let w = &mut shard.world;
+        for w in racks {
             c.admitted += w.counters.admitted;
             c.rejected += w.counters.rejected;
-            c.live += w.counters.live;
             // Per-rack peaks need not align in time, so the sum is an
             // upper bound on the true cluster-wide peak.
             c.peak_live += w.counters.peak_live;
@@ -712,77 +477,41 @@ impl<'a> ClusterWorld<'a> {
                 merged[metric as usize].merge(observed.summary(metric));
             }
         }
-        let mut finish = |metric: Metric| mem::take(&mut merged[metric as usize]).finish();
         // Final rejections live at the front door; racks only ever bounce
         // requests back for another candidate.
         c.rejected += front.rejected;
-        let availability = if self.spec.faults.is_some() || self.spec.upgrade.is_some() {
-            let mut stats = self.availability;
-            stats.blast_radius = self.blast_radius_vms.finish();
-            stats.mttr = self.injector.mttr().clone().finish();
-            Some(stats)
-        } else {
-            None
-        };
-        ScenarioReport {
-            name: self.spec.name.clone(),
+        ScenarioReport::assemble(
+            self.spec,
             outcome,
             end,
             events,
-            admitted: c.admitted,
-            rejected: c.rejected,
-            peak_live: c.peak_live,
-            departed: c.departed,
-            scale_ups: c.scale_ups,
-            scale_up_failures: c.scale_up_failures,
-            scale_downs: c.scale_downs,
-            power_sweeps: c.power_sweeps,
-            bricks_powered_off: c.bricks_powered_off,
-            rebalances: c.rebalances,
-            migrations: c.migrations,
-            migration_failures: c.migration_failures,
-            evacuations: c.evacuations,
-            offloads: c.offloads,
-            offload_failures: c.offload_failures,
-            offloads_completed: c.offloads_completed,
-            bitstream_reuses: c.bitstream_reuses,
-            bitstream_programs: c.bitstream_programs,
-            accel_wakes: c.accel_wakes,
-            control_plane_peak_queue: peak_queue,
-            scale_up_delay: finish(Metric::ScaleUpDelay),
-            read_latency: finish(Metric::ReadLatency),
-            pool_utilization: finish(Metric::PoolUtilization),
-            migration_downtime: finish(Metric::MigrationDowntime),
-            precopy_counterfactual: finish(Metric::PrecopyCounterfactual),
-            scaleout_counterfactual: finish(Metric::ScaleoutCounterfactual),
-            control_plane_wait: finish(Metric::ControlPlaneWait),
-            offload_time: finish(Metric::OffloadTime),
-            offload_local_counterfactual: finish(Metric::OffloadLocalCounterfactual),
-            accel_utilization: finish(Metric::AccelUtilization),
-            cluster: Some(stats),
-            availability,
+            &c,
+            merged.map(Summary::finish),
+            peak_queue,
+            Some(stats),
+            self.faults,
             // The load-dependent data path is single-rack only (validated
             // at spec level).
-            data_path: None,
-        }
+            None,
+        )
     }
 }
 
 /// Pooled bytes allocated across every rack (the cluster-wide byte
 /// conservation check of the rolling upgrade).
-fn pool_allocated(racks: &[&mut RackShard<'_>]) -> u64 {
+fn pool_allocated(racks: &[&mut ScenarioWorld<'_>]) -> u64 {
     racks
         .iter()
-        .map(|s| s.world.system.pool_allocated().as_bytes())
+        .map(|w| w.system.pool_allocated().as_bytes())
         .sum()
 }
 
 /// Picks the first rack (per the front door's spillover preference,
 /// excluding `exclude`) whose world actually admits the request, and
 /// places it there. `None` when no rack can hold it.
-fn place_on_cluster(
+pub(super) fn place_on_cluster(
     controller: &ClusterController,
-    racks: &mut [&mut RackShard<'_>],
+    racks: &mut [&mut ScenarioWorld<'_>],
     exclude: RackId,
     vcpus: u32,
     memory: ByteSize,
@@ -794,7 +523,7 @@ fn place_on_cluster(
         .pick(vcpus, memory, |r| refused & (1u64 << u32::from(r.0)) != 0)
         .rack
     {
-        let system = &mut racks[usize::from(dest.0)].world.system;
+        let system = &mut racks[usize::from(dest.0)].system;
         if let Ok(vm) = system.allocate_vm(vcpus, memory) {
             return Some((dest, vm));
         }
@@ -804,15 +533,16 @@ fn place_on_cluster(
 }
 
 /// Books the arrival of one coordinator-driven cross-rack move on the
-/// destination shard — it schedules the fresh guest's departure and
-/// tracks its liveness — and returns the move's migration report. The
-/// caller records the report on the source rack: its SDM controller
-/// orchestrated the hand-off, so it owns the control-plane charge.
+/// destination rack's world `dest`, which runs on `shard` — it schedules
+/// the fresh guest's departure and tracks its liveness — and returns the
+/// move's migration report. The caller records the report on the source
+/// rack: its SDM controller orchestrated the hand-off, so it owns the
+/// control-plane charge.
 #[allow(clippy::too_many_arguments)]
-fn land_on(
-    spec: &ScenarioSpec,
+pub(super) fn land_on(
     now: SimTime,
-    dest: &mut RackShard<'_>,
+    dest: &mut ScenarioWorld<'_>,
+    shard: ShardId,
     vm: VmHandle,
     new_vm: VmHandle,
     from: BrickId,
@@ -820,20 +550,20 @@ fn land_on(
     memory: ByteSize,
     ctx: &mut SerialContext<'_, ScenarioEvent>,
 ) -> MigrationReport {
-    let world = &mut dest.world;
-    let to = world
+    let to = dest
         .system
         .vm_brick(new_vm)
         .expect("freshly placed VM is resident");
-    let orchestration = world
+    let orchestration = dest
         .system
         .admission_service_time(new_vm)
         .unwrap_or_default();
-    world.counters.live += 1;
-    world.counters.peak_live = world.counters.peak_live.max(world.counters.live);
-    let lifetime = spec.lifetime.sample(&mut world.rng);
+    dest.counters.live += 1;
+    dest.counters.peak_live = dest.counters.peak_live.max(dest.counters.live);
+    let spec = dest.spec;
+    let lifetime = spec.lifetime.sample(&mut dest.rng);
     ctx.schedule(
-        ShardId(1 + u32::from(dest.rack)),
+        shard,
         now + lifetime,
         ScenarioEvent::Departure { vm: new_vm },
     );
@@ -901,14 +631,15 @@ impl<'a> ParallelWorld for ClusterWorld<'a> {
                 self.upgrade_rack(front, &mut racks, now, rack, ctx);
             }
             ScenarioEvent::Fault { index } => {
-                self.cluster_fault(front, &mut racks, now, index, ctx)
+                let cluster = Some(&front.controller);
+                self.faults.strike(&mut racks, cluster, now, index, ctx);
             }
-            ScenarioEvent::Repair { index } => self.cluster_repair(&mut racks, now, index),
+            ScenarioEvent::Repair { index } => self.faults.repair(&mut racks, now, index),
             ScenarioEvent::Rebalance => {
                 if let Some(policy) = self.spec.migration {
-                    for shard in &mut racks {
-                        shard.world.rebalance(now, policy);
-                        shard.world.sample_utilization();
+                    for world in &mut racks {
+                        world.rebalance(now, policy);
+                        world.sample_utilization();
                     }
                     ctx.schedule_serial(ShardId(0), now + policy.every(), ScenarioEvent::Rebalance);
                 }

@@ -97,6 +97,7 @@
 
 mod cluster;
 mod datapath;
+mod faults;
 mod observer;
 mod world;
 
@@ -130,7 +131,9 @@ use crate::system::{DredboxSystem, SystemError};
 pub use datapath::{DataPathConfig, DataPathStats, Granularity, ReadProfile, RemoteCacheConfig};
 pub use dredbox_interconnect::ContentionConfig;
 
-use world::{ScenarioEvent, ScenarioWorld};
+use faults::FaultLedger;
+use observer::Metric;
+use world::{Counters, RackWorld, ScenarioEvent, ScenarioWorld};
 
 /// Which generator a scenario draws its per-VM demands from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -681,7 +684,7 @@ impl ScenarioSpec {
             reads_per_vm: 1,
             horizon: SimTime::from_secs(6 * 3_600),
             power_sweep_every: Some(SimDuration::from_secs(600)),
-            event_budget: 1_200_000,
+            event_budget: 1_500_000,
             drain: Some(DrainPlan {
                 rack: 0,
                 at: SimTime::from_secs(2_500),
@@ -950,7 +953,8 @@ impl ScenarioSpec {
     /// at a time from a shared pool. A single-rack system is one shard
     /// with no channels, so its events run on the calling thread; from
     /// `threads = 2` its report work (priced reads and report samples)
-    /// runs beside them on one helper thread.
+    /// runs beside them on one helper thread. On both, faults and repairs
+    /// are serial events, recovered at epoch barriers by the same code.
     ///
     /// # Errors
     ///
@@ -1018,43 +1022,44 @@ impl ScenarioSpec {
         // Fork order is part of the replay contract: demands (1), arrivals
         // (2), world (3), faults (4).
         let world_rng = rng.fork(3);
-        let faults = self.fault_schedule(
-            1,
-            system.topology().manager().cabled_count() as u32,
-            &mut rng,
-        );
-        for (index, fault) in faults.faults().iter().enumerate() {
-            engine.schedule(ShardId(0), fault.at, ScenarioEvent::Fault { index });
-            engine.schedule(
-                ShardId(0),
-                fault.at + fault.repair_after,
-                ScenarioEvent::Repair { index },
-            );
-        }
+        let cabled_links = system.topology().manager().cabled_count() as u32;
+        let faults = self.fault_ledger(1, cabled_links, &mut rng, &mut engine);
 
-        let mut worlds = vec![ScenarioWorld::new(self, system, demands, faults, world_rng)];
+        let mut world = RackWorld {
+            rack: vec![ScenarioWorld::new(self, system, demands, world_rng)],
+            faults,
+        };
         // One shard keeps every other worker idle, so a second thread
         // drains the rack's observation log instead.
         let outcome = if threads >= 2 {
             drain_on_helper(
-                &mut worlds,
-                |worlds| &mut worlds[0].log,
-                |worlds| engine.run_threaded(worlds, threads),
+                &mut world,
+                |world| &mut world.rack[0].log,
+                |world| engine.run_threaded(world, threads),
             )
         } else {
-            engine.run_threaded(&mut worlds, threads)
+            engine.run_threaded(&mut world, threads)
         };
-        let world = worlds.pop().expect("the runner hands the world back");
         Ok(world.finish(outcome, engine.now(), engine.processed()))
     }
 
     /// The spec's seeded fault schedule over `racks` racks of
     /// `cabled_links` links each, drawn from the replay's fourth fork —
     /// and only when the spec injects faults, so every fault-free spec's
-    /// streams (and goldens) are untouched.
-    fn fault_schedule(&self, racks: u32, cabled_links: u32, rng: &mut SimRng) -> FailureSchedule {
+    /// streams (and goldens) are untouched — in a ledger that schedules
+    /// each fault and repair on `engine` (rack `r` on shard `r` of a
+    /// single rack's engine, on shard `1 + r` behind a federation's front
+    /// door).
+    fn fault_ledger(
+        &self,
+        racks: u32,
+        cabled_links: u32,
+        rng: &mut SimRng,
+        engine: &mut ShardedEngine<ScenarioEvent>,
+    ) -> FaultLedger {
+        let first_shard = u32::from(racks > 1);
         let Some(plan) = &self.faults else {
-            return FailureSchedule::default();
+            return FaultLedger::new(FailureSchedule::default(), first_shard, engine);
         };
         let trays = u32::from(self.system.trays);
         let sites = SiteCounts {
@@ -1064,7 +1069,8 @@ impl ScenarioSpec {
             links: cabled_links,
             switches: 1,
         };
-        FailureSchedule::generate(plan, racks, sites, &mut rng.fork(4))
+        let schedule = FailureSchedule::generate(plan, racks, sites, &mut rng.fork(4));
+        FaultLedger::new(schedule, first_shard, engine)
     }
 
     /// The multi-rack replay: the federation partitions into one
@@ -1091,11 +1097,7 @@ impl ScenarioSpec {
         // (2), world (3) — sub-forked per rack, in rack order — faults (4).
         let mut world_rng = rng.fork(3);
         let rack_rngs: Vec<SimRng> = (0..racks).map(|r| world_rng.fork(r as u64)).collect();
-        let faults = self.fault_schedule(
-            racks as u32,
-            rack_systems[0].topology().manager().cabled_count() as u32,
-            rng,
-        );
+        let cabled_links = rack_systems[0].topology().manager().cabled_count() as u32;
 
         let timings = ClusterTimings::dredbox_default();
         // Shard 0 is the front door; shard 1 + r is rack r.
@@ -1135,15 +1137,7 @@ impl ScenarioSpec {
                 ScenarioEvent::Rebalance,
             );
         }
-        for (index, fault) in faults.faults().iter().enumerate() {
-            let shard = ShardId(1 + fault.site.rack);
-            engine.schedule_serial(shard, fault.at, ScenarioEvent::Fault { index });
-            engine.schedule_serial(
-                shard,
-                fault.at + fault.repair_after,
-                ScenarioEvent::Repair { index },
-            );
-        }
+        let faults = self.fault_ledger(racks as u32, cabled_links, rng, &mut engine);
         if let Some(plan) = &self.upgrade {
             for rack in 0..self.system.racks {
                 engine.schedule_serial(
@@ -1456,6 +1450,67 @@ pub struct ScenarioReport {
     /// Data-path telemetry; `None` unless the spec configures the
     /// load-dependent remote-memory data path.
     pub data_path: Option<DataPathStats>,
+}
+
+impl ScenarioReport {
+    /// Assembles one replay's report, for a single rack and a federation
+    /// alike: `c` and `peak_queue` are the racks' counters and deepest
+    /// control-plane queue, `summaries` every [`Metric`]'s finished
+    /// sketch, and `faults` yields the availability block.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        spec: &ScenarioSpec,
+        outcome: RunOutcome,
+        end: SimTime,
+        events: u64,
+        c: &Counters,
+        mut summaries: [Option<Summary>; Metric::ALL.len()],
+        peak_queue: u64,
+        cluster: Option<ClusterScenarioStats>,
+        faults: FaultLedger,
+        data_path: Option<DataPathStats>,
+    ) -> Self {
+        let mut summary = |metric: Metric| summaries[metric as usize].take();
+        ScenarioReport {
+            name: spec.name.clone(),
+            outcome,
+            end,
+            events,
+            admitted: c.admitted,
+            rejected: c.rejected,
+            peak_live: c.peak_live,
+            departed: c.departed,
+            scale_ups: c.scale_ups,
+            scale_up_failures: c.scale_up_failures,
+            scale_downs: c.scale_downs,
+            power_sweeps: c.power_sweeps,
+            bricks_powered_off: c.bricks_powered_off,
+            rebalances: c.rebalances,
+            migrations: c.migrations,
+            migration_failures: c.migration_failures,
+            evacuations: c.evacuations,
+            offloads: c.offloads,
+            offload_failures: c.offload_failures,
+            offloads_completed: c.offloads_completed,
+            bitstream_reuses: c.bitstream_reuses,
+            bitstream_programs: c.bitstream_programs,
+            accel_wakes: c.accel_wakes,
+            control_plane_peak_queue: peak_queue,
+            scale_up_delay: summary(Metric::ScaleUpDelay),
+            read_latency: summary(Metric::ReadLatency),
+            pool_utilization: summary(Metric::PoolUtilization),
+            migration_downtime: summary(Metric::MigrationDowntime),
+            precopy_counterfactual: summary(Metric::PrecopyCounterfactual),
+            scaleout_counterfactual: summary(Metric::ScaleoutCounterfactual),
+            control_plane_wait: summary(Metric::ControlPlaneWait),
+            offload_time: summary(Metric::OffloadTime),
+            offload_local_counterfactual: summary(Metric::OffloadLocalCounterfactual),
+            accel_utilization: summary(Metric::AccelUtilization),
+            cluster,
+            availability: faults.finish(spec),
+            data_path,
+        }
+    }
 }
 
 impl std::fmt::Debug for ScenarioReport {

@@ -36,12 +36,11 @@ pub(super) enum Metric {
     OffloadTime,
     OffloadLocalCounterfactual,
     AccelUtilization,
-    BlastRadius,
 }
 
 impl Metric {
     /// Every metric, in declaration order.
-    pub(super) const ALL: [Metric; 11] = [
+    pub(super) const ALL: [Metric; 10] = [
         Metric::ScaleUpDelay,
         Metric::ReadLatency,
         Metric::PoolUtilization,
@@ -52,7 +51,6 @@ impl Metric {
         Metric::OffloadTime,
         Metric::OffloadLocalCounterfactual,
         Metric::AccelUtilization,
-        Metric::BlastRadius,
     ];
 }
 

@@ -1,10 +1,11 @@
 //! The mutable world the epoch runner drives.
 //!
 //! This module is the state-machine half of the scenario engine: the
-//! [`ScenarioEvent`] alphabet, the per-replay [`Counters`], and
+//! [`ScenarioEvent`] alphabet, the per-replay [`Counters`],
 //! [`ScenarioWorld`] — the [`WorldWorker`] that turns each popped event
-//! into calls on the [`DredboxSystem`] and schedules the follow-ups. The
-//! spec/report half lives in the parent module.
+//! into calls on the [`DredboxSystem`] and schedules the follow-ups — and
+//! [`RackWorld`], the single-rack replay around it. The spec/report half
+//! lives in the parent module.
 //!
 //! Hot-path discipline: the world never clones system state per event —
 //! VM and hypervisor records are interned in slab arenas inside
@@ -18,29 +19,31 @@
 //!
 //! A world owns exactly one rack, and every replay runs it under
 //! [`ShardedEngine::run_threaded`](dredbox_sim::shard::ShardedEngine::run_threaded).
-//! A single-rack scenario is a one-shard world with no channels, where an
-//! [`ScenarioEvent::Arrival`] admits inline. On a federation this world is
-//! one rack shard of the [`ClusterWorld`](super::cluster::ClusterWorld)
-//! and never sees arrivals: the cluster front door batches the arrival
-//! trace per control interval, consults its capacity digests and hands
-//! each request to the chosen rack's shard as a timestamped
-//! [`ScenarioEvent::AdmitOn`] message — one control-network hop later the
-//! rack's own SDM controller admits (or spills back to the front door).
+//! A single-rack scenario is a one-shard [`RackWorld`] with no channels,
+//! where an [`ScenarioEvent::Arrival`] admits inline. On a federation
+//! this world is one rack shard of the
+//! [`ClusterWorld`](super::cluster::ClusterWorld) and never sees
+//! arrivals: the cluster front door batches the arrival trace per control
+//! interval, consults its capacity digests and hands each request to the
+//! chosen rack's shard as a timestamped [`ScenarioEvent::AdmitOn`]
+//! message — one control-network hop later the rack's own SDM controller
+//! admits (or spills back to the front door).
 //! Every follow-up of the VM's life is rack-local, so a worker thread can
 //! drive the rack without sharing mutable state; work that spans racks
-//! (drains, upgrades, faults, rebalances) runs in the cluster world's
-//! serial handlers.
+//! (drains, upgrades, rebalances) runs in the cluster world's serial
+//! handlers. Faults and repairs are serial events on every replay: both
+//! worlds' barrier handlers hand them to the one
+//! [`FaultLedger`], a single rack with no
+//! other rack to restart its stranded guests onto.
 
-use std::collections::BTreeMap;
 use std::mem;
 use std::sync::Arc;
 
 use dredbox_bricks::BrickId;
 use dredbox_orchestrator::{OffloadSessionId, RackDigest};
 use dredbox_sim::engine::RunOutcome;
-use dredbox_sim::fault::{FailureSchedule, FaultInjector, FaultKind, FaultSite};
 use dredbox_sim::observe::ObservationLog;
-use dredbox_sim::parallel::{WorkerContext, WorldWorker};
+use dredbox_sim::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
 use dredbox_sim::queue::{ControlPlaneQueue, QueueAdmission};
 use dredbox_sim::rng::SimRng;
 use dredbox_sim::shard::ShardId;
@@ -51,8 +54,9 @@ use dredbox_workload::VmDemand;
 use crate::system::{DredboxSystem, MigrationReport, OffloadReport, SystemError, VmHandle};
 
 use super::datapath::{DataPathLoop, DataPathModel, ReadPrices, READ_SIZES};
+use super::faults::FaultLedger;
 use super::observer::{Metric, Op, RackObserver};
-use super::{AvailabilityStats, ChurnModel, MigrationPolicy, ScenarioReport, ScenarioSpec};
+use super::{ChurnModel, MigrationPolicy, ScenarioReport, ScenarioSpec};
 
 /// Events driving one scenario replay. Every calendar and mailbox entry
 /// holds one, so the enum is kept at 24 bytes: a payload that would widen
@@ -112,7 +116,8 @@ pub(super) enum ScenarioEvent {
     /// [`MigrationPolicy`].
     Rebalance,
     /// The `index`-th fault of the spec's seeded
-    /// [`FailureSchedule`] strikes its site.
+    /// [`FailureSchedule`](dredbox_sim::fault::FailureSchedule) strikes
+    /// its site.
     Fault { index: usize },
     /// The field engineer repairs the `index`-th fault's site.
     Repair { index: usize },
@@ -169,17 +174,6 @@ pub(super) struct ScenarioWorld<'a> {
     data_path: Option<DataPathLoop>,
     /// Reused list of the VMs on one brick, for rebalance passes.
     vms_scratch: Vec<VmHandle>,
-    /// The spec's seeded fault schedule (empty when the spec has none);
-    /// [`ScenarioEvent::Fault`]/[`ScenarioEvent::Repair`] index into it.
-    pub(super) faults: FailureSchedule,
-    /// Which sites are down and the MTTR samples collected so far.
-    pub(super) injector: FaultInjector,
-    /// Availability telemetry; reported only when the spec injects faults
-    /// or runs a rolling upgrade.
-    pub(super) availability: AvailabilityStats,
-    /// VMs lost to each currently-outstanding fault, so the repair can
-    /// charge VM-seconds lost over the whole outage.
-    pub(super) lost_at: BTreeMap<FaultSite, u64>,
 }
 
 impl<'a> ScenarioWorld<'a> {
@@ -190,7 +184,6 @@ impl<'a> ScenarioWorld<'a> {
         spec: &'a ScenarioSpec,
         system: DredboxSystem,
         demands: Arc<Vec<VmDemand>>,
-        faults: FailureSchedule,
         rng: SimRng,
     ) -> Self {
         let penalty = spec.system.sdm_timings.queued_request_penalty;
@@ -206,10 +199,6 @@ impl<'a> ScenarioWorld<'a> {
             vms_scratch: Vec::new(),
             counters: Counters::default(),
             control_plane: ControlPlaneQueue::new(penalty),
-            faults,
-            injector: FaultInjector::new(),
-            availability: AvailabilityStats::default(),
-            lost_at: BTreeMap::new(),
         }
     }
 
@@ -217,29 +206,6 @@ impl<'a> ScenarioWorld<'a> {
     fn sample(&mut self, metric: Metric, value: f64) {
         self.log
             .record(|batch| batch.ops.push(Op::Sample { metric, value }));
-    }
-
-    /// Maps a fault site's rack-relative ordinal onto the `component`-th
-    /// brick of its kind in the rack (wrapped, so any schedule value names
-    /// a real brick). `None` for kinds the rack has no bricks of.
-    pub(super) fn fault_brick(&self, kind: FaultKind, component: u32) -> Option<BrickId> {
-        let ids: Vec<BrickId> = self
-            .system
-            .rack()
-            .bricks()
-            .filter(|b| match kind {
-                FaultKind::ComputeBrick => b.as_compute().is_some(),
-                FaultKind::MemoryBrick => b.as_memory().is_some(),
-                FaultKind::AccelBrick => b.as_accelerator().is_some(),
-                FaultKind::Link | FaultKind::Switch => false,
-            })
-            .map(|b| b.id())
-            .collect();
-        if ids.is_empty() {
-            None
-        } else {
-            Some(ids[component as usize % ids.len()])
-        }
     }
 
     /// Charges the configured number of remote reads (of mixed transfer
@@ -489,223 +455,89 @@ impl<'a> ScenarioWorld<'a> {
             }
         }
     }
+}
 
-    /// Delivers one planned fault to its site and runs the system's
-    /// recovery protocol, charging everything the availability report
-    /// tracks. A fault striking an already-down site is absorbed.
-    fn handle_fault(
+/// A single-rack replay: one shard, no channels, and the rack's world as
+/// its worker. Faults strike at epoch barriers through the same
+/// [`FaultLedger`] a federation drives, with no other rack to restart
+/// stranded guests onto.
+pub(super) struct RackWorld<'a> {
+    /// The rack's world, while no run holds it.
+    pub(super) rack: Vec<ScenarioWorld<'a>>,
+    pub(super) faults: FaultLedger,
+}
+
+impl<'a> ParallelWorld for RackWorld<'a> {
+    type Event = ScenarioEvent;
+    type Worker = ScenarioWorld<'a>;
+
+    fn split(&mut self, _shards: usize) -> Vec<ScenarioWorld<'a>> {
+        mem::take(&mut self.rack)
+    }
+
+    fn reunite(&mut self, workers: Vec<ScenarioWorld<'a>>) {
+        self.rack = workers;
+    }
+
+    fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
+        None
+    }
+
+    fn handle_barrier(
         &mut self,
+        workers: &mut [ScenarioWorld<'a>],
+        _shard: ShardId,
         now: SimTime,
-        index: usize,
-        ctx: &mut WorkerContext<'_, ScenarioEvent>,
+        event: ScenarioEvent,
+        ctx: &mut SerialContext<'_, ScenarioEvent>,
     ) {
-        let fault = self.faults.faults()[index];
-        if !self.injector.begin(fault.site, now) {
-            self.availability.faults_absorbed += 1;
-            return;
-        }
-        self.availability.faults_injected += 1;
-        let site = fault.site;
-        let mut affected = 0u64;
-        match site.kind {
-            FaultKind::ComputeBrick => {
-                let Some(brick) = self.fault_brick(site.kind, site.component) else {
-                    return;
-                };
-                let Ok(report) = self.system.fail_compute_brick(brick) else {
-                    return;
-                };
-                affected = u64::from(report.migrated + report.lost);
-                self.availability.vm_migrations += u64::from(report.migrated);
-                self.availability.vms_lost += u64::from(report.lost);
-                self.availability.sessions_dropped += u64::from(report.sessions_dropped);
-                self.availability.orphaned_bytes += report.orphaned.as_bytes();
-                self.counters.live -= u64::from(report.lost);
-                if report.lost > 0 {
-                    *self.lost_at.entry(site).or_default() += u64::from(report.lost);
-                }
-                for migration in &report.reports {
-                    self.record_migration(now, migration);
-                    // Evacuation downtime is availability lost to the fault.
-                    self.availability.vm_seconds_lost += migration.downtime.as_secs_f64();
-                }
-                // Orphan detection runs as part of the recovery protocol:
-                // stranded guests are dead either way, their bytes go back
-                // to the pool now.
-                let reclaim = self.system.reclaim_orphans();
-                self.availability.reclaimed_bytes += reclaim.reclaimed.as_bytes();
-            }
-            FaultKind::MemoryBrick => {
-                let Some(brick) = self.fault_brick(site.kind, site.component) else {
-                    return;
-                };
-                let Ok(report) = self.system.fail_membrick(brick) else {
-                    return;
-                };
-                affected = report.restarted.len() as u64 + u64::from(report.lost);
-                self.availability.segments_lost_bytes += report.lost_bytes.as_bytes();
-                self.availability.sessions_dropped += u64::from(report.sessions_dropped);
-                self.availability.vm_restarts += report.restarted.len() as u64;
-                self.availability.vms_lost += u64::from(report.lost);
-                self.counters.live -= u64::from(report.lost);
-                if report.lost > 0 {
-                    *self.lost_at.entry(site).or_default() += u64::from(report.lost);
-                }
-                // Each killed-and-readmitted guest restarts under a fresh
-                // handle: the old handle's scheduled events decay into
-                // NoSuchVm no-ops, and the new guest gets its own departure.
-                for &(_, vm) in &report.restarted {
-                    let lifetime = self.spec.lifetime.sample(&mut self.rng);
-                    ctx.schedule(now + lifetime, ScenarioEvent::Departure { vm });
-                }
-            }
-            FaultKind::AccelBrick => {
-                let Some(brick) = self.fault_brick(site.kind, site.component) else {
-                    return;
-                };
-                let Ok(report) = self.system.fail_accel_brick(brick) else {
-                    return;
-                };
-                affected = report.drained.len() as u64;
-                self.availability.sessions_dropped += report.drained.len() as u64;
-                // Each drained session's owner retries the offload once a
-                // surviving accelerator may pick it up.
-                if let Some(plan) = self.spec.offload {
-                    for &(_, vm) in &report.drained {
-                        ctx.schedule(
-                            now + plan.start_after,
-                            ScenarioEvent::OffloadBegin { vm, remaining: 1 },
-                        );
-                    }
-                }
-            }
-            FaultKind::Link => {
-                if let Some(report) = self.system.fail_link(site.component) {
-                    self.availability.links_severed += 1;
-                    self.availability.circuits_rerouted += u64::from(report.rerouted);
-                    self.availability.circuits_lost += u64::from(report.lost);
-                }
-            }
-            FaultKind::Switch => {
-                let restored = self.system.fail_switch();
-                self.availability.switch_failovers += 1;
-                self.availability.circuits_restored += restored as u64;
-            }
-        }
-        self.sample(Metric::BlastRadius, affected as f64);
-        self.sample_utilization();
-    }
-
-    /// Repairs one planned fault's site. A repair for a fault that was
-    /// absorbed (site already down under an earlier fault) is a no-op —
-    /// the earlier fault's own repair brings the site back.
-    fn handle_repair(&mut self, now: SimTime, index: usize) {
-        let fault = self.faults.faults()[index];
-        let Some(outage) = self.injector.end(fault.site, now) else {
-            return;
-        };
-        self.availability.repairs += 1;
-        if let Some(lost) = self.lost_at.remove(&fault.site) {
-            // Lost guests were down for the whole outage.
-            self.availability.vm_seconds_lost += lost as f64 * outage.as_secs_f64();
-        }
-        let site = fault.site;
-        match site.kind {
-            FaultKind::ComputeBrick => {
-                if let Some(brick) = self.fault_brick(site.kind, site.component) {
-                    let _ = self.system.repair_compute_brick(brick);
-                }
-            }
-            FaultKind::MemoryBrick => {
-                if let Some(brick) = self.fault_brick(site.kind, site.component) {
-                    let _ = self.system.repair_membrick(brick);
-                }
-            }
-            FaultKind::AccelBrick => {
-                if let Some(brick) = self.fault_brick(site.kind, site.component) {
-                    let _ = self.system.repair_accel_brick(brick);
-                }
-            }
-            FaultKind::Link => {
-                let _ = self.system.repair_link(site.component);
-            }
-            // The switch fault self-healed onto the standby at injection.
-            FaultKind::Switch => {}
-        }
-        self.sample_utilization();
-    }
-
-    /// Assembles the report once the engine stops.
-    pub(super) fn finish(self, outcome: RunOutcome, end: SimTime, events: u64) -> ScenarioReport {
-        let c = self.counters;
-        let mut observed = self.log.into_observer();
-        debug_assert_eq!(
-            *observed.prices(),
-            ReadPrices::new(&self.system, self.spec.contention()),
-            "read prices diverged from the live model"
-        );
-        // The data-path block only exists on specs that configure the
-        // load-dependent model; every pre-existing report (and golden)
-        // stays byte-identical.
-        let read_latency = observed.finish(Metric::ReadLatency);
-        let data_path = observed
-            .take_data_path()
-            .map(|dp| dp.finish(read_latency.as_ref()));
-        // The availability block only exists on specs that inject faults
-        // or run a rolling upgrade; every pre-existing report (and golden)
-        // stays byte-identical.
-        let availability = if self.spec.faults.is_some() || self.spec.upgrade.is_some() {
-            let mut stats = self.availability;
-            stats.blast_radius = observed.finish(Metric::BlastRadius);
-            stats.mttr = self.injector.mttr().clone().finish();
-            Some(stats)
-        } else {
-            None
-        };
-        ScenarioReport {
-            name: self.spec.name.clone(),
-            outcome,
-            end,
-            events,
-            admitted: c.admitted,
-            rejected: c.rejected,
-            peak_live: c.peak_live,
-            departed: c.departed,
-            scale_ups: c.scale_ups,
-            scale_up_failures: c.scale_up_failures,
-            scale_downs: c.scale_downs,
-            power_sweeps: c.power_sweeps,
-            bricks_powered_off: c.bricks_powered_off,
-            rebalances: c.rebalances,
-            migrations: c.migrations,
-            migration_failures: c.migration_failures,
-            evacuations: c.evacuations,
-            offloads: c.offloads,
-            offload_failures: c.offload_failures,
-            offloads_completed: c.offloads_completed,
-            bitstream_reuses: c.bitstream_reuses,
-            bitstream_programs: c.bitstream_programs,
-            accel_wakes: c.accel_wakes,
-            control_plane_peak_queue: self.control_plane.peak_depth() as u64,
-            scale_up_delay: observed.finish(Metric::ScaleUpDelay),
-            read_latency,
-            pool_utilization: observed.finish(Metric::PoolUtilization),
-            migration_downtime: observed.finish(Metric::MigrationDowntime),
-            precopy_counterfactual: observed.finish(Metric::PrecopyCounterfactual),
-            scaleout_counterfactual: observed.finish(Metric::ScaleoutCounterfactual),
-            control_plane_wait: observed.finish(Metric::ControlPlaneWait),
-            offload_time: observed.finish(Metric::OffloadTime),
-            offload_local_counterfactual: observed.finish(Metric::OffloadLocalCounterfactual),
-            accel_utilization: observed.finish(Metric::AccelUtilization),
-            // The cluster tier reports from the federation's own world.
-            cluster: None,
-            availability,
-            data_path,
+        let racks = &mut [&mut workers[0]];
+        match event {
+            ScenarioEvent::Fault { index } => self.faults.strike(racks, None, now, index, ctx),
+            ScenarioEvent::Repair { index } => self.faults.repair(racks, now, index),
+            _ => unreachable!("a single rack schedules no other serial event"),
         }
     }
 }
 
-/// A single-rack replay: the world is the one shard's worker.
+impl RackWorld<'_> {
+    /// Assembles the report once the engine stops.
+    pub(super) fn finish(
+        mut self,
+        outcome: RunOutcome,
+        end: SimTime,
+        events: u64,
+    ) -> ScenarioReport {
+        let world = self.rack.pop().expect("the runner hands the world back");
+        let mut observed = world.log.into_observer();
+        debug_assert_eq!(
+            *observed.prices(),
+            ReadPrices::new(&world.system, world.spec.contention()),
+            "read prices diverged from the live model"
+        );
+        let summaries = Metric::ALL.map(|metric| observed.finish(metric));
+        // The data-path block only exists on specs that configure the
+        // load-dependent model; every pre-existing report (and golden)
+        // stays byte-identical.
+        let read_latency = summaries[Metric::ReadLatency as usize].as_ref();
+        let data_path = observed.take_data_path().map(|dp| dp.finish(read_latency));
+        ScenarioReport::assemble(
+            world.spec,
+            outcome,
+            end,
+            events,
+            &world.counters,
+            summaries,
+            world.control_plane.peak_depth() as u64,
+            // The cluster tier reports from the federation's own world.
+            None,
+            self.faults,
+            data_path,
+        )
+    }
+}
+
+/// Each rack's world handles its own shard's events.
 impl WorldWorker for ScenarioWorld<'_> {
     type Event = ScenarioEvent;
 
@@ -743,11 +575,14 @@ impl ScenarioWorld<'_> {
             | ScenarioEvent::DigestPublish
             | ScenarioEvent::DigestUpdate { .. }
             | ScenarioEvent::DrainRack { .. }
-            | ScenarioEvent::UpgradeRack { .. } => {
+            | ScenarioEvent::UpgradeRack { .. }
+            | ScenarioEvent::Fault { .. }
+            | ScenarioEvent::Repair { .. } => {
                 // Cluster-tier events are intercepted by the federated
-                // workers and serial handlers (`scenario::cluster`) before
-                // they reach a rack's world; a single-rack replay never
-                // schedules them.
+                // workers (`scenario::cluster`) before they reach a rack's
+                // world, and faults and repairs are serial events that
+                // every replay hands its barrier handler
+                // (`scenario::faults`).
                 unreachable!("cluster-tier event dispatched to a rack world");
             }
             ScenarioEvent::ScaleUp {
@@ -900,8 +735,6 @@ impl ScenarioWorld<'_> {
                     ctx.schedule(now + policy.every(), ScenarioEvent::Rebalance);
                 }
             }
-            ScenarioEvent::Fault { index } => self.handle_fault(now, index, ctx),
-            ScenarioEvent::Repair { index } => self.handle_repair(now, index),
             ScenarioEvent::ReadBurst { vm, remaining } => {
                 let Some(dp) = self.data_path.as_mut() else {
                     return;

@@ -66,11 +66,6 @@ impl OpticalTopology {
         &self.manager
     }
 
-    /// Mutable access to the circuit manager.
-    pub fn manager_mut(&mut self) -> &mut CircuitManager {
-        &mut self.manager
-    }
-
     /// Establishes a circuit between a free, cabled GTH port of brick `a`
     /// and one of brick `b`, marking both brick ports as circuit-attached.
     ///

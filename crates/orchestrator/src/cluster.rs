@@ -105,11 +105,6 @@ impl RackDigest {
         ByteSize::from_bytes(self.free_memory_bytes)
     }
 
-    /// Largest contiguous free block on any single dMEMBRICK.
-    pub fn largest_segment(&self) -> ByteSize {
-        ByteSize::from_bytes(self.largest_segment_bytes)
-    }
-
     /// Provisioned electrical draw.
     pub fn provisioned_power(&self) -> Watts {
         Watts::new(self.provisioned_milliwatts as f64 / 1e3)

@@ -506,11 +506,6 @@ impl SdmController {
         self.sessions.len()
     }
 
-    /// Looks up a live offload session.
-    pub fn offload_session(&self, session: OffloadSessionId) -> Option<&OffloadSession> {
-        self.sessions.get(&session)
-    }
-
     /// Accelerator bricks streaming no session (power-off candidates),
     /// ascending by id, served from the accelerator index.
     pub fn idle_accel_bricks(&self) -> impl Iterator<Item = BrickId> + '_ {
@@ -1335,24 +1330,9 @@ impl SdmController {
 
     // --- Fault injection -------------------------------------------------
 
-    /// Compute bricks currently failed, ascending.
-    pub fn failed_compute_bricks(&self) -> impl Iterator<Item = BrickId> + '_ {
-        self.failed_compute.iter().copied()
-    }
-
     /// Whether `brick` is a failed compute brick.
     pub fn is_compute_failed(&self, brick: BrickId) -> bool {
         self.failed_compute.contains(&brick)
-    }
-
-    /// Accelerator bricks currently failed, ascending.
-    pub fn failed_accel_bricks(&self) -> impl Iterator<Item = BrickId> + '_ {
-        self.failed_accel.iter().copied()
-    }
-
-    /// Whether `brick` is a failed accelerator brick.
-    pub fn is_accel_failed(&self, brick: BrickId) -> bool {
-        self.failed_accel.contains(&brick)
     }
 
     /// Marks a dCOMPUBRICK failed: it leaves the capacity index and is
@@ -1488,16 +1468,6 @@ impl SdmController {
         self.sessions
             .values()
             .filter(|s| s.accel_brick == brick)
-            .map(|s| s.id)
-            .collect()
-    }
-
-    /// Live offload sessions issued *by* the given compute brick, ascending
-    /// by id — the drain list when the brick fails.
-    pub fn sessions_from_compute(&self, brick: BrickId) -> Vec<OffloadSessionId> {
-        self.sessions
-            .values()
-            .filter(|s| s.compute_brick == brick)
             .map(|s| s.id)
             .collect()
     }

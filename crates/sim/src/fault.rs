@@ -254,11 +254,6 @@ impl FaultInjector {
         self.down.contains_key(&site)
     }
 
-    /// Sites currently down, ascending.
-    pub fn down_sites(&self) -> impl Iterator<Item = FaultSite> + '_ {
-        self.down.keys().copied()
-    }
-
     /// Number of sites currently down.
     pub fn down_count(&self) -> usize {
         self.down.len()

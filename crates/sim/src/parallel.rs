@@ -89,11 +89,11 @@
 //!
 //! # Independent shards
 //!
-//! A `Vec` of workers is itself a [`ParallelWorld`]: worker `s` is shard
-//! `s`, no channel joins two shards and no serial event runs. Every
-//! horizon is then the run's own, so each shard works through its whole
-//! calendar in one epoch. A single-rack scenario replay is the
-//! one-element case and runs on the calling thread alone.
+//! A world that declares no channel runs every shard to the next serial
+//! event (or the run's end) in one epoch. A single shard with no channels
+//! — a single-rack scenario replay — runs on the calling thread alone,
+//! whatever the thread count, and its serial events (the replay's faults
+//! and repairs) split its calendar into one epoch per gap between them.
 
 use std::any::Any;
 use std::collections::BinaryHeap;
@@ -202,25 +202,6 @@ pub trait WorldWorker {
         event: Self::Event,
         ctx: &mut WorkerContext<'_, Self::Event>,
     );
-}
-
-/// Independent shards, one per worker and joined by no channel (see the
-/// module docs).
-impl<Wk: WorldWorker + Send> ParallelWorld for Vec<Wk> {
-    type Event = Wk::Event;
-    type Worker = Wk;
-
-    fn split(&mut self, _shards: usize) -> Vec<Wk> {
-        mem::take(self)
-    }
-
-    fn reunite(&mut self, workers: Vec<Wk>) {
-        *self = workers;
-    }
-
-    fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
-        None
-    }
 }
 
 /// One buffered cross-shard send, waiting for the epoch barrier.
@@ -1146,6 +1127,26 @@ impl<E: Send> ShardedEngine<E> {
 mod tests {
     use super::*;
     use crate::shard::{ShardContext, ShardedProcess};
+
+    /// Independent shards, one per worker and joined by no channel: every
+    /// horizon is the run's own, so each shard works through its whole
+    /// calendar in one epoch.
+    impl<Wk: WorldWorker + Send> ParallelWorld for Vec<Wk> {
+        type Event = Wk::Event;
+        type Worker = Wk;
+
+        fn split(&mut self, _shards: usize) -> Vec<Wk> {
+            mem::take(self)
+        }
+
+        fn reunite(&mut self, workers: Vec<Wk>) {
+            *self = workers;
+        }
+
+        fn latency(&self, _from: ShardId, _to: ShardId) -> Option<SimDuration> {
+            None
+        }
+    }
 
     /// A ring relay with partitioned per-shard logs: tokens hop to the
     /// next shard with a fixed channel latency until their payload

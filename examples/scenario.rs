@@ -21,9 +21,10 @@
 //! power sweeps and a mid-run rack drain — checks its determinism, and
 //! reports wall-clock time (the CI smoke keeps it time-bounded). Passing
 //! `failure` replays the two robustness scenarios — the failure-storm
-//! (seeded brick/link/switch faults with recovery and repair) and the
-//! rolling-upgrade (per-rack drain → snapshot → restore → readmit) — with
-//! the same determinism check and a zero-lost-bytes assertion. Passing
+//! (seeded brick/link/switch faults with recovery and repair), on its two
+//! racks and on one, and the rolling-upgrade (per-rack drain → snapshot →
+//! restore → readmit) — with the same determinism check and a
+//! zero-lost-bytes assertion. Passing
 //! `datapath` replays the two load-dependent data-path scenarios — the
 //! memory-thrash (fabric contention, per-VM remote caches and the adaptive
 //! movement-granularity controller) and the incast (ten page-granularity
@@ -38,12 +39,16 @@
 //! `datapath`, it replays each data-path scenario on N threads, where the
 //! rack's observation log (bursts, priced reads, report samples) drains
 //! on a helper thread, and asserts the report renders identically to the
-//! serial one.
+//! serial one. With `failure`, it does the same for each robustness
+//! replay.
 //!
 //! Passing `datacenter-64` replays the 64-rack federation on `--threads N`
 //! workers (default 1) with a determinism replay. It is too large for the
 //! golden suite, so at seed 2018 the example instead checks the FNV-1a
 //! fingerprint of the report's `{:#?}` rendering against a pinned value.
+//!
+//! Every replay panics if it stops at its spec's event budget: each
+//! shipped budget is a runaway guard sized above the replay.
 
 use std::fmt::Write as _;
 
@@ -65,6 +70,27 @@ impl std::fmt::Write for Fnv1a {
         }
         Ok(())
     }
+}
+
+/// Panics when a replay of a shipped spec stopped at its event budget.
+/// Every shipped budget is a runaway guard sized above its replay, so a
+/// stop there means something grew the replay and cut its report short.
+fn assert_within_budget(report: &ScenarioReport) {
+    assert_ne!(
+        report.outcome,
+        RunOutcome::BudgetExhausted,
+        "{} stopped at its event budget after {} events",
+        report.name,
+        report.events
+    );
+}
+
+/// Replays `spec` from `seed` on `threads` threads, panicking if the
+/// replay stopped at its event budget.
+fn replay(spec: &ScenarioSpec, seed: u64, threads: usize) -> Result<ScenarioReport, SystemError> {
+    let report = spec.run_with_threads(seed, threads)?;
+    assert_within_budget(&report);
+    Ok(report)
 }
 
 /// The FNV-1a fingerprint of `value`'s `{:#?}` rendering.
@@ -100,11 +126,12 @@ fn main() -> Result<(), SystemError> {
 
     let suite = run_builtin_suite(seed)?;
     println!("{suite}");
+    suite.reports.iter().for_each(assert_within_budget);
 
     // Determinism: replaying the suite with the same seed must reproduce
     // the reports bit for bit.
-    let replay = run_builtin_suite(seed)?;
-    assert_eq!(suite, replay, "same-seed replay diverged");
+    let again = run_builtin_suite(seed)?;
+    assert_eq!(suite, again, "same-seed replay diverged");
     println!("\ndeterminism check: replay with seed {seed} produced an identical report");
 
     if with_migration {
@@ -112,10 +139,10 @@ fn main() -> Result<(), SystemError> {
             ScenarioSpec::consolidation(),
             ScenarioSpec::hotspot_evacuation(),
         ] {
-            let report = spec.run(seed)?;
+            let report = replay(&spec, seed, 1)?;
             println!("\n{report}");
-            let replay = spec.run(seed)?;
-            assert_eq!(report, replay, "{} same-seed replay diverged", spec.name);
+            let again = replay(&spec, seed, 1)?;
+            assert_eq!(report, again, "{} same-seed replay diverged", spec.name);
             println!(
                 "determinism check: {} replay with seed {seed} was identical \
                  ({} migrations, {} bricks powered off)",
@@ -126,10 +153,10 @@ fn main() -> Result<(), SystemError> {
 
     if with_offload {
         let spec = ScenarioSpec::offload_heavy();
-        let report = spec.run(seed)?;
+        let report = replay(&spec, seed, 1)?;
         println!("\n{report}");
-        let replay = spec.run(seed)?;
-        assert_eq!(report, replay, "offload-heavy same-seed replay diverged");
+        let again = replay(&spec, seed, 1)?;
+        assert_eq!(report, again, "offload-heavy same-seed replay diverged");
         println!(
             "determinism check: offload-heavy replay with seed {seed} was identical \
              ({} sessions, {} bitstream reuses, {} programs, {} wakes)",
@@ -140,7 +167,7 @@ fn main() -> Result<(), SystemError> {
     if with_rack_scale {
         let spec = ScenarioSpec::rack_scale();
         let started = std::time::Instant::now();
-        let report = spec.run(seed)?;
+        let report = replay(&spec, seed, 1)?;
         let elapsed = started.elapsed();
         println!("\n{report}");
         println!(
@@ -149,15 +176,15 @@ fn main() -> Result<(), SystemError> {
             spec.vm_count,
             elapsed.as_secs_f64()
         );
-        let replay = spec.run(seed)?;
-        assert_eq!(report, replay, "rack-scale same-seed replay diverged");
+        let again = replay(&spec, seed, 1)?;
+        assert_eq!(report, again, "rack-scale same-seed replay diverged");
         println!("determinism check: rack-scale replay with seed {seed} was identical");
     }
 
     if with_datacenter {
         let spec = ScenarioSpec::datacenter();
         let started = std::time::Instant::now();
-        let report = spec.run(seed)?;
+        let report = replay(&spec, seed, 1)?;
         let elapsed = started.elapsed();
         println!("\n{report}");
         let cluster = report.cluster.as_ref().expect("federated stats reported");
@@ -168,8 +195,8 @@ fn main() -> Result<(), SystemError> {
             report.events,
             elapsed.as_secs_f64()
         );
-        let replay = spec.run(seed)?;
-        assert_eq!(report, replay, "datacenter same-seed replay diverged");
+        let again = replay(&spec, seed, 1)?;
+        assert_eq!(report, again, "datacenter same-seed replay diverged");
         println!(
             "determinism check: datacenter replay with seed {seed} was identical \
              ({} routed admissions, {} spillovers, {} cross-rack migrations)",
@@ -177,7 +204,7 @@ fn main() -> Result<(), SystemError> {
         );
         if threads > 1 {
             let started = std::time::Instant::now();
-            let parallel = spec.run_with_threads(seed, threads)?;
+            let parallel = replay(&spec, seed, threads)?;
             let wall = started.elapsed();
             assert_eq!(
                 report, parallel,
@@ -214,7 +241,7 @@ fn main() -> Result<(), SystemError> {
     if with_datacenter_64 {
         let spec = ScenarioSpec::datacenter_64();
         let started = std::time::Instant::now();
-        let report = spec.run_with_threads(seed, threads)?;
+        let report = replay(&spec, seed, threads)?;
         let elapsed = started.elapsed();
         let cluster = report.cluster.as_ref().expect("federated stats reported");
         println!(
@@ -230,8 +257,8 @@ fn main() -> Result<(), SystemError> {
             cluster.spillovers,
             cluster.cross_rack_migrations
         );
-        let replay = spec.run_with_threads(seed, threads)?;
-        assert_eq!(report, replay, "datacenter-64 same-seed replay diverged");
+        let again = replay(&spec, seed, threads)?;
+        assert_eq!(report, again, "datacenter-64 same-seed replay diverged");
         println!("determinism check: datacenter-64 replay with seed {seed} was identical");
         if seed == 2018 {
             let found = fingerprint(&report);
@@ -245,49 +272,58 @@ fn main() -> Result<(), SystemError> {
 
     if with_failure {
         let started = std::time::Instant::now();
+        // The storm on one rack: the same fault recovery with no other
+        // rack to restart stranded guests onto.
+        let mut one_rack_storm = ScenarioSpec::failure_storm();
+        one_rack_storm.system.racks = 1;
         for spec in [
             ScenarioSpec::failure_storm(),
+            one_rack_storm,
             ScenarioSpec::rolling_upgrade(),
         ] {
-            let report = spec.run(seed)?;
+            let label = format!("{} on {} rack(s)", spec.name, spec.system.racks);
+            let report = replay(&spec, seed, 1)?;
             println!("\n{report}");
-            let replay = spec.run(seed)?;
-            assert_eq!(report, replay, "{} same-seed replay diverged", spec.name);
+            let again = replay(&spec, seed, 1)?;
+            assert_eq!(report, again, "{label} same-seed replay diverged");
+            if threads > 1 {
+                let threaded = replay(&spec, seed, threads)?;
+                assert_eq!(
+                    format!("{report:#?}\n{report}"),
+                    format!("{threaded:#?}\n{threaded}"),
+                    "{label} on {threads} threads diverged from the serial replay"
+                );
+                println!("thread check: {label} on {threads} threads rendered identically");
+            }
             let avail = report.availability.as_ref().expect("availability reported");
             assert_eq!(
                 avail.upgrade_lost_bytes, 0,
-                "{}: pooled bytes went missing across servicing",
-                spec.name
+                "{label}: pooled bytes went missing across servicing"
             );
             assert_eq!(
                 avail.upgrade_restore_mismatches, 0,
-                "{}: a snapshot restored non-identically",
-                spec.name
+                "{label}: a snapshot restored non-identically"
             );
             println!(
-                "determinism check: {} replay with seed {seed} was identical \
+                "determinism check: {label} replay with seed {seed} was identical \
                  ({} faults injected, {} repairs, {} upgrades, {} bytes lost)",
-                spec.name,
-                avail.faults_injected,
-                avail.repairs,
-                avail.upgrades,
-                avail.upgrade_lost_bytes
+                avail.faults_injected, avail.repairs, avail.upgrades, avail.upgrade_lost_bytes
             );
         }
         println!(
-            "failure: both robustness scenarios replayed in {:.3} s wall-clock",
+            "failure: the three robustness replays ran in {:.3} s wall-clock",
             started.elapsed().as_secs_f64()
         );
     }
 
     if with_datapath {
         for spec in [ScenarioSpec::memory_thrash(), ScenarioSpec::incast()] {
-            let report = spec.run(seed)?;
+            let report = replay(&spec, seed, 1)?;
             println!("\n{report}");
-            let replay = spec.run(seed)?;
-            assert_eq!(report, replay, "{} same-seed replay diverged", spec.name);
+            let again = replay(&spec, seed, 1)?;
+            assert_eq!(report, again, "{} same-seed replay diverged", spec.name);
             if threads > 1 {
-                let threaded = spec.run_with_threads(seed, threads)?;
+                let threaded = replay(&spec, seed, threads)?;
                 assert_eq!(
                     format!("{report:#?}\n{report}"),
                     format!("{threaded:#?}\n{threaded}"),
