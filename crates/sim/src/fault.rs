@@ -213,11 +213,6 @@ impl FailureSchedule {
 pub struct FaultInjector {
     /// Sites currently down and when each went down.
     down: BTreeMap<FaultSite, SimTime>,
-    /// Faults that actually struck (a fault on an already-down site is
-    /// absorbed and not counted).
-    injected: u64,
-    /// Repairs completed.
-    repaired: u64,
     /// Completed repair durations, in seconds.
     mttr_secs: Summary,
 }
@@ -235,7 +230,6 @@ impl FaultInjector {
             return false;
         }
         self.down.insert(site, now);
-        self.injected += 1;
         true
     }
 
@@ -244,29 +238,8 @@ impl FaultInjector {
     pub fn end(&mut self, site: FaultSite, now: SimTime) -> Option<SimDuration> {
         let since = self.down.remove(&site)?;
         let outage = now.duration_since(since);
-        self.repaired += 1;
         self.mttr_secs.record(outage.as_secs_f64());
         Some(outage)
-    }
-
-    /// Whether `site` is currently down.
-    pub fn is_down(&self, site: FaultSite) -> bool {
-        self.down.contains_key(&site)
-    }
-
-    /// Number of sites currently down.
-    pub fn down_count(&self) -> usize {
-        self.down.len()
-    }
-
-    /// Faults that actually struck.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Repairs completed.
-    pub fn repaired(&self) -> u64 {
-        self.repaired
     }
 
     /// Completed repair durations in seconds.
@@ -340,18 +313,16 @@ mod tests {
         };
         assert!(injector.begin(site, SimTime::from_secs(1)));
         assert!(!injector.begin(site, SimTime::from_secs(2)), "already down");
-        assert!(injector.is_down(site));
-        assert_eq!(injector.down_count(), 1);
-        assert_eq!(injector.injected(), 1);
+        assert_eq!(injector.down.get(&site), Some(&SimTime::from_secs(1)));
+        assert_eq!(injector.down.len(), 1);
         assert_eq!(
             injector.end(site, SimTime::from_secs(31)),
             Some(SimDuration::from_secs(30))
         );
         assert_eq!(injector.end(site, SimTime::from_secs(32)), None);
-        assert_eq!(injector.repaired(), 1);
         assert_eq!(injector.mttr().count(), 1);
         assert_eq!(injector.mttr().min(), 30.0);
         assert_eq!(injector.mttr().max(), 30.0);
-        assert_eq!(injector.down_count(), 0);
+        assert!(injector.down.is_empty());
     }
 }

@@ -33,9 +33,13 @@
 //! `threads = N` means N participating threads: the calling thread
 //! plus N − 1 helpers spawned for the run (N is clamped to
 //! `1..=shard_count`). An epoch's active shards — the *units* — go into
-//! one shared pool, and every participating thread claims units one at
-//! a time, in ascending shard order, until the pool is empty; how long a
-//! unit takes is not known in advance, so nothing is assigned up front.
+//! one shared pool, and every participating thread takes units one at
+//! a time until the pool is empty; how long a unit takes is not known in
+//! advance, so nothing is assigned up front. The pool hands out the unit
+//! with the largest mail batch first (ties in ascending shard order):
+//! mail carries the work other shards sent, and it is the one cost
+//! signal known before the epoch runs, so the longest units tend to
+//! start early and the calling thread waits less for the last one.
 //! An epoch with a single active unit, or a run with N = 1, runs on the
 //! calling thread alone and wakes no helper. Helpers wait between epochs
 //! and acknowledge each one; a handler panic on a helper travels back
@@ -60,19 +64,24 @@
 //! times, serial batches) is computed from event timestamps only, each
 //! shard's event sequence within an epoch is fully ordered by its own
 //! calendar and inbox, and barrier routing walks source shards in
-//! ascending order. Which thread claims a unit, and when, changes only
+//! ascending order. Which thread takes a unit, and when, changes only
 //! the wall-clock instant a shard's slice runs at, never what it
 //! computes.
 //!
-//! The one caveat is a *binding* event budget. When fewer budgeted events
-//! remain than are currently pending, the runner drops to a fine-grained
-//! single-step mode that replays the exact global (time, shard) order of
-//! [`ShardedEngine::run`], so the cutoff lands on a deterministic event
-//! and `processed()` / [`RunOutcome`] match the serial engine exactly. If
-//! an intra-epoch scheduling burst exhausts the budget before that guard
-//! engages, the totals are still exact but *which* near-cutoff events got
-//! processed is unspecified. Scenario budgets are runaway guards sized
-//! far above their traces, so the corner never binds there.
+//! An event budget keeps that contract without any state shared per
+//! event. When an epoch is planned, the budget still remaining is split
+//! over its units in ascending shard order (`remaining / units` each, one
+//! more for the lowest `remaining % units` shards), and each unit stops
+//! at its own quota even before its horizon. The quotas sum to the
+//! remaining budget, so a run never overshoots it, and they depend on
+//! the epoch plan alone, so every thread count stops at the same events.
+//! A unit that stops early has sent only what its horizon allowed, and
+//! the next epoch replans. Once fewer budgeted events remain than are
+//! pending, the runner drops to a fine-grained single-step mode that
+//! replays the exact global (time, shard) order of [`ShardedEngine::run`].
+//! Where a quota binds first, the cutoff can differ from the serial
+//! engine's; scenario budgets are runaway guards sized far above their
+//! traces, so neither binds there.
 //!
 //! # Serial events
 //!
@@ -96,6 +105,7 @@
 //! and repairs) split its calendar into one epoch per gap between them.
 
 use std::any::Any;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint;
 use std::mem;
@@ -424,7 +434,7 @@ impl<E> Batch<E> {
 
 /// One shard's travelling state: engine lane plus world worker. Units
 /// live at the coordinator between epochs and move (owned, through the
-/// epoch's [`Pool`]) to whichever thread claims them — no cross-thread
+/// epoch's [`Pool`]) to whichever thread takes them — no cross-thread
 /// borrows.
 struct Unit<E, Wk> {
     shard: u32,
@@ -432,31 +442,37 @@ struct Unit<E, Wk> {
     worker: Option<Wk>,
     /// Exclusive horizon for the epoch being executed.
     horizon: SimTime,
+    /// This unit's share of the run's remaining event budget for the
+    /// epoch being executed.
+    quota: u64,
+    /// Entries of the mail batch delivered for the epoch being executed;
+    /// the pool hands out the unit with the most mail first.
+    mail: usize,
     /// Events processed during the epoch being executed.
     processed: u64,
     /// Latest event time processed during the epoch being executed.
     max_t: Option<SimTime>,
 }
 
+/// A shard's unit while it is home at the coordinator, `None` while it
+/// is out in an epoch. Units are boxed so that moving one between the
+/// slots, the pool and the threads copies a pointer, not the whole unit.
+type Slot<E, Wk> = Option<Box<Unit<E, Wk>>>;
+
 /// One parallel epoch for one shard: pop while strictly below the
-/// horizon, claiming from the shared budget before every pop.
+/// horizon and the unit's quota is not spent.
 fn process_unit<E, Wk: WorldWorker<Event = E>>(
     unit: &mut Unit<E, Wk>,
-    claims: &AtomicU64,
-    cap: u64,
     lat: &[Vec<Option<SimDuration>>],
 ) {
     unit.processed = 0;
     unit.max_t = None;
     let shard = ShardId(unit.shard);
     let worker = unit.worker.as_mut().expect("unit carries its worker");
-    loop {
+    while unit.processed < unit.quota {
         match unit.lane.next_time() {
             Some(at) if at < unit.horizon => {}
             _ => break,
-        }
-        if claims.fetch_add(1, AtomicOrdering::Relaxed) >= cap {
-            break;
         }
         let (at, event) = unit.lane.pop().expect("peeked event must exist");
         unit.processed += 1;
@@ -471,16 +487,22 @@ fn process_unit<E, Wk: WorldWorker<Event = E>>(
     }
 }
 
+/// The event quota of the unit at `rank` (0 = lowest shard) among
+/// `units` active units sharing `remaining` budgeted events: an equal
+/// share, plus one for each of the lowest `remaining % units` shards.
+fn quota(remaining: u64, units: usize, rank: usize) -> u64 {
+    let units = units as u64;
+    remaining / units + u64::from((rank as u64) < remaining % units)
+}
+
 /// The shared state of one epoch's work pool.
 struct PoolState<E, Wk> {
     /// Bumped once per pooled epoch; a helper runs when it moves.
     epoch: u64,
-    /// The epoch's event-budget cap.
-    cap: u64,
     /// Unclaimed units, handed out from the back.
-    todo: Vec<Unit<E, Wk>>,
+    todo: Vec<Box<Unit<E, Wk>>>,
     /// Units whose epoch slice is done.
-    done: Vec<Unit<E, Wk>>,
+    done: Vec<Box<Unit<E, Wk>>>,
     /// Helpers that have not yet acknowledged the current epoch.
     running: usize,
     /// The first helper panic of the epoch, re-raised by the caller.
@@ -490,7 +512,7 @@ struct PoolState<E, Wk> {
 }
 
 /// Work pool shared by the calling thread and its helpers: every
-/// participating thread claims active units one at a time until none
+/// participating thread takes active units one at a time until none
 /// is left, so a slow unit never strands a whole fixed chunk of work
 /// behind it.
 struct Pool<E, Wk> {
@@ -514,7 +536,6 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
         Pool {
             state: Mutex::new(PoolState {
                 epoch: 0,
-                cap: 0,
                 todo: Vec::with_capacity(shards),
                 done: Vec::with_capacity(shards),
                 running: 0,
@@ -557,11 +578,11 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Claims and runs units until the pool is empty.
-    fn drain(&self, claims: &AtomicU64, cap: u64, lat: &[Vec<Option<SimDuration>>]) {
+    /// Takes and runs units until the pool is empty.
+    fn drain(&self, lat: &[Vec<Option<SimDuration>>]) {
         let mut next = self.lock().todo.pop();
         while let Some(mut unit) = next {
-            process_unit(&mut unit, claims, cap, lat);
+            process_unit(&mut unit, lat);
             let mut state = self.lock();
             state.done.push(unit);
             next = state.todo.pop();
@@ -571,11 +592,11 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
     /// A helper thread's life: wait for an epoch, drain the pool, and
     /// acknowledge — with the panic payload if a handler panicked, so
     /// the calling thread never waits on a dead helper.
-    fn help(&self, claims: &AtomicU64, lat: &[Vec<Option<SimDuration>>]) {
+    fn help(&self, lat: &[Vec<Option<SimDuration>>]) {
         let mut seen = 0;
         loop {
             self.spin_until(|| self.epoch.load(AtomicOrdering::Acquire) != seen);
-            let cap = {
+            {
                 let mut state = self.lock();
                 while state.epoch == seen && !state.closed {
                     state = self
@@ -587,9 +608,8 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
                     return;
                 }
                 seen = state.epoch;
-                state.cap
-            };
-            let result = panic::catch_unwind(AssertUnwindSafe(|| self.drain(claims, cap, lat)));
+            }
+            let result = panic::catch_unwind(AssertUnwindSafe(|| self.drain(lat)));
             let last = {
                 let mut state = self.lock();
                 if let Err(payload) = result {
@@ -610,23 +630,20 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
     /// Re-raises a helper's panic on the calling thread.
     fn run_epoch(
         &self,
-        active: &mut Vec<Unit<E, Wk>>,
+        active: &mut Vec<Box<Unit<E, Wk>>>,
         helpers: usize,
-        claims: &AtomicU64,
-        cap: u64,
         lat: &[Vec<Option<SimDuration>>],
     ) {
         {
             let mut state = self.lock();
             mem::swap(&mut state.todo, active);
-            state.cap = cap;
             state.epoch += 1;
             state.running = helpers;
             self.running.store(helpers, AtomicOrdering::Release);
             self.epoch.store(state.epoch, AtomicOrdering::Release);
         }
         self.start.notify_all();
-        self.drain(claims, cap, lat);
+        self.drain(lat);
         self.spin_until(|| self.running.load(AtomicOrdering::Acquire) == 0);
         let mut state = self.lock();
         while state.running > 0 {
@@ -658,12 +675,11 @@ impl<E, Wk: WorldWorker<Event = E>> Drop for ClosePool<'_, E, Wk> {
 impl<E: Send> ShardedEngine<E> {
     /// Runs the simulation under conservative-epoch synchronization on
     /// `threads` threads in all: the calling thread plus `threads − 1`
-    /// helpers (clamped to `1..=shard_count`), which claim each epoch's
-    /// active shards from a shared pool. Run control — the event budget
-    /// checked before every event, the horizon against each event's
-    /// time, [`RunOutcome`] priorities — is global across all threads and
-    /// matches [`ShardedEngine::run`]. See the module docs for the
-    /// determinism contract.
+    /// helpers (clamped to `1..=shard_count`), which take each epoch's
+    /// active shards from a shared pool. The event budget is split into
+    /// per-shard quotas when each epoch is planned, and the horizon and
+    /// [`RunOutcome`] priorities match [`ShardedEngine::run`]. See the
+    /// module docs for the determinism contract.
     ///
     /// # Panics
     ///
@@ -735,11 +751,11 @@ impl<E: Send> ShardedEngine<E> {
             shards,
             "split must produce exactly one worker per shard"
         );
-        let mut slots: Vec<Option<Unit<E, W::Worker>>> = workers
+        let mut slots: Vec<Slot<E, W::Worker>> = workers
             .into_iter()
             .enumerate()
             .map(|(s, worker)| {
-                Some(Unit {
+                Some(Box::new(Unit {
                     shard: s as u32,
                     lane: Lane {
                         queue: mem::take(&mut self.queues[s]),
@@ -749,9 +765,11 @@ impl<E: Send> ShardedEngine<E> {
                     },
                     worker: Some(worker),
                     horizon: SimTime::ZERO,
+                    quota: 0,
+                    mail: 0,
                     processed: 0,
                     max_t: None,
-                })
+                }))
             })
             .collect();
         let mut batches: Vec<Batch<E>> = (0..shards)
@@ -762,9 +780,8 @@ impl<E: Send> ShardedEngine<E> {
             .collect();
         let mut staged: Vec<SerialOp<E>> = Vec::new();
         let mut t_eff: Vec<Option<SimTime>> = vec![None; shards];
-        let mut active: Vec<Unit<E, W::Worker>> = Vec::with_capacity(shards);
+        let mut active: Vec<Box<Unit<E, W::Worker>>> = Vec::with_capacity(shards);
         let mut outs: Vec<Outgoing<E>> = Vec::new();
-        let claims = AtomicU64::new(0);
         let pool = Pool::new(shards, spin);
         let helpers = threads - 1;
         // Epoch-shape counters, reported on stderr when
@@ -774,6 +791,7 @@ impl<E: Send> ShardedEngine<E> {
         let mut dbg_epochs = 0u64;
         let mut dbg_serial = 0u64;
         let mut dbg_fine = 0u64;
+        let mut dbg_quota_stops = 0u64;
         let mut dbg_single = 0u64;
         let mut dbg_units = 0u64;
 
@@ -783,8 +801,8 @@ impl<E: Send> ShardedEngine<E> {
             // `_close` drops at the end of the run, panic or not.
             let _close = ClosePool(&pool);
             for _ in 0..helpers {
-                let (pool, claims, lat) = (&pool, &claims, &lat[..]);
-                scope.spawn(move || pool.help(claims, lat));
+                let (pool, lat) = (&pool, &lat[..]);
+                scope.spawn(move || pool.help(lat));
             }
 
             // When the remaining budget is no larger than the pending
@@ -921,9 +939,9 @@ impl<E: Send> ShardedEngine<E> {
                 // next times of the shards with a channel into it plus
                 // their latencies, capped by the serial fence and the run
                 // horizon (inclusive, so +1 ns as an exclusive bound).
-                // Walking shards in descending order leaves `active` in
-                // the order the pool hands units out from its back:
-                // ascending shard order, front door first.
+                // Walking shards in descending order leaves `active` with
+                // the lowest shard last: the quotas below rank units from
+                // the back, and the pool hands units out from there.
                 for s in (0..shards).rev() {
                     let Some(t_s) = t_eff[s] else { continue };
                     let mut h_s = match self.horizon {
@@ -942,7 +960,8 @@ impl<E: Send> ShardedEngine<E> {
                         continue;
                     }
                     let mut unit = slots[s].take().expect("unit is home");
-                    if !batches[s].entries.is_empty() {
+                    unit.mail = batches[s].entries.len();
+                    if unit.mail > 0 {
                         batches[s].deliver(&mut unit.lane);
                     }
                     unit.horizon = h_s;
@@ -952,24 +971,39 @@ impl<E: Send> ShardedEngine<E> {
                     !active.is_empty(),
                     "conservative epoch made no progress; is a channel latency missing?"
                 );
+                // Each active unit holds a pending event, so outside fine
+                // mode `remaining > pending >= units` and every quota is
+                // at least one.
+                let units = active.len();
+                debug_assert!(remaining > units as u64, "a unit got no quota");
+                for (rank, unit) in active.iter_mut().rev().enumerate() {
+                    unit.quota = quota(remaining, units, rank);
+                }
 
                 dbg_epochs += 1;
-                dbg_units += active.len() as u64;
-                if active.len() == 1 {
+                dbg_units += units as u64;
+                if units == 1 {
                     dbg_single += 1;
                 }
-                claims.store(0, AtomicOrdering::Relaxed);
-                if helpers == 0 || active.len() == 1 {
-                    for unit in active.iter_mut().rev() {
-                        process_unit(unit, &claims, remaining, &lat);
+                if helpers == 0 || units == 1 {
+                    for unit in &mut active {
+                        process_unit(unit, &lat);
                     }
                 } else {
+                    // Largest mail last, so the pool hands it out first;
+                    // the shard key keeps ties in ascending shard order.
                     // Which thread runs a unit changes only wall-clock
                     // balance, never results.
-                    pool.run_epoch(&mut active, helpers, &claims, remaining, &lat);
+                    active.sort_unstable_by_key(|u| (u.mail, Reverse(u.shard)));
+                    pool.run_epoch(&mut active, helpers, &lat);
                 }
 
                 for unit in active.drain(..) {
+                    if unit.processed == unit.quota
+                        && unit.lane.next_time().is_some_and(|t| t < unit.horizon)
+                    {
+                        dbg_quota_stops += 1;
+                    }
                     self.processed += unit.processed;
                     if let Some(t) = unit.max_t {
                         self.now = self.now.max(t);
@@ -981,8 +1015,7 @@ impl<E: Send> ShardedEngine<E> {
                 // merge orders them by (time, source shard, send seq).
                 for (s, slot) in slots.iter_mut().enumerate() {
                     let unit = slot.as_mut().expect("unit is home");
-                    outs.append(&mut unit.lane.outbox);
-                    for out in outs.drain(..) {
+                    for out in unit.lane.outbox.drain(..) {
                         batches[out.to as usize].push(MailEntry {
                             at: out.at,
                             from: ShardId(s as u32),
@@ -997,7 +1030,8 @@ impl<E: Send> ShardedEngine<E> {
         if std::env::var_os("DREDBOX_EPOCH_DEBUG").is_some() {
             eprintln!(
                 "epochs={dbg_epochs} units={dbg_units} single-unit={dbg_single} \
-                 serial-phases={dbg_serial} fine-steps={dbg_fine} processed={}",
+                 serial-phases={dbg_serial} fine-steps={dbg_fine} \
+                 quota-stops={dbg_quota_stops} processed={}",
                 self.processed
             );
         }
@@ -1034,7 +1068,7 @@ impl<E: Send> ShardedEngine<E> {
     fn serial_phase<W>(
         &mut self,
         world: &mut W,
-        slots: &mut [Option<Unit<E, W::Worker>>],
+        slots: &mut [Slot<E, W::Worker>],
         batches: &mut [Batch<E>],
         staged: &mut Vec<SerialOp<E>>,
     ) where
@@ -1824,13 +1858,36 @@ mod tests {
         }
     }
 
+    /// Runs countdowns starting at `starts` (one per shard, all at time
+    /// zero) under `budget` on `threads` threads, and returns the outcome
+    /// and each shard's handled count.
+    fn run_countdowns(
+        starts: &[u32],
+        budget: u64,
+        threads: usize,
+        spin: bool,
+    ) -> (RunOutcome, Vec<u64>) {
+        let mut engine = ShardedEngine::new(starts.len()).with_event_budget(budget);
+        for (s, &n) in starts.iter().enumerate() {
+            engine.schedule(ShardId(s as u32), SimTime::ZERO, n);
+        }
+        let mut world: Vec<CountdownWorker> = starts
+            .iter()
+            .map(|_| CountdownWorker { handled: 0 })
+            .collect();
+        let outcome = engine.run_epochs(&mut world, threads, spin);
+        let handled: Vec<u64> = world.iter().map(|w| w.handled).collect();
+        assert_eq!(engine.processed(), handled.iter().sum::<u64>());
+        (outcome, handled)
+    }
+
     /// A budget that binds inside one pooled epoch: four countdowns of 500
     /// events each run in a single epoch, and a budget of 777 is far above
     /// the four events pending when it starts, so the fine-step guard
-    /// stays off and the shared claim counter alone must stop the run.
-    /// Every thread count and barrier branch stops at exactly the serial
-    /// engine's cutoff; which countdowns got how far is the unspecified
-    /// part of that corner (see the module docs).
+    /// stays off and the per-unit quotas (195, 194, 194, 194) alone stop
+    /// the run. Every thread count and barrier branch handles the same
+    /// events on every shard, and here that is also the serial engine's
+    /// cutoff, since the countdowns advance in lockstep.
     #[test]
     fn a_budget_binding_inside_a_pooled_epoch_stops_at_the_serial_cutoff() {
         const BUDGET: u64 = 777;
@@ -1852,30 +1909,69 @@ mod tests {
                 }
             }
         }
-        let build = || {
-            let mut engine = ShardedEngine::new(4).with_event_budget(BUDGET);
-            for s in 0..4 {
-                engine.schedule(ShardId(s), SimTime::ZERO, 499);
-            }
-            engine
-        };
-        let mut serial = build();
-        let serial_outcome = serial.run(&mut Countdowns {
+        let mut serial = ShardedEngine::new(4).with_event_budget(BUDGET);
+        for s in 0..4 {
+            serial.schedule(ShardId(s), SimTime::ZERO, 499);
+        }
+        let mut counts = Countdowns {
             handled: vec![0; 4],
-        });
+        };
+        let serial_outcome = serial.run(&mut counts);
         assert_eq!(serial_outcome, RunOutcome::BudgetExhausted);
-        assert_eq!(serial.processed(), BUDGET);
+        assert_eq!(counts.handled, [195, 194, 194, 194]);
 
-        for (threads, spin) in [(1, false), (2, true), (2, false), (4, false)] {
+        for (threads, spin) in [(1, false), (2, true), (2, false), (4, true), (4, false)] {
             let case = format!("threads={threads} spin={spin}");
-            let mut engine = build();
-            let mut world: Vec<CountdownWorker> =
-                (0..4).map(|_| CountdownWorker { handled: 0 }).collect();
-            let outcome = engine.run_epochs(&mut world, threads, spin);
+            let (outcome, handled) = run_countdowns(&[499; 4], BUDGET, threads, spin);
             assert_eq!(outcome, serial_outcome, "{case}");
-            assert_eq!(engine.processed(), BUDGET, "{case}");
-            let handled: u64 = world.iter().map(|w| w.handled).sum();
-            assert_eq!(handled, BUDGET, "{case}");
+            assert_eq!(handled, counts.handled, "{case}");
+        }
+    }
+
+    /// Uneven countdowns under the same budget: shard 0's 51 events end
+    /// well before its quota of 195, so the first epoch handles 51 + 3 ×
+    /// 194 = 633 events, and the next one splits the remaining 144 over
+    /// the three shards still busy. Every thread count and barrier branch
+    /// stops on the same per-shard counts.
+    #[test]
+    fn a_short_unit_leaves_its_unspent_quota_to_the_next_epoch() {
+        const BUDGET: u64 = 777;
+        let starts = [50, 499, 499, 499];
+        let (baseline_outcome, baseline) = run_countdowns(&starts, BUDGET, 1, false);
+        assert_eq!(baseline_outcome, RunOutcome::BudgetExhausted);
+        assert_eq!(baseline, [51, 242, 242, 242]);
+        for (threads, spin) in [(2, true), (2, false), (4, true), (4, false)] {
+            let case = format!("threads={threads} spin={spin}");
+            let (outcome, handled) = run_countdowns(&starts, BUDGET, threads, spin);
+            assert_eq!(outcome, baseline_outcome, "{case}");
+            assert_eq!(handled, baseline, "{case}");
+        }
+    }
+
+    /// The budget split: quotas sum to the remaining budget, even a
+    /// budget-free run's `u64::MAX`; the remainder goes to the lowest
+    /// shards; and every unit gets at least one event whenever the budget
+    /// exceeds the pending count, which is at least the unit count.
+    #[test]
+    fn quotas_split_the_remaining_budget_exactly() {
+        let split = |remaining: u64, units: usize| -> Vec<u64> {
+            (0..units).map(|r| quota(remaining, units, r)).collect()
+        };
+        assert_eq!(split(777, 4), [195, 194, 194, 194]);
+        assert_eq!(split(10, 4), [3, 3, 2, 2]);
+        assert_eq!(split(5, 1), [5]);
+        for units in [1, 2, 3, 7, 64, 65] {
+            let quotas = split(u64::MAX, units);
+            let sum = quotas.iter().try_fold(0u64, |a, &q| a.checked_add(q));
+            assert_eq!(sum, Some(u64::MAX), "units={units}");
+            // Pooled epochs run only while `remaining > pending >= units`.
+            for remaining in units as u64 + 1..units as u64 + 140 {
+                let quotas = split(remaining, units);
+                assert_eq!(quotas.iter().sum::<u64>(), remaining);
+                assert!(quotas.iter().all(|&q| q >= 1), "{remaining}/{units}");
+                assert!(quotas.windows(2).all(|w| w[0] >= w[1]));
+                assert!(quotas[0] - quotas[units - 1] <= 1);
+            }
         }
     }
 
