@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use dredbox_sim::units::{ByteSize, Watts};
 
-use crate::error::BrickError;
 use crate::id::{BrickId, BrickKind, RackId, TrayId};
 use crate::tray::{Brick, Tray};
 
@@ -182,31 +181,6 @@ impl Rack {
         self.trays[t].brick_at_mut(s)
     }
 
-    /// Finds a brick mutably, returning an error if it does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BrickError::NoSuchBrick`] when `id` is not in the rack.
-    pub fn brick_mut_or_err(&mut self, id: BrickId) -> Result<&mut Brick, BrickError> {
-        self.brick_mut(id)
-            .ok_or(BrickError::NoSuchBrick { brick: id })
-    }
-
-    /// The tray hosting a given brick, if any.
-    pub fn tray_of(&self, id: BrickId) -> Option<TrayId> {
-        let (t, _) = self.locate(id)?;
-        Some(self.trays[t].id())
-    }
-
-    /// Whether two bricks sit on the same tray (and thus communicate over the
-    /// tray-local electrical circuit rather than the optical network).
-    pub fn same_tray(&self, a: BrickId, b: BrickId) -> bool {
-        match (self.tray_of(a), self.tray_of(b)) {
-            (Some(ta), Some(tb)) => ta == tb,
-            _ => false,
-        }
-    }
-
     /// Number of bricks of a given kind in the rack.
     pub fn brick_count(&self, kind: BrickKind) -> usize {
         self.bricks().filter(|b| b.kind() == kind).count()
@@ -282,27 +256,14 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_tray_of() {
+    fn brick_and_tray_lookups() {
         let r = rack();
         let compute_ids = r.brick_ids(BrickKind::Compute);
         let first = compute_ids[0];
         assert!(r.brick(first).is_some());
-        assert!(r.tray_of(first).is_some());
         assert!(r.brick(BrickId(10_000)).is_none());
-        assert!(r.tray_of(BrickId(10_000)).is_none());
         assert!(r.tray(TrayId(0)).is_some());
         assert!(r.tray(TrayId(9)).is_none());
-    }
-
-    #[test]
-    fn same_tray_detection() {
-        let r = rack();
-        // First tray holds the first (2 compute + 2 memory + 1 accel) = 5 bricks.
-        let t0_bricks: Vec<BrickId> = r.trays()[0].bricks().iter().map(|b| b.id()).collect();
-        let t1_bricks: Vec<BrickId> = r.trays()[1].bricks().iter().map(|b| b.id()).collect();
-        assert!(r.same_tray(t0_bricks[0], t0_bricks[1]));
-        assert!(!r.same_tray(t0_bricks[0], t1_bricks[0]));
-        assert!(!r.same_tray(t0_bricks[0], BrickId(10_000)));
     }
 
     #[test]
@@ -316,7 +277,6 @@ mod tests {
         for &id in &ids[1..] {
             assert_eq!(r.brick_mut(id).map(|b| b.id()), Some(id));
             assert_eq!(r.brick(id).map(|b| b.id()), Some(id));
-            assert!(r.tray_of(id).is_some());
         }
 
         let catalog = Catalog::prototype();
@@ -343,6 +303,5 @@ mod tests {
             .allocate_cores(1)
             .unwrap();
         assert_eq!(r.unused_brick_count(BrickKind::Compute), 3);
-        assert!(r.brick_mut_or_err(BrickId(10_000)).is_err());
     }
 }

@@ -950,7 +950,8 @@ impl ScenarioSpec {
     /// for every `threads` value, including 1. Multi-rack systems run on
     /// the partitioned federation (one shard per rack plus the cluster
     /// front door), where the threads claim each epoch's busy shards one
-    /// at a time from a shared pool. A single-rack system is one shard
+    /// at a time, each from its own home list first and then from the
+    /// others'. A single-rack system is one shard
     /// with no channels, so its events run on the calling thread; from
     /// `threads = 2` its report work (priced reads and report samples)
     /// runs beside them on one helper thread. On both, faults and repairs

@@ -29,8 +29,31 @@
 //! calendar holds a handful of in-flight chains — skip the heap entirely:
 //! entries live in an unsorted vector and pop does a branch-free linear
 //! argmin over the packed keys, which for a few elements is cheaper than
-//! any sift. Once a queue outgrows the small representation it spills into
-//! a binary heap and stays there (no flapping on the boundary).
+//! any sift. Once a queue outgrows the small representation it spills
+//! into two tiers and stays there (no flapping on the boundary):
+//!
+//! - a *near* binary heap, every key below a `bound`;
+//! - an unordered *far* vector, every key at or above `bound`.
+//!
+//! A schedule at or above `bound` is an O(1) push onto `far`. One below
+//! it goes onto the heap, and a heap that fills to 128 entries keeps its
+//! 64 smallest (a `select_nth_unstable`), makes the next key the new
+//! `bound` and moves the rest to `far`. A pop that empties the heap
+//! while `far` holds entries refills it with the `max(32, far.len() / 4)`
+//! smallest of them and sets `bound` to the smallest key left behind
+//! (`u128::MAX` once `far` is empty). The heap is therefore never empty
+//! while `far` is not, so its top is the calendar's minimum and peeks
+//! stay O(1). Taking a quarter of `far` keeps the refill's select at
+//! O(1) per pop; once `far` holds over 512 entries that quarter is 128
+//! or more, and the next split then waits until the heap holds 64 more,
+//! or every refill would be split straight back into `far`.
+//!
+//! A rack calendar holds a few hundred entries, most of them departures
+//! far in the future, but a rack handles only a few events per epoch.
+//! With one heap over all of them every pop sifts through levels that
+//! went cold since the rack last ran; with two tiers it sifts through a
+//! few KiB of near entries, and the far ones are touched in bulk only
+//! when the near tier runs dry.
 //!
 //! # Presorted runs
 //!
@@ -55,6 +78,16 @@ use crate::time::SimTime;
 /// Queues at most this deep stay in the linear-scan representation.
 const SMALL_MAX: usize = 8;
 
+/// A spilled queue's near heap splits once a schedule fills it to this
+/// many entries (or `NEAR_KEEP` past a refill that reached it).
+const NEAR_MAX: usize = 128;
+
+/// Entries a split leaves in the near heap: the smallest keys.
+const NEAR_KEEP: usize = 64;
+
+/// The fewest far entries a refill moves into the emptied near heap.
+const REFILL_MIN: usize = 32;
+
 /// A time-ordered queue of events of type `E`.
 ///
 /// ```
@@ -75,9 +108,17 @@ pub struct EventQueue<E> {
     /// Index of the minimum key in `small`; valid while `small` is
     /// non-empty, so peeks are O(1) and only pops rescan.
     small_min: usize,
-    /// Heap representation after the queue outgrows [`SMALL_MAX`].
+    /// Near tier after the queue outgrows [`SMALL_MAX`]: every key below
+    /// `bound`, and never empty while `far` holds entries.
     heap: BinaryHeap<Entry<E>>,
-    /// Whether the queue has spilled into the heap representation.
+    /// Far tier, unordered: every key at or above `bound`.
+    far: Vec<Entry<E>>,
+    /// The key splitting the two tiers; `u128::MAX` while `far` is empty.
+    bound: u128,
+    /// The near heap size at which a schedule splits it: [`NEAR_MAX`], or
+    /// `NEAR_KEEP` above a refill that filled the heap to it or past it.
+    split_at: usize,
+    /// Whether the queue has spilled into the two tiers.
     spilled: bool,
     /// Presorted entries from [`EventQueue::schedule_sorted`], in strictly
     /// increasing key order.
@@ -131,6 +172,9 @@ impl<E> EventQueue<E> {
             small: Vec::new(),
             small_min: 0,
             heap: BinaryHeap::new(),
+            far: Vec::new(),
+            bound: u128::MAX,
+            split_at: NEAR_MAX,
             spilled: false,
             run: VecDeque::new(),
             next_seq: 0,
@@ -182,7 +226,14 @@ impl<E> EventQueue<E> {
             event,
         };
         if self.spilled {
-            self.heap.push(entry);
+            if entry.key >= self.bound {
+                self.far.push(entry);
+            } else {
+                self.heap.push(entry);
+                if self.heap.len() >= self.split_at {
+                    self.split_near();
+                }
+            }
         } else {
             if self.small.is_empty() || entry.key < self.small[self.small_min].key {
                 self.small_min = self.small.len();
@@ -193,6 +244,45 @@ impl<E> EventQueue<E> {
                 self.spilled = true;
             }
         }
+    }
+
+    /// Keeps the [`NEAR_KEEP`] smallest entries in the near heap, makes the
+    /// next key the bound, and moves the rest (all at or above it) to
+    /// `far`, whose keys are already at or above the old, higher bound.
+    fn split_near(&mut self) {
+        let mut near = mem::take(&mut self.heap).into_vec();
+        near.select_nth_unstable_by_key(NEAR_KEEP, |e| e.key);
+        self.bound = near[NEAR_KEEP].key;
+        self.far.extend(near.drain(NEAR_KEEP..));
+        self.heap = BinaryHeap::from(near);
+        self.split_at = NEAR_MAX;
+    }
+
+    /// Moves the `max(REFILL_MIN, far.len() / 4)` smallest far entries into
+    /// the emptied near heap and sets the bound to the smallest key left.
+    /// Taking a quarter keeps a refill's select at O(1) per pop however
+    /// deep `far` is.
+    fn refill_near(&mut self) {
+        let take = REFILL_MIN.max(self.far.len() / 4);
+        let stay = self.far.len().saturating_sub(take);
+        if stay == 0 {
+            self.bound = u128::MAX;
+        } else {
+            // Descending order puts the smallest key that stays at
+            // `stay - 1` and the `take` smaller ones after it, so they
+            // leave from the back without shifting the rest.
+            self.far
+                .select_nth_unstable_by(stay - 1, |a, b| b.key.cmp(&a.key));
+            self.bound = self.far[stay - 1].key;
+        }
+        self.heap.extend(self.far.drain(stay..));
+        // A refill that fills the heap to the split size would be split
+        // straight back into `far` by the next near schedule.
+        self.split_at = if self.heap.len() >= NEAR_MAX {
+            self.heap.len() + NEAR_KEEP
+        } else {
+            NEAR_MAX
+        };
     }
 
     /// Rescans the small representation for its minimum key.
@@ -208,7 +298,7 @@ impl<E> EventQueue<E> {
         self.small_min = best;
     }
 
-    /// The smallest key on the calendar (small vector or heap), if any.
+    /// The smallest key on the calendar (small vector or near heap), if any.
     fn calendar_min_key(&self) -> Option<u128> {
         if self.spilled {
             return self.heap.peek().map(|e| e.key);
@@ -219,7 +309,11 @@ impl<E> EventQueue<E> {
     /// Removes the calendar's earliest entry, if any.
     fn pop_calendar(&mut self) -> Option<Entry<E>> {
         if self.spilled {
-            return self.heap.pop();
+            let e = self.heap.pop();
+            if self.heap.is_empty() && !self.far.is_empty() {
+                self.refill_near();
+            }
+            return e;
         }
         if self.small.is_empty() {
             return None;
@@ -267,7 +361,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events, in the calendar and the presorted run.
     pub fn len(&self) -> usize {
         let calendar = if self.spilled {
-            self.heap.len()
+            self.heap.len() + self.far.len()
         } else {
             self.small.len()
         };
@@ -283,6 +377,9 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.small.clear();
         self.heap.clear();
+        self.far.clear();
+        self.bound = u128::MAX;
+        self.split_at = NEAR_MAX;
         self.spilled = false;
         self.run.clear();
     }
@@ -296,6 +393,8 @@ impl<E> Default for EventQueue<E> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     #[test]
@@ -471,7 +570,146 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_nanos(2), "run")));
     }
 
+    /// Checks the two-tier invariants of a spilled queue: near keys below
+    /// the bound, far keys at or above it, and a near heap never empty
+    /// while the far tier holds entries.
+    fn assert_tiers<E>(q: &EventQueue<E>) {
+        if !q.spilled {
+            assert!(q.heap.is_empty() && q.far.is_empty());
+            return;
+        }
+        assert!(q.far.is_empty() || !q.heap.is_empty(), "near heap ran dry");
+        assert!(q.heap.iter().all(|e| e.key < q.bound));
+        assert!(q.far.iter().all(|e| e.key >= q.bound));
+        if q.far.is_empty() {
+            assert_eq!(q.bound, u128::MAX);
+        }
+    }
+
+    #[test]
+    fn splits_and_refills_keep_the_order_and_the_tiers() {
+        // 600 entries over 7 instants: the near heap splits with ties on
+        // both sides of the bound, and the drain refills it from the far
+        // tier until both are empty.
+        let mut q = EventQueue::new();
+        let n = 600u64;
+        for i in 0..n {
+            q.schedule(SimTime::from_nanos(i % 7), i);
+            assert_tiers(&q);
+        }
+        // Splits keep the near heap below its cap; only a refill from a
+        // far tier of over 4 × NEAR_MAX entries may exceed it.
+        assert!(q.heap.len() < NEAR_MAX && q.far.len() > n as usize - NEAR_MAX);
+        let mut expect: Vec<(SimTime, u64)> =
+            (0..n).map(|i| (SimTime::from_nanos(i % 7), i)).collect();
+        expect.sort_by_key(|&(at, i)| (at, i));
+        let mut popped = Vec::new();
+        while let Some(e) = q.pop() {
+            assert_tiers(&q);
+            popped.push(e);
+        }
+        assert_eq!(popped, expect);
+        assert_eq!(q.bound, u128::MAX);
+    }
+
+    #[test]
+    fn a_refill_from_a_deep_far_tier_is_not_split_straight_back() {
+        // 2,000 entries at distinct times leave ~1,900 in the far tier,
+        // so the first refill moves a quarter of them: far more than the
+        // NEAR_KEEP a split keeps.
+        let mut q = EventQueue::new();
+        for i in 0..2_000u64 {
+            q.schedule(SimTime::from_nanos(10 * (i * 7_919 % 2_000)), i);
+        }
+        let mut last = 0;
+        while q.far.len() > 1_500 {
+            last = q.pop().expect("pending").0.as_nanos();
+            assert_tiers(&q);
+        }
+        let refilled = q.heap.len();
+        assert!(refilled > NEAR_MAX, "refill of {refilled}");
+        // Schedules below the bound land in the heap without a split.
+        for k in 0..NEAR_KEEP as u64 - 1 {
+            q.schedule(SimTime::from_nanos(last + k % 3), k);
+            assert_tiers(&q);
+        }
+        assert_eq!(q.heap.len(), refilled + NEAR_KEEP - 1);
+        // One more splits the heap back to the smallest NEAR_KEEP.
+        q.schedule(SimTime::from_nanos(last), 0);
+        assert_eq!(q.heap.len(), NEAR_KEEP);
+        let mut prev = 0;
+        while let Some((t, _)) = q.pop() {
+            assert!(t.as_nanos() >= prev);
+            prev = t.as_nanos();
+            assert_tiers(&q);
+        }
+    }
+
     proptest::proptest! {
+        /// Random `schedule`, `schedule_sorted` and `pop` traces of up to
+        /// ~1,000 ops against a `BTreeMap` keyed by (time, seq). Times sit
+        /// a few nanoseconds past the last pop (many ties) or up to ~500
+        /// ns out (the far tier), and the trace alternates growing and
+        /// draining stretches, so the queue splits and refills its near
+        /// heap many times, with equal times on both sides of the bound.
+        #[test]
+        fn pops_match_a_reference_order_on_any_trace(
+            ops in proptest::collection::vec(
+                (0u8..10, proptest::bool::ANY, proptest::collection::vec(0u64..64, 1..6)),
+                600..1_000,
+            ),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+            let (mut seq, mut id, mut now) = (0u64, 0usize, 0u64);
+            for (i, (kind, far, offsets)) in ops.into_iter().enumerate() {
+                let pops_below = if (i / 150) % 2 == 0 { 3 } else { 7 };
+                let time = |d: u64| now + if far { 8 * d } else { d / 8 };
+                if kind < pops_below {
+                    let got = q.pop().map(|(t, e)| (t.as_nanos(), e));
+                    let want = model.pop_first().map(|((t, _), e)| (t, e));
+                    proptest::prop_assert_eq!(got, want);
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                } else if kind < 8 {
+                    q.schedule(SimTime::from_nanos(time(offsets[0])), id);
+                    model.insert((time(offsets[0]), seq), id);
+                    seq += 1;
+                    id += 1;
+                } else {
+                    let mut batch: Vec<u64> = offsets.iter().map(|&d| time(d)).collect();
+                    if kind == 8 {
+                        batch.sort_unstable();
+                    }
+                    for &t in &batch {
+                        model.insert((t, seq), id);
+                        seq += 1;
+                        id += 1;
+                    }
+                    let first = id - batch.len();
+                    q.schedule_sorted(
+                        batch
+                            .iter()
+                            .enumerate()
+                            .map(|(k, &t)| (SimTime::from_nanos(t), first + k)),
+                    );
+                }
+                assert_tiers(&q);
+                proptest::prop_assert_eq!(q.len(), model.len());
+                proptest::prop_assert_eq!(
+                    q.peek_time().map(SimTime::as_nanos),
+                    model.keys().next().map(|&(t, _)| t)
+                );
+            }
+            while let Some((t, e)) = q.pop() {
+                let want = model.pop_first().map(|((t, _), e)| (t, e));
+                proptest::prop_assert_eq!(Some((t.as_nanos(), e)), want);
+                assert_tiers(&q);
+            }
+            proptest::prop_assert!(model.is_empty());
+        }
+
         #[test]
         fn sorted_batches_match_plain_schedules_on_any_trace(
             ops in proptest::collection::vec(

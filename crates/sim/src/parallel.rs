@@ -31,14 +31,19 @@
 //! # Threads and the work pool
 //!
 //! `threads = N` means N participating threads: the calling thread
-//! plus N − 1 helpers spawned for the run (N is clamped to
-//! `1..=shard_count`). An epoch's active shards — the *units* — go into
-//! one shared pool, and every participating thread takes units one at
-//! a time until the pool is empty; how long a unit takes is not known in
-//! advance, so nothing is assigned up front. The pool hands out the unit
-//! with the largest mail batch first (ties in ascending shard order):
-//! mail carries the work other shards sent, and it is the one cost
-//! signal known before the epoch runs, so the longest units tend to
+//! (thread 0) plus N − 1 helpers spawned for the run (N is clamped to
+//! `1..=shard_count`). An epoch's active shards — the *units* — go onto
+//! per-thread home lists: shard `s` lives on thread `s % N`. Each thread
+//! takes the units of its own list one at a time, and once its list is
+//! empty it steals the back of the longest other list, until every list
+//! is empty. A shard therefore runs on the same thread epoch after epoch
+//! unless balance needs a steal, so its calendar and world state stay in
+//! that core's cache. Stealing keeps the taking dynamic: how long a unit
+//! takes is not known in advance, so no thread idles while another's
+//! list still holds work. Each list hands out the unit with the largest
+//! mail batch first (ties in ascending shard order), and so does a
+//! steal: mail carries the work other shards sent, and it is the one
+//! cost signal known before the epoch runs, so the longest units tend to
 //! start early and the calling thread waits less for the last one.
 //! An epoch with a single active unit, or a run with N = 1, runs on the
 //! calling thread alone and wakes no helper. Helpers wait between epochs
@@ -495,12 +500,28 @@ fn quota(remaining: u64, units: usize, rank: usize) -> u64 {
     remaining / units + u64::from((rank as u64) < remaining % units)
 }
 
+/// Takes the next unit for thread `me` from the per-thread home lists:
+/// the back of its own list, else the back of the longest other list (a
+/// steal, reported as `true`). Lists hold units in ascending mail order,
+/// so the back is the unit with the most mail.
+fn take<T>(todo: &mut [Vec<T>], me: usize) -> Option<(T, bool)> {
+    if let Some(unit) = todo[me].pop() {
+        return Some((unit, false));
+    }
+    let victim = (0..todo.len()).max_by_key(|&t| (todo[t].len(), Reverse(t)))?;
+    todo[victim].pop().map(|unit| (unit, true))
+}
+
 /// The shared state of one epoch's work pool.
 struct PoolState<E, Wk> {
     /// Bumped once per pooled epoch; a helper runs when it moves.
     epoch: u64,
-    /// Unclaimed units, handed out from the back.
-    todo: Vec<Box<Unit<E, Wk>>>,
+    /// Unclaimed units, one list per participating thread (the calling
+    /// thread is 0): a unit's home is `shard % threads`, and each list is
+    /// handed out from the back.
+    todo: Vec<Vec<Box<Unit<E, Wk>>>>,
+    /// Units taken from another thread's list over the run.
+    steals: u64,
     /// Units whose epoch slice is done.
     done: Vec<Box<Unit<E, Wk>>>,
     /// Helpers that have not yet acknowledged the current epoch.
@@ -512,8 +533,10 @@ struct PoolState<E, Wk> {
 }
 
 /// Work pool shared by the calling thread and its helpers: every
-/// participating thread takes active units one at a time until none
-/// is left, so a slow unit never strands a whole fixed chunk of work
+/// participating thread takes the active units of its own home list one
+/// at a time, then takes from the longest other list until none is left,
+/// so a shard runs on the same thread epoch after epoch unless balance
+/// needs a steal, and a slow unit never strands a fixed chunk of work
 /// behind it.
 struct Pool<E, Wk> {
     state: Mutex<PoolState<E, Wk>>,
@@ -532,11 +555,14 @@ struct Pool<E, Wk> {
 }
 
 impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
-    fn new(shards: usize, spin: bool) -> Self {
+    fn new(shards: usize, threads: usize, spin: bool) -> Self {
         Pool {
             state: Mutex::new(PoolState {
                 epoch: 0,
-                todo: Vec::with_capacity(shards),
+                todo: (0..threads)
+                    .map(|_| Vec::with_capacity(shards.div_ceil(threads)))
+                    .collect(),
+                steals: 0,
                 done: Vec::with_capacity(shards),
                 running: 0,
                 panic: None,
@@ -578,21 +604,22 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Takes and runs units until the pool is empty.
-    fn drain(&self, lat: &[Vec<Option<SimDuration>>]) {
-        let mut next = self.lock().todo.pop();
-        while let Some(mut unit) = next {
+    /// Takes and runs units on thread `me` until the pool is empty.
+    fn drain(&self, me: usize, lat: &[Vec<Option<SimDuration>>]) {
+        let mut state = self.lock();
+        while let Some((mut unit, stolen)) = take(&mut state.todo, me) {
+            state.steals += u64::from(stolen);
+            drop(state);
             process_unit(&mut unit, lat);
-            let mut state = self.lock();
+            state = self.lock();
             state.done.push(unit);
-            next = state.todo.pop();
         }
     }
 
-    /// A helper thread's life: wait for an epoch, drain the pool, and
-    /// acknowledge — with the panic payload if a handler panicked, so
+    /// The life of helper thread `me`: wait for an epoch, drain the pool,
+    /// and acknowledge — with the panic payload if a handler panicked, so
     /// the calling thread never waits on a dead helper.
-    fn help(&self, lat: &[Vec<Option<SimDuration>>]) {
+    fn help(&self, me: usize, lat: &[Vec<Option<SimDuration>>]) {
         let mut seen = 0;
         loop {
             self.spin_until(|| self.epoch.load(AtomicOrdering::Acquire) != seen);
@@ -609,7 +636,7 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
                 }
                 seen = state.epoch;
             }
-            let result = panic::catch_unwind(AssertUnwindSafe(|| self.drain(lat)));
+            let result = panic::catch_unwind(AssertUnwindSafe(|| self.drain(me, lat)));
             let last = {
                 let mut state = self.lock();
                 if let Err(payload) = result {
@@ -625,25 +652,25 @@ impl<E, Wk: WorldWorker<Event = E>> Pool<E, Wk> {
         }
     }
 
-    /// Runs one epoch over `active` on the calling thread and `helpers`
-    /// helper threads, and returns the finished units in `active`.
-    /// Re-raises a helper's panic on the calling thread.
-    fn run_epoch(
-        &self,
-        active: &mut Vec<Box<Unit<E, Wk>>>,
-        helpers: usize,
-        lat: &[Vec<Option<SimDuration>>],
-    ) {
+    /// Runs one epoch over `active`, in ascending mail order, on the
+    /// calling thread and every helper, and returns the finished units in
+    /// `active`. Re-raises a helper's panic on the calling thread.
+    fn run_epoch(&self, active: &mut Vec<Box<Unit<E, Wk>>>, lat: &[Vec<Option<SimDuration>>]) {
         {
             let mut state = self.lock();
-            mem::swap(&mut state.todo, active);
+            let threads = state.todo.len();
+            // Pushed in order, so every home list keeps ascending mail.
+            for unit in active.drain(..) {
+                state.todo[unit.shard as usize % threads].push(unit);
+            }
+            let helpers = threads - 1;
             state.epoch += 1;
             state.running = helpers;
             self.running.store(helpers, AtomicOrdering::Release);
             self.epoch.store(state.epoch, AtomicOrdering::Release);
         }
         self.start.notify_all();
-        self.drain(lat);
+        self.drain(0, lat);
         self.spin_until(|| self.running.load(AtomicOrdering::Acquire) == 0);
         let mut state = self.lock();
         while state.running > 0 {
@@ -676,10 +703,11 @@ impl<E: Send> ShardedEngine<E> {
     /// Runs the simulation under conservative-epoch synchronization on
     /// `threads` threads in all: the calling thread plus `threads − 1`
     /// helpers (clamped to `1..=shard_count`), which take each epoch's
-    /// active shards from a shared pool. The event budget is split into
-    /// per-shard quotas when each epoch is planned, and the horizon and
-    /// [`RunOutcome`] priorities match [`ShardedEngine::run`]. See the
-    /// module docs for the determinism contract.
+    /// active shards from their own home lists first, then from the
+    /// others'. The event budget is split into per-shard quotas when each
+    /// epoch is planned, and the horizon and [`RunOutcome`] priorities
+    /// match [`ShardedEngine::run`]. See the module docs for the
+    /// determinism contract.
     ///
     /// # Panics
     ///
@@ -782,8 +810,7 @@ impl<E: Send> ShardedEngine<E> {
         let mut t_eff: Vec<Option<SimTime>> = vec![None; shards];
         let mut active: Vec<Box<Unit<E, W::Worker>>> = Vec::with_capacity(shards);
         let mut outs: Vec<Outgoing<E>> = Vec::new();
-        let pool = Pool::new(shards, spin);
-        let helpers = threads - 1;
+        let pool = Pool::new(shards, threads, spin);
         // Epoch-shape counters, reported on stderr when
         // `DREDBOX_EPOCH_DEBUG` is set: events-per-epoch and the
         // single-unit share tell whether a workload's lookahead feeds the
@@ -800,9 +827,9 @@ impl<E: Send> ShardedEngine<E> {
             // helpers sleep on the pool between epochs and return once
             // `_close` drops at the end of the run, panic or not.
             let _close = ClosePool(&pool);
-            for _ in 0..helpers {
+            for me in 1..threads {
                 let (pool, lat) = (&pool, &lat[..]);
-                scope.spawn(move || pool.help(lat));
+                scope.spawn(move || pool.help(me, lat));
             }
 
             // When the remaining budget is no larger than the pending
@@ -985,17 +1012,17 @@ impl<E: Send> ShardedEngine<E> {
                 if units == 1 {
                     dbg_single += 1;
                 }
-                if helpers == 0 || units == 1 {
+                if threads == 1 || units == 1 {
                     for unit in &mut active {
                         process_unit(unit, &lat);
                     }
                 } else {
-                    // Largest mail last, so the pool hands it out first;
-                    // the shard key keeps ties in ascending shard order.
-                    // Which thread runs a unit changes only wall-clock
-                    // balance, never results.
+                    // Largest mail last, so each home list hands it out
+                    // first; the shard key keeps ties in ascending shard
+                    // order. Which thread runs a unit changes only
+                    // wall-clock balance, never results.
                     active.sort_unstable_by_key(|u| (u.mail, Reverse(u.shard)));
-                    pool.run_epoch(&mut active, helpers, &lat);
+                    pool.run_epoch(&mut active, &lat);
                 }
 
                 for unit in active.drain(..) {
@@ -1031,8 +1058,9 @@ impl<E: Send> ShardedEngine<E> {
             eprintln!(
                 "epochs={dbg_epochs} units={dbg_units} single-unit={dbg_single} \
                  serial-phases={dbg_serial} fine-steps={dbg_fine} \
-                 quota-stops={dbg_quota_stops} processed={}",
-                self.processed
+                 quota-stops={dbg_quota_stops} processed={} steals={}",
+                self.processed,
+                pool.lock().steals
             );
         }
         // Reassemble the world and put the engine state back.
@@ -1973,6 +2001,37 @@ mod tests {
                 assert!(quotas[0] - quotas[units - 1] <= 1);
             }
         }
+    }
+
+    /// A thread takes its own units from the back of its home list, the
+    /// largest mail first; once that list is empty it takes the back of
+    /// the longest other list, the lowest thread's at equal lengths, and
+    /// reports the take as a steal.
+    #[test]
+    fn a_thread_takes_its_own_units_then_the_back_of_the_longest_list() {
+        // Three threads' home lists of (shard, mail), ascending in mail.
+        let mut todo = vec![
+            vec![(3, 1), (0, 9)],
+            vec![(4, 2), (1, 5), (7, 8)],
+            vec![(2, 0), (8, 1), (5, 3), (11, 4)],
+        ];
+        assert_eq!(take(&mut todo, 1), Some(((7, 8), false)));
+        let order: Vec<_> = std::iter::from_fn(|| take(&mut todo, 0)).collect();
+        assert_eq!(
+            order,
+            [
+                ((0, 9), false),
+                ((3, 1), false),
+                ((11, 4), true),
+                ((5, 3), true),
+                ((1, 5), true),
+                ((8, 1), true),
+                ((4, 2), true),
+                ((2, 0), true),
+            ]
+        );
+        assert!(todo.iter().all(Vec::is_empty));
+        assert_eq!(take(&mut todo, 2), None);
     }
 
     const HOT_TICKS: u64 = 40_000;

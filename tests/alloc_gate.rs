@@ -66,15 +66,21 @@ fn measure(spec: &ScenarioSpec, seed: u64, threads: usize) -> (u64, u64) {
 }
 
 /// Steady-state allocator calls per event of `spec` at `seed` on
-/// `threads` threads. Both runs spawn the same helper and channels, so
-/// what is left is what the events allocate, on either thread.
-fn allocs_per_event(spec: &ScenarioSpec, seed: u64, threads: usize) -> f64 {
-    let (full_calls, full_events) = measure(spec, seed, threads);
-    let mut cut = spec.clone();
-    cut.event_budget = full_events / 2;
-    let (cut_calls, cut_events) = measure(&cut, seed, threads);
-    assert_eq!(cut_events, full_events / 2, "{}: the cut binds", spec.name);
-    (full_calls - cut_calls) as f64 / (full_events - cut_events) as f64
+/// `threads` threads, with the raw `(calls, events)` of the full and the
+/// cut run. Both runs spawn the same helper and channels, so what is left
+/// is what the events allocate, on either thread.
+fn allocs_per_event(
+    spec: &ScenarioSpec,
+    seed: u64,
+    threads: usize,
+) -> (f64, (u64, u64), (u64, u64)) {
+    let full = measure(spec, seed, threads);
+    let mut cut_spec = spec.clone();
+    cut_spec.event_budget = full.1 / 2;
+    let cut = measure(&cut_spec, seed, threads);
+    assert_eq!(cut.1, full.1 / 2, "{}: the cut binds", spec.name);
+    let per_event = (full.0 - cut.0) as f64 / (full.1 - cut.1) as f64;
+    (per_event, full, cut)
 }
 
 /// A 1/30-scale copy of the benchmark's `rack` workload: one accelerated
@@ -144,14 +150,17 @@ fn steady_state_rack_events_stay_under_the_allocation_ceiling() {
     ];
     let mut over = Vec::new();
     for (spec, threads, ceiling) in gated {
-        let per_event = allocs_per_event(&spec, 2018, threads);
+        let (per_event, full, cut) = allocs_per_event(&spec, 2018, threads);
+        // Four decimals and the raw counts, so drift under the ceiling
+        // shows in the log before it crosses it.
         println!(
-            "{} at {threads} thread(s): {per_event:.3} allocations per event (ceiling {ceiling})",
+            "{} at {threads} thread(s): {per_event:.4} allocations per event (ceiling {ceiling}); \
+             (calls, events) full {full:?}, cut {cut:?}",
             spec.name
         );
         if per_event > ceiling {
             over.push(format!(
-                "{} at {threads} thread(s) {per_event:.3} > {ceiling}",
+                "{} at {threads} thread(s) {per_event:.4} > {ceiling}",
                 spec.name
             ));
         }
