@@ -34,7 +34,10 @@ use std::hint::black_box;
 use dredbox::bricks::{Bitstream, BrickId, RackId};
 use dredbox::interconnect::LatencyConfig;
 use dredbox::memory::{AllocationPolicy, PickStrategy};
-use dredbox::orchestrator::prelude::*;
+use dredbox::orchestrator::{
+    ClusterController, OffloadRequest, OffloadSessionId, PlacementPolicy, RackDigest,
+    ScaleUpDemand, ScaleUpGrant, SdmController, SdmTimings, VmAllocationRequest,
+};
 use dredbox::sim::rng::SimRng;
 use dredbox::sim::units::{Bandwidth, ByteSize};
 use dredbox::{DredboxSystem, SystemConfig};

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use dredbox::bricks::{BrickId, PortId};
-use dredbox::interconnect::rmst::RmstEntry;
+use dredbox::interconnect::RmstEntry;
 use dredbox::interconnect::{LatencyConfig, RemoteMemoryPath, RemoteMemorySegmentTable};
 use dredbox::sim::units::ByteSize;
 

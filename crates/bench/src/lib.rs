@@ -55,4 +55,19 @@ mod tests {
         }
         assert!(render("fig99", 1).is_none());
     }
+
+    /// Every artifact at seed 2018, rendered as `figures all` prints it,
+    /// matches `tests/fixtures/figures-2018.txt` byte for byte.
+    #[test]
+    fn seed_2018_artifacts_match_the_pinned_rendering() {
+        let rendered: String = ARTIFACTS
+            .iter()
+            .map(|artifact| render(artifact, 2018).expect("known artifact renders") + "\n")
+            .collect();
+        let pinned = include_str!("../../../tests/fixtures/figures-2018.txt");
+        assert!(
+            rendered == pinned,
+            "`figures all` at seed 2018 no longer matches tests/fixtures/figures-2018.txt"
+        );
+    }
 }

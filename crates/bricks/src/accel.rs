@@ -17,7 +17,7 @@ use dredbox_sim::time::SimDuration;
 use dredbox_sim::units::{Bandwidth, ByteSize};
 
 use crate::error::BrickError;
-use crate::id::{BrickId, BrickKind};
+use crate::id::BrickId;
 use crate::ports::PortSet;
 use crate::power::{PowerModel, PowerState};
 
@@ -57,11 +57,6 @@ impl AcceleratorSlot {
     /// Whether the slot holds an accelerator.
     pub fn is_occupied(&self) -> bool {
         self.loaded.is_some()
-    }
-
-    /// Number of reconfigurations performed so far.
-    pub fn reconfigurations(&self) -> u64 {
-        self.reconfigurations
     }
 }
 
@@ -108,7 +103,7 @@ pub struct AcceleratorBrick {
 
 impl AcceleratorBrick {
     /// Creates a powered-on accelerator brick with an empty slot.
-    pub fn new(id: BrickId, spec: AcceleratorBrickSpec) -> Self {
+    pub(crate) fn new(id: BrickId, spec: AcceleratorBrickSpec) -> Self {
         let ports = PortSet::new(id, spec.gth_ports, spec.port_rate);
         AcceleratorBrick {
             id,
@@ -123,11 +118,6 @@ impl AcceleratorBrick {
     /// Brick identifier.
     pub fn id(&self) -> BrickId {
         self.id
-    }
-
-    /// Brick kind ([`BrickKind::Accelerator`]).
-    pub fn kind(&self) -> BrickKind {
-        BrickKind::Accelerator
     }
 
     /// Static dimensioning.
@@ -164,7 +154,7 @@ impl AcceleratorBrick {
     /// counts as unused: the power sweep may switch it off, at the price of
     /// losing the cached bitstream (partial-reconfiguration state does not
     /// survive power-down).
-    pub fn is_unused(&self) -> bool {
+    pub(crate) fn is_unused(&self) -> bool {
         self.active_sessions == 0
     }
 
@@ -287,7 +277,7 @@ impl AcceleratorBrick {
     }
 
     /// Current electrical draw.
-    pub fn power_draw(&self) -> dredbox_sim::units::Watts {
+    pub(crate) fn power_draw(&self) -> dredbox_sim::units::Watts {
         self.spec.power.draw(self.power_state)
     }
 }
@@ -355,7 +345,6 @@ mod tests {
     #[test]
     fn load_and_unload_bitstream() {
         let mut b = AcceleratorBrick::new(BrickId(20), spec());
-        assert_eq!(b.kind(), BrickKind::Accelerator);
         assert!(b.is_unused());
         let t = b
             .load_bitstream(Bitstream::new("sobel", ByteSize::from_mib(16)))
@@ -366,7 +355,7 @@ mod tests {
         );
         assert!(b.slot().is_occupied());
         assert_eq!(b.slot().loaded().unwrap().name.as_ref(), "sobel");
-        assert_eq!(b.slot().reconfigurations(), 1);
+        assert_eq!(b.slot().reconfigurations, 1);
         assert_eq!(b.power_state(), PowerState::Active);
 
         assert!(matches!(
@@ -431,7 +420,7 @@ mod tests {
         assert!(b.is_unused(), "an idle loaded brick is sleepable");
         // The bitstream survived the sessions for reuse.
         assert_eq!(b.slot().loaded().unwrap().name.as_ref(), "sobel");
-        assert_eq!(b.slot().reconfigurations(), 1);
+        assert_eq!(b.slot().reconfigurations, 1);
         // A powered-off brick cannot start sessions.
         b.power_off().unwrap();
         assert!(matches!(

@@ -148,11 +148,6 @@ impl<T> BrickMap<T> {
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().filter_map(|slot| slot.as_ref())
     }
-
-    /// Mutable values in ascending brick-id order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut().filter_map(|slot| slot.as_mut())
-    }
 }
 
 impl<T> FromIterator<(BrickId, T)> for BrickMap<T> {

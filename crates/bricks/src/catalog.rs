@@ -116,7 +116,8 @@ impl Catalog {
     }
 
     /// Replaces the compute-brick specification.
-    pub fn with_compute_spec(mut self, spec: ComputeBrickSpec) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_compute_spec(mut self, spec: ComputeBrickSpec) -> Self {
         self.compute = spec;
         self
     }
@@ -128,7 +129,8 @@ impl Catalog {
     }
 
     /// Replaces the accelerator-brick specification.
-    pub fn with_accelerator_spec(mut self, spec: AcceleratorBrickSpec) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_accelerator_spec(mut self, spec: AcceleratorBrickSpec) -> Self {
         self.accelerator = spec;
         self
     }
@@ -172,7 +174,7 @@ impl Catalog {
     /// its identity and its bricks are numbered sequentially from
     /// `first_brick`, so every rack of a cluster lives in a disjoint,
     /// stride-aligned slice of the global brick-id namespace.
-    pub fn build_rack_in(
+    pub(crate) fn build_rack_in(
         &self,
         rack: RackId,
         first_brick: BrickId,

@@ -12,9 +12,12 @@ use serde::{Deserialize, Serialize};
 use dredbox_sim::units::{Bandwidth, ByteSize};
 
 use crate::error::BrickError;
-use crate::id::{BrickId, BrickKind, PortId};
+use crate::id::BrickId;
+#[cfg(test)]
+use crate::id::PortId;
 use crate::ports::PortSet;
 use crate::power::{PowerModel, PowerState};
+#[cfg(test)]
 use crate::resources::ResourceVector;
 
 /// Static dimensioning of a compute brick.
@@ -61,7 +64,7 @@ pub struct ComputeBrick {
 
 impl ComputeBrick {
     /// Creates a powered-on, idle compute brick.
-    pub fn new(id: BrickId, spec: ComputeBrickSpec) -> Self {
+    pub(crate) fn new(id: BrickId, spec: ComputeBrickSpec) -> Self {
         let ports = PortSet::new(id, spec.gth_ports, spec.port_rate);
         ComputeBrick {
             id,
@@ -77,11 +80,6 @@ impl ComputeBrick {
     /// Brick identifier.
     pub fn id(&self) -> BrickId {
         self.id
-    }
-
-    /// Brick kind ([`BrickKind::Compute`]).
-    pub fn kind(&self) -> BrickKind {
-        BrickKind::Compute
     }
 
     /// Static dimensioning.
@@ -115,7 +113,8 @@ impl ComputeBrick {
     }
 
     /// Local memory not yet allocated.
-    pub fn free_local_memory(&self) -> ByteSize {
+    #[cfg(test)]
+    pub(crate) fn free_local_memory(&self) -> ByteSize {
         self.spec.local_memory - self.allocated_local_memory
     }
 
@@ -126,17 +125,19 @@ impl ComputeBrick {
 
     /// Total memory reachable by the brick right now (local plus attached
     /// remote), the quantity exposed to the hypervisor for its guests.
-    pub fn reachable_memory(&self) -> ByteSize {
+    #[cfg(test)]
+    pub(crate) fn reachable_memory(&self) -> ByteSize {
         self.spec.local_memory + self.attached_remote_memory
     }
 
     /// Capacity of the brick as a resource vector (cores + local memory).
-    pub fn capacity(&self) -> ResourceVector {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> ResourceVector {
         ResourceVector::new(self.spec.apu_cores, self.spec.local_memory)
     }
 
     /// Whether the brick runs no workload and holds no remote attachments.
-    pub fn is_unused(&self) -> bool {
+    pub(crate) fn is_unused(&self) -> bool {
         self.allocated_cores == 0
             && self.allocated_local_memory.is_zero()
             && self.attached_remote_memory.is_zero()
@@ -184,7 +185,8 @@ impl ComputeBrick {
     /// Returns [`BrickError::PoweredOff`] if the brick is off, or
     /// [`BrickError::InsufficientMemory`] if the local DDR cannot cover the
     /// request.
-    pub fn allocate_local_memory(&mut self, amount: ByteSize) -> Result<(), BrickError> {
+    #[cfg(test)]
+    pub(crate) fn allocate_local_memory(&mut self, amount: ByteSize) -> Result<(), BrickError> {
         self.ensure_powered()?;
         if amount > self.free_local_memory() {
             return Err(BrickError::InsufficientMemory {
@@ -204,7 +206,8 @@ impl ComputeBrick {
     ///
     /// Returns [`BrickError::ReleaseUnderflow`] if more is released than is
     /// allocated.
-    pub fn release_local_memory(&mut self, amount: ByteSize) -> Result<(), BrickError> {
+    #[cfg(test)]
+    pub(crate) fn release_local_memory(&mut self, amount: ByteSize) -> Result<(), BrickError> {
         if amount > self.allocated_local_memory {
             return Err(BrickError::ReleaseUnderflow { brick: self.id });
         }
@@ -236,7 +239,8 @@ impl ComputeBrick {
     }
 
     /// First free GTH port, if any.
-    pub fn first_free_port(&self) -> Option<PortId> {
+    #[cfg(test)]
+    pub(crate) fn first_free_port(&self) -> Option<PortId> {
         self.ports.first_free()
     }
 
@@ -262,7 +266,7 @@ impl ComputeBrick {
     }
 
     /// Current electrical draw.
-    pub fn power_draw(&self) -> dredbox_sim::units::Watts {
+    pub(crate) fn power_draw(&self) -> dredbox_sim::units::Watts {
         self.spec.power.draw(self.power_state)
     }
 
@@ -327,7 +331,6 @@ mod tests {
     #[test]
     fn fresh_brick_is_idle_and_unused() {
         let b = ComputeBrick::new(BrickId(1), spec());
-        assert_eq!(b.kind(), BrickKind::Compute);
         assert!(b.is_unused());
         assert_eq!(b.power_state(), PowerState::Idle);
         assert_eq!(b.free_cores(), 4);

@@ -52,14 +52,15 @@ pub enum BrickKind {
 
 impl BrickKind {
     /// All brick kinds, in a stable order.
-    pub const ALL: [BrickKind; 3] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [BrickKind; 3] = [
         BrickKind::Compute,
         BrickKind::Memory,
         BrickKind::Accelerator,
     ];
 
     /// The dReDBox name for this brick kind.
-    pub fn dredbox_name(self) -> &'static str {
+    pub(crate) fn dredbox_name(self) -> &'static str {
         match self {
             BrickKind::Compute => "dCOMPUBRICK",
             BrickKind::Memory => "dMEMBRICK",

@@ -4,18 +4,18 @@
 //! mainboard-as-a-unit and builds datacenters out of hot-pluggable *bricks*
 //! pooled on trays:
 //!
-//! * **dCOMPUBRICK** ([`compute::ComputeBrick`]) — a Xilinx Zynq Ultrascale+
+//! * **dCOMPUBRICK** ([`ComputeBrick`]) — a Xilinx Zynq Ultrascale+
 //!   MPSoC with a quad-core ARMv8 APU, local DDR, and programmable logic
 //!   hosting the Transaction Glue Logic, the Remote Memory Segment Table and
 //!   the network endpoints.
-//! * **dMEMBRICK** ([`memory_brick::MemoryBrick`]) — a large pool of DDR/HMC
+//! * **dMEMBRICK** ([`MemoryBrick`]) — a large pool of DDR/HMC
 //!   memory behind glue logic, partitionable among compute bricks.
-//! * **dACCELBRICK** ([`accel::AcceleratorBrick`]) — a reconfigurable
+//! * **dACCELBRICK** ([`AcceleratorBrick`]) — a reconfigurable
 //!   accelerator slot plus static infrastructure for near-data processing.
 //!
-//! Bricks plug into [`tray::Tray`]s (electrically interconnected on-tray) and
-//! trays into [`rack::Rack`]s (optically interconnected off-tray). The
-//! [`catalog`] module provides dimensioning presets both for the vertical
+//! Bricks plug into [`Tray`]s (electrically interconnected on-tray) and
+//! trays into [`Rack`]s (optically interconnected off-tray). The
+//! [`Catalog`] provides dimensioning presets both for the vertical
 //! prototype and for the TCO study of Section VI.
 //!
 //! # Example
@@ -32,27 +32,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accel;
-pub mod brick_map;
-pub mod catalog;
-pub mod compute;
-pub mod error;
-pub mod id;
-pub mod memory_brick;
-pub mod ports;
-pub mod power;
-pub mod rack;
-pub mod resources;
-pub mod tray;
+mod accel;
+mod brick_map;
+mod catalog;
+mod compute;
+mod error;
+mod id;
+mod memory_brick;
+mod ports;
+mod power;
+mod rack;
+mod resources;
+mod tray;
 
-pub use accel::{AcceleratorBrick, AcceleratorSlot, Bitstream};
+pub use accel::{AcceleratorBrick, AcceleratorBrickSpec, AcceleratorSlot, Bitstream};
 pub use brick_map::BrickMap;
 pub use catalog::Catalog;
 pub use compute::{ComputeBrick, ComputeBrickSpec};
 pub use error::BrickError;
 pub use id::{BrickId, BrickKind, PortId, RackId, TrayId};
 pub use memory_brick::{MemoryBrick, MemoryBrickSpec, MemoryController, MemoryTechnology};
-pub use ports::{GthPort, PortRole, PortState};
+pub use ports::{GthPort, PortSet, PortState};
 pub use power::{PowerModel, PowerState};
 pub use rack::Rack;
 pub use resources::ResourceVector;

@@ -8,11 +8,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use dredbox_sim::time::SimDuration;
 use dredbox_sim::units::{Bandwidth, ByteSize};
 
 use crate::error::BrickError;
-use crate::id::{BrickId, BrickKind};
+use crate::id::BrickId;
 use crate::ports::PortSet;
 use crate::power::{PowerModel, PowerState};
 
@@ -23,25 +22,6 @@ pub enum MemoryTechnology {
     Ddr4,
     /// Hybrid Memory Cube behind an HMC controller IP.
     Hmc,
-}
-
-impl MemoryTechnology {
-    /// Typical device access latency of the technology (row access for DDR4,
-    /// packetized access for HMC).
-    pub fn access_latency(self) -> SimDuration {
-        match self {
-            MemoryTechnology::Ddr4 => SimDuration::from_nanos(60),
-            MemoryTechnology::Hmc => SimDuration::from_nanos(80),
-        }
-    }
-
-    /// Peak bandwidth of one controller of this technology.
-    pub fn peak_bandwidth(self) -> Bandwidth {
-        match self {
-            MemoryTechnology::Ddr4 => Bandwidth::from_gbps(153.6), // DDR4-2400 x64
-            MemoryTechnology::Hmc => Bandwidth::from_gbps(320.0),
-        }
-    }
 }
 
 impl std::fmt::Display for MemoryTechnology {
@@ -91,7 +71,7 @@ pub struct MemoryBrickSpec {
 
 impl MemoryBrickSpec {
     /// Total capacity across all controllers.
-    pub fn total_capacity(&self) -> ByteSize {
+    pub(crate) fn total_capacity(&self) -> ByteSize {
         self.controllers.iter().map(|c| c.capacity).sum()
     }
 }
@@ -125,7 +105,7 @@ pub struct MemoryBrick {
 
 impl MemoryBrick {
     /// Creates a powered-on, idle memory brick.
-    pub fn new(id: BrickId, spec: MemoryBrickSpec) -> Self {
+    pub(crate) fn new(id: BrickId, spec: MemoryBrickSpec) -> Self {
         let ports = PortSet::new(id, spec.gth_ports, spec.port_rate);
         MemoryBrick {
             id,
@@ -142,13 +122,9 @@ impl MemoryBrick {
         self.id
     }
 
-    /// Brick kind ([`BrickKind::Memory`]).
-    pub fn kind(&self) -> BrickKind {
-        BrickKind::Memory
-    }
-
     /// Static dimensioning.
-    pub fn spec(&self) -> &MemoryBrickSpec {
+    #[cfg(test)]
+    pub(crate) fn spec(&self) -> &MemoryBrickSpec {
         &self.spec
     }
 
@@ -178,7 +154,7 @@ impl MemoryBrick {
     }
 
     /// Memory still available for export.
-    pub fn free(&self) -> ByteSize {
+    pub(crate) fn free(&self) -> ByteSize {
         self.capacity() - self.exported
     }
 
@@ -188,7 +164,8 @@ impl MemoryBrick {
     }
 
     /// Amount exported to a specific consumer.
-    pub fn exported_to(&self, consumer: BrickId) -> ByteSize {
+    #[cfg(test)]
+    pub(crate) fn exported_to(&self, consumer: BrickId) -> ByteSize {
         self.consumers
             .iter()
             .find(|(c, _)| *c == consumer)
@@ -197,7 +174,7 @@ impl MemoryBrick {
     }
 
     /// Whether nothing is exported from this brick.
-    pub fn is_unused(&self) -> bool {
+    pub(crate) fn is_unused(&self) -> bool {
         self.exported.is_zero()
     }
 
@@ -272,19 +249,8 @@ impl MemoryBrick {
     }
 
     /// Current electrical draw.
-    pub fn power_draw(&self) -> dredbox_sim::units::Watts {
+    pub(crate) fn power_draw(&self) -> dredbox_sim::units::Watts {
         self.spec.power.draw(self.power_state)
-    }
-
-    /// Device access latency of the slowest controller, used as the memory
-    /// access term in remote-access latency breakdowns.
-    pub fn worst_case_access_latency(&self) -> SimDuration {
-        self.spec
-            .controllers
-            .iter()
-            .map(|c| c.technology.access_latency())
-            .max()
-            .unwrap_or(SimDuration::from_nanos(60))
     }
 
     fn refresh_power_state(&mut self) {
@@ -341,13 +307,10 @@ mod tests {
     #[test]
     fn capacity_sums_controllers() {
         let b = MemoryBrick::new(BrickId(10), spec());
-        assert_eq!(b.kind(), BrickKind::Memory);
         assert_eq!(b.capacity(), ByteSize::from_gib(32));
         assert_eq!(b.free(), ByteSize::from_gib(32));
         assert!(b.is_unused());
         assert_eq!(b.spec().total_capacity(), ByteSize::from_gib(32));
-        // HMC is the slower of the two configured technologies here.
-        assert_eq!(b.worst_case_access_latency(), SimDuration::from_nanos(80));
     }
 
     #[test]
@@ -401,10 +364,6 @@ mod tests {
 
     #[test]
     fn technology_properties() {
-        assert!(
-            MemoryTechnology::Hmc.peak_bandwidth().as_gbps()
-                > MemoryTechnology::Ddr4.peak_bandwidth().as_gbps()
-        );
         assert_eq!(MemoryTechnology::Ddr4.to_string(), "DDR4");
         assert_eq!(MemoryTechnology::Hmc.to_string(), "HMC");
     }

@@ -29,15 +29,6 @@ pub enum PortState {
     Packet,
 }
 
-/// The role a port plays once attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PortRole {
-    /// Circuit-based network attachment.
-    CircuitBased,
-    /// Packet-based network attachment.
-    PacketBased,
-}
-
 /// A GTH transceiver port on a brick.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GthPort {
@@ -48,7 +39,7 @@ pub struct GthPort {
 
 impl GthPort {
     /// Creates a free port with the given line rate.
-    pub fn new(id: PortId, rate: Bandwidth) -> Self {
+    pub(crate) fn new(id: PortId, rate: Bandwidth) -> Self {
         GthPort {
             id,
             rate,
@@ -59,11 +50,6 @@ impl GthPort {
     /// Port identifier.
     pub fn id(&self) -> PortId {
         self.id
-    }
-
-    /// Line rate of the transceiver.
-    pub fn rate(&self) -> Bandwidth {
-        self.rate
     }
 
     /// Current attachment state.
@@ -94,7 +80,8 @@ impl GthPort {
     /// # Errors
     ///
     /// Returns [`BrickError::PortBusy`] if the port is already attached.
-    pub fn attach_packet(&mut self) -> Result<(), BrickError> {
+    #[cfg(test)]
+    pub(crate) fn attach_packet(&mut self) -> Result<(), BrickError> {
         if !self.is_free() {
             return Err(BrickError::PortBusy { port: self.id });
         }
@@ -122,7 +109,7 @@ pub struct PortSet {
 
 impl PortSet {
     /// Creates `count` free ports for `brick`, numbered from zero.
-    pub fn new(brick: crate::id::BrickId, count: u8, rate: Bandwidth) -> Self {
+    pub(crate) fn new(brick: crate::id::BrickId, count: u8, rate: Bandwidth) -> Self {
         PortSet {
             ports: (0..count)
                 .map(|i| GthPort::new(PortId::new(brick, i), rate))
@@ -151,7 +138,8 @@ impl PortSet {
     }
 
     /// Finds the lowest-numbered free port.
-    pub fn first_free(&self) -> Option<PortId> {
+    #[cfg(test)]
+    pub(crate) fn first_free(&self) -> Option<PortId> {
         self.ports.iter().find(|p| p.is_free()).map(|p| p.id())
     }
 
@@ -221,7 +209,7 @@ mod tests {
         assert_eq!(ps.free_count(), 4);
         assert_eq!(ps.first_free(), Some(PortId::new(BrickId(7), 0)));
         assert!(ps.iter().all(|p| p.is_free()));
-        assert_eq!(ps.port(0).unwrap().rate().as_gbps(), 10.0);
+        assert_eq!(ps.port(0).unwrap().rate.as_gbps(), 10.0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum PowerState {
 /// Power draw per state for one unit.
 ///
 /// ```
-/// use dredbox_bricks::power::{PowerModel, PowerState};
+/// use dredbox_bricks::{PowerModel, PowerState};
 /// use dredbox_sim::units::Watts;
 ///
 /// let m = PowerModel::new(Watts::new(0.0), Watts::new(20.0), Watts::new(40.0));
@@ -61,16 +61,6 @@ impl PowerModel {
         }
     }
 
-    /// Draw when powered off.
-    pub fn off(&self) -> Watts {
-        self.off
-    }
-
-    /// Draw when idle.
-    pub fn idle(&self) -> Watts {
-        self.idle
-    }
-
     /// Draw when active.
     pub fn active(&self) -> Watts {
         self.active
@@ -98,19 +88,19 @@ mod tests {
     #[test]
     fn draw_matches_state() {
         let m = PowerModel::new(Watts::new(1.0), Watts::new(5.0), Watts::new(9.0));
-        assert_eq!(m.draw(PowerState::Off), m.off());
-        assert_eq!(m.draw(PowerState::Idle), m.idle());
+        assert_eq!(m.draw(PowerState::Off), m.off);
+        assert_eq!(m.draw(PowerState::Idle), m.idle);
         assert_eq!(m.draw(PowerState::Active), m.active());
-        assert_eq!(m.off().as_watts(), 1.0);
-        assert_eq!(m.idle().as_watts(), 5.0);
+        assert_eq!(m.off.as_watts(), 1.0);
+        assert_eq!(m.idle.as_watts(), 5.0);
         assert_eq!(m.active().as_watts(), 9.0);
     }
 
     #[test]
     fn default_model_is_monotone() {
         let m = PowerModel::default();
-        assert!(m.off().as_watts() <= m.idle().as_watts());
-        assert!(m.idle().as_watts() <= m.active().as_watts());
+        assert!(m.off.as_watts() <= m.idle.as_watts());
+        assert!(m.idle.as_watts() <= m.active().as_watts());
         assert_eq!(PowerState::default(), PowerState::Idle);
     }
 

@@ -4,7 +4,9 @@ use serde::{Deserialize, Serialize};
 
 use dredbox_sim::units::{ByteSize, Watts};
 
-use crate::id::{BrickId, BrickKind, RackId, TrayId};
+#[cfg(test)]
+use crate::id::TrayId;
+use crate::id::{BrickId, BrickKind, RackId};
 use crate::tray::{Brick, Tray};
 
 /// A rack of dReDBox trays.
@@ -109,14 +111,15 @@ impl Rack {
     }
 
     /// Rack identifier.
-    pub fn id(&self) -> RackId {
+    #[cfg(test)]
+    pub(crate) fn id(&self) -> RackId {
         self.id
     }
 
     /// Adds a tray to the rack. Catalog racks number bricks upwards tray
     /// by tray, so the new tray's hints usually just extend the table;
     /// anything else re-derives it.
-    pub fn add_tray(&mut self, tray: Tray) {
+    pub(crate) fn add_tray(&mut self, tray: Tray) {
         let t = self.trays.len();
         let base = self.hint_base;
         let extends = !self.hints.is_empty()
@@ -146,12 +149,14 @@ impl Rack {
     }
 
     /// Mutable iterator over trays.
-    pub fn trays_mut(&mut self) -> impl Iterator<Item = &mut Tray> {
+    #[cfg(test)]
+    pub(crate) fn trays_mut(&mut self) -> impl Iterator<Item = &mut Tray> {
         self.trays.iter_mut()
     }
 
     /// Looks up a tray by identifier.
-    pub fn tray(&self, id: TrayId) -> Option<&Tray> {
+    #[cfg(test)]
+    pub(crate) fn tray(&self, id: TrayId) -> Option<&Tray> {
         self.trays.iter().find(|t| t.id() == id)
     }
 
@@ -200,7 +205,8 @@ impl Rack {
     }
 
     /// Aggregate dCOMPUBRICK cores in the rack.
-    pub fn total_cores(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn total_cores(&self) -> u32 {
         self.trays.iter().map(|t| t.total_cores()).sum()
     }
 

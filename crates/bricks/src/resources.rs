@@ -15,7 +15,7 @@ use dredbox_sim::units::ByteSize;
 /// of servers/bricks in the TCO study.
 ///
 /// ```
-/// use dredbox_bricks::resources::ResourceVector;
+/// use dredbox_bricks::ResourceVector;
 /// use dredbox_sim::units::ByteSize;
 ///
 /// let server = ResourceVector::new(32, ByteSize::from_gib(32));
@@ -44,7 +44,8 @@ impl ResourceVector {
     }
 
     /// A compute-only vector.
-    pub const fn cores_only(cores: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn cores_only(cores: u32) -> Self {
         ResourceVector {
             cores,
             memory: ByteSize::ZERO,
@@ -52,7 +53,8 @@ impl ResourceVector {
     }
 
     /// A memory-only vector.
-    pub const fn memory_only(memory: ByteSize) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn memory_only(memory: ByteSize) -> Self {
         ResourceVector { cores: 0, memory }
     }
 
@@ -67,7 +69,8 @@ impl ResourceVector {
     }
 
     /// Whether both components are zero.
-    pub const fn is_zero(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) const fn is_zero(&self) -> bool {
         self.cores == 0 && self.memory.is_zero()
     }
 
@@ -96,7 +99,8 @@ impl ResourceVector {
     }
 
     /// Scales both components by an integer factor.
-    pub fn saturating_mul(&self, factor: u32) -> ResourceVector {
+    #[cfg(test)]
+    pub(crate) fn saturating_mul(&self, factor: u32) -> ResourceVector {
         ResourceVector {
             cores: self.cores.saturating_mul(factor),
             memory: self.memory.saturating_mul(u64::from(factor)),
@@ -105,7 +109,8 @@ impl ResourceVector {
 
     /// Fraction of `capacity` used by `self`, per component, each in `[0, 1]`.
     /// Components with zero capacity report zero utilization.
-    pub fn utilization_of(&self, capacity: &ResourceVector) -> (f64, f64) {
+    #[cfg(test)]
+    pub(crate) fn utilization_of(&self, capacity: &ResourceVector) -> (f64, f64) {
         let core_util = if capacity.cores == 0 {
             0.0
         } else {

@@ -9,6 +9,7 @@ use dredbox_sim::units::{ByteSize, Watts};
 
 use crate::accel::AcceleratorBrick;
 use crate::compute::ComputeBrick;
+#[cfg(test)]
 use crate::error::BrickError;
 use crate::id::{BrickId, BrickKind, TrayId};
 use crate::memory_brick::MemoryBrick;
@@ -44,7 +45,7 @@ impl Brick {
     }
 
     /// Current electrical draw.
-    pub fn power_draw(&self) -> Watts {
+    pub(crate) fn power_draw(&self) -> Watts {
         match self {
             Brick::Compute(b) => b.power_draw(),
             Brick::Memory(b) => b.power_draw(),
@@ -132,7 +133,7 @@ impl From<AcceleratorBrick> for Brick {
 ///
 /// ```
 /// use dredbox_bricks::{Catalog, BrickKind, BrickId, Tray};
-/// use dredbox_bricks::id::TrayId;
+/// use dredbox_bricks::TrayId;
 ///
 /// let catalog = Catalog::prototype();
 /// let mut tray = Tray::new(TrayId(0));
@@ -157,7 +158,8 @@ impl Tray {
     }
 
     /// Tray identifier.
-    pub fn id(&self) -> TrayId {
+    #[cfg(test)]
+    pub(crate) fn id(&self) -> TrayId {
         self.id
     }
 
@@ -171,7 +173,8 @@ impl Tray {
     /// # Errors
     ///
     /// Returns [`BrickError::NoSuchBrick`] if the brick is not on this tray.
-    pub fn unplug(&mut self, id: BrickId) -> Result<Brick, BrickError> {
+    #[cfg(test)]
+    pub(crate) fn unplug(&mut self, id: BrickId) -> Result<Brick, BrickError> {
         let pos = self
             .bricks
             .iter()
@@ -181,22 +184,24 @@ impl Tray {
     }
 
     /// All bricks on the tray.
-    pub fn bricks(&self) -> &[Brick] {
+    pub(crate) fn bricks(&self) -> &[Brick] {
         &self.bricks
     }
 
     /// Mutable iterator over the tray's bricks.
-    pub fn bricks_mut(&mut self) -> impl Iterator<Item = &mut Brick> {
+    pub(crate) fn bricks_mut(&mut self) -> impl Iterator<Item = &mut Brick> {
         self.bricks.iter_mut()
     }
 
     /// Looks up a brick by identifier.
-    pub fn brick(&self, id: BrickId) -> Option<&Brick> {
+    #[cfg(test)]
+    pub(crate) fn brick(&self, id: BrickId) -> Option<&Brick> {
         self.bricks.iter().find(|b| b.id() == id)
     }
 
     /// Looks up a brick mutably by identifier.
-    pub fn brick_mut(&mut self, id: BrickId) -> Option<&mut Brick> {
+    #[cfg(test)]
+    pub(crate) fn brick_mut(&mut self, id: BrickId) -> Option<&mut Brick> {
         self.bricks.iter_mut().find(|b| b.id() == id)
     }
 
@@ -220,7 +225,8 @@ impl Tray {
     }
 
     /// Aggregate compute cores of all dCOMPUBRICKs on the tray.
-    pub fn total_cores(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn total_cores(&self) -> u32 {
         self.bricks
             .iter()
             .filter_map(|b| b.as_compute())
@@ -229,7 +235,7 @@ impl Tray {
     }
 
     /// Current electrical draw of the whole tray.
-    pub fn power_draw(&self) -> Watts {
+    pub(crate) fn power_draw(&self) -> Watts {
         self.bricks.iter().map(|b| b.power_draw()).sum()
     }
 }

@@ -122,7 +122,7 @@ impl SystemConfig {
     }
 
     /// Sets the number of federated racks.
-    pub fn with_racks(mut self, racks: u16) -> Self {
+    pub(crate) fn with_racks(mut self, racks: u16) -> Self {
         self.racks = racks;
         self
     }
@@ -134,13 +134,14 @@ impl SystemConfig {
     }
 
     /// Switches the remote-memory data path.
-    pub fn with_path(mut self, path: PathKind) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_path(mut self, path: PathKind) -> Self {
         self.path = path;
         self
     }
 
     /// Bricks of every kind in one rack.
-    pub fn bricks_per_rack(&self) -> usize {
+    pub(crate) fn bricks_per_rack(&self) -> usize {
         usize::from(self.trays)
             * (usize::from(self.compute_per_tray)
                 + usize::from(self.memory_per_tray)
@@ -158,7 +159,7 @@ impl SystemConfig {
     }
 
     /// Total number of accelerator bricks across all racks.
-    pub fn total_accel_bricks(&self) -> usize {
+    pub(crate) fn total_accel_bricks(&self) -> usize {
         usize::from(self.racks) * usize::from(self.trays) * usize::from(self.accel_per_tray)
     }
 }

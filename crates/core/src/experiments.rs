@@ -17,7 +17,7 @@
 //! | [`ablation_fec`] | extension — FEC latency/BER trade-off |
 
 use dredbox_bricks::BrickId;
-use dredbox_interconnect::{LatencyComponent, LatencyConfig, RemoteMemoryPath};
+use dredbox_interconnect::{LatencyConfig, RemoteMemoryPath};
 use dredbox_memory::HotplugModel;
 use dredbox_optical::{
     BerMeasurementCampaign, FecMode, LinkBudget, MidBoardOptics, OpticalCircuitSwitch,
@@ -305,16 +305,10 @@ pub fn ablation_fec() -> Figure {
     fig
 }
 
-/// Latency-component shares of the packet path, exposed for tests.
-pub fn fig8_mac_phy_share() -> f64 {
-    RemoteMemoryPath::packet_switched(LatencyConfig::dredbox_default())
-        .read(ByteSize::from_bytes(64))
-        .share(LatencyComponent::MacPhy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dredbox_interconnect::LatencyComponent;
 
     #[test]
     fn table1_has_six_configs() {
@@ -341,7 +335,10 @@ mod tests {
         let series = &fig.series[0];
         let total_ns: f64 = series.points.iter().map(|&(_, y)| y).sum();
         assert!(total_ns < 2_000.0, "total {total_ns} ns");
-        assert!(fig8_mac_phy_share() > 0.3);
+        let mac_phy_share = RemoteMemoryPath::packet_switched(LatencyConfig::dredbox_default())
+            .read(ByteSize::from_bytes(64))
+            .share(LatencyComponent::MacPhy);
+        assert!(mac_phy_share > 0.3);
         assert!(fig.notes.iter().any(|n| n.contains("MAC/PHY")));
     }
 

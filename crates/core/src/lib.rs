@@ -56,21 +56,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
+mod config;
 pub mod experiments;
 pub mod scenario;
-pub mod snapshot;
-pub mod system;
+mod snapshot;
+mod system;
 
 pub use config::SystemConfig;
-pub use scenario::{
-    run_builtin_suite, ArrivalModel, ChurnModel, ContentionConfig, ControlPlaneQueue,
-    DataPathConfig, DataPathStats, Granularity, MigrationPolicy, OffloadPlan, QueueAdmission,
-    ReadProfile, RemoteCacheConfig, ScenarioReport, ScenarioSpec, SuiteReport,
-};
+pub use scenario::ScenarioReport;
 pub use snapshot::SystemSnapshot;
 pub use system::{
-    DredboxSystem, MigrationReport, OffloadReport, ReadRoute, ScaleUpReport, SystemError, VmHandle,
+    AccelFaultReport, ComputeFaultReport, DredboxSystem, LinkFaultReport, MemoryFaultReport,
+    OrphanReclaim, SystemError, VmHandle,
 };
 
 // Re-export the sub-crates so downstream users need a single dependency.
@@ -89,15 +86,16 @@ pub mod prelude {
     pub use crate::config::SystemConfig;
     pub use crate::experiments;
     pub use crate::scenario::{
-        run_builtin_suite, ArrivalModel, ChurnModel, ContentionConfig, ControlPlaneQueue,
-        DataPathConfig, DataPathStats, Granularity, MigrationPolicy, OffloadPlan, QueueAdmission,
-        ReadProfile, RemoteCacheConfig, ScenarioReport, ScenarioSpec, SuiteReport,
+        run_builtin_suite, ArrivalModel, ChurnModel, DataPathConfig, DataPathStats, Granularity,
+        MigrationPolicy, OffloadPlan, ReadProfile, RemoteCacheConfig, ScenarioReport, ScenarioSpec,
+        SuiteReport,
     };
     pub use crate::snapshot::SystemSnapshot;
     pub use crate::system::{
         DredboxSystem, MigrationReport, OffloadReport, ReadRoute, ScaleUpReport, SystemError,
         VmHandle,
     };
-    pub use dredbox_orchestrator::sdm_controller::OffloadSessionId;
+    pub use dredbox_interconnect::ContentionConfig;
+    pub use dredbox_orchestrator::OffloadSessionId;
     pub use dredbox_sim::prelude::*;
 }

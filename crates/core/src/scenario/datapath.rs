@@ -72,8 +72,9 @@ use std::mem;
 use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::BrickId;
-use dredbox_interconnect::{queueing_wait, ContentionConfig, StageLoad};
-use dredbox_optical::{read_route_stages, FabricLoad};
+use dredbox_interconnect::contention::{queueing_wait, StageLoad};
+use dredbox_interconnect::ContentionConfig;
+use dredbox_optical::load::{read_route_stages, FabricLoad};
 use dredbox_sim::arena::SlotKey;
 use dredbox_sim::rng::SimRng;
 use dredbox_sim::stats::Summary;
@@ -93,7 +94,7 @@ pub enum Granularity {
 
 impl Granularity {
     /// Granule size in bytes.
-    pub fn bytes(self) -> u64 {
+    pub(crate) fn bytes(self) -> u64 {
         match self {
             Granularity::CacheLine => 64,
             Granularity::Page => 4_096,
@@ -805,7 +806,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioSpec;
-    use dredbox_optical::FabricStage;
+    use dredbox_optical::load::FabricStage;
 
     fn handle(slot: u32, generation: u32) -> VmHandle {
         VmHandle((u64::from(generation) << 32) | u64::from(slot))

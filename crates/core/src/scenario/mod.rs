@@ -75,11 +75,11 @@
 //!
 //! Every SDM request of a replay — admissions, scale-ups/downs, releases,
 //! migrations, offload begins/ends — is serialized through the owning
-//! rack's [`ControlPlaneQueue`]: the controller is a single autonomous
-//! service per rack, so concurrent events queue and pay a per-queued-request
-//! contention penalty on top of their own service time. Power sweeps batch
-//! per rack per tick: each rack's periodic sweep covers exactly its own
-//! bricks.
+//! rack's [`ControlPlaneQueue`](dredbox_sim::queue::ControlPlaneQueue): the
+//! controller is a single autonomous service per rack, so concurrent events
+//! queue and pay a per-queued-request contention penalty on top of their own
+//! service time. Power sweeps batch per rack per tick: each rack's periodic
+//! sweep covers exactly its own bricks.
 //!
 //! Replays are deterministic: the same spec and seed produce a bit-identical
 //! [`ScenarioReport`].
@@ -108,11 +108,8 @@ use serde::{Deserialize, Serialize};
 use dredbox_bricks::{MemoryController, MemoryTechnology};
 use dredbox_orchestrator::{ClusterTimings, PlacementPolicy};
 use dredbox_sim::engine::RunOutcome;
-pub use dredbox_sim::fault::{
-    FailurePlan, FailureSchedule, FaultInjector, FaultKind, FaultSite, PlannedFault, SiteCounts,
-};
+pub(crate) use dredbox_sim::fault::{FailurePlan, FailureSchedule, SiteCounts};
 use dredbox_sim::observe::drain_on_helper;
-pub use dredbox_sim::queue::{ControlPlaneQueue, QueueAdmission};
 use dredbox_sim::report::{Row, Table};
 use dredbox_sim::rng::SimRng;
 use dredbox_sim::shard::{ShardId, ShardedEngine};
@@ -359,7 +356,7 @@ impl ScenarioSpec {
     /// A 24-hour NFV-style day/night curve: memory-heavy VMs arrive
     /// following [`DiurnalPattern::nfv_default`], so the rack empties at
     /// night and the power sweep can switch bricks off.
-    pub fn diurnal() -> Self {
+    pub(crate) fn diurnal() -> Self {
         ScenarioSpec {
             name: "diurnal".to_owned(),
             system: SystemConfig::datacenter_rack(2, 4, 4),
@@ -389,7 +386,7 @@ impl ScenarioSpec {
 
     /// Bursts of compute-heavy VMs arriving together — the bursty,
     /// memory-churning traffic of the network-analytics pilot.
-    pub fn burst_arrival() -> Self {
+    pub(crate) fn burst_arrival() -> Self {
         ScenarioSpec {
             name: "burst-arrival".to_owned(),
             system: SystemConfig::datacenter_rack(2, 4, 4),
@@ -1569,7 +1566,7 @@ impl std::fmt::Debug for ScenarioReport {
 
 impl ScenarioReport {
     /// Renders the per-scenario metric table from the report fields.
-    pub fn table(&self) -> Table {
+    pub(crate) fn table(&self) -> Table {
         let mut table = Table::new(format!("Scenario — {}", self.name), ["Metric", "Value"]);
         table.push(Row::new("run outcome", [self.outcome.to_string()]));
         table.push(Row::new(

@@ -27,10 +27,10 @@ use dredbox_snap::{Reader, Snap, SnapError};
 use crate::system::DredboxSystem;
 
 /// Magic bytes opening every snapshot stream.
-pub const MAGIC: [u8; 4] = *b"DRBX";
+pub(crate) const MAGIC: [u8; 4] = *b"DRBX";
 
 /// Format version this build writes and understands.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 
 /// A captured [`DredboxSystem`], restorable bit-identically.
 #[derive(Debug, Clone, PartialEq)]

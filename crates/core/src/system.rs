@@ -11,7 +11,7 @@ use dredbox_bricks::{Bitstream, BrickId, BrickKind, PortId, PowerState, Rack, Ra
 use dredbox_interconnect::{LatencyBreakdown, PathKind, RemoteMemoryPath};
 use dredbox_memory::HotplugModel;
 use dredbox_optical::{OpticalCircuitSwitch, OpticalTopology};
-use dredbox_orchestrator::power_mgmt::PowerSweep;
+use dredbox_orchestrator::PowerSweep;
 use dredbox_orchestrator::{
     ClusterController, OffloadRequest, OffloadSessionId, OrchestratorError, PowerManager,
     RackDigest, ScaleUpDemand, ScaleUpGrant, SdmController, VmAllocationRequest, VmGrants,
@@ -452,7 +452,7 @@ impl DredboxSystem {
     }
 
     /// The rack's optical topology and circuit manager.
-    pub fn topology(&self) -> &OpticalTopology {
+    pub(crate) fn topology(&self) -> &OpticalTopology {
         &self.topology
     }
 
@@ -512,7 +512,7 @@ impl DredboxSystem {
     /// The SDM-controller service time of the VM's admission grant — what
     /// the control plane spent placing, reserving and configuring the VM's
     /// initial allocation (the quantity a control-plane queue serializes).
-    pub fn admission_service_time(&self, handle: VmHandle) -> Option<SimDuration> {
+    pub(crate) fn admission_service_time(&self, handle: VmHandle) -> Option<SimDuration> {
         self.vms
             .get(handle_key(handle))
             .and_then(|r| r.grants.first())
@@ -521,7 +521,7 @@ impl DredboxSystem {
 
     /// The vCPU count a VM was admitted with — the figure a cluster-tier
     /// coordinator needs to re-place the guest on another rack.
-    pub fn vm_vcpus(&self, handle: VmHandle) -> Option<u32> {
+    pub(crate) fn vm_vcpus(&self, handle: VmHandle) -> Option<u32> {
         self.vms.get(handle_key(handle)).map(|r| r.vcpus)
     }
 
@@ -1030,14 +1030,15 @@ impl DredboxSystem {
     }
 
     /// Live offload sessions of a VM, in begin order.
-    pub fn vm_offloads(&self, handle: VmHandle) -> Vec<OffloadSessionId> {
+    #[cfg(test)]
+    pub(crate) fn vm_offloads(&self, handle: VmHandle) -> Vec<OffloadSessionId> {
         let mut out = Vec::new();
         self.vm_offloads_into(handle, &mut out);
         out
     }
 
     /// [`DredboxSystem::vm_offloads`] into `out`, which is cleared first.
-    pub fn vm_offloads_into(&self, handle: VmHandle, out: &mut Vec<OffloadSessionId>) {
+    pub(crate) fn vm_offloads_into(&self, handle: VmHandle, out: &mut Vec<OffloadSessionId>) {
         out.clear();
         if let Some(record) = self.vms.get(handle_key(handle)) {
             out.extend_from_slice(&record.offloads);
@@ -1062,7 +1063,7 @@ impl DredboxSystem {
     }
 
     /// Every live VM, in admission order.
-    pub fn vms(&self) -> Vec<VmHandle> {
+    pub(crate) fn vms(&self) -> Vec<VmHandle> {
         self.vms_where(|_| true)
     }
 
@@ -1073,7 +1074,7 @@ impl DredboxSystem {
 
     /// [`DredboxSystem::vms_on`] into `out`, which is cleared first, so a
     /// caller asking brick after brick reuses one buffer.
-    pub fn vms_on_into(&self, brick: BrickId, out: &mut Vec<VmHandle>) {
+    pub(crate) fn vms_on_into(&self, brick: BrickId, out: &mut Vec<VmHandle>) {
         self.vms_where_into(|r| r.brick == brick, out);
     }
 
@@ -1149,7 +1150,7 @@ impl DredboxSystem {
     /// The most loaded powered compute brick whose used-core fraction is at
     /// or above `saturated_at` (ties broken towards the lowest id) — the
     /// hotspot-evacuation source, if any.
-    pub fn hotspot_brick(&self, saturated_at: f64) -> Option<BrickId> {
+    pub(crate) fn hotspot_brick(&self, saturated_at: f64) -> Option<BrickId> {
         // (brick, used, total) of the most loaded qualifying brick so far;
         // strict `>` on the cross-multiplied fractions keeps the lowest id
         // on ties (views ascend by id).
@@ -1246,7 +1247,7 @@ impl DredboxSystem {
 
     /// Fraction of the disaggregated memory pool currently allocated, in
     /// `[0, 1]`. Zero when the pool has no capacity.
-    pub fn pool_utilization(&self) -> f64 {
+    pub(crate) fn pool_utilization(&self) -> f64 {
         let capacity = self.sdm.pool().total_capacity().as_bytes();
         if capacity == 0 {
             return 0.0;
@@ -1576,7 +1577,8 @@ impl DredboxSystem {
 
     /// VM records stranded by compute-brick crashes, awaiting
     /// [`DredboxSystem::reclaim_orphans`].
-    pub fn orphan_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn orphan_count(&self) -> usize {
         self.orphans.len()
     }
 

@@ -61,19 +61,19 @@ impl LatencyConfig {
 
     /// One-way fibre propagation delay (~4.9 ns/m in standard single-mode
     /// fibre).
-    pub fn propagation_delay(&self) -> SimDuration {
+    pub(crate) fn propagation_delay(&self) -> SimDuration {
         SimDuration::from_nanos_f64(self.fibre_metres / 2.04e8 * 1e9)
     }
 
     /// Serialization time of `payload` plus the packet header at the line
     /// rate.
-    pub fn serialization(&self, payload: ByteSize) -> SimDuration {
+    pub(crate) fn serialization(&self, payload: ByteSize) -> SimDuration {
         self.line_rate.transfer_time(payload + self.packet_header)
     }
 
     /// Serialization time of `payload` alone (circuit path, no packet
     /// header).
-    pub fn raw_serialization(&self, payload: ByteSize) -> SimDuration {
+    pub(crate) fn raw_serialization(&self, payload: ByteSize) -> SimDuration {
         self.line_rate.transfer_time(payload)
     }
 
@@ -88,7 +88,8 @@ impl LatencyConfig {
     /// # Panics
     ///
     /// Panics if `metres` is negative or not finite.
-    pub fn with_fibre_metres(mut self, metres: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_fibre_metres(mut self, metres: f64) -> Self {
         assert!(
             metres.is_finite() && metres >= 0.0,
             "fibre length must be finite and non-negative"

@@ -98,7 +98,7 @@ impl StageLoad {
 
     /// Queuing delay behind the background load for a transfer whose
     /// service time at this stage is `transfer_time(moved)`.
-    pub fn queueing_delay(&self, moved: ByteSize, cap: f64) -> SimDuration {
+    pub(crate) fn queueing_delay(&self, moved: ByteSize, cap: f64) -> SimDuration {
         let rho = self.utilization(cap);
         if rho <= 0.0 {
             return SimDuration::ZERO;
@@ -109,7 +109,7 @@ impl StageLoad {
 
 /// The wait `service × ρ/(1−ρ)` of a transfer whose service time at a
 /// stage of utilization `rho` is `service`: what
-/// [`StageLoad::queueing_delay`] charges, for callers that keep service
+/// `StageLoad::queueing_delay` charges, for callers that keep service
 /// times in a table. Zero on an idle stage.
 pub fn queueing_wait(service: SimDuration, rho: f64) -> SimDuration {
     if rho <= 0.0 {

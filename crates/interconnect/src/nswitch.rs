@@ -39,11 +39,6 @@ impl OnBrickSwitch {
         }
     }
 
-    /// The brick hosting this switch.
-    pub fn owner(&self) -> BrickId {
-        self.owner
-    }
-
     /// Installs (or replaces) a lookup-table entry: packets for
     /// `destination` leave through `port`. This is the operation the
     /// orchestrator's control path performs at runtime.
@@ -57,7 +52,8 @@ impl OnBrickSwitch {
     }
 
     /// Number of programmed routes.
-    pub fn route_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn route_count(&self) -> usize {
         self.lookup.len()
     }
 
@@ -77,7 +73,8 @@ impl OnBrickSwitch {
     /// inputs want the same output in the same arbitration epoch: the
     /// round-robin arbiter serialises them, so the expected wait grows
     /// linearly with the number of competitors.
-    pub fn traversal_latency(&self, competing: usize) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn traversal_latency(&self, competing: usize) -> SimDuration {
         self.traversal + self.traversal.saturating_mul(competing as u64)
     }
 
@@ -86,7 +83,8 @@ impl OnBrickSwitch {
     /// advances the cursor.
     ///
     /// Returns `None` when no input is pending.
-    pub fn arbitrate(&mut self, pending_inputs: &[bool]) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn arbitrate(&mut self, pending_inputs: &[bool]) -> Option<usize> {
         if pending_inputs.is_empty() {
             return None;
         }
@@ -121,7 +119,7 @@ mod tests {
     #[test]
     fn lookup_table_programming() {
         let mut sw = switch();
-        assert_eq!(sw.owner(), BrickId(0));
+        assert_eq!(sw.owner, BrickId(0));
         assert_eq!(sw.route_count(), 0);
         assert!(matches!(
             sw.route(BrickId(5)),

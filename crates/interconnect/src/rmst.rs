@@ -31,17 +31,17 @@ pub struct RmstEntry {
 
 impl RmstEntry {
     /// One-past-the-end address of the segment.
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.base + self.size.as_bytes()
     }
 
     /// Whether `address` falls inside this segment.
-    pub fn covers(&self, address: u64) -> bool {
+    pub(crate) fn covers(&self, address: u64) -> bool {
         address >= self.base && address < self.end()
     }
 
     /// Whether this entry overlaps `other` in the address space.
-    pub fn overlaps(&self, other: &RmstEntry) -> bool {
+    pub(crate) fn overlaps(&self, other: &RmstEntry) -> bool {
         self.base < other.end() && other.base < self.end()
     }
 }
@@ -51,7 +51,7 @@ impl RmstEntry {
 /// scarce resource).
 ///
 /// ```
-/// use dredbox_interconnect::rmst::{RemoteMemorySegmentTable, RmstEntry};
+/// use dredbox_interconnect::{RemoteMemorySegmentTable, RmstEntry};
 /// use dredbox_bricks::{BrickId, PortId};
 /// use dredbox_sim::units::ByteSize;
 ///
@@ -94,11 +94,6 @@ impl RemoteMemorySegmentTable {
         }
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of installed entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -107,11 +102,6 @@ impl RemoteMemorySegmentTable {
     /// Whether no entries are installed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Remaining free entries.
-    pub fn free_entries(&self) -> usize {
-        self.capacity - self.entries.len()
     }
 
     /// Installs a new segment.
@@ -184,7 +174,7 @@ impl RemoteMemorySegmentTable {
     }
 
     /// All entries towards a given destination brick.
-    pub fn entries_towards(&self, destination: BrickId) -> impl Iterator<Item = &RmstEntry> {
+    pub(crate) fn entries_towards(&self, destination: BrickId) -> impl Iterator<Item = &RmstEntry> {
         self.entries
             .values()
             .filter(move |e| e.destination == destination)
@@ -192,7 +182,7 @@ impl RemoteMemorySegmentTable {
 
     /// Number of entries towards a given destination brick — the
     /// route-teardown check. A scan of the table, which is bounded by
-    /// [`capacity`](Self::capacity) and holds a handful of entries.
+    /// the table's capacity and holds a handful of entries.
     pub fn towards_count(&self, destination: BrickId) -> u32 {
         self.entries_towards(destination).count() as u32
     }
@@ -293,7 +283,6 @@ mod tests {
         rmst.insert(entry(0x1_0000_0000, 2, 5)).unwrap();
         rmst.insert(entry(0x1_0000_0000 + 2 * GIB, 4, 6)).unwrap();
         assert_eq!(rmst.len(), 2);
-        assert_eq!(rmst.free_entries(), 2);
         assert_eq!(rmst.mapped_bytes(), ByteSize::from_gib(6));
 
         let hit = rmst.lookup(0x1_0000_0000 + GIB).unwrap();
@@ -376,7 +365,7 @@ mod tests {
                     prop_assert!(!a.overlaps(b));
                 }
             }
-            prop_assert!(rmst.len() <= rmst.capacity());
+            prop_assert!(rmst.len() <= rmst.capacity);
         }
 
         /// `towards_count` agrees with a direct count and with the

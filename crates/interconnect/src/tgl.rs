@@ -33,8 +33,7 @@ pub struct RouteDecision {
 /// The TGL of one compute brick: an RMST plus decode logic.
 ///
 /// ```
-/// use dredbox_interconnect::prelude::*;
-/// use dredbox_interconnect::rmst::RmstEntry;
+/// use dredbox_interconnect::*;
 /// use dredbox_bricks::{BrickId, PortId};
 /// use dredbox_sim::units::ByteSize;
 ///
@@ -70,11 +69,6 @@ impl TransactionGlueLogic {
             decode_latency: config.tgl_decode,
             rmst: RemoteMemorySegmentTable::new(rmst_entries),
         }
-    }
-
-    /// The compute brick hosting this TGL.
-    pub fn owner(&self) -> BrickId {
-        self.owner
     }
 
     /// The underlying RMST.
@@ -160,7 +154,7 @@ mod tests {
     #[test]
     fn routes_to_the_right_membrick() {
         let tgl = tgl_with_two_segments();
-        assert_eq!(tgl.owner(), BrickId(0));
+        assert_eq!(tgl.owner, BrickId(0));
         assert_eq!(tgl.mapped_remote_memory(), ByteSize::from_gib(12));
         assert_eq!(tgl.rmst().len(), 2);
 

@@ -44,7 +44,7 @@ pub enum LatencyComponent {
 impl LatencyComponent {
     /// All components in display order, which is also declaration order:
     /// `ALL[c as usize] == c` for every component `c`.
-    pub const ALL: [LatencyComponent; 9] = [
+    pub(crate) const ALL: [LatencyComponent; 9] = [
         LatencyComponent::TglDecode,
         LatencyComponent::NetworkInterface,
         LatencyComponent::OnBrickSwitch,
@@ -96,12 +96,12 @@ pub struct LatencyBreakdown {
 
 impl LatencyBreakdown {
     /// Creates an empty breakdown.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyBreakdown::default()
     }
 
     /// Adds `duration` to `component`.
-    pub fn add(&mut self, component: LatencyComponent, duration: SimDuration) {
+    pub(crate) fn add(&mut self, component: LatencyComponent, duration: SimDuration) {
         self.totals[component as usize] += duration;
     }
 
@@ -111,7 +111,7 @@ impl LatencyBreakdown {
     }
 
     /// Total latency attributed to `component`.
-    pub fn component_total(&self, component: LatencyComponent) -> SimDuration {
+    pub(crate) fn component_total(&self, component: LatencyComponent) -> SimDuration {
         self.totals[component as usize]
     }
 
@@ -124,7 +124,7 @@ impl LatencyBreakdown {
         self.component_total(component).as_nanos() as f64 / total as f64
     }
 
-    /// The breakdown aggregated per component, in [`LatencyComponent::ALL`]
+    /// The breakdown aggregated per component, in `LatencyComponent::ALL`
     /// order, omitting components with zero contribution.
     pub fn aggregated(&self) -> Vec<(LatencyComponent, SimDuration)> {
         LatencyComponent::ALL
@@ -196,16 +196,6 @@ impl RemoteMemoryPath {
         }
     }
 
-    /// The path kind.
-    pub fn kind(&self) -> PathKind {
-        self.kind
-    }
-
-    /// The latency configuration.
-    pub fn config(&self) -> &LatencyConfig {
-        &self.config
-    }
-
     /// Round-trip breakdown of a remote read of `size` bytes.
     pub fn read(&self, size: ByteSize) -> LatencyBreakdown {
         self.round_trip(ByteSize::ZERO, size)
@@ -213,7 +203,8 @@ impl RemoteMemoryPath {
 
     /// Round-trip breakdown of a remote (posted-then-acknowledged) write of
     /// `size` bytes.
-    pub fn write(&self, size: ByteSize) -> LatencyBreakdown {
+    #[cfg(test)]
+    pub(crate) fn write(&self, size: ByteSize) -> LatencyBreakdown {
         self.round_trip(size, ByteSize::ZERO)
     }
 
@@ -457,13 +448,8 @@ mod tests {
         ];
         for (path, background, total, aggregated) in cases {
             let b = priced_read(&path, background);
-            assert_eq!(b.total(), ns(total), "{} at {background}", path.kind());
-            assert_eq!(
-                b.aggregated(),
-                aggregated,
-                "{} at {background}",
-                path.kind()
-            );
+            assert_eq!(b.total(), ns(total), "{} at {background}", path.kind);
+            assert_eq!(b.aggregated(), aggregated, "{} at {background}", path.kind);
         }
         assert_eq!(
             priced_read(&packet_path(), 0.5e9).to_string(),

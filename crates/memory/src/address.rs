@@ -14,7 +14,7 @@ use crate::error::MemoryError;
 
 /// The base of the remote-memory window in each compute brick's physical
 /// address space (32 GiB, comfortably above the brick's local DDR).
-pub const REMOTE_WINDOW_BASE: u64 = 0x8_0000_0000;
+const REMOTE_WINDOW_BASE: u64 = 0x8_0000_0000;
 
 /// A physical address in a compute brick's global address space.
 #[derive(
@@ -24,13 +24,15 @@ pub struct GlobalAddress(pub u64);
 
 impl GlobalAddress {
     /// Offsets the address by `bytes`.
-    pub fn offset(self, bytes: u64) -> GlobalAddress {
+    #[cfg(test)]
+    pub(crate) fn offset(self, bytes: u64) -> GlobalAddress {
         GlobalAddress(self.0 + bytes)
     }
 
     /// Whether the address lies inside the remote window that starts at
     /// [`REMOTE_WINDOW_BASE`].
-    pub fn is_remote(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_remote(self) -> bool {
         self.0 >= REMOTE_WINDOW_BASE
     }
 }
@@ -50,12 +52,11 @@ impl std::fmt::Display for GlobalAddress {
 /// extent, or over a released hole, it is rejected.
 ///
 /// ```
-/// use dredbox_memory::address::{RemoteWindow, REMOTE_WINDOW_BASE};
+/// use dredbox_memory::RemoteWindow;
 /// use dredbox_sim::units::ByteSize;
 ///
 /// let mut window = RemoteWindow::new(ByteSize::from_gib(64));
 /// let a = window.carve(ByteSize::from_gib(8))?;
-/// assert_eq!(a.0, REMOTE_WINDOW_BASE);
 /// let b = window.carve(ByteSize::from_gib(4))?;
 /// assert!(b.0 > a.0);
 /// # Ok::<(), dredbox_memory::MemoryError>(())
@@ -76,7 +77,7 @@ pub struct RemoteWindow {
 
 impl RemoteWindow {
     /// Creates a window of `capacity` bytes starting at
-    /// [`REMOTE_WINDOW_BASE`].
+    /// `REMOTE_WINDOW_BASE` (32 GiB).
     pub fn new(capacity: ByteSize) -> Self {
         RemoteWindow {
             capacity,
@@ -87,7 +88,8 @@ impl RemoteWindow {
     }
 
     /// Total window capacity.
-    pub fn capacity(&self) -> ByteSize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> ByteSize {
         self.capacity
     }
 

@@ -22,7 +22,7 @@ struct Allocation {
 ///
 /// Free ranges are held in two synchronized sorted vectors: one ordered by
 /// offset (non-overlapping, coalesced on release — so fragmentation
-/// statistics like [`BrickAllocator::largest_free_block`] reflect real
+/// statistics like `largest_free_block` reflect real
 /// contiguity) and one ordered by size over the same ranges, so finding a
 /// fitting range is a binary search instead of a first-fit scan.
 /// Allocation takes the smallest free range that fits, lowest offset on
@@ -38,7 +38,7 @@ struct Allocation {
 /// the dMEMBRICK's allocator is where a live segment is owned.
 ///
 /// ```
-/// use dredbox_memory::allocator::BrickAllocator;
+/// use dredbox_memory::BrickAllocator;
 /// use dredbox_bricks::BrickId;
 /// use dredbox_sim::units::ByteSize;
 ///
@@ -86,12 +86,12 @@ impl BrickAllocator {
     }
 
     /// The brick this allocator manages.
-    pub fn brick(&self) -> BrickId {
+    pub(crate) fn brick(&self) -> BrickId {
         self.brick
     }
 
     /// Total capacity.
-    pub fn capacity(&self) -> ByteSize {
+    pub(crate) fn capacity(&self) -> ByteSize {
         self.capacity
     }
 
@@ -101,32 +101,36 @@ impl BrickAllocator {
     }
 
     /// Total allocated bytes.
-    pub fn allocated(&self) -> ByteSize {
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> ByteSize {
         self.capacity - self.free()
     }
 
     /// Whether nothing is allocated.
-    pub fn is_unused(&self) -> bool {
+    pub(crate) fn is_unused(&self) -> bool {
         self.allocated.is_empty()
     }
 
     /// Size of the largest contiguous free block.
-    pub fn largest_free_block(&self) -> ByteSize {
+    pub(crate) fn largest_free_block(&self) -> ByteSize {
         ByteSize::from_bytes(self.free_by_size.last().map_or(0, |&(len, _)| len))
     }
 
     /// Number of discrete free ranges (fragments).
-    pub fn free_range_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_range_count(&self) -> usize {
         self.free_list.len()
     }
 
     /// The free ranges as `(offset, length)` pairs, ascending by offset.
-    pub fn free_ranges(&self) -> Vec<(u64, u64)> {
+    #[cfg(test)]
+    pub(crate) fn free_ranges(&self) -> Vec<(u64, u64)> {
         self.free_list.clone()
     }
 
     /// The live allocated ranges as `(offset, length)`, ascending by offset.
-    pub fn allocated_ranges(&self) -> Vec<(u64, u64)> {
+    #[cfg(test)]
+    pub(crate) fn allocated_ranges(&self) -> Vec<(u64, u64)> {
         self.allocated.iter().map(|(&o, a)| (o, a.len)).collect()
     }
 
@@ -137,7 +141,8 @@ impl BrickAllocator {
 
     /// External fragmentation in `[0, 1]`: 1 − largest-free-block / free.
     /// Zero when empty or when all free space is contiguous.
-    pub fn fragmentation(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fragmentation(&self) -> f64 {
         let free = self.free().as_bytes();
         if free == 0 {
             return 0.0;

@@ -33,7 +33,7 @@ impl BalloonDevice {
     }
 
     /// Memory currently usable by the guest (configured minus ballooned-out).
-    pub fn available_to_guest(&self) -> ByteSize {
+    pub(crate) fn available_to_guest(&self) -> ByteSize {
         self.guest_memory - self.inflated
     }
 
@@ -75,7 +75,8 @@ impl BalloonDevice {
     ///
     /// Returns [`MemoryError::BalloonBounds`] if the balloon does not hold
     /// `amount`.
-    pub fn deflate(&mut self, amount: ByteSize) -> Result<SimDuration, MemoryError> {
+    #[cfg(test)]
+    pub(crate) fn deflate(&mut self, amount: ByteSize) -> Result<SimDuration, MemoryError> {
         if amount > self.inflated {
             return Err(MemoryError::BalloonBounds);
         }

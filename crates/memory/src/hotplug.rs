@@ -48,7 +48,7 @@ impl HotplugModel {
     }
 
     /// Number of memory blocks needed to cover `amount` (rounded up).
-    pub fn blocks_for(&self, amount: ByteSize) -> u64 {
+    pub(crate) fn blocks_for(&self, amount: ByteSize) -> u64 {
         if amount.is_zero() {
             0
         } else {

@@ -5,23 +5,23 @@
 //! corresponding VMs) in the system" (Section II). This crate implements the
 //! bookkeeping side of that pool:
 //!
-//! * [`address`] — the remote (global) address window each compute brick maps
-//!   disaggregated memory into.
-//! * [`segment`] — remote memory segments: large, contiguous portions of a
-//!   dMEMBRICK handed to one compute brick.
-//! * [`allocator`] — per-dMEMBRICK contiguous range allocator.
-//! * [`pool`] — the rack-wide software-defined memory pool the SDM controller
-//!   draws from, with pluggable placement policies.
-//! * [`hotplug`] — the cost model of Linux arm64 memory hotplug and QEMU DIMM
-//!   hotplug, the mechanism the software stack uses to expose newly attached
-//!   remote memory (Section IV-A/B).
-//! * [`balloon`] — the revisited virtio-balloon model for elastic
+//! * [`RemoteWindow`] — the remote (global) address window each compute
+//!   brick maps disaggregated memory into.
+//! * [`MemorySegment`] — remote memory segments: large, contiguous portions
+//!   of a dMEMBRICK handed to one compute brick.
+//! * [`BrickAllocator`] — per-dMEMBRICK contiguous range allocator.
+//! * [`MemoryPool`] — the rack-wide software-defined memory pool the SDM
+//!   controller draws from, with pluggable placement policies.
+//! * [`HotplugModel`] — the cost model of Linux arm64 memory hotplug and
+//!   QEMU DIMM hotplug, the mechanism the software stack uses to expose
+//!   newly attached remote memory (Section IV-A/B).
+//! * [`BalloonDevice`] — the revisited virtio-balloon model for elastic
 //!   redistribution of guest memory.
 //!
 //! # Example
 //!
 //! ```
-//! use dredbox_memory::prelude::*;
+//! use dredbox_memory::*;
 //! use dredbox_bricks::BrickId;
 //! use dredbox_sim::units::ByteSize;
 //!
@@ -36,29 +36,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod address;
-pub mod allocator;
-pub mod balloon;
-pub mod error;
-pub mod hotplug;
-pub mod pool;
-pub mod segment;
+mod address;
+mod allocator;
+mod balloon;
+mod error;
+mod hotplug;
+mod pool;
+mod segment;
 
 pub use address::{GlobalAddress, RemoteWindow};
 pub use allocator::BrickAllocator;
 pub use balloon::BalloonDevice;
 pub use error::MemoryError;
 pub use hotplug::HotplugModel;
-pub use pool::{AllocationPolicy, MemoryGrant, MemoryPool, PickStrategy};
+pub use pool::{AllocationPolicy, MemoryGrant, MemoryPool, PickStrategy, GRANT_INLINE_SEGMENTS};
 pub use segment::{MemorySegment, SegmentId};
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::address::{GlobalAddress, RemoteWindow};
-    pub use crate::allocator::BrickAllocator;
-    pub use crate::balloon::BalloonDevice;
-    pub use crate::error::MemoryError;
-    pub use crate::hotplug::HotplugModel;
-    pub use crate::pool::{AllocationPolicy, MemoryGrant, MemoryPool, PickStrategy};
-    pub use crate::segment::{MemorySegment, SegmentId};
-}

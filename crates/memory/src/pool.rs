@@ -536,7 +536,8 @@ impl MemoryGrant {
     }
 
     /// Number of distinct dMEMBRICKs involved.
-    pub fn membrick_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn membrick_count(&self) -> usize {
         let segments = &self.segments;
         (0..segments.len())
             .filter(|&i| {
@@ -550,7 +551,7 @@ impl MemoryGrant {
 /// The software-defined memory pool across all registered dMEMBRICKs.
 ///
 /// ```
-/// use dredbox_memory::pool::{AllocationPolicy, MemoryPool};
+/// use dredbox_memory::{AllocationPolicy, MemoryPool};
 /// use dredbox_bricks::{BrickId, BrickMap};
 /// use dredbox_sim::units::ByteSize;
 ///
@@ -600,19 +601,10 @@ impl MemoryPool {
         }
     }
 
-    /// The active placement policy.
-    pub fn policy(&self) -> AllocationPolicy {
-        self.policy
-    }
-
     /// Changes the placement policy for future allocations.
-    pub fn set_policy(&mut self, policy: AllocationPolicy) {
+    #[cfg(test)]
+    pub(crate) fn set_policy(&mut self, policy: AllocationPolicy) {
         self.policy = policy;
-    }
-
-    /// The active selection strategy.
-    pub fn pick_strategy(&self) -> PickStrategy {
-        self.strategy
     }
 
     /// Switches between the indexed selection hot path and the reference
@@ -640,7 +632,7 @@ impl MemoryPool {
     /// # Errors
     ///
     /// Returns [`MemoryError::DuplicateMemBrick`] if already registered.
-    pub fn try_register_membrick(
+    pub(crate) fn try_register_membrick(
         &mut self,
         brick: BrickId,
         capacity: ByteSize,
@@ -949,7 +941,8 @@ impl MemoryPool {
     }
 
     /// Currently failed dMEMBRICKs, ascending.
-    pub fn failed_membricks(&self) -> impl Iterator<Item = BrickId> + '_ {
+    #[cfg(test)]
+    pub(crate) fn failed_membricks(&self) -> impl Iterator<Item = BrickId> + '_ {
         self.failed.keys().copied()
     }
 
@@ -1318,23 +1311,23 @@ mod tests {
         p.register_membrick(BrickId(2), ByteSize::from_gib(8));
         let grant = p.allocate(BrickId(0), ByteSize::from_gib(8)).unwrap();
         assert_eq!(grant.segments()[0].membrick, BrickId(2));
-        assert_eq!(p.policy(), AllocationPolicy::BestFit);
+        assert_eq!(p.policy, AllocationPolicy::BestFit);
     }
 
     #[test]
     fn policy_can_be_changed_at_runtime() {
         let mut p = pool(AllocationPolicy::FirstFit);
         p.set_policy(AllocationPolicy::PowerAware);
-        assert_eq!(p.policy(), AllocationPolicy::PowerAware);
+        assert_eq!(p.policy, AllocationPolicy::PowerAware);
         assert_eq!(AllocationPolicy::default(), AllocationPolicy::FirstFit);
     }
 
     #[test]
     fn pick_strategy_is_switchable_and_defaults_to_indexed() {
         let mut p = pool(AllocationPolicy::FirstFit);
-        assert_eq!(p.pick_strategy(), PickStrategy::Indexed);
+        assert_eq!(p.strategy, PickStrategy::Indexed);
         p.set_pick_strategy(PickStrategy::ReferenceScan);
-        assert_eq!(p.pick_strategy(), PickStrategy::ReferenceScan);
+        assert_eq!(p.strategy, PickStrategy::ReferenceScan);
         assert_eq!(PickStrategy::default(), PickStrategy::Indexed);
     }
 
@@ -1664,7 +1657,7 @@ mod tests {
                 let size = ByteSize::from_mib(mib);
                 let a = indexed.allocate(BrickId(owner), size);
                 let b = scan.allocate(BrickId(owner), size);
-                prop_assert_eq!(&a, &b, "{:?} diverged on allocate", indexed.policy());
+                prop_assert_eq!(&a, &b, "{:?} diverged on allocate", indexed.policy);
                 live.extend(a);
             }
             PoolOp::Release(i) if !live.is_empty() => {

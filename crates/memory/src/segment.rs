@@ -38,12 +38,14 @@ pub struct MemorySegment {
 
 impl MemorySegment {
     /// One-past-the-end offset within the dMEMBRICK pool.
-    pub fn end_offset(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn end_offset(&self) -> u64 {
         self.offset + self.size.as_bytes()
     }
 
     /// Whether this segment and `other` overlap on the same dMEMBRICK.
-    pub fn overlaps(&self, other: &MemorySegment) -> bool {
+    #[cfg(test)]
+    pub(crate) fn overlaps(&self, other: &MemorySegment) -> bool {
         self.membrick == other.membrick
             && self.offset < other.end_offset()
             && other.offset < self.end_offset()

@@ -18,7 +18,7 @@ const Q_AT_1E12: f64 = 7.033;
 ///
 /// Numerical-Recipes rational approximation; relative error below 1.2e-7 over
 /// the whole real line, which is ample for BER magnitudes down to ~1e-40.
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let ans = t
@@ -45,7 +45,7 @@ pub fn erfc(x: f64) -> f64 {
 /// BER) degrades; above it the link gains margin.
 ///
 /// ```
-/// use dredbox_optical::ber::ReceiverModel;
+/// use dredbox_optical::ReceiverModel;
 /// use dredbox_sim::units::DecibelMilliwatts;
 ///
 /// let rx = ReceiverModel::dredbox_default();
@@ -80,19 +80,15 @@ impl ReceiverModel {
     /// # Panics
     ///
     /// Panics if `sensitivity_dbm` is not finite.
-    pub fn with_sensitivity(sensitivity_dbm: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_sensitivity(sensitivity_dbm: f64) -> Self {
         assert!(sensitivity_dbm.is_finite(), "sensitivity must be finite");
         ReceiverModel { sensitivity_dbm }
     }
 
-    /// The receiver sensitivity at BER 1e-12, in dBm.
-    pub fn sensitivity_dbm(&self) -> f64 {
-        self.sensitivity_dbm
-    }
-
     /// Q factor at the given received power. Thermal-noise-limited receivers
     /// have Q proportional to the received optical power in linear units.
-    pub fn q_factor(&self, received: DecibelMilliwatts) -> f64 {
+    pub(crate) fn q_factor(&self, received: DecibelMilliwatts) -> f64 {
         let margin_db = received.as_dbm() - self.sensitivity_dbm;
         Q_AT_1E12 * 10f64.powf(margin_db / 10.0)
     }
@@ -153,9 +149,9 @@ mod tests {
     #[test]
     fn ber_at_sensitivity_is_1e12() {
         let rx = ReceiverModel::dredbox_default();
-        let ber = rx.ber(DecibelMilliwatts::new(rx.sensitivity_dbm()));
+        let ber = rx.ber(DecibelMilliwatts::new(rx.sensitivity_dbm));
         assert!(ber < 2e-12 && ber > 5e-13, "ber at sensitivity was {ber:e}");
-        assert!((rx.q_factor(DecibelMilliwatts::new(rx.sensitivity_dbm())) - 7.033).abs() < 1e-9);
+        assert!((rx.q_factor(DecibelMilliwatts::new(rx.sensitivity_dbm)) - 7.033).abs() < 1e-9);
     }
 
     #[test]
@@ -183,7 +179,7 @@ mod tests {
     fn required_power_inverts_ber() {
         let rx = ReceiverModel::dredbox_default();
         let p = rx.required_power(1e-12);
-        assert!((p.as_dbm() - rx.sensitivity_dbm()).abs() < 0.05);
+        assert!((p.as_dbm() - rx.sensitivity_dbm).abs() < 0.05);
         let p9 = rx.required_power(1e-9);
         assert!(
             p9.as_dbm() < p.as_dbm(),

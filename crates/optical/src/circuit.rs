@@ -44,8 +44,8 @@ pub struct OpticalCircuit {
 /// Tracks cabling and programmed cross-connections on one optical switch.
 ///
 /// ```
-/// use dredbox_optical::circuit::CircuitManager;
-/// use dredbox_optical::switch::OpticalCircuitSwitch;
+/// use dredbox_optical::CircuitManager;
+/// use dredbox_optical::OpticalCircuitSwitch;
 /// use dredbox_bricks::{BrickId, PortId};
 ///
 /// let mut mgr = CircuitManager::new(OpticalCircuitSwitch::polatis_48());
@@ -102,7 +102,7 @@ impl CircuitManager {
     }
 
     /// The switch port a brick port is cabled to, if any.
-    pub fn cabled_to(&self, port: PortId) -> Option<u16> {
+    pub(crate) fn cabled_to(&self, port: PortId) -> Option<u16> {
         self.cabling.get(&port).copied()
     }
 
@@ -129,7 +129,7 @@ impl CircuitManager {
     /// # Errors
     ///
     /// Same as [`CircuitManager::establish`].
-    pub fn establish_with_hops(
+    pub(crate) fn establish_with_hops(
         &mut self,
         src: PortId,
         dst: PortId,
@@ -190,7 +190,8 @@ impl CircuitManager {
 
     /// Finds the circuit (if any) that connects the two given bricks, in
     /// either direction.
-    pub fn circuit_between(
+    #[cfg(test)]
+    pub(crate) fn circuit_between(
         &self,
         a: dredbox_bricks::BrickId,
         b: dredbox_bricks::BrickId,
@@ -201,7 +202,8 @@ impl CircuitManager {
     }
 
     /// All active circuits.
-    pub fn circuits(&self) -> impl Iterator<Item = &OpticalCircuit> {
+    #[cfg(test)]
+    pub(crate) fn circuits(&self) -> impl Iterator<Item = &OpticalCircuit> {
         self.circuits.values()
     }
 
@@ -226,7 +228,10 @@ impl CircuitManager {
     ///
     /// Returns [`OpticalError::NoSuchSwitchPort`] if the standby has fewer
     /// ports than the cabling uses; nothing is changed in that case.
-    pub fn fail_over(&mut self, standby: OpticalCircuitSwitch) -> Result<usize, OpticalError> {
+    pub(crate) fn fail_over(
+        &mut self,
+        standby: OpticalCircuitSwitch,
+    ) -> Result<usize, OpticalError> {
         if let Some(&highest) = self.cabling.values().max() {
             if highest >= standby.port_count() {
                 return Err(OpticalError::NoSuchSwitchPort { port: highest });
@@ -251,7 +256,10 @@ impl CircuitManager {
     /// # Errors
     ///
     /// Returns [`OpticalError::PortNotCabled`] if the port has no fibre.
-    pub fn uncable(&mut self, port: PortId) -> Result<(u16, Vec<OpticalCircuit>), OpticalError> {
+    pub(crate) fn uncable(
+        &mut self,
+        port: PortId,
+    ) -> Result<(u16, Vec<OpticalCircuit>), OpticalError> {
         let switch_port = self
             .cabling
             .remove(&port)

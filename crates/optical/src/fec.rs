@@ -50,7 +50,7 @@ impl FecMode {
 
     /// Net coding gain in dB: the link behaves as if the received power were
     /// this much higher when computing the post-FEC error rate.
-    pub fn coding_gain_db(self) -> f64 {
+    pub(crate) fn coding_gain_db(self) -> f64 {
         match self {
             FecMode::None => 0.0,
             FecMode::BaseR => 2.0,

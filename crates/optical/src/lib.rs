@@ -2,21 +2,22 @@
 //!
 //! Cross-tray memory traffic travels over a software-defined *circuit-
 //! switched* optical network: each brick's GTH ports feed a multi-channel
-//! silicon-photonics mid-board optics module ([`mbo`]), whose fibres connect
-//! to a low-loss 48-port optical circuit switch ([`switch`]). Paths through
-//! the switch are set up by orchestration ([`circuit`]); there is no
-//! store-and-forward element on the data path, which is what keeps remote
-//! memory access latency low, and the interface is FEC-free ([`fec`]) because
-//! forward error correction would add more than 100 ns.
+//! silicon-photonics mid-board optics module ([`MidBoardOptics`]), whose
+//! fibres connect to a low-loss 48-port optical circuit switch
+//! ([`OpticalCircuitSwitch`]). Paths through the switch are set up by
+//! orchestration ([`CircuitManager`]); there is no store-and-forward element
+//! on the data path, which is what keeps remote memory access latency low,
+//! and the interface is FEC-free ([`FecMode`]) because forward error
+//! correction would add more than 100 ns.
 //!
-//! The [`ber`] and [`link`] modules implement the link-budget and
-//! bit-error-rate model behind Figure 7; [`telemetry`] runs the measurement
-//! campaign that regenerates it.
+//! [`LinkBudget`] and [`ReceiverModel`] implement the link-budget and
+//! bit-error-rate model behind Figure 7; [`BerMeasurementCampaign`] runs the
+//! measurement campaign that regenerates it.
 //!
 //! # Example
 //!
 //! ```
-//! use dredbox_optical::prelude::*;
+//! use dredbox_optical::*;
 //!
 //! let mbo = MidBoardOptics::dredbox_default();
 //! let switch = OpticalCircuitSwitch::polatis_48();
@@ -31,38 +32,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ber;
-pub mod circuit;
-pub mod error;
-pub mod fec;
-pub mod link;
+mod ber;
+mod circuit;
+mod error;
+mod fec;
+mod link;
 pub mod load;
-pub mod mbo;
-pub mod switch;
-pub mod telemetry;
-pub mod topology;
+mod mbo;
+mod switch;
+mod telemetry;
+mod topology;
 
 pub use ber::ReceiverModel;
 pub use circuit::{CircuitId, CircuitManager, OpticalCircuit};
 pub use error::OpticalError;
 pub use fec::FecMode;
 pub use link::LinkBudget;
-pub use load::{read_route_stages, FabricLoad, FabricStage};
 pub use mbo::{MboChannel, MidBoardOptics};
 pub use switch::OpticalCircuitSwitch;
 pub use telemetry::{BerMeasurementCampaign, ChannelMeasurement};
-pub use topology::OpticalTopology;
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::ber::ReceiverModel;
-    pub use crate::circuit::{CircuitId, CircuitManager};
-    pub use crate::error::OpticalError;
-    pub use crate::fec::FecMode;
-    pub use crate::link::LinkBudget;
-    pub use crate::load::{read_route_stages, FabricLoad, FabricStage};
-    pub use crate::mbo::MidBoardOptics;
-    pub use crate::switch::OpticalCircuitSwitch;
-    pub use crate::telemetry::BerMeasurementCampaign;
-    pub use crate::topology::OpticalTopology;
-}
+pub use topology::{LinkFailover, OpticalTopology};

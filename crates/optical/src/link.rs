@@ -26,8 +26,8 @@ const FIBRE_LOSS_DB_PER_KM: f64 = 0.35;
 /// An accumulating optical link budget.
 ///
 /// ```
-/// use dredbox_optical::link::LinkBudget;
-/// use dredbox_optical::switch::OpticalCircuitSwitch;
+/// use dredbox_optical::LinkBudget;
+/// use dredbox_optical::OpticalCircuitSwitch;
 /// use dredbox_sim::units::DecibelMilliwatts;
 ///
 /// let sw = OpticalCircuitSwitch::polatis_48();
@@ -88,17 +88,18 @@ impl LinkBudget {
     }
 
     /// The launch power the budget started from.
-    pub fn launch_power(&self) -> DecibelMilliwatts {
+    #[cfg(test)]
+    pub(crate) fn launch_power(&self) -> DecibelMilliwatts {
         self.launch_power
     }
 
     /// Number of switch hops in the path.
-    pub fn switch_hops(&self) -> u32 {
+    pub(crate) fn switch_hops(&self) -> u32 {
         self.switch_hops
     }
 
     /// Total path loss in dB.
-    pub fn total_loss_db(&self) -> f64 {
+    pub(crate) fn total_loss_db(&self) -> f64 {
         f64::from(self.switch_hops) * self.hop_loss_db
             + f64::from(self.connectors) * CONNECTOR_LOSS_DB
             + self.fibre_metres / 1_000.0 * FIBRE_LOSS_DB_PER_KM

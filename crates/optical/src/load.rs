@@ -107,7 +107,8 @@ impl FabricLoad {
     }
 
     /// Number of stages currently carrying load.
-    pub fn loaded_stages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn loaded_stages(&self) -> usize {
         let switch = std::iter::once(&self.switch);
         self.uplinks
             .iter()
@@ -115,11 +116,6 @@ impl FabricLoad {
             .chain(switch)
             .filter(|&&load| load != 0.0)
             .count()
-    }
-
-    /// The highest per-stage offered load ever published, in bytes/s.
-    pub fn peak_bytes_per_sec(&self) -> f64 {
-        self.peak_bytes_per_sec
     }
 }
 
@@ -171,7 +167,7 @@ mod tests {
         assert_eq!(ledger.loaded_stages(), 0);
         assert_eq!(ledger.load(FabricStage::RackSwitch), 0.0);
         // Peak survives retraction: it is a high-water mark.
-        assert_eq!(ledger.peak_bytes_per_sec(), 1e6);
+        assert_eq!(ledger.peak_bytes_per_sec, 1e6);
     }
 
     #[test]
@@ -228,7 +224,7 @@ mod tests {
         assert_eq!(ledger.loaded_stages(), 3);
         ledger.retract(far, 3e6);
         assert_eq!(ledger.loaded_stages(), 2);
-        assert_eq!(ledger.peak_bytes_per_sec(), 5e6);
+        assert_eq!(ledger.peak_bytes_per_sec, 5e6);
     }
 
     #[test]
@@ -335,7 +331,7 @@ mod tests {
                 let expect = sparse.get(&stage).copied().unwrap_or(0.0);
                 proptest::prop_assert_eq!(ledger.load(stage).to_bits(), expect.to_bits());
                 proptest::prop_assert_eq!(ledger.loaded_stages(), sparse.len());
-                proptest::prop_assert_eq!(ledger.peak_bytes_per_sec().to_bits(), peak.to_bits());
+                proptest::prop_assert_eq!(ledger.peak_bytes_per_sec.to_bits(), peak.to_bits());
             }
             for (stage, load) in &sparse {
                 proptest::prop_assert_eq!(ledger.load(*stage).to_bits(), load.to_bits());
@@ -349,6 +345,6 @@ mod tests {
         ledger.publish(FabricStage::RackSwitch, 0.0);
         ledger.publish(FabricStage::RackSwitch, -5.0);
         assert_eq!(ledger.loaded_stages(), 0);
-        assert_eq!(ledger.peak_bytes_per_sec(), 0.0);
+        assert_eq!(ledger.peak_bytes_per_sec, 0.0);
     }
 }

@@ -19,7 +19,7 @@ pub struct MboChannel {
 
 impl MboChannel {
     /// Creates a channel.
-    pub fn new(index: u8, launch_power: DecibelMilliwatts, rate: Bandwidth) -> Self {
+    pub(crate) fn new(index: u8, launch_power: DecibelMilliwatts, rate: Bandwidth) -> Self {
         MboChannel {
             index,
             launch_power,
@@ -36,17 +36,12 @@ impl MboChannel {
     pub fn launch_power(&self) -> DecibelMilliwatts {
         self.launch_power
     }
-
-    /// Line rate of the channel.
-    pub fn rate(&self) -> Bandwidth {
-        self.rate
-    }
 }
 
 /// A multi-channel SiP mid-board optics module.
 ///
 /// ```
-/// use dredbox_optical::mbo::MidBoardOptics;
+/// use dredbox_optical::MidBoardOptics;
 ///
 /// let mbo = MidBoardOptics::dredbox_default();
 /// assert_eq!(mbo.channel_count(), 8);
@@ -83,7 +78,8 @@ impl MidBoardOptics {
     }
 
     /// Builds an MBO with custom channels.
-    pub fn new(channels: Vec<MboChannel>, wavelength_nm: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(channels: Vec<MboChannel>, wavelength_nm: u32) -> Self {
         MidBoardOptics {
             channels,
             wavelength_nm,
@@ -138,7 +134,7 @@ mod tests {
         assert_eq!(mbo.wavelength_nm(), 1310);
         assert!((mbo.mean_launch_power().as_dbm() - -3.7).abs() < 1e-9);
         for c in mbo.channels() {
-            assert_eq!(c.rate().as_gbps(), 10.0);
+            assert_eq!(c.rate.as_gbps(), 10.0);
             assert!((c.launch_power().as_dbm() - -3.7).abs() <= 0.3 + 1e-9);
         }
         assert!(mbo.channel(0).is_some());

@@ -17,7 +17,7 @@ use crate::error::OpticalError;
 /// A non-blocking optical circuit switch with paired port connections.
 ///
 /// ```
-/// use dredbox_optical::switch::OpticalCircuitSwitch;
+/// use dredbox_optical::OpticalCircuitSwitch;
 ///
 /// let mut sw = OpticalCircuitSwitch::polatis_48();
 /// sw.connect(0, 1)?;
@@ -49,7 +49,8 @@ impl OpticalCircuitSwitch {
 
     /// The next-generation module teased in the paper: double the port
     /// density, half the per-port power.
-    pub fn next_generation() -> Self {
+    #[cfg(test)]
+    pub(crate) fn next_generation() -> Self {
         OpticalCircuitSwitch {
             port_count: 96,
             insertion_loss_db: 1.0,
@@ -63,7 +64,8 @@ impl OpticalCircuitSwitch {
     /// # Panics
     ///
     /// Panics if `port_count` is zero or `insertion_loss_db` is negative.
-    pub fn new(port_count: u16, insertion_loss_db: f64, per_port_power: Watts) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(port_count: u16, insertion_loss_db: f64, per_port_power: Watts) -> Self {
         assert!(port_count > 0, "switch must have at least one port");
         assert!(
             insertion_loss_db >= 0.0,
@@ -80,7 +82,7 @@ impl OpticalCircuitSwitch {
     /// A cold standby of the same module: identical port count, loss and
     /// power, with no cross-connections programmed — what a failover swaps
     /// in for a dead switch.
-    pub fn standby(&self) -> Self {
+    pub(crate) fn standby(&self) -> Self {
         OpticalCircuitSwitch {
             port_count: self.port_count,
             insertion_loss_db: self.insertion_loss_db,
@@ -90,7 +92,7 @@ impl OpticalCircuitSwitch {
     }
 
     /// Number of physical ports.
-    pub fn port_count(&self) -> u16 {
+    pub(crate) fn port_count(&self) -> u16 {
         self.port_count
     }
 
@@ -105,17 +107,20 @@ impl OpticalCircuitSwitch {
     }
 
     /// Number of ports not part of any connection.
-    pub fn free_ports(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_ports(&self) -> usize {
         usize::from(self.port_count) - self.used_ports()
     }
 
     /// Whether `port` is free.
-    pub fn is_port_free(&self, port: u16) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_port_free(&self, port: u16) -> bool {
         port < self.port_count && !self.connections.contains_key(&port)
     }
 
     /// Finds the lowest-numbered pair of free ports, if two exist.
-    pub fn free_port_pair(&self) -> Option<(u16, u16)> {
+    #[cfg(test)]
+    pub(crate) fn free_port_pair(&self) -> Option<(u16, u16)> {
         let mut free = (0..self.port_count).filter(|p| self.is_port_free(*p));
         let a = free.next()?;
         let b = free.next()?;
@@ -154,7 +159,7 @@ impl OpticalCircuitSwitch {
     ///
     /// Returns [`OpticalError::NoSuchSwitchPort`] if `port` is out of range
     /// or not connected.
-    pub fn disconnect(&mut self, port: u16) -> Result<(), OpticalError> {
+    pub(crate) fn disconnect(&mut self, port: u16) -> Result<(), OpticalError> {
         let peer = self
             .connections
             .remove(&port)
@@ -169,19 +174,22 @@ impl OpticalCircuitSwitch {
     }
 
     /// The peer of `port`, if it is connected.
-    pub fn peer(&self, port: u16) -> Option<u16> {
+    #[cfg(test)]
+    pub(crate) fn peer(&self, port: u16) -> Option<u16> {
         self.connections.get(&port).copied()
     }
 
     /// Electrical power drawn by the switch for its *active* ports. The TCO
     /// study charges the optical network by active port.
-    pub fn power_draw(&self) -> Watts {
+    #[cfg(test)]
+    pub(crate) fn power_draw(&self) -> Watts {
         self.per_port_power.scale(self.used_ports() as f64)
     }
 
     /// Electrical power if every port were active, an upper bound used for
     /// provisioning in the TCO model.
-    pub fn max_power_draw(&self) -> Watts {
+    #[cfg(test)]
+    pub(crate) fn max_power_draw(&self) -> Watts {
         self.per_port_power.scale(f64::from(self.port_count))
     }
 }

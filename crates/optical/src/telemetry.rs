@@ -66,7 +66,8 @@ impl BerMeasurementCampaign {
     }
 
     /// Customises the receiver model.
-    pub fn with_receiver(mut self, receiver: ReceiverModel) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_receiver(mut self, receiver: ReceiverModel) -> Self {
         self.receiver = receiver;
         self
     }
@@ -87,18 +88,14 @@ impl BerMeasurementCampaign {
     /// # Panics
     ///
     /// Panics if `jitter_db` is negative or not finite.
-    pub fn with_power_jitter(mut self, jitter_db: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_power_jitter(mut self, jitter_db: f64) -> Self {
         assert!(
             jitter_db.is_finite() && jitter_db >= 0.0,
             "jitter must be finite and non-negative"
         );
         self.power_jitter_db = jitter_db;
         self
-    }
-
-    /// The receiver model used by the campaign.
-    pub fn receiver(&self) -> &ReceiverModel {
-        &self.receiver
     }
 
     /// Measures one channel described by its link budget.

@@ -18,8 +18,8 @@ use crate::switch::OpticalCircuitSwitch;
 ///
 /// ```
 /// use dredbox_bricks::{Catalog, BrickKind};
-/// use dredbox_optical::topology::OpticalTopology;
-/// use dredbox_optical::switch::OpticalCircuitSwitch;
+/// use dredbox_optical::OpticalTopology;
+/// use dredbox_optical::OpticalCircuitSwitch;
 ///
 /// let mut rack = Catalog::prototype().build_rack(2, 2, 2, 0);
 /// let mut topo = OpticalTopology::cable_rack(&rack, OpticalCircuitSwitch::polatis_48());

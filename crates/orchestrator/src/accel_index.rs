@@ -79,7 +79,7 @@ const MAX_DECODED_ID: u32 = u16::MAX as u32;
 /// brick registered, failed or repaired re-lays the index out in `O(n)`.
 ///
 /// ```
-/// use dredbox_orchestrator::accel_index::{AccelIndex, AccelSlot};
+/// use dredbox_orchestrator::{AccelIndex, AccelSlot};
 /// use dredbox_bricks::BrickId;
 ///
 /// let mut index = AccelIndex::new();
@@ -199,7 +199,7 @@ impl AccelIndex {
     }
 
     /// Removes a brick from the index. `O(n)`.
-    pub fn remove(&mut self, brick: BrickId) {
+    pub(crate) fn remove(&mut self, brick: BrickId) {
         if let Some(pos) = self.position(brick) {
             self.slots.remove(pos);
             self.relayout();

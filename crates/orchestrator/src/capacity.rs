@@ -68,7 +68,7 @@ pub struct CapacitySlot {
 
 impl CapacitySlot {
     /// The slot as a placement view (the reference-scan currency).
-    pub fn view(&self, brick: BrickId) -> ComputeBrickView {
+    pub(crate) fn view(&self, brick: BrickId) -> ComputeBrickView {
         ComputeBrickView {
             brick,
             total_cores: self.total_cores,
@@ -267,8 +267,8 @@ fn prev_set_bit(words: &[u64], below: usize) -> Option<usize> {
 /// The incrementally maintained availability view over all compute bricks.
 ///
 /// ```
-/// use dredbox_orchestrator::capacity::{CapacityIndex, CapacitySlot};
-/// use dredbox_orchestrator::placement::PlacementPolicy;
+/// use dredbox_orchestrator::{CapacityIndex, CapacitySlot};
+/// use dredbox_orchestrator::PlacementPolicy;
 /// use dredbox_bricks::{BrickId, BrickMap};
 ///
 /// let mut index = CapacityIndex::new();
@@ -304,12 +304,14 @@ impl CapacityIndex {
     }
 
     /// Number of indexed bricks.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// Whether no brick is indexed.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 
@@ -344,7 +346,7 @@ impl CapacityIndex {
     }
 
     /// Removes a brick from the index. `O(1)`.
-    pub fn remove(&mut self, brick: BrickId) {
+    pub(crate) fn remove(&mut self, brick: BrickId) {
         if let Some(old) = self.slots.remove(brick) {
             let pos = self.position(brick).expect("indexed bricks are covered");
             self.unindex(pos, &old);
@@ -419,7 +421,7 @@ impl CapacityIndex {
     /// Lowest-id powered-on brick with at least `vcpus` free cores — the
     /// FirstFit query. `O(keys × bricks/64)`, stopping at the first word
     /// that holds a fitting brick.
-    pub fn first_powered_fit(&self, vcpus: u32) -> Option<BrickId> {
+    pub(crate) fn first_powered_fit(&self, vcpus: u32) -> Option<BrickId> {
         self.powered
             .lowest_at_least(vcpus, None)
             .map(|p| self.brick_at(p))
@@ -428,7 +430,7 @@ impl CapacityIndex {
     /// Fullest active brick (fewest free cores, lowest id on ties) that
     /// still fits `vcpus` — the power-aware packing query.
     /// `O(keys + bricks/64)`.
-    pub fn fullest_active_fit(&self, vcpus: u32) -> Option<BrickId> {
+    pub(crate) fn fullest_active_fit(&self, vcpus: u32) -> Option<BrickId> {
         self.active
             .fullest_at_least(vcpus, None)
             .map(|p| self.brick_at(p))
@@ -437,7 +439,11 @@ impl CapacityIndex {
     /// Like [`CapacityIndex::fullest_active_fit`] but never returns
     /// `exclude` — the consolidation-target query (a migrating VM must not
     /// be "placed" back onto the brick it is leaving).
-    pub fn fullest_active_fit_excluding(&self, vcpus: u32, exclude: BrickId) -> Option<BrickId> {
+    pub(crate) fn fullest_active_fit_excluding(
+        &self,
+        vcpus: u32,
+        exclude: BrickId,
+    ) -> Option<BrickId> {
         self.active
             .fullest_at_least(vcpus, self.position(exclude))
             .map(|p| self.brick_at(p))
@@ -447,7 +453,11 @@ impl CapacityIndex {
     /// `exclude` — the hotspot-evacuation target query. Walks the free-core
     /// rows downwards until one holds a brick other than `exclude`, taking
     /// the lowest id within each row.
-    pub fn emptiest_powered_fit_excluding(&self, vcpus: u32, exclude: BrickId) -> Option<BrickId> {
+    pub(crate) fn emptiest_powered_fit_excluding(
+        &self,
+        vcpus: u32,
+        exclude: BrickId,
+    ) -> Option<BrickId> {
         self.powered
             .emptiest_at_least(vcpus, self.position(exclude))
             .map(|p| self.brick_at(p))
@@ -455,7 +465,7 @@ impl CapacityIndex {
 
     /// Fullest powered-on brick that fits `vcpus` (power-aware fallback when
     /// no active brick fits). `O(keys + bricks/64)`.
-    pub fn fullest_powered_fit(&self, vcpus: u32) -> Option<BrickId> {
+    pub(crate) fn fullest_powered_fit(&self, vcpus: u32) -> Option<BrickId> {
         self.powered
             .fullest_at_least(vcpus, None)
             .map(|p| self.brick_at(p))
@@ -464,7 +474,7 @@ impl CapacityIndex {
     /// Emptiest powered-on brick (most free cores, lowest id on ties),
     /// provided it fits `vcpus` — the Balanced query.
     /// `O(keys + bricks/64)`.
-    pub fn emptiest_powered_fit(&self, vcpus: u32) -> Option<BrickId> {
+    pub(crate) fn emptiest_powered_fit(&self, vcpus: u32) -> Option<BrickId> {
         self.powered
             .emptiest_at_least(vcpus, None)
             .map(|p| self.brick_at(p))
@@ -473,7 +483,7 @@ impl CapacityIndex {
     /// Lowest-id sleeping brick whose full capacity could host `vcpus` —
     /// the wake-as-last-resort fallback shared by every policy.
     /// `O(keys × bricks/64)`.
-    pub fn first_sleeping_capable(&self, vcpus: u32) -> Option<BrickId> {
+    pub(crate) fn first_sleeping_capable(&self, vcpus: u32) -> Option<BrickId> {
         self.sleeping
             .lowest_at_least(vcpus, None)
             .map(|p| self.brick_at(p))
@@ -482,7 +492,7 @@ impl CapacityIndex {
     /// Like [`CapacityIndex::first_sleeping_capable`] but never returns
     /// `exclude` — the evacuation fallback must not "wake" the brick being
     /// evacuated (its power view can be off while it still hosts VMs).
-    pub fn first_sleeping_capable_excluding(
+    pub(crate) fn first_sleeping_capable_excluding(
         &self,
         vcpus: u32,
         exclude: BrickId,

@@ -100,13 +100,8 @@ impl RackDigest {
         compute_ok && self.free_memory_bytes >= memory.as_bytes()
     }
 
-    /// Free bytes across the rack's memory pool.
-    pub fn free_memory(&self) -> ByteSize {
-        ByteSize::from_bytes(self.free_memory_bytes)
-    }
-
     /// Provisioned electrical draw.
-    pub fn provisioned_power(&self) -> Watts {
+    pub(crate) fn provisioned_power(&self) -> Watts {
         Watts::new(self.provisioned_milliwatts as f64 / 1e3)
     }
 }
@@ -209,11 +204,6 @@ impl ClusterController {
         }
     }
 
-    /// The rack-level placement policy.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
     /// Number of federated racks.
     pub fn len(&self) -> usize {
         self.order.len()
@@ -225,12 +215,12 @@ impl ClusterController {
     }
 
     /// The digest of a rack, if federated.
-    pub fn digest(&self, rack: RackId) -> Option<&RackDigest> {
+    pub(crate) fn digest(&self, rack: RackId) -> Option<&RackDigest> {
         self.racks.get(usize::from(rack.0))?.digest.as_ref()
     }
 
     /// All digests, ascending by rack id.
-    pub fn digests(&self) -> impl Iterator<Item = (RackId, &RackDigest)> {
+    pub(crate) fn digests(&self) -> impl Iterator<Item = (RackId, &RackDigest)> {
         self.racks
             .iter()
             .enumerate()

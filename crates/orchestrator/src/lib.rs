@@ -9,59 +9,44 @@
 //!
 //! Its four roles, and where each is modelled:
 //!
-//! | Role | Module |
-//! |------|--------|
-//! | (a) receive VM / bare-metal allocation requests | [`requests`], [`sdm_controller`] |
-//! | (b) safely inspect availability, make a power-conscious selection | [`placement`], [`sdm_controller`] |
-//! | (c) safely reserve selected resources | [`reservation`] |
-//! | (d) generate and push configurations to all involved devices | [`sdm_agent`], [`sdm_controller`] |
+//! | Role | Where |
+//! |------|-------|
+//! | (a) receive VM / bare-metal allocation requests | [`VmAllocationRequest`], [`SdmController`] |
+//! | (b) safely inspect availability, make a power-conscious selection | [`PlacementPolicy`], [`CapacityIndex`], [`SdmController`] |
+//! | (c) safely reserve selected resources | [`ReservationLedger`] |
+//! | (d) generate and push configurations to all involved devices | [`SdmAgent`], [`SdmController`] |
 //!
-//! [`power_mgmt`] implements the power-off of unused bricks that the TCO
+//! Requests reach the controller one at a time: the scenario engine queues
+//! them first-come first-served in its control-plane queue
+//! ([`dredbox_sim::queue::ControlPlaneQueue`]). [`ClusterController`] is the
+//! front door that routes requests across federated racks, and
+//! [`PowerManager`] implements the power-off of unused bricks that the TCO
 //! study (Section VI) quantifies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accel_index;
-pub mod capacity;
-pub mod cluster;
-pub mod error;
-pub mod placement;
-pub mod power_mgmt;
-pub mod requests;
-pub mod reservation;
-pub mod scheduler;
-pub mod sdm_agent;
-pub mod sdm_controller;
+mod accel_index;
+mod capacity;
+mod cluster;
+mod error;
+mod placement;
+mod power_mgmt;
+mod requests;
+mod reservation;
+mod sdm_agent;
+mod sdm_controller;
 
 pub use accel_index::{AccelIndex, AccelSlot};
 pub use capacity::{CapacityIndex, CapacitySlot};
 pub use cluster::{ClusterController, ClusterTimings, RackDigest, RackRoute};
 pub use error::OrchestratorError;
 pub use placement::{ComputeBrickView, PlacementPolicy};
-pub use power_mgmt::PowerManager;
+pub use power_mgmt::{PowerManager, PowerSweep};
 pub use requests::{OffloadRequest, ScaleUpDemand, VmAllocationRequest};
 pub use reservation::{Reservation, ReservationId, ReservationLedger};
-pub use scheduler::{Admission, FcfsScheduler, ScheduleOutcome};
-pub use sdm_agent::{AttachOutcome, SdmAgent};
+pub use sdm_agent::SdmAgent;
 pub use sdm_controller::{
-    MigrationOutcome, OffloadGrant, OffloadRelease, OffloadSession, OffloadSessionId, RmstBases,
-    ScaleUpGrant, SdmController, SdmTimings, VmGrants,
+    MigrationOutcome, OffloadGrant, OffloadRelease, OffloadSession, OffloadSessionId, ScaleUpGrant,
+    SdmController, SdmTimings, VmGrants,
 };
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::accel_index::{AccelIndex, AccelSlot};
-    pub use crate::capacity::{CapacityIndex, CapacitySlot};
-    pub use crate::cluster::{ClusterController, ClusterTimings, RackDigest, RackRoute};
-    pub use crate::error::OrchestratorError;
-    pub use crate::placement::{ComputeBrickView, PlacementPolicy};
-    pub use crate::power_mgmt::PowerManager;
-    pub use crate::requests::{OffloadRequest, ScaleUpDemand, VmAllocationRequest};
-    pub use crate::reservation::{Reservation, ReservationId, ReservationLedger};
-    pub use crate::sdm_agent::{AttachOutcome, SdmAgent};
-    pub use crate::sdm_controller::{
-        MigrationOutcome, OffloadGrant, OffloadRelease, OffloadSession, OffloadSessionId,
-        RmstBases, ScaleUpGrant, SdmController, SdmTimings, VmGrants,
-    };
-}

@@ -28,7 +28,8 @@ pub struct ComputeBrickView {
 
 impl ComputeBrickView {
     /// Whether `vcpus` fit on the brick right now.
-    pub fn fits(&self, vcpus: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn fits(&self, vcpus: u32) -> bool {
         self.powered_on && self.free_cores >= vcpus
     }
 }
@@ -68,7 +69,7 @@ impl PlacementPolicy {
 
     /// [`PlacementPolicy::choose`] over any re-walkable sequence of views,
     /// so a caller can scan its bricks without collecting them first.
-    pub fn choose_from<I>(self, bricks: I, vcpus: u32) -> Option<BrickId>
+    pub(crate) fn choose_from<I>(self, bricks: I, vcpus: u32) -> Option<BrickId>
     where
         I: IntoIterator<Item = ComputeBrickView>,
         I::IntoIter: Clone,

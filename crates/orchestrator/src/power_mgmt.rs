@@ -39,7 +39,8 @@ impl PowerManager {
     }
 
     /// Powers off every brick that currently holds no allocation.
-    pub fn power_off_unused(&self, rack: &mut Rack) -> PowerSweep {
+    #[cfg(test)]
+    pub(crate) fn power_off_unused(&self, rack: &mut Rack) -> PowerSweep {
         self.power_off_unused_where(rack, |_| true)
     }
 
@@ -47,7 +48,8 @@ impl PowerManager {
     /// variant used when sweeps are batched per event-engine shard: each
     /// shard sweeps only its own bricks, and a whole-rack sweep is the
     /// identity filter.
-    pub fn power_off_unused_where(
+    #[cfg(test)]
+    pub(crate) fn power_off_unused_where(
         &self,
         rack: &mut Rack,
         filter: impl FnMut(dredbox_bricks::BrickId) -> bool,
@@ -55,7 +57,7 @@ impl PowerManager {
         self.power_off_unused_tracked(rack, filter, |_, _| {})
     }
 
-    /// [`PowerManager::power_off_unused_where`] that also hands each brick
+    /// `power_off_unused_where` that also hands each brick
     /// this sweep newly switched off to `newly_off`, in rack iteration
     /// order, so callers can sync dependent views (the SDM controller's
     /// availability indexes) without re-scanning the rack for every
@@ -117,7 +119,8 @@ impl PowerManager {
     /// Fraction of bricks of `kind` that are currently unused (power-off
     /// candidates), in `[0, 1]`. Returns zero when the rack has no bricks
     /// of that kind.
-    pub fn unused_fraction(&self, rack: &Rack, kind: BrickKind) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn unused_fraction(&self, rack: &Rack, kind: BrickKind) -> f64 {
         let total = rack.brick_count(kind);
         if total == 0 {
             return 0.0;

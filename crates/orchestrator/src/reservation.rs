@@ -108,7 +108,7 @@ impl ReservationLedger {
     ///
     /// Returns [`OrchestratorError::NoSuchReservation`] if the id is unknown
     /// or already finalized.
-    pub fn rollback(&mut self, id: ReservationId) -> Result<Reservation, OrchestratorError> {
+    pub(crate) fn rollback(&mut self, id: ReservationId) -> Result<Reservation, OrchestratorError> {
         let r = self
             .pending
             .remove(&id)
@@ -126,7 +126,7 @@ impl ReservationLedger {
     ///
     /// Returns [`OrchestratorError::UnknownComputeBrick`] if cores are
     /// released on a brick with no committed cores.
-    pub fn release_committed(
+    pub(crate) fn release_committed(
         &mut self,
         compute_brick: Option<BrickId>,
         cores: u32,

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::{BrickId, PortId};
-use dredbox_interconnect::rmst::RmstEntry;
+use dredbox_interconnect::RmstEntry;
 use dredbox_interconnect::{InterconnectError, LatencyConfig, OnBrickSwitch, TransactionGlueLogic};
 use dredbox_memory::{MemorySegment, RemoteWindow};
 use dredbox_sim::time::SimDuration;
@@ -17,7 +17,7 @@ use dredbox_sim::units::ByteSize;
 /// The result of applying one attach configuration: where the segment was
 /// mapped, and what the control path cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttachOutcome {
+pub(crate) struct AttachOutcome {
     /// RMST base address the segment was installed at (the detach handle).
     pub rmst_base: u64,
     /// Control-path time spent installing the mapping.
@@ -41,7 +41,7 @@ pub struct SdmAgent {
 impl SdmAgent {
     /// Creates the agent for `brick`, with an RMST of `rmst_entries` entries
     /// and a remote window of `window_capacity`.
-    pub fn new(
+    pub(crate) fn new(
         brick: BrickId,
         config: &LatencyConfig,
         rmst_entries: usize,
@@ -55,11 +55,6 @@ impl SdmAgent {
             glue_config_latency: SimDuration::from_millis(2),
             switch_table_latency: SimDuration::from_micros(500),
         }
-    }
-
-    /// The brick this agent manages.
-    pub fn brick(&self) -> BrickId {
-        self.brick
     }
 
     /// The Transaction Glue Logic state.
@@ -88,7 +83,7 @@ impl SdmAgent {
     ///
     /// Propagates window-exhaustion and RMST errors; nothing is installed on
     /// failure.
-    pub fn apply_attach(
+    pub(crate) fn apply_attach(
         &mut self,
         segment: &MemorySegment,
         port: PortId,
@@ -121,7 +116,7 @@ impl SdmAgent {
     /// # Errors
     ///
     /// Returns an error if no segment is mapped at that base.
-    pub fn apply_detach(&mut self, rmst_base: u64) -> Result<SimDuration, AgentError> {
+    pub(crate) fn apply_detach(&mut self, rmst_base: u64) -> Result<SimDuration, AgentError> {
         let entry = self
             .tgl
             .unmap_segment(rmst_base)
@@ -141,7 +136,8 @@ impl SdmAgent {
     /// table is base-ordered, not attach-ordered). To detach exactly what
     /// an attach installed, keep the [`AttachOutcome::rmst_base`] it
     /// returned instead of re-enumerating the table.
-    pub fn mapped_bases(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn mapped_bases(&self) -> Vec<u64> {
         self.tgl.rmst().iter().map(|e| e.base).collect()
     }
 }
@@ -149,7 +145,7 @@ impl SdmAgent {
 /// Errors the agent can surface while applying configurations.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
-pub enum AgentError {
+pub(crate) enum AgentError {
     /// The brick's remote window is exhausted.
     Window(dredbox_memory::MemoryError),
     /// The RMST rejected the mapping.
@@ -204,7 +200,7 @@ mod tests {
     #[test]
     fn attach_installs_rmst_and_switch_route() {
         let mut agent = agent();
-        assert_eq!(agent.brick(), BrickId(0));
+        assert_eq!(agent.brick, BrickId(0));
         let seg = segment(1, 10, 8);
         let port = PortId::new(BrickId(0), 1);
         let outcome = agent.apply_attach(&seg, port).unwrap();

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use dredbox_bricks::{BrickId, BrickMap, PortId};
 use dredbox_interconnect::LatencyConfig;
-use dredbox_memory::pool::GRANT_INLINE_SEGMENTS;
+use dredbox_memory::GRANT_INLINE_SEGMENTS;
 use dredbox_memory::{
     AllocationPolicy, MemoryError, MemoryGrant, MemoryPool, MemorySegment, PickStrategy,
 };
@@ -91,7 +91,7 @@ pub struct ScaleUpGrant {
 /// keeps segments fits in the same 32 bytes (the list is as wide as a
 /// `Vec` either way), so a grant split once past its inline segments
 /// still records its bases in place.
-pub type RmstBases = InlineVec<u64, { GRANT_INLINE_SEGMENTS + 1 }>;
+pub(crate) type RmstBases = InlineVec<u64, { GRANT_INLINE_SEGMENTS + 1 }>;
 
 /// The grants one VM holds: its admission grant and the scale-ups it has
 /// not given back. A churn cycle adds a second, so two stay in place.
@@ -286,7 +286,7 @@ impl ComputeState {
 /// The SDM controller.
 ///
 /// ```
-/// use dredbox_orchestrator::prelude::*;
+/// use dredbox_orchestrator::*;
 /// use dredbox_bricks::{BrickId, BrickMap};
 /// use dredbox_sim::units::ByteSize;
 ///
@@ -383,11 +383,6 @@ impl SdmController {
     /// The reservation ledger.
     pub fn ledger(&self) -> &ReservationLedger {
         &self.ledger
-    }
-
-    /// The controller timings.
-    pub fn timings(&self) -> &SdmTimings {
-        &self.timings
     }
 
     /// The SDM agent of a compute brick, if registered.
@@ -1330,11 +1325,6 @@ impl SdmController {
 
     // --- Fault injection -------------------------------------------------
 
-    /// Whether `brick` is a failed compute brick.
-    pub fn is_compute_failed(&self, brick: BrickId) -> bool {
-        self.failed_compute.contains(&brick)
-    }
-
     /// Marks a dCOMPUBRICK failed: it leaves the capacity index and is
     /// refused as a placement, migration or scale-up target, while staying
     /// registered so its live state can be drained through the normal
@@ -2074,7 +2064,6 @@ mod tests {
         // Power-aware placement would pick brick 0; fail it.
         assert!(sdm.fail_compute_brick(BrickId(0)).unwrap());
         assert!(!sdm.fail_compute_brick(BrickId(0)).unwrap(), "idempotent");
-        assert!(sdm.is_compute_failed(BrickId(0)));
         let (brick, grant) = sdm
             .allocate_vm(VmAllocationRequest::new(8, ByteSize::from_gib(4)))
             .unwrap();

@@ -99,16 +99,6 @@ impl<T> SlotArena<T> {
         }
     }
 
-    /// Creates an empty arena with room for `capacity` objects before the
-    /// slot table reallocates.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SlotArena {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
     /// Number of live objects.
     pub fn len(&self) -> usize {
         self.len

@@ -91,7 +91,7 @@ const REFILL_MIN: usize = 32;
 /// A time-ordered queue of events of type `E`.
 ///
 /// ```
-/// use dredbox_sim::event::EventQueue;
+/// use dredbox_sim::prelude::EventQueue;
 /// use dredbox_sim::time::SimTime;
 ///
 /// let mut q = EventQueue::new();
@@ -189,7 +189,7 @@ impl<E> EventQueue<E> {
     /// to `schedule`.
     ///
     /// ```
-    /// use dredbox_sim::event::EventQueue;
+    /// use dredbox_sim::prelude::EventQueue;
     /// use dredbox_sim::time::SimTime;
     ///
     /// let mut q = EventQueue::new();
@@ -348,7 +348,7 @@ impl<E> EventQueue<E> {
 
     /// The time of the earliest pending event without removing it.
     #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         let calendar = self.calendar_min_key();
         match self.run.front() {
             None => calendar.map(key_time),
@@ -359,7 +359,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events, in the calendar and the presorted run.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let calendar = if self.spilled {
             self.heap.len() + self.far.len()
         } else {
@@ -369,12 +369,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Whether the queue has no pending events.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Removes all pending events.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.small.clear();
         self.heap.clear();
         self.far.clear();

@@ -42,24 +42,13 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in schedule-generation order.
-    pub const ALL: [FaultKind; 5] = [
+    pub(crate) const ALL: [FaultKind; 5] = [
         FaultKind::ComputeBrick,
         FaultKind::MemoryBrick,
         FaultKind::AccelBrick,
         FaultKind::Link,
         FaultKind::Switch,
     ];
-
-    /// A short human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::ComputeBrick => "compute-brick",
-            FaultKind::MemoryBrick => "memory-brick",
-            FaultKind::AccelBrick => "accel-brick",
-            FaultKind::Link => "link",
-            FaultKind::Switch => "switch",
-        }
-    }
 }
 
 /// One failable component, named in rack-relative ordinals: the
@@ -197,13 +186,9 @@ impl FailureSchedule {
     }
 
     /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.faults.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 }
 

@@ -204,7 +204,8 @@ impl<K: Ord, V> FlatMap<K, V> {
     }
 
     /// The entry with the smallest key.
-    pub fn first_key_value(&self) -> Option<(&K, &V)> {
+    #[cfg(test)]
+    pub(crate) fn first_key_value(&self) -> Option<(&K, &V)> {
         self.entries.first().map(|(k, v)| (k, v))
     }
 
@@ -214,7 +215,8 @@ impl<K: Ord, V> FlatMap<K, V> {
     }
 
     /// Keeps only the entries for which `keep` returns `true`.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
+    #[cfg(test)]
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| keep(k, v));
     }
 }
@@ -300,17 +302,20 @@ impl<T: Ord> FlatSet<T> {
     }
 
     /// Number of items.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
     }
 
     /// Whether the set holds no item.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 
     /// Whether `item` is present.
-    pub fn contains(&self, item: &T) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, item: &T) -> bool {
         self.items.binary_search(item).is_ok()
     }
 
@@ -347,7 +352,8 @@ impl<T: Ord> FlatSet<T> {
     }
 
     /// All items, ascending.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + ExactSizeIterator {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + ExactSizeIterator {
         self.items.iter()
     }
 
@@ -362,7 +368,8 @@ impl<T: Ord> FlatSet<T> {
     }
 
     /// Keeps only the items for which `keep` returns `true`.
-    pub fn retain(&mut self, keep: impl FnMut(&T) -> bool) {
+    #[cfg(test)]
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&T) -> bool) {
         self.items.retain(keep);
     }
 }

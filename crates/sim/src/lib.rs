@@ -4,8 +4,10 @@
 //! system. This workspace reproduces its evaluation in simulation; every other
 //! crate in the workspace builds on the primitives provided here:
 //!
-//! * [`time`] — nanosecond-resolution simulated time ([`SimTime`], [`SimDuration`]).
-//! * [`event`] — a deterministic event queue keyed by time and insertion order.
+//! * [`time`] — nanosecond-resolution simulated time ([`time::SimTime`],
+//!   [`time::SimDuration`]).
+//! * [`prelude::EventQueue`] — a deterministic event queue keyed by time and
+//!   insertion order.
 //! * [`shard`] — the discrete-event engine: per-shard calendars (one per
 //!   rack) with deterministic (time, shard, seq) cross-shard mailboxes.
 //! * [`parallel`] — the epoch runner that drives every scenario replay,
@@ -46,8 +48,7 @@
 
 pub mod arena;
 pub mod engine;
-pub mod error;
-pub mod event;
+mod event;
 pub mod fault;
 pub mod flat;
 pub mod observe;
@@ -64,7 +65,6 @@ pub mod units;
 pub mod prelude {
     pub use crate::arena::{SlotArena, SlotKey};
     pub use crate::engine::RunOutcome;
-    pub use crate::error::SimError;
     pub use crate::event::EventQueue;
     pub use crate::fault::{
         FailurePlan, FailureSchedule, FaultInjector, FaultKind, FaultSite, PlannedFault, SiteCounts,
@@ -76,8 +76,5 @@ pub mod prelude {
     pub use crate::shard::{ShardContext, ShardId, ShardedEngine, ShardedProcess};
     pub use crate::stats::{BoxPlot, Summary};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::units::{Bandwidth, ByteSize, DecibelMilliwatts, Milliwatts, Watts};
+    pub use crate::units::{Bandwidth, ByteSize, DecibelMilliwatts, Watts};
 }
-
-pub use error::SimError;
-pub use time::{SimDuration, SimTime};

@@ -12,7 +12,7 @@
 //! for the observer back. [`drain_on_helper`] moves the observer to one
 //! scoped helper thread for the length of a run instead. The loop then
 //! hands each full batch over and takes an applied one back in exchange,
-//! from a fixed set of [`SPARE_BATCHES`] + 1 buffers, so a steady run
+//! from a fixed set of `SPARE_BATCHES` + 1 buffers, so a steady run
 //! allocates nothing per batch. The hand-off blocks only when the helper
 //! still holds every spare. A panic on either side reaches the caller of
 //! [`drain_on_helper`] with its own payload; neither side is left
@@ -38,7 +38,7 @@ pub trait Observer: Send {
 
 /// Buffers a log owns besides the one it fills while its observer runs
 /// on a helper.
-pub const SPARE_BATCHES: usize = 2;
+pub(crate) const SPARE_BATCHES: usize = 2;
 
 /// Where a full batch goes.
 enum Sink<O: Observer> {

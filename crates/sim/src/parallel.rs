@@ -283,16 +283,6 @@ pub struct WorkerContext<'a, E> {
 }
 
 impl<E> WorkerContext<'_, E> {
-    /// The shard the current event fired on.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedules `event` on this shard's own calendar at absolute time
     /// `at` — it may land inside the current epoch and fire immediately
     /// after, exactly like a local schedule in the serial engine.
@@ -362,11 +352,6 @@ pub struct SerialContext<'a, E> {
 }
 
 impl<E> SerialContext<'_, E> {
-    /// Current simulated time (the serial event's own timestamp).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedules a parallel `event` on `shard`'s calendar at absolute
     /// time `at`.
     ///

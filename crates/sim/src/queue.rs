@@ -68,11 +68,6 @@ impl ControlPlaneQueue {
         }
     }
 
-    /// The configured per-queued-request penalty.
-    pub fn per_queued_penalty(&self) -> SimDuration {
-        self.per_queued_penalty
-    }
-
     /// Admits a request arriving at `now` that needs `service` of exclusive
     /// controller time. Returns when it starts, when it completes and how
     /// long it queued.
@@ -102,19 +97,9 @@ impl ControlPlaneQueue {
     }
 
     /// Requests still queued or in service at `now`.
-    pub fn depth(&self, now: SimTime) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self, now: SimTime) -> usize {
         self.completions.iter().filter(|&&done| done > now).count()
-    }
-
-    /// Total requests admitted so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Cumulative time requests spent queueing (excluding their own
-    /// service).
-    pub fn total_wait(&self) -> SimDuration {
-        self.total_wait
     }
 
     /// The deepest the queue ever got (including the request in service).
@@ -152,9 +137,9 @@ mod tests {
             assert_eq!(a.queue_wait, expected, "request {i}");
             assert_eq!(a.queued_ahead, i);
         }
-        assert_eq!(q.served(), 4);
+        assert_eq!(q.served, 4);
         assert_eq!(q.peak_depth(), 4);
-        assert!(q.total_wait() > SimDuration::ZERO);
+        assert!(q.total_wait > SimDuration::ZERO);
     }
 
     #[test]

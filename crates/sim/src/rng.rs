@@ -49,7 +49,8 @@ impl SimRng {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
 
@@ -98,7 +99,8 @@ impl SimRng {
     /// Chooses one element of `slice` uniformly at random.
     ///
     /// Returns `None` if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
+    #[cfg(test)]
+    pub(crate) fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
         if slice.is_empty() {
             None
         } else {
@@ -108,16 +110,12 @@ impl SimRng {
     }
 
     /// Shuffles `slice` in place (Fisher-Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
+    #[cfg(test)]
+    pub(crate) fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             let j = self.inner.gen_range(0..=i);
             slice.swap(i, j);
         }
-    }
-
-    /// Access the underlying [`rand::Rng`] for distributions not wrapped here.
-    pub fn raw(&mut self) -> &mut impl Rng {
-        &mut self.inner
     }
 }
 

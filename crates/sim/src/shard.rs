@@ -71,8 +71,6 @@ use crate::time::SimTime;
 /// back to peeking the heaps when every slot reads the sentinel.
 const IDLE: SimTime = SimTime::from_nanos(u64::MAX);
 
-pub use crate::parallel::{ParallelWorld, SerialContext, WorkerContext, WorldWorker};
-
 /// Identifies one shard (one per-rack event domain) of a [`ShardedEngine`].
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
@@ -167,16 +165,6 @@ pub struct ShardContext<'a, E> {
 }
 
 impl<E> ShardContext<'_, E> {
-    /// The shard the current event fired on.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedules `event` on the current shard's own calendar at absolute
     /// time `at`.
     ///
@@ -346,11 +334,6 @@ impl<E> ShardedEngine<E> {
         self
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -363,7 +346,8 @@ impl<E> ShardedEngine<E> {
 
     /// Number of pending events across all calendars, mailboxes and the
     /// serial barrier queue.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.queues.iter().map(EventQueue::len).sum::<usize>()
             + self.mailboxes.iter().map(BinaryHeap::len).sum::<usize>()
             + self.serial.len()

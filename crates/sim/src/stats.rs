@@ -18,10 +18,10 @@
 //! - A percentile keeps the rank `p/100·(n−1)` and interpolates linearly
 //!   between the floor and ceil ranks, as an exact percentile would. Each
 //!   rank is represented by the midrange of the values its bucket has seen,
-//!   which is within [`RELATIVE_ERROR`] (2⁻⁸, about 0.39%) of the sample at
+//!   which is within 2⁻⁸ (about 0.39%) of the sample at
 //!   that rank. For same-sign data the interpolated percentile is therefore
-//!   within [`RELATIVE_ERROR`] of the exact one; in general the error is at
-//!   most [`RELATIVE_ERROR`] times the interpolation-weighted magnitudes of
+//!   within 2⁻⁸ of the exact one; in general the error is at
+//!   most 2⁻⁸ times the interpolation-weighted magnitudes of
 //!   the two samples. p0 and p100 are `min` and `max` exactly, and a bucket
 //!   whose samples share one value reports it exactly. The bound holds for
 //!   normal floats; a subnormal sample is off by less than 2⁻¹⁰²⁹.
@@ -39,7 +39,8 @@ const MANTISSA_BITS: u32 = 7;
 
 /// Bound on the relative error of a percentile of same-sign samples: half
 /// the widest bucket, 2⁻⁸.
-pub const RELATIVE_ERROR: f64 = 1.0 / (1u64 << (MANTISSA_BITS + 1)) as f64;
+#[cfg(test)]
+pub(crate) const RELATIVE_ERROR: f64 = 1.0 / (1u64 << (MANTISSA_BITS + 1)) as f64;
 
 /// Low bits of an `f64`'s magnitude that a bucket key drops.
 const DROPPED_BITS: u32 = 52 - MANTISSA_BITS;
@@ -314,7 +315,7 @@ impl Summary {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -433,12 +434,7 @@ pub struct BoxPlot {
     pub max: f64,
 }
 
-impl BoxPlot {
-    /// Interquartile range (Q3 − Q1).
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-}
+impl BoxPlot {}
 
 impl std::fmt::Display for BoxPlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -656,7 +652,6 @@ mod tests {
             assert_eq!(s.percentile(10.0), x);
             assert_eq!(s.median(), x);
             assert_eq!(s.std_dev(), 0.0);
-            assert_eq!(s.box_plot().iqr(), 0.0);
             check_against_exact(&[x]);
         }
     }

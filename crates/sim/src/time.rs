@@ -50,7 +50,8 @@ impl SimTime {
     }
 
     /// Creates an instant `millis` milliseconds after the origin.
-    pub const fn from_millis(millis: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_millis(millis: u64) -> Self {
         SimTime(millis * 1_000_000)
     }
 
@@ -84,12 +85,12 @@ impl SimTime {
 
     /// The duration elapsed since `earlier`, saturating to zero if `earlier`
     /// is in the future.
-    pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Returns the later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 }
@@ -146,19 +147,6 @@ impl SimDuration {
         SimDuration(round_to_u64(secs * 1e9))
     }
 
-    /// Creates a duration from a floating-point number of microseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `micros` is negative or not finite.
-    pub fn from_micros_f64(micros: f64) -> Self {
-        assert!(
-            micros.is_finite() && micros >= 0.0,
-            "microseconds must be finite and non-negative"
-        );
-        SimDuration(round_to_u64(micros * 1e3))
-    }
-
     /// Creates a duration from a floating-point number of nanoseconds.
     ///
     /// # Panics
@@ -195,11 +183,6 @@ impl SimDuration {
     /// Multiplies the duration by an integer factor, saturating on overflow.
     pub fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
-    }
-
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(rhs.0).map(SimDuration)
     }
 }
 
@@ -326,7 +309,6 @@ mod tests {
     #[test]
     fn from_float_constructors_round() {
         assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
-        assert_eq!(SimDuration::from_micros_f64(0.25).as_nanos(), 250);
         assert_eq!(SimDuration::from_nanos_f64(7.6).as_nanos(), 8);
         assert_eq!(SimDuration::from_nanos_f64(2.5).as_nanos(), 3);
         assert_eq!(

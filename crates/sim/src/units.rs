@@ -35,7 +35,8 @@ impl ByteSize {
     }
 
     /// From kibibytes.
-    pub const fn from_kib(kib: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_kib(kib: u64) -> Self {
         ByteSize(kib << 10)
     }
 
@@ -80,7 +81,8 @@ impl ByteSize {
     }
 
     /// Checked subtraction; `None` if `rhs > self`.
-    pub fn checked_sub(self, rhs: ByteSize) -> Option<ByteSize> {
+    #[cfg(test)]
+    pub(crate) fn checked_sub(self, rhs: ByteSize) -> Option<ByteSize> {
         self.0.checked_sub(rhs.0).map(ByteSize)
     }
 
@@ -90,12 +92,14 @@ impl ByteSize {
     }
 
     /// The smaller of two sizes.
-    pub fn min(self, other: ByteSize) -> ByteSize {
+    #[cfg(test)]
+    pub(crate) fn min(self, other: ByteSize) -> ByteSize {
         ByteSize(self.0.min(other.0))
     }
 
     /// The larger of two sizes.
-    pub fn max(self, other: ByteSize) -> ByteSize {
+    #[cfg(test)]
+    pub(crate) fn max(self, other: ByteSize) -> ByteSize {
         ByteSize(self.0.max(other.0))
     }
 
@@ -174,7 +178,7 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if `bps` is not finite or is negative.
-    pub fn from_bps(bps: f64) -> Self {
+    pub(crate) fn from_bps(bps: f64) -> Self {
         assert!(
             bps.is_finite() && bps >= 0.0,
             "bandwidth must be finite and non-negative"
@@ -235,11 +239,6 @@ impl DecibelMilliwatts {
         self.0
     }
 
-    /// Converts to linear milliwatts.
-    pub fn to_milliwatts(self) -> Milliwatts {
-        Milliwatts(10f64.powf(self.0 / 10.0))
-    }
-
     /// Attenuates by `loss_db` decibels (insertion loss of a switch hop,
     /// connector, or fibre span).
     ///
@@ -258,43 +257,6 @@ impl DecibelMilliwatts {
 impl fmt::Display for DecibelMilliwatts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.2} dBm", self.0)
-    }
-}
-
-/// Optical power in linear milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-pub struct Milliwatts(f64);
-
-impl Milliwatts {
-    /// From a milliwatt value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mw` is negative or not finite.
-    pub fn new(mw: f64) -> Self {
-        assert!(
-            mw.is_finite() && mw >= 0.0,
-            "power must be finite and non-negative"
-        );
-        Milliwatts(mw)
-    }
-
-    /// The milliwatt value.
-    pub fn as_mw(self) -> f64 {
-        self.0
-    }
-
-    /// Converts to dBm. Returns negative infinity is not possible: zero power
-    /// is clamped to a very small positive value first.
-    pub fn to_dbm(self) -> DecibelMilliwatts {
-        let mw = self.0.max(1e-12);
-        DecibelMilliwatts(10.0 * mw.log10())
-    }
-}
-
-impl fmt::Display for Milliwatts {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.4} mW", self.0)
     }
 }
 
@@ -363,7 +325,6 @@ impl fmt::Display for Watts {
 dredbox_snap::snap_newtype!(ByteSize(u64));
 dredbox_snap::snap_newtype!(Bandwidth(f64));
 dredbox_snap::snap_newtype!(DecibelMilliwatts(f64));
-dredbox_snap::snap_newtype!(Milliwatts(f64));
 dredbox_snap::snap_newtype!(Watts(f64));
 
 #[cfg(test)]
@@ -419,12 +380,22 @@ mod tests {
         assert_eq!(bw.to_string(), "10.00 Gb/s");
     }
 
+    /// `p` in linear milliwatts.
+    fn to_mw(p: DecibelMilliwatts) -> f64 {
+        10f64.powf(p.as_dbm() / 10.0)
+    }
+
+    /// `mw` milliwatts in dBm; zero power is clamped to 1e-12 mW first.
+    fn to_dbm(mw: f64) -> DecibelMilliwatts {
+        DecibelMilliwatts::new(10.0 * mw.max(1e-12).log10())
+    }
+
     #[test]
     fn dbm_mw_roundtrip() {
         let p = DecibelMilliwatts::new(-3.7);
-        let mw = p.to_milliwatts();
-        assert!((mw.as_mw() - 0.4266).abs() < 1e-3);
-        let back = mw.to_dbm();
+        let mw = to_mw(p);
+        assert!((mw - 0.4266).abs() < 1e-3);
+        let back = to_dbm(mw);
         assert!((back.as_dbm() - -3.7).abs() < 1e-9);
     }
 
@@ -434,7 +405,7 @@ mod tests {
         // Eight hops through the Polatis switch at ~1 dB each.
         let received = launch.attenuate(8.0);
         assert!((received.as_dbm() - -11.7).abs() < 1e-9);
-        assert!(received.to_milliwatts().as_mw() < launch.to_milliwatts().as_mw());
+        assert!(to_mw(received) < to_mw(launch));
     }
 
     #[test]
@@ -461,7 +432,7 @@ mod tests {
         #[test]
         fn dbm_mw_roundtrip_prop(dbm in -60.0f64..20.0) {
             let p = DecibelMilliwatts::new(dbm);
-            let rt = p.to_milliwatts().to_dbm();
+            let rt = to_dbm(to_mw(p));
             prop_assert!((rt.as_dbm() - dbm).abs() < 1e-6);
         }
 

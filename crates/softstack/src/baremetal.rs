@@ -38,13 +38,8 @@ impl BaremetalOs {
     }
 
     /// The brick this OS runs on.
-    pub fn brick(&self) -> BrickId {
+    pub(crate) fn brick(&self) -> BrickId {
         self.brick
-    }
-
-    /// Local (non-disaggregated) memory.
-    pub fn local_memory(&self) -> ByteSize {
-        self.local_memory
     }
 
     /// Remote memory currently onlined by the kernel.
@@ -53,17 +48,12 @@ impl BaremetalOs {
     }
 
     /// Total memory visible to the kernel.
-    pub fn total_memory(&self) -> ByteSize {
+    pub(crate) fn total_memory(&self) -> ByteSize {
         self.local_memory + self.onlined_remote
     }
 
-    /// Number of hotplug operations performed.
-    pub fn hotplug_operations(&self) -> u64 {
-        self.hotplug_operations
-    }
-
     /// The hotplug cost model in use.
-    pub fn hotplug_model(&self) -> &HotplugModel {
+    pub(crate) fn hotplug_model(&self) -> &HotplugModel {
         &self.hotplug
     }
 
@@ -130,10 +120,10 @@ mod tests {
         assert!(t.as_millis_f64() > 0.0);
         assert_eq!(os.onlined_remote(), ByteSize::from_gib(8));
         assert_eq!(os.total_memory(), ByteSize::from_gib(12));
-        assert_eq!(os.local_memory(), ByteSize::from_gib(4));
-        assert_eq!(os.hotplug_operations(), 1);
+        assert_eq!(os.local_memory, ByteSize::from_gib(4));
+        assert_eq!(os.hotplug_operations, 1);
         assert_eq!(os.online_remote(ByteSize::ZERO), SimDuration::ZERO);
-        assert_eq!(os.hotplug_operations(), 1);
+        assert_eq!(os.hotplug_operations, 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::vm::{Vm, VmId, VmSpec};
 /// The hypervisor instance running on one dCOMPUBRICK.
 ///
 /// ```
-/// use dredbox_softstack::prelude::*;
+/// use dredbox_softstack::*;
 /// use dredbox_bricks::BrickId;
 /// use dredbox_memory::HotplugModel;
 /// use dredbox_sim::units::ByteSize;
@@ -74,7 +74,7 @@ impl Hypervisor {
     }
 
     /// The brick this hypervisor runs on.
-    pub fn brick(&self) -> BrickId {
+    pub(crate) fn brick(&self) -> BrickId {
         self.os.brick()
     }
 
@@ -100,7 +100,7 @@ impl Hypervisor {
     }
 
     /// Memory visible to the hypervisor but not yet given to any VM.
-    pub fn free_memory(&self) -> ByteSize {
+    pub(crate) fn free_memory(&self) -> ByteSize {
         self.os.total_memory().saturating_sub(self.committed_memory)
     }
 
@@ -116,13 +116,9 @@ impl Hypervisor {
     }
 
     /// Iterates over all VMs.
-    pub fn vms(&self) -> impl Iterator<Item = &Vm> {
+    #[cfg(test)]
+    pub(crate) fn vms(&self) -> impl Iterator<Item = &Vm> {
         self.vms.values()
-    }
-
-    /// The guest boot time used by [`Hypervisor::create_vm`].
-    pub fn guest_boot_time(&self) -> SimDuration {
-        self.guest_boot_time
     }
 
     /// Creates and boots a VM, returning its id and the provisioning time.
@@ -169,7 +165,7 @@ impl Hypervisor {
     /// * [`SoftstackError::NoSuchVm`] / [`SoftstackError::VmNotRunning`].
     /// * [`SoftstackError::InsufficientMemory`] if the hypervisor has not
     ///   been given that much spare memory.
-    pub fn hot_add_dimm(
+    pub(crate) fn hot_add_dimm(
         &mut self,
         vm: VmId,
         amount: ByteSize,
@@ -203,7 +199,7 @@ impl Hypervisor {
     /// * [`SoftstackError::NoSuchVm`] / [`SoftstackError::VmNotRunning`].
     /// * [`SoftstackError::DetachUnderflow`] if the VM does not hold that
     ///   much hot-added memory.
-    pub fn hot_remove(
+    pub(crate) fn hot_remove(
         &mut self,
         vm: VmId,
         amount: ByteSize,
@@ -355,7 +351,7 @@ mod tests {
         assert_eq!(hv.brick(), BrickId(0));
         assert_eq!(hv.free_cores(), 4);
         let (vm, boot) = hv.create_vm(VmSpec::new(2, ByteSize::from_gib(2))).unwrap();
-        assert_eq!(boot, hv.guest_boot_time());
+        assert_eq!(boot, hv.guest_boot_time);
         assert_eq!(hv.vm_count(), 1);
         assert_eq!(hv.free_cores(), 2);
         assert_eq!(hv.free_memory(), ByteSize::from_gib(2));

@@ -80,7 +80,8 @@ impl MigrationModel {
     /// Speed-up factor of disaggregated over conventional migration for a
     /// guest with `guest_memory` of RAM of which only `local_state` is
     /// brick-local.
-    pub fn speedup(&self, guest_memory: ByteSize, local_state: ByteSize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn speedup(&self, guest_memory: ByteSize, local_state: ByteSize) -> f64 {
         let conventional = self.conventional_migration(guest_memory).as_nanos() as f64;
         let disaggregated = self.disaggregated_migration(local_state).as_nanos() as f64;
         conventional / disaggregated.max(1.0)

@@ -3,7 +3,7 @@
 //! Figure 10 compares dReDBox scale-up agility against "elasticity through
 //! conventional VM scale-out", i.e. spawning additional VMs to give an
 //! application more aggregate memory. The dominant cost there is VM startup
-//! time, which the paper's reference [13] (Mao & Humphrey, IEEE CLOUD 2012)
+//! time, which the paper's reference \[13\] (Mao & Humphrey, IEEE CLOUD 2012)
 //! measured at roughly 45–100 s on public clouds depending on provider,
 //! image size and instance type.
 
@@ -44,7 +44,7 @@ impl ScaleOutBaseline {
 
     /// Samples the provisioning delay experienced by one of `concurrency`
     /// VMs that all request scale-out at the same time.
-    pub fn provision_delay(&self, concurrency: usize, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn provision_delay(&self, concurrency: usize, rng: &mut SimRng) -> SimDuration {
         let startup = rng.normal(
             self.mean_startup.as_secs_f64(),
             self.startup_std_dev.as_secs_f64(),
@@ -63,7 +63,7 @@ impl ScaleOutBaseline {
     /// [`ControlPlaneQueue`]-serialized control-plane admission slot of
     /// [`ScaleOutBaseline::per_concurrent_penalty`] (image-store and
     /// scheduler contention), then its sampled VM startup runs in parallel
-    /// with its peers'. [`ScaleOutBaseline::provision_delay`] is the
+    /// with its peers'. `provision_delay` is the
     /// closed-form average of this realization.
     ///
     /// Returns the per-request end-to-end delays, in admission order.

@@ -48,7 +48,7 @@ impl ScaleUpTimings {
 
     /// Total fixed control-plane overhead (excluding the SDM controller's
     /// own processing and the hotplug work).
-    pub fn fixed_overhead(&self) -> SimDuration {
+    pub(crate) fn fixed_overhead(&self) -> SimDuration {
         self.app_to_controller + self.controller_to_sdm + self.hypervisor_reconfig
     }
 }
@@ -91,11 +91,6 @@ impl ScaleUpController {
     /// Creates a controller with the given fixed timings.
     pub fn new(timings: ScaleUpTimings) -> Self {
         ScaleUpController { timings }
-    }
-
-    /// The fixed timings.
-    pub fn timings(&self) -> &ScaleUpTimings {
-        &self.timings
     }
 
     /// Executes the compute-brick half of a scale-up: online the newly

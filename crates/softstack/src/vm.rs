@@ -41,7 +41,7 @@ impl std::fmt::Display for VmSpec {
 
 /// Lifecycle state of a VM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum VmState {
+pub(crate) enum VmState {
     /// Being provisioned (image copy, boot).
     Provisioning,
     /// Running and able to accept scale-up requests.
@@ -64,7 +64,7 @@ pub struct Vm {
 
 impl Vm {
     /// Creates a VM in the `Provisioning` state.
-    pub fn new(id: VmId, spec: VmSpec) -> Self {
+    pub(crate) fn new(id: VmId, spec: VmSpec) -> Self {
         Vm {
             id,
             spec,
@@ -77,18 +77,14 @@ impl Vm {
     }
 
     /// VM identifier.
-    pub fn id(&self) -> VmId {
+    #[cfg(test)]
+    pub(crate) fn id(&self) -> VmId {
         self.id
     }
 
     /// The creation-time spec.
-    pub fn spec(&self) -> VmSpec {
+    pub(crate) fn spec(&self) -> VmSpec {
         self.spec
-    }
-
-    /// Lifecycle state.
-    pub fn state(&self) -> VmState {
-        self.state
     }
 
     /// Memory currently assigned to the guest (initial plus hot-added).
@@ -96,13 +92,9 @@ impl Vm {
         self.current_memory
     }
 
-    /// The guest's balloon device.
-    pub fn balloon(&self) -> &BalloonDevice {
-        &self.balloon
-    }
-
     /// Mutable access to the balloon device.
-    pub fn balloon_mut(&mut self) -> &mut BalloonDevice {
+    #[cfg(test)]
+    pub(crate) fn balloon_mut(&mut self) -> &mut BalloonDevice {
         &mut self.balloon
     }
 
@@ -112,7 +104,7 @@ impl Vm {
     }
 
     /// Number of near-data offload requests this VM has issued.
-    pub fn offload_count(&self) -> u32 {
+    pub(crate) fn offload_count(&self) -> u32 {
         self.offloads
     }
 
@@ -128,12 +120,13 @@ impl Vm {
     }
 
     /// Marks the VM running (boot finished).
-    pub fn mark_running(&mut self) {
+    pub(crate) fn mark_running(&mut self) {
         self.state = VmState::Running;
     }
 
     /// Marks the VM terminated.
-    pub fn mark_terminated(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn mark_terminated(&mut self) {
         self.state = VmState::Terminated;
     }
 
@@ -183,12 +176,12 @@ mod tests {
         assert_eq!(spec.to_string(), "4 vcpus + 8.00 GiB");
         let mut vm = Vm::new(VmId(7), spec);
         assert_eq!(vm.id().to_string(), "vm7");
-        assert_eq!(vm.state(), VmState::Provisioning);
+        assert_eq!(vm.state, VmState::Provisioning);
         assert!(!vm.is_running());
         vm.mark_running();
         assert!(vm.is_running());
         vm.mark_terminated();
-        assert_eq!(vm.state(), VmState::Terminated);
+        assert_eq!(vm.state, VmState::Terminated);
     }
 
     #[test]
@@ -198,11 +191,11 @@ mod tests {
         assert_eq!(vm.scale_up_count(), 0);
         vm.grow_memory(ByteSize::from_gib(8));
         assert_eq!(vm.current_memory(), ByteSize::from_gib(12));
-        assert_eq!(vm.balloon().guest_memory(), ByteSize::from_gib(12));
+        assert_eq!(vm.balloon.guest_memory(), ByteSize::from_gib(12));
         assert_eq!(vm.scale_up_count(), 1);
         vm.shrink_memory(ByteSize::from_gib(2));
         assert_eq!(vm.current_memory(), ByteSize::from_gib(10));
         vm.balloon_mut().inflate(ByteSize::from_gib(1)).unwrap();
-        assert_eq!(vm.balloon().inflated(), ByteSize::from_gib(1));
+        assert_eq!(vm.balloon.inflated(), ByteSize::from_gib(1));
     }
 }

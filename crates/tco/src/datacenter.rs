@@ -43,7 +43,7 @@ pub struct ConventionalOutcome {
 
 impl ConventionalOutcome {
     /// Servers running nothing (power-off candidates).
-    pub fn servers_off(&self) -> usize {
+    pub(crate) fn servers_off(&self) -> usize {
         self.total_servers - self.servers_used
     }
 
@@ -123,17 +123,17 @@ pub struct DisaggregatedOutcome {
 
 impl DisaggregatedOutcome {
     /// dCOMPUBRICKs that can be powered off.
-    pub fn compute_bricks_off(&self) -> usize {
+    pub(crate) fn compute_bricks_off(&self) -> usize {
         self.total_compute_bricks - self.compute_bricks_used
     }
 
     /// dMEMBRICKs that can be powered off.
-    pub fn memory_bricks_off(&self) -> usize {
+    pub(crate) fn memory_bricks_off(&self) -> usize {
         self.total_memory_bricks - self.memory_bricks_used
     }
 
     /// Fraction of dCOMPUBRICKs that can be powered off.
-    pub fn compute_off_fraction(&self) -> f64 {
+    pub(crate) fn compute_off_fraction(&self) -> f64 {
         if self.total_compute_bricks == 0 {
             return 0.0;
         }
@@ -141,7 +141,7 @@ impl DisaggregatedOutcome {
     }
 
     /// Fraction of dMEMBRICKs that can be powered off.
-    pub fn memory_off_fraction(&self) -> f64 {
+    pub(crate) fn memory_off_fraction(&self) -> f64 {
         if self.total_memory_bricks == 0 {
             return 0.0;
         }

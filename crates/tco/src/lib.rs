@@ -8,15 +8,17 @@
 //! ends up running nothing can be powered off (Figure 12), which translates
 //! into energy savings (Figure 13).
 //!
-//! * [`datacenter`] — the two datacenter models and their FCFS packing.
-//! * [`power`] — per-unit power draws and the normalized-power computation.
-//! * [`study`] — the experiment driver that regenerates Figures 11, 12
+//! * [`ConventionalDatacenter`] and [`DisaggregatedDatacenter`] — the two
+//!   datacenter models and their FCFS packing.
+//! * [`TcoPowerModel`] — per-unit power draws and the normalized-power
+//!   computation.
+//! * [`TcoStudy`] — the experiment driver that regenerates Figures 11, 12
 //!   and 13 for every Table I configuration.
 //!
 //! # Example
 //!
 //! ```
-//! use dredbox_tco::prelude::*;
+//! use dredbox_tco::*;
 //! use dredbox_workload::WorkloadConfig;
 //! use dredbox_sim::rng::SimRng;
 //!
@@ -31,21 +33,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod datacenter;
-pub mod power;
-pub mod study;
+mod datacenter;
+mod power;
+mod study;
 
 pub use datacenter::{
     ConventionalDatacenter, ConventionalOutcome, DisaggregatedDatacenter, DisaggregatedOutcome,
 };
 pub use power::{FleetPower, TcoPowerModel};
 pub use study::{ConfigOutcome, TcoResults, TcoStudy};
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::datacenter::{
-        ConventionalDatacenter, ConventionalOutcome, DisaggregatedDatacenter, DisaggregatedOutcome,
-    };
-    pub use crate::power::{FleetPower, TcoPowerModel};
-    pub use crate::study::{ConfigOutcome, TcoResults, TcoStudy};
-}

@@ -41,13 +41,13 @@ impl TcoPowerModel {
 
     /// Power drawn by the conventional datacenter after powering off unused
     /// servers.
-    pub fn conventional_power(&self, outcome: &ConventionalOutcome) -> Watts {
+    pub(crate) fn conventional_power(&self, outcome: &ConventionalOutcome) -> Watts {
         self.server_active.scale(outcome.servers_used as f64)
     }
 
     /// Power drawn by the disaggregated datacenter after powering off unused
     /// bricks.
-    pub fn disaggregated_power(&self, outcome: &DisaggregatedOutcome) -> Watts {
+    pub(crate) fn disaggregated_power(&self, outcome: &DisaggregatedOutcome) -> Watts {
         self.compute_brick_active
             .scale(outcome.compute_bricks_used as f64)
             + self
@@ -74,7 +74,8 @@ impl TcoPowerModel {
     }
 
     /// Energy savings fraction in `[0, 1]` (1 − normalized power, clamped).
-    pub fn savings(
+    #[cfg(test)]
+    pub(crate) fn savings(
         &self,
         conventional: &ConventionalOutcome,
         disaggregated: &DisaggregatedOutcome,

@@ -182,7 +182,8 @@ impl TcoStudy {
     /// # Panics
     ///
     /// Panics if `vms` is zero.
-    pub fn with_vms_per_config(mut self, vms: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_vms_per_config(mut self, vms: usize) -> Self {
         assert!(vms > 0, "need at least one VM per configuration");
         self.vms_per_config = vms;
         self
@@ -193,14 +194,16 @@ impl TcoStudy {
     /// # Panics
     ///
     /// Panics if `servers` is zero.
-    pub fn with_servers(mut self, servers: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_servers(mut self, servers: usize) -> Self {
         assert!(servers > 0, "need at least one server");
         self.servers = servers;
         self
     }
 
     /// Overrides the power model.
-    pub fn with_power_model(mut self, power: TcoPowerModel) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_power_model(mut self, power: TcoPowerModel) -> Self {
         self.power = power;
         self
     }

@@ -15,7 +15,8 @@ pub struct VmDemand {
 
 impl VmDemand {
     /// Creates a demand.
-    pub fn new(vcpus: u32, memory: ByteSize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(vcpus: u32, memory: ByteSize) -> Self {
         VmDemand { vcpus, memory }
     }
 
@@ -30,7 +31,8 @@ impl VmDemand {
 
     /// The ratio of memory (GiB) to vCPUs, used to classify how unbalanced a
     /// request is.
-    pub fn memory_per_core_gib(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn memory_per_core_gib(&self) -> f64 {
         if self.vcpus == 0 {
             return 0.0;
         }

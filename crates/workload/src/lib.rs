@@ -1,19 +1,21 @@
 //! Workload generators for the dReDBox evaluation.
 //!
-//! * [`demand`] — the (vCPUs, RAM) demand of a single VM.
-//! * [`table1`] — the six VM workload mixes of Table I of the paper, used by
-//!   the TCO study (Figures 12 and 13).
-//! * [`tenant`] — weighted blends of the Table I mixes, the multi-tenant
+//! * [`VmDemand`] — the (vCPUs, RAM) demand of a single VM.
+//! * [`WorkloadConfig`] — the six VM workload mixes of Table I of the
+//!   paper, used by the TCO study (Figures 12 and 13).
+//! * [`TenantMix`] — weighted blends of the Table I mixes, the multi-tenant
 //!   arrival mix of a federated multi-rack datacenter.
-//! * [`traces`] — arrival processes (Poisson bursts, diurnal patterns).
-//! * [`pilots`] — models of the three pilot applications of Section V:
-//!   video-surveillance analytics, NFV edge computing with a key server,
-//!   and 100 GbE network analytics.
+//! * [`ArrivalTrace`], [`BurstTrace`], [`DiurnalPattern`] — arrival
+//!   processes (Poisson bursts, diurnal patterns).
+//! * [`VideoAnalyticsWorkload`], [`NfvKeyServerWorkload`] and
+//!   [`NetworkAnalyticsWorkload`] — models of the three pilot applications
+//!   of Section V: video-surveillance analytics, NFV edge computing with a
+//!   key server, and 100 GbE network analytics.
 //!
 //! # Example
 //!
 //! ```
-//! use dredbox_workload::prelude::*;
+//! use dredbox_workload::*;
 //! use dredbox_sim::rng::SimRng;
 //!
 //! let mut rng = SimRng::seed(1);
@@ -25,11 +27,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod demand;
-pub mod pilots;
-pub mod table1;
-pub mod tenant;
-pub mod traces;
+mod demand;
+mod pilots;
+mod table1;
+mod tenant;
+mod traces;
 
 pub use demand::VmDemand;
 pub use pilots::{
@@ -39,15 +41,3 @@ pub use pilots::{
 pub use table1::WorkloadConfig;
 pub use tenant::TenantMix;
 pub use traces::{ArrivalTrace, BurstTrace, DiurnalPattern, LifetimeModel};
-
-/// Convenient re-exports of the most commonly used items.
-pub mod prelude {
-    pub use crate::demand::VmDemand;
-    pub use crate::pilots::{
-        NetworkAnalyticsWorkload, NfvKeyServerWorkload, OffloadDemand, PilotOffloadMix,
-        VideoAnalyticsWorkload,
-    };
-    pub use crate::table1::WorkloadConfig;
-    pub use crate::tenant::TenantMix;
-    pub use crate::traces::{ArrivalTrace, BurstTrace, DiurnalPattern, LifetimeModel};
-}

@@ -106,7 +106,8 @@ impl NfvKeyServerWorkload {
 
     /// The scale-up (positive) or scale-down (negative) in bytes needed when
     /// moving from `from_hour` to `to_hour`.
-    pub fn memory_delta(&self, from_hour: f64, to_hour: f64) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn memory_delta(&self, from_hour: f64, to_hour: f64) -> i64 {
         self.memory_at_hour(to_hour).as_bytes() as i64
             - self.memory_at_hour(from_hour).as_bytes() as i64
     }
@@ -153,7 +154,7 @@ impl NetworkAnalyticsWorkload {
 
     /// Bytes of flagged traffic accumulated for offline analysis over a
     /// capture window.
-    pub fn offline_buffer(&self, window: SimDuration) -> ByteSize {
+    pub(crate) fn offline_buffer(&self, window: SimDuration) -> ByteSize {
         let bytes_per_second = self.link_rate.as_bps() / 8.0 * self.flagged_fraction;
         ByteSize::from_bytes((bytes_per_second * window.as_secs_f64()) as u64)
     }

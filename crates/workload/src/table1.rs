@@ -57,7 +57,7 @@ impl WorkloadConfig {
     }
 
     /// The inclusive vCPU range of the configuration.
-    pub fn vcpu_range(self) -> (u32, u32) {
+    pub(crate) fn vcpu_range(self) -> (u32, u32) {
         match self {
             WorkloadConfig::Random => (1, 32),
             WorkloadConfig::HighRam => (1, 8),
@@ -69,7 +69,7 @@ impl WorkloadConfig {
     }
 
     /// The inclusive RAM range of the configuration, in GiB.
-    pub fn ram_range_gib(self) -> (u64, u64) {
+    pub(crate) fn ram_range_gib(self) -> (u64, u64) {
         match self {
             WorkloadConfig::Random => (1, 32),
             WorkloadConfig::HighRam => (24, 32),
@@ -82,12 +82,13 @@ impl WorkloadConfig {
 
     /// Whether the mix is intentionally unbalanced (the cases where the
     /// paper reports the biggest disaggregation benefit).
-    pub fn is_unbalanced(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_unbalanced(self) -> bool {
         !matches!(self, WorkloadConfig::HalfHalf)
     }
 
     /// Samples one VM demand from the configuration's ranges.
-    pub fn sample(self, rng: &mut SimRng) -> VmDemand {
+    pub(crate) fn sample(self, rng: &mut SimRng) -> VmDemand {
         let (c_lo, c_hi) = self.vcpu_range();
         let (m_lo, m_hi) = self.ram_range_gib();
         let vcpus = if c_lo == c_hi {

@@ -26,7 +26,7 @@ pub struct TenantMix {
 impl TenantMix {
     /// Builds a mix from `(mix, weight)` pairs. Zero-weight tenants never
     /// receive an arrival.
-    pub fn new(tenants: Vec<(WorkloadConfig, u32)>) -> Self {
+    pub(crate) fn new(tenants: Vec<(WorkloadConfig, u32)>) -> Self {
         TenantMix { tenants }
     }
 
@@ -44,7 +44,7 @@ impl TenantMix {
     }
 
     /// Sum of all tenant weights.
-    pub fn total_weight(&self) -> u64 {
+    pub(crate) fn total_weight(&self) -> u64 {
         self.tenants.iter().map(|&(_, w)| u64::from(w)).sum()
     }
 
@@ -54,7 +54,7 @@ impl TenantMix {
     /// # Panics
     ///
     /// Panics when every tenant has zero weight (no demand is definable).
-    pub fn sample(&self, rng: &mut SimRng) -> VmDemand {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> VmDemand {
         let total = self.total_weight();
         assert!(total > 0, "tenant mix needs at least one positive weight");
         let mut pick = rng.range(1..=total);

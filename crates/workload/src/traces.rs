@@ -176,7 +176,8 @@ impl DiurnalPattern {
     ///
     /// Panics unless `0 <= trough <= peak <= 1` and `peak_hour` is within
     /// `[0, 24)`.
-    pub fn new(trough: f64, peak: f64, peak_hour: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(trough: f64, peak: f64, peak_hour: f64) -> Self {
         assert!((0.0..=1.0).contains(&trough) && (0.0..=1.0).contains(&peak) && trough <= peak);
         assert!((0.0..24.0).contains(&peak_hour));
         DiurnalPattern {
@@ -188,7 +189,7 @@ impl DiurnalPattern {
 
     /// Relative load level in `[trough, peak]` at `hour` (fractional hours
     /// are fine; values wrap modulo 24).
-    pub fn load_at_hour(&self, hour: f64) -> f64 {
+    pub(crate) fn load_at_hour(&self, hour: f64) -> f64 {
         let hour = hour.rem_euclid(24.0);
         let phase = (hour - self.peak_hour) / 24.0 * std::f64::consts::TAU;
         let normalized = (phase.cos() + 1.0) / 2.0; // 1 at the peak hour, 0 twelve hours away
@@ -196,7 +197,7 @@ impl DiurnalPattern {
     }
 
     /// Load level at an absolute simulation time (time zero = midnight).
-    pub fn load_at(&self, time: SimTime) -> f64 {
+    pub(crate) fn load_at(&self, time: SimTime) -> f64 {
         self.load_at_hour(time.as_secs_f64() / 3_600.0)
     }
 }

@@ -12,7 +12,9 @@ use proptest::prelude::*;
 use dredbox::bricks::BrickId;
 use dredbox::interconnect::LatencyConfig;
 use dredbox::memory::{AllocationPolicy, PickStrategy};
-use dredbox::orchestrator::prelude::*;
+use dredbox::orchestrator::{
+    PlacementPolicy, ScaleUpGrant, SdmController, SdmTimings, VmAllocationRequest,
+};
 use dredbox::sim::units::ByteSize;
 
 /// One step of a random control-plane trace.

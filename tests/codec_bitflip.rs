@@ -16,8 +16,10 @@
 use dredbox::bricks::BrickId;
 use dredbox::interconnect::RemoteMemorySegmentTable;
 use dredbox::memory::{BrickAllocator, MemoryPool, RemoteWindow};
-use dredbox::orchestrator::prelude::*;
-use dredbox::orchestrator::ReservationLedger;
+
+use dredbox::orchestrator::{
+    ReservationLedger, ScaleUpDemand, ScaleUpGrant, SdmController, VmAllocationRequest,
+};
 use dredbox::sim::units::ByteSize;
 use dredbox::workload::OffloadDemand;
 use dredbox::{DredboxSystem, SystemConfig, SystemSnapshot};

@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 
 use dredbox::bricks::BrickKind;
-use dredbox::orchestrator::capacity::{CapacityIndex, CapacitySlot};
+use dredbox::orchestrator::{CapacityIndex, CapacitySlot};
 use dredbox::prelude::*;
 use dredbox::sim::units::ByteSize;
 

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 
 use dredbox::bricks::{Bitstream, BrickId, PowerState};
-use dredbox::orchestrator::accel_index::{AccelIndex, AccelSlot};
+use dredbox::orchestrator::{AccelIndex, AccelSlot};
 use dredbox::orchestrator::{OffloadRequest, OffloadSessionId, SdmController};
 use dredbox::prelude::*;
 use dredbox::sim::rng::SimRng;
