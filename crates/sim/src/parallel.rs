@@ -68,8 +68,9 @@
 //! thread count, including 1: the epoch schedule (horizons, barrier
 //! times, serial batches) is computed from event timestamps only, each
 //! shard's event sequence within an epoch is fully ordered by its own
-//! calendar and inbox, and barrier routing walks source shards in
-//! ascending order. Which thread takes a unit, and when, changes only
+//! calendar and inbox, and barrier routing merges every send under its
+//! unique (time, source shard, send seq) key, so the order units come
+//! home in does not matter. Which thread takes a unit, and when, changes only
 //! the wall-clock instant a shard's slice runs at, never what it
 //! computes.
 //!
@@ -81,9 +82,14 @@
 //! remaining budget, so a run never overshoots it, and they depend on
 //! the epoch plan alone, so every thread count stops at the same events.
 //! A unit that stops early has sent only what its horizon allowed, and
-//! the next epoch replans. Once fewer budgeted events remain than are
-//! pending, the runner drops to a fine-grained single-step mode that
-//! replays the exact global (time, shard) order of [`ShardedEngine::run`].
+//! the next epoch replans. Once no more budgeted events remain than are
+//! pending, every epoch is a *fine step*: planning activates only the
+//! shard holding the least (time, shard) event, at time `t`, with the
+//! horizon `t + 1 ns` and, as the lone unit, the whole remaining budget
+//! as its quota; it runs through the same unit path and barrier as any
+//! other epoch. Its events at `t` are the next ones of the global
+//! (time, shard) order of [`ShardedEngine::run`], because any mail they
+//! send arrives after `t`, so fine steps replay that order exactly.
 //! Where a quota binds first, the cutoff can differ from the serial
 //! engine's; scenario budgets are runaway guards sized far above their
 //! traces, so neither binds there.
@@ -111,7 +117,6 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint;
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
@@ -121,8 +126,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::engine::RunOutcome;
-use crate::event::EventQueue;
-use crate::shard::{MailEntry, SerialEntry, ShardId, ShardedEngine};
+use crate::shard::{Lane, MailEntry, SerialEntry, ShardId, ShardedEngine};
 use crate::time::{SimDuration, SimTime};
 
 /// Effectively-unbounded horizon cap.
@@ -219,65 +223,14 @@ pub trait WorldWorker {
     );
 }
 
-/// One buffered cross-shard send, waiting for the epoch barrier.
-#[derive(Debug)]
-struct Outgoing<E> {
-    to: u32,
-    at: SimTime,
-    /// Send seq stamped from the source lane's counter.
-    seq: u64,
-    event: E,
-}
-
-/// Per-shard engine state, owned by whichever thread runs the shard.
-#[derive(Debug)]
-struct Lane<E> {
-    queue: EventQueue<E>,
-    inbox: BinaryHeap<MailEntry<E>>,
-    send_seq: u64,
-    /// Outgoing cross-shard sends; drained at the barrier, buffer reused
-    /// across epochs so steady-state routing does not allocate.
-    outbox: Vec<Outgoing<E>>,
-}
-
-impl<E> Lane<E> {
-    /// Earliest pending time across calendar and inbox, `None` if idle.
-    fn next_time(&self) -> Option<SimTime> {
-        match (self.queue.peek_time(), self.inbox.peek().map(|e| e.at)) {
-            (None, None) => None,
-            (Some(t), None) | (None, Some(t)) => Some(t),
-            (Some(l), Some(m)) => Some(l.min(m)),
-        }
-    }
-
-    /// Pops the earliest event; the local calendar wins ties.
-    // Inlined into the epoch loop, which calls it once per event.
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        let from_mail = match (self.queue.peek_time(), self.inbox.peek().map(|e| e.at)) {
-            (None, None) => return None,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (Some(l), Some(m)) => m < l,
-        };
-        if from_mail {
-            self.inbox.pop().map(|e| (e.at, e.event))
-        } else {
-            self.queue.pop()
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.queue.len() + self.inbox.len()
-    }
-}
-
 /// Scheduling surface handed to [`WorldWorker::handle`] during a
 /// parallel epoch.
 pub struct WorkerContext<'a, E> {
     shard: ShardId,
     now: SimTime,
     lane: &'a mut Lane<E>,
+    /// The unit's cross-shard sends, each with its destination shard.
+    outbox: &'a mut Vec<(u32, MailEntry<E>)>,
     /// This shard's outbound latency row, enforcing the send contract.
     lat_row: &'a [Option<SimDuration>],
 }
@@ -314,14 +267,8 @@ impl<E> WorkerContext<'_, E> {
             "send {} -> {to} beats the declared channel latency",
             self.shard
         );
-        let seq = self.lane.send_seq;
-        self.lane.send_seq += 1;
-        self.lane.outbox.push(Outgoing {
-            to: to.0,
-            at,
-            seq,
-            event,
-        });
+        let entry = self.lane.mail(self.shard, at, event);
+        self.outbox.push((to.0, entry));
     }
 
     fn channel_to(&self, to: ShardId) -> SimDuration {
@@ -422,6 +369,15 @@ impl<E> Batch<E> {
     }
 }
 
+/// A shard's next event time at the barrier: the earlier of its lane's
+/// next event and the earliest arrival in its undelivered batch.
+fn next_at<E>(lane: &Lane<E>, batch: &Batch<E>) -> Option<SimTime> {
+    match (lane.next().map(|(t, _)| t), batch.min_at) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// One shard's travelling state: engine lane plus world worker. Units
 /// live at the coordinator between epochs and move (owned, through the
 /// epoch's [`Pool`]) to whichever thread takes them — no cross-thread
@@ -429,6 +385,11 @@ impl<E> Batch<E> {
 struct Unit<E, Wk> {
     shard: u32,
     lane: Lane<E>,
+    /// Cross-shard sends of the epoch being executed, each with its
+    /// destination shard; routed into the destinations' batches when the
+    /// unit comes home. The buffer is reused across epochs, so
+    /// steady-state routing does not allocate.
+    outbox: Vec<(u32, MailEntry<E>)>,
     worker: Option<Wk>,
     /// Exclusive horizon for the epoch being executed.
     horizon: SimTime,
@@ -460,17 +421,18 @@ fn process_unit<E, Wk: WorldWorker<Event = E>>(
     let shard = ShardId(unit.shard);
     let worker = unit.worker.as_mut().expect("unit carries its worker");
     while unit.processed < unit.quota {
-        match unit.lane.next_time() {
-            Some(at) if at < unit.horizon => {}
+        let src = match unit.lane.next() {
+            Some((at, src)) if at < unit.horizon => src,
             _ => break,
-        }
-        let (at, event) = unit.lane.pop().expect("peeked event must exist");
+        };
+        let (at, event) = unit.lane.pop(src);
         unit.processed += 1;
         unit.max_t = Some(at);
         let mut ctx = WorkerContext {
             shard,
             now: at,
             lane: &mut unit.lane,
+            outbox: &mut unit.outbox,
             lat_row: &lat[shard.0 as usize],
         };
         worker.handle(shard, at, event, &mut ctx);
@@ -704,7 +666,7 @@ impl<E: Send> ShardedEngine<E> {
     where
         W: ParallelWorld<Event = E>,
     {
-        let threads = threads.clamp(1, self.queues.len());
+        let threads = threads.clamp(1, self.lanes.len());
         // One thread never waits at a barrier, so it skips the host query.
         let spin = threads > 1
             && thread::available_parallelism().is_ok_and(|cores| threads <= cores.get());
@@ -717,7 +679,7 @@ impl<E: Send> ShardedEngine<E> {
     where
         W: ParallelWorld<Event = E>,
     {
-        let shards = self.queues.len();
+        let shards = self.lanes.len();
         debug_assert!((1..=shards).contains(&threads), "threads out of range");
 
         // Channel latency matrix, validated once: a declared channel with
@@ -756,26 +718,23 @@ impl<E: Send> ShardedEngine<E> {
             }
         }
 
-        // Move the per-shard engine state into lanes and tear the world
-        // into owned workers; both are restored before returning.
+        // Move the lanes into units and tear the world into owned workers;
+        // both are restored before returning.
         let workers = world.split(shards);
         assert_eq!(
             workers.len(),
             shards,
             "split must produce exactly one worker per shard"
         );
-        let mut slots: Vec<Slot<E, W::Worker>> = workers
+        let mut slots: Vec<Slot<E, W::Worker>> = mem::take(&mut self.lanes)
             .into_iter()
+            .zip(workers)
             .enumerate()
-            .map(|(s, worker)| {
+            .map(|(s, (lane, worker))| {
                 Some(Box::new(Unit {
                     shard: s as u32,
-                    lane: Lane {
-                        queue: mem::take(&mut self.queues[s]),
-                        inbox: mem::take(&mut self.mailboxes[s]),
-                        send_seq: self.send_seqs[s],
-                        outbox: Vec::new(),
-                    },
+                    lane,
+                    outbox: Vec::new(),
                     worker: Some(worker),
                     horizon: SimTime::ZERO,
                     quota: 0,
@@ -794,8 +753,12 @@ impl<E: Send> ShardedEngine<E> {
         let mut staged: Vec<SerialOp<E>> = Vec::new();
         let mut t_eff: Vec<Option<SimTime>> = vec![None; shards];
         let mut active: Vec<Box<Unit<E, W::Worker>>> = Vec::with_capacity(shards);
-        let mut outs: Vec<Outgoing<E>> = Vec::new();
         let pool = Pool::new(shards, threads, spin);
+        // The run horizon is inclusive; unit horizons are exclusive bounds.
+        let one_ns = SimDuration::from_nanos(1);
+        let run_bound = self
+            .horizon
+            .map_or(FAR_FUTURE, |h| h.saturating_add(one_ns));
         // Epoch-shape counters, reported on stderr when
         // `DREDBOX_EPOCH_DEBUG` is set: events-per-epoch and the
         // single-unit share tell whether a workload's lookahead feeds the
@@ -817,11 +780,6 @@ impl<E: Send> ShardedEngine<E> {
                 scope.spawn(move || pool.help(me, lat));
             }
 
-            // When the remaining budget is no larger than the pending
-            // event count, epochs could overshoot the cutoff; fall back
-            // to single-stepping the exact global order of `run`.
-            let mut fine_mode = false;
-
             'run: loop {
                 let remaining = match self.max_events {
                     Some(max) => {
@@ -833,24 +791,21 @@ impl<E: Send> ShardedEngine<E> {
                     None => u64::MAX,
                 };
 
-                let mut min_parallel: Option<SimTime> = None;
+                // First pass over the shards: next times, the least
+                // (time, shard), and the pending count fine mode needs.
+                let mut least: Option<(SimTime, usize)> = None;
+                let mut pending = self.serial.len() as u64;
                 for s in 0..shards {
-                    let unit = slots[s].as_ref().expect("unit is home at the barrier");
-                    let mut t = unit.lane.next_time();
-                    if let Some(b) = batches[s].min_at {
-                        t = Some(match t {
-                            Some(x) => x.min(b),
-                            None => b,
-                        });
-                    }
-                    t_eff[s] = t;
-                    if let Some(x) = t {
-                        min_parallel = Some(match min_parallel {
-                            Some(m) => m.min(x),
-                            None => x,
-                        });
+                    let lane = &slots[s].as_ref().expect("unit is home at the barrier").lane;
+                    pending += (lane.pending() + batches[s].entries.len()) as u64;
+                    t_eff[s] = next_at(lane, &batches[s]);
+                    if let Some(t) = t_eff[s] {
+                        if least.map_or(true, |(m, _)| t < m) {
+                            least = Some((t, s));
+                        }
                     }
                 }
+                let min_parallel = least.map(|(t, _)| t);
                 let serial_head = self.serial.peek().map(|e| e.at);
 
                 let global_min = match (min_parallel, serial_head) {
@@ -862,18 +817,6 @@ impl<E: Send> ShardedEngine<E> {
                 if let Some(h) = self.horizon {
                     if global_min > h {
                         break 'run RunOutcome::HorizonReached;
-                    }
-                }
-
-                if !fine_mode && self.max_events.is_some() {
-                    let pending: u64 = slots
-                        .iter()
-                        .map(|u| u.as_ref().expect("unit is home").lane.pending() as u64)
-                        .sum::<u64>()
-                        + batches.iter().map(|b| b.entries.len() as u64).sum::<u64>()
-                        + self.serial.len() as u64;
-                    if remaining <= pending {
-                        fine_mode = true;
                     }
                 }
 
@@ -891,83 +834,39 @@ impl<E: Send> ShardedEngine<E> {
                     }
                 }
 
-                if fine_mode {
-                    dbg_fine += 1;
-                    // Deliver any buffered batches, then replay exactly
-                    // one event in the global (time, shard) order.
-                    for s in 0..shards {
-                        if !batches[s].entries.is_empty() {
-                            let unit = slots[s].as_mut().expect("unit is home");
-                            batches[s].deliver(&mut unit.lane);
-                        }
-                    }
-                    let mut best: Option<(SimTime, usize)> = None;
-                    for (s, slot) in slots.iter().enumerate() {
-                        if let Some(t) = slot.as_ref().expect("unit is home").lane.next_time() {
-                            let earlier = match best {
-                                None => true,
-                                Some((bt, _)) => t < bt,
-                            };
-                            if earlier {
-                                best = Some((t, s));
+                // Second pass: each shard's horizon from the next times of
+                // the shards with a channel into it plus their latencies,
+                // capped by the serial fence and the run horizon. Walking
+                // shards in descending order leaves `active` with the
+                // lowest shard last: the quotas below rank units from the
+                // back, and the pool hands units out from there.
+                //
+                // Fine mode: once the budget left is no more than the
+                // events pending, an epoch could overshoot the serial
+                // cutoff, so only the least (time, shard) shard runs, up to
+                // `t + 1 ns`, with the whole remaining budget as its quota.
+                // Its events at `t` are the serial engine's next ones: no
+                // lower shard holds an event at `t`, and the mail they send
+                // arrives after `t`.
+                let fine = remaining <= pending;
+                let shards_to_plan = match least {
+                    Some((_, s)) if fine => s..s + 1,
+                    _ => 0..shards,
+                };
+                let fence = serial_head.map_or(run_bound, |f| f.min(run_bound));
+                for s in shards_to_plan.rev() {
+                    let Some(t_s) = t_eff[s] else { continue };
+                    let h_s = if fine {
+                        t_s.saturating_add(one_ns)
+                    } else {
+                        let mut h_s = fence;
+                        for &(q, l) in &inbound[s] {
+                            if let Some(t_q) = t_eff[q] {
+                                h_s = h_s.min(t_q.saturating_add(l));
                             }
                         }
-                    }
-                    let (_, s) = best.expect("min_parallel was Some");
-                    let unit = slots[s].as_mut().expect("unit is home");
-                    let (at, event) = unit.lane.pop().expect("peeked event must exist");
-                    self.processed += 1;
-                    self.now = self.now.max(at);
-                    let shard = ShardId(s as u32);
-                    let mut ctx = WorkerContext {
-                        shard,
-                        now: at,
-                        lane: &mut unit.lane,
-                        lat_row: &lat[s][..],
+                        h_s
                     };
-                    unit.worker
-                        .as_mut()
-                        .expect("unit carries its worker")
-                        .handle(shard, at, event, &mut ctx);
-                    // Fine mode is sequential: deliver directly.
-                    outs.append(&mut unit.lane.outbox);
-                    for out in outs.drain(..) {
-                        slots[out.to as usize]
-                            .as_mut()
-                            .expect("unit is home")
-                            .lane
-                            .inbox
-                            .push(MailEntry {
-                                at: out.at,
-                                from: shard,
-                                seq: out.seq,
-                                event: out.event,
-                            });
-                    }
-                    continue 'run;
-                }
-
-                // Parallel epoch: compute each shard's horizon from the
-                // next times of the shards with a channel into it plus
-                // their latencies, capped by the serial fence and the run
-                // horizon (inclusive, so +1 ns as an exclusive bound).
-                // Walking shards in descending order leaves `active` with
-                // the lowest shard last: the quotas below rank units from
-                // the back, and the pool hands units out from there.
-                for s in (0..shards).rev() {
-                    let Some(t_s) = t_eff[s] else { continue };
-                    let mut h_s = match self.horizon {
-                        Some(h) => h + SimDuration::from_nanos(1),
-                        None => FAR_FUTURE,
-                    };
-                    if let Some(f) = serial_head {
-                        h_s = h_s.min(f);
-                    }
-                    for &(q, l) in &inbound[s] {
-                        if let Some(t_q) = t_eff[q] {
-                            h_s = h_s.min(t_q + l);
-                        }
-                    }
                     if t_s >= h_s {
                         continue;
                     }
@@ -984,18 +883,20 @@ impl<E: Send> ShardedEngine<E> {
                     "conservative epoch made no progress; is a channel latency missing?"
                 );
                 // Each active unit holds a pending event, so outside fine
-                // mode `remaining > pending >= units` and every quota is
-                // at least one.
+                // mode `remaining > pending >= units`, and a fine epoch has
+                // one unit: every quota is at least one.
                 let units = active.len();
-                debug_assert!(remaining > units as u64, "a unit got no quota");
+                debug_assert!(remaining >= units as u64, "a unit got no quota");
                 for (rank, unit) in active.iter_mut().rev().enumerate() {
                     unit.quota = quota(remaining, units, rank);
                 }
 
-                dbg_epochs += 1;
-                dbg_units += units as u64;
-                if units == 1 {
-                    dbg_single += 1;
+                if fine {
+                    dbg_fine += 1;
+                } else {
+                    dbg_epochs += 1;
+                    dbg_units += units as u64;
+                    dbg_single += u64::from(units == 1);
                 }
                 if threads == 1 || units == 1 {
                     for unit in &mut active {
@@ -1010,9 +911,12 @@ impl<E: Send> ShardedEngine<E> {
                     pool.run_epoch(&mut active, &lat);
                 }
 
-                for unit in active.drain(..) {
+                // Bring the units home, routing each one's sends into the
+                // destination batches; the batch merge orders them by
+                // (time, source shard, send seq), whatever the routing order.
+                for mut unit in active.drain(..) {
                     if unit.processed == unit.quota
-                        && unit.lane.next_time().is_some_and(|t| t < unit.horizon)
+                        && unit.lane.next().is_some_and(|(t, _)| t < unit.horizon)
                     {
                         dbg_quota_stops += 1;
                     }
@@ -1020,21 +924,11 @@ impl<E: Send> ShardedEngine<E> {
                     if let Some(t) = unit.max_t {
                         self.now = self.now.max(t);
                     }
+                    for (to, entry) in unit.outbox.drain(..) {
+                        batches[to as usize].push(entry);
+                    }
                     let home = unit.shard as usize;
                     slots[home] = Some(unit);
-                }
-                // Route outboxes into the destination batches; the batch
-                // merge orders them by (time, source shard, send seq).
-                for (s, slot) in slots.iter_mut().enumerate() {
-                    let unit = slot.as_mut().expect("unit is home");
-                    for out in unit.lane.outbox.drain(..) {
-                        batches[out.to as usize].push(MailEntry {
-                            at: out.at,
-                            from: ShardId(s as u32),
-                            seq: out.seq,
-                            event: out.event,
-                        });
-                    }
                 }
             }
         });
@@ -1048,28 +942,21 @@ impl<E: Send> ShardedEngine<E> {
                 pool.lock().steals
             );
         }
-        // Reassemble the world and put the engine state back.
-        let parts: Vec<W::Worker> = slots
-            .iter_mut()
-            .map(|u| {
-                u.as_mut()
-                    .expect("unit is home")
-                    .worker
-                    .take()
-                    .expect("unit carries its worker")
+        // Reassemble the world and hand the lanes back, each with its
+        // undelivered mail.
+        let (lanes, parts): (Vec<Lane<E>>, Vec<W::Worker>) = slots
+            .into_iter()
+            .zip(&mut batches)
+            .map(|(slot, batch)| {
+                let Unit {
+                    mut lane, worker, ..
+                } = *slot.expect("unit is home");
+                batch.deliver(&mut lane);
+                (lane, worker.expect("unit carries its worker"))
             })
-            .collect();
+            .unzip();
         world.reunite(parts);
-        for (s, slot) in slots.into_iter().enumerate() {
-            let unit = slot.expect("unit is home");
-            debug_assert!(unit.lane.outbox.is_empty(), "outbox routed at the barrier");
-            self.queues[s] = unit.lane.queue;
-            self.mailboxes[s] = unit.lane.inbox;
-            for entry in batches[s].entries.drain(..) {
-                self.mailboxes[s].push(entry);
-            }
-            self.send_seqs[s] = unit.lane.send_seq;
-        }
+        self.lanes = lanes;
         self.rebuild_next_cache();
         outcome
     }
@@ -1115,19 +1002,11 @@ impl<E: Send> ShardedEngine<E> {
             }
             // Recomputed every iteration: staged schedules may have put
             // new parallel work in front of the next serial event.
-            let mut min_parallel: Option<SimTime> = None;
-            for s in 0..shards {
-                let unit = slots[s].as_ref().expect("unit is home");
-                let t = match (unit.lane.next_time(), batches[s].min_at) {
-                    (None, None) => continue,
-                    (Some(t), None) | (None, Some(t)) => t,
-                    (Some(a), Some(b)) => a.min(b),
-                };
-                min_parallel = Some(match min_parallel {
-                    Some(m) => m.min(t),
-                    None => t,
-                });
-            }
+            let min_parallel = slots
+                .iter()
+                .zip(batches.iter())
+                .filter_map(|(u, b)| next_at(&u.as_ref().expect("unit is home").lane, b))
+                .min();
             if let Some(p) = min_parallel {
                 if head_at > p {
                     break;
@@ -2197,6 +2076,178 @@ mod tests {
                     baseline,
                     "threads={threads} budget={budget:?} horizon={horizon:?}"
                 );
+            }
+        }
+    }
+
+    /// The observable end of a run: outcome, per-shard logs, clock,
+    /// processed count and pending count.
+    type End<T> = (RunOutcome, Vec<Vec<(SimTime, T)>>, SimTime, u64, usize);
+
+    /// Runs `world` from `engine` on the serial engine when `threads` is
+    /// 0, else on `threads` threads, and returns the end of the run with
+    /// the logs `logs` reads out of the world. The threaded runs park at
+    /// every barrier: spinning would hold a core the binary's other tests
+    /// need, and the barrier branch never changes results
+    /// (`both_barrier_branches_match_one_thread`).
+    fn run_to_end<W, T>(
+        mut engine: ShardedEngine<<W as ParallelWorld>::Event>,
+        mut world: W,
+        threads: usize,
+        logs: impl Fn(W) -> Vec<Vec<(SimTime, T)>>,
+    ) -> End<T>
+    where
+        W: ParallelWorld + ShardedProcess<Event = <W as ParallelWorld>::Event>,
+    {
+        let outcome = if threads == 0 {
+            engine.run(&mut world)
+        } else {
+            engine.run_epochs(&mut world, threads, false)
+        };
+        let (now, processed, pending) = (engine.now(), engine.processed(), engine.pending());
+        (outcome, logs(world), now, processed, pending)
+    }
+
+    /// Applies an optional budget and horizon to `engine`.
+    fn limited<E>(
+        mut engine: ShardedEngine<E>,
+        budget: Option<u64>,
+        horizon: Option<SimTime>,
+    ) -> ShardedEngine<E> {
+        if let Some(b) = budget {
+            engine = engine.with_event_budget(b);
+        }
+        if let Some(h) = horizon {
+            engine = engine.with_horizon(h);
+        }
+        engine
+    }
+
+    /// The relay ring of `seeded_engine(4)` with a hop ceiling of 2,000:
+    /// it drains after `RELAY_EVENTS` events, the last near 14 µs.
+    const RELAY_EVENTS: u64 = 3_004;
+
+    /// The skewed hub drains after `SKEWED_EVENTS` events, the last echo
+    /// near 1.04 ms.
+    const SKEWED_EVENTS: u64 = 81_817;
+
+    fn relay_end(budget: Option<u64>, horizon: Option<SimTime>, threads: usize) -> End<u32> {
+        let engine = limited(seeded_engine(4), budget, horizon);
+        run_to_end(engine, Relay::new(4, 2_000), threads, |w| w.logs)
+    }
+
+    fn skewed_end(budget: Option<u64>, horizon: Option<SimTime>, threads: usize) -> End<u64> {
+        let mut engine = limited(ShardedEngine::new(6), budget, horizon);
+        engine.schedule(ShardId(0), SimTime::ZERO, 0);
+        engine.schedule(ShardId(1), SimTime::ZERO, TOCK);
+        let world = Skewed {
+            logs: vec![Vec::new(); 6],
+        };
+        run_to_end(engine, world, threads, |w| w.logs)
+    }
+
+    /// A drawn budget: none, `small` (one of the first eight events, so
+    /// below and around the shard count), or `any` (drawn up to the
+    /// world's drain count).
+    fn drawn_budget(kind: u8, small: u64, any: u64) -> Option<u64> {
+        match kind {
+            0 => None,
+            1 => Some(small),
+            _ => Some(any),
+        }
+    }
+
+    /// A drawn horizon: none, `at`, or the last representable instant.
+    fn drawn_horizon(kind: u8, at: u64) -> Option<SimTime> {
+        match kind {
+            0 => None,
+            1 => Some(SimTime::from_nanos(at)),
+            _ => Some(SimTime::from_nanos(u64::MAX)),
+        }
+    }
+
+    proptest::proptest! {
+        /// Random budgets and horizons cut the relay ring where the
+        /// serial engine does, at 1, 2 and 3 threads: on either side of
+        /// the switch into fine mode, below the shard count, and at the
+        /// last representable horizon.
+        #[test]
+        fn random_limits_cut_the_relay_where_the_serial_engine_does(
+            budget_kind in 0u8..3,
+            small in 1u64..9,
+            any in 1u64..RELAY_EVENTS + 1,
+            horizon_kind in 0u8..3,
+            at in 0u64..15_000,
+        ) {
+            let budget = drawn_budget(budget_kind, small, any);
+            let horizon = drawn_horizon(horizon_kind, at);
+            let serial = relay_end(budget, horizon, 0);
+            for threads in [1, 2, 3] {
+                proptest::prop_assert_eq!(
+                    &relay_end(budget, horizon, threads),
+                    &serial,
+                    "threads={} budget={:?} horizon={:?}",
+                    threads,
+                    budget,
+                    horizon
+                );
+            }
+        }
+
+        /// The same on the skewed hub, whose echoes keep tens of
+        /// thousands of events pending, so most budgets reach fine mode
+        /// early and pooled epochs run under the rest. A skewed run is up
+        /// to ~82k events, so each case checks one drawn thread count
+        /// rather than all three; the 64 cases cover each many times.
+        #[test]
+        fn random_limits_cut_the_skewed_hub_where_the_serial_engine_does(
+            budget_kind in 0u8..3,
+            small in 1u64..9,
+            any in 1u64..SKEWED_EVENTS + 1,
+            horizon_kind in 0u8..3,
+            at in 0u64..1_050_000,
+            threads in 1usize..4,
+        ) {
+            let budget = drawn_budget(budget_kind, small, any);
+            let horizon = drawn_horizon(horizon_kind, at);
+            proptest::prop_assert_eq!(
+                skewed_end(budget, horizon, threads),
+                skewed_end(budget, horizon, 0),
+                "threads={} budget={:?} horizon={:?}",
+                threads,
+                budget,
+                horizon
+            );
+        }
+    }
+
+    /// The drain counts the proptests draw budgets up to.
+    #[test]
+    fn the_drawn_worlds_drain_at_their_declared_counts() {
+        assert_eq!(relay_end(None, None, 0).3, RELAY_EVENTS);
+        assert_eq!(skewed_end(None, None, 0).3, SKEWED_EVENTS);
+    }
+
+    /// A horizon at the last representable instant: the epoch runner's
+    /// exclusive bounds saturate instead of overflowing, and `run_threaded`
+    /// drains, or stops at a budget, exactly as the serial engine does.
+    #[test]
+    fn a_maximal_horizon_matches_serial() {
+        let last = Some(SimTime::from_nanos(u64::MAX));
+        for budget in [None, Some(937)] {
+            let serial = relay_end(budget, last, 0);
+            for threads in [1, 2, 4] {
+                let mut engine = limited(seeded_engine(4), budget, last);
+                let mut world = Relay::new(4, 2_000);
+                let outcome = engine.run_threaded(&mut world, threads);
+                let end = (
+                    outcome,
+                    world.logs,
+                    engine.now(),
+                    engine.processed(),
+                    engine.pending(),
+                );
+                assert_eq!(end, serial, "threads={threads} budget={budget:?}");
             }
         }
     }

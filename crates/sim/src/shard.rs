@@ -3,12 +3,15 @@
 //!
 //! A [`ShardedEngine`] runs one event calendar per *shard* — a rack in the
 //! dReDBox scenarios, plus the cluster front door on a federation; a
-//! single-rack replay is one shard. It has two run loops over the same
-//! calendars: the single-threaded [`ShardedEngine::run`] below, and the
-//! conservative epoch runner [`ShardedEngine::run_threaded`]
-//! ([`crate::parallel`]), which drives every scenario replay on one or
-//! more threads. The serial loop is the reference order the epoch runner
-//! is tested against.
+//! single-rack replay is one shard. Each shard's pending state — its
+//! calendar, its mailbox and its send counter — is one lane, and two run
+//! loops share that lane type: the single-threaded [`ShardedEngine::run`]
+//! below, and the conservative epoch runner
+//! [`ShardedEngine::run_threaded`] ([`crate::parallel`]), which drives
+//! every scenario replay on one or more threads. Both pop, tie-break and
+//! stamp sends through the lane, so the local-before-mail rule below is
+//! decided in one place. The serial loop is the reference order the
+//! epoch runner is tested against.
 //!
 //! # Ordering contract
 //!
@@ -96,9 +99,10 @@ impl<E> MailEntry<E> {
     /// Packs (arrival time, source shard, send seq) into one integer so
     /// the merge comparison is branchless: time in the high 64 bits, then
     /// 16 bits of source shard, then the low 48 bits of the send seq.
-    /// [`ShardedEngine::new`] caps shards at 2^16 and a 48-bit per-source
-    /// send count is beyond any feasible run, so the packing is lossless
-    /// in practice; both bounds are debug-asserted at the send site.
+    /// [`ShardedEngine::new`] caps shards at 2^16, and [`Lane::mail`],
+    /// which stamps every send of both run loops, debug-asserts that the
+    /// seq fits in 48 bits (beyond any feasible run), so the packing is
+    /// lossless.
     fn merge_key(&self) -> u128 {
         (u128::from(self.at.as_nanos()) << 64)
             | (u128::from(self.from.0) << 48)
@@ -127,6 +131,91 @@ impl<E> Ord for MailEntry<E> {
     }
 }
 
+/// Where a shard's next event comes from: its own calendar or its mailbox.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source {
+    Local,
+    Mailbox,
+}
+
+/// One shard's pending state, the same in both run loops: its own
+/// calendar, its mailbox of cross-shard arrivals, and its send counter.
+/// [`ShardedEngine::run`] keeps every lane in place; the epoch runner
+/// moves each one to whichever thread runs the shard.
+#[derive(Debug)]
+pub(crate) struct Lane<E> {
+    pub(crate) queue: EventQueue<E>,
+    pub(crate) inbox: BinaryHeap<MailEntry<E>>,
+    /// This shard's count of cross-shard sends. Mail entries that tie on
+    /// (arrival time, source shard) share a source, and a per-source
+    /// counter is monotone in that source's send order, so the merge is
+    /// the one a global counter would give — and each thread running a
+    /// shard owns its counter.
+    send_seq: u64,
+}
+
+impl<E> Lane<E> {
+    fn new() -> Self {
+        Lane {
+            queue: EventQueue::new(),
+            inbox: BinaryHeap::new(),
+            send_seq: 0,
+        }
+    }
+
+    /// The time of the lane's next event and where it comes from, `None`
+    /// when the lane is idle. At equal times the local calendar goes
+    /// before the mailbox; this is the one place that tie is decided.
+    #[inline]
+    pub(crate) fn next(&self) -> Option<(SimTime, Source)> {
+        match (self.queue.peek_time(), self.inbox.peek().map(|e| e.at)) {
+            (Some(l), Some(m)) if m < l => Some((m, Source::Mailbox)),
+            (Some(l), _) => Some((l, Source::Local)),
+            (None, Some(m)) => Some((m, Source::Mailbox)),
+            (None, None) => None,
+        }
+    }
+
+    /// Pops the next event from `src`, as [`Lane::next`] reported it.
+    #[inline]
+    pub(crate) fn pop(&mut self, src: Source) -> (SimTime, E) {
+        match src {
+            Source::Local => self.queue.pop(),
+            Source::Mailbox => self.inbox.pop().map(|e| (e.at, e.event)),
+        }
+        .expect("a lane pops only the event it reported")
+    }
+
+    /// Stamps a cross-shard send from this lane's shard `from` with the
+    /// lane's next send seq.
+    pub(crate) fn mail(&mut self, from: ShardId, at: SimTime, event: E) -> MailEntry<E> {
+        let seq = self.send_seq;
+        self.send_seq += 1;
+        debug_assert!(
+            seq < (1 << 48),
+            "per-source send seq overflows the merge key"
+        );
+        MailEntry {
+            at,
+            from,
+            seq,
+            event,
+        }
+    }
+
+    /// Events pending in the calendar and the mailbox.
+    pub(crate) fn pending(&self) -> usize {
+        self.queue.len() + self.inbox.len()
+    }
+}
+
+/// Writes `lane`'s next event into its slots of the flat next-event
+/// cache, [`IDLE`] when the lane has nothing pending.
+#[inline]
+fn cache_next<E>(lane: &Lane<E>, time: &mut SimTime, src: &mut Source) {
+    (*time, *src) = lane.next().unwrap_or((IDLE, Source::Local));
+}
+
 /// A process partitioned across shards: reacts to events of type `E`
 /// delivered on a given shard, scheduling follow-ups through the
 /// [`ShardContext`].
@@ -151,11 +240,10 @@ pub trait ShardedProcess {
 pub struct ShardContext<'a, E> {
     shard: ShardId,
     now: SimTime,
-    local: &'a mut EventQueue<E>,
-    mailboxes: &'a mut [BinaryHeap<MailEntry<E>>],
-    send_seq: &'a mut u64,
-    /// The engine's flat next-event cache: a send lowers the destination
-    /// slot in place, so the engine never re-peeks untouched shards.
+    lanes: &'a mut [Lane<E>],
+    /// The engine's flat next-event cache: a send refreshes the
+    /// destination's slots in place, so the engine never re-peeks
+    /// untouched shards.
     next_times: &'a mut [SimTime],
     next_srcs: &'a mut [Source],
     /// Whether the handler sent to another shard's mailbox; a send can
@@ -173,7 +261,7 @@ impl<E> ShardContext<'_, E> {
     /// Panics if `at` is earlier than the current clock.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule an event in the past");
-        self.local.schedule(at, event);
+        self.lanes[self.shard.0 as usize].queue.schedule(at, event);
     }
 
     /// Sends `event` to shard `to`, arriving at absolute time `at`. A send
@@ -191,39 +279,16 @@ impl<E> ShardContext<'_, E> {
             return;
         }
         assert!(at >= self.now, "cannot send an event into the past");
-        let seq = *self.send_seq;
-        *self.send_seq += 1;
-        debug_assert!(
-            seq < (1 << 48),
-            "per-source send seq overflows the merge key"
-        );
-        self.mailboxes
-            .get_mut(to.0 as usize)
-            .unwrap_or_else(|| panic!("{to} is not a shard of this engine"))
-            .push(MailEntry {
-                at,
-                from: self.shard,
-                seq,
-                event,
-            });
-        // A strictly earlier arrival takes over the destination's cached
-        // next-event slot; at equal times the existing slot wins (a local
-        // event outranks mail, and an older mail entry outranks a newer).
-        if at < self.next_times[to.0 as usize] {
-            self.next_times[to.0 as usize] = at;
-            self.next_srcs[to.0 as usize] = Source::Mailbox;
-        }
+        let entry = self.lanes[self.shard.0 as usize].mail(self.shard, at, event);
+        let dest = to.0 as usize;
+        let lane = self
+            .lanes
+            .get_mut(dest)
+            .unwrap_or_else(|| panic!("{to} is not a shard of this engine"));
+        lane.inbox.push(entry);
+        cache_next(lane, &mut self.next_times[dest], &mut self.next_srcs[dest]);
         self.sent = true;
     }
-}
-
-/// Where a shard's next event comes from: its own calendar or its mailbox.
-/// Local sorts first so that, at equal times, locally scheduled events
-/// fire before cross-shard arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Source {
-    Local,
-    Mailbox,
 }
 
 /// A serial event: executes at an epoch barrier of
@@ -268,19 +333,12 @@ impl<E> Ord for SerialEntry<E> {
 #[derive(Debug)]
 pub struct ShardedEngine<E> {
     pub(crate) now: SimTime,
-    pub(crate) queues: Vec<EventQueue<E>>,
-    pub(crate) mailboxes: Vec<BinaryHeap<MailEntry<E>>>,
-    /// One send counter per *source* shard. The mailbox merge key is
-    /// (arrival time, source shard, send seq): entries that tie on the
-    /// first two components necessarily share a source, and a per-source
-    /// counter is monotone in that source's send order, so the merge is
-    /// bit-identical to the former global counter — and, unlike a global
-    /// counter, each worker thread owns its own.
-    pub(crate) send_seqs: Vec<u64>,
+    /// Each shard's calendar, mailbox and send counter.
+    pub(crate) lanes: Vec<Lane<E>>,
     /// Cached time of each shard's next event, [`IDLE`] when the shard
-    /// has nothing pending. Kept in lockstep with the queues and
-    /// mailboxes so the per-pop global argmin is a branch-free min scan
-    /// of a flat time vector instead of two heap peeks per shard.
+    /// has nothing pending. Kept in lockstep with the lanes so the
+    /// per-pop global argmin is a branch-free min scan of a flat time
+    /// vector instead of two heap peeks per shard.
     next_times: Vec<SimTime>,
     /// Source of each cached next time; meaningful only where the
     /// matching [`ShardedEngine::next_times`] slot is not [`IDLE`].
@@ -309,9 +367,7 @@ impl<E> ShardedEngine<E> {
         );
         ShardedEngine {
             now: SimTime::ZERO,
-            queues: (0..shards).map(|_| EventQueue::new()).collect(),
-            mailboxes: (0..shards).map(|_| BinaryHeap::new()).collect(),
-            send_seqs: vec![0; shards],
+            lanes: (0..shards).map(|_| Lane::new()).collect(),
             next_times: vec![IDLE; shards],
             next_srcs: vec![Source::Local; shards],
             serial: BinaryHeap::new(),
@@ -348,9 +404,7 @@ impl<E> ShardedEngine<E> {
     /// serial barrier queue.
     #[cfg(test)]
     pub(crate) fn pending(&self) -> usize {
-        self.queues.iter().map(EventQueue::len).sum::<usize>()
-            + self.mailboxes.iter().map(BinaryHeap::len).sum::<usize>()
-            + self.serial.len()
+        self.lanes.iter().map(Lane::pending).sum::<usize>() + self.serial.len()
     }
 
     /// Schedules `event` on `shard`'s calendar at absolute time `at`.
@@ -361,9 +415,10 @@ impl<E> ShardedEngine<E> {
     /// of range.
     pub fn schedule(&mut self, shard: ShardId, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule an event in the past");
-        self.queues
+        self.lanes
             .get_mut(shard.0 as usize)
             .unwrap_or_else(|| panic!("{shard} is not a shard of this engine"))
+            .queue
             .schedule(at, event);
         self.refresh_next(shard.0 as usize);
     }
@@ -383,9 +438,10 @@ impl<E> ShardedEngine<E> {
         batch: I,
     ) {
         let now = self.now;
-        self.queues
+        self.lanes
             .get_mut(shard.0 as usize)
             .unwrap_or_else(|| panic!("{shard} is not a shard of this engine"))
+            .queue
             .schedule_sorted(batch.into_iter().inspect(|(at, _)| {
                 assert!(*at >= now, "cannot schedule an event in the past");
             }));
@@ -405,7 +461,7 @@ impl<E> ShardedEngine<E> {
     pub fn schedule_serial(&mut self, shard: ShardId, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule an event in the past");
         assert!(
-            (shard.0 as usize) < self.queues.len(),
+            (shard.0 as usize) < self.lanes.len(),
             "{shard} is not a shard of this engine"
         );
         let seq = self.serial_seq;
@@ -418,31 +474,19 @@ impl<E> ShardedEngine<E> {
         });
     }
 
-    /// Recomputes the cached next-event slot of `shard` from its heaps.
-    pub(crate) fn refresh_next(&mut self, shard: usize) {
-        let local = self.queues[shard].peek_time();
-        let mail = self.mailboxes[shard].peek().map(|e| e.at);
-        let (t, src) = match (local, mail) {
-            (None, None) => (IDLE, Source::Local),
-            (Some(t), None) => (t, Source::Local),
-            (None, Some(t)) => (t, Source::Mailbox),
-            (Some(l), Some(m)) => {
-                // At equal times the local calendar wins over the mailbox.
-                if m < l {
-                    (m, Source::Mailbox)
-                } else {
-                    (l, Source::Local)
-                }
-            }
-        };
-        self.next_times[shard] = t;
-        self.next_srcs[shard] = src;
+    /// Recomputes the cached next-event slot of `shard` from its lane.
+    fn refresh_next(&mut self, shard: usize) {
+        cache_next(
+            &self.lanes[shard],
+            &mut self.next_times[shard],
+            &mut self.next_srcs[shard],
+        );
     }
 
     /// Rebuilds every cached next-event slot (used after bulk surgery on
-    /// the queues, e.g. when `run_threaded` reassembles its lanes).
+    /// the lanes, e.g. when `run_threaded` hands them back).
     pub(crate) fn rebuild_next_cache(&mut self) {
-        for shard in 0..self.queues.len() {
+        for shard in 0..self.lanes.len() {
             self.refresh_next(shard);
         }
     }
@@ -463,43 +507,21 @@ impl<E> ShardedEngine<E> {
         if best_s == usize::MAX {
             // Every slot reads the sentinel: the engine is drained —
             // unless an event is genuinely scheduled at the sentinel
-            // time itself, which only a direct heap peek can tell.
+            // time itself, which only a look at the lanes can tell.
             return self.global_next_slow();
         }
         Some((best_t, best_s, self.next_srcs[best_s]))
     }
 
     /// Sentinel-collision fallback for [`ShardedEngine::global_next`]:
-    /// peeks the heaps directly to find an event scheduled at [`IDLE`].
+    /// asks every lane directly, to find an event scheduled at [`IDLE`].
     #[cold]
     fn global_next_slow(&self) -> Option<(SimTime, usize, Source)> {
-        let mut best: Option<(SimTime, usize, Source)> = None;
-        for shard in 0..self.queues.len() {
-            let local = self.queues[shard].peek_time();
-            let mail = self.mailboxes[shard].peek().map(|e| e.at);
-            let slot = match (local, mail) {
-                (None, None) => None,
-                (Some(t), None) => Some((t, Source::Local)),
-                (None, Some(t)) => Some((t, Source::Mailbox)),
-                (Some(l), Some(m)) => {
-                    if m < l {
-                        Some((m, Source::Mailbox))
-                    } else {
-                        Some((l, Source::Local))
-                    }
-                }
-            };
-            if let Some((t, src)) = slot {
-                let earlier = match best {
-                    None => true,
-                    Some((bt, _, _)) => t < bt,
-                };
-                if earlier {
-                    best = Some((t, shard, src));
-                }
-            }
-        }
-        best
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(shard, lane)| lane.next().map(|(t, src)| (t, shard, src)))
+            .min_by_key(|&(t, shard, _)| (t, shard))
     }
 
     /// Runs the simulation single-threaded until every calendar and
@@ -538,29 +560,21 @@ impl<E> ShardedEngine<E> {
                     return RunOutcome::HorizonReached;
                 }
             }
-            let (at, event) = match source {
-                Source::Local => self.queues[shard].pop().expect("peeked event must exist"),
-                Source::Mailbox => {
-                    let entry = self.mailboxes[shard].pop().expect("peeked mail must exist");
-                    (entry.at, entry.event)
-                }
-            };
+            let (at, event) = self.lanes[shard].pop(source);
             debug_assert!(at >= self.now, "shard produced a time in the past");
             self.now = at;
             self.processed += 1;
             let mut ctx = ShardContext {
                 shard: ShardId(shard as u32),
                 now: at,
-                local: &mut self.queues[shard],
-                mailboxes: &mut self.mailboxes,
-                send_seq: &mut self.send_seqs[shard],
+                lanes: &mut self.lanes,
                 next_times: &mut self.next_times,
                 next_srcs: &mut self.next_srcs,
                 sent: false,
             };
             world.handle(ShardId(shard as u32), at, event, &mut ctx);
             let sent = ctx.sent;
-            // Sends already lowered their destinations' cached slots in
+            // Sends already refreshed their destinations' cached slots in
             // place; only the fired shard's own slot needs a re-peek.
             self.refresh_next(shard);
             if !sent && at < IDLE && self.next_times[shard] == at {

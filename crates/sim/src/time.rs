@@ -93,6 +93,12 @@ impl SimTime {
     pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
+
+    /// `self + d`, clamped to the last representable instant instead of
+    /// overflowing; the epoch runner's exclusive bounds go through it.
+    pub(crate) const fn saturating_add(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
 }
 
 /// `x.round() as u64` for a finite, non-negative `x`, in integer
@@ -290,6 +296,21 @@ mod tests {
         let b = SimTime::from_nanos(20);
         assert_eq!(a.saturating_duration_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_duration_since(a), SimDuration::from_nanos(10));
+    }
+
+    #[test]
+    fn saturating_add_clamps_to_the_last_instant() {
+        let last = SimTime::from_nanos(u64::MAX);
+        let one = SimDuration::from_nanos(1);
+        assert_eq!(
+            SimTime::from_nanos(7).saturating_add(one),
+            SimTime::from_nanos(8)
+        );
+        assert_eq!(last.saturating_add(one), last);
+        assert_eq!(
+            SimTime::from_nanos(u64::MAX - 1).saturating_add(SimDuration::from_secs(1)),
+            last
+        );
     }
 
     #[test]

@@ -457,3 +457,21 @@ fn single_rack_failure_storm_matches_the_pinned_renders() {
         }
     }
 }
+
+/// A horizon at the last representable instant neither overflows the
+/// epoch runner's exclusive bounds nor stalls it: a single rack and a
+/// federation run under a 20k-event budget and give the same report at 1
+/// and 2 threads.
+#[test]
+fn a_maximal_horizon_runs_alike_at_every_thread_count() {
+    for mut spec in [ScenarioSpec::steady_state(), ScenarioSpec::datacenter()] {
+        spec.horizon = SimTime::from_nanos(u64::MAX);
+        spec.event_budget = 20_000;
+        let render = |threads: usize| {
+            let report = spec.run_with_threads(2018, threads).expect("scenario runs");
+            assert!(report.events <= spec.event_budget, "{}", spec.name);
+            format!("{report:#?}\n{report}")
+        };
+        assert!(render(1) == render(2), "{} drifted at 2 threads", spec.name);
+    }
+}
