@@ -5,8 +5,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::hint::black_box;
 
 use dredbox::bricks::BrickId;
-use dredbox::orchestrator::{ScaleUpDemand, SdmController};
+use dredbox::orchestrator::{ScaleUpDemand, SdmController, SdmTimings};
 use dredbox::prelude::*;
+use dredbox::sim::queue::ControlPlaneQueue;
 use dredbox::sim::units::ByteSize;
 
 fn controller_with(concurrency: usize) -> SdmController {
@@ -30,7 +31,15 @@ fn bench_sdm_burst(c: &mut Criterion) {
             |b, demands| {
                 b.iter_batched(
                     || controller_with(concurrency),
-                    |mut sdm| sdm.scale_up_burst(black_box(demands)),
+                    |mut sdm| {
+                        let mut queue = ControlPlaneQueue::new(
+                            SdmTimings::dredbox_default().queued_request_penalty,
+                        );
+                        for demand in black_box(demands) {
+                            let grant = sdm.handle_scale_up(*demand).expect("burst fits");
+                            black_box(queue.admit(SimTime::ZERO, grant.service_time));
+                        }
+                    },
                     BatchSize::SmallInput,
                 )
             },

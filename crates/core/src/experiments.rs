@@ -23,10 +23,11 @@ use dredbox_optical::{
     BerMeasurementCampaign, FecMode, LinkBudget, MidBoardOptics, OpticalCircuitSwitch,
     ReceiverModel,
 };
-use dredbox_orchestrator::{ScaleUpDemand, SdmController};
+use dredbox_orchestrator::{ScaleUpDemand, SdmController, SdmTimings};
+use dredbox_sim::queue::ControlPlaneQueue;
 use dredbox_sim::report::{Figure, Series, Table};
 use dredbox_sim::rng::SimRng;
-use dredbox_sim::time::SimDuration;
+use dredbox_sim::time::SimTime;
 use dredbox_sim::units::ByteSize;
 use dredbox_softstack::{BaremetalOs, Hypervisor, ScaleOutBaseline, ScaleUpController, VmSpec};
 use dredbox_tco::TcoStudy;
@@ -160,20 +161,25 @@ fn fig10_point(concurrency: usize, seed: u64) -> (f64, f64) {
         hypervisors.push((hv, vm));
     }
 
-    // Every VM posts one scale-up request in the same interval.
+    // Every VM posts one scale-up request in the same interval. The SDM
+    // controller is one autonomous service, so the requests queue: each
+    // completion includes the service of the requests ahead of it plus the
+    // per-queued-request contention penalty — the "aggressiveness of
+    // scale-up concurrency" effect of Figure 10.
     let demands: Vec<ScaleUpDemand> = (0..concurrency)
         .map(|i| ScaleUpDemand::new(BrickId(i as u32), ByteSize::from_gib(rng.range(1u64..=16))))
         .collect();
-    let grants = sdm.scale_up_burst(&demands);
-    assert_eq!(grants.len(), concurrency, "every request must be served");
-
+    let mut queue = ControlPlaneQueue::new(SdmTimings::dredbox_default().queued_request_penalty);
     let mut total_delay_secs = 0.0;
-    for (idx, (grant, completion)) in grants.iter().enumerate() {
-        let (hv, vm) = &mut hypervisors[idx];
+    for (demand, (hv, vm)) in demands.into_iter().zip(&mut hypervisors) {
+        let grant = sdm
+            .handle_scale_up(demand)
+            .expect("every request must be served");
+        let completion = queue.admit(SimTime::ZERO, grant.service_time).completion;
         let outcome = scaleup
             .apply_grant(hv, *vm, grant.demand.amount)
             .expect("grant applies to the running VM");
-        let per_vm: SimDuration = *completion + outcome.total();
+        let per_vm = completion.duration_since(SimTime::ZERO) + outcome.total();
         total_delay_secs += per_vm.as_secs_f64();
     }
     let scale_up_avg = total_delay_secs / concurrency as f64;

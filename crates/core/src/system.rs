@@ -703,7 +703,7 @@ impl DredboxSystem {
             }
         };
         let orch = match self.sdm.release_scale_up(&grant) {
-            Ok(o) => o,
+            Ok((o, _)) => o,
             Err(e) => {
                 self.vms
                     .get_mut(handle_key(handle))
@@ -1012,11 +1012,19 @@ impl DredboxSystem {
                 OrchestratorError::NoSuchOffloadSession { session },
             ));
         }
-        let release = self.sdm.end_offload(session)?;
+        let service_time = self.close_session(session)?;
         self.offload_owners.remove(&session);
         if let Some(record) = self.vms.get_mut(handle_key(owner)) {
             record.offloads.retain(|s| *s != session);
         }
+        Ok(service_time)
+    }
+
+    /// Ends one offload session on the SDM controller and on the rack's
+    /// accelerator brick, leaving the owner map and the VM record to the
+    /// caller. Returns the controller service time of the release.
+    fn close_session(&mut self, session: OffloadSessionId) -> Result<SimDuration, SystemError> {
+        let release = self.sdm.end_offload(session)?;
         if let Some(accel) = self
             .rack
             .brick_mut(release.session.accel_brick)
@@ -1180,50 +1188,10 @@ impl DredboxSystem {
     ///
     /// Fails if the handle is unknown.
     pub fn release_vm(&mut self, handle: VmHandle) -> Result<(), SystemError> {
-        let record = self
-            .vms
-            .remove(handle_key(handle))
+        let (record, _) = self
+            .retire(handle)
             .ok_or(SystemError::NoSuchVm { handle })?;
-        // Drain the VM's live offload sessions so the accelerators, ledger
-        // holds and circuits don't leak when a guest departs mid-session.
-        for session in &record.offloads {
-            if let Ok(release) = self.sdm.end_offload(*session) {
-                self.offload_owners.remove(session);
-                if let Some(accel) = self
-                    .rack
-                    .brick_mut(release.session.accel_brick)
-                    .and_then(|b| b.as_accelerator_mut())
-                {
-                    let _ = accel.end_session();
-                }
-            }
-        }
-        if let Some(hv) = self
-            .hypervisors
-            .get_mut(record.brick.0 as usize)
-            .and_then(|h| h.as_mut())
-        {
-            let _ = hv.destroy_vm(record.vm);
-            // Offline what the grants onlined, so the baremetal OS's view of
-            // remote memory does not inflate across admit/depart cycles.
-            for grant in &record.grants {
-                let _ = hv.os_mut().offline_remote(grant.grant.total());
-            }
-        }
-        for grant in &record.grants {
-            let _ = self.sdm.release_scale_up(grant);
-            self.remove_grant_from_rack(record.brick, grant);
-        }
-        // Return the cores to the SDM controller's availability view, so the
-        // brick can host future arrivals.
-        let _ = self.sdm.release_vm(record.brick, record.vcpus);
-        if let Some(compute) = self
-            .rack
-            .brick_mut(record.brick)
-            .and_then(|b| b.as_compute_mut())
-        {
-            let _ = compute.release_cores(record.vcpus);
-        }
+        self.give_back(&record);
         Ok(())
     }
 
@@ -1412,46 +1380,21 @@ impl DredboxSystem {
             .map(|(key, r)| (r.seq, VmHandle(key.to_u64())))
             .collect();
         affected.sort_unstable_by_key(|(seq, _)| *seq);
-        let mut sessions = Vec::new();
         for (_, handle) in affected {
-            self.vm_offloads_into(handle, &mut sessions);
-            for &session in &sessions {
-                if self.end_offload(session).is_ok() {
-                    report.sessions_dropped += 1;
-                }
-            }
-            let Some(record) = self.vms.remove(handle_key(handle)) else {
+            let Some(memory) = self.vms.get(handle_key(handle)).map(|r| {
+                self.hypervisor(r.brick)
+                    .and_then(|hv| hv.vm(r.vm))
+                    .map_or(ByteSize::ZERO, |vm| vm.current_memory())
+            }) else {
                 continue;
             };
-            let memory = self
-                .hypervisor(record.brick)
-                .and_then(|hv| hv.vm(record.vm))
-                .map(|vm| vm.current_memory())
-                .unwrap_or(ByteSize::ZERO);
-            if let Some(hv) = self
-                .hypervisors
-                .get_mut(record.brick.0 as usize)
-                .and_then(|h| h.as_mut())
-            {
-                let _ = hv.destroy_vm(record.vm);
-                for grant in &record.grants {
-                    let _ = hv.os_mut().offline_remote(grant.grant.total());
-                }
-            }
+            let Some((record, sessions)) = self.retire(handle) else {
+                continue;
+            };
+            report.sessions_dropped += sessions;
             // Surviving segments release normally; the dead brick's are
-            // tolerated (and counted) by the lossy release.
-            for grant in &record.grants {
-                let _ = self.sdm.release_scale_up_lossy(grant);
-                self.remove_grant_from_rack(record.brick, grant);
-            }
-            let _ = self.sdm.release_vm(record.brick, record.vcpus);
-            if let Some(c) = self
-                .rack
-                .brick_mut(record.brick)
-                .and_then(|b| b.as_compute_mut())
-            {
-                let _ = c.release_cores(record.vcpus);
-            }
+            // skipped (and counted) by the release.
+            self.give_back(&record);
             match self.allocate_vm(record.vcpus, memory) {
                 Ok(vm) => report.restarted.push((handle, vm)),
                 Err(_) => report.lost += 1,
@@ -1590,28 +1533,11 @@ impl DredboxSystem {
     pub fn reclaim_orphans(&mut self) -> OrphanReclaim {
         let orphans = std::mem::take(&mut self.orphans);
         let mut out = OrphanReclaim::default();
-        for record in orphans {
+        for record in &orphans {
             out.vms += 1;
-            for grant in &record.grants {
-                let total = grant.grant.total();
-                match self.sdm.release_scale_up_lossy(grant) {
-                    Ok((_service, lost)) => {
-                        out.reclaimed +=
-                            ByteSize::from_bytes(total.as_bytes().saturating_sub(lost.as_bytes()));
-                        out.unreclaimable += lost;
-                    }
-                    Err(_) => out.unreclaimable += total,
-                }
-                self.remove_grant_from_rack(record.brick, grant);
-            }
-            let _ = self.sdm.release_vm(record.brick, record.vcpus);
-            if let Some(c) = self
-                .rack
-                .brick_mut(record.brick)
-                .and_then(|b| b.as_compute_mut())
-            {
-                let _ = c.release_cores(record.vcpus);
-            }
+            let (reclaimed, lost) = self.give_back(record);
+            out.reclaimed += reclaimed;
+            out.unreclaimable += lost;
         }
         out
     }
@@ -1621,20 +1547,28 @@ impl DredboxSystem {
     /// orphan list with its pool segments still committed. Returns the
     /// orphaned bytes.
     fn strand_vm(&mut self, handle: VmHandle) -> ByteSize {
-        let Some(record) = self.vms.remove(handle_key(handle)) else {
+        let Some((record, _)) = self.retire(handle) else {
             return ByteSize::ZERO;
         };
-        for session in &record.offloads {
-            if let Ok(release) = self.sdm.end_offload(*session) {
-                if let Some(accel) = self
-                    .rack
-                    .brick_mut(release.session.accel_brick)
-                    .and_then(|b| b.as_accelerator_mut())
-                {
-                    let _ = accel.end_session();
-                }
+        let orphaned: ByteSize = record.grants.iter().map(|g| g.grant.total()).sum();
+        self.orphans.push(record);
+        orphaned
+    }
+
+    /// The first half of every VM exit: takes the record out of the arena,
+    /// ends its offload sessions, destroys the guest and offlines the
+    /// memory its grants onlined, so the baremetal OS's view of remote
+    /// memory does not inflate across admit/depart cycles. The grants and
+    /// cores stay committed until [`DredboxSystem::give_back`]. Returns the
+    /// record and the number of sessions the controller ended.
+    fn retire(&mut self, handle: VmHandle) -> Option<(VmRecord, u32)> {
+        let record = self.vms.remove(handle_key(handle))?;
+        let mut sessions = 0;
+        for &session in &record.offloads {
+            self.offload_owners.remove(&session);
+            if self.close_session(session).is_ok() {
+                sessions += 1;
             }
-            self.offload_owners.remove(session);
         }
         if let Some(hv) = self
             .hypervisors
@@ -1646,9 +1580,35 @@ impl DredboxSystem {
                 let _ = hv.os_mut().offline_remote(grant.grant.total());
             }
         }
-        let orphaned: ByteSize = record.grants.iter().map(|g| g.grant.total()).sum();
-        self.orphans.push(record);
-        orphaned
+        Some((record, sessions))
+    }
+
+    /// The second half of every VM exit: releases each grant to the pool
+    /// and off the rack's bricks, then un-books the VM's cores on the SDM
+    /// controller and on its brick. Returns the bytes returned to the pool
+    /// and the bytes already lost with a failed dMEMBRICK.
+    fn give_back(&mut self, record: &VmRecord) -> (ByteSize, ByteSize) {
+        let (mut reclaimed, mut lost) = (ByteSize::ZERO, ByteSize::ZERO);
+        for grant in &record.grants {
+            let total = grant.grant.total();
+            match self.sdm.release_scale_up(grant) {
+                Ok((_, gone)) => {
+                    reclaimed += total - gone;
+                    lost += gone;
+                }
+                Err(_) => lost += total,
+            }
+            self.remove_grant_from_rack(record.brick, grant);
+        }
+        let _ = self.sdm.release_vm(record.brick, record.vcpus);
+        if let Some(compute) = self
+            .rack
+            .brick_mut(record.brick)
+            .and_then(|b| b.as_compute_mut())
+        {
+            let _ = compute.release_cores(record.vcpus);
+        }
+        (reclaimed, lost)
     }
 
     fn apply_grant_to_rack(&mut self, compute: BrickId, grant: &ScaleUpGrant) {

@@ -19,8 +19,7 @@ use dredbox_memory::{
     AllocationPolicy, MemoryError, MemoryGrant, MemoryPool, MemorySegment, PickStrategy,
 };
 use dredbox_sim::flat::{FlatMap, FlatSet, InlineVec};
-use dredbox_sim::queue::ControlPlaneQueue;
-use dredbox_sim::time::{SimDuration, SimTime};
+use dredbox_sim::time::SimDuration;
 use dredbox_sim::units::{Bandwidth, ByteSize};
 
 use crate::accel_index::{AccelIndex, AccelSlot};
@@ -48,7 +47,7 @@ pub struct SdmTimings {
     /// Extra scheduler/state-store contention charged per request found
     /// queued ahead of an arrival at the controller (the SDM-side analogue
     /// of `ScaleOutBaseline::per_concurrent_penalty`, charged through
-    /// [`ControlPlaneQueue`]).
+    /// [`ControlPlaneQueue`](dredbox_sim::queue::ControlPlaneQueue)).
     pub queued_request_penalty: SimDuration,
 }
 
@@ -672,16 +671,58 @@ impl SdmController {
         }
         self.ledger
             .release_committed(Some(brick), vcpus, ByteSize::ZERO)?;
-        let state = self.compute.get_mut(brick).expect("checked above");
-        let holders = state.vm_cores.get_mut(&vcpus).expect("checked above");
+        self.unbook_cores(brick, vcpus);
+        self.sync_capacity(brick);
+        Ok(self.timings.request_rpc + self.timings.reservation_write)
+    }
+
+    /// Takes one VM of `vcpus` cores off a compute brick's core tallies and
+    /// returns the brick's state; the caller has checked that the brick
+    /// holds such a VM and re-syncs its capacity slot.
+    fn unbook_cores(&mut self, brick: BrickId, vcpus: u32) -> &mut ComputeState {
+        let state = self
+            .compute
+            .get_mut(brick)
+            .expect("caller checked the brick");
+        let holders = state
+            .vm_cores
+            .get_mut(&vcpus)
+            .expect("caller checked the core count");
         *holders -= 1;
         if *holders == 0 {
             state.vm_cores.remove(&vcpus);
         }
         state.used_cores -= vcpus;
         state.vm_count -= 1;
-        self.sync_capacity(brick);
-        Ok(self.timings.request_rpc + self.timings.reservation_write)
+        state
+    }
+
+    /// Unmaps RMST routes from a compute brick's agent, then tears down the
+    /// circuits towards `membricks` that no remaining route needs, so the
+    /// controller's circuit view tracks the data path (and a later scale-up
+    /// towards such a dMEMBRICK re-programs the switch, as the hardware
+    /// would). Returns the control-plane time spent and the circuits torn
+    /// down.
+    fn drain_routes(
+        &mut self,
+        brick: BrickId,
+        bases: impl IntoIterator<Item = u64>,
+        membricks: impl IntoIterator<Item = BrickId>,
+    ) -> (SimDuration, u32) {
+        let mut service_time = SimDuration::ZERO;
+        if let Some(agent) = self.agents.get_mut(brick) {
+            for base in bases {
+                if let Ok(t) = agent.apply_detach(base) {
+                    service_time += self.timings.agent_push + t;
+                }
+            }
+        }
+        let torn_down = self.tear_down_unused_circuits(brick, membricks);
+        service_time += self
+            .timings
+            .circuit_switch_program
+            .saturating_mul(u64::from(torn_down));
+        (service_time, torn_down)
     }
 
     /// Migrates a VM's compute placement from `from` to `to` while its
@@ -831,32 +872,15 @@ impl SdmController {
 
         // Drain: unmap the source-side routes and tear down circuits no
         // remaining RMST entry needs.
-        {
-            let agent = self
-                .agents
-                .get_mut(from)
-                .expect("agent exists for every registered brick");
-            for base in grants.iter().flat_map(|g| g.rmst_bases.iter()) {
-                if let Ok(t) = agent.apply_detach(*base) {
-                    service_time += self.timings.agent_push + t;
-                }
-            }
-        }
-        let circuits_torn_down = self.tear_down_unused_circuits(from, involved.iter().copied());
-        service_time += self
-            .timings
-            .circuit_switch_program
-            .saturating_mul(u64::from(circuits_torn_down));
+        let (drain_time, circuits_torn_down) = self.drain_routes(
+            from,
+            grants.iter().flat_map(|g| g.rmst_bases.iter().copied()),
+            involved.iter().copied(),
+        );
+        service_time += drain_time;
 
         // Re-index both bricks' capacity slots.
-        let src = self.compute.get_mut(from).expect("validated above");
-        let holders = src.vm_cores.get_mut(&vcpus).expect("validated above");
-        *holders -= 1;
-        if *holders == 0 {
-            src.vm_cores.remove(&vcpus);
-        }
-        src.used_cores -= vcpus;
-        src.vm_count -= 1;
+        let src = self.unbook_cores(from, vcpus);
         src.attached_segments = src.attached_segments.saturating_sub(segment_count);
         let dst = self.compute.get_mut(to).expect("validated above");
         dst.used_cores += vcpus;
@@ -1231,11 +1255,13 @@ impl SdmController {
                     rmst_bases.push(outcome.rmst_base);
                 }
                 Err(_) => {
-                    // Roll everything back: agent mappings, freshly
-                    // programmed circuits, pool grant, reservation.
+                    // Roll everything back: agent mappings and the port
+                    // counter they advanced, freshly programmed circuits,
+                    // pool grant, reservation.
                     for base in &rmst_bases {
                         let _ = agent.apply_detach(*base);
                     }
+                    state.attached_segments -= rmst_bases.len() as u32;
                     if let Some(routes) = self.circuits.get_mut(demand.compute_brick) {
                         for membrick in &new_circuits {
                             routes.remove(membrick);
@@ -1259,68 +1285,40 @@ impl SdmController {
         })
     }
 
-    /// Releases a previous scale-up grant: detaches the RMST mappings and
-    /// returns the segments to the pool. Returns the controller service
-    /// time of the release.
+    /// Releases a previous scale-up grant: detaches the RMST mappings,
+    /// tears down circuits no remaining route needs, returns the segments to
+    /// the pool and drops the grant's ledger hold. A segment the pool no
+    /// longer knows (lost with a failed dMEMBRICK) is skipped and counted,
+    /// and the hold is released in full either way, so the two-phase
+    /// accounting stays balanced. Returns the controller service time and
+    /// the bytes that were already gone.
     ///
     /// # Errors
     ///
-    /// Propagates pool errors for unknown segments.
+    /// Propagates pool errors other than the tolerated
+    /// [`MemoryError::NoSuchSegment`].
     pub fn release_scale_up(
         &mut self,
         grant: &ScaleUpGrant,
-    ) -> Result<SimDuration, OrchestratorError> {
-        let mut service_time = self.timings.request_rpc + self.timings.reservation_write;
-        if let Some(agent) = self.agents.get_mut(grant.demand.compute_brick) {
-            for base in &grant.rmst_bases {
-                if let Ok(t) = agent.apply_detach(*base) {
-                    service_time += self.timings.agent_push + t;
-                }
+    ) -> Result<(SimDuration, ByteSize), OrchestratorError> {
+        let segments = grant.grant.segments();
+        let (drain_time, _) = self.drain_routes(
+            grant.demand.compute_brick,
+            grant.rmst_bases.iter().copied(),
+            segments.iter().map(|s| s.membrick),
+        );
+        let service_time = self.timings.request_rpc + self.timings.reservation_write + drain_time;
+        let mut lost = 0u64;
+        for segment in segments {
+            match self.pool.release(segment) {
+                Ok(()) => {}
+                Err(MemoryError::NoSuchSegment { .. }) => lost += segment.size.as_bytes(),
+                Err(e) => return Err(e.into()),
             }
         }
-        // Tear down circuits no remaining RMST route needs, so the
-        // controller's circuit view tracks the data path (and future
-        // scale-ups to that dMEMBRICK re-program the switch, as the
-        // hardware would).
-        let involved = grant.grant.segments().iter().map(|s| s.membrick);
-        let torn_down = self.tear_down_unused_circuits(grant.demand.compute_brick, involved);
-        service_time += self
-            .timings
-            .circuit_switch_program
-            .saturating_mul(u64::from(torn_down));
-        self.pool.release_grant(&grant.grant)?;
         self.ledger
             .release_committed(None, 0, grant.grant.total())?;
-        Ok(service_time)
-    }
-
-    /// Processes a burst of concurrent scale-up demands. The SDM controller
-    /// is a single autonomous service, so requests are serialized through a
-    /// [`ControlPlaneQueue`]: each request's completion delay includes the
-    /// service times of the requests queued ahead of it plus the
-    /// per-queued-request contention penalty
-    /// ([`SdmTimings::queued_request_penalty`]) — the "aggressiveness of
-    /// scale-up concurrency" effect visible in Figure 10, charged by the
-    /// same queue model the scenario engine and the scale-out baseline use.
-    ///
-    /// Returns, for each demand (in order), the grant and its completion
-    /// delay (queueing + own service time). Demands that fail are skipped.
-    pub fn scale_up_burst(
-        &mut self,
-        demands: &[ScaleUpDemand],
-    ) -> Vec<(ScaleUpGrant, SimDuration)> {
-        let mut queue = ControlPlaneQueue::new(self.timings.queued_request_penalty);
-        let mut results = Vec::with_capacity(demands.len());
-        for demand in demands {
-            match self.handle_scale_up(*demand) {
-                Ok(grant) => {
-                    let admission = queue.admit(SimTime::ZERO, grant.service_time);
-                    results.push((grant, admission.completion.duration_since(SimTime::ZERO)));
-                }
-                Err(_) => continue,
-            }
-        }
-        results
+        Ok((service_time, ByteSize::from_bytes(lost)))
     }
 
     // --- Fault injection -------------------------------------------------
@@ -1461,47 +1459,6 @@ impl SdmController {
             .map(|s| s.id)
             .collect()
     }
-
-    /// [`SdmController::release_scale_up`] for grants that may reference
-    /// segments lost with a failed dMEMBRICK: live segments return to the
-    /// pool, lost ones are skipped, and the ledger hold is released in full
-    /// either way so the two-phase accounting stays balanced. Returns the
-    /// controller service time and how many bytes were already gone.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool errors other than the tolerated
-    /// [`MemoryError::NoSuchSegment`].
-    pub fn release_scale_up_lossy(
-        &mut self,
-        grant: &ScaleUpGrant,
-    ) -> Result<(SimDuration, ByteSize), OrchestratorError> {
-        let mut service_time = self.timings.request_rpc + self.timings.reservation_write;
-        if let Some(agent) = self.agents.get_mut(grant.demand.compute_brick) {
-            for base in &grant.rmst_bases {
-                if let Ok(t) = agent.apply_detach(*base) {
-                    service_time += self.timings.agent_push + t;
-                }
-            }
-        }
-        let involved = grant.grant.segments().iter().map(|s| s.membrick);
-        let torn_down = self.tear_down_unused_circuits(grant.demand.compute_brick, involved);
-        service_time += self
-            .timings
-            .circuit_switch_program
-            .saturating_mul(u64::from(torn_down));
-        let mut lost = 0u64;
-        for seg in grant.grant.segments() {
-            match self.pool.release(seg) {
-                Ok(()) => {}
-                Err(MemoryError::NoSuchSegment { .. }) => lost += seg.size.as_bytes(),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.ledger
-            .release_committed(None, 0, grant.grant.total())?;
-        Ok((service_time, ByteSize::from_bytes(lost)))
-    }
 }
 
 impl Default for SdmController {
@@ -1623,8 +1580,9 @@ mod tests {
         let grant = sdm
             .handle_scale_up(ScaleUpDemand::new(BrickId(1), ByteSize::from_gib(16)))
             .unwrap();
-        let t = sdm.release_scale_up(&grant).unwrap();
+        let (t, lost) = sdm.release_scale_up(&grant).unwrap();
         assert!(t.as_millis_f64() > 0.0);
+        assert_eq!(lost, ByteSize::ZERO);
         assert_eq!(sdm.pool().total_allocated(), ByteSize::ZERO);
         assert_eq!(sdm.ledger().held_memory(), ByteSize::ZERO);
         assert_eq!(
@@ -1789,27 +1747,26 @@ mod tests {
     }
 
     #[test]
-    fn burst_delays_grow_with_queue_position() {
-        let mut sdm = controller();
-        let demands: Vec<ScaleUpDemand> = (0..4u32)
-            .map(|i| ScaleUpDemand::new(BrickId(i), ByteSize::from_gib(4)))
-            .collect();
-        let results = sdm.scale_up_burst(&demands);
-        assert_eq!(results.len(), 4);
-        for pair in results.windows(2) {
-            assert!(
-                pair[1].1 > pair[0].1,
-                "completion delays must be increasing"
-            );
+    fn scale_up_refused_at_attach_leaves_the_port_counter_alone() {
+        // One compute brick (a 256-entry RMST) and two 1 GiB dMEMBRICKs.
+        let mut sdm = SdmController::dredbox_default();
+        sdm.register_compute_brick(BrickId(0), 32, 8);
+        sdm.register_membrick(BrickId(100), ByteSize::from_gib(1));
+        sdm.register_membrick(BrickId(101), ByteSize::from_gib(1));
+        for _ in 0..255 {
+            sdm.handle_scale_up(ScaleUpDemand::new(BrickId(0), ByteSize::from_mib(1)))
+                .unwrap();
         }
-        // The last requester waits for everyone ahead of it, plus the
-        // queued-request contention penalty of each position it queued at
-        // (1 + 2 + 3 requests ahead across the burst).
-        let total_service: SimDuration = results.iter().map(|(g, _)| g.service_time).sum();
-        let penalties = SdmTimings::dredbox_default()
-            .queued_request_penalty
-            .saturating_mul(1 + 2 + 3);
-        assert_eq!(results.last().unwrap().1, total_service + penalties);
+        let attached = sdm.compute.get(BrickId(0)).unwrap().attached_segments;
+        assert_eq!(attached, 255);
+        // 1,500 MiB spans both dMEMBRICKs: the first segment takes the last
+        // RMST entry, the second finds none.
+        assert!(matches!(
+            sdm.handle_scale_up(ScaleUpDemand::new(BrickId(0), ByteSize::from_mib(1_500))),
+            Err(OrchestratorError::AttachLimit { .. })
+        ));
+        let after = sdm.compute.get(BrickId(0)).unwrap().attached_segments;
+        assert_eq!(after, attached);
     }
 
     #[test]
@@ -2100,9 +2057,9 @@ mod tests {
         let victim = grant.grant.segments()[0].membrick;
         let lost = sdm.fail_membrick(victim).unwrap();
         assert!(!lost.is_empty());
-        // The strict release would trip over the lost segments; the lossy
-        // one skips them and still zeroes the ledger hold.
-        let (t, lost_bytes) = sdm.release_scale_up_lossy(&grant).unwrap();
+        // The release skips the lost segments, counts them, and still
+        // zeroes the ledger hold.
+        let (t, lost_bytes) = sdm.release_scale_up(&grant).unwrap();
         assert!(t.as_millis_f64() > 0.0);
         assert_eq!(lost_bytes, ByteSize::from_gib(8));
         assert_eq!(sdm.ledger().held_memory(), ByteSize::ZERO);

@@ -3,9 +3,10 @@
 //! The SDM controller is a single autonomous service: concurrent requests do
 //! not execute in parallel, they queue. [`ControlPlaneQueue`] models that
 //! serialization point for any control plane — the dReDBox SDM controller
-//! (`scale_up_burst`, the scenario engine's per-event latency injection) and
-//! the conventional-cloud baseline (`ScaleOutBaseline`) alike — so the
-//! per-queued-request penalty is charged by one model everywhere.
+//! (the Figure 10 scale-up burst, the scenario engine's per-event latency
+//! injection) and the conventional-cloud baseline (`ScaleOutBaseline`)
+//! alike — so the per-queued-request penalty is charged by one model
+//! everywhere.
 //!
 //! A request admitted at `now` with service time `s` starts once every
 //! request ahead of it has completed, pays a fixed penalty for each request

@@ -273,6 +273,29 @@ proptest! {
         system.reclaim_orphans();
         check_digest(&system);
         prop_assert_eq!(system.vm_count(), 0);
+
+        // Every layer a VM touched is empty again: pool, ledger, offload
+        // sessions, brick bookkeeping, SDM agents, hypervisors and the
+        // memory bricks' exports.
+        let sdm = system.sdm();
+        prop_assert_eq!(system.pool_allocated(), ByteSize::ZERO);
+        prop_assert_eq!(sdm.ledger().held_memory(), ByteSize::ZERO);
+        prop_assert_eq!(system.offload_session_count(), 0);
+        prop_assert_eq!(sdm.offload_session_count(), 0);
+        for id in system.rack().brick_ids(BrickKind::Compute) {
+            prop_assert_eq!(sdm.ledger().held_cores(id), 0);
+            let compute = system.rack().brick(id).and_then(|b| b.as_compute()).unwrap();
+            prop_assert_eq!(compute.allocated_cores(), 0);
+            prop_assert_eq!(compute.attached_remote_memory(), ByteSize::ZERO);
+            prop_assert_eq!(sdm.agent(id).unwrap().mapped_remote_memory(), ByteSize::ZERO);
+            let hv = system.hypervisor(id).unwrap();
+            prop_assert_eq!(hv.vm_count(), 0);
+            prop_assert_eq!(hv.os().onlined_remote(), ByteSize::ZERO);
+        }
+        for id in system.rack().brick_ids(BrickKind::Memory) {
+            let membrick = system.rack().brick(id).and_then(|b| b.as_memory()).unwrap();
+            prop_assert_eq!(membrick.exported(), ByteSize::ZERO);
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 use dredbox::bricks::BrickId;
 use dredbox::interconnect::LatencyConfig;
 use dredbox::memory::HotplugModel;
-use dredbox::orchestrator::{ScaleUpDemand, SdmController};
+use dredbox::orchestrator::{ScaleUpDemand, SdmController, SdmTimings};
+use dredbox::sim::queue::ControlPlaneQueue;
 use dredbox::sim::rng::SimRng;
+use dredbox::sim::time::SimTime;
 use dredbox::sim::units::ByteSize;
 use dredbox::softstack::{BaremetalOs, Hypervisor, ScaleOutBaseline, ScaleUpController, VmSpec};
 
@@ -93,16 +95,19 @@ fn concurrent_bursts_degrade_gracefully_and_beat_scale_out() {
                 ScaleUpDemand::new(BrickId(i as u32), ByteSize::from_gib(rng.range(1u64..=16)))
             })
             .collect();
-        let grants = sdm.scale_up_burst(&demands);
-        assert_eq!(grants.len(), concurrency, "no request may be dropped");
-
+        // The SDM controller serves the burst one request after another.
+        let mut queue =
+            ControlPlaneQueue::new(SdmTimings::dredbox_default().queued_request_penalty);
         let mut total = 0.0;
-        for (i, (grant, completion)) in grants.iter().enumerate() {
-            let (hv, vm) = &mut stacks[i];
+        for (demand, (hv, vm)) in demands.into_iter().zip(&mut stacks) {
+            let grant = sdm
+                .handle_scale_up(demand)
+                .expect("no request may be dropped");
+            let completion = queue.admit(SimTime::ZERO, grant.service_time).completion;
             let outcome = scaleup
                 .apply_grant(hv, *vm, grant.demand.amount)
                 .expect("apply");
-            total += (*completion + outcome.total()).as_secs_f64();
+            total += (completion.duration_since(SimTime::ZERO) + outcome.total()).as_secs_f64();
         }
         averages.push(total / concurrency as f64);
     }
